@@ -1,17 +1,28 @@
-"""Threaded (real-thread) runtime for functional validation.
+"""Live runtimes: the P-SMR protocol on real threads and real processes.
 
-The simulation runtime (:mod:`repro.replication`) reproduces the paper's
-*performance* results; this package runs the same P-SMR protocol logic on
-real Python threads and queues so correctness properties — replica state
-equality, linearizability, deadlock freedom — can be exercised end to end.
-Because of the CPython GIL this runtime makes no performance claims (see
-DESIGN.md, substitution table).
+The simulation (:mod:`repro.replication`) reproduces the paper's
+*performance* results; this package runs the same protocol logic for
+real, so correctness properties — replica state equality,
+linearizability, deadlock freedom, crash recovery — can be exercised end
+to end.  The threaded runtime shares one GIL and makes no performance
+claims; the process runtime gives every replica its own.
 
-The atomic multicast here uses an in-process sequencer that assigns a
-global order under a lock and enqueues messages into each subscribed worker
-thread's delivery queue; every thread of every replica therefore observes
-the same deterministic interleaving of its group and ``g_all``, which is
-the property the paper's deterministic merge provides.
+* :mod:`~repro.runtime.multicast` — the sequencer: a global order
+  assigned under a lock, a retained replay log, and a pluggable
+  :mod:`~repro.runtime.transport` (in-process queues, or TCP frames).
+  Every thread of every replica observes the same interleaving of its
+  group and ``g_all`` — the property the paper's deterministic merge
+  provides.
+* :mod:`~repro.runtime.engine` — :class:`ReplicaEngine`, one replica:
+  service, ``mpl`` batch-draining workers, barriers, checkpoint chain.
+* :mod:`~repro.runtime.cluster` — the control plane written once over a
+  replica-handle interface (clients, consistent cuts, scheduler,
+  truncation, the recovery ladder), and :class:`ThreadedPSMRCluster`,
+  whose handle owns an engine in-process.
+* :mod:`~repro.runtime.proccluster` / :mod:`~repro.runtime.replica_proc`
+  — :class:`ProcessPSMRCluster`, whose handle owns a child process that
+  runs the same engine behind a socket.
+* :mod:`~repro.runtime.linearizability` — the history checker.
 """
 
 from repro.common.checkpoint import CheckpointPolicy

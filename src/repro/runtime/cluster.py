@@ -1,128 +1,82 @@
-"""Threaded P-SMR cluster: real worker threads executing a replicated service.
+"""The P-SMR control plane, and the threaded cluster built on it.
 
-This is the "commodified architecture" of Figure 1 realised in-process:
-client proxies marshal invocations and multicast them; each replica runs
-``mpl`` worker threads that deliver, synchronise (barriers for synchronous
-mode) and execute against the local service instance; responses travel back
-to the client proxy, which returns the first one.
+This is the "commodified architecture" of Figure 1: client proxies
+marshal invocations and multicast them; each replica — a
+:class:`~repro.runtime.engine.ReplicaEngine` — runs ``mpl`` worker
+threads that deliver, synchronise and execute against the local service
+instance; responses travel back to the client proxy, which returns the
+first one.
 
-The cluster also implements the paper's replica fault model (section IV):
-replicas can crash (:meth:`ThreadedPSMRCluster.crash_replica`) and later
-rejoin (:meth:`ThreadedPSMRCluster.recover_replica`).  Recovery follows the
-classic checkpoint-transfer-plus-log-replay scheme: a
-:class:`CheckpointMarker` is multicast to every group and executed in
-synchronous mode, so each live replica snapshots its service at the same
-consistent cut; the recovering replica restores a peer's checkpoint and is
-registered with the multicast log suffix after the marker's sequence
-number, then re-delivers it to its ``mpl`` workers and rejoins.
+:class:`PSMRControlPlane` is everything above the replicas, written once
+for both runtimes: client response routing, consistent cuts (checkpoint
+markers and shard-map updates multicast to every group), the checkpoint
+scheduler with watermark-driven log truncation and off-path compaction,
+the replica fault model of the paper's section IV (crash, then rejoin by
+log replay, chain-suffix transfer or full state transfer — cheapest
+first) and the inspection helpers.  It talks to a replica only through a
+small handle interface:
 
-Passing a :class:`~repro.common.checkpoint.CheckpointPolicy` turns on the
-checkpoint-scheduling and log-compaction subsystem: a background scheduler
-periodically multicasts a *local* checkpoint marker (``source_replica_id is
-None``) at which **every** live replica snapshots its own service, advancing
-its installed-checkpoint watermark; the multicast log is then truncated up
-to the minimum watermark across all replicas.  A crashed replica keeps
-pinning the log at its last watermark — so it can later recover cheaply by
-replaying the suffix it missed — until its lag exceeds the policy's
-``max_replay_lag``, at which point it is marked as requiring a full state
-transfer (a fresh peer checkpoint) and the log is truncated without it.
+``replica_id``, ``watermark``, ``crashed``, ``needs_full_transfer``, ``queues``
+    bookkeeping the control plane reads and writes;
+``kill()``
+    fail-stop the current incarnation and wake anything waiting on it;
+``respawn(from_disk) -> (watermark, manifest)``
+    create the next incarnation and say what checkpoint chain it holds;
+``install(mode, ...)`` / ``start()`` / ``stop()``
+    settle transferred state, run the workers, shut down cleanly;
+``stats()`` / ``snapshot()`` / ``chain_suffix(after)`` / ``compact()``
+    management requests.
+
+:class:`ThreadedPSMRCluster` is the control plane plus :class:`_LocalReplica`
+(a handle owning an in-process engine) over the in-process transport;
+:class:`~repro.runtime.proccluster.ProcessPSMRCluster` is the same
+control plane plus a handle owning a child process over TCP.
 """
 
+import contextlib
 import itertools
 import os
 import threading
 import time
-from functools import lru_cache
+from functools import partial
 
-from repro.common.checkpoint import (
-    NO_COMPRESSION,
-    compact_chain,
-    estimate_checkpoint_size,
-    restore_chain,
-)
+from repro.common.checkpoint import NO_COMPRESSION, estimate_checkpoint_size
 from repro.common.checkpoint_store import ChainGossip, CheckpointStore
 from repro.common.errors import (
     CheckpointError,
     ConfigurationError,
     RecoveryError,
-    ReplicaCrashedError,
     StaleShardRouteError,
 )
 from repro.core.cg import CGFunction
 from repro.core.command import Command
-from repro.core.protocol import plan_execution
 from repro.multicast.group import ALL_GROUPS
-from repro.multicast.sharding import ShardRouter, build_shard_artifact
-from repro.runtime.multicast import LocalAtomicMulticast, decode_wire
-
-#: ``plan_execution`` is a pure function of hashable arguments and the hot
-#: path calls it once per delivered command — memoising it removes the
-#: per-command plan construction (the argument space is tiny: destination
-#: sets over ``mpl`` groups times thread indices).
-_cached_plan = lru_cache(maxsize=None)(plan_execution)
-
-
-class _BarrierSync:
-    """Per-replica synchronous-mode signalling implemented with a condition."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._signals = {}
-        self._done = set()
-        self._crashed = False
-
-    def signal(self, uid, thread_index):
-        with self._cond:
-            self._signals.setdefault(uid, set()).add(thread_index)
-            self._cond.notify_all()
-
-    def wait_for_peers(self, uid, peers, timeout=None):
-        peers = set(peers)
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._crashed or peers <= self._signals.get(uid, set()),
-                timeout=timeout,
-            )
-            if self._crashed:
-                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
-        if not ok:
-            raise TimeoutError(f"barrier timed out waiting for peers of {uid}")
-
-    def complete(self, uid):
-        with self._cond:
-            self._done.add(uid)
-            self._signals.pop(uid, None)
-            self._cond.notify_all()
-
-    def wait_for_completion(self, uid, timeout=None):
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._crashed or uid in self._done, timeout=timeout
-            )
-            if self._crashed:
-                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
-        if not ok:
-            raise TimeoutError(f"barrier timed out waiting for executor of {uid}")
-
-    def crash(self):
-        """Wake every waiting worker with :class:`ReplicaCrashedError`."""
-        with self._cond:
-            self._crashed = True
-            self._cond.notify_all()
+from repro.multicast.sharding import ShardRouter
+from repro.runtime.engine import ReplicaEngine
+from repro.runtime.multicast import LocalAtomicMulticast
+from repro.runtime.transport.wire import make_marker, make_shard_update
 
 
 class _ReplicaWaitable:
-    """Per-replica deliver/fail/wait machinery shared by control messages.
+    """Coordinator-side waiter for one control message's per-replica reports.
 
     A control message is multicast to :data:`ALL_GROUPS` and executed in
-    synchronous mode by every replica; the issuing thread waits on each
-    replica's delivery through this mixin.  First delivery wins (replay
-    re-executions are dropped), a crash fails the waiter immediately, and
-    results are handed over on collection so a message retained in the
-    multicast log cannot pin state in memory.
+    synchronous mode by every replica; what travels is the wire dict from
+    :meth:`wire`, while this object stays with the issuing thread,
+    published in the control plane's ``_pending_markers`` under ``uid`` so
+    the replicas' ``mk`` / ``sh`` reports can find it.  First delivery
+    wins, a crash fails the waiter immediately, and results are handed
+    over on collection.
     """
 
-    def __init__(self):
+    _ids = itertools.count()
+
+    def __init__(self, kind, source_replica_id):
+        self.uid = (kind, next(self._ids))
+        #: The one replica whose report matters, or ``None`` when every
+        #: replica participates — ``crash_replica`` scans pending control
+        #: messages by this field to decide whom a crash fails.
+        self.source_replica_id = source_replica_id
         self._lock = threading.Lock()
         self._delivered = set()
         self._results = {}
@@ -130,12 +84,10 @@ class _ReplicaWaitable:
         self._events = {}
 
     def deliver(self, replica_id, sequence, state):
-        """Record one replica's checkpoint (first delivery wins on replay).
+        """Record one replica's report (first delivery wins).
 
         A delivery after :meth:`fail` is dropped too: the waiter already
-        raised, and storing the state would pin it inside the marker (which
-        the retained multicast log may reference) with no consumer — e.g.
-        when a failed source marker is re-executed during suffix replay.
+        raised, and storing the state would pin it with no consumer.
         """
         with self._lock:
             if replica_id in self._delivered or replica_id in self._failures:
@@ -147,10 +99,10 @@ class _ReplicaWaitable:
             event.set()
 
     def fail(self, replica_id, exc):
-        """Mark ``replica_id`` as unable to deliver (it crashed mid-marker).
+        """Mark ``replica_id`` as unable to report (it crashed mid-message).
 
         Wakes any :meth:`wait_for` caller immediately with ``exc`` instead
-        of letting it run into the full barrier timeout.  A checkpoint that
+        of letting it run into the full barrier timeout.  A report that
         was already delivered wins over a later crash.
         """
         with self._lock:
@@ -162,12 +114,10 @@ class _ReplicaWaitable:
             event.set()
 
     def wait_for(self, replica_id, timeout=None):
-        """Block until ``replica_id`` checkpointed; return ``(sequence, state)``.
+        """Block until ``replica_id`` reported; return ``(sequence, state)``.
 
-        The result is handed over (dropped from the marker) so a marker
-        retained in the multicast log does not pin the state in memory.
         Raises the failure recorded by :meth:`fail` if the replica crashed
-        before delivering, or :class:`TimeoutError` on timeout.
+        before reporting, or :class:`TimeoutError` on timeout.
         """
         with self._lock:
             if replica_id in self._results:
@@ -184,330 +134,43 @@ class _ReplicaWaitable:
 
 
 class CheckpointMarker(_ReplicaWaitable):
-    """A control message that snapshots replicas at a consistent cut.
+    """Waiter for a control message that snapshots replicas at a consistent cut.
 
     The marker is multicast to :data:`ALL_GROUPS`, so it is totally ordered
-    against every command.  On delivery it is executed in synchronous mode
-    by every replica: thread 1 waits until all its sibling threads have
-    reached the marker (at which point the replica's service reflects
-    exactly the commands ordered before the marker).
-
-    With a concrete ``source_replica_id``, only that replica materialises
-    ``service.checkpoint()`` — the other replicas pay just the barrier,
-    which is what makes the cut consistent cluster-wide without N copies of
-    the state.  With ``source_replica_id=None`` (a *periodic* marker) every
-    replica takes a local checkpoint at the cut, keeping the state to
-    itself and advancing its installed-checkpoint watermark; the marker
-    only records completion, which is what log truncation waits on.
+    against every command, and executed in synchronous mode by every
+    replica (see :meth:`ReplicaEngine._handle_marker`).  With a concrete
+    ``source_replica_id`` only that replica materialises its state; with
+    ``None`` (a *periodic* marker) every replica takes a local checkpoint
+    and reports only completion, which is what log truncation waits on.
     """
 
-    _ids = itertools.count()
-
     def __init__(self, source_replica_id=None):
-        super().__init__()
-        self.uid = ("__checkpoint__", next(self._ids))
-        self.source_replica_id = source_replica_id
+        super().__init__("__checkpoint__", source_replica_id)
+
+    def wire(self):
+        return make_marker(self.uid[1], self.source_replica_id)
 
 
 class ShardMapUpdate(_ReplicaWaitable):
-    """A control message that re-partitions the keyspace at a consistent cut.
+    """Waiter for a control message that re-partitions the keyspace at a cut.
 
     Ordered on every group (so it is a barrier against every command) via
     :meth:`LocalAtomicMulticast.multicast_shard_update`, which advances
     the sequencer's shard version atomically with the update's own
-    sequence number.  On delivery each replica synchronises all its worker
-    threads — the replica's state then reflects exactly the commands
-    routed under the *old* map — and thread 1 builds the shard hand-off
-    artifact for the moved ranges: the replica's checkpoint chain plus a
-    live-tail delta, filtered to the moved key ranges and verified by
-    restoring it into a fresh service (see
-    :func:`~repro.multicast.sharding.build_shard_artifact`).
-
-    ``source_replica_id`` is ``None`` like a periodic marker: every
-    replica participates, so a crash of *any* replica fails the waiter
-    (``crash_replica`` scans pending control messages by that field).
+    sequence number.  Every replica participates (see
+    :meth:`ReplicaEngine._handle_shard_update`), so a crash of *any*
+    replica fails the waiter.
     """
 
-    _ids = itertools.count()
-
     def __init__(self, new_map, moved_ranges):
-        super().__init__()
-        self.uid = ("__shardmap__", next(self._ids))
-        self.source_replica_id = None
+        super().__init__("__shardmap__", None)
         self.new_map = new_map
         self.moved_ranges = moved_ranges
 
-
-class _Replica:
-    """One replica: a service instance plus ``mpl`` worker threads."""
-
-    def __init__(self, cluster, replica_id, service, delivery_queues):
-        self.cluster = cluster
-        self.replica_id = replica_id
-        self.service = service
-        self.barrier = _BarrierSync()
-        self.crashed = False
-        #: The replica's local checkpoint chain: one full base entry
-        #: followed by the deltas chained off it, each shaped
-        #: ``{"kind", "sequence", "payload"}``.  Replaced wholesale (never
-        #: mutated in place) so concurrent readers see a consistent chain.
-        self.checkpoint_chain = []
-        #: Sequence number of the latest installed checkpoint; -1 means the
-        #: initial service state (the cut before any message).  The log must
-        #: retain everything after this watermark for the replica to recover
-        #: by suffix replay.
-        self.checkpoint_watermark = -1
-        #: Periodic deltas taken since the last full snapshot — the
-        #: ``full_every`` cadence counter.  Kept separately from the chain
-        #: length because compaction shrinks the chain without making the
-        #: base any fresher.
-        self.deltas_since_full = 0
-        #: Set once the log has been truncated past this (crashed) replica's
-        #: watermark: suffix replay is no longer possible and recovery must
-        #: perform a full state transfer from a live peer.
-        self.needs_full_transfer = False
-        self.delivered = [0] * (cluster.mpl + 1)
-        #: Batches drained per thread (``delivered[i] / batches[i]`` is the
-        #: thread's achieved amortisation).  Single-writer slots: no lock.
-        self.batches = [0] * (cluster.mpl + 1)
-        #: Serialises chain mutations (markers, recovery install) against
-        #: off-path compaction on the scheduler thread; also makes the
-        #: durable store single-writer.
-        self.chain_lock = threading.Lock()
-        self.threads = []
-        for index in range(1, cluster.mpl + 1):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                args=(index, delivery_queues[index]),
-                name=f"psmr-replica{replica_id}-t{index}",
-                daemon=True,
-            )
-            self.threads.append(worker)
-
-    def start(self):
-        for thread in self.threads:
-            thread.start()
-
-    def join(self, timeout=5.0):
-        for thread in self.threads:
-            thread.join(timeout)
-
-    def _worker_loop(self, index, delivery_queue):
-        """Drain delivered messages in batches and execute them in order.
-
-        One :meth:`DeliveryQueue.get_batch` wakeup processes up to the
-        cluster's ``delivery_batch_size`` messages — one lock round-trip
-        amortised over the whole run instead of paid per command.
-        Parallel-mode responses are accumulated and handed to the cluster
-        in one batch too (:meth:`ThreadedPSMRCluster._respond_many`);
-        they are always flushed before anything that can block or reorder
-        — a barrier, a checkpoint marker — and at the end of every drained
-        batch, so a closed-loop client is never left waiting on a response
-        this thread is sitting on.
-        """
-        cluster = self.cluster
-        mpl = cluster.mpl
-        batch_size = cluster.delivery_batch_size
-        pending = []  # (uid, response) pairs not yet handed to the cluster
-        while True:
-            batch = delivery_queue.get_batch(batch_size)
-            self.batches[index] += 1
-            for item in batch:
-                if item is None or self.crashed:
-                    # Clean shutdown still delivers executed responses; a
-                    # crash drops them (the replica is gone mid-flight).
-                    if not self.crashed:
-                        self._flush_responses(pending)
-                    return
-                sequence, destinations, command = item
-                self.delivered[index] += 1
-                if isinstance(command, (bytes, bytearray)):
-                    command = decode_wire(command)
-                try:
-                    if isinstance(command, CheckpointMarker):
-                        # The marker cuts the batch: every response from
-                        # before it becomes client-visible before the
-                        # barrier, and nothing after it has executed yet
-                        # (in-order drain) — so the cut lands exactly on a
-                        # batch boundary.
-                        self._flush_responses(pending)
-                        self._handle_marker(sequence, command, index)
-                        if pending:
-                            cluster._record_boundary_violation()
-                            self._flush_responses(pending)
-                        continue
-                    if isinstance(command, ShardMapUpdate):
-                        # Same cut discipline as a marker: the update is a
-                        # barrier, so responses flush before it and nothing
-                        # after it has executed when the hand-off artifact
-                        # is built.
-                        self._flush_responses(pending)
-                        self._handle_shard_update(sequence, command, index)
-                        if pending:
-                            cluster._record_boundary_violation()
-                            self._flush_responses(pending)
-                        continue
-                    plan = _cached_plan(destinations, index, mpl)
-                    if plan.mode == "parallel":
-                        pending.append((command.uid, self._execute(command)))
-                    elif plan.mode == "execute":
-                        self._flush_responses(pending)
-                        self.barrier.wait_for_peers(
-                            command.uid, plan.peers, timeout=cluster.barrier_timeout
-                        )
-                        self._execute_and_reply(command)
-                        self.barrier.complete(command.uid)
-                    elif plan.mode == "assist":
-                        self._flush_responses(pending)
-                        self.barrier.signal(command.uid, index)
-                        self.barrier.wait_for_completion(
-                            command.uid, timeout=cluster.barrier_timeout
-                        )
-                    # plan.mode == "ignore": not a destination; nothing to do.
-                except ReplicaCrashedError:
-                    return
-            self._flush_responses(pending)
-
-    def _flush_responses(self, pending):
-        """Hand accumulated parallel-mode responses to the cluster at once."""
-        if pending:
-            self.cluster._respond_many(pending)
-            pending.clear()
-
-    def _handle_marker(self, sequence, marker, index):
-        """Synchronous-mode execution of a :class:`CheckpointMarker`.
-
-        When every thread has reached the marker, the replica's service
-        state reflects exactly the commands sequenced before it, so the
-        executor's checkpoint is a consistent cut at ``sequence``.
-        """
-        executor = 1
-        if index != executor:
-            self.barrier.signal(marker.uid, index)
-            self.barrier.wait_for_completion(
-                marker.uid, timeout=self.cluster.barrier_timeout
-            )
-            return
-        peers = range(2, self.cluster.mpl + 1)
-        self.barrier.wait_for_peers(
-            marker.uid, peers, timeout=self.cluster.barrier_timeout
+    def wire(self):
+        return make_shard_update(
+            self.uid[1], self.new_map.to_wire(), self.moved_ranges
         )
-        if marker.source_replica_id is None:
-            # Periodic marker: every replica checkpoints locally, advancing
-            # its watermark; only completion is reported (state stays here).
-            # The policy's ``full_every`` decides full vs. delta: a delta
-            # serialises only what changed since the chain tip.
-            with self.chain_lock:
-                entry = self._take_local_checkpoint(sequence)
-                self.checkpoint_watermark = sequence
-                self.cluster._record_checkpoint(self.replica_id, entry)
-                self.cluster._chain_updated(self)
-            marker.deliver(self.replica_id, sequence, None)
-        elif marker.source_replica_id == self.replica_id:
-            # Source marker (recovery transfer): a fresh full snapshot.  It
-            # also becomes this replica's new chain base, so delta tracking
-            # restarts here.
-            state = self.service.checkpoint()
-            if hasattr(self.service, "reset_delta_tracking"):
-                self.service.reset_delta_tracking()
-            with self.chain_lock:
-                self.checkpoint_chain = [
-                    {"kind": "full", "sequence": sequence, "payload": state}
-                ]
-                self.checkpoint_watermark = sequence
-                self.deltas_since_full = 0
-                self.cluster._chain_updated(self)
-            marker.deliver(self.replica_id, sequence, state)
-        self.barrier.complete(marker.uid)
-
-    def _handle_shard_update(self, sequence, update, index):
-        """Synchronous-mode execution of a :class:`ShardMapUpdate`.
-
-        Once every thread has reached the update, the replica's service
-        reflects exactly the commands routed under the old shard map, so
-        the executor's hand-off artifact is a consistent cut of the moved
-        ranges at ``sequence``.  Routing already switched at the sequencer
-        when the update was ordered; this barrier is what makes the state
-        transfer point well-defined on every replica.
-        """
-        executor = 1
-        if index != executor:
-            self.barrier.signal(update.uid, index)
-            self.barrier.wait_for_completion(
-                update.uid, timeout=self.cluster.barrier_timeout
-            )
-            return
-        peers = range(2, self.cluster.mpl + 1)
-        self.barrier.wait_for_peers(
-            update.uid, peers, timeout=self.cluster.barrier_timeout
-        )
-        try:
-            if update.moved_ranges:
-                with self.chain_lock:
-                    artifact = build_shard_artifact(
-                        self.service,
-                        self.checkpoint_chain,
-                        update.moved_ranges,
-                        service_factory=self.cluster.service_factory,
-                    )
-            else:
-                artifact = None
-        except CheckpointError as exc:
-            update.fail(self.replica_id, exc)
-        else:
-            update.deliver(self.replica_id, sequence, artifact)
-        self.barrier.complete(update.uid)
-
-    def _take_local_checkpoint(self, sequence):
-        """Snapshot the service at a periodic cut; returns the chain entry.
-
-        A delta is taken when the policy allows more deltas on the current
-        chain and the service supports delta checkpoints; otherwise a full
-        snapshot starts a new chain (and resets the service's delta
-        tracking, so the next delta is relative to this base).  Delta
-        compaction is deliberately *not* done here: every worker thread of
-        every replica is stalled at the marker barrier while this runs, so
-        the merge is paid off-path by the checkpoint scheduler instead
-        (:meth:`ThreadedPSMRCluster.compact_chains`).
-        """
-        policy = self.cluster.checkpoint_policy
-        chain = self.checkpoint_chain
-        take_delta = (
-            chain
-            and policy is not None
-            and not policy.take_full(self.deltas_since_full)
-            and hasattr(self.service, "delta_checkpoint")
-        )
-        if take_delta:
-            entry = {
-                "kind": "delta",
-                "sequence": sequence,
-                "payload": self.service.delta_checkpoint(),
-            }
-            self.deltas_since_full += 1
-            self.checkpoint_chain = [*chain, entry]
-        else:
-            entry = {
-                "kind": "full",
-                "sequence": sequence,
-                "payload": self.service.checkpoint(),
-            }
-            if hasattr(self.service, "reset_delta_tracking"):
-                self.service.reset_delta_tracking()
-            self.deltas_since_full = 0
-            self.checkpoint_chain = [entry]
-        return entry
-
-    def _execute(self, command):
-        """Apply one command; return the response (the caller delivers it)."""
-        response = self.service.apply(command)
-        if self.crashed:
-            raise ReplicaCrashedError("replica crashed before replying")
-        response.replica_id = self.replica_id
-        return response
-
-    def _execute_and_reply(self, command):
-        self.cluster._respond(command.uid, self._execute(command))
 
 
 class PendingInvocation:
@@ -615,14 +278,13 @@ class ThreadedClient:
 
 
 class ResponseRouter:
-    """Client-response plumbing shared by the threaded and process clusters.
+    """Client-response plumbing of the control plane.
 
     Routes each invocation's first response to its waiter: duplicate
     replies (active replication sends one per replica), replies after a
     client timed out, and replies re-executed during recovery replay are
     dropped.  Requires ``self._lock`` (a ``threading.Lock``) plus the
-    ``self._waiters`` / ``self._responses`` dicts, and a
-    ``marker_boundary_violations`` counter attribute.
+    ``self._waiters`` / ``self._responses`` dicts.
 
     A waiter slot holds one of three values: ``None`` (registered, nobody
     collecting yet), a ``threading.Event`` (a blocked :meth:`result`
@@ -725,14 +387,11 @@ class ResponseRouter:
         for callback, response in to_call:
             callback(response)
 
-    def _record_boundary_violation(self):
-        with self._lock:
-            self.marker_boundary_violations += 1
-
     def _take_response(self, uid):
         with self._lock:
             self._waiters.pop(uid, None)
             return self._responses.pop(uid)
+
 
 
 class _CheckpointScheduler(threading.Thread):
@@ -777,110 +436,79 @@ class _CheckpointScheduler(threading.Thread):
             self.join(join_timeout)
 
 
-class ThreadedPSMRCluster(ResponseRouter):
-    """A complete in-process P-SMR deployment over real threads.
 
-    ``service_factory`` builds one service state machine per replica (e.g.
-    ``KeyValueStoreServer``); ``spec`` provides the command signatures and
-    routing from which the C-G function is compiled.  ``log_retention``
-    bounds the multicast replay log (``None`` retains everything, which is
-    what tests use).  ``checkpoint_policy`` — a
-    :class:`~repro.common.checkpoint.CheckpointPolicy` — enables periodic
-    background checkpoints plus watermark-driven log truncation, which is
-    how production deployments keep the replay log bounded.
+class PSMRControlPlane(ResponseRouter):
+    """Everything a P-SMR deployment does above its replicas (see module doc).
 
-    ``store_dir`` turns the in-memory checkpoint chains into a restartable
-    subsystem: every replica persists its chain to a
-    :class:`~repro.common.checkpoint_store.CheckpointStore` under
-    ``store_dir/replica-<id>`` (crash-safe segments plus an atomic
-    manifest), and a crashed replica can rejoin as a restarted *process*
-    via :meth:`restart_replica_from_disk` — its in-memory chain is
-    discarded and the durable one reloaded before the normal recovery
-    negotiation runs.  Replicas also gossip their chain manifests (a
-    :class:`~repro.common.checkpoint_store.ChainGossip`) at every marker
-    cut, so any live peer whose lineage still contains the joiner's cut
-    can donate the chain suffix, not just the original donor.
+    ``checkpoint_policy`` — a :class:`~repro.common.checkpoint.CheckpointPolicy`
+    — turns on the checkpoint-scheduling and log-compaction subsystem: a
+    background scheduler periodically multicasts a *local* checkpoint
+    marker at which **every** live replica snapshots its own service,
+    advancing its installed-checkpoint watermark; the multicast log is
+    then truncated up to the minimum watermark across all replicas.  A
+    crashed replica keeps pinning the log at its last watermark — so it
+    can later recover cheaply by replaying the suffix it missed — until
+    its lag exceeds the policy's ``max_replay_lag``, at which point it is
+    marked as requiring a full state transfer and the log is truncated
+    without it.  With a ``shard_map``, keyed commands route through a
+    versioned key-range partition instead of the static modulo rule, and
+    :meth:`update_shard_map` / :meth:`rebalance_shards` re-partition the
+    keyspace live.
+
+    Subclasses pick the transport through ``multicast_options`` (keyword
+    arguments of :class:`LocalAtomicMulticast`), then fill ``self.replicas``
+    with their handles.
     """
 
-    def __init__(self, spec, service_factory, mpl=4, num_replicas=2,
-                 coarse_cg=False, barrier_timeout=10.0, seed=0,
-                 log_retention=None, checkpoint_policy=None,
-                 checkpoint_poll_interval=0.005, store_dir=None,
-                 delivery_batch_size=32, wire_codec=None, fault_plane=None,
-                 shard_map=None):
+    def __init__(self, spec, mpl, multicast_options, num_replicas, coarse_cg,
+                 barrier_timeout, seed, checkpoint_policy,
+                 checkpoint_poll_interval, delivery_batch_size, shard_map):
         if num_replicas < 1:
             raise ConfigurationError("need at least one replica")
         if delivery_batch_size < 1:
             raise ConfigurationError("delivery batch size must be >= 1")
         self.spec = spec
-        self.service_factory = service_factory
         self.mpl = mpl
+        self.multicast = multicast = LocalAtomicMulticast(mpl, **multicast_options)
         self.num_replicas = num_replicas
         self.barrier_timeout = barrier_timeout
-        #: Messages a worker drains per wakeup; 1 restores the legacy
-        #: one-lock-round-trip-per-command behaviour (the benchmark's
-        #: "before" arm).
+        #: Messages a worker drains per wakeup; 1 is one lock round-trip
+        #: per command (the baseline benchmark's "before" arm).
         self.delivery_batch_size = delivery_batch_size
-        #: Dynamic sharding (opt-in): with a ``shard_map``, keyed commands
-        #: route through a versioned key-range partition instead of the
-        #: static modulo rule, and :meth:`update_shard_map` /
-        #: :meth:`rebalance_shards` re-partition the keyspace live.
-        self.shard_router = (
-            ShardRouter(shard_map, mpl) if shard_map is not None else None
-        )
+        self.shard_router = None
+        if shard_map is not None:
+            self.shard_router = ShardRouter(shard_map, self.mpl)
+            multicast.shard_router = self.shard_router
+            multicast.shard_version = shard_map.version
         self.shard_migrations = []
         self.cg = CGFunction(
-            spec, mpl, seed=seed, coarse=coarse_cg, router=self.shard_router
+            spec, self.mpl, seed=seed, coarse=coarse_cg, router=self.shard_router
         )
-        #: Optional shared network fault plane; deliveries detour through
-        #: the multicast's :class:`FaultyLinkPipe` when set.
-        self.fault_plane = fault_plane
-        self.multicast = LocalAtomicMulticast(
-            mpl, retention=log_retention, wire_codec=wire_codec,
-            fault_plane=fault_plane,
-        )
-        if self.shard_router is not None:
-            self.multicast.shard_router = self.shard_router
-            self.multicast.shard_version = shard_map.version
         self.checkpoint_policy = checkpoint_policy
         self.checkpoint_poll_interval = checkpoint_poll_interval
         self.checkpoints_taken = 0
         self.truncations = 0
         self.compactions = 0
-        #: Incremented if a marker ever completes with responses still
-        #: pending on a worker — the batched drain keeps this at zero
-        #: (markers cut exactly at batch boundaries); tests assert on it.
-        self.marker_boundary_violations = 0
         #: Chain-manifest exchange: replicas publish ``(kind, sequence)``
         #: manifests at every marker cut; recovery consults it for donors.
         self.gossip = ChainGossip()
-        #: Per-replica durable stores (empty when ``store_dir`` is unset).
-        self.stores = {}
-        if store_dir is not None:
-            for replica_id in range(num_replicas):
-                self.stores[replica_id] = CheckpointStore(
-                    os.path.join(store_dir, f"replica-{replica_id}")
-                )
         #: Measured checkpoint sizes: wire bytes by kind, plus a per-entry
         #: event log and per-recovery transfer records (mode + bytes).
         self.checkpoint_bytes = {"full": 0, "delta": 0}
         self.checkpoint_events = []
         self.recovery_transfers = []
+        self.replicas = []
         self._scheduler = None
-        self._pending_markers = set()
+        self._pending_markers = {}  # waitable uid -> CheckpointMarker / ShardMapUpdate
+        # Cumulative boundary-violation count last reported by each
+        # (replica, generation) — summed by ``marker_boundary_violations``,
+        # so violations observed before a crash still count afterwards.
+        self._boundary_counts = {}
         #: Serialises log truncation against replica (re-)registration, and
         #: holds per-replica floors that pin truncation below an in-flight
         #: recovery's transfer point.
         self._recovery_lock = threading.Lock()
         self._truncation_floors = {}
-        self.replicas = []
-        for replica_id in range(num_replicas):
-            queues = self.multicast.register_replica(
-                replica_id, range(1, mpl + 1)
-            )
-            self.replicas.append(
-                _Replica(self, replica_id, service_factory(), queues)
-            )
         self._responses = {}
         self._waiters = {}
         self._lock = threading.Lock()
@@ -894,8 +522,14 @@ class ThreadedPSMRCluster(ResponseRouter):
         if self._started:
             return self
         for replica in self.replicas:
-            if not replica.crashed:
-                replica.start()
+            if replica.crashed:
+                continue
+            if replica.queues is None:
+                # Not subscribed at construction (a replica process has to
+                # exist and dial in first): bring its first incarnation up.
+                replica.respawn(from_disk=True)
+                self._register(replica)
+            replica.start()
         self._started = True
         if self.checkpoint_policy is not None:
             self._scheduler = _CheckpointScheduler(
@@ -908,9 +542,11 @@ class ThreadedPSMRCluster(ResponseRouter):
         if self._scheduler is not None:
             self._scheduler.stop()
             self._scheduler = None
+        # Every registered replica is told to exit first, so they wind
+        # down in parallel; ``stop`` then waits for each in turn.
         self.multicast.shutdown()
         for replica in self.replicas:
-            replica.join()
+            replica.stop()
         self._started = False
 
     def __enter__(self):
@@ -919,59 +555,112 @@ class ThreadedPSMRCluster(ResponseRouter):
     def __exit__(self, exc_type, exc, tb):
         self.shutdown()
 
-    # ------------------------------------------------------------------
-    # Crash and recovery
-    # ------------------------------------------------------------------
-    def live_replicas(self):
-        """The replicas currently serving (not crashed)."""
-        return [replica for replica in self.replicas if not replica.crashed]
+    def client(self):
+        """Create a new client proxy bound to this cluster."""
+        return ThreadedClient(self, next(self._client_ids))
 
-    def crash_replica(self, replica_id):
-        """Fail-stop one replica: no further deliveries, workers terminated.
+    def _register(self, replica, after_sequence=None):
+        """Subscribe a replica's threads, atomically with the replay of the
+        retained log after ``after_sequence``; :class:`RecoveryError` when
+        the log no longer reaches back that far."""
+        with self._recovery_lock:
+            replica.queues = self.multicast.register_replica(
+                replica.replica_id, range(1, self.mpl + 1),
+                after_sequence=after_sequence,
+            )
 
-        Survivors are unaffected — barriers are per-replica, so in-flight
-        synchronous-mode commands on live replicas keep making progress.
-        Checkpoint markers currently waiting on this replica are failed
-        immediately (with :class:`RecoveryError`) instead of hanging for
-        the full barrier timeout.
-        """
+    # ------------------------------------------------------------------
+    # Replica reports (a worker thread, or the transport's event loop —
+    # keep handlers cheap)
+    # ------------------------------------------------------------------
+    def _handle_marker_done(self, replica_id, message):
+        """A replica executed a checkpoint marker: the single place
+        watermarks, gossip and checkpoint events are recorded."""
+        sequence = message["sequence"]
         replica = self.replicas[replica_id]
-        if replica.crashed:
-            raise RecoveryError(f"replica {replica_id} is already crashed")
-        if len(self.live_replicas()) <= 1:
-            raise RecoveryError("cannot crash the last live replica")
-        replica.crashed = True
-        queues = self.multicast.unregister_replica(replica_id)
-        replica.barrier.crash()
+        # Always advance the bookkeeping — even for a marker nobody is
+        # waiting on anymore (e.g. one re-executed during replay).
+        replica.watermark = max(replica.watermark, sequence)
+        self.gossip.publish(replica_id, message["manifest"])
+        self._note_boundary(replica, message["boundary"])
+        raw = message["raw_bytes"]
+        wire_bytes = self._compression().wire_size(raw)
         with self._lock:
-            pending = list(self._pending_markers)
-        for marker in pending:
-            if marker.source_replica_id in (None, replica_id):
-                marker.fail(
-                    replica_id,
-                    RecoveryError(
-                        f"checkpoint source replica {replica_id} crashed "
-                        f"before delivering its checkpoint"
-                    ),
-                )
-        for delivery_queue in queues.values():
-            delivery_queue.put(None)
-        replica.join()
-        return replica
+            self.checkpoint_bytes[message["kind"]] += wire_bytes
+            self.checkpoint_events.append(
+                {
+                    "sequence": sequence,
+                    "replica_id": replica_id,
+                    "kind": message["kind"],
+                    "raw_bytes": raw,
+                    "wire_bytes": wire_bytes,
+                }
+            )
+            marker = self._pending_markers.get(("__checkpoint__", message["marker"]))
+        if marker is not None:
+            marker.deliver(replica_id, sequence, message["state"])
 
-    def crash_replicas(self, replica_ids):
-        """Fail-stop several replicas at once; returns the crashed replicas.
+    def _handle_shard_done(self, replica_id, message):
+        """A replica executed a shard-map update: hand the artifact's
+        stats (or the build failure) to the waiting update."""
+        with self._lock:
+            update = self._pending_markers.get(("__shardmap__", message["update"]))
+        if update is None:
+            return  # e.g. re-executed during replay after the wait ended
+        if message["error"]:
+            update.fail(replica_id, CheckpointError(message["error"]))
+        else:
+            update.deliver(replica_id, message["sequence"], message)
 
-        At least one replica must stay live.  The crashes are applied in
-        order and fail fast: an invalid id (already crashed, or crashing
-        would leave no live replica) raises before later ids are touched.
+    def _note_boundary(self, replica, count):
+        with self._lock:
+            self._boundary_counts[(replica.replica_id, replica.generation)] = count
+
+    @property
+    def marker_boundary_violations(self):
+        """Markers that completed with responses still pending on a worker;
+        the batched drain keeps this at zero and tests assert on it."""
+        with self._lock:
+            return sum(self._boundary_counts.values())
+
+    # ------------------------------------------------------------------
+    # Consistent cuts
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _published(self, waitable):
+        """Keep ``waitable`` findable by replica reports and crashes."""
+        with self._lock:
+            self._pending_markers[waitable.uid] = waitable
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._pending_markers.pop(waitable.uid, None)
+
+    def _collect(self, waitable, replicas, timeout):
+        """``{replica_id: (sequence, result)}`` from every replica that reported.
+
+        One shared deadline across the waits: the bound is ``timeout``
+        total, not ``timeout`` per replica.  A replica that crashed while
+        the message was in flight is skipped.
         """
-        return [self.crash_replica(replica_id) for replica_id in replica_ids]
+        if timeout is None:
+            timeout = self.barrier_timeout
+        deadline = time.monotonic() + timeout
+        reports = {}
+        for replica in replicas:
+            try:
+                reports[replica.replica_id] = waitable.wait_for(
+                    replica.replica_id, max(0.0, deadline - time.monotonic())
+                )
+            except RecoveryError:
+                continue
+        return reports
 
     def checkpoint(self, replica_id=None, timeout=None):
         """Checkpoint the cluster at one consistent cut.
 
-        Multicasts a :class:`CheckpointMarker` to every group and returns
+        Multicasts a checkpoint marker to every group and returns
         ``(sequence, state)`` from ``replica_id`` (default: the first live
         replica).  Every live replica synchronises at the same cut; only
         the source materialises its state.  Raises :class:`RecoveryError`
@@ -983,25 +672,47 @@ class ThreadedPSMRCluster(ResponseRouter):
         elif self.replicas[replica_id].crashed:
             raise RecoveryError(f"replica {replica_id} is crashed")
         marker = CheckpointMarker(source_replica_id=replica_id)
-        with self._lock:
-            self._pending_markers.add(marker)
-        try:
+        with self._published(marker):
             # Re-check after publishing the marker: a crash_replica that ran
             # between the validation above and the publish scanned an empty
             # pending set, so one of the two sides must observe the other
             # (crash_replica sets ``crashed`` before scanning).
             if self.replicas[replica_id].crashed:
                 raise RecoveryError(f"replica {replica_id} is crashed")
-            self.multicast.multicast(ALL_GROUPS, marker)
-            wait_timeout = timeout if timeout is not None else self.barrier_timeout
-            return marker.wait_for(replica_id, wait_timeout)
-        finally:
-            with self._lock:
-                self._pending_markers.discard(marker)
+            self.multicast.multicast(ALL_GROUPS, marker.wire())
+            if timeout is None:
+                timeout = self.barrier_timeout
+            return marker.wait_for(replica_id, timeout)
 
-    # ------------------------------------------------------------------
-    # Dynamic sharding
-    # ------------------------------------------------------------------
+    def periodic_checkpoint(self, timeout=None):
+        """Take one local checkpoint on every live replica, then truncate.
+
+        Multicasts a periodic marker (``source_replica_id=None``): each
+        live replica snapshots its own service at the marker cut and
+        advances its installed-checkpoint watermark.  Once every live
+        replica has reported in, the multicast log is truncated up to the
+        minimum watermark (see :meth:`truncate_to_watermarks`).  Returns
+        the marker's sequence number, or ``None`` when no replica
+        checkpointed (e.g. everything crashed mid-marker).
+
+        Normally driven by the background scheduler, but safe to call
+        directly (tests and operators do).
+        """
+        marker = CheckpointMarker(source_replica_id=None)
+        with self._published(marker):
+            live = self.live_replicas()
+            self.multicast.multicast(ALL_GROUPS, marker.wire())
+            reports = self._collect(marker, live, timeout)
+        if not reports:
+            return None
+        self.checkpoints_taken += 1
+        self.truncate_to_watermarks()
+        # Merge due delta runs now, on this (scheduler) thread — after
+        # the marker barrier released the workers, not while every
+        # thread of every replica was stalled inside it.
+        self.compact_chains()
+        return next(iter(reports.values()))[0]
+
     def update_shard_map(self, new_map, timeout=None):
         """Install a new shard map live; returns the migration record.
 
@@ -1012,8 +723,10 @@ class ThreadedPSMRCluster(ResponseRouter):
         sequencing, and clients re-route anything rejected as stale.  Each
         live replica synchronises its workers at the update and builds a
         verified hand-off artifact (base checkpoint + delta suffix,
-        filtered to the moved ranges) at the cut; the cluster keeps the
-        migration record in :attr:`shard_migrations`.
+        filtered to the moved ranges) at the cut, reporting its stats; the
+        artifact itself stays with the replica, which is where the moved
+        state already lives.  The cluster keeps the migration record in
+        :attr:`shard_migrations`.
 
         No replica stops serving at any point: the barrier is the same one
         a periodic checkpoint pays, and command execution resumes the
@@ -1029,44 +742,21 @@ class ThreadedPSMRCluster(ResponseRouter):
             )
         moved = new_map.moved_ranges(old_map)
         update = ShardMapUpdate(new_map, moved)
-        with self._lock:
-            self._pending_markers.add(update)
         started = time.monotonic()
-        artifacts = {}
-        sequence = None
-        try:
+        with self._published(update):
             live = self.live_replicas()
-            self.multicast.multicast_shard_update(update, new_map)
-            wait_timeout = timeout if timeout is not None else self.barrier_timeout
-            # One shared deadline across the replica waits, like a
-            # periodic checkpoint.
-            deadline = time.monotonic() + wait_timeout
-            for replica in live:
-                try:
-                    sequence, artifact = update.wait_for(
-                        replica.replica_id, max(0.0, deadline - time.monotonic())
-                    )
-                except RecoveryError:
-                    continue  # crashed while the update was in flight
-                artifacts[replica.replica_id] = artifact
-        finally:
-            with self._lock:
-                self._pending_markers.discard(update)
+            self.multicast.multicast_shard_update(update.wire(), new_map)
+            reports = self._collect(update, live, timeout)
+        stats = [report for _sequence, report in reports.values()]
         record = {
             "from_version": old_map.version,
             "to_version": new_map.version,
-            "sequence": sequence,
+            "sequence": next((sequence for sequence, _ in reports.values()), None),
             "moved_ranges": list(moved),
             "duration_seconds": time.monotonic() - started,
-            "replicas": sorted(artifacts),
-            "bytes": sum(
-                artifact["bytes"] for artifact in artifacts.values() if artifact
-            ),
-            "verified": all(
-                artifact["verified"] is not False
-                for artifact in artifacts.values()
-                if artifact
-            ),
+            "replicas": sorted(reports),
+            "bytes": sum(report["bytes"] for report in stats),
+            "verified": all(report["verified"] is not False for report in stats),
         }
         with self._lock:
             self.shard_migrations.append(record)
@@ -1090,147 +780,8 @@ class ThreadedPSMRCluster(ResponseRouter):
         return record
 
     # ------------------------------------------------------------------
-    # Periodic checkpoints and log truncation
+    # Log truncation and compaction
     # ------------------------------------------------------------------
-    def periodic_checkpoint(self, timeout=None):
-        """Take one local checkpoint on every live replica, then truncate.
-
-        Multicasts a periodic marker (``source_replica_id=None``): each
-        live replica snapshots its own service at the marker cut and
-        advances its installed-checkpoint watermark.  Once every live
-        replica has reported in, the multicast log is truncated up to the
-        minimum watermark (see :meth:`truncate_to_watermarks`).  Returns
-        the marker's sequence number, or ``None`` when no replica
-        checkpointed (e.g. everything crashed mid-marker).
-
-        Normally driven by the background scheduler, but safe to call
-        directly (tests and operators do).
-        """
-        marker = CheckpointMarker(source_replica_id=None)
-        with self._lock:
-            self._pending_markers.add(marker)
-        sequence = None
-        try:
-            live = self.live_replicas()
-            self.multicast.multicast(ALL_GROUPS, marker)
-            wait_timeout = timeout if timeout is not None else self.barrier_timeout
-            # One shared deadline across the replica waits: the bound is
-            # ``timeout`` total, not ``timeout`` per live replica.
-            deadline = time.monotonic() + wait_timeout
-            for replica in live:
-                try:
-                    sequence, _ = marker.wait_for(
-                        replica.replica_id, max(0.0, deadline - time.monotonic())
-                    )
-                except RecoveryError:
-                    continue  # crashed while the marker was in flight
-        finally:
-            with self._lock:
-                self._pending_markers.discard(marker)
-        if sequence is not None:
-            self.checkpoints_taken += 1
-            self.truncate_to_watermarks()
-            # Merge due delta runs now, on this (scheduler) thread — after
-            # the marker barrier released the workers, not while every
-            # thread of every replica was stalled inside it.
-            self.compact_chains()
-        return sequence
-
-    def compact_chains(self):
-        """Compact due delta runs on every live replica, off the marker path.
-
-        The policy's ``compact_after`` used to be enforced inside the
-        marker barrier — every worker thread of every replica stalled
-        while one thread merged k deltas.  It now runs here, on the
-        scheduler thread, with only the owning replica's ``chain_lock``
-        held; workers keep executing commands throughout.  Returns the
-        number of chains compacted.
-        """
-        policy = self.checkpoint_policy
-        if policy is None:
-            return 0
-        compacted = 0
-        for replica in self.live_replicas():
-            with replica.chain_lock:
-                chain = replica.checkpoint_chain
-                if len(chain) > 1 and policy.compact_due(len(chain) - 1):
-                    replica.checkpoint_chain = compact_chain(chain)
-                    self._record_compaction(
-                        replica.replica_id, chain[-1]["sequence"]
-                    )
-                    self._chain_updated(replica)
-                    compacted += 1
-        return compacted
-
-    def _compression(self):
-        if self.checkpoint_policy is not None:
-            return self.checkpoint_policy.compression
-        return NO_COMPRESSION
-
-    def _record_checkpoint(self, replica_id, entry):
-        """Account one local checkpoint's measured (compressed) size."""
-        raw = estimate_checkpoint_size(entry["payload"])
-        wire = self._compression().wire_size(raw)
-        with self._lock:
-            self.checkpoint_bytes[entry["kind"]] += wire
-            self.checkpoint_events.append(
-                {
-                    "sequence": entry["sequence"],
-                    "replica_id": replica_id,
-                    "kind": entry["kind"],
-                    "raw_bytes": raw,
-                    "wire_bytes": wire,
-                }
-            )
-
-    def _record_compaction(self, replica_id, sequence):
-        """Account one delta compaction (counter plus event log)."""
-        with self._lock:
-            self.compactions += 1
-            self.checkpoint_events.append(
-                {
-                    "sequence": sequence,
-                    "replica_id": replica_id,
-                    "kind": "compaction",
-                    "raw_bytes": 0,
-                    "wire_bytes": 0,
-                }
-            )
-
-    def _chain_updated(self, replica):
-        """Persist and gossip a replica's chain after any chain mutation.
-
-        Called from the owning worker thread (periodic and source markers)
-        or from the recovering thread before the replica's workers start,
-        so each store has a single writer.  The durable write happens
-        before the manifest is gossiped: a peer acting on the gossip can
-        rely on the advertised lineage surviving the donor's own restart.
-        """
-        store = self.stores.get(replica.replica_id)
-        if store is not None:
-            store.sync_chain(replica.checkpoint_chain)
-        self.gossip.publish(
-            replica.replica_id,
-            [
-                (entry["kind"], entry["sequence"])
-                for entry in replica.checkpoint_chain
-            ],
-        )
-
-    def _record_transfer(self, replica_id, mode, payloads):
-        """Account one recovery's transferred checkpoint bytes."""
-        raw = sum(estimate_checkpoint_size(payload) for payload in payloads)
-        wire = self._compression().wire_size(raw) if payloads else 0
-        with self._lock:
-            self.recovery_transfers.append(
-                {
-                    "replica_id": replica_id,
-                    "mode": mode,
-                    "entries": len(payloads),
-                    "wire_bytes": wire,
-                }
-            )
-
     def truncate_to_watermarks(self):
         """Truncate the multicast log up to the minimum replayable watermark.
 
@@ -1249,15 +800,15 @@ class ThreadedPSMRCluster(ResponseRouter):
                 if replica.crashed:
                     if replica.needs_full_transfer:
                         continue
-                    lag = latest - replica.checkpoint_watermark
+                    lag = latest - replica.watermark
                     past_horizon = policy is not None and not policy.replayable(lag)
                     truncated_past = (
-                        replica.checkpoint_watermark + 1 < self.multicast.min_retained()
+                        replica.watermark + 1 < self.multicast.min_retained()
                     )
                     if past_horizon or truncated_past:
                         replica.needs_full_transfer = True
                         continue
-                watermarks.append(replica.checkpoint_watermark)
+                watermarks.append(replica.watermark)
             if not watermarks:
                 return
             floor = min(watermarks)
@@ -1265,10 +816,112 @@ class ThreadedPSMRCluster(ResponseRouter):
                 self.multicast.truncate_log(floor)
                 self.truncations += 1
 
+    def compact_chains(self):
+        """Compact due delta runs on every live replica, off the marker path.
+
+        The policy's ``compact_after`` is enforced here, on the scheduler
+        thread, rather than inside the marker barrier where every worker
+        thread of every replica would stall while one thread merged k
+        deltas.  Returns the number of chains compacted.
+        """
+        if self.checkpoint_policy is None:
+            return 0
+        compacted = 0
+        for replica in self.live_replicas():
+            try:
+                count, manifest = replica.compact()
+            except (RecoveryError, TimeoutError):
+                continue  # crashed (or wedged) since the liveness check
+            if not count:
+                continue
+            compacted += count
+            self.gossip.publish(replica.replica_id, manifest)
+            with self._lock:
+                self.compactions += count
+                self.checkpoint_events.append(
+                    {
+                        "sequence": manifest[-1][1],
+                        "replica_id": replica.replica_id,
+                        "kind": "compaction",
+                        "raw_bytes": 0,
+                        "wire_bytes": 0,
+                    }
+                )
+        return compacted
+
+    def _compression(self):
+        if self.checkpoint_policy is not None:
+            return self.checkpoint_policy.compression
+        return NO_COMPRESSION
+
+    def _record_transfer(self, replica_id, mode, payloads):
+        """Account one recovery's transferred checkpoint bytes."""
+        raw = sum(estimate_checkpoint_size(payload) for payload in payloads)
+        wire_bytes = self._compression().wire_size(raw) if payloads else 0
+        with self._lock:
+            self.recovery_transfers.append(
+                {
+                    "replica_id": replica_id,
+                    "mode": mode,
+                    "entries": len(payloads),
+                    "wire_bytes": wire_bytes,
+                }
+            )
+
+    # ------------------------------------------------------------------
+    # Crash and recovery
+    # ------------------------------------------------------------------
+    def live_replicas(self):
+        """The replicas currently serving (not crashed)."""
+        return [replica for replica in self.replicas if not replica.crashed]
+
+    def crash_replica(self, replica_id):
+        """Fail-stop one replica: no further deliveries, workers gone.
+
+        Survivors are unaffected — barriers are per-replica, so in-flight
+        synchronous-mode commands on live replicas keep making progress.
+        Checkpoint markers and management requests currently waiting on
+        this replica are failed immediately (with :class:`RecoveryError`)
+        instead of hanging for the full barrier timeout.
+        """
+        replica = self.replicas[replica_id]
+        if replica.crashed:
+            raise RecoveryError(f"replica {replica_id} is already crashed")
+        if len(self.live_replicas()) <= 1:
+            raise RecoveryError("cannot crash the last live replica")
+        replica.crashed = True
+        replica.kill()
+        self.multicast.unregister_replica(replica_id)
+        with self._lock:
+            pending = list(self._pending_markers.values())
+        for marker in pending:
+            if marker.source_replica_id in (None, replica_id):
+                marker.fail(
+                    replica_id,
+                    RecoveryError(
+                        f"checkpoint source replica {replica_id} crashed "
+                        f"before delivering its checkpoint"
+                    ),
+                )
+        return replica
+
+    def crash_replicas(self, replica_ids):
+        """Fail-stop several replicas at once; returns the crashed replicas.
+
+        At least one replica must stay live.  The crashes are applied in
+        order and fail fast: an invalid id (already crashed, or crashing
+        would leave no live replica) raises before later ids are touched.
+        """
+        return [self.crash_replica(replica_id) for replica_id in replica_ids]
+
     def recover_replica(self, replica_id, source_replica_id=None):
         """Bring a crashed replica back online, negotiating the cheapest path.
 
-        Three paths, tried in cost order:
+        The replica's next incarnation says what checkpoint chain it still
+        holds (a threaded "crash" keeps its in-memory chain; a killed
+        process keeps nothing, so this is always a full transfer there —
+        :meth:`restart_replica_from_disk` is its cheap path).  Three
+        paths, tried in cost order:
 
         * **Log-suffix replay** (no transfer at all): the replica restores
           its *own* checkpoint chain (watermark ``w``) and replays the
@@ -1280,29 +933,27 @@ class ThreadedPSMRCluster(ResponseRouter):
           transferred; the joiner restores its own chain plus the suffix
           and replays the log after the peer's chain tip.
         * **Full state transfer**: a live peer is checkpointed at a fresh
-          marker (sequence ``s``); a new service instance restores that
-          state and is registered with the log suffix after ``s``.  The
-          fallback when no chain lineage is shared, and the path taken when
+          marker (sequence ``s``); the joiner restores that state and is
+          registered with the log suffix after ``s``.  The fallback when
+          no chain lineage is shared, and the path taken when
           ``source_replica_id`` explicitly requests a peer transfer.
 
         An explicit ``source_replica_id`` is validated up front: it must
         be a live replica other than the one being recovered.
         """
-        old = self.replicas[replica_id]
-        if not old.crashed:
-            raise RecoveryError(f"replica {replica_id} is not crashed")
-        # An explicit source is validated up front by recover_replicas
-        # (it must be live and not the replica being recovered).
-        if source_replica_id is None:
-            if not old.needs_full_transfer:
-                replica = self._recover_via_replay(replica_id, old)
-                if replica is not None:
-                    return replica
-            if old.checkpoint_chain:
-                replica = self._recover_via_chain_transfer(replica_id, old)
-                if replica is not None:
-                    return replica
-        return self.recover_replicas([replica_id], source_replica_id)[0]
+        return self._rejoin(replica_id, source_replica_id, from_disk=False)
+
+    def restart_replica_from_disk(self, replica_id, source_replica_id=None):
+        """Recover a crashed replica from its local stable storage.
+
+        The paper's deployment story: whatever the dead incarnation held
+        in memory is gone, and the durable chain is reloaded from the
+        replica's :class:`CheckpointStore` — reopened from disk, so only
+        checksummed complete segments count.  The normal negotiation of
+        :meth:`recover_replica` then runs on the reloaded chain (a fresh
+        full transfer is also the path when the disk held no usable one).
+        """
+        return self._rejoin(replica_id, source_replica_id, from_disk=True)
 
     def recover_replicas(self, replica_ids, source_replica_id=None):
         """Recover several crashed replicas from one shared checkpoint.
@@ -1313,9 +964,40 @@ class ThreadedPSMRCluster(ResponseRouter):
         heals from simultaneous multi-replica failures without paying one
         checkpoint per victim.  Returns the recovered replicas in order.
         """
-        replica_ids = list(replica_ids)
-        if not replica_ids:
+        replicas = self._crashed_replicas(replica_ids, source_replica_id)
+        if not replicas:
             return []
+        with self._negotiating(replicas):
+            for replica in replicas:
+                replica.respawn(from_disk=False)
+            self._recover_via_full_transfer(replicas, source_replica_id)
+        return replicas
+
+    def _rejoin(self, replica_id, source_replica_id, from_disk):
+        (replica,) = self._crashed_replicas([replica_id], source_replica_id)
+        with self._negotiating([replica]):
+            watermark, manifest = replica.respawn(from_disk)
+            if from_disk:
+                # The disk watermark may differ from the one the crash left
+                # in our bookkeeping; re-derive transfer feasibility.
+                replica.needs_full_transfer = False
+            replica.watermark = watermark
+            joined = False
+            # With an empty chain, replay would re-execute the whole retained
+            # history from a fresh service — O(history), not O(state) — so
+            # such a joiner skips straight to a peer transfer.
+            if source_replica_id is None and manifest:
+                if not replica.needs_full_transfer:
+                    joined = self._recover_via_replay(replica, manifest)
+                if not joined:
+                    joined = self._recover_via_chain_transfer(replica, manifest)
+            if not joined:
+                self._recover_via_full_transfer([replica], source_replica_id)
+        return replica
+
+    def _crashed_replicas(self, replica_ids, source_replica_id):
+        """The handles to recover, after validating them and the source."""
+        replica_ids = list(replica_ids)
         for replica_id in replica_ids:
             if not self.replicas[replica_id].crashed:
                 raise RecoveryError(f"replica {replica_id} is not crashed")
@@ -1328,75 +1010,70 @@ class ThreadedPSMRCluster(ResponseRouter):
                 raise RecoveryError(
                     f"source replica {source_replica_id} is crashed"
                 )
-        # Pin truncation below the transfer point for the whole recovery:
-        # a concurrent periodic checkpoint must not truncate past the fresh
-        # marker before the new replicas are registered.
+        return [self.replicas[replica_id] for replica_id in replica_ids]
+
+    @contextlib.contextmanager
+    def _negotiating(self, replicas):
+        """Bracket one recovery: pin the log, and leave nothing half-joined.
+
+        Truncation is pinned at each joiner's last known cut for the whole
+        negotiation (-1 pins everything: cheap, and the window is one
+        recovery), so a concurrent periodic checkpoint cannot truncate past
+        the point a joiner will replay from before it is registered.  If
+        the recovery fails, every incarnation it created is reaped again —
+        the replica stays crashed, exactly as before the call.
+        """
         with self._recovery_lock:
-            pin = self.multicast.latest_sequence()
-            for replica_id in replica_ids:
-                self._truncation_floors[replica_id] = pin
+            for replica in replicas:
+                self._truncation_floors[replica.replica_id] = replica.watermark
         try:
-            sequence, state = self.checkpoint(replica_id=source_replica_id)
-            recovered = []
-            for replica_id in replica_ids:
-                service = self.service_factory()
-                service.restore(state)
-                with self._recovery_lock:
-                    queues = self.multicast.register_replica(
-                        replica_id, range(1, self.mpl + 1), after_sequence=sequence
-                    )
-                replica = self._install_replica(
-                    replica_id, service, queues,
-                    chain=[{"kind": "full", "sequence": sequence, "payload": state}],
-                    watermark=sequence,
-                )
-                self._record_transfer(replica_id, "full", [state])
-                recovered.append(replica)
-            return recovered
+            yield
+        except BaseException:
+            for replica in replicas:
+                if replica.crashed:
+                    replica.kill()
+                    self.multicast.unregister_replica(replica.replica_id)
+            raise
         finally:
             with self._recovery_lock:
-                for replica_id in replica_ids:
-                    self._truncation_floors.pop(replica_id, None)
+                for replica in replicas:
+                    self._truncation_floors.pop(replica.replica_id, None)
 
-    def _recover_via_replay(self, replica_id, old):
-        """Try the cheap recovery path: own checkpoint chain + log replay.
+    def _join(self, replica, after_sequence, manifest):
+        """Register a settled joiner with the log after its cut; start it.
 
-        Returns the recovered replica, or ``None`` when the replica has no
-        local checkpoint or the log no longer reaches back to its watermark
-        (the caller then tries a chain-suffix or full state transfer).
+        Raises :class:`RecoveryError` (and changes nothing) when the log no
+        longer reaches back to ``after_sequence``.
         """
-        if not old.checkpoint_chain:
-            # Never checkpointed locally: replaying would re-execute the
-            # whole retained history from a fresh service — O(history),
-            # not O(state).  A peer checkpoint transfer is the right cost.
-            return None
-        policy = self.checkpoint_policy
-        if policy is not None and not policy.replayable(
-            self.multicast.latest_sequence() - old.checkpoint_watermark
-        ):
-            old.needs_full_transfer = True
-            return None
-        service = self.service_factory()
-        restore_chain(service, old.checkpoint_chain)
-        with self._recovery_lock:
-            try:
-                queues = self.multicast.register_replica(
-                    replica_id,
-                    range(1, self.mpl + 1),
-                    after_sequence=old.checkpoint_watermark,
-                )
-            except RecoveryError:
-                old.needs_full_transfer = True
-                return None
-        replica = self._install_replica(
-            replica_id, service, queues,
-            chain=old.checkpoint_chain, watermark=old.checkpoint_watermark,
-        )
-        self._record_transfer(replica_id, "replay", [])
-        return replica
+        self._register(replica, after_sequence)
+        replica.watermark = after_sequence
+        self.gossip.publish(replica.replica_id, manifest)
+        if self._started:
+            replica.start()
+        replica.needs_full_transfer = False
+        replica.crashed = False
 
-    def _recover_via_chain_transfer(self, replica_id, old):
-        """Try the delta path: transfer only the chain suffix the joiner misses.
+    def _recover_via_replay(self, replica, manifest):
+        """Cheapest rung: the joiner's own chain plus retained-log replay.
+
+        False when the log no longer reaches back to the joiner's watermark
+        or the replay would exceed the policy's horizon.
+        """
+        policy = self.checkpoint_policy
+        lag = self.multicast.latest_sequence() - replica.watermark
+        if policy is not None and not policy.replayable(lag):
+            replica.needs_full_transfer = True
+            return False
+        try:
+            self._join(replica, replica.watermark, manifest)
+        except RecoveryError:  # the log is truncated past the joiner's cut
+            replica.needs_full_transfer = True
+            return False
+        self._record_transfer(replica.replica_id, "replay", [])
+        return True
+
+    def _recover_via_chain_transfer(self, replica, manifest):
+        """Delta rung: transfer only the chain suffix the joiner misses.
 
         Donors come from the gossiped chain manifests: any replica whose
         advertised lineage contains the joiner's watermark ``w`` as a cut
@@ -1410,150 +1087,90 @@ class ThreadedPSMRCluster(ResponseRouter):
         was published).  The joiner restores its *own* chain to ``w``,
         applies the donor's delta entries after ``w``, and replays the log
         after the donor's chain tip (retained, because the live donor's
-        watermark pins truncation).  Returns ``None`` when no live donor's
-        chain extends the joiner's, or when the replay after the donor's
-        tip would itself exceed the policy's ``max_replay_lag`` horizon
-        (the O(history) replay the horizon forbids) — the caller then
-        falls back to a fresh full transfer.
+        watermark pins truncation).  False when no live donor's chain
+        extends the joiner's, or when the replay after the donor's tip
+        would itself exceed the policy's ``max_replay_lag`` horizon (the
+        O(history) replay the horizon forbids).
         """
-        with self._recovery_lock:
-            suffix = None
-            for donor_id in self.gossip.donors_for(
-                old.checkpoint_watermark, exclude=(replica_id,)
-            ):
-                donor = self.replicas[donor_id]
-                if donor.crashed:
-                    continue  # advertised lineage, but the donor is down
-                chain = donor.checkpoint_chain
-                positions = [
-                    index for index, entry in enumerate(chain)
-                    if entry["sequence"] == old.checkpoint_watermark
-                ]
-                if positions:
-                    suffix = chain[positions[0] + 1:]
-                    break
+        watermark = replica.watermark
+        policy = self.checkpoint_policy
+        for donor_id in self.gossip.donors_for(
+            watermark, exclude=(replica.replica_id,)
+        ):
+            donor = self.replicas[donor_id]
+            if donor.crashed:
+                continue  # advertised lineage, but the donor is down
+            try:
+                suffix = donor.chain_suffix(watermark)
+            except (RecoveryError, TimeoutError):
+                continue
             if suffix is None:
-                return None
-            tip = suffix[-1]["sequence"] if suffix else old.checkpoint_watermark
-            policy = self.checkpoint_policy
+                continue  # the donor compacted the cut away since gossiping
+            tip = suffix[-1]["sequence"] if suffix else watermark
             if policy is not None and not policy.replayable(
                 self.multicast.latest_sequence() - tip
             ):
-                return None
-            # Pin truncation below the joiner's watermark until it is
-            # registered: the suffix replay starts at the donor's tip, and
-            # a concurrent periodic checkpoint must not truncate past it.
-            self._truncation_floors[replica_id] = old.checkpoint_watermark
-        try:
-            service = self.service_factory()
-            restore_chain(service, [*old.checkpoint_chain, *suffix])
-            with self._recovery_lock:
-                try:
-                    queues = self.multicast.register_replica(
-                        replica_id, range(1, self.mpl + 1), after_sequence=tip
-                    )
-                except RecoveryError:
-                    return None
-            replica = self._install_replica(
-                replica_id, service, queues,
-                chain=[*old.checkpoint_chain, *suffix], watermark=tip,
-            )
+                return False
+            replica.install("chain", entries=suffix)
+            try:
+                self._join(
+                    replica, tip,
+                    [*manifest, *((e["kind"], e["sequence"]) for e in suffix)],
+                )
+            except RecoveryError:
+                # The full-transfer fallback replaces the extended chain
+                # wholesale, so the install above is harmless.
+                return False
             self._record_transfer(
-                replica_id, "chain-suffix", [entry["payload"] for entry in suffix]
+                replica.replica_id, "chain-suffix",
+                [entry["payload"] for entry in suffix],
             )
-            return replica
-        finally:
-            with self._recovery_lock:
-                self._truncation_floors.pop(replica_id, None)
+            return True
+        return False
 
-    def _install_replica(self, replica_id, service, queues, chain, watermark):
-        """Install a recovered replica; chain/watermark are set *before* its
-        workers start — the registration queues may already hold a periodic
-        marker whose execution reads (and must extend, not be overwritten
-        by) the chain, keeping it in sync with the service's delta-tracking
-        mark."""
-        replica = _Replica(self, replica_id, service, queues)
-        replica.checkpoint_chain = chain
-        replica.checkpoint_watermark = watermark
-        # Compaction may have shrunk the chain, so the entry count is only
-        # a lower bound on the base's staleness; under-counting delays the
-        # next full by at most the compacted run — the trade the
-        # ``compact_after`` knob already accepts.
-        replica.deltas_since_full = sum(
-            1 for entry in chain if entry["kind"] == "delta"
-        )
-        self.replicas[replica_id] = replica
-        # Under the chain lock: the scheduler's compact_chains may pick the
-        # replica up the moment it lands in ``self.replicas``.
-        with replica.chain_lock:
-            self._chain_updated(replica)
-        if self._started:
-            replica.start()
-        return replica
-
-    def restart_replica_from_disk(self, replica_id, source_replica_id=None):
-        """Recover a crashed replica as a restarted *process*.
-
-        Models the paper's deployment story where a replica comes back
-        from local stable storage: the in-memory chain is discarded (a
-        dead process keeps nothing) and the durable chain is reloaded
-        from the replica's :class:`CheckpointStore` — reopened from disk,
-        exactly as a fresh process would, so only checksummed complete
-        segments count.  The normal negotiation then runs on the reloaded
-        chain: own-chain replay when the log still reaches the durable
-        watermark, a gossiped chain-suffix transfer when it does not, and
-        a fresh full transfer as the fallback (also the path when the
-        disk held no usable chain).
-        """
-        old = self.replicas[replica_id]
-        if not old.crashed:
-            raise RecoveryError(f"replica {replica_id} is not crashed")
-        store = self.stores.get(replica_id)
-        if store is None:
-            raise RecoveryError(
-                f"replica {replica_id} has no durable checkpoint store"
-            )
-        chain = CheckpointStore(store.directory).load_chain()
-        old.checkpoint_chain = chain
-        old.checkpoint_watermark = chain[-1]["sequence"] if chain else -1
-        # The disk watermark may differ from the in-memory one the crash
-        # left behind; let the negotiation re-derive transfer feasibility.
-        old.needs_full_transfer = False
-        return self.recover_replica(replica_id, source_replica_id)
+    def _recover_via_full_transfer(self, replicas, source_replica_id):
+        """Last rung: one fresh peer checkpoint, restored by every joiner."""
+        sequence, state = self.checkpoint(replica_id=source_replica_id)
+        for replica in replicas:
+            replica.install("full", sequence=sequence, state=state)
+            self._join(replica, sequence, [("full", sequence)])
+            self._record_transfer(replica.replica_id, "full", [state])
 
     # ------------------------------------------------------------------
-    # Client plumbing
+    # Inspection
     # ------------------------------------------------------------------
-    def client(self):
-        """Create a new client proxy bound to this cluster."""
-        return ThreadedClient(self, next(self._client_ids))
+    def _poll_stats(self):
+        """Every live replica's counters (see :meth:`ReplicaEngine.stats`)."""
+        stats = []
+        for replica in self.live_replicas():
+            entry = replica.stats()
+            self._note_boundary(replica, entry["boundary"])
+            stats.append(entry)
+        return stats
 
-    # Response routing (`_register_waiter`, `_respond_many`, ...) comes
-    # from :class:`ResponseRouter`, shared with the process cluster.
-
-    # ------------------------------------------------------------------
-    # Inspection helpers for tests
-    # ------------------------------------------------------------------
     def wait_for_quiescence(self, timeout=10.0, poll=0.01):
         """Block until every live replica has drained and executed the same commands.
 
         The client proxy returns as soon as the *first* replica responds, so
         a caller that wants to compare replica states must first let the
-        slower replicas catch up.  Quiescence is declared when all delivery
-        queues are empty and per-replica execution counters are equal and
-        stable across two consecutive polls.
+        slower replicas catch up.  Quiescence is declared when nothing is
+        in flight or queued and per-replica execution counters are equal
+        and stable across two consecutive polls.
         """
         deadline = time.monotonic() + timeout
         previous = None
         while time.monotonic() < deadline:
-            queues_empty = self.multicast.is_drained()
-            counters = tuple(
-                getattr(replica.service, "commands_executed", 0)
-                for replica in self.live_replicas()
-            )
-            if queues_empty and len(set(counters)) == 1 and counters == previous:
-                return True
-            previous = counters if queues_empty else None
+            drained = self.multicast.is_drained()
+            try:
+                stats = self._poll_stats()
+            except (RecoveryError, TimeoutError):
+                stats = None  # a replica crashed or stalled mid-poll
+            counters = None
+            if drained and stats and not any(entry["queued"] for entry in stats):
+                counters = tuple(entry["executed"] for entry in stats)
+                if len(set(counters)) == 1 and counters == previous:
+                    return True
+            previous = counters
             time.sleep(poll)
         raise TimeoutError("cluster did not quiesce within the timeout")
 
@@ -1561,14 +1178,152 @@ class ThreadedPSMRCluster(ResponseRouter):
         """Return each live replica's service snapshot (replicas must converge)."""
         if quiesce and self._started:
             self.wait_for_quiescence()
-        return [replica.service.snapshot() for replica in self.live_replicas()]
+        return [replica.snapshot() for replica in self.live_replicas()]
 
     def delivery_batch_stats(self):
         """Achieved delivery amortisation: messages, wakeups, average batch."""
-        delivered = sum(sum(replica.delivered) for replica in self.replicas)
-        batches = sum(sum(replica.batches) for replica in self.replicas)
+        stats = self._poll_stats()
+        delivered = sum(entry["delivered"] for entry in stats)
+        batches = sum(entry["batches"] for entry in stats)
         return {
             "messages_delivered": delivered,
             "batches_drained": batches,
             "avg_batch": (delivered / batches) if batches else 0.0,
         }
+
+
+class _LocalReplica:
+    """Threaded-runtime replica handle: owns an in-process engine.
+
+    The engine's three sinks are bound to direct calls into the control
+    plane, so a response batch or a marker report is one method call away
+    from the waiting client or coordinator thread.
+    """
+
+    def __init__(self, cluster, replica_id, store):
+        self.cluster = cluster
+        self.replica_id = replica_id
+        self.store = store
+        self.crashed = False
+        self.watermark = -1
+        #: Set once the log has been truncated past this (crashed) replica's
+        #: watermark: suffix replay is no longer possible and recovery must
+        #: transfer state from a live peer.
+        self.needs_full_transfer = False
+        #: Incarnation counter (keys the boundary-violation bookkeeping).
+        self.generation = 0
+        self.queues = None
+        self.engine = self._new_engine(())
+
+    def _new_engine(self, chain):
+        cluster = self.cluster
+        self.generation += 1
+        return ReplicaEngine(
+            self.replica_id, cluster.mpl, cluster.service_factory, chain,
+            self.store, cluster.checkpoint_policy, cluster.delivery_batch_size,
+            cluster.barrier_timeout,
+            on_responses=cluster._respond_many,
+            on_marker_done=partial(cluster._handle_marker_done, self.replica_id),
+            on_shard_done=partial(cluster._handle_shard_done, self.replica_id),
+        )
+
+    # What tests and examples read (and the crash tests overwrite) on a
+    # threaded replica, under the names they always had.
+    service = property(lambda self: self.engine.service)
+    threads = property(lambda self: self.engine.threads)
+    checkpoint_chain = property(
+        lambda self: self.engine.chain,
+        lambda self, chain: setattr(self.engine, "chain", chain),
+    )
+    checkpoint_watermark = property(
+        lambda self: self.watermark,
+        lambda self, sequence: setattr(self, "watermark", sequence),
+    )
+
+    def kill(self):
+        self.engine.crash()
+
+    def respawn(self, from_disk):
+        """The one real asymmetry with a replica process: a threaded
+        "crash" keeps its in-memory chain, so a plain respawn may still
+        replay.  From disk, the chain is what a cold reopen of the store
+        finds — exactly what a fresh process would see."""
+        chain = self.engine.chain
+        if from_disk:
+            if self.store is None:
+                raise RecoveryError(
+                    f"replica {self.replica_id} has no durable checkpoint store"
+                )
+            chain = CheckpointStore(self.store.directory).load_chain()
+        self.engine = self._new_engine(chain)
+        return self.engine.watermark, self.engine.manifest()
+
+    def install(self, mode, **transfer):
+        self.engine.install(mode, **transfer)
+
+    def start(self):
+        self.engine.start(self.queues)
+
+    def stop(self):
+        self.engine.join()  # the multicast's shutdown poisoned the queues
+
+    def stats(self):
+        return self.engine.stats()
+
+    def snapshot(self):
+        return self.engine.snapshot()
+
+    def chain_suffix(self, after):
+        return self.engine.chain_suffix(after)
+
+    def compact(self):
+        return self.engine.compact()
+
+
+class ThreadedPSMRCluster(PSMRControlPlane):
+    """A complete in-process P-SMR deployment over real threads.
+
+    ``service_factory`` builds one service state machine per replica (e.g.
+    ``KeyValueStoreServer``); ``spec`` provides the command signatures and
+    routing from which the C-G function is compiled.  ``log_retention``
+    bounds the multicast replay log (``None`` retains everything, which is
+    what tests use).  ``checkpoint_policy`` enables periodic background
+    checkpoints plus watermark-driven log truncation, which is how
+    production deployments keep the replay log bounded.
+
+    ``store_dir`` turns the in-memory checkpoint chains into a restartable
+    subsystem: every replica persists its chain to a
+    :class:`~repro.common.checkpoint_store.CheckpointStore` under
+    ``store_dir/replica-<id>`` (crash-safe segments plus an atomic
+    manifest), and a crashed replica can rejoin as a restarted *process*
+    via :meth:`restart_replica_from_disk`.  ``fault_plane`` detours
+    deliveries through the multicast's :class:`FaultyLinkPipe`.
+    """
+
+    def __init__(self, spec, service_factory, mpl=4, num_replicas=2,
+                 coarse_cg=False, barrier_timeout=10.0, seed=0,
+                 log_retention=None, checkpoint_policy=None,
+                 checkpoint_poll_interval=0.005, store_dir=None,
+                 delivery_batch_size=32, wire_codec=None, fault_plane=None,
+                 shard_map=None):
+        super().__init__(
+            spec, mpl,
+            dict(retention=log_retention, wire_codec=wire_codec,
+                 fault_plane=fault_plane),
+            num_replicas, coarse_cg, barrier_timeout, seed, checkpoint_policy,
+            checkpoint_poll_interval, delivery_batch_size, shard_map,
+        )
+        self.service_factory = service_factory
+        self.fault_plane = fault_plane
+        #: Per-replica durable stores (empty when ``store_dir`` is unset).
+        self.stores = {}
+        for replica_id in range(num_replicas):
+            if store_dir is not None:
+                self.stores[replica_id] = CheckpointStore(
+                    os.path.join(store_dir, f"replica-{replica_id}")
+                )
+            replica = _LocalReplica(self, replica_id, self.stores.get(replica_id))
+            # Subscribed from construction, so commands multicast before
+            # ``start`` wait in the queues instead of being lost.
+            self._register(replica)
+            self.replicas.append(replica)

@@ -1,0 +1,515 @@
+"""The replica engine: one P-SMR replica, written once for both runtimes.
+
+This is the server side of the paper's "commodified architecture"
+(Figure 1): ``mpl`` worker threads that deliver, synchronise (barriers
+for synchronous mode) and execute against the local service instance.
+The engine also owns everything a replica keeps to itself — the
+checkpoint chain with its full/delta cadence, the durable store it is
+persisted to, compaction, chain-suffix donation and the delivery
+counters.
+
+It reports outward only through three callables, fired per flush and
+per cut, never per command:
+
+* ``on_responses(pairs)`` — a batch of ``(uid, Response)`` pairs;
+* ``on_marker_done(message)`` — an ``mk`` report: a checkpoint marker
+  was executed at a consistent cut;
+* ``on_shard_done(message)`` — an ``sh`` report: a shard-map update was
+  executed and its hand-off artifact built.
+
+The threaded runtime binds them to direct calls into the control plane;
+a replica process binds them to ``r`` / ``mk`` / ``sh`` frames on its
+socket.  Control messages arrive in one form in both runtimes — the wire
+dicts of :func:`~repro.runtime.transport.wire.make_marker` and
+:func:`~repro.runtime.transport.wire.make_shard_update` — and the
+reports are the matching wire dicts, so neither side of either binding
+translates anything.
+"""
+
+import threading
+from functools import lru_cache
+
+from repro.common.checkpoint import (
+    compact_chain,
+    estimate_checkpoint_size,
+    restore_chain,
+)
+from repro.common.errors import CheckpointError, ReplicaCrashedError
+from repro.core.protocol import plan_execution
+from repro.multicast.sharding import build_shard_artifact
+from repro.runtime.multicast import decode_wire
+from repro.runtime.transport import wire
+
+#: ``plan_execution`` is a pure function of hashable arguments and the hot
+#: path calls it once per delivered command — memoising it removes the
+#: per-command plan construction (the argument space is tiny: destination
+#: sets over ``mpl`` groups times thread indices).
+_cached_plan = lru_cache(maxsize=None)(plan_execution)
+
+
+class _BarrierSync:
+    """Per-replica synchronous-mode signalling implemented with a condition."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._signals = {}
+        self._done = set()
+        self._crashed = False
+
+    def signal(self, uid, thread_index):
+        with self._cond:
+            self._signals.setdefault(uid, set()).add(thread_index)
+            self._cond.notify_all()
+
+    def wait_for_peers(self, uid, peers, timeout=None):
+        peers = set(peers)
+        with self._cond:
+            ok = self._cond.wait_for(
+                lambda: self._crashed or peers <= self._signals.get(uid, set()),
+                timeout=timeout,
+            )
+            if self._crashed:
+                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
+        if not ok:
+            raise TimeoutError(f"barrier timed out waiting for peers of {uid}")
+
+    def complete(self, uid):
+        with self._cond:
+            self._done.add(uid)
+            self._signals.pop(uid, None)
+            self._cond.notify_all()
+
+    def wait_for_completion(self, uid, timeout=None):
+        with self._cond:
+            ok = self._cond.wait_for(
+                lambda: self._crashed or uid in self._done, timeout=timeout
+            )
+            if self._crashed:
+                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
+        if not ok:
+            raise TimeoutError(f"barrier timed out waiting for executor of {uid}")
+
+    def crash(self):
+        """Wake every waiting worker with :class:`ReplicaCrashedError`."""
+        with self._cond:
+            self._crashed = True
+            self._cond.notify_all()
+
+
+class ReplicaEngine:
+    """One replica: a service instance plus ``mpl`` worker threads.
+
+    ``chain`` seeds the checkpoint chain (what a restarted replica found
+    on disk, or what a threaded "crash" left in memory); ``store`` is the
+    optional :class:`~repro.common.checkpoint_store.CheckpointStore`
+    every chain mutation is persisted to; ``policy`` supplies the
+    full/delta cadence and the compaction trigger (scheduling itself
+    lives in the control plane).
+    """
+
+    def __init__(self, replica_id, mpl, service_factory, chain, store, policy,
+                 batch_size, barrier_timeout, on_responses, on_marker_done,
+                 on_shard_done):
+        self.replica_id = replica_id
+        self.mpl = mpl
+        self.service_factory = service_factory
+        #: Built by :meth:`install` or, failing that, by :meth:`start`.
+        self.service = None
+        self.store = store
+        self.policy = policy
+        self.batch_size = batch_size
+        self.barrier_timeout = barrier_timeout
+        self.on_responses = on_responses
+        self.on_marker_done = on_marker_done
+        self.on_shard_done = on_shard_done
+        self.barrier = _BarrierSync()
+        self.crashed = False
+        #: The replica's local checkpoint chain: one full base entry
+        #: followed by the deltas chained off it, each shaped
+        #: ``{"kind", "sequence", "payload"}``.  Replaced wholesale (never
+        #: mutated in place) so concurrent readers see a consistent chain.
+        #: Its tip is the replica's installed-checkpoint watermark: the log
+        #: must retain everything after it for suffix replay.
+        self.chain = list(chain)
+        #: Periodic deltas taken since the last full snapshot — the
+        #: ``full_every`` cadence counter.  Kept separately from the chain
+        #: length because compaction shrinks the chain without making the
+        #: base any fresher; seeding it from the entry count under-counts
+        #: by at most the compacted run, the trade ``compact_after``
+        #: already accepts.
+        self.deltas_since_full = self._count_deltas()
+        #: Serialises chain mutations (markers, recovery install) against
+        #: off-path compaction and donation; also makes the durable store
+        #: single-writer.
+        self.chain_lock = threading.Lock()
+        self.delivered = [0] * (mpl + 1)
+        #: Batches drained per thread (``delivered[i] / batches[i]`` is the
+        #: thread's achieved amortisation).  Single-writer slots: no lock.
+        self.batches = [0] * (mpl + 1)
+        #: Incremented if a marker ever completes with responses still
+        #: pending on a worker — the batched drain keeps this at zero
+        #: (markers cut exactly at batch boundaries); tests assert on it.
+        self.boundary_violations = 0
+        self._counter_lock = threading.Lock()
+        self.queues = {}
+        self.threads = []
+
+    # ------------------------------------------------------------------
+    # Chain bookkeeping
+    # ------------------------------------------------------------------
+    def _count_deltas(self):
+        return sum(1 for entry in self.chain if entry["kind"] == "delta")
+
+    @property
+    def watermark(self):
+        """Sequence of the latest installed checkpoint; -1 is the initial
+        service state (the cut before any message)."""
+        return self.chain[-1]["sequence"] if self.chain else -1
+
+    def manifest(self):
+        return tuple((entry["kind"], entry["sequence"]) for entry in self.chain)
+
+    def _set_chain(self, chain):
+        """Replace the chain and persist it; caller holds ``chain_lock``.
+
+        The durable write happens before any report leaves the engine: a
+        peer acting on the gossiped manifest can rely on the advertised
+        lineage surviving this replica's own restart.
+        """
+        self.chain = chain
+        if self.store is not None:
+            self.store.sync_chain(chain)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def install(self, mode, sequence=None, state=None, entries=()):
+        """Install transferred recovery state before :meth:`start`.
+
+        ``"full"`` restores a peer's snapshot taken at ``sequence`` (it
+        becomes the new chain base); ``"chain"`` extends the replica's own
+        chain with the donated suffix ``entries`` and restores the result.
+        """
+        service = self.service_factory()
+        with self.chain_lock:
+            if mode == "full":
+                service.restore(state)
+                chain = [{"kind": "full", "sequence": sequence, "payload": state}]
+            else:
+                chain = [*self.chain, *entries]
+                restore_chain(service, chain)
+            self._set_chain(chain)
+            self.deltas_since_full = self._count_deltas()
+        self.service = service
+
+    def start(self, queues):
+        """Run the workers over ``{thread_index: delivery queue}``.
+
+        Chain and cadence are settled *before* the workers start — the
+        queues may already hold a replayed periodic marker whose execution
+        reads (and must extend, not be overwritten by) the chain, keeping
+        it in sync with the service's delta-tracking mark.
+        """
+        if self.service is None:
+            # Nothing was transferred: a fresh replica, or replay recovery
+            # on top of the replica's own chain.
+            self.service = self.service_factory()
+            if self.chain:
+                restore_chain(self.service, self.chain)
+        self.queues = queues
+        for index in range(1, self.mpl + 1):
+            worker = threading.Thread(
+                target=self._worker_loop,
+                args=(index, queues[index]),
+                name=f"psmr-replica{self.replica_id}-t{index}",
+                daemon=True,
+            )
+            self.threads.append(worker)
+            worker.start()
+
+    def join(self, timeout=5.0):
+        for thread in self.threads:
+            thread.join(timeout)
+
+    def stop(self):
+        """Clean shutdown: drain, deliver the executed responses, exit."""
+        for delivery_queue in self.queues.values():
+            delivery_queue.put(None)
+        self.join()
+
+    def crash(self):
+        """Fail-stop: wake barrier waiters, drop in-flight responses."""
+        self.crashed = True
+        self.barrier.crash()
+        self.stop()
+
+    # ------------------------------------------------------------------
+    # Worker threads
+    # ------------------------------------------------------------------
+    def _worker_loop(self, index, delivery_queue):
+        """Drain delivered messages in batches and execute them in order.
+
+        One :meth:`DeliveryQueue.get_batch` wakeup processes up to
+        ``batch_size`` messages — one lock round-trip amortised over the
+        whole run instead of paid per command.  Parallel-mode responses
+        are accumulated and handed to ``on_responses`` in one batch too;
+        they are always flushed before anything that can block or reorder
+        — a barrier, a checkpoint marker — and at the end of every drained
+        batch, so a closed-loop client is never left waiting on a response
+        this thread is sitting on.
+        """
+        mpl = self.mpl
+        batch_size = self.batch_size
+        barrier = self.barrier
+        timeout = self.barrier_timeout
+        pending = []  # (uid, response) pairs not yet reported
+        while True:
+            batch = delivery_queue.get_batch(batch_size)
+            self.batches[index] += 1
+            for item in batch:
+                if item is None or self.crashed:
+                    # Clean shutdown still delivers executed responses; a
+                    # crash drops them (the replica is gone mid-flight).
+                    if not self.crashed:
+                        self._flush_responses(pending)
+                    return
+                sequence, destinations, command = item
+                self.delivered[index] += 1
+                try:
+                    if isinstance(command, dict):
+                        # A control message cuts the batch: every response
+                        # from before it becomes client-visible before the
+                        # barrier, and nothing after it has executed yet
+                        # (in-order drain) — so the cut lands exactly on a
+                        # batch boundary.
+                        self._flush_responses(pending)
+                        if wire.is_marker(command):
+                            self._handle_marker(sequence, command, index)
+                        else:
+                            self._handle_shard_update(sequence, command, index)
+                        if pending:
+                            with self._counter_lock:
+                                self.boundary_violations += 1
+                            self._flush_responses(pending)
+                        continue
+                    if isinstance(command, (bytes, bytearray)):
+                        command = decode_wire(command)
+                    plan = _cached_plan(destinations, index, mpl)
+                    if plan.mode == "parallel":
+                        pending.append((command.uid, self._execute(command)))
+                    elif plan.mode == "execute":
+                        self._flush_responses(pending)
+                        barrier.wait_for_peers(
+                            command.uid, plan.peers, timeout=timeout
+                        )
+                        self.on_responses([(command.uid, self._execute(command))])
+                        barrier.complete(command.uid)
+                    elif plan.mode == "assist":
+                        self._flush_responses(pending)
+                        barrier.signal(command.uid, index)
+                        barrier.wait_for_completion(command.uid, timeout=timeout)
+                    # plan.mode == "ignore": not a destination; nothing to do.
+                except ReplicaCrashedError:
+                    return
+            self._flush_responses(pending)
+
+    def _flush_responses(self, pending):
+        """Report accumulated parallel-mode responses at once."""
+        if pending:
+            self.on_responses(pending)
+            pending.clear()
+
+    def _execute(self, command):
+        """Apply one command; return the response (the caller reports it)."""
+        response = self.service.apply(command)
+        if self.crashed:
+            raise ReplicaCrashedError("replica crashed before replying")
+        response.replica_id = self.replica_id
+        return response
+
+    def _synchronise(self, uid, index):
+        """Barrier every worker at a control message; True on the executor.
+
+        When thread 1 returns, every sibling has reached the message, so
+        the service reflects exactly the commands sequenced before it; the
+        siblings return only after the executor called ``barrier.complete``.
+        """
+        if index != 1:
+            self.barrier.signal(uid, index)
+            self.barrier.wait_for_completion(uid, timeout=self.barrier_timeout)
+            return False
+        self.barrier.wait_for_peers(
+            uid, range(2, self.mpl + 1), timeout=self.barrier_timeout
+        )
+        return True
+
+    def _handle_marker(self, sequence, marker, index):
+        """Synchronous-mode execution of a checkpoint marker.
+
+        With a concrete ``source`` only that replica materialises its
+        state — the others pay just the barrier, which is what makes the
+        cut consistent cluster-wide without N copies of the state.  With
+        ``source=None`` (a *periodic* marker) every replica takes a local
+        checkpoint at the cut and keeps the state to itself; the report
+        carries only the chain manifest and the measured size.
+        """
+        uid = ("__checkpoint__", marker["marker"])
+        if not self._synchronise(uid, index):
+            return
+        source = marker["source"]
+        if source is None or source == self.replica_id:
+            with self.chain_lock:
+                entry = self._take_local_checkpoint(sequence, full=source is not None)
+                manifest = self.manifest()
+            with self._counter_lock:
+                boundary = self.boundary_violations
+            self.on_marker_done(
+                {
+                    "t": "mk",
+                    "marker": marker["marker"],
+                    "sequence": sequence,
+                    "manifest": manifest,
+                    "kind": entry["kind"],
+                    "raw_bytes": estimate_checkpoint_size(entry["payload"]),
+                    # Only a source marker (recovery transfer) hands its
+                    # state out; a periodic checkpoint stays local.
+                    "state": entry["payload"] if source is not None else None,
+                    "boundary": boundary,
+                }
+            )
+        self.barrier.complete(uid)
+
+    def _take_local_checkpoint(self, sequence, full=False):
+        """Snapshot the service at a cut; returns the new chain entry.
+
+        A delta is taken when the policy allows more deltas on the current
+        chain and the service supports delta checkpoints; otherwise (and
+        always for a source marker, ``full=True``) a full snapshot starts a
+        new chain and resets the service's delta tracking, so the next
+        delta is relative to this base.  Delta compaction is deliberately
+        *not* done here: every worker thread of every replica is stalled
+        at the marker barrier while this runs, so the merge is paid
+        off-path by the checkpoint scheduler instead (:meth:`compact`).
+        """
+        policy = self.policy
+        chain = self.chain
+        take_delta = (
+            not full
+            and chain
+            and policy is not None
+            and not policy.take_full(self.deltas_since_full)
+            and hasattr(self.service, "delta_checkpoint")
+        )
+        if take_delta:
+            entry = {
+                "kind": "delta",
+                "sequence": sequence,
+                "payload": self.service.delta_checkpoint(),
+            }
+            self.deltas_since_full += 1
+            self._set_chain([*chain, entry])
+        else:
+            entry = {
+                "kind": "full",
+                "sequence": sequence,
+                "payload": self.service.checkpoint(),
+            }
+            if hasattr(self.service, "reset_delta_tracking"):
+                self.service.reset_delta_tracking()
+            self.deltas_since_full = 0
+            self._set_chain([entry])
+        return entry
+
+    def _handle_shard_update(self, sequence, update, index):
+        """Synchronous-mode execution of a shard-map update.
+
+        Once every thread has reached the update, the service reflects
+        exactly the commands routed under the old shard map, so the
+        executor's hand-off artifact is a consistent cut of the moved
+        ranges at ``sequence``.  Routing already switched at the sequencer
+        when the update was ordered; this barrier is what makes the state
+        transfer point well-defined on every replica.  Only the artifact's
+        stats are reported — every P-SMR replica already holds the full
+        state; what moves is ordering ownership, and the artifact proves
+        the transferable state was consistent.
+        """
+        uid = ("__shardmap__", update["update"])
+        if not self._synchronise(uid, index):
+            return
+        moved = update["moved"]
+        report = {
+            "t": "sh",
+            "update": update["update"],
+            "sequence": sequence,
+            "version": update["map"]["version"],
+            "ranges": len(moved),
+            "entries": 0,
+            "bytes": 0,
+            "keys": 0,
+            "verified": None,
+            "error": None,
+        }
+        try:
+            if moved:
+                with self.chain_lock:
+                    artifact = build_shard_artifact(
+                        self.service,
+                        self.chain,
+                        moved,
+                        service_factory=self.service_factory,
+                    )
+                report["entries"] = artifact["entries"]
+                report["bytes"] = artifact["bytes"]
+                report["keys"] = artifact.get("keys", 0)
+                report["verified"] = artifact["verified"]
+        except CheckpointError as exc:
+            report["error"] = str(exc)
+            report["verified"] = False
+        self.on_shard_done(report)
+        self.barrier.complete(uid)
+
+    # ------------------------------------------------------------------
+    # Management (any thread)
+    # ------------------------------------------------------------------
+    def stats(self):
+        """Execution counters and the undrained backlog of the workers."""
+        with self._counter_lock:
+            boundary = self.boundary_violations
+        return {
+            "executed": getattr(self.service, "commands_executed", 0),
+            "queued": sum(q.qsize() for q in self.queues.values()),
+            "delivered": sum(self.delivered),
+            "batches": sum(self.batches),
+            "boundary": boundary,
+        }
+
+    def snapshot(self):
+        return self.service.snapshot() if self.service is not None else None
+
+    def chain_suffix(self, after):
+        """The chain entries after the cut ``after``, or ``None`` when the
+        cut is not (or no longer — compaction drops cuts) on this chain."""
+        with self.chain_lock:
+            chain = self.chain
+        for position, entry in enumerate(chain):
+            if entry["sequence"] == after:
+                return chain[position + 1:]
+        return None
+
+    def compact(self):
+        """Merge the delta run if the policy says it is due.
+
+        Runs off the marker path with only this replica's ``chain_lock``
+        held; workers keep executing commands throughout.  Returns
+        ``(chains compacted, manifest)``.
+        """
+        with self.chain_lock:
+            chain = self.chain
+            due = (
+                self.policy is not None
+                and len(chain) > 1
+                and self.policy.compact_due(len(chain) - 1)
+            )
+            if due:
+                self._set_chain(compact_chain(chain))
+            return int(due), self.manifest()

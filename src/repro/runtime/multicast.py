@@ -102,8 +102,8 @@ class LocalAtomicMulticast:
         #: in-process default); ``"binary"``/``"pickle"`` serialise every
         #: command at multicast time and let each worker deserialise its own
         #: copy — the real wire path, measurable via ``wire_bytes``.
-        #: Control messages (checkpoint markers) always pass by reference:
-        #: they carry live synchronisation state, not data.
+        #: Control messages (markers, shard updates) are plain wire dicts
+        #: already; the transport that needs bytes frames them itself.
         self.wire_codec = wire_codec
         self.wire_bytes = 0
         self._lock = threading.Lock()

@@ -1,59 +1,41 @@
 """Process-per-replica P-SMR cluster over the TCP transport.
 
 The coordinator process runs the sequencer (:class:`LocalAtomicMulticast`
-with a :class:`TcpCoordinatorTransport`), the clients, the checkpoint
-scheduler and the recovery logic; each replica is a separate OS process
-(:mod:`repro.runtime.replica_proc`) with its own GIL, its own worker
-threads and its own durable :class:`CheckpointStore` directory.  That
-makes the fault model *real*:
+with a :class:`TcpCoordinatorTransport`), the clients and the shared
+:class:`~repro.runtime.cluster.PSMRControlPlane`; each replica is a
+separate OS process (:mod:`repro.runtime.replica_proc`) with its own GIL,
+its own :class:`~repro.runtime.engine.ReplicaEngine` and its own durable
+:class:`CheckpointStore` directory.  That makes the fault model *real*:
 
 * :meth:`crash_replica` is a literal ``SIGKILL`` — no flushes, no
   goodbye frames, the kernel just stops scheduling the process;
 * :meth:`restart_replica_from_disk` re-execs the replica binary, which
-  reloads whatever the crash-safe store holds and negotiates the same
-  replay → chain-suffix → full-transfer ladder as the threaded runtime;
+  reloads whatever the crash-safe store holds before the control plane's
+  replay → chain-suffix → full-transfer negotiation runs;
 * a :class:`~repro.common.faults.FaultPlane` plugged into the transport
   drops/delays/duplicates/reorders/partitions actual TCP frames per
-  link, so the PR 7 nemesis episodes (linearizability oracle included)
-  run unchanged against real processes.
+  link, so the nemesis episodes (linearizability oracle included) run
+  unchanged against real processes.
 
-The public surface deliberately mirrors :class:`ThreadedPSMRCluster`
-(clients, crash/recover/restart, periodic checkpoints, quiescence,
-snapshots), so harness code is runtime-agnostic.
+What this module adds to the control plane is only the replica handle
+(:class:`_ProcReplica`: a ``Popen`` plus a request/reply RPC over the
+replica's connection) and the dispatch of inbound frames.
 """
 
 import itertools
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 
-from repro.common.checkpoint import NO_COMPRESSION, estimate_checkpoint_size
-from repro.common.checkpoint_store import ChainGossip
-from repro.common.errors import (
-    CheckpointError,
-    ConfigurationError,
-    RecoveryError,
-)
-from repro.core.cg import CGFunction
+import repro
+from repro.common.errors import ConfigurationError, RecoveryError
 from repro.core.command import Response
-from repro.multicast.group import ALL_GROUPS
-from repro.multicast.sharding import ShardRouter
-from repro.runtime.cluster import (
-    CheckpointMarker,
-    ResponseRouter,
-    ShardMapUpdate,
-    ThreadedClient,
-    _CheckpointScheduler,
-)
-from repro.runtime.multicast import LocalAtomicMulticast
+from repro.runtime.cluster import PSMRControlPlane
 from repro.runtime.transport import wire
-from repro.runtime.transport.wire import make_marker, make_shard_update
 from repro.runtime.transport.tcp import TcpCoordinatorTransport
 from repro.services import KVSTORE_SPEC, NETFS_SPEC
 
@@ -61,33 +43,180 @@ _DEFAULT_SPECS = {"kvstore": KVSTORE_SPEC, "netfs": NETFS_SPEC}
 
 
 class _ProcReplica:
-    """Coordinator-side record of one replica process."""
+    """Process-runtime replica handle: owns a child process.
 
-    __slots__ = (
-        "replica_id",
-        "proc",
-        "pid",
-        "crashed",
-        "watermark",
-        "needs_full_transfer",
-        "store_path",
-        "generation",
-    )
+    Management requests are frames answered by the child's main thread;
+    :meth:`_request` pairs each with its reply by a per-handle id.
+    """
 
-    def __init__(self, replica_id, store_path):
+    def __init__(self, cluster, replica_id, store_path):
+        self.cluster = cluster
         self.replica_id = replica_id
+        self.store_path = store_path
         self.proc = None
         self.pid = None
         self.crashed = False
         self.watermark = -1
         self.needs_full_transfer = False
-        self.store_path = store_path
         #: Spawn counter: per-generation bookkeeping (boundary-violation
         #: counters restart at zero in every fresh process).
         self.generation = 0
+        self.queues = None
+        self._requests = {}  # request id -> [Event, reply]
+        self._request_ids = itertools.count()
+        self._lock = threading.Lock()
+
+    def _send(self, message):
+        return self.cluster.transport.control_send(self.replica_id, message)
+
+    # ------------------------------------------------------------------
+    # Incarnations
+    # ------------------------------------------------------------------
+    def respawn(self, from_disk):
+        """Exec the replica binary and shake hands up to ``welcome``.
+
+        A killed process keeps nothing in memory, and without ``from_disk``
+        the replacement discards the store too (``--fresh``: a replacement
+        node, not a restart) — so it reports an empty chain and recovery
+        is always a full transfer.
+        """
+        cluster = self.cluster
+        transport = cluster.transport
+        transport.discard_hello(self.replica_id)
+        command = [
+            sys.executable, "-m", "repro.runtime.replica_proc",
+            "--host", transport.host,
+            "--port", str(transport.port),
+            "--replica-id", str(self.replica_id),
+            "--mpl", str(cluster.mpl),
+            "--service", cluster.service,
+            "--service-args", json.dumps(cluster.service_args),
+            "--store-dir", self.store_path,
+        ]
+        if not from_disk:
+            command.append("--fresh")
+        env = dict(os.environ)
+        # ``repro`` is a namespace package (no __init__.py), so locate the
+        # import root via __path__ rather than __file__.
+        src_root = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            src_root + os.pathsep + existing if existing else src_root
+        )
+        self.proc = subprocess.Popen(command, env=env)
+        self.generation += 1
+        try:
+            hello = transport.take_hello(
+                self.replica_id, timeout=cluster.spawn_timeout
+            )
+        except RecoveryError:
+            self.kill()
+            raise
+        self.pid = hello["pid"]
+        policy = cluster.checkpoint_policy
+        self._send(
+            {
+                "t": "welcome",
+                "batch": cluster.delivery_batch_size,
+                "barrier_timeout": cluster.barrier_timeout,
+                "full_every": policy.full_every if policy else None,
+                "compact_after": policy.compact_after if policy else None,
+            }
+        )
+        return hello["watermark"], hello["manifest"]
+
+    def kill(self):
+        """A literal ``SIGKILL``; then wake every management request still
+        waiting on the dead process (it raises :class:`RecoveryError`)."""
+        if self.proc is not None:
+            self.proc.kill()  # a no-op once the process has been reaped
+            self.proc.wait(timeout=10.0)
+        with self._lock:
+            waiting = list(self._requests.values())
+        for entry in waiting:
+            entry[0].set()
+
+    def install(self, mode, sequence=None, state=None, entries=()):
+        self._send(
+            {
+                "t": "restore",
+                "mode": mode,
+                "sequence": sequence,
+                "state": state,
+                "entries": wire.encode_chain(entries),
+            }
+        )
+
+    def start(self):
+        self._send({"t": "start"})
+
+    def stop(self):
+        """Clean exit: ask, wait, and only then insist."""
+        if self.proc is None:
+            return
+        self._send({"t": "bye"})
+        try:
+            self.proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            self.kill()
+
+    # ------------------------------------------------------------------
+    # Management requests (cluster threads)
+    # ------------------------------------------------------------------
+    def _request(self, message, timeout=None):
+        request_id = next(self._request_ids)
+        entry = [threading.Event(), None]
+        with self._lock:
+            self._requests[request_id] = entry
+        try:
+            # Checked after publishing the entry: ``crash_replica`` sets
+            # ``crashed`` before ``kill`` scans the pending requests, so
+            # one of the two sides must observe the other.
+            if self.crashed or not self._send(dict(message, req=request_id)):
+                raise RecoveryError(
+                    f"replica {self.replica_id} has no live connection"
+                )
+            if timeout is None:
+                timeout = self.cluster.barrier_timeout
+            if not entry[0].wait(timeout):
+                raise TimeoutError(
+                    f"replica {self.replica_id} did not answer "
+                    f"{message['t']!r} within {timeout}s"
+                )
+        finally:
+            with self._lock:
+                del self._requests[request_id]
+        if entry[1] is None:
+            raise RecoveryError(
+                f"replica {self.replica_id} crashed before answering "
+                f"{message['t']!r}"
+            )
+        return entry[1]
+
+    def _reply(self, message):
+        """Event-loop thread: hand a reply frame to its waiting request."""
+        with self._lock:
+            entry = self._requests.get(message.get("req"))
+        if entry is not None:
+            entry[1] = message
+            entry[0].set()
+
+    def stats(self):
+        return self._request({"t": "stats?"}, timeout=5.0)
+
+    def snapshot(self):
+        return self._request({"t": "snap?"})["state"]
+
+    def chain_suffix(self, after):
+        entries = self._request({"t": "chain?", "after": after})["entries"]
+        return None if entries is None else wire.decode_chain(entries)
+
+    def compact(self):
+        reply = self._request({"t": "compact"})
+        return reply["count"], reply["manifest"]
 
 
-class ProcessPSMRCluster(ResponseRouter):
+class ProcessPSMRCluster(PSMRControlPlane):
     """A P-SMR deployment where every replica is its own OS process.
 
     ``service`` names the replicated state machine (``"kvstore"`` or
@@ -104,51 +233,22 @@ class ProcessPSMRCluster(ResponseRouter):
                  checkpoint_poll_interval=0.005, store_dir=None,
                  delivery_batch_size=32, fault_plane=None,
                  spawn_timeout=30.0, host="127.0.0.1", shard_map=None):
-        if num_replicas < 1:
-            raise ConfigurationError("need at least one replica")
-        if delivery_batch_size < 1:
-            raise ConfigurationError("delivery batch size must be >= 1")
         if service not in _DEFAULT_SPECS:
             raise ConfigurationError(f"unknown service {service!r}")
-        self.spec = spec if spec is not None else _DEFAULT_SPECS[service]
-        self.service = service
-        self.service_args = dict(service_args or {})
-        self.mpl = mpl
-        self.num_replicas = num_replicas
-        self.barrier_timeout = barrier_timeout
-        self.delivery_batch_size = delivery_batch_size
-        self.spawn_timeout = spawn_timeout
-        #: Dynamic sharding (opt-in), mirroring the threaded cluster: with
-        #: a ``shard_map``, keyed commands route through the live key-range
-        #: partition and :meth:`update_shard_map` migrates ranges between
-        #: groups without pausing the replica processes.
-        self.shard_router = (
-            ShardRouter(shard_map, mpl) if shard_map is not None else None
-        )
-        self.shard_migrations = []
-        self.cg = CGFunction(
-            self.spec, mpl, seed=seed, router=self.shard_router
-        )
         self.fault_plane = fault_plane
         self.transport = TcpCoordinatorTransport(
             fault_plane, on_message=self._on_message, host=host
         )
-        self.multicast = LocalAtomicMulticast(
-            mpl, retention=log_retention, wire_codec="binary",
-            transport=self.transport,
+        super().__init__(
+            spec if spec is not None else _DEFAULT_SPECS[service], mpl,
+            dict(retention=log_retention, wire_codec="binary",
+                 transport=self.transport),
+            num_replicas, False, barrier_timeout, seed, checkpoint_policy,
+            checkpoint_poll_interval, delivery_batch_size, shard_map,
         )
-        if self.shard_router is not None:
-            self.multicast.shard_router = self.shard_router
-            self.multicast.shard_version = shard_map.version
-        self.checkpoint_policy = checkpoint_policy
-        self.checkpoint_poll_interval = checkpoint_poll_interval
-        self.checkpoints_taken = 0
-        self.truncations = 0
-        self.compactions = 0
-        self.checkpoint_bytes = {"full": 0, "delta": 0}
-        self.checkpoint_events = []
-        self.recovery_transfers = []
-        self.gossip = ChainGossip()
+        self.service = service
+        self.service_args = dict(service_args or {})
+        self.spawn_timeout = spawn_timeout
         self._own_store_dir = None
         if store_dir is None:
             store_dir = self._own_store_dir = tempfile.mkdtemp(
@@ -157,137 +257,32 @@ class ProcessPSMRCluster(ResponseRouter):
         self.store_dir = store_dir
         self.replicas = [
             _ProcReplica(
-                replica_id, os.path.join(store_dir, f"replica-{replica_id}")
+                self, replica_id, os.path.join(store_dir, f"replica-{replica_id}")
             )
             for replica_id in range(num_replicas)
         ]
-        self._scheduler = None
-        self._pending_markers = {}  # marker id -> CheckpointMarker
-        self._requests = {}  # (replica_id, req_id) -> [Event, reply]
-        self._request_ids = itertools.count()
-        # Cumulative boundary-violation count last reported by each
-        # (replica, generation) — summed by the property below, so
-        # violations observed before a crash still count afterwards.
-        self._boundary_counts = {}
-        self._recovery_lock = threading.Lock()
-        self._truncation_floors = {}
-        self._responses = {}
-        self._waiters = {}
-        self._lock = threading.Lock()
-        self._client_ids = itertools.count()
-        self._started = False
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def start(self):
         if self._started:
             return self
         self.transport.start()
-        for replica in self.replicas:
-            self._spawn(replica.replica_id)
-            self._send_welcome(replica.replica_id)
-            self.multicast.register_replica(
-                replica.replica_id, range(1, self.mpl + 1)
-            )
-            self.transport.control_send(replica.replica_id, {"t": "start"})
-        self._started = True
-        if self.checkpoint_policy is not None:
-            self._scheduler = _CheckpointScheduler(
-                self, self.checkpoint_policy, self.checkpoint_poll_interval
-            )
-            self._scheduler.start()
-        return self
+        try:
+            return super().start()
+        except BaseException:
+            # ``__enter__`` raised, so ``__exit__`` will not run: reap the
+            # children spawned so far, the transport thread and the owned
+            # temp store here.
+            self.shutdown()
+            raise
 
     def shutdown(self):
-        if self._scheduler is not None:
-            self._scheduler.stop()
-            self._scheduler = None
-        for replica in self.replicas:
-            if not replica.crashed and replica.proc is not None:
-                self.transport.control_send(replica.replica_id, {"t": "bye"})
-        for replica in self.replicas:
-            if replica.proc is None:
-                continue
-            try:
-                replica.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                replica.proc.kill()
-                replica.proc.wait(timeout=5.0)
+        super().shutdown()
         self.transport.close()
         if self._own_store_dir is not None:
             shutil.rmtree(self._own_store_dir, ignore_errors=True)
-        self._started = False
 
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # Spawning
-    # ------------------------------------------------------------------
-    def _spawn(self, replica_id, fresh=False):
-        """Exec one replica process and wait for its hello frame."""
-        replica = self.replicas[replica_id]
-        self.transport.discard_hello(replica_id)
-        command = [
-            sys.executable, "-m", "repro.runtime.replica_proc",
-            "--host", self.transport.host,
-            "--port", str(self.transport.port),
-            "--replica-id", str(replica_id),
-            "--mpl", str(self.mpl),
-            "--service", self.service,
-            "--service-args", json.dumps(self.service_args),
-            "--store-dir", replica.store_path,
-        ]
-        if fresh:
-            command.append("--fresh")
-        env = dict(os.environ)
-        import repro as _repro_pkg
-
-        # ``repro`` is a namespace package (no __init__.py), so locate the
-        # import root via __path__ rather than __file__.
-        src_root = os.path.dirname(
-            os.path.abspath(list(_repro_pkg.__path__)[0])
-        )
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
-        )
-        replica.proc = subprocess.Popen(command, env=env)
-        replica.generation += 1
-        try:
-            hello = self.transport.take_hello(
-                replica_id, timeout=self.spawn_timeout
-            )
-        except RecoveryError:
-            replica.proc.kill()
-            replica.proc.wait(timeout=5.0)
-            raise
-        replica.pid = hello["pid"]
-        return hello
-
-    def _send_welcome(self, replica_id):
-        policy = self.checkpoint_policy
-        self.transport.control_send(
-            replica_id,
-            {
-                "t": "welcome",
-                "mpl": self.mpl,
-                "batch": self.delivery_batch_size,
-                "barrier_timeout": self.barrier_timeout,
-                "full_every": policy.full_every if policy else None,
-                "compact_after": policy.compact_after if policy else None,
-                "max_replay_lag": policy.max_replay_lag if policy else None,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Inbound frames (event-loop thread — keep handlers cheap)
-    # ------------------------------------------------------------------
     def _on_message(self, replica_id, message):
+        """Inbound frames (event-loop thread — handlers must stay cheap)."""
         kind = message.get("t")
         if kind == "r":
             self._respond_many(
@@ -306,588 +301,5 @@ class ProcessPSMRCluster(ResponseRouter):
             self._handle_marker_done(replica_id, message)
         elif kind == "sh":
             self._handle_shard_done(replica_id, message)
-        elif kind in ("stats", "snap", "chain", "compacted"):
-            if kind == "stats":
-                self._note_boundary(replica_id, message["boundary"])
-            elif kind == "compacted":
-                self.gossip.publish(replica_id, list(message["manifest"]))
-            key = (replica_id, message.get("req"))
-            with self._lock:
-                entry = self._requests.pop(key, None)
-            if entry is not None:
-                entry[1] = message
-                entry[0].set()
-
-    def _handle_marker_done(self, replica_id, message):
-        sequence = message["sequence"]
-        replica = self.replicas[replica_id]
-        # Always advance the bookkeeping — even for a marker nobody is
-        # waiting on anymore (e.g. one re-executed during replay).
-        replica.watermark = max(replica.watermark, sequence)
-        self.gossip.publish(replica_id, list(message["manifest"]))
-        self._note_boundary(replica_id, message["boundary"])
-        raw = message["raw_bytes"]
-        wire_bytes = self._compression().wire_size(raw)
-        with self._lock:
-            self.checkpoint_bytes[message["kind"]] += wire_bytes
-            self.checkpoint_events.append(
-                {
-                    "sequence": sequence,
-                    "replica_id": replica_id,
-                    "kind": message["kind"],
-                    "raw_bytes": raw,
-                    "wire_bytes": wire_bytes,
-                }
-            )
-            marker = self._pending_markers.get(message["marker"])
-        if marker is not None:
-            marker.deliver(replica_id, sequence, message["state"])
-
-    def _handle_shard_done(self, replica_id, message):
-        """A replica process finished a shard-map update: hand the
-        artifact stats (or the build failure) to the waiting update."""
-        with self._lock:
-            update = self._pending_markers.get(("shard", message["update"]))
-        if update is None:
-            return  # e.g. re-executed during replay after the wait ended
-        if message.get("error"):
-            update.fail(replica_id, CheckpointError(message["error"]))
-            return
-        update.deliver(
-            replica_id,
-            message["sequence"],
-            {
-                "entries": message["entries"],
-                "bytes": message["bytes"],
-                "keys": message["keys"],
-                "verified": message["verified"],
-            },
-        )
-
-    def _note_boundary(self, replica_id, count):
-        replica = self.replicas[replica_id]
-        with self._lock:
-            self._boundary_counts[(replica_id, replica.generation)] = count
-
-    @property
-    def marker_boundary_violations(self):
-        with self._lock:
-            return sum(self._boundary_counts.values())
-
-    # ------------------------------------------------------------------
-    # Management requests (cluster thread)
-    # ------------------------------------------------------------------
-    def _request(self, replica_id, message, timeout=None):
-        request_id = next(self._request_ids)
-        message = dict(message, req=request_id)
-        entry = [threading.Event(), None]
-        key = (replica_id, request_id)
-        with self._lock:
-            self._requests[key] = entry
-        if not self.transport.control_send(replica_id, message):
-            with self._lock:
-                self._requests.pop(key, None)
-            raise RecoveryError(
-                f"replica {replica_id} has no live connection"
-            )
-        wait_timeout = timeout if timeout is not None else self.barrier_timeout
-        if not entry[0].wait(wait_timeout):
-            with self._lock:
-                self._requests.pop(key, None)
-            raise TimeoutError(
-                f"replica {replica_id} did not answer {message['t']!r} "
-                f"within {wait_timeout}s"
-            )
-        return entry[1]
-
-    # ------------------------------------------------------------------
-    # Crash and recovery
-    # ------------------------------------------------------------------
-    def live_replicas(self):
-        return [replica for replica in self.replicas if not replica.crashed]
-
-    def crash_replica(self, replica_id):
-        """Fail-stop one replica with a real ``SIGKILL``."""
-        replica = self.replicas[replica_id]
-        if replica.crashed:
-            raise RecoveryError(f"replica {replica_id} is already crashed")
-        if len(self.live_replicas()) <= 1:
-            raise RecoveryError("cannot crash the last live replica")
-        replica.crashed = True
-        try:
-            os.kill(replica.proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass  # already dead — still a crash from the cluster's view
-        replica.proc.wait(timeout=10.0)
-        self.multicast.unregister_replica(replica_id)
-        with self._lock:
-            pending = list(self._pending_markers.values())
-        for marker in pending:
-            if marker.source_replica_id in (None, replica_id):
-                marker.fail(
-                    replica_id,
-                    RecoveryError(
-                        f"checkpoint source replica {replica_id} crashed "
-                        f"before delivering its checkpoint"
-                    ),
-                )
-        return replica
-
-    def recover_replica(self, replica_id, source_replica_id=None):
-        """Replace a crashed replica with a fresh process via full transfer.
-
-        A killed process retains nothing in memory, so recovery *without*
-        the durable store is always a full state transfer: a live peer is
-        checkpointed at a fresh marker and the replacement process
-        restores that state before being registered with the log suffix.
-        (:meth:`restart_replica_from_disk` is the cheap path.)
-        """
-        replica = self.replicas[replica_id]
-        if not replica.crashed:
-            raise RecoveryError(f"replica {replica_id} is not crashed")
-        self._validate_source(replica_id, source_replica_id)
-        with self._recovery_lock:
-            self._truncation_floors[replica_id] = (
-                self.multicast.latest_sequence()
-            )
-        try:
-            self._spawn(replica_id, fresh=True)
-            self._send_welcome(replica_id)
-            sequence, state = self.checkpoint(replica_id=source_replica_id)
-            self.transport.control_send(
-                replica_id,
-                {
-                    "t": "restore",
-                    "mode": "full",
-                    "sequence": sequence,
-                    "state": state,
-                },
-            )
-            with self._recovery_lock:
-                self.multicast.register_replica(
-                    replica_id, range(1, self.mpl + 1),
-                    after_sequence=sequence,
-                )
-            self.transport.control_send(replica_id, {"t": "start"})
-            replica.watermark = sequence
-            replica.needs_full_transfer = False
-            replica.crashed = False
-            self._record_transfer(replica_id, "full", [state])
-            return replica
-        finally:
-            with self._recovery_lock:
-                self._truncation_floors.pop(replica_id, None)
-
-    def restart_replica_from_disk(self, replica_id, source_replica_id=None):
-        """Re-exec a crashed replica; recover from its durable chain.
-
-        The restarted process reloads its :class:`CheckpointStore` chain
-        (only checksummed complete segments count) and advertises the
-        durable watermark ``w`` in its hello.  The coordinator then runs
-        the same negotiation ladder as the threaded runtime: register
-        with log replay after ``w`` when the retained log still reaches
-        it; otherwise ask a gossiped donor for the chain suffix after
-        ``w`` and replay after the donor's tip; otherwise fall back to a
-        fresh full transfer.
-        """
-        replica = self.replicas[replica_id]
-        if not replica.crashed:
-            raise RecoveryError(f"replica {replica_id} is not crashed")
-        self._validate_source(replica_id, source_replica_id)
-        with self._recovery_lock:
-            # Pin truncation at the last known durable cut for the whole
-            # negotiation (-1 pins everything: cheap, and the window is
-            # one recovery).
-            self._truncation_floors[replica_id] = replica.watermark
-        try:
-            hello = self._spawn(replica_id)
-            self._send_welcome(replica_id)
-            watermark = hello["watermark"]
-            # The disk watermark may differ from what the crash left in
-            # our bookkeeping; the negotiation re-derives feasibility.
-            replica.watermark = watermark
-            replica.needs_full_transfer = False
-            mode = None
-            if source_replica_id is None and watermark >= 0:
-                mode = self._try_replay(replica_id, watermark)
-                if mode is None:
-                    mode = self._try_chain_suffix(replica_id, watermark)
-            if mode is None:
-                sequence, state = self.checkpoint(
-                    replica_id=source_replica_id
-                )
-                self.transport.control_send(
-                    replica_id,
-                    {
-                        "t": "restore",
-                        "mode": "full",
-                        "sequence": sequence,
-                        "state": state,
-                    },
-                )
-                with self._recovery_lock:
-                    self.multicast.register_replica(
-                        replica_id, range(1, self.mpl + 1),
-                        after_sequence=sequence,
-                    )
-                replica.watermark = sequence
-                self._record_transfer(replica_id, "full", [state])
-            self.transport.control_send(replica_id, {"t": "start"})
-            replica.crashed = False
-            return replica
-        finally:
-            with self._recovery_lock:
-                self._truncation_floors.pop(replica_id, None)
-
-    def _validate_source(self, replica_id, source_replica_id):
-        if source_replica_id is None:
-            return
-        if source_replica_id == replica_id:
-            raise RecoveryError(
-                f"source replica {source_replica_id} is being recovered"
-            )
-        if self.replicas[source_replica_id].crashed:
-            raise RecoveryError(
-                f"source replica {source_replica_id} is crashed"
-            )
-
-    def _try_replay(self, replica_id, watermark):
-        """Cheapest path: the durable chain plus retained-log replay."""
-        policy = self.checkpoint_policy
-        if policy is not None and not policy.replayable(
-            self.multicast.latest_sequence() - watermark
-        ):
-            return None
-        with self._recovery_lock:
-            try:
-                self.multicast.register_replica(
-                    replica_id, range(1, self.mpl + 1),
-                    after_sequence=watermark,
-                )
-            except RecoveryError:
-                return None  # log truncated past the durable cut
-        self._record_transfer(replica_id, "replay", [])
-        return "replay"
-
-    def _try_chain_suffix(self, replica_id, watermark):
-        """Delta path: a gossiped donor ships the chain suffix after the cut."""
-        policy = self.checkpoint_policy
-        for donor_id in self.gossip.donors_for(
-            watermark, exclude=(replica_id,)
-        ):
-            donor = self.replicas[donor_id]
-            if donor.crashed:
-                continue
-            try:
-                reply = self._request(donor_id, {"t": "chain?", "after": watermark})
-            except (RecoveryError, TimeoutError):
-                continue
-            entries = reply["entries"]
-            if entries is None:
-                continue  # the donor compacted the cut away since gossiping
-            suffix = wire.decode_chain(entries)
-            tip = suffix[-1]["sequence"] if suffix else watermark
-            if policy is not None and not policy.replayable(
-                self.multicast.latest_sequence() - tip
-            ):
-                return None  # suffix exists, but the replay after it is too long
-            self.transport.control_send(
-                replica_id,
-                {"t": "restore", "mode": "chain", "entries": entries},
-            )
-            with self._recovery_lock:
-                try:
-                    self.multicast.register_replica(
-                        replica_id, range(1, self.mpl + 1),
-                        after_sequence=tip,
-                    )
-                except RecoveryError:
-                    # The full-transfer fallback overwrites the chain
-                    # restore wholesale, so the frame above is harmless.
-                    return None
-            self.replicas[replica_id].watermark = tip
-            self._record_transfer(
-                replica_id, "chain-suffix",
-                [entry["payload"] for entry in suffix],
-            )
-            return "chain-suffix"
-        return None
-
-    # ------------------------------------------------------------------
-    # Dynamic sharding
-    # ------------------------------------------------------------------
-    def update_shard_map(self, new_map, timeout=None):
-        """Install a new shard map live across the replica processes.
-
-        Same protocol as the threaded cluster — the update is sequenced on
-        every group while the sequencer's shard version advances under the
-        same lock acquisition — but the update crosses the wire as a plain
-        :func:`~repro.runtime.transport.wire.make_shard_update` dict and
-        each replica process reports its hand-off artifact back in an
-        ``"sh"`` frame (stats only; the artifact itself stays in the
-        child, which is where the moved state already lives).
-        """
-        if self.shard_router is None:
-            raise ConfigurationError("cluster was built without a shard map")
-        old_map = self.shard_router.shard_map
-        if new_map.version != old_map.version + 1:
-            raise ConfigurationError(
-                "shard map version must advance by one: "
-                f"{old_map.version} -> {new_map.version}"
-            )
-        moved = new_map.moved_ranges(old_map)
-        update = ShardMapUpdate(new_map, moved)
-        key = ("shard", update.uid[1])
-        with self._lock:
-            self._pending_markers[key] = update
-        started = time.monotonic()
-        stats = {}
-        sequence = None
-        try:
-            live = self.live_replicas()
-            self.multicast.multicast_shard_update(
-                make_shard_update(update.uid[1], new_map.to_wire(), moved),
-                new_map,
-            )
-            wait_timeout = (
-                timeout if timeout is not None else self.barrier_timeout
-            )
-            deadline = time.monotonic() + wait_timeout
-            for replica in live:
-                try:
-                    sequence, reply = update.wait_for(
-                        replica.replica_id,
-                        max(0.0, deadline - time.monotonic()),
-                    )
-                except RecoveryError:
-                    continue  # crashed while the update was in flight
-                stats[replica.replica_id] = reply
-        finally:
-            with self._lock:
-                self._pending_markers.pop(key, None)
-        record = {
-            "from_version": old_map.version,
-            "to_version": new_map.version,
-            "sequence": sequence,
-            "moved_ranges": list(moved),
-            "duration_seconds": time.monotonic() - started,
-            "replicas": sorted(stats),
-            "bytes": sum(reply["bytes"] for reply in stats.values()),
-            "verified": all(
-                reply["verified"] is not False for reply in stats.values()
-            ),
-        }
-        with self._lock:
-            self.shard_migrations.append(record)
-        return record
-
-    def rebalance_shards(self, min_imbalance=1.25, timeout=None):
-        """Re-partition from observed load; ``None`` when balanced enough."""
-        if self.shard_router is None:
-            raise ConfigurationError("cluster was built without a shard map")
-        proposal = self.shard_router.propose_rebalance(
-            min_imbalance=min_imbalance
-        )
-        if proposal is None:
-            return None
-        record = self.update_shard_map(proposal, timeout=timeout)
-        self.shard_router.tracker.reset()
-        return record
-
-    # ------------------------------------------------------------------
-    # Checkpoints and log truncation
-    # ------------------------------------------------------------------
-    def checkpoint(self, replica_id=None, timeout=None):
-        """Checkpoint one consistent cut; return the source's ``(sequence, state)``."""
-        if replica_id is None:
-            replica_id = self.live_replicas()[0].replica_id
-        elif self.replicas[replica_id].crashed:
-            raise RecoveryError(f"replica {replica_id} is crashed")
-        marker = CheckpointMarker(source_replica_id=replica_id)
-        marker_id = marker.uid[1]
-        with self._lock:
-            self._pending_markers[marker_id] = marker
-        try:
-            if self.replicas[replica_id].crashed:
-                raise RecoveryError(f"replica {replica_id} is crashed")
-            self.multicast.multicast(
-                ALL_GROUPS, make_marker(marker_id, replica_id)
-            )
-            wait_timeout = (
-                timeout if timeout is not None else self.barrier_timeout
-            )
-            return marker.wait_for(replica_id, wait_timeout)
-        finally:
-            with self._lock:
-                self._pending_markers.pop(marker_id, None)
-
-    def periodic_checkpoint(self, timeout=None):
-        """One local checkpoint on every live replica, then truncation."""
-        marker = CheckpointMarker(source_replica_id=None)
-        marker_id = marker.uid[1]
-        with self._lock:
-            self._pending_markers[marker_id] = marker
-        sequence = None
-        try:
-            live = self.live_replicas()
-            self.multicast.multicast(ALL_GROUPS, make_marker(marker_id, None))
-            wait_timeout = (
-                timeout if timeout is not None else self.barrier_timeout
-            )
-            deadline = time.monotonic() + wait_timeout
-            for replica in live:
-                try:
-                    sequence, _ = marker.wait_for(
-                        replica.replica_id,
-                        max(0.0, deadline - time.monotonic()),
-                    )
-                except RecoveryError:
-                    continue  # crashed while the marker was in flight
-        finally:
-            with self._lock:
-                self._pending_markers.pop(marker_id, None)
-        if sequence is not None:
-            self.checkpoints_taken += 1
-            self.truncate_to_watermarks()
-            self.compact_chains()
-        return sequence
-
-    def truncate_to_watermarks(self):
-        """Truncate the log up to the minimum replayable watermark (same
-        pinning rules as the threaded cluster: live replicas always pin,
-        crashed ones only within the replay horizon, in-flight recoveries
-        via floors)."""
-        policy = self.checkpoint_policy
-        with self._recovery_lock:
-            latest = self.multicast.latest_sequence()
-            watermarks = list(self._truncation_floors.values())
-            for replica in self.replicas:
-                if replica.crashed:
-                    if replica.needs_full_transfer:
-                        continue
-                    lag = latest - replica.watermark
-                    past_horizon = (
-                        policy is not None and not policy.replayable(lag)
-                    )
-                    truncated_past = (
-                        replica.watermark + 1 < self.multicast.min_retained()
-                    )
-                    if past_horizon or truncated_past:
-                        replica.needs_full_transfer = True
-                        continue
-                watermarks.append(replica.watermark)
-            if not watermarks:
-                return
-            floor = min(watermarks)
-            if floor >= 0 and floor + 1 > self.multicast.min_retained():
-                self.multicast.truncate_log(floor)
-                self.truncations += 1
-
-    def compact_chains(self):
-        """Ask every live replica to compact its delta run if due."""
-        if self.checkpoint_policy is None:
-            return 0
-        compacted = 0
-        for replica in self.live_replicas():
-            try:
-                reply = self._request(replica.replica_id, {"t": "compact"})
-            except (RecoveryError, TimeoutError):
-                continue
-            if reply["count"]:
-                compacted += reply["count"]
-                with self._lock:
-                    self.compactions += reply["count"]
-                    self.checkpoint_events.append(
-                        {
-                            "sequence": max(
-                                (s for _k, s in reply["manifest"]), default=-1
-                            ),
-                            "replica_id": replica.replica_id,
-                            "kind": "compaction",
-                            "raw_bytes": 0,
-                            "wire_bytes": 0,
-                        }
-                    )
-        return compacted
-
-    def _compression(self):
-        if self.checkpoint_policy is not None:
-            return self.checkpoint_policy.compression
-        return NO_COMPRESSION
-
-    def _record_transfer(self, replica_id, mode, payloads):
-        raw = sum(estimate_checkpoint_size(payload) for payload in payloads)
-        wire_bytes = self._compression().wire_size(raw) if payloads else 0
-        with self._lock:
-            self.recovery_transfers.append(
-                {
-                    "replica_id": replica_id,
-                    "mode": mode,
-                    "entries": len(payloads),
-                    "wire_bytes": wire_bytes,
-                }
-            )
-
-    # ------------------------------------------------------------------
-    # Client plumbing
-    # ------------------------------------------------------------------
-    def client(self):
-        """Create a new client proxy bound to this cluster."""
-        return ThreadedClient(self, next(self._client_ids))
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def _poll_stats(self, timeout=5.0):
-        return [
-            self._request(
-                replica.replica_id, {"t": "stats?"}, timeout=timeout
-            )
-            for replica in self.live_replicas()
-        ]
-
-    def wait_for_quiescence(self, timeout=10.0, poll=0.02):
-        """Block until the stream drains and every live replica has
-        executed the same (stable) number of commands."""
-        deadline = time.monotonic() + timeout
-        previous = None
-        while time.monotonic() < deadline:
-            drained = self.multicast.pending_count() == 0
-            try:
-                stats = self._poll_stats()
-            except (RecoveryError, TimeoutError):
-                previous = None
-                time.sleep(poll)
-                continue
-            queued = sum(entry["queued"] for entry in stats)
-            counters = tuple(entry["executed"] for entry in stats)
-            if (
-                drained
-                and queued == 0
-                and len(set(counters)) == 1
-                and counters == previous
-            ):
-                return True
-            previous = counters if drained and queued == 0 else None
-            time.sleep(poll)
-        raise TimeoutError("cluster did not quiesce within the timeout")
-
-    def replica_snapshots(self, quiesce=True):
-        """Each live replica's service snapshot (replicas must converge)."""
-        if quiesce and self._started:
-            self.wait_for_quiescence()
-        return [
-            self._request(replica.replica_id, {"t": "snap?"})["state"]
-            for replica in self.live_replicas()
-        ]
-
-    def delivery_batch_stats(self):
-        """Achieved delivery amortisation across all live replica processes."""
-        stats = self._poll_stats()
-        delivered = sum(entry["delivered"] for entry in stats)
-        batches = sum(entry["batches"] for entry in stats)
-        return {
-            "messages_delivered": delivered,
-            "batches_drained": batches,
-            "avg_batch": (delivered / batches) if batches else 0.0,
-        }
+        else:  # the reply to a management request
+            self.replicas[replica_id]._reply(message)

@@ -3,11 +3,10 @@
 One OS process per replica: the coordinator spawns this module with the
 replica's identity, service and durable-store directory; it dials back
 over TCP, replays the handshake (``hello`` → ``welcome`` → optional
-``restore`` → ``start``) and then runs the same execution model as the
-threaded runtime's ``_Replica`` — ``mpl`` worker threads draining
-per-thread delivery queues in batches, barrier-synchronised execution
-for synchronous-mode commands, checkpoint markers cutting consistent
-snapshots persisted to the local :class:`CheckpointStore`.
+``restore`` → ``start``) and then runs a
+:class:`~repro.runtime.engine.ReplicaEngine` — the same engine the
+threaded runtime runs in-process — with its three sinks bound to ``r`` /
+``mk`` / ``sh`` frames on the socket.
 
 The receive loop is the process's main thread: it reassembles the
 (possibly reordered/duplicated) ``d`` frames through a
@@ -26,19 +25,11 @@ import shutil
 import sys
 import threading
 
-from repro.common.checkpoint import (
-    CheckpointPolicy,
-    compact_chain,
-    estimate_checkpoint_size,
-    restore_chain,
-)
+from repro.common.checkpoint import CheckpointPolicy
 from repro.common.checkpoint_store import CheckpointStore
-from repro.common.errors import CheckpointError, ReplicaCrashedError
 from repro.common.faults import ReliableLink
 from repro.multicast.group import GroupLayout
-from repro.multicast.sharding import build_shard_artifact
-from repro.runtime.cluster import _BarrierSync, _cached_plan
-from repro.runtime.multicast import decode_wire
+from repro.runtime.engine import ReplicaEngine
 from repro.runtime.transport import wire
 from repro.runtime.transport.inproc import DeliveryQueue
 from repro.services import KeyValueStoreServer, NetFSServer
@@ -48,12 +39,9 @@ SERVICES = {
     "netfs": NetFSServer,
 }
 
-is_marker = wire.is_marker
-is_shard_update = wire.is_shard_update
-
 
 class ReplicaProcess:
-    """The replica-side runtime: socket client + worker threads."""
+    """The replica-side binding: socket loop, handshake, engine sinks."""
 
     def __init__(self, sock, replica_id, mpl, service_factory, store):
         self.sock = sock
@@ -61,29 +49,11 @@ class ReplicaProcess:
         self.mpl = mpl
         self.service_factory = service_factory
         self.store = store
-        self.service = None
         self.layout = GroupLayout(mpl)
-        self.barrier = _BarrierSync()
-        self.queues = {
-            index: DeliveryQueue() for index in range(1, mpl + 1)
-        }
+        self.queues = {index: DeliveryQueue() for index in range(1, mpl + 1)}
         self.link = ReliableLink()
-        self.chain = store.load_chain() if store is not None else []
-        self.chain_lock = threading.Lock()
-        self.watermark = self.chain[-1]["sequence"] if self.chain else -1
-        self.deltas_since_full = sum(
-            1 for entry in self.chain if entry["kind"] == "delta"
-        )
-        self.policy = None
-        self.batch_size = 32
-        self.barrier_timeout = 10.0
-        self.delivered = [0] * (mpl + 1)
-        self.batches = [0] * (mpl + 1)
-        self.boundary_violations = 0
+        self.engine = None  # built at ``welcome``, which carries its knobs
         self._write_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self.workers = []
-        self._restored = False
 
     # ------------------------------------------------------------------
     # Outbound frames (any thread; serialised by the write lock)
@@ -91,86 +61,38 @@ class ReplicaProcess:
     def send(self, message):
         wire.send_message(self.sock, message, lock=self._write_lock)
 
-    def manifest(self):
-        return tuple(
-            (entry["kind"], entry["sequence"]) for entry in self.chain
-        )
-
-    def send_hello(self):
+    def send_responses(self, pending):
         self.send(
             {
-                "t": "hello",
-                "replica": self.replica_id,
-                "watermark": self.watermark,
-                "manifest": self.manifest(),
-                "pid": os.getpid(),
+                "t": "r",
+                "resps": tuple(
+                    (uid, response.value, response.error)
+                    for uid, response in pending
+                ),
             }
         )
 
     # ------------------------------------------------------------------
     # Handshake (main thread)
     # ------------------------------------------------------------------
-    def apply_welcome(self, message):
-        self.batch_size = message["batch"]
-        self.barrier_timeout = message["barrier_timeout"]
-        full_every = message.get("full_every")
-        compact_after = message.get("compact_after")
-        max_replay_lag = message.get("max_replay_lag")
-        if full_every is not None:
+    def apply_welcome(self, chain, message):
+        policy = None
+        if message["full_every"] is not None:
             # ``every_messages=1`` is a placeholder trigger: scheduling
-            # lives on the coordinator, the replica only consults the
+            # lives on the coordinator, the engine only consults the
             # policy's full/delta cadence and compaction knobs.
-            self.policy = CheckpointPolicy(
+            policy = CheckpointPolicy(
                 every_messages=1,
-                full_every=full_every,
-                compact_after=compact_after,
-                max_replay_lag=max_replay_lag,
+                full_every=message["full_every"],
+                compact_after=message["compact_after"],
             )
-
-    def apply_restore(self, message):
-        service = self.service_factory()
-        if message["mode"] == "full":
-            service.restore(message["state"])
-            with self.chain_lock:
-                self.chain = [
-                    {
-                        "kind": "full",
-                        "sequence": message["sequence"],
-                        "payload": message["state"],
-                    }
-                ]
-                self.watermark = message["sequence"]
-                self.deltas_since_full = 0
-                self._persist_locked()
-        else:  # chain-suffix transfer extending the durable chain
-            suffix = wire.decode_chain(message["entries"])
-            with self.chain_lock:
-                self.chain = [*self.chain, *suffix]
-                restore_chain(service, self.chain)
-                self.watermark = self.chain[-1]["sequence"]
-                self.deltas_since_full = sum(
-                    1 for entry in self.chain if entry["kind"] == "delta"
-                )
-                self._persist_locked()
-        self.service = service
-        self._restored = True
-
-    def start_workers(self):
-        if self.service is None:
-            # No transfer happened: replay recovery (restore the durable
-            # chain we advertised) or a genuinely fresh replica.
-            self.service = self.service_factory()
-            if self.chain:
-                restore_chain(self.service, self.chain)
-        for index in range(1, self.mpl + 1):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                args=(index, self.queues[index]),
-                name=f"psmr-proc-replica{self.replica_id}-t{index}",
-                daemon=True,
-            )
-            self.workers.append(worker)
-            worker.start()
+        self.engine = ReplicaEngine(
+            self.replica_id, self.mpl, self.service_factory, chain, self.store,
+            policy, message["batch"], message["barrier_timeout"],
+            on_responses=self.send_responses,
+            on_marker_done=self.send,
+            on_shard_done=self.send,
+        )
 
     # ------------------------------------------------------------------
     # Ordered-stream dispatch (main thread)
@@ -184,267 +106,42 @@ class ReplicaProcess:
                 self.queues[index].put(item)
 
     # ------------------------------------------------------------------
-    # Worker threads: the same loop as the threaded ``_Replica``
-    # ------------------------------------------------------------------
-    def _worker_loop(self, index, delivery_queue):
-        mpl = self.mpl
-        pending = []  # (uid, value, error) triples not yet framed
-        while True:
-            batch = delivery_queue.get_batch(self.batch_size)
-            self.batches[index] += 1
-            for item in batch:
-                if item is None:
-                    self._flush_responses(pending)
-                    return
-                sequence, destinations, payload = item
-                self.delivered[index] += 1
-                try:
-                    if is_marker(payload):
-                        # The marker cuts the batch, exactly as in the
-                        # threaded runtime: responses from before it are
-                        # framed to the coordinator before the barrier.
-                        self._flush_responses(pending)
-                        self._handle_marker(sequence, payload, index)
-                        if pending:
-                            with self._counter_lock:
-                                self.boundary_violations += 1
-                            self._flush_responses(pending)
-                        continue
-                    if is_shard_update(payload):
-                        # Same cut discipline as a marker: the shard-map
-                        # update is a barrier against every command.
-                        self._flush_responses(pending)
-                        self._handle_shard_update(sequence, payload, index)
-                        if pending:
-                            with self._counter_lock:
-                                self.boundary_violations += 1
-                            self._flush_responses(pending)
-                        continue
-                    command = decode_wire(payload)
-                    plan = _cached_plan(destinations, index, mpl)
-                    if plan.mode == "parallel":
-                        pending.append(self._execute(command))
-                    elif plan.mode == "execute":
-                        self._flush_responses(pending)
-                        self.barrier.wait_for_peers(
-                            command.uid, plan.peers,
-                            timeout=self.barrier_timeout,
-                        )
-                        self._flush_responses([self._execute(command)])
-                        self.barrier.complete(command.uid)
-                    elif plan.mode == "assist":
-                        self._flush_responses(pending)
-                        self.barrier.signal(command.uid, index)
-                        self.barrier.wait_for_completion(
-                            command.uid, timeout=self.barrier_timeout
-                        )
-                except ReplicaCrashedError:
-                    return
-            self._flush_responses(pending)
-
-    def _execute(self, command):
-        response = self.service.apply(command)
-        return (command.uid, response.value, response.error)
-
-    def _flush_responses(self, pending):
-        if pending:
-            self.send({"t": "r", "resps": tuple(pending)})
-            pending.clear()
-
-    def _handle_marker(self, sequence, marker, index):
-        uid = ("__checkpoint__", marker["marker"])
-        if index != 1:
-            self.barrier.signal(uid, index)
-            self.barrier.wait_for_completion(uid, timeout=self.barrier_timeout)
-            return
-        self.barrier.wait_for_peers(
-            uid, range(2, self.mpl + 1), timeout=self.barrier_timeout
-        )
-        source = marker["source"]
-        if source is None:
-            with self.chain_lock:
-                entry = self._take_local_checkpoint(sequence)
-                self.watermark = sequence
-                self._persist_locked()
-            self._send_marker_done(marker, sequence, entry, state=None)
-        elif source == self.replica_id:
-            state = self.service.checkpoint()
-            if hasattr(self.service, "reset_delta_tracking"):
-                self.service.reset_delta_tracking()
-            entry = {"kind": "full", "sequence": sequence, "payload": state}
-            with self.chain_lock:
-                self.chain = [entry]
-                self.watermark = sequence
-                self.deltas_since_full = 0
-                self._persist_locked()
-            self._send_marker_done(marker, sequence, entry, state=state)
-        self.barrier.complete(uid)
-
-    def _handle_shard_update(self, sequence, update, index):
-        """Barrier-execute a shard-map update and report the hand-off artifact.
-
-        Mirrors the threaded runtime's ``_Replica._handle_shard_update``:
-        once every worker has reached the update, the service reflects
-        exactly the commands routed under the old map, and thread 1 builds
-        (and self-verifies) the moved ranges' chain artifact at the cut.
-        Only the artifact's stats cross the wire — every P-SMR replica
-        already holds the full state; what moves is ordering ownership,
-        and the artifact proves the transferable state was consistent.
-        """
-        uid = ("__shardmap__", update["update"])
-        if index != 1:
-            self.barrier.signal(uid, index)
-            self.barrier.wait_for_completion(uid, timeout=self.barrier_timeout)
-            return
-        self.barrier.wait_for_peers(
-            uid, range(2, self.mpl + 1), timeout=self.barrier_timeout
-        )
-        moved = update["moved"]
-        reply = {
-            "t": "sh",
-            "update": update["update"],
-            "sequence": sequence,
-            "version": update["map"]["version"],
-            "ranges": len(moved),
-            "entries": 0,
-            "bytes": 0,
-            "keys": 0,
-            "verified": None,
-            "error": None,
-        }
-        try:
-            if moved:
-                with self.chain_lock:
-                    artifact = build_shard_artifact(
-                        self.service,
-                        self.chain,
-                        moved,
-                        service_factory=self.service_factory,
-                    )
-                reply["entries"] = artifact["entries"]
-                reply["bytes"] = artifact["bytes"]
-                reply["keys"] = artifact.get("keys", 0)
-                reply["verified"] = artifact["verified"]
-        except CheckpointError as exc:
-            reply["error"] = str(exc)
-            reply["verified"] = False
-        self.send(reply)
-        self.barrier.complete(uid)
-
-    def _take_local_checkpoint(self, sequence):
-        chain = self.chain
-        take_delta = (
-            chain
-            and self.policy is not None
-            and not self.policy.take_full(self.deltas_since_full)
-            and hasattr(self.service, "delta_checkpoint")
-        )
-        if take_delta:
-            entry = {
-                "kind": "delta",
-                "sequence": sequence,
-                "payload": self.service.delta_checkpoint(),
-            }
-            self.deltas_since_full += 1
-            self.chain = [*chain, entry]
-        else:
-            entry = {
-                "kind": "full",
-                "sequence": sequence,
-                "payload": self.service.checkpoint(),
-            }
-            if hasattr(self.service, "reset_delta_tracking"):
-                self.service.reset_delta_tracking()
-            self.deltas_since_full = 0
-            self.chain = [entry]
-        return entry
-
-    def _persist_locked(self):
-        if self.store is not None:
-            self.store.sync_chain(self.chain)
-
-    def _send_marker_done(self, marker, sequence, entry, state):
-        with self._counter_lock:
-            boundary = self.boundary_violations
-        self.send(
-            {
-                "t": "mk",
-                "marker": marker["marker"],
-                "sequence": sequence,
-                "manifest": self.manifest(),
-                "kind": entry["kind"],
-                "raw_bytes": estimate_checkpoint_size(entry["payload"]),
-                "state": state,
-                "boundary": boundary,
-            }
-        )
-
-    # ------------------------------------------------------------------
     # Management requests (main thread, inline — all cheap)
     # ------------------------------------------------------------------
     def handle_request(self, message):
         kind = message["t"]
         req = message.get("req")
+        engine = self.engine
         if kind == "stats?":
-            with self._counter_lock:
-                boundary = self.boundary_violations
-            self.send(
-                {
-                    "t": "stats",
-                    "req": req,
-                    "executed": getattr(
-                        self.service, "commands_executed", 0
-                    ),
-                    "queued": sum(q.qsize() for q in self.queues.values())
-                    + self.link.pending(),
-                    "delivered": sum(self.delivered),
-                    "batches": sum(self.batches),
-                    "boundary": boundary,
-                }
-            )
+            stats = engine.stats()
+            stats["queued"] += self.link.pending()
+            self.send({"t": "stats", "req": req, **stats})
         elif kind == "snap?":
-            state = self.service.snapshot() if self.service else None
-            self.send({"t": "snap", "req": req, "state": state})
+            self.send({"t": "snap", "req": req, "state": engine.snapshot()})
         elif kind == "chain?":
-            after = message["after"]
-            with self.chain_lock:
-                positions = [
-                    i for i, entry in enumerate(self.chain)
-                    if entry["sequence"] == after
-                ]
-                entries = (
-                    wire.encode_chain(self.chain[positions[0] + 1:])
-                    if positions
-                    else None
-                )
+            suffix = engine.chain_suffix(message["after"])
+            entries = None if suffix is None else wire.encode_chain(suffix)
             self.send({"t": "chain", "req": req, "entries": entries})
         elif kind == "compact":
-            compacted = 0
-            with self.chain_lock:
-                deltas = len(self.chain) - 1
-                if (
-                    self.policy is not None
-                    and deltas > 0
-                    and self.policy.compact_due(deltas)
-                ):
-                    self.chain = compact_chain(self.chain)
-                    self._persist_locked()
-                    compacted = 1
-                manifest = self.manifest()
+            count, manifest = engine.compact()
             self.send(
-                {
-                    "t": "compacted",
-                    "req": req,
-                    "count": compacted,
-                    "manifest": manifest,
-                }
+                {"t": "compacted", "req": req, "count": count, "manifest": manifest}
             )
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self):
-        self.send_hello()
+        chain = self.store.load_chain()
+        self.send(
+            {
+                "t": "hello",
+                "replica": self.replica_id,
+                "watermark": chain[-1]["sequence"] if chain else -1,
+                "manifest": tuple((e["kind"], e["sequence"]) for e in chain),
+                "pid": os.getpid(),
+            }
+        )
         while True:
             try:
                 message = wire.recv_message(self.sock)
@@ -456,22 +153,22 @@ class ReplicaProcess:
             if kind == "d":
                 self.dispatch_deliver(message)
             elif kind == "welcome":
-                self.apply_welcome(message)
+                self.apply_welcome(chain, message)
             elif kind == "restore":
-                self.apply_restore(message)
+                self.engine.install(
+                    message["mode"],
+                    sequence=message["sequence"],
+                    state=message["state"],
+                    entries=wire.decode_chain(message["entries"]),
+                )
             elif kind == "start":
-                self.start_workers()
+                self.engine.start(self.queues)
             elif kind == "bye":
                 break
             else:
                 self.handle_request(message)
-        self.stop_workers()
-
-    def stop_workers(self):
-        for delivery_queue in self.queues.values():
-            delivery_queue.put(None)
-        for worker in self.workers:
-            worker.join(timeout=5.0)
+        if self.engine is not None:
+            self.engine.stop()
 
 
 def main(argv=None):

@@ -10,10 +10,9 @@ type                    dir    meaning
 ======================  =====  ==============================================
 ``hello``               c→s    first frame after connect: replica id, pid,
                                durable-chain watermark + manifest
-``welcome``             s→c    handshake reply: mpl, batch size, barrier
-                               timeout and the checkpoint-policy knobs the
-                               replica needs locally (full_every,
-                               compact_after)
+``welcome``             s→c    handshake reply: batch size, barrier timeout
+                               and the checkpoint-policy knobs the engine
+                               reads locally (full_every, compact_after)
 ``restore``             s→c    recovery state install before start: mode
                                ``full`` (sequence + state) or ``chain``
                                (suffix entries extending the local chain)
@@ -35,7 +34,6 @@ type                    dir    meaning
 ``snap?``/``snap``      s→c/c→s  service snapshot
 ``chain?``/``chain``    s→c/c→s  chain-suffix donation after a cut
 ``compact``/``compacted`` s→c/c→s  compact the local delta run if due
-``gossip``              c→s    manifest refresh outside a marker
 ``bye``                 s→c    clean shutdown request
 ======================  =====  ==============================================
 
@@ -58,9 +56,9 @@ MARKER_KEY = "__psmr_marker__"
 
 
 def make_marker(marker_id, source_replica_id):
-    """The process runtime's checkpoint marker: a plain dict, because it
-    must cross the wire (the threaded ``CheckpointMarker`` carries live
-    threading state and cannot)."""
+    """A checkpoint marker as it is multicast in both runtimes: a plain
+    dict, because it must be able to cross the wire.  The coordinator-side
+    ``CheckpointMarker`` waiter stays behind, found again by ``marker``."""
     return {
         MARKER_KEY: True,
         "marker": marker_id,
@@ -76,7 +74,7 @@ SHARD_KEY = "__psmr_shard__"
 
 
 def make_shard_update(update_id, map_wire, moved_ranges):
-    """The process runtime's shard-map update: a plain wire dict carrying
+    """A shard-map update as it is multicast: a plain wire dict carrying
     the new map (:meth:`ShardMap.to_wire`) and the moved hash ranges
     ``(lo, hi, from_group, to_group)`` the hand-off artifact must cover."""
     return {

@@ -8,19 +8,24 @@ tests use fixed seeds so any failure reproduces with one command.
 
 import os
 import random
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.common.checkpoint import CheckpointPolicy
+from repro.common.errors import RecoveryError
 from repro.common.faults import FaultPlane
 from repro.harness.nemesis import assert_episode_ok, run_proc_nemesis_episode
+from repro.multicast.sharding import ShardMap
 from repro.runtime import (
     ProcessPSMRCluster,
     ThreadedPSMRCluster,
     check_linearizable,
 )
 from repro.runtime.linearizability import HistoryRecorder
+from repro.runtime.transport import TcpCoordinatorTransport
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
 
@@ -159,35 +164,223 @@ def test_fault_plane_mangles_real_socket_frames():
     assert stats["retransmits"] > 0 or stats["duplicates"] > 0
 
 
-def _scripted_final_snapshot(cluster):
-    """One deterministic single-client op script; returns the final state."""
+def _agreement_script(cluster):
+    """One seeded single-client script that also drives the shared control
+    plane; returns everything the two runtimes must agree on."""
     client = cluster.client()
     rng = random.Random(7)
-    for step in range(60):
-        key = rng.randrange(16)
-        roll = rng.random()
-        if roll < 0.5:
-            client.invoke("update", key=key, value=f"v{step}".encode())
-        elif roll < 0.8:
-            client.invoke("read", key=key)
-        else:
-            client.invoke("insert", key=1000 + step, value=b"s")
+    responses = []
+
+    def ops(first, count):
+        for step in range(first, first + count):
+            key = rng.randrange(16)
+            roll = rng.random()
+            if roll < 0.4:
+                response = client.invoke(
+                    "update", key=key, value=f"v{step}".encode()
+                )
+            elif roll < 0.65:
+                response = client.invoke("read", key=key)
+            elif roll < 0.9:
+                # Multi-group: ordered on every group, run behind barriers.
+                response = client.invoke("insert", key=1000 + step, value=b"s")
+            else:
+                # Hits or misses deterministically; both are responses.
+                response = client.invoke("delete", key=1000 + rng.randrange(step + 1))
+            responses.append((response.value, response.error))
+
+    ops(0, 30)
+    cuts = [cluster.periodic_checkpoint()]  # full
+    ops(30, 15)
+    cuts.append(cluster.periodic_checkpoint())  # delta
+    ops(45, 15)
+    cuts.append(cluster.periodic_checkpoint())  # delta; compact_after=2 is due
+    compacted_again = cluster.compact_chains()  # nothing left to merge
+    shard_map = cluster.shard_router.shard_map
+    cluster.update_shard_map(shard_map.split(8))
+    cluster.update_shard_map(cluster.shard_router.shard_map.move(8, 2))
+    ops(60, 10)
+    cluster.crash_replica(1)
+    ops(70, 10)
+    cluster.restart_replica_from_disk(1)
+    ops(80, 5)
     snapshots = cluster.replica_snapshots()
-    assert all(s == snapshots[0] for s in snapshots)
-    return snapshots[0]
+    assert len(snapshots) == 2 and snapshots[0] == snapshots[1]
+    assert cluster.marker_boundary_violations == 0
+    agreed = {
+        "responses": responses,
+        "snapshot": snapshots[0],
+        "cuts": cuts,
+        "compacted_again": compacted_again,
+        "compactions": cluster.compactions,
+        # Replicas report concurrently: order the log, keep every field.
+        "checkpoint_events": sorted(
+            (e["sequence"], e["replica_id"], e["kind"], e["raw_bytes"])
+            for e in cluster.checkpoint_events
+        ),
+        "recovery_transfers": [
+            (t["replica_id"], t["mode"], t["entries"])
+            for t in cluster.recovery_transfers
+        ],
+        "shard_migrations": [
+            {k: v for k, v in record.items() if k != "duration_seconds"}
+            for record in cluster.shard_migrations
+        ],
+    }
+    # The one asymmetry that is real: what a crashed replica still holds.
+    cluster.crash_replica(1)
+    client.invoke("update", key=0, value=b"while-down")
+    cluster.recover_replica(1)
+    snapshots = cluster.replica_snapshots()
+    assert snapshots[0] == snapshots[1]
+    return agreed, cluster.recovery_transfers[-1]["mode"]
 
 
-def test_threaded_and_process_runtimes_agree():
-    """Same scripted workload, same final state on both live runtimes."""
+def test_threaded_and_process_runtimes_agree(tmp_path):
+    """Same scripted workload and control-plane operations, same per-op
+    responses, final state, checkpoint events, recovery modes and
+    migration records on both live runtimes."""
+    config = dict(
+        mpl=2, num_replicas=2, barrier_timeout=20.0,
+        # Never due on its own: the script decides when to checkpoint.
+        checkpoint_policy=CheckpointPolicy(
+            every_messages=10_000_000, full_every=4, compact_after=2
+        ),
+    )
     with ThreadedPSMRCluster(
         spec=KVSTORE_SPEC,
         service_factory=lambda: KeyValueStoreServer(initial_keys=16),
-        mpl=2, num_replicas=2, barrier_timeout=20.0,
+        store_dir=str(tmp_path / "threaded"),
+        shard_map=ShardMap.initial(2, key_space=64),
+        **config,
     ) as threaded:
-        threaded_state = _scripted_final_snapshot(threaded)
-    with proc_cluster(mpl=2, replicas=2) as proc:
-        proc_state = _scripted_final_snapshot(proc)
-    assert proc_state == threaded_state
+        threaded_agreed, threaded_mode = _agreement_script(threaded)
+    with ProcessPSMRCluster(
+        service="kvstore", service_args={"initial_keys": 16},
+        store_dir=str(tmp_path / "proc"),
+        shard_map=ShardMap.initial(2, key_space=64),
+        **config,
+    ) as proc:
+        proc_agreed, proc_mode = _agreement_script(proc)
+    for key, value in threaded_agreed.items():
+        assert proc_agreed[key] == value, key
+    assert threaded_agreed["compactions"] == 2
+    assert [mode for _r, mode, _e in threaded_agreed["recovery_transfers"]] == ["replay"]
+    # A threaded "crash" keeps its in-memory chain and may replay; a
+    # SIGKILLed process keeps nothing (see also
+    # test_recover_replica_is_always_a_full_transfer).
+    assert (threaded_mode, proc_mode) == ("replay", "full")
+
+
+#: Written once over the replica-handle interface; the two cluster classes
+#: differ only in their handle and transport.
+SHARED_CONTROL_PLANE = (
+    "checkpoint", "periodic_checkpoint", "update_shard_map", "rebalance_shards",
+    "truncate_to_watermarks", "compact_chains", "_record_transfer",
+    "_compression", "crash_replica", "recover_replica", "recover_replicas",
+    "restart_replica_from_disk", "_recover_via_replay",
+    "_recover_via_chain_transfer", "_recover_via_full_transfer",
+    "_handle_marker_done", "_handle_shard_done", "wait_for_quiescence",
+    "replica_snapshots", "delivery_batch_stats", "client",
+)
+
+
+@pytest.mark.parametrize("name", SHARED_CONTROL_PLANE)
+def test_control_plane_method_is_one_function_object(name):
+    assert getattr(ThreadedPSMRCluster, name) is getattr(ProcessPSMRCluster, name)
+
+
+def _replica_children():
+    """Pids of the live ``repro.runtime.replica_proc`` children of this process."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                state, ppid = handle.read().rsplit(b")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue  # exited while we were looking
+        if (
+            int(ppid) == os.getpid()
+            and state != b"Z"
+            and b"repro.runtime.replica_proc" in cmdline
+        ):
+            children.append(int(entry))
+    return sorted(children)
+
+
+def test_failed_start_leaves_nothing_behind(monkeypatch):
+    """``__enter__`` raising means ``__exit__`` never runs: a start that
+    fails on the second replica must itself reap the first child, stop the
+    transport thread and remove the temp store it owns."""
+    take_hello = TcpCoordinatorTransport.take_hello
+
+    def second_replica_never_connects(self, replica_id, timeout):
+        if replica_id == 1:
+            raise RecoveryError("replica 1 did not connect (forced)")
+        return take_hello(self, replica_id, timeout)
+
+    monkeypatch.setattr(
+        TcpCoordinatorTransport, "take_hello", second_replica_never_connects
+    )
+    cluster = proc_cluster()
+    with pytest.raises(RecoveryError):
+        with cluster:
+            pytest.fail("start() should have raised")
+    assert _replica_children() == []
+    assert not cluster.transport._thread.is_alive()
+    assert not os.path.exists(cluster.store_dir)
+
+
+@pytest.mark.parametrize("recover", ["recover_replica", "restart_replica_from_disk"])
+def test_failed_recovery_reaps_the_child_it_spawned(recover):
+    with proc_cluster() as cluster:
+        client = cluster.client()
+        client.invoke("update", key=1, value=b"x")
+        cluster.crash_replica(1)
+
+        def no_checkpoint(replica_id=None, timeout=None):
+            raise RecoveryError("checkpoint failed (forced)")
+
+        # Fails after the replacement process is up and has said hello.
+        cluster.checkpoint = no_checkpoint
+        with pytest.raises(RecoveryError):
+            getattr(cluster, recover)(1)
+        assert _replica_children() == [cluster.replicas[0].pid]
+        assert cluster.replicas[1].crashed
+        del cluster.checkpoint
+        getattr(cluster, recover)(1)  # and the replica is still recoverable
+        client.invoke("update", key=1, value=b"y")
+        snapshots = cluster.replica_snapshots()
+        assert len(snapshots) == 2 and snapshots[0] == snapshots[1]
+
+
+def test_crash_wakes_pending_management_requests():
+    """A request waiting on a wedged replica must fail when the replica is
+    crashed, not run out its (here 20 s) timeout."""
+    with proc_cluster() as cluster:
+        victim = cluster.replicas[1]
+        os.kill(victim.pid, signal.SIGSTOP)
+        raised = []
+
+        def ask():
+            try:
+                victim.snapshot()
+            except Exception as exc:
+                raised.append((exc, time.monotonic()))
+
+        asker = threading.Thread(target=ask)
+        asker.start()
+        time.sleep(0.2)  # the request is on the wire, nobody answers
+        assert asker.is_alive()
+        crashed_at = time.monotonic()
+        cluster.crash_replica(1)
+        asker.join(timeout=5.0)
+        assert raised and isinstance(raised[0][0], RecoveryError)
+        assert raised[0][1] - crashed_at < 1.0
 
 
 def test_proc_nemesis_episode_passes_oracle(tmp_path):

@@ -144,7 +144,7 @@ class TestTcpCoordinatorTransport:
         client = None
         try:
             assert not transport.connected(0)
-            transport.discard_hello(0)  # arm the waiter, as _spawn does
+            transport.discard_hello(0)  # arm the waiter, as respawn does
             client = socket.create_connection((host, port), timeout=5.0)
             hello = {"t": "hello", "replica": 0, "watermark": -1,
                      "manifest": (), "pid": 4242}
