@@ -6,10 +6,13 @@ delivered on a replica worker thread.  HTTP handlers are asyncio-world.
 :class:`ClusterBackend` connects the two without a thread-per-request:
 
 * each event loop gets its own ``cluster.client()`` (clients carry a
-  private uid sequence, so they must not be shared across loops);
+  private uid sequence, so they must not be shared across loops) and its
+  own *inbox*;
 * ``submit()`` creates an asyncio future, submits via ``invoke_async``,
-  and attaches a done-callback that trampolines the response onto the
-  loop with ``call_soon_threadsafe``;
+  and attaches a done-callback that appends ``(future, response)`` to
+  the loop's inbox — waking the loop with ``call_soon_threadsafe`` only
+  when the inbox was empty, so a burst of responses (one ``r`` frame
+  answers a whole delivery batch) costs one wake-up, not one each;
 * a timeout ``discard()``s the invocation so the late response is
   dropped at the router — an abandoned HTTP request cannot leak a
   waiter or resolve a dead future.
@@ -21,6 +24,8 @@ surface and both hand out ``ThreadedClient`` proxies.
 
 import asyncio
 import threading
+import weakref
+from functools import partial
 
 
 class BackendTimeout(Exception):
@@ -37,6 +42,40 @@ class BackendTimeout(Exception):
         self.timeout = timeout
 
 
+class _LoopPort:
+    """One event loop's end of the bridge: its client and its inbox.
+
+    Holds no reference to the loop, so the backend's weak-keyed entry
+    dies with it.
+    """
+
+    def __init__(self, client):
+        self.client = client
+        self._lock = threading.Lock()
+        self._inbox = []  # (future, response) landed, not yet resolved
+
+    def deliver(self, loop, future, response):
+        """Any thread: file a response; wake ``loop`` if nobody has."""
+        with self._lock:
+            wake = not self._inbox  # non-empty: a drain is already due
+            self._inbox.append((future, response))
+        if wake:
+            try:
+                loop.call_soon_threadsafe(self._drain)
+            except RuntimeError:
+                # The loop is gone (the app shut down): the responses
+                # drop, and with them the futures that pin the loop.
+                with self._lock:
+                    self._inbox.clear()
+
+    def _drain(self):
+        with self._lock:
+            landed, self._inbox = self._inbox, []
+        for future, response in landed:
+            if not future.done():
+                future.set_result(response)
+
+
 class ClusterBackend:
     """Per-worker submission bridge over one cluster.
 
@@ -47,22 +86,23 @@ class ClusterBackend:
     def __init__(self, cluster, default_timeout=10.0):
         self.cluster = cluster
         self.default_timeout = default_timeout
-        self._clients = {}
-        self._clients_lock = threading.Lock()
+        # Keyed on the loop itself, weakly: an ``id()`` is reused once a
+        # closed loop is collected, and the next loop would inherit its
+        # inbox.
+        self._ports = weakref.WeakKeyDictionary()
+        self._ports_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.submitted = 0
         self.completed = 0
         self.timed_out = 0
 
     # ------------------------------------------------------------------
-    def _client_for_loop(self, loop):
-        key = id(loop)
-        with self._clients_lock:
-            client = self._clients.get(key)
-            if client is None:
-                client = self.cluster.client()
-                self._clients[key] = client
-            return client
+    def _port_for_loop(self, loop):
+        with self._ports_lock:
+            port = self._ports.get(loop)
+            if port is None:
+                port = self._ports[loop] = _LoopPort(self.cluster.client())
+            return port
 
     async def submit(self, name, timeout=None, **args):
         """Invoke ``name(**args)`` on the cluster; await the first response.
@@ -73,26 +113,14 @@ class ClusterBackend:
         if timeout is None:
             timeout = self.default_timeout
         loop = asyncio.get_running_loop()
-        client = self._client_for_loop(loop)
+        port = self._port_for_loop(loop)
         future = loop.create_future()
-
-        def resolve(response):
-            if not future.done():
-                future.set_result(response)
-
-        def on_response(response):
-            # Runs on a replica worker thread (or synchronously, if the
-            # response already landed).  The loop may be gone when the
-            # app is shutting down — then the response just drops.
-            try:
-                loop.call_soon_threadsafe(resolve, response)
-            except RuntimeError:
-                pass
-
         with self._stats_lock:
             self.submitted += 1
-        pending = client.invoke_async(name, **args)
-        pending.add_done_callback(on_response)
+        pending = port.client.invoke_async(name, **args)
+        # Fires on whichever thread delivers the response (or right here,
+        # if it already landed).
+        pending.add_done_callback(partial(port.deliver, loop, future))
         try:
             response = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:

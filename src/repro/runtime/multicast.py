@@ -16,6 +16,7 @@ transport split; the process-per-replica runtime plugs in
 compatibility.
 """
 
+import collections
 import itertools
 import pickle
 import threading
@@ -117,7 +118,7 @@ class LocalAtomicMulticast:
         self._threads_for = {}
         self._routes = {}
         # Retained ordered messages: (sequence, destinations, threads, payload).
-        self._log = []
+        self._log = collections.deque()
         self._retention = retention
         self._min_retained = 0
         self._latest_sequence = -1
@@ -271,7 +272,7 @@ class LocalAtomicMulticast:
             self.wire_bytes += len(payload)
         self._log.append((sequence, destinations, threads, payload))
         if self._retention is not None and len(self._log) > self._retention:
-            del self._log[: len(self._log) - self._retention]
+            self._log.popleft()  # one in, one out: O(1) under the lock
             self._min_retained = self._log[0][0]
         item = (sequence, destinations, payload)
         route = self._routes.get(threads)
@@ -326,8 +327,9 @@ class LocalAtomicMulticast:
     def truncate_log(self, up_to_sequence):
         """Drop retained messages with ``sequence <= up_to_sequence``."""
         with self._lock:
-            kept = [entry for entry in self._log if entry[0] > up_to_sequence]
-            self._log = kept
+            log = self._log
+            while log and log[0][0] <= up_to_sequence:
+                log.popleft()
             self._min_retained = max(self._min_retained, up_to_sequence + 1)
 
     def log_size(self):

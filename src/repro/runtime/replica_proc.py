@@ -8,12 +8,14 @@ over TCP, replays the handshake (``hello`` → ``welcome`` → optional
 threaded runtime runs in-process — with its three sinks bound to ``r`` /
 ``mk`` / ``sh`` frames on the socket.
 
-The receive loop is the process's main thread: it reassembles the
-(possibly reordered/duplicated) ``d`` frames through a
-:class:`~repro.common.faults.ReliableLink`, fans each ordered message
-out to the delivering worker threads locally, and answers the
-coordinator's management requests (stats, snapshots, chain donations,
-compaction) inline.  Killing this process with SIGKILL is therefore a
+The receive loop is the process's main thread: each read takes every
+frame a burst left in the socket (``wire.FrameReader``), reassembles
+the (possibly reordered/duplicated) ``d`` frames through a
+:class:`~repro.common.faults.ReliableLink`, hands the ordered run to
+the delivering worker threads with one ``put_many`` (one wake-up) per
+worker, and answers the coordinator's management requests (stats,
+snapshots, chain donations, compaction) inline — after the run ahead of
+them is queued.  Killing this process with SIGKILL is therefore a
 *real* crash: no flushes, no goodbyes — recovery starts from whatever
 the checkpoint store's crash-safe segments hold.
 """
@@ -52,6 +54,8 @@ class ReplicaProcess:
         self.layout = GroupLayout(mpl)
         self.queues = {index: DeliveryQueue() for index in range(1, mpl + 1)}
         self.link = ReliableLink()
+        # Ordered items released during the current read, per worker.
+        self._run = {index: [] for index in self.queues}
         self.engine = None  # built at ``welcome``, which carries its knobs
         self._write_lock = threading.Lock()
 
@@ -97,13 +101,21 @@ class ReplicaProcess:
     # ------------------------------------------------------------------
     # Ordered-stream dispatch (main thread)
     # ------------------------------------------------------------------
-    def dispatch_deliver(self, message):
+    def accept_deliver(self, message):
+        """File one ``d`` frame; what the link releases joins the run."""
         for released in self.link.accept(message["ls"], message):
             sequence = released["s"]
             destinations = wire.decode_destinations(released["dst"])
             item = (sequence, destinations, released["b"])
             for index in self.layout.delivering_threads(destinations):
-                self.queues[index].put(item)
+                self._run[index].append(item)
+
+    def flush_run(self):
+        """Hand the run over: one ``put_many`` (one wake-up) per worker."""
+        for index, items in self._run.items():
+            if items:
+                self.queues[index].put_many(items)
+                items.clear()
 
     # ------------------------------------------------------------------
     # Management requests (main thread, inline — all cheap)
@@ -142,33 +154,44 @@ class ReplicaProcess:
                 "pid": os.getpid(),
             }
         )
-        while True:
-            try:
-                message = wire.recv_message(self.sock)
-            except wire.WireError:
-                break
-            if message is None:
-                break
-            kind = message.get("t")
-            if kind == "d":
-                self.dispatch_deliver(message)
-            elif kind == "welcome":
-                self.apply_welcome(chain, message)
-            elif kind == "restore":
-                self.engine.install(
-                    message["mode"],
-                    sequence=message["sequence"],
-                    state=message["state"],
-                    entries=wire.decode_chain(message["entries"]),
-                )
-            elif kind == "start":
-                self.engine.start(self.queues)
-            elif kind == "bye":
-                break
-            else:
-                self.handle_request(message)
+        self.serve(chain)
         if self.engine is not None:
             self.engine.stop()
+
+    def serve(self, chain):
+        """Read and dispatch frames until ``bye``, EOF or a corrupt frame."""
+        reader = wire.FrameReader(self.sock)
+        while True:
+            try:
+                messages = reader.read()
+            except wire.WireError:
+                return
+            if messages is None:
+                return
+            for message in messages:
+                kind = message.get("t")
+                if kind == "d":
+                    self.accept_deliver(message)
+                    continue
+                # A control frame cuts the run: everything ordered before
+                # it is queued before it is handled.
+                self.flush_run()
+                if kind == "welcome":
+                    self.apply_welcome(chain, message)
+                elif kind == "restore":
+                    self.engine.install(
+                        message["mode"],
+                        sequence=message["sequence"],
+                        state=message["state"],
+                        entries=wire.decode_chain(message["entries"]),
+                    )
+                elif kind == "start":
+                    self.engine.start(self.queues)
+                elif kind == "bye":
+                    return
+                else:
+                    self.handle_request(message)
+            self.flush_run()
 
 
 def main(argv=None):

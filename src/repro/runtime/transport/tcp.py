@@ -3,19 +3,30 @@
 The coordinator (the process running :class:`LocalAtomicMulticast`) owns
 an asyncio event loop on a background thread with a listening socket on
 loopback.  Each replica *process* dials in, sends a ``hello`` frame, and
-from then on the transport pushes one ``d`` (deliver) frame per ordered
+from then on the transport encodes one ``d`` (deliver) frame per ordered
 message per replica — the replica fans the message out to its worker
 threads locally, mirroring the in-process pipe's one-planned-delivery-
 per-replica model so the fault plane's RNG draws line up across both
 runtimes.
 
+Frames cross from the calling threads to the loop through one *outbox*:
+``send``, the recovery replay and ``control_send`` append to it and wake
+the loop only when no wake-up is already pending; the loop takes all
+that accumulated and ends with one ``writer.write`` of the joined frames
+per link.  No timer, no linger: a lone frame leaves at once, a pipelined
+burst costs one self-pipe write and one socket write per link instead of
+one of each per command.  One outbox is also one FIFO per link — a
+``stats?`` never overtakes the ``d`` frames sent before it, which
+quiescence relies on.
+
 Fault injection happens here, per link, as a frame proxy: ``send`` asks
-the plane for per-copy delays (``plan_delivery``), schedules each copy
-with ``loop.call_later``, and at fire time re-parks copies whose link is
-partitioned (``is_blocked`` → ``retransmit_backoff`` later — a partition
-is latency, not loss).  Duplicated and reordered copies are repaired by
-the receiver-side :class:`~repro.common.faults.ReliableLink` in the
-replica process, exactly as in the threaded pipe.
+the plane for per-copy delays (``plan_delivery``), the drain fires the
+zero-delay copies and parks the others with ``loop.call_later``, and at
+fire time copies whose link is partitioned are re-parked
+(``is_blocked`` → ``retransmit_backoff`` later — a partition is latency,
+not loss).  Duplicated and reordered copies are repaired by the
+receiver-side :class:`~repro.common.faults.ReliableLink` in the replica
+process, exactly as in the threaded pipe.
 
 Connection epochs: each accepted ``hello`` and each unregistration bumps
 the replica's epoch, voiding copies still scheduled toward the previous
@@ -72,7 +83,16 @@ class TcpCoordinatorTransport(Transport):
         self._links = {}
         self._epochs = {}  # replica_id -> int, bumped at hello/unregister
         self._send_seq = {}  # replica_id -> next link sequence
-        self._in_flight = {}  # (replica_id, epoch) -> scheduled copy count
+        self._in_flight = {}  # (replica_id, epoch) -> unwritten copy count
+        # (replica_id, epoch, frame, delays) awaiting the loop; a control
+        # frame is (writer, None, frame, (0.0,)) — addressed to the
+        # connection it was sent on, not to a registration.
+        self._outbox = []
+        #: Frames handed to a socket and the ``writer.write`` calls that
+        #: carried them (loop thread only); their ratio is the achieved
+        #: coalescing factor.
+        self.frames_written = 0
+        self.writes = 0
         self._hellos = {}  # replica_id -> (threading.Event, message)
         self._closed = False
 
@@ -233,19 +253,12 @@ class TcpCoordinatorTransport(Transport):
         # Replay is a local handover, not network traffic: frames carry
         # the retained suffix without fault planning, consuming link
         # sequences from zero on the (fresh-epoch) connection.
-        if not replay:
-            return
-        frames = [
-            self._deliver_frame(replica_id, entry[0], entry[1], entry[3])
-            for entry in replay
-        ]
-        with self._lock:
-            epoch = self._epochs.get(replica_id, 0)
-            key = (replica_id, epoch)
-            self._in_flight[key] = self._in_flight.get(key, 0) + len(frames)
-        for frame in frames:
-            self._loop.call_soon_threadsafe(
-                self._schedule_frame, replica_id, epoch, frame, (0.0,)
+        if replay:
+            self._post(
+                [
+                    self._copies(replica_id, entry[0], entry[1], entry[3], (0.0,))
+                    for entry in replay
+                ]
             )
 
     def on_replica_unregistered(self, replica_id, endpoints):
@@ -254,11 +267,18 @@ class TcpCoordinatorTransport(Transport):
             self._epochs[replica_id] = self._epochs.get(replica_id, 0) + 1
             self._send_seq.pop(replica_id, None)
 
-    def _deliver_frame(self, replica_id, sequence, destinations, payload):
+    def _copies(self, replica_id, sequence, destinations, payload, delays):
+        """One outbox entry: the message's ``d`` frame toward
+        ``replica_id`` and the delay of each copy.  Link sequence, epoch
+        and in-flight increment share one lock acquisition, so every
+        copy later decrements the exact key it incremented."""
         with self._lock:
             link_sequence = self._send_seq.get(replica_id, 0)
             self._send_seq[replica_id] = link_sequence + 1
-        return wire.encode_message(
+            epoch = self._epochs.get(replica_id, 0)
+            key = (replica_id, epoch)
+            self._in_flight[key] = self._in_flight.get(key, 0) + len(delays)
+        frame = wire.encode_message(
             {
                 "t": "d",
                 "ls": link_sequence,
@@ -267,77 +287,90 @@ class TcpCoordinatorTransport(Transport):
                 "b": payload,
             }
         )
+        return replica_id, epoch, frame, delays
 
     def send(self, route, item):
         sequence, destinations, payload = item
+        plane = self.fault_plane
+        entries = []
         for replica_id, _targets in route.grouped:
-            if self.fault_plane is not None:
-                delays = self.fault_plane.plan_delivery(
-                    "order", f"replica{replica_id}"
-                )
+            if plane is not None:
+                delays = plane.plan_delivery("order", f"replica{replica_id}")
             else:
                 delays = (0.0,)
-            frame = self._deliver_frame(
-                replica_id, sequence, destinations, payload
+            entries.append(
+                self._copies(replica_id, sequence, destinations, payload, delays)
             )
-            with self._lock:
-                epoch = self._epochs.get(replica_id, 0)
-                key = (replica_id, epoch)
-                self._in_flight[key] = self._in_flight.get(key, 0) + len(
-                    delays
-                )
-            self._loop.call_soon_threadsafe(
-                self._schedule_frame, replica_id, epoch, frame, delays
-            )
+        self._post(entries)
 
-    # Event-loop thread from here down.  ``epoch`` is captured at send
-    # time, under the same lock acquisition that incremented in-flight,
-    # so every scheduled copy decrements the exact key it incremented.
-    def _schedule_frame(self, replica_id, epoch, frame, delays):
-        for delay in delays:
-            if delay <= 0:
-                self._fire(replica_id, epoch, frame)
-            else:
-                self._loop.call_later(
-                    delay, self._fire, replica_id, epoch, frame
-                )
-
-    def _fire(self, replica_id, epoch, frame):
+    def _post(self, entries):
+        """Append to the outbox; wake the loop unless a wake-up is already
+        pending (the one cross-thread scheduling site for frames)."""
         with self._lock:
-            current = self._epochs.get(replica_id, 0)
-            if epoch != current:
-                self._decrement_locked(replica_id, epoch)
-                return
-            if self.fault_plane is not None and self.fault_plane.is_blocked(
-                "order", f"replica{replica_id}"
-            ):
-                # Partition: latency, not loss — re-park without touching
-                # the in-flight count so drain checks keep waiting.
-                self.fault_plane.note_blocked_retry()
-                self._loop.call_later(
-                    self.fault_plane.retransmit_backoff,
-                    self._fire,
-                    replica_id,
-                    epoch,
-                    frame,
-                )
-                return
-            link = self._links.get(replica_id)
-            self._decrement_locked(replica_id, epoch)
-        if link is None:
-            return
-        try:
-            link[1].write(frame)
-        except Exception:
-            pass
+            wake = not self._outbox  # non-empty: a drain is already due
+            self._outbox.extend(entries)
+        if wake:
+            self._loop.call_soon_threadsafe(self._drain)
 
-    def _decrement_locked(self, replica_id, epoch):
-        key = (replica_id, epoch)
-        count = self._in_flight.get(key, 0) - 1
-        if count > 0:
-            self._in_flight[key] = count
-        else:
-            self._in_flight.pop(key, None)
+    # Event-loop thread from here down.
+    def _drain(self):
+        with self._lock:
+            entries, self._outbox = self._outbox, []
+        due = []
+        for target, epoch, frame, delays in entries:
+            for delay in delays:
+                if delay <= 0:
+                    due.append((target, epoch, frame))
+                else:
+                    self._loop.call_later(
+                        delay, self._fire, [(target, epoch, frame)]
+                    )
+        self._fire(due)
+
+    def _fire(self, copies):
+        """Pass each due copy through the epoch and partition checks, then
+        write what survives: one ``writer.write`` per link."""
+        plane = self.fault_plane
+        ready = {}  # writer -> frames, in outbox (= per-link FIFO) order
+        settled = []  # in-flight keys of copies leaving the transport
+        with self._lock:
+            for target, epoch, frame in copies:
+                if epoch is None:  # control frame: ``target`` is its writer
+                    ready.setdefault(target, []).append(frame)
+                    continue
+                if epoch == self._epochs.get(target, 0):
+                    if plane is not None and plane.is_blocked(
+                        "order", f"replica{target}"
+                    ):
+                        # Partition: latency, not loss — re-park without
+                        # touching the in-flight count so drain checks
+                        # keep waiting.
+                        plane.note_blocked_retry()
+                        self._loop.call_later(
+                            plane.retransmit_backoff,
+                            self._fire,
+                            [(target, epoch, frame)],
+                        )
+                        continue
+                    link = self._links.get(target)
+                    if link is not None:
+                        ready.setdefault(link[1], []).append(frame)
+                settled.append((target, epoch))
+        for writer, frames in ready.items():
+            try:
+                writer.write(b"".join(frames))
+            except Exception:
+                pass
+            self.writes += 1
+            self.frames_written += len(frames)
+        # Only now: ``in_flight() == 0`` must mean "handed to a socket".
+        with self._lock:
+            for key in settled:
+                count = self._in_flight.get(key, 0) - 1
+                if count > 0:
+                    self._in_flight[key] = count
+                else:
+                    self._in_flight.pop(key, None)
 
     def in_flight(self, replica_id=None):
         with self._lock:
@@ -361,15 +394,8 @@ class TcpCoordinatorTransport(Transport):
             link = self._links.get(replica_id)
         if link is None or self._loop is None:
             return False
-
-        def _write():
-            try:
-                link[1].write(frame)
-            except Exception:
-                pass
-
         try:
-            self._loop.call_soon_threadsafe(_write)
+            self._post([(link[1], None, frame, (0.0,))])
         except RuntimeError:
             return False
         return True

@@ -135,37 +135,74 @@ def decode_chain(wire):
 # ----------------------------------------------------------------------
 # Blocking-socket helpers (the replica-process side)
 # ----------------------------------------------------------------------
-def read_exact(sock, count):
-    """Read exactly ``count`` bytes; ``None`` on EOF/reset."""
-    chunks = []
-    while count:
-        try:
-            chunk = sock.recv(count)
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
+class FrameReader:
+    """Buffered frame reader: one ``recv_into`` takes whatever a burst
+    left in the socket, then every complete frame in it is decoded.
 
+    The buffer is preallocated and reused: no read allocates a buffer of
+    its own, only the decoded messages.  A frame larger than the buffer
+    (a state transfer) doubles it as its bytes arrive — never up front
+    from the header's length, which a corrupted header could inflate —
+    and the buffer drops back to its initial size once it is empty.
+    """
 
-def recv_message(sock):
-    """Read one framed message; ``None`` on EOF; :class:`WireError` on a
-    corrupt frame (a byte error on an established stream is fatal)."""
-    header = read_exact(sock, framing.HEADER_SIZE)
-    if header is None:
+    SIZE = 1 << 16
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._view = memoryview(bytearray(self.SIZE))
+        self._end = 0  # buffered bytes; the first always starts a frame
+        self._error = None
+
+    def read(self):
+        """Block until a frame is complete; return the messages of every
+        complete frame received so far, in order.
+
+        ``None`` on EOF/reset, mid-frame included; :class:`WireError` on
+        a corrupt frame (a byte error on an established stream is fatal)
+        — raised once the frames ahead of it have been returned.
+        """
+        messages = []
+        while not messages:
+            if self._error is not None:
+                raise WireError(self._error)
+            try:
+                count = self._sock.recv_into(self._view[self._end:])
+            except OSError:
+                return None
+            if not count:
+                return None
+            self._end += count
+            self._error = self._parse(messages)
+        return messages
+
+    def _parse(self, messages):
+        """Decode the complete frames into ``messages`` and move the
+        partial one behind them to the front; the error text if a frame
+        is corrupt."""
+        view, start, end = self._view, 0, self._end
+        while end - start >= framing.HEADER_SIZE:
+            body = start + framing.HEADER_SIZE
+            parsed = framing.parse_header(view[start:body], framing.WIRE_MAGIC)
+            if parsed is None:
+                return "bad frame header"
+            length, crc = parsed
+            if body + length > end:
+                break
+            payload = view[body:body + length]
+            if not framing.payload_valid(payload, length, crc):
+                return "frame checksum mismatch"
+            messages.append(decode_payload(payload))
+            start = body + length
+        self._end = end - start
+        if start:
+            view[:self._end] = view[start:end]
+        if self._end == len(view):
+            self._view = memoryview(bytearray(2 * len(view)))
+            self._view[:len(view)] = view
+        elif not self._end and len(view) > self.SIZE:
+            self._view = memoryview(bytearray(self.SIZE))
         return None
-    parsed = framing.parse_header(header, framing.WIRE_MAGIC)
-    if parsed is None:
-        raise WireError("bad frame header")
-    length, crc = parsed
-    payload = read_exact(sock, length)
-    if payload is None:
-        return None
-    if not framing.payload_valid(payload, length, crc):
-        raise WireError("frame checksum mismatch")
-    return decode_payload(payload)
 
 
 def send_message(sock, message, lock=None):
@@ -188,7 +225,9 @@ def connect_with_backoff(host, port, deadline_seconds=15.0, base_delay=0.05):
 
     A replica process races the coordinator's listen socket at spawn and
     may outlive a coordinator restart; both sides of that race end with
-    the same loop: try, back off, try again until the deadline.
+    the same loop: try, back off, try again until the deadline.  The
+    returned socket blocks: the 2 s bound is on the dial, and left on the
+    stream it would read as EOF in a replica that sat idle that long.
     """
     import time
 
@@ -196,7 +235,9 @@ def connect_with_backoff(host, port, deadline_seconds=15.0, base_delay=0.05):
     delay = base_delay
     while True:
         try:
-            return socket.create_connection((host, port), timeout=2.0)
+            sock = socket.create_connection((host, port), timeout=2.0)
+            sock.settimeout(None)
+            return sock
         except OSError:
             if time.monotonic() >= deadline:
                 raise

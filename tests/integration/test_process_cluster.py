@@ -164,6 +164,44 @@ def test_fault_plane_mangles_real_socket_frames():
     assert stats["retransmits"] > 0 or stats["duplicates"] > 0
 
 
+def test_pipelined_burst_with_a_marker_mid_burst():
+    """The burst path end to end: one client pipelines 2,048 commands
+    before collecting anything, a periodic checkpoint marker is ordered
+    in the middle, and every coalescing boundary (outbox, frame reader,
+    ``put_many``) must keep per-key order and the marker's cut."""
+    keys, total = 8, 2048
+    with proc_cluster(mpl=4) as cluster:
+        client = cluster.client()
+        marker = threading.Thread(target=cluster.periodic_checkpoint)
+        pendings = []
+        for step in range(total):
+            if step == total // 2:
+                marker.start()
+            key, round_ = step % keys, step // keys
+            if round_ % 2 == 0:
+                pendings.append(client.invoke_async(
+                    "update", key=key, value=b"%d" % round_
+                ))
+            else:
+                pendings.append(client.invoke_async("read", key=key))
+        for step, pending in enumerate(pendings):
+            response = pending.result(timeout=30)
+            assert response.error is None
+            round_ = step // keys
+            if round_ % 2:  # a read sees exactly the update before it
+                assert response.value == b"%d" % (round_ - 1)
+        marker.join(30)
+        assert not marker.is_alive()
+        assert cluster.checkpoints_taken == 1
+        snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1]
+        assert cluster.marker_boundary_violations == 0
+        transport = cluster.transport
+        assert transport.frames_written > 2 * total
+        assert transport.frames_written / transport.writes > 1
+        assert transport.in_flight() == 0
+
+
 def _agreement_script(cluster):
     """One seeded single-client script that also drives the shared control
     plane; returns everything the two runtimes must agree on."""

@@ -1,14 +1,21 @@
 """Unit tests for the transport package: wire protocol + TCP coordinator."""
 
+import contextlib
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.common import framing
 from repro.common.errors import RecoveryError
+from repro.common.faults import FaultPlane, ReliableLink
 from repro.multicast.group import ALL_GROUPS
-from repro.runtime.transport import TcpCoordinatorTransport, wire
+from repro.runtime.transport import (
+    TcpCoordinatorTransport,
+    TransportRoute,
+    wire,
+)
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +65,7 @@ class TestSocketHelpers:
         left, right = socket.socketpair()
         try:
             assert wire.send_message(left, {"t": "hello", "replica": 0})
-            assert wire.recv_message(right) == {"t": "hello", "replica": 0}
+            assert wire.FrameReader(right).read() == [{"t": "hello", "replica": 0}]
         finally:
             left.close()
             right.close()
@@ -67,7 +74,7 @@ class TestSocketHelpers:
         left, right = socket.socketpair()
         left.close()
         try:
-            assert wire.recv_message(right) is None
+            assert wire.FrameReader(right).read() is None
         finally:
             right.close()
 
@@ -78,7 +85,7 @@ class TestSocketHelpers:
             data[-1] ^= 0xFF  # flip a payload byte: CRC must catch it
             left.sendall(bytes(data))
             with pytest.raises(wire.WireError):
-                wire.recv_message(right)
+                wire.FrameReader(right).read()
         finally:
             left.close()
             right.close()
@@ -121,6 +128,9 @@ class TestSocketHelpers:
             conn = wire.connect_with_backoff(
                 "127.0.0.1", port, deadline_seconds=5.0, base_delay=0.01
             )
+            # The dial is bounded, the stream is not: an idle replica
+            # must not mistake a read timeout for EOF.
+            assert conn.gettimeout() is None
             conn.close()
         finally:
             thread.join()
@@ -128,8 +138,303 @@ class TestSocketHelpers:
 
 
 # ----------------------------------------------------------------------
+# Buffered frame reader (the replica-process side)
+# ----------------------------------------------------------------------
+#: What one burst looks like on a replica's socket: ``d`` frames with a
+#: control frame among them and one frame far larger than the others.
+STREAM = [
+    {"t": "d", "ls": 0, "s": 10, "dst": (1,), "b": b"first"},
+    {"t": "d", "ls": 1, "s": 11, "dst": "ALL", "b": b""},
+    {"t": "stats?", "req": 4},
+    {"t": "restore", "mode": "full", "sequence": 9, "state": b"s" * 700},
+    {"t": "d", "ls": 2, "s": 12, "dst": (1, 2), "b": b"x" * 90},
+    {"t": "bye"},
+]
+
+
+def _read_to_eof(reader):
+    messages = []
+    while (burst := reader.read()) is not None:
+        assert burst  # a read never returns an empty burst
+        messages.extend(burst)
+    return messages
+
+
+class TestFrameReader:
+    # The default buffer holds the whole stream; the small one is smaller
+    # than a frame, so the grow / compact / shrink paths run too.
+    @pytest.mark.parametrize("size", [wire.FrameReader.SIZE, 48])
+    def test_every_cut_of_the_stream_yields_the_same_messages(
+        self, monkeypatch, size
+    ):
+        monkeypatch.setattr(wire.FrameReader, "SIZE", size)
+        frames = [wire.encode_message(message) for message in STREAM]
+        stream = b"".join(frames)
+        ends = [sum(map(len, frames[: i + 1])) for i in range(len(frames))]
+        for cut in range(len(stream) + 1):
+            left, right = socket.socketpair()
+            try:
+                reader = wire.FrameReader(right)
+                left.sendall(stream[:cut])
+                # Exactly the frames that are complete ahead of the cut
+                # can be read without the rest (more would block).
+                complete = sum(1 for end in ends if end <= cut)
+                messages = []
+                while len(messages) < complete:
+                    messages.extend(reader.read())
+                assert messages == STREAM[:complete]
+                left.sendall(stream[cut:])
+                left.close()
+                assert messages + _read_to_eof(reader) == STREAM
+            finally:
+                left.close()
+                right.close()
+
+    @pytest.mark.parametrize("where", ["magic", "crc", "payload"])
+    @pytest.mark.parametrize("victim", range(len(STREAM)))
+    def test_a_corrupt_frame_is_fatal_after_the_frames_ahead_of_it(
+        self, victim, where
+    ):
+        frames = [bytearray(wire.encode_message(message)) for message in STREAM]
+        offset = {"magic": 0, "crc": framing.HEADER_SIZE - 1, "payload": -1}[where]
+        frames[victim][offset] ^= 0xFF
+        left, right = socket.socketpair()
+        try:
+            left.sendall(b"".join(frames))
+            reader = wire.FrameReader(right)
+            messages = []
+            with pytest.raises(wire.WireError):
+                while True:
+                    messages.extend(reader.read())
+            assert messages == STREAM[:victim]
+        finally:
+            left.close()
+            right.close()
+
+    def test_eof_inside_a_frame_is_eof(self):
+        stream = b"".join(wire.encode_message(message) for message in STREAM)
+        left, right = socket.socketpair()
+        try:
+            left.sendall(stream[:-1])
+            left.close()
+            reader = wire.FrameReader(right)
+            assert _read_to_eof(reader) == STREAM[:-1]
+            assert reader.read() is None
+        finally:
+            right.close()
+
+
+# ----------------------------------------------------------------------
 # TCP coordinator transport
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def fake_replicas(count, fault_plane=None):
+    """A started transport with ``count`` replica connections past their
+    hello; yields ``(transport, [FrameReader per replica])``."""
+    transport = TcpCoordinatorTransport(fault_plane)
+    host, port = transport.start()
+    socks = []
+    try:
+        for replica_id in range(count):
+            transport.discard_hello(replica_id)
+            sock = socket.create_connection((host, port), timeout=5.0)
+            socks.append(sock)
+            wire.send_message(
+                sock,
+                {"t": "hello", "replica": replica_id, "watermark": -1,
+                 "manifest": (), "pid": replica_id},
+            )
+            transport.take_hello(replica_id, timeout=5.0)
+        yield transport, [wire.FrameReader(sock) for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+        # Let the connection handlers see the EOFs and finish, so closing
+        # the loop under them does not destroy a pending task.
+        deadline = time.monotonic() + 5.0
+        while (
+            any(transport.connected(replica_id) for replica_id in range(count))
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.002)
+        transport.close()
+
+
+@contextlib.contextmanager
+def held_loop(transport):
+    """Park the coordinator loop inside a callback for the block; yields
+    the callbacks scheduled onto it from other threads meanwhile.  On
+    exit the loop is released and everything scheduled has run."""
+    loop = transport._loop
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        entered.set()
+        release.wait(10.0)
+
+    loop.call_soon_threadsafe(hold)
+    assert entered.wait(5.0)
+    scheduled = []
+    schedule = loop.call_soon_threadsafe
+
+    def recording(callback, *args):
+        scheduled.append(callback)
+        return schedule(callback, *args)
+
+    loop.call_soon_threadsafe = recording
+    try:
+        yield scheduled
+    finally:
+        del loop.call_soon_threadsafe
+        release.set()
+        run_pending(transport)
+
+
+def run_pending(transport):
+    """Return once every callback already scheduled on the loop has run
+    (callbacks run in FIFO order, so a marker behind them tells)."""
+    ran = threading.Event()
+    transport._loop.call_soon_threadsafe(ran.set)
+    assert ran.wait(5.0)
+
+
+def route_to(*replica_ids):
+    return TransportRoute([], [(replica_id, []) for replica_id in replica_ids])
+
+
+def read_frames(reader, count):
+    frames = []
+    while len(frames) < count:
+        burst = reader.read()
+        assert burst is not None, f"stream ended after {len(frames)} frames"
+        frames.extend(burst)
+    return frames
+
+
+class TestBurstPath:
+    COUNT = 40
+
+    def send_burst(self, transport, route):
+        for sequence in range(self.COUNT):
+            transport.send(route, (sequence, ALL_GROUPS, b"cmd%d" % sequence))
+
+    def test_a_burst_is_one_wakeup_and_one_write_per_link(self):
+        count = self.COUNT
+        with fake_replicas(2) as (transport, readers):
+            with held_loop(transport) as scheduled:
+                self.send_burst(transport, route_to(0, 1))
+                assert transport.in_flight() == 2 * count
+                assert transport.in_flight(1) == count
+                assert transport.frames_written == 0
+            assert scheduled == [transport._drain]
+            assert transport.writes == 2
+            assert transport.frames_written == 2 * count
+            assert transport.in_flight() == 0
+            for reader in readers:
+                frames = read_frames(reader, count)
+                assert [frame["ls"] for frame in frames] == list(range(count))
+                assert [frame["s"] for frame in frames] == list(range(count))
+                assert {frame["t"] for frame in frames} == {"d"}
+
+    def test_a_lone_frame_leaves_at_once(self):
+        with fake_replicas(1) as (transport, readers):
+            transport.send(route_to(0), (0, ALL_GROUPS, b"only"))
+            (frame,) = read_frames(readers[0], 1)
+            assert (frame["ls"], frame["b"]) == (0, b"only")
+            run_pending(transport)
+            assert (transport.writes, transport.frames_written) == (1, 1)
+            assert transport.in_flight() == 0
+
+    def test_replay_is_one_wakeup(self):
+        count = self.COUNT
+        replay = [
+            (sequence, ALL_GROUPS, frozenset({1}), b"r%d" % sequence)
+            for sequence in range(count)
+        ]
+        with fake_replicas(1) as (transport, readers):
+            with held_loop(transport) as scheduled:
+                transport.on_replica_registered(0, {}, replay)
+                assert transport.in_flight(0) == count
+            assert scheduled == [transport._drain]
+            assert (transport.writes, transport.frames_written) == (1, count)
+            frames = read_frames(readers[0], count)
+            assert [frame["ls"] for frame in frames] == list(range(count))
+            assert [frame["b"] for frame in frames] == [e[3] for e in replay]
+
+    def test_a_control_frame_keeps_its_place_between_deliveries(self):
+        with fake_replicas(1) as (transport, readers):
+            with held_loop(transport):
+                transport.send(route_to(0), (0, ALL_GROUPS, b"before"))
+                assert transport.control_send(0, {"t": "stats?", "req": 7})
+                transport.send(route_to(0), (1, ALL_GROUPS, b"after"))
+            assert (transport.writes, transport.frames_written) == (1, 3)
+            frames = read_frames(readers[0], 3)
+            assert [frame["t"] for frame in frames] == ["d", "stats?", "d"]
+            assert [frames[0]["b"], frames[2]["b"]] == [b"before", b"after"]
+
+    def test_an_epoch_bump_before_the_drain_voids_the_copies(self):
+        count = self.COUNT
+        with fake_replicas(2) as (transport, readers):
+            with held_loop(transport):
+                self.send_burst(transport, route_to(0, 1))
+                transport.on_replica_unregistered(1, {})
+                # Stale-epoch copies are dropped already, as far as a
+                # drain check is concerned ...
+                assert transport.in_flight(1) == 0
+                assert transport.in_flight() == count
+                assert len(transport._in_flight) == 2
+            # ... and their key is gone once the drain has seen them.
+            assert transport._in_flight == {}
+            assert (transport.writes, transport.frames_written) == (1, count)
+            assert len(read_frames(readers[0], count)) == count
+            # Nothing was written toward the voided registration.
+            assert transport.control_send(1, {"t": "bye"})
+            assert read_frames(readers[1], 1) == [{"t": "bye"}]
+
+    def test_faults_still_yield_each_message_once_in_order(self):
+        count = self.COUNT
+        plane = FaultPlane(seed=5, retransmit_backoff=0.002)
+        plane.set_link(
+            duplicate=0.5, delay=0.5, delay_range=(0.0, 0.01),
+            reorder=0.2, reorder_window=0.005,
+        )
+        plane.isolate("replica1")
+        with fake_replicas(2, plane) as (transport, readers):
+            with held_loop(transport):
+                self.send_burst(transport, route_to(0, 1))
+                plans = [e for e in plane.schedule() if e[0] == "plan"]
+                copies = {
+                    node: sum(len(e[3]) for e in plans if e[2] == node)
+                    for node in ("replica0", "replica1")
+                }
+                assert copies["replica0"] > count  # some were duplicated
+                assert transport.in_flight(0) == copies["replica0"]
+                assert transport.in_flight(1) == copies["replica1"]
+            # One plan per replica per message, in ascending replica order.
+            assert [e[2] for e in plans] == ["replica0", "replica1"] * count
+
+            def released_by(reader):
+                link, released = ReliableLink(), []
+                while len(released) < count:
+                    for frame in read_frames(reader, 1):
+                        released.extend(link.accept(frame["ls"], frame))
+                return [frame["s"] for frame in released]
+
+            assert released_by(readers[0]) == list(range(count))
+            # The partitioned link's copies were re-parked, not lost and
+            # not counted out.
+            assert plane.stats["blocked_retries"] > 0
+            assert transport.in_flight(1) == copies["replica1"]
+            plane.heal()
+            assert released_by(readers[1]) == list(range(count))
+            deadline = time.monotonic() + 5.0
+            while transport.in_flight() and time.monotonic() < deadline:
+                time.sleep(0.005)  # trailing duplicates on their timers
+            assert transport.in_flight() == 0
+            assert transport._in_flight == {}
+            assert transport.frames_written == sum(copies.values())
+
+
 class TestTcpCoordinatorTransport:
     def test_handshake_control_frames_and_dispatch(self):
         received = []
@@ -153,8 +458,7 @@ class TestTcpCoordinatorTransport:
             assert transport.connected(0)
             # Coordinator -> replica control frame.
             assert transport.control_send(0, {"t": "welcome", "mpl": 2})
-            reply = wire.recv_message(client)
-            assert reply == {"t": "welcome", "mpl": 2}
+            assert wire.FrameReader(client).read() == [{"t": "welcome", "mpl": 2}]
             # Replica -> coordinator frames reach the dispatch callback.
             assert wire.send_message(client, {"t": "stats", "req": 0})
             assert event.wait(5.0)
@@ -201,7 +505,7 @@ class TestTcpCoordinatorTransport:
             assert hello["pid"] == 2
             assert transport.connected(1)
             assert transport.control_send(1, {"t": "start"})
-            assert wire.recv_message(second) == {"t": "start"}
+            assert wire.FrameReader(second).read() == [{"t": "start"}]
             first.close()
             second.close()
         finally:
