@@ -1,7 +1,9 @@
 """Compact binary codec for commands and checkpoint payloads.
 
-The hot path serialises two kinds of values: client :class:`Command`
-objects crossing the (simulated) wire, and checkpoint payloads going into
+The hot path serialises two kinds of values: the ``args`` of client
+:class:`Command` objects crossing the wire (the command around them has a
+fixed ``struct`` layout, see :func:`encode_command`), and checkpoint
+payloads going into
 :class:`~repro.common.checkpoint_store.CheckpointStore` segments.  Both are
 built from a small closed vocabulary — ints (including arbitrary-precision
 counters), bytes values, strings, dicts, lists/tuples of pairs, sets and
@@ -27,7 +29,9 @@ protocol=4)`` still load through the same entry point.
 import pickle
 import struct
 
-from repro.common.errors import CheckpointError
+from repro.common.errors import CheckpointError, ProtocolError
+from repro.core.command import Command
+from repro.multicast.group import ALL_GROUPS
 
 #: First byte of every codec stream.  Deliberately not a valid pickle
 #: leading byte so :func:`decode` can auto-detect legacy pickle payloads.
@@ -140,7 +144,9 @@ def _pair_run(values):
     return _pack_ints(keys) + column
 
 
-def _encode_value(value, out):
+def encode_value(value, out):
+    """Append ``value``, tagged, to the bytearray ``out`` — no stream
+    header: for layouts that embed codec values among fields of their own."""
     kind = type(value)
     if value is None:
         out.append(_T_NONE)
@@ -189,7 +195,7 @@ def _encode_value(value, out):
         out.append(_T_LIST if kind is list else _T_TUPLE)
         out += _U32.pack(len(value))
         for item in value:
-            _encode_value(item, out)
+            encode_value(item, out)
     elif kind is set or kind is frozenset:
         out.append(_T_SET if kind is set else _T_FROZENSET)
         out += _U32.pack(len(value))
@@ -198,13 +204,13 @@ def _encode_value(value, out):
         except TypeError:
             members = list(value)
         for item in members:
-            _encode_value(item, out)
+            encode_value(item, out)
     elif kind is dict:
         out.append(_T_DICT)
         out += _U32.pack(len(value))
         for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
+            encode_value(key, out)
+            encode_value(item, out)
     else:
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         out.append(_T_PICKLE)
@@ -212,7 +218,8 @@ def _encode_value(value, out):
         out += raw
 
 
-def _decode_value(buf, offset):
+def decode_value(buf, offset):
+    """Invert :func:`encode_value` at ``offset``: ``(value, next offset)``."""
     tag = buf[offset]
     offset += 1
     if tag == _T_NONE:
@@ -281,7 +288,7 @@ def _decode_value(buf, offset):
         offset += 4
         items = []
         for _ in range(count):
-            item, offset = _decode_value(buf, offset)
+            item, offset = decode_value(buf, offset)
             items.append(item)
         return (items if tag == _T_LIST else tuple(items)), offset
     if tag in (_T_SET, _T_FROZENSET):
@@ -289,7 +296,7 @@ def _decode_value(buf, offset):
         offset += 4
         items = []
         for _ in range(count):
-            item, offset = _decode_value(buf, offset)
+            item, offset = decode_value(buf, offset)
             items.append(item)
         return (set(items) if tag == _T_SET else frozenset(items)), offset
     if tag == _T_DICT:
@@ -297,8 +304,8 @@ def _decode_value(buf, offset):
         offset += 4
         mapping = {}
         for _ in range(count):
-            key, offset = _decode_value(buf, offset)
-            value, offset = _decode_value(buf, offset)
+            key, offset = decode_value(buf, offset)
+            value, offset = decode_value(buf, offset)
             mapping[key] = value
         return mapping, offset
     if tag == _T_PICKLE:
@@ -312,7 +319,7 @@ def _decode_value(buf, offset):
 def encode(value):
     """Serialise ``value`` into the codec's binary format."""
     out = bytearray(_HEADER)
-    _encode_value(value, out)
+    encode_value(value, out)
     return bytes(out)
 
 
@@ -325,7 +332,7 @@ def decode(data):
     if len(data) >= 2 and data[0] == MAGIC:
         if data[1] != _VERSION:
             raise CheckpointError(f"unsupported codec version {data[1]}")
-        value, offset = _decode_value(memoryview(data), 2)
+        value, offset = decode_value(memoryview(data), 2)
         if offset != len(data):
             raise CheckpointError(
                 f"trailing garbage after codec stream ({len(data) - offset} bytes)"
@@ -348,44 +355,107 @@ def dumps(value, codec="binary"):
 
 
 # ----------------------------------------------------------------------
-# Command wire format
+# Command wire format (byte layouts and limits: the table in
+# :mod:`repro.runtime.transport.wire`)
 # ----------------------------------------------------------------------
+#: Destination counts standing for "every group" and "not routed yet".
+_DESTINATIONS_ALL = 0xFFFF
+_DESTINATIONS_NONE = 0xFFFE
+MAX_DESTINATIONS = 0xFFFD
+
+
+def pack_destinations(destinations):
+    """``(count, packed group ids)``: a fixed layout's destination field.
+
+    ``None`` and :data:`~repro.multicast.group.ALL_GROUPS` are counts of
+    their own with no ids behind them; any other iterable travels sorted
+    (frozensets have no stable iteration order) as unsigned 32-bit ids.
+    """
+    if destinations is None:
+        return _DESTINATIONS_NONE, b""
+    if destinations == ALL_GROUPS:
+        return _DESTINATIONS_ALL, b""
+    group_ids = sorted(destinations)
+    count = len(group_ids)
+    if count > MAX_DESTINATIONS:
+        raise ProtocolError(
+            f"{count} destination groups: the wire carries {MAX_DESTINATIONS}"
+        )
+    try:
+        return count, struct.pack(">%dI" % count, *group_ids)
+    except struct.error as exc:
+        raise ProtocolError(f"group id in {group_ids!r:.80}: {exc}") from None
+
+
+def unpack_destinations(buf, offset, count):
+    """Invert :func:`pack_destinations`: ``(destinations, next offset)``,
+    the group ids as a sorted tuple."""
+    if count == _DESTINATIONS_ALL:
+        return ALL_GROUPS, offset
+    if count == _DESTINATIONS_NONE:
+        return None, offset
+    return struct.unpack_from(">%dI" % count, buf, offset), offset + 4 * count
+
+
+#: Second byte of a command, where a codec stream has its version:
+#: :func:`decode` and :func:`decode_command` reject each other's bytes.
+_COMMAND_LAYOUT = 2
+
+#: magic, layout, uid (client id, sequence), ``size_bytes``,
+#: ``submitted_at``, destination count, byte length of the name.  Behind
+#: it: the group ids, the name in UTF-8, then ``args`` — the one
+#: open-ended field — as a tagged codec value.
+_COMMAND = struct.Struct(">BBqqIdHH")
+
+
 def encode_command(command):
     """Encode a :class:`~repro.core.command.Command` for the wire.
 
-    The dataclass is flattened to a fixed-shape tuple — no field names on
-    the wire — which :func:`decode_command` re-expands.  ``destinations``
-    travels as a sorted tuple (frozensets have no stable iteration order);
-    the :data:`~repro.multicast.group.ALL_GROUPS` sentinel and ``None``
-    pass through as-is.
+    A fixed layout (:data:`_COMMAND`), not a codec stream.  A field past
+    its width — a uid component outside int64, a group id or
+    ``size_bytes`` outside 32 unsigned bits, a name over 65535 bytes —
+    raises :class:`~repro.common.errors.ProtocolError`; nothing wraps.
     """
-    destinations = command.destinations
-    if isinstance(destinations, frozenset):
-        destinations = ("fs", tuple(sorted(destinations)))
-    return encode(
-        (
-            command.uid,
-            command.name,
-            command.args,
-            command.size_bytes,
-            destinations,
-            command.submitted_at,
+    count, group_ids = pack_destinations(command.destinations)
+    name = command.name.encode("utf-8")
+    try:
+        out = bytearray(
+            _COMMAND.pack(
+                MAGIC, _COMMAND_LAYOUT, *command.uid, command.size_bytes,
+                command.submitted_at, count, len(name),
+            )
         )
-    )
+    except struct.error as exc:
+        raise ProtocolError(
+            f"command {command.uid!r} {command.name!r:.40}: {exc}"
+        ) from None
+    out += group_ids
+    out += name
+    encode_value(command.args, out)
+    return bytes(out)
 
 
 def decode_command(data):
-    """Decode bytes from :func:`encode_command` back into a ``Command``."""
-    from repro.core.command import Command
-
-    uid, name, args, size_bytes, destinations, submitted_at = decode(data)
-    if isinstance(destinations, tuple) and destinations[:1] == ("fs",):
-        destinations = frozenset(destinations[1])
+    """Decode bytes from :func:`encode_command` back into a ``Command``;
+    :class:`~repro.common.errors.CheckpointError` for anything else (a
+    short header, a count or length past the data, bytes left over)."""
+    try:
+        (
+            magic, layout, client_id, sequence, size_bytes, submitted_at,
+            count, name_length,
+        ) = _COMMAND.unpack_from(data)
+        if magic != MAGIC or layout != _COMMAND_LAYOUT:
+            raise CheckpointError("not an encoded command")
+        destinations, offset = unpack_destinations(data, _COMMAND.size, count)
+        if type(destinations) is tuple:
+            destinations = frozenset(destinations)
+        name = str(data[offset:offset + name_length], "utf-8")
+        args, end = decode_value(data, offset + name_length)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"malformed command: {exc}") from exc
+    if end != len(data):
+        raise CheckpointError(f"command ends at byte {end} of {len(data)}")
     return Command(
-        uid=uid,
-        name=name,
-        args=args,
-        size_bytes=size_bytes,
-        destinations=destinations,
-        submitted_at=submitted_at,
+        (client_id, sequence), name, args, size_bytes, destinations,
+        submitted_at,
     )

@@ -104,9 +104,11 @@ class ReplicaProcess:
     def accept_deliver(self, message):
         """File one ``d`` frame; what the link releases joins the run."""
         for released in self.link.accept(message["ls"], message):
-            sequence = released["s"]
-            destinations = wire.decode_destinations(released["dst"])
-            item = (sequence, destinations, released["b"])
+            # ``dst`` is decoded as the workers want it ("ALL" or a tuple)
+            # and the body is still the command's bytes: each worker
+            # decodes its own copy, off this thread.
+            destinations = released["dst"]
+            item = (released["s"], destinations, released["b"])
             for index in self.layout.delivering_threads(destinations):
                 self._run[index].append(item)
 

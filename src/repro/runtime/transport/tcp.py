@@ -3,11 +3,12 @@
 The coordinator (the process running :class:`LocalAtomicMulticast`) owns
 an asyncio event loop on a background thread with a listening socket on
 loopback.  Each replica *process* dials in, sends a ``hello`` frame, and
-from then on the transport encodes one ``d`` (deliver) frame per ordered
-message per replica — the replica fans the message out to its worker
-threads locally, mirroring the in-process pipe's one-planned-delivery-
-per-replica model so the fault plane's RNG draws line up across both
-runtimes.
+from then on the transport sends one ``d`` (deliver) frame per ordered
+message per replica — serialised once per message, with only the link
+sequence and the frame CRC packed per replica.  The replica fans the
+message out to its worker threads locally, mirroring the in-process
+pipe's one-planned-delivery-per-replica model so the fault plane's RNG
+draws line up across both runtimes.
 
 Frames cross from the calling threads to the loop through one *outbox*:
 ``send``, the recovery replay and ``control_send`` append to it and wake
@@ -256,7 +257,11 @@ class TcpCoordinatorTransport(Transport):
         if replay:
             self._post(
                 [
-                    self._copies(replica_id, entry[0], entry[1], entry[3], (0.0,))
+                    self._copies(
+                        replica_id,
+                        wire.ordered_part(entry[0], entry[1], entry[3]),
+                        (0.0,),
+                    )
                     for entry in replay
                 ]
             )
@@ -267,30 +272,26 @@ class TcpCoordinatorTransport(Transport):
             self._epochs[replica_id] = self._epochs.get(replica_id, 0) + 1
             self._send_seq.pop(replica_id, None)
 
-    def _copies(self, replica_id, sequence, destinations, payload, delays):
-        """One outbox entry: the message's ``d`` frame toward
-        ``replica_id`` and the delay of each copy.  Link sequence, epoch
-        and in-flight increment share one lock acquisition, so every
-        copy later decrements the exact key it incremented."""
+    def _copies(self, replica_id, ordered, delays):
+        """One outbox entry: the ``d`` frame carrying ``ordered`` (the
+        message as :func:`wire.ordered_part` packed it, once for every
+        replica) toward ``replica_id``, and the delay of each copy.
+        Link sequence, epoch and in-flight increment share one lock
+        acquisition, so every copy later decrements the exact key it
+        incremented."""
         with self._lock:
             link_sequence = self._send_seq.get(replica_id, 0)
             self._send_seq[replica_id] = link_sequence + 1
             epoch = self._epochs.get(replica_id, 0)
             key = (replica_id, epoch)
             self._in_flight[key] = self._in_flight.get(key, 0) + len(delays)
-        frame = wire.encode_message(
-            {
-                "t": "d",
-                "ls": link_sequence,
-                "s": sequence,
-                "dst": wire.encode_destinations(destinations),
-                "b": payload,
-            }
-        )
+        frame = wire.deliver_frame(link_sequence, ordered)
         return replica_id, epoch, frame, delays
 
     def send(self, route, item):
-        sequence, destinations, payload = item
+        # Serialise once per multicast: per link, only the link sequence
+        # and the frame CRC are left to pack.
+        ordered = wire.ordered_part(*item)
         plane = self.fault_plane
         entries = []
         for replica_id, _targets in route.grouped:
@@ -298,9 +299,7 @@ class TcpCoordinatorTransport(Transport):
                 delays = plane.plan_delivery("order", f"replica{replica_id}")
             else:
                 delays = (0.0,)
-            entries.append(
-                self._copies(replica_id, sequence, destinations, payload, delays)
-            )
+            entries.append(self._copies(replica_id, ordered, delays))
         self._post(entries)
 
     def _post(self, entries):

@@ -1,9 +1,13 @@
-"""Process-mode wire protocol: framed codec messages over a socket.
+"""Process-mode wire protocol: framed messages over a socket.
 
 Every message is one :mod:`repro.common.framing` frame (magic
-``PSMRWIR1``, length prefix, CRC-32) whose payload is a dict encoded
-with the :mod:`repro.common.codec` binary format.  The ``"t"`` key names
-the message type:
+``PSMRWIR1``, length prefix, CRC-32) carrying a message dict whose
+``"t"`` key names the type.  ``d`` and ``r``, which cross the wire once
+per command, have a fixed ``struct`` layout (second table); every other
+type is the dict in the :mod:`repro.common.codec` binary format.  The
+first payload byte (``d``, ``r`` or the codec's ``0xC3``) tells them
+apart; :func:`encode_message` / :func:`decode_payload` speak dicts for
+all of them.
 
 ======================  =====  ==============================================
 type                    dir    meaning
@@ -22,7 +26,7 @@ type                    dir    meaning
                                duplicate frames; a ReliableLink restores
                                the gap-free stream), global sequence,
                                destinations, body (encoded command bytes
-                               or a marker dict)
+                               or a marker / shard-update dict)
 ``r``                   c→s    batched command responses
 ``mk``                  c→s    marker executed: sequence, chain manifest,
                                checkpoint kind/bytes, state (source
@@ -37,14 +41,44 @@ type                    dir    meaning
 ``bye``                 s→c    clean shutdown request
 ======================  =====  ==============================================
 
-``destinations`` travel as the string ``"ALL"`` or a sorted tuple of
-group ids; chain entries as ``(kind, sequence, payload)`` tuples.
+Fixed layouts, big-endian; *value* is one tagged codec value without the
+stream header (:func:`repro.common.codec.encode_value`):
+
+=========  ================================================================
+``d``      ``'d'`` u8 · ``ls`` i64 · ``s`` i64 · body kind u8 · destination
+           count u16 · count x group id u32 · body, to the payload's end.
+           Kind 0: the encoded command, verbatim — the ordering layer does
+           not parse what it orders; kind 1: one *value* (a marker or
+           shard-update dict).  Only ``ls`` differs between the copies of
+           one multicast: :func:`ordered_part` builds the rest once,
+           :func:`deliver_frame` adds ``ls`` and the frame CRC per link.
+``r``      ``'r'`` u8 · response count u32 · per response: uid (i64, i64)
+           · ``value`` *value* · ``error`` *value*.
+command    ``0xC3`` u8 · layout ``2`` u8 · uid (i64, i64) · ``size_bytes``
+           u32 · ``submitted_at`` f64 · destination count u16 · name length
+           u16 · count x group id u32 · name, UTF-8 · ``args`` *value*
+           (:func:`repro.common.codec.encode_command`).
+=========  ================================================================
+
+A destination count of ``0xFFFF`` / ``0xFFFE`` stands for ``"ALL"`` /
+``None`` and carries no ids, so a destination field holds at most 65533
+of them; in a ``d`` dict ``dst`` is ``"ALL"`` or a sorted tuple.  Group
+ids up to 2**32 - 1 are far above any ``mpl`` a ``GroupLayout`` or
+``ShardMap`` can be built for.  A uid component, group id, name or
+``size_bytes`` past its width raises
+:class:`~repro.common.errors.ProtocolError` when the command is encoded
+— nothing wraps — and a CRC-valid payload that contradicts its layout
+(short header, a count running past the end, bytes left over, an unknown
+body kind or first byte) is a :class:`WireError`, like a bad checksum.
+Chain entries travel as ``(kind, sequence, payload)`` tuples.
 """
 
 import socket
+import struct
 
 from repro.common import codec as _codec
 from repro.common import framing
+from repro.common.errors import CheckpointError
 from repro.multicast.group import ALL_GROUPS
 
 
@@ -89,16 +123,110 @@ def is_shard_update(payload):
     return isinstance(payload, dict) and payload.get(SHARD_KEY)
 
 
-def encode_message(message):
-    """One wire frame for a message dict."""
+_DELIVER_TAG = ord("d")
+_RESPONSES_TAG = ord("r")
+
+_LINK = struct.Struct(">Bq")  # tag, ls: all of a ``d`` frame a link owns
+_ORDERED = struct.Struct(">qBH")  # s, body kind, destination count
+_DELIVER = struct.Struct(">BqqBH")  # both, as the decoder reads them
+_RESPONSES = struct.Struct(">BI")  # tag, response count
+_UID = struct.Struct(">qq")
+
+_BODY_COMMAND = 0  # encoded command bytes, verbatim
+_BODY_VALUE = 1  # one codec value: marker and shard-update dicts
+
+
+def ordered_part(sequence, destinations, payload):
+    """Everything of a ``d`` payload the copies of one multicast share:
+    global sequence, body kind, destinations and the body — bytes go in
+    verbatim, anything else as a codec value."""
+    if type(payload) is bytes:
+        kind, body = _BODY_COMMAND, payload
+    else:
+        kind, body = _BODY_VALUE, bytearray()
+        _codec.encode_value(payload, body)
+    count, group_ids = _codec.pack_destinations(destinations)
+    return _ORDERED.pack(sequence, kind, count) + group_ids + body
+
+
+def deliver_frame(link_sequence, ordered):
+    """One link's ``d`` frame around :func:`ordered_part`'s bytes."""
     return framing.encode_frame(
-        framing.WIRE_MAGIC, _codec.dumps(message, "binary")
+        framing.WIRE_MAGIC, _LINK.pack(_DELIVER_TAG, link_sequence) + ordered
     )
 
 
+def _decode_deliver(payload):
+    _tag, link_sequence, sequence, kind, count = _DELIVER.unpack_from(payload)
+    destinations, offset = _codec.unpack_destinations(
+        payload, _DELIVER.size, count
+    )
+    if kind == _BODY_COMMAND:
+        body = bytes(payload[offset:])
+    elif kind == _BODY_VALUE:
+        body, end = _codec.decode_value(payload, offset)
+        if end != len(payload):
+            raise WireError(f"d frame ends at byte {end} of {len(payload)}")
+    else:
+        raise WireError(f"unknown d-frame body kind {kind}")
+    return {
+        "t": "d", "ls": link_sequence, "s": sequence, "dst": destinations,
+        "b": body,
+    }
+
+
+def _encode_responses(responses):
+    out = bytearray(_RESPONSES.pack(_RESPONSES_TAG, len(responses)))
+    for uid, value, error in responses:
+        out += _UID.pack(*uid)
+        _codec.encode_value(value, out)
+        _codec.encode_value(error, out)
+    return framing.encode_frame(framing.WIRE_MAGIC, out)
+
+
+def _decode_responses(payload):
+    _tag, count = _RESPONSES.unpack_from(payload)
+    offset = _RESPONSES.size
+    responses = []
+    for _ in range(count):
+        uid = _UID.unpack_from(payload, offset)
+        value, offset = _codec.decode_value(payload, offset + _UID.size)
+        error, offset = _codec.decode_value(payload, offset)
+        responses.append((uid, value, error))
+    if offset != len(payload):
+        raise WireError(f"r frame ends at byte {offset} of {len(payload)}")
+    return {"t": "r", "resps": tuple(responses)}
+
+
+def encode_message(message):
+    """One wire frame for a message dict."""
+    kind = message["t"]
+    if kind == "d":
+        return deliver_frame(
+            message["ls"],
+            ordered_part(message["s"], message["dst"], message["b"]),
+        )
+    if kind == "r":
+        return _encode_responses(message["resps"])
+    return framing.encode_frame(framing.WIRE_MAGIC, _codec.encode(message))
+
+
 def decode_payload(payload):
-    """Decode a verified frame payload back into the message dict."""
-    return _codec.decode(payload)
+    """Decode a verified frame payload back into the message dict;
+    :class:`WireError` when it contradicts its layout."""
+    try:
+        tag = payload[0]
+        if tag == _DELIVER_TAG:
+            return _decode_deliver(payload)
+        if tag == _RESPONSES_TAG:
+            return _decode_responses(payload)
+        if tag == _codec.MAGIC:
+            return _codec.decode(payload)
+    except (
+        struct.error, IndexError, UnicodeDecodeError, CheckpointError
+    ) as exc:
+        raise WireError(f"malformed payload: {exc}") from exc
+    raise WireError(f"unknown payload kind 0x{tag:02x}")
 
 
 def encode_destinations(destinations):
@@ -106,15 +234,6 @@ def encode_destinations(destinations):
     if destinations == ALL_GROUPS:
         return ALL_GROUPS
     return tuple(sorted(destinations))
-
-
-def decode_destinations(wire):
-    """Invert :func:`encode_destinations` (tuples stay tuples: every
-    consumer — ``plan_execution``, ``delivering_threads`` — accepts an
-    iterable of group ids, and tuples are hashable for the plan cache)."""
-    if wire == ALL_GROUPS:
-        return ALL_GROUPS
-    return tuple(wire)
 
 
 def encode_chain(chain):
@@ -159,8 +278,9 @@ class FrameReader:
         complete frame received so far, in order.
 
         ``None`` on EOF/reset, mid-frame included; :class:`WireError` on
-        a corrupt frame (a byte error on an established stream is fatal)
-        — raised once the frames ahead of it have been returned.
+        a corrupt frame or a payload that contradicts its layout (a byte
+        error on an established stream is fatal) — raised once the
+        frames ahead of it have been returned.
         """
         messages = []
         while not messages:
@@ -192,7 +312,10 @@ class FrameReader:
             payload = view[body:body + length]
             if not framing.payload_valid(payload, length, crc):
                 return "frame checksum mismatch"
-            messages.append(decode_payload(payload))
+            try:
+                messages.append(decode_payload(payload))
+            except WireError as exc:
+                return str(exc)
             start = body + length
         self._end = end - start
         if start:
@@ -228,6 +351,10 @@ def connect_with_backoff(host, port, deadline_seconds=15.0, base_delay=0.05):
     the same loop: try, back off, try again until the deadline.  The
     returned socket blocks: the 2 s bound is on the dial, and left on the
     stream it would read as EOF in a replica that sat idle that long.
+    It also has ``TCP_NODELAY`` set (asyncio sets it on the coordinator's
+    end): with Nagle on, a worker's small ``r`` frame waits for the ACK
+    of the one before it, which the coordinator's kernel delays by up to
+    40 ms unless a ``d`` frame happens to carry it.
     """
     import time
 
@@ -237,6 +364,7 @@ def connect_with_backoff(host, port, deadline_seconds=15.0, base_delay=0.05):
         try:
             sock = socket.create_connection((host, port), timeout=2.0)
             sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
         except OSError:
             if time.monotonic() >= deadline:

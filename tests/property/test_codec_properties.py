@@ -15,8 +15,12 @@ import pickle
 from hypothesis import given, settings, strategies as st
 
 from repro.common import codec
+from repro.common.framing import HEADER_SIZE
 from repro.core.command import Command
+from repro.fs.memfs import Stat
 from repro.multicast.group import ALL_GROUPS
+from repro.multicast.sharding import ShardMap
+from repro.runtime.transport import wire
 
 # ----------------------------------------------------------------------
 # Strategies: the checkpoint/command payload vocabulary
@@ -101,28 +105,98 @@ def test_delta_checkpoint_shape_round_trip(payload):
     assert decoded["deletions"] == payload["deletions"]
 
 
-@settings(max_examples=100, deadline=None)
+int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+group_ids = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    uid=st.tuples(st.integers(min_value=0, max_value=2**31),
-                  st.integers(min_value=0, max_value=2**31)),
-    name=st.sampled_from(["read", "update", "insert", "delete"]),
-    args=st.fixed_dictionaries(
-        {"key": st.integers(min_value=0, max_value=2**40)},
-        optional={"value": st.binary(max_size=64)},
-    ),
+    uid=st.tuples(int64, int64),
+    name=st.text(max_size=40),  # any unicode, the empty name included
+    args=st.dictionaries(st.text(max_size=8), values, max_size=5),
     destinations=st.none()
     | st.just(ALL_GROUPS)
-    | st.frozensets(st.integers(min_value=1, max_value=64), min_size=1, max_size=8),
-    size_bytes=st.integers(min_value=0, max_value=65536),
+    | st.frozensets(group_ids, max_size=8),
+    size_bytes=st.integers(min_value=0, max_value=2**32 - 1),
+    submitted_at=st.floats(allow_nan=False),
 )
-def test_command_wire_round_trip(uid, name, args, destinations, size_bytes):
+def test_command_wire_round_trip(
+    uid, name, args, destinations, size_bytes, submitted_at
+):
     command = Command(
         uid=uid, name=name, args=args, size_bytes=size_bytes,
-        destinations=destinations,
+        destinations=destinations, submitted_at=submitted_at,
     )
     restored = codec.decode_command(codec.encode_command(command))
     assert restored == command
+    assert type(restored.uid) is tuple
     assert type(restored.destinations) is type(command.destinations)
+    assert type(restored.submitted_at) is float
+    for key, value in command.args.items():
+        assert type(restored.args[key]) is type(value)
+
+
+# ----------------------------------------------------------------------
+# The fixed-layout frames: ``d`` (one ordered message) and ``r`` (responses)
+# ----------------------------------------------------------------------
+def _through_the_wire(message):
+    return wire.decode_payload(wire.encode_message(message)[HEADER_SIZE:])
+
+
+deliver_bodies = (
+    st.binary(max_size=64)  # an encoded command, opaque to the frame
+    | st.builds(wire.make_marker, st.integers(min_value=0), st.none() | int64)
+    | st.builds(
+        wire.make_shard_update,
+        st.integers(min_value=0),
+        st.builds(
+            lambda mpl: ShardMap.initial(mpl).to_wire(),
+            st.integers(min_value=1, max_value=8),
+        ),
+        st.lists(st.tuples(int64, int64, group_ids, group_ids), max_size=3),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    link_sequence=st.integers(min_value=0, max_value=2**63 - 1),
+    sequence=st.integers(min_value=0, max_value=2**63 - 1),
+    destinations=st.just(ALL_GROUPS)
+    | st.frozensets(group_ids, max_size=8).map(wire.encode_destinations),
+    body=deliver_bodies,
+)
+def test_deliver_frame_round_trip(link_sequence, sequence, destinations, body):
+    message = {
+        "t": "d", "ls": link_sequence, "s": sequence, "dst": destinations,
+        "b": body,
+    }
+    restored = _through_the_wire(message)
+    assert restored == message
+    assert type(restored["dst"]) is type(destinations)
+    assert type(restored["b"]) is type(body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.tuples(int64, int64), values, st.none() | st.text(max_size=20)),
+        max_size=6,
+    ).map(tuple)
+)
+def test_responses_frame_round_trip(responses):
+    message = {"t": "r", "resps": responses}
+    restored = _through_the_wire(message)
+    assert restored == message
+    for (_, value, _), (uid, restored_value, _) in zip(responses, restored["resps"]):
+        assert type(uid) is tuple
+        assert type(restored_value) is type(value)
+
+
+def test_a_response_value_outside_the_vocabulary_takes_the_pickle_fallback():
+    stat = Stat(is_dir=False, size=3, mode=0o644, nlink=1, atime=1.0, mtime=2.0)
+    message = {"t": "r", "resps": (((1, 2), stat, None), ((1, 3), None, "ENOENT"))}
+    assert _through_the_wire(message) == message
 
 
 def test_big_ints_and_frozensets_explicitly():

@@ -1,16 +1,21 @@
 """Unit tests for the transport package: wire protocol + TCP coordinator."""
 
+import collections
 import contextlib
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from repro.common import framing
-from repro.common.errors import RecoveryError
+from repro.common import codec, framing
+from repro.common.errors import CheckpointError, ProtocolError, RecoveryError
 from repro.common.faults import FaultPlane, ReliableLink
+from repro.core.command import Command
 from repro.multicast.group import ALL_GROUPS
+from repro.runtime.multicast import LocalAtomicMulticast
+from repro.runtime.replica_proc import ReplicaProcess
 from repro.runtime.transport import (
     TcpCoordinatorTransport,
     TransportRoute,
@@ -37,10 +42,14 @@ class TestWireEncoding:
     def test_destinations_roundtrip(self):
         assert wire.encode_destinations(ALL_GROUPS) == ALL_GROUPS
         assert wire.encode_destinations({3, 1, 2}) == (1, 2, 3)
-        assert wire.decode_destinations(ALL_GROUPS) == ALL_GROUPS
-        decoded = wire.decode_destinations([1, 2])
-        assert decoded == (1, 2)
-        assert isinstance(decoded, tuple)  # hashable for the plan cache
+        for destinations in (ALL_GROUPS, (1, 2)):
+            frame = wire.encode_message(
+                {"t": "d", "ls": 0, "s": 0, "dst": destinations, "b": b""}
+            )
+            decoded = wire.decode_payload(frame[framing.HEADER_SIZE:])["dst"]
+            assert decoded == destinations
+            # Tuples stay tuples: hashable for the workers' plan cache.
+            assert type(decoded) is type(destinations)
 
     def test_chain_roundtrip(self):
         chain = [
@@ -55,6 +64,78 @@ class TestWireEncoding:
         assert marker["marker"] == 17 and marker["source"] == 2
         assert not wire.is_marker({"key": 1})
         assert not wire.is_marker(b"not a dict")
+
+    def test_the_fixed_layouts_are_the_documented_bytes(self):
+        command = Command(
+            (-2, 9), "né", {}, size_bytes=7, destinations=frozenset({5, 3}),
+            submitted_at=1.5,
+        )
+        body = codec.encode_command(command)
+        assert body == (
+            struct.pack(">BBqqIdHH", 0xC3, 2, -2, 9, 7, 1.5, 2, 3)
+            + struct.pack(">2I", 3, 5) + "né".encode() + b"d\x00\x00\x00\x00"
+        )
+        deliver = {"t": "d", "ls": 4, "s": 11, "dst": (3, 5), "b": body}
+        assert wire.encode_message(deliver)[framing.HEADER_SIZE:] == (
+            struct.pack(">BqqBH2I", ord("d"), 4, 11, 0, 2, 3, 5) + body
+        )
+        marker = {"t": "d", "ls": 0, "s": 1, "dst": "ALL", "b": {"k": None}}
+        assert wire.encode_message(marker)[framing.HEADER_SIZE:] == (
+            struct.pack(">BqqBH", ord("d"), 0, 1, 1, 0xFFFF)
+            + b"d\x00\x00\x00\x01s\x00\x00\x00\x01kN"
+        )
+        responses = {"t": "r", "resps": (((1, 2), b"v", None), ((1, 3), None, "e"))}
+        assert wire.encode_message(responses)[framing.HEADER_SIZE:] == (
+            struct.pack(">BI", ord("r"), 2)
+            + struct.pack(">qq", 1, 2) + b"b\x00\x00\x00\x01vN"
+            + struct.pack(">qq", 1, 3) + b"Ns\x00\x00\x00\x01e"
+        )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"uid": (2**63, 0)},
+            {"uid": (0, -(2**63) - 1)},
+            {"size_bytes": 2**32},
+            {"size_bytes": -1},
+            {"name": "n" * 65536},
+            {"name": "é" * 32768},  # the limit is on bytes, not characters
+            {"destinations": frozenset({2**32})},
+            {"destinations": frozenset({-1})},
+            {"destinations": frozenset(range(codec.MAX_DESTINATIONS + 1))},
+        ],
+        ids=lambda fields: next(iter(fields)),
+    )
+    def test_a_command_field_past_its_width_is_refused_not_wrapped(self, fields):
+        fields = {"uid": (0, 0), "name": "read", **fields}
+        with pytest.raises(ProtocolError):
+            codec.encode_command(Command(**fields))
+
+    def test_values_at_the_limits_round_trip(self):
+        command = Command(
+            (2**63 - 1, -(2**63)), "n" * 65535, {}, size_bytes=2**32 - 1,
+            # Far above any mpl a GroupLayout / ShardMap can be built for.
+            destinations=frozenset(
+                range(2**32 - codec.MAX_DESTINATIONS, 2**32)
+            ),
+        )
+        assert codec.decode_command(codec.encode_command(command)) == command
+        message = {
+            "t": "d", "ls": 2**63 - 1, "s": 2**63 - 1, "dst": (2**32 - 1,),
+            "b": b"",
+        }
+        frame = wire.encode_message(message)
+        assert wire.decode_payload(frame[framing.HEADER_SIZE:]) == message
+
+    @pytest.mark.parametrize(
+        "destinations",
+        [(2**32,), (-1,), tuple(range(codec.MAX_DESTINATIONS + 1))],
+        ids=["group-id", "negative-group-id", "destination-count"],
+    )
+    def test_a_destination_field_past_its_width_is_refused(self, destinations):
+        message = {"t": "d", "ls": 0, "s": 0, "dst": destinations, "b": b""}
+        with pytest.raises(ProtocolError):
+            wire.encode_message(message)
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +212,9 @@ class TestSocketHelpers:
             # The dial is bounded, the stream is not: an idle replica
             # must not mistake a read timeout for EOF.
             assert conn.gettimeout() is None
+            # Nagle off: a small ``r`` frame must not wait for the delayed
+            # ACK of the one before it (the 40 ms ``http-point`` tail).
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             conn.close()
         finally:
             thread.join()
@@ -150,6 +234,43 @@ STREAM = [
     {"t": "d", "ls": 2, "s": 12, "dst": (1, 2), "b": b"x" * 90},
     {"t": "bye"},
 ]
+
+
+def _deliver_payload(kind=0, count=1, group_ids=(1,), body=b"cmd"):
+    return (
+        struct.pack(">BqqBH", ord("d"), 0, 0, kind, count)
+        + struct.pack(">%dI" % len(group_ids), *group_ids) + body
+    )
+
+
+_RESPONSE = struct.pack(">qq", 3, 4) + b"NN"  # uid, value None, error None
+
+#: CRC-valid payloads no encoder produces, by what is wrong with them.
+MALFORMED = {
+    "empty payload": b"",
+    "unknown first byte": b"\x00abc",
+    "d: short header": _deliver_payload()[:12],
+    "d: destination count past the payload": _deliver_payload(
+        count=4, body=b""
+    ),
+    "d: unknown body kind": _deliver_payload(kind=9),
+    "d: value body cut short": _deliver_payload(kind=1, body=b"s\x00\x00"),
+    "d: trailing bytes after a value body": _deliver_payload(
+        kind=1, body=b"N\x00"
+    ),
+    "r: short header": b"r\x00\x00",
+    "r: response count past the payload": (
+        struct.pack(">BI", ord("r"), 2) + _RESPONSE
+    ),
+    "r: uid cut short": struct.pack(">BI", ord("r"), 1) + _RESPONSE[:9],
+    "r: trailing bytes": struct.pack(">BI", ord("r"), 1) + _RESPONSE + b"\x00",
+    "control: unknown codec tag": b"\xc3\x01?",
+}
+
+#: 34-byte header, two group ids, a 4-byte name, then the args.
+COMMAND_BODY = codec.encode_command(
+    Command((1, 2), "read", {"key": 7}, destinations=frozenset({1, 2}))
+)
 
 
 def _read_to_eof(reader):
@@ -210,6 +331,53 @@ class TestFrameReader:
         finally:
             left.close()
             right.close()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_payload_that_contradicts_its_layout_is_a_wire_error(self, case):
+        # Never struct.error / IndexError: callers catch WireError only.
+        with pytest.raises(wire.WireError):
+            wire.decode_payload(MALFORMED[case])
+        with pytest.raises(wire.WireError):
+            wire.decode_payload(memoryview(bytearray(MALFORMED[case])))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_payload_is_fatal_after_the_frames_ahead_of_it(self, case):
+        # The flipped bytes above never reach the decoder; these frames
+        # carry a valid CRC and do.
+        frames = [
+            wire.encode_message(STREAM[0]),
+            framing.encode_frame(framing.WIRE_MAGIC, MALFORMED[case]),
+            wire.encode_message(STREAM[1]),
+        ]
+        left, right = socket.socketpair()
+        try:
+            left.sendall(b"".join(frames))
+            reader = wire.FrameReader(right)
+            messages = []
+            with pytest.raises(wire.WireError):
+                while True:
+                    messages.extend(reader.read())
+            assert messages == STREAM[:1]
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\xc3",
+            codec.encode(("not", "a", "command")),
+            COMMAND_BODY[:20],  # short header
+            COMMAND_BODY[:36],  # destination count runs past the data
+            COMMAND_BODY[:44],  # name length runs past the data
+            COMMAND_BODY[:-3],  # args cut short
+            COMMAND_BODY + b"\x00",  # trailing bytes
+        ],
+    )
+    def test_a_malformed_command_body_is_a_checkpoint_error(self, data):
+        with pytest.raises(CheckpointError):
+            codec.decode_command(data)
 
     def test_eof_inside_a_frame_is_eof(self):
         stream = b"".join(wire.encode_message(message) for message in STREAM)
@@ -433,6 +601,104 @@ class TestBurstPath:
             assert transport.in_flight() == 0
             assert transport._in_flight == {}
             assert transport.frames_written == sum(copies.values())
+
+
+def _unreadable_frame(how):
+    """A frame the receiver cannot use: a flipped payload byte under the
+    old CRC, or a valid CRC over a payload no encoder produces."""
+    if how == "malformed":
+        return framing.encode_frame(
+            framing.WIRE_MAGIC, MALFORMED["d: unknown body kind"]
+        )
+    frame = bytearray(wire.encode_message(STREAM[0]))
+    frame[-1] ^= 0xFF
+    return bytes(frame)
+
+
+class TestSerialiseOnce:
+    def test_a_keyed_command_is_encoded_once_for_all_replicas(self, monkeypatch):
+        replicas, commands = 3, 4
+        group = frozenset({2})
+        bodies = [
+            codec.encode_command(
+                Command((1, n), "update", {"key": n, "value": b"v"},
+                        destinations=group)
+            )
+            for n in range(commands)
+        ]
+        calls = collections.Counter()
+
+        def encode_command(command):
+            calls["encode_command"] += 1
+            return bodies[command.uid[1]]
+
+        def general_codec(*_args):
+            calls["general codec"] += 1
+            raise AssertionError("a d frame went through the general codec")
+
+        with fake_replicas(replicas) as (transport, readers):
+            multicast = LocalAtomicMulticast(
+                4, wire_codec="binary", transport=transport
+            )
+            for replica_id in range(replicas):
+                multicast.register_replica(replica_id, range(1, 5))
+            monkeypatch.setattr(codec, "encode_command", encode_command)
+            for name in ("encode", "dumps", "encode_value"):
+                monkeypatch.setattr(codec, name, general_codec)
+            for n in range(commands):
+                multicast.multicast(
+                    group, Command((1, n), "update", destinations=group)
+                )
+            assert calls == {"encode_command": commands}
+            for reader in readers:
+                frames = read_frames(reader, commands)
+                assert [frame["ls"] for frame in frames] == list(range(commands))
+                assert [frame["b"] for frame in frames] == bodies
+                assert {frame["dst"] for frame in frames} == {(2,)}
+            run_pending(transport)
+            assert transport.frames_written == replicas * commands
+
+
+class TestUnreadableFrames:
+    """A malformed payload ends a connection exactly as a bad CRC does."""
+
+    @pytest.mark.parametrize("how", ["bad crc", "malformed"])
+    def test_the_replica_stops_serving_after_the_frames_ahead(self, how):
+        left, right = socket.socketpair()
+        try:
+            replica = ReplicaProcess(right, 0, 2, None, None)
+            left.sendall(wire.encode_message(STREAM[0]) + _unreadable_frame(how))
+            replica.serve([])  # returns: no exception, no further read
+            assert replica.queues[1].qsize() == 1  # STREAM[0] was queued
+            assert replica.queues[2].qsize() == 0
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("how", ["bad crc", "malformed"])
+    def test_the_coordinator_drops_the_link(self, how):
+        received = []
+        transport = TcpCoordinatorTransport(
+            on_message=lambda replica_id, message: received.append(message)
+        )
+        host, port = transport.start()
+        client = socket.create_connection((host, port), timeout=5.0)
+        try:
+            transport.discard_hello(0)
+            wire.send_message(
+                client,
+                {"t": "hello", "replica": 0, "watermark": -1,
+                 "manifest": (), "pid": 0},
+            )
+            transport.take_hello(0, timeout=5.0)
+            good = {"t": "r", "resps": (((1, 2), b"v", None),)}
+            client.sendall(wire.encode_message(good) + _unreadable_frame(how))
+            assert wire.FrameReader(client).read() is None  # closed on us
+            assert received == [good]
+            assert not transport.connected(0)
+        finally:
+            client.close()
+            transport.close()
 
 
 class TestTcpCoordinatorTransport:
