@@ -7,8 +7,9 @@ Endpoints (all JSON):
   :class:`~repro.frontend.models.PutValueRequest` whose ``mode`` selects
   ``insert`` (409 when the key exists), ``update`` (404 when it does
   not), or ``upsert``.
-* ``POST /kv/batch`` — up to 1024 operations submitted concurrently, so
-  one HTTP request fills the replicas' delivery batches.
+* ``POST /kv/batch`` — up to 1024 operations, every one multicast before
+  the first is awaited, so one HTTP request fills the replicas' delivery
+  batches.
 * ``/fs/file/{path}``, ``/fs/dir/{path}``, ``/fs/stat/{path}`` — NetFS
   file, directory and metadata operations.
 * ``GET /healthz`` — replica liveness; ``GET /stats`` — backend and
@@ -23,6 +24,14 @@ Multi-leg writes (the upsert fallback chain) admit each leg separately —
 a slot is never held across more than one backend round-trip, and an
 upsert that loses every leg's race reports ``409`` (a clean conflict),
 never ``503``.
+
+``backend.submit`` is a plain call that multicasts the command and
+returns the awaitable of its response (see
+:mod:`repro.frontend.backend`): a handler with one command awaits it on
+the spot, a handler with many pipelines them — submit in a plain loop,
+await afterwards — at no ``Task``, coroutine or timer per command.  The
+request timeout travels with each command as a deadline in the
+backend's per-loop queue.
 
 The app is coded to the FastAPI subset provided by both the real
 ``fastapi`` package (installed via the ``[frontend]`` extra) and the
@@ -116,16 +125,23 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
                 headers={"Retry-After": f"{exc.retry_after:.3f}"},
             ) from None
 
-    async def _submit(backend, name, **args):
+    def _timed_out():
+        return HTTPException(
+            status_code=503,
+            detail="backend timed out; the operation may still apply",
+        )
+
+    def _start(backend, name, **args):
+        """Multicast one command now; return the awaitable of its response."""
         if backend is None:
             raise HTTPException(status_code=503, detail="service not configured")
+        return backend.submit(name, timeout=request_timeout, **args)
+
+    async def _submit(backend, name, **args):
         try:
-            return await backend.submit(name, timeout=request_timeout, **args)
+            return await _start(backend, name, **args)
         except BackendTimeout:
-            raise HTTPException(
-                status_code=503,
-                detail="backend timed out; the operation may still apply",
-            ) from None
+            raise _timed_out() from None
 
     # ------------------------------------------------------------------
     # Control plane
@@ -228,33 +244,35 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
             raise _not_found("key")
         return WriteResponse(key=key, applied="delete")
 
-    async def _batch_one(op):
-        if op.op == "read":
-            response = await _submit(kv_backend, "read", key=op.key)
-            if response.error is not None:
-                return BatchOpResult(
-                    op=op.op, key=op.key, ok=False, error="not_found"
-                )
-            text, encoding = decode_value(response.value)
-            return BatchOpResult(
-                op=op.op, key=op.key, ok=True, value=text, encoding=encoding
-            )
-        if op.op == "delete":
-            error = await _kv_write_once("delete", op.key, None)
+    def _batch_start(op):
+        """Validate one batch op and multicast it: the awaitable of its
+        response, or the result of an op that cannot be submitted."""
+        if op.op in ("read", "delete"):
+            args = {}
+        elif op.value is None:
+            return BatchOpResult(op=op.op, key=op.key, ok=False, error="value required")
         else:
-            if op.value is None:
-                return BatchOpResult(
-                    op=op.op, key=op.key, ok=False, error="value required"
-                )
             try:
-                value = encode_value(op.value, op.encoding)
+                args = {"value": encode_value(op.value, op.encoding)}
             except ValueError as exc:
                 return BatchOpResult(op=op.op, key=op.key, ok=False, error=str(exc))
-            error = await _kv_write_once(op.op, op.key, value)
-        if error == _ERR_NOT_FOUND:
-            return BatchOpResult(op=op.op, key=op.key, ok=False, error="not_found")
-        if error == _ERR_EXISTS:
-            return BatchOpResult(op=op.op, key=op.key, ok=False, error="exists")
+        # A bridge may wrap ``submit`` in a coroutine (the benchmark's
+        # tracer does): only as a task is that on its way now, too.
+        return asyncio.ensure_future(_start(kv_backend, op.op, key=op.key, **args))
+
+    def _batch_result(op, response):
+        error = response.error
+        if op.op == "read":
+            if error is None:
+                text, encoding = decode_value(response.value)
+                return BatchOpResult(
+                    op=op.op, key=op.key, ok=True, value=text, encoding=encoding
+                )
+            error = "not_found"
+        elif error == _ERR_NOT_FOUND:
+            error = "not_found"
+        elif error == _ERR_EXISTS:
+            error = "exists"
         return BatchOpResult(op=op.op, key=op.key, ok=error is None, error=error)
 
     @app.post("/kv/batch")
@@ -264,10 +282,15 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
             # Submitting all ops before awaiting any is the whole point:
             # the pipelined commands land in the replicas' delivery
             # batches together.
-            results = await asyncio.gather(*(_batch_one(op) for op in body.ops))
+            results = [_batch_start(op) for op in body.ops]
+            for index, op in enumerate(body.ops):
+                if not isinstance(results[index], BatchOpResult):
+                    results[index] = _batch_result(op, await results[index])
+        except BackendTimeout:
+            raise _timed_out() from None
         finally:
             limiter.release()
-        return BatchResponse(results=list(results))
+        return BatchResponse(results=results)
 
     # ------------------------------------------------------------------
     # NetFS data plane

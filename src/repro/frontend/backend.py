@@ -3,19 +3,31 @@
 The clusters are thread-world: ``invoke_async`` returns a
 :class:`~repro.runtime.cluster.PendingInvocation` whose response is
 delivered on a replica worker thread.  HTTP handlers are asyncio-world.
-:class:`ClusterBackend` connects the two without a thread-per-request:
+:class:`ClusterBackend` connects the two without a thread-per-request,
+and without a ``Task``, a coroutine or a timer per command:
 
 * each event loop gets its own ``cluster.client()`` (clients carry a
-  private uid sequence, so they must not be shared across loops) and its
-  own *inbox*;
-* ``submit()`` creates an asyncio future, submits via ``invoke_async``,
-  and attaches a done-callback that appends ``(future, response)`` to
-  the loop's inbox — waking the loop with ``call_soon_threadsafe`` only
+  private uid sequence, so they must not be shared across loops), its
+  own *inbox*, *deadline queue* and counters;
+* ``submit()`` is a plain call: it multicasts via ``invoke_async``
+  *before it returns* and hands back the future the inbox will resolve.
+  ``await backend.submit(...)`` is one command; to pipeline, call it in
+  a plain loop and await the futures afterwards — every command is on
+  its way to the replicas' delivery batches before the first ``await``;
+* the invocation's done-callback appends ``(future, response)`` to the
+  loop's inbox — waking the loop with ``call_soon_threadsafe`` only
   when the inbox was empty, so a burst of responses (one ``r`` frame
   answers a whole delivery batch) costs one wake-up, not one each;
-* a timeout ``discard()``s the invocation so the late response is
-  dropped at the router — an abandoned HTTP request cannot leak a
-  waiter or resolve a dead future.
+* a timeout is a deadline in the loop's queue.  Callers all but always
+  pass the same timeout, so deadlines arrive in order: append, let
+  answered entries fall off the front, keep one ``loop.call_at`` armed
+  for the front (a deadline *earlier* than the tail takes a timer of its
+  own).  Expiry ``discard()``s the invocation, so the late response is
+  dropped at the router, counts it and fails the future with
+  :class:`BackendTimeout`: an abandoned HTTP request cannot leak a
+  waiter or resolve a dead future, and a handler cancelled mid-flight
+  (the client went away) has its invocations discarded by their
+  deadline at the latest.
 
 Works identically against ``ThreadedPSMRCluster`` and
 ``ProcessPSMRCluster``: both inherit the ``ResponseRouter`` waiter
@@ -25,7 +37,10 @@ surface and both hand out ``ThreadedClient`` proxies.
 import asyncio
 import threading
 import weakref
+from collections import deque
 from functools import partial
+
+_SUBMITTED, _COMPLETED, _TIMED_OUT = range(3)
 
 
 class BackendTimeout(Exception):
@@ -43,16 +58,89 @@ class BackendTimeout(Exception):
 
 
 class _LoopPort:
-    """One event loop's end of the bridge: its client and its inbox.
+    """One event loop's end of the bridge: client, inbox, deadlines, counters.
 
-    Holds no reference to the loop, so the backend's weak-keyed entry
-    dies with it.
+    Holds no strong reference to the loop — not in an attribute, not
+    through a stored timer handle and not through the futures in the
+    deadline queue (they are weak) — so the backend's weak-keyed entry
+    dies with it.  Everything but :meth:`deliver` runs on the loop's
+    thread.
     """
 
-    def __init__(self, client):
+    def __init__(self, client, counts):
         self.client = client
+        #: ``[submitted, completed, timed_out]``, written by this loop's
+        #: thread only; the backend sums every port's.
+        self.counts = counts
         self._lock = threading.Lock()
         self._inbox = []  # (future, response) landed, not yet resolved
+        #: ``(deadline, weak future, pending, name, timeout)`` in deadline
+        #: order; about as long as the window in flight.
+        self._deadlines = deque()
+        self._armed = False  # one timer at most, for the front's deadline
+
+    def submit(self, loop, name, timeout, args):
+        future = loop.create_future()
+        self.counts[_SUBMITTED] += 1
+        pending = self.client.invoke_async(name, **args)
+        # Fires on whichever thread delivers the response (or right here,
+        # if it already landed).
+        pending.add_done_callback(partial(self.deliver, loop, future))
+        deadline = loop.time() + timeout
+        entry = (deadline, weakref.ref(future), pending, name, timeout)
+        queue = self._deadlines
+        if queue and deadline < queue[-1][0]:
+            # A shorter timeout than one queued before it: its own timer.
+            loop.call_at(deadline, self._expire, entry)
+        else:
+            while queue and self._owed(queue[0]) is None:
+                queue.popleft()
+            queue.append(entry)
+            if not self._armed:
+                self._armed = True
+                loop.call_at(queue[0][0], self._expire_front, loop)
+        return future
+
+    @staticmethod
+    def _owed(entry):
+        """The future ``entry`` still owes an answer to, or ``None``.
+
+        The router's waiter slot holds the future (through the callback)
+        until it is answered or discarded, so one that is gone was
+        answered; one that was cancelled (its handler was: the client
+        went away) still has its waiter registered, dropped here.
+        """
+        future = entry[1]()
+        if future is None:
+            return None
+        if future.cancelled():
+            entry[2].discard()
+        return None if future.done() else future
+
+    def _expire(self, entry):
+        """``entry``'s deadline passed: if still unanswered, fail it."""
+        future = self._owed(entry)
+        if future is None:
+            return
+        _deadline, _ref, pending, name, timeout = entry
+        pending.discard()
+        self.counts[_TIMED_OUT] += 1
+        future.set_exception(BackendTimeout(name, timeout))
+        # Accounted for above; a caller that is no longer there to see it
+        # (cancelled, or already failed on an earlier command of its
+        # batch) must not read as a lost exception in asyncio's log.
+        future.exception()
+
+    def _expire_front(self, loop):
+        """The armed timer: fail what is overdue, re-arm for what is not."""
+        queue = self._deadlines
+        now = loop.time()
+        while queue and (queue[0][0] <= now or self._owed(queue[0]) is None):
+            self._expire(queue.popleft())  # does nothing to an answered one
+        if queue:
+            loop.call_at(queue[0][0], self._expire_front, loop)
+        else:
+            self._armed = False
 
     def deliver(self, loop, future, response):
         """Any thread: file a response; wake ``loop`` if nobody has."""
@@ -74,6 +162,7 @@ class _LoopPort:
         for future, response in landed:
             if not future.done():
                 future.set_result(response)
+                self.counts[_COMPLETED] += 1
 
 
 class ClusterBackend:
@@ -91,46 +180,34 @@ class ClusterBackend:
         # inbox.
         self._ports = weakref.WeakKeyDictionary()
         self._ports_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.timed_out = 0
+        #: Every port's counters, kept after the port died with its loop
+        #: (three integers per loop ever served) so totals stay exact.
+        self._counts = []
 
     # ------------------------------------------------------------------
-    def _port_for_loop(self, loop):
+    def _new_port(self, loop):
         with self._ports_lock:
             port = self._ports.get(loop)
             if port is None:
-                port = self._ports[loop] = _LoopPort(self.cluster.client())
+                counts = [0, 0, 0]
+                self._counts.append(counts)
+                port = self._ports[loop] = _LoopPort(self.cluster.client(), counts)
             return port
 
-    async def submit(self, name, timeout=None, **args):
-        """Invoke ``name(**args)`` on the cluster; await the first response.
+    def submit(self, name, timeout=None, **args):
+        """Multicast ``name(**args)`` now; return the future of its first response.
 
-        Raises :class:`BackendTimeout` when no replica answers in time —
-        after discarding the invocation, so nothing leaks.
+        Not a coroutine: the command is on its way when this returns, so
+        a caller pipelines by submitting in a loop and awaiting later.
+        The future fails with :class:`BackendTimeout` when no replica
+        answers in time — after discarding the invocation, so nothing
+        leaks.  Must be called on a running event loop's thread.
         """
         if timeout is None:
             timeout = self.default_timeout
         loop = asyncio.get_running_loop()
-        port = self._port_for_loop(loop)
-        future = loop.create_future()
-        with self._stats_lock:
-            self.submitted += 1
-        pending = port.client.invoke_async(name, **args)
-        # Fires on whichever thread delivers the response (or right here,
-        # if it already landed).
-        pending.add_done_callback(partial(port.deliver, loop, future))
-        try:
-            response = await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            pending.discard()
-            with self._stats_lock:
-                self.timed_out += 1
-            raise BackendTimeout(name, timeout) from None
-        with self._stats_lock:
-            self.completed += 1
-        return response
+        port = self._ports.get(loop) or self._new_port(loop)
+        return port.submit(loop, name, timeout, args)
 
     # ------------------------------------------------------------------
     @property
@@ -149,9 +226,9 @@ class ClusterBackend:
         }
 
     def stats(self):
-        with self._stats_lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "timed_out": self.timed_out,
-            }
+        totals = [sum(column) for column in zip(*self._counts)] or [0, 0, 0]
+        return dict(zip(("submitted", "completed", "timed_out"), totals))
+
+    @property
+    def timed_out(self):
+        return self.stats()["timed_out"]

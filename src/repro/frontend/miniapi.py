@@ -15,7 +15,8 @@ provides that subset as a pure-stdlib (+pydantic) ASGI 3 application:
   headers)`` → JSON error responses (``Retry-After`` on 429 rides on
   ``headers``);
 * ``JSONResponse``/``PlainResponse`` returns, pydantic models serialised
-  via ``model_dump(mode="json")``.
+  via ``model_dump_json()`` (pydantic's own writer; straight to bytes,
+  no intermediate dict on the loop thread).
 
 When the real ``fastapi`` is installed (the ``[frontend]`` extra),
 :mod:`repro.frontend.app` imports it instead — the application code is
@@ -295,5 +296,8 @@ class FastAPI:
         if isinstance(result, Response):
             return result
         if isinstance(result, BaseModel):
-            return JSONResponse(result.model_dump(mode="json"), status_code)
+            return Response(
+                result.model_dump_json().encode(), status_code,
+                media_type=JSONResponse.media_type,
+            )
         return JSONResponse(result, status_code)

@@ -47,53 +47,86 @@ from repro.runtime.transport import wire
 _cached_plan = lru_cache(maxsize=None)(plan_execution)
 
 
-class _BarrierSync:
-    """Per-replica synchronous-mode signalling implemented with a condition."""
+class _Barrier:
+    """One barrier's state, from its first arrival to ``complete``."""
+
+    __slots__ = ("arrived", "awaited", "ready", "done")
 
     def __init__(self):
-        self._cond = threading.Condition()
-        self._signals = {}
-        self._done = set()
+        self.arrived = set()  # assisting thread indices
+        self.awaited = None  # the peers the executor is blocked on, if it is
+        self.ready = None  # set by the arrival that completes ``awaited``
+        self.done = threading.Event()  # set by the executor: assistants go on
+
+
+class _BarrierSync:
+    """Per-replica synchronous-mode signalling, one record per barrier.
+
+    Algorithm 1's rule stands: the lowest-indexed destination thread
+    executes, its peers assist.  An assistant registers its arrival and
+    picks up the barrier's completion event under one lock acquisition;
+    the executor cannot complete before that arrival, so no waiter can
+    come late and nothing is remembered once ``complete`` dropped the
+    record.  The executor blocks only while a peer is missing, and only
+    the arrival that completes its set wakes it: one wake-up per thread
+    per barrier.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._barriers = {}  # uid -> _Barrier
         self._crashed = False
 
-    def signal(self, uid, thread_index):
-        with self._cond:
-            self._signals.setdefault(uid, set()).add(thread_index)
-            self._cond.notify_all()
+    def _enter(self, uid):
+        """The barrier of ``uid``, created by whoever arrives first; locked."""
+        if self._crashed:
+            raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
+        barrier = self._barriers.get(uid)
+        if barrier is None:
+            barrier = self._barriers[uid] = _Barrier()
+        return barrier
+
+    def _wait(self, event, uid, timeout, whom):
+        if not event.wait(timeout):
+            raise TimeoutError(f"barrier timed out waiting for {whom} of {uid}")
+        if self._crashed:
+            raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
+
+    def assist(self, uid, thread_index, timeout=None):
+        """Signal arrival at ``uid``; block until its executor completed it."""
+        with self._lock:
+            barrier = self._enter(uid)
+            barrier.arrived.add(thread_index)
+            awaited = barrier.awaited
+            if awaited is not None and awaited <= barrier.arrived:
+                barrier.ready.set()
+        self._wait(barrier.done, uid, timeout, "executor")
 
     def wait_for_peers(self, uid, peers, timeout=None):
-        peers = set(peers)
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._crashed or peers <= self._signals.get(uid, set()),
-                timeout=timeout,
-            )
-            if self._crashed:
-                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
-        if not ok:
-            raise TimeoutError(f"barrier timed out waiting for peers of {uid}")
+        with self._lock:
+            barrier = self._enter(uid)
+            if barrier.arrived.issuperset(peers):
+                return
+            barrier.awaited = frozenset(peers)
+            barrier.ready = threading.Event()
+        self._wait(barrier.ready, uid, timeout, "peers")
 
     def complete(self, uid):
-        with self._cond:
-            self._done.add(uid)
-            self._signals.pop(uid, None)
-            self._cond.notify_all()
-
-    def wait_for_completion(self, uid, timeout=None):
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._crashed or uid in self._done, timeout=timeout
-            )
-            if self._crashed:
-                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
-        if not ok:
-            raise TimeoutError(f"barrier timed out waiting for executor of {uid}")
+        with self._lock:
+            barrier = self._barriers.pop(uid, None)
+        if barrier is not None:
+            barrier.done.set()
 
     def crash(self):
         """Wake every waiting worker with :class:`ReplicaCrashedError`."""
-        with self._cond:
+        with self._lock:
             self._crashed = True
-            self._cond.notify_all()
+            barriers = list(self._barriers.values())
+            self._barriers.clear()
+        for barrier in barriers:
+            barrier.done.set()
+            if barrier.ready is not None:
+                barrier.ready.set()
 
 
 class ReplicaEngine:
@@ -306,8 +339,7 @@ class ReplicaEngine:
                         barrier.complete(command.uid)
                     elif plan.mode == "assist":
                         self._flush_responses(pending)
-                        barrier.signal(command.uid, index)
-                        barrier.wait_for_completion(command.uid, timeout=timeout)
+                        barrier.assist(command.uid, index, timeout)
                     # plan.mode == "ignore": not a destination; nothing to do.
                 except ReplicaCrashedError:
                     return
@@ -335,8 +367,7 @@ class ReplicaEngine:
         siblings return only after the executor called ``barrier.complete``.
         """
         if index != 1:
-            self.barrier.signal(uid, index)
-            self.barrier.wait_for_completion(uid, timeout=self.barrier_timeout)
+            self.barrier.assist(uid, index, self.barrier_timeout)
             return False
         self.barrier.wait_for_peers(
             uid, range(2, self.mpl + 1), timeout=self.barrier_timeout

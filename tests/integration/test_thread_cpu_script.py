@@ -1,0 +1,25 @@
+"""``scripts/thread_cpu.py`` at toy scale: it names the threads that matter
+and leaves nothing running."""
+
+import importlib.util
+import os
+
+from bench import run
+from bench.tests.test_smoke import surviving_children
+
+SCRIPT = os.path.join(run.ROOT_DIR, "scripts", "thread_cpu.py")
+
+
+def test_split_names_the_runner_and_replica_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(run, "OUT_DIR", str(tmp_path / "out"))
+    spec = importlib.util.spec_from_file_location("thread_cpu", SCRIPT)
+    thread_cpu = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(thread_cpu)
+    rows, runner, rate = thread_cpu.split("http-batch", seconds=0.5, warmup_s=0.2)
+    names = {row[0] for row in rows}
+    assert {"frontend-http", "psmr-tcp-coordinator", "generator-0", "generator-1"} <= names
+    for replica in (0, 1):
+        assert {f"replica{replica}-recv", *(f"replica{replica}-t{t}" for t in range(1, 5))} <= names
+    assert rate > 0 and 0 < runner <= len(os.sched_getaffinity(0))
+    assert all(value >= 0 for row in rows for value in row[1:])
+    assert surviving_children() == []

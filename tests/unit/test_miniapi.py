@@ -1,6 +1,7 @@
 """Unit tests for the dependency-free FastAPI shim behind the frontend."""
 
 import asyncio
+from typing import List, Optional
 
 import pytest
 from pydantic import BaseModel, ConfigDict
@@ -156,6 +157,30 @@ class TestResponses:
     def test_pydantic_model_return_is_serialised(self):
         response = call(build_app(), "GET", "/model")
         assert response.json() == {"name": "m", "count": 2}
+
+    def test_model_bytes_come_from_pydantic_and_parse_the_same(self):
+        """Models skip ``json.dumps``: nested models, ``None`` fields and
+        non-ASCII text must still parse to what ``model_dump`` holds."""
+        class Row(BaseModel):
+            key: int
+            value: Optional[str] = None
+
+        class Table(BaseModel):
+            rows: List[Row]
+            note: str
+
+        table = Table(rows=[Row(key=1, value="é\u4e16"), Row(key=2)], note='q"\\')
+        app = FastAPI()
+
+        @app.post("/table", status_code=201)
+        async def make_table() -> Table:
+            return table
+
+        response = call(app, "POST", "/table")
+        assert response.status_code == 201
+        assert response.headers.get("content-type") == "application/json"
+        assert response.json() == table.model_dump(mode="json")
+        assert response.content == table.model_dump_json().encode()
 
     def test_raw_response_passthrough(self):
         response = call(build_app(), "GET", "/raw")
