@@ -4,10 +4,9 @@ Kept as the single packaging entry point so that editable installs work
 on environments without the ``wheel`` package
 (``pip install -e . --no-use-pep517``).
 
-The core runtime is dependency-free by design (stdlib + pydantic).  The
-HTTP frontend runs on the bundled :mod:`repro.frontend.miniapi` shim out
-of the box; installing the ``[frontend]`` extra swaps in the real
-FastAPI/uvicorn stack and lets the tests exercise both paths.
+The package is dependency-free by design (stdlib + pydantic): the HTTP
+frontend runs on the bundled :mod:`repro.frontend.miniapi` framework and
+:mod:`repro.frontend.server`, the only HTTP stack there is.
 """
 
 from setuptools import find_packages, setup
@@ -21,7 +20,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["pydantic>=2"],
     extras_require={
-        "frontend": ["fastapi>=0.110", "httpx>=0.27", "uvicorn>=0.29"],
         "test": ["pytest", "hypothesis"],
     },
 )

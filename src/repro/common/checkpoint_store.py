@@ -13,12 +13,14 @@ Layout — one directory per replica::
         seg-00000001.ckpt
         MANIFEST              the chain: one checksummed line per entry
 
-Each chain entry is serialised into its own **segment file**: an 20-byte
+Each chain entry is serialised into its own **segment file**: a 20-byte
 header (magic, payload length, CRC-32 of the payload) followed by the
-encoded payload (:mod:`repro.common.codec` binary format by default, with
-per-segment auto-detection so legacy pickled segments keep loading).  The **manifest** names the chain in order — segment file,
-kind, sequence, length and checksum per line, each line carrying its own
-CRC — and is the single commit point: a persist cycle writes and fsyncs the
+payload in the :mod:`repro.common.codec` binary format — the only format
+read back: a segment whose checksum holds but whose payload is anything
+else is an invalid entry, never handed to a general deserialiser.  The
+**manifest** names the chain in order — segment file, kind, sequence,
+length and checksum per line, each line carrying its own CRC — and is the
+single commit point: a persist cycle writes and fsyncs the
 new segment first, then writes ``MANIFEST.tmp``, fsyncs it, and atomically
 renames it over ``MANIFEST`` (fsyncing the directory).  The ordering gives
 the crash guarantee the fault-injection suite sweeps for:
@@ -113,18 +115,11 @@ class CheckpointStore:
     ``open`` for every *write* (segments, manifest tmp) — the fault-
     injection tests pass a wrapper that dies after N bytes, sweeping N
     across a whole persist cycle; reads always use the real ``open``.
-
-    ``codec`` names the segment payload serialisation: ``"binary"`` (the
-    compact tagged format of :mod:`repro.common.codec`, the default) or
-    ``"pickle"`` (``pickle.HIGHEST_PROTOCOL``).  Reads auto-detect the
-    format per segment, so a store written by either codec — including
-    protocol-4 pickles from older releases — loads unchanged.
     """
 
-    def __init__(self, directory, opener=None, codec="binary"):
+    def __init__(self, directory, opener=None):
         self.directory = str(directory)
         self._opener = opener if opener is not None else open
-        self.codec = codec
         os.makedirs(self.directory, exist_ok=True)
         self._records = self._read_manifest()
         self._next_file_id = self._scan_next_file_id()
@@ -234,7 +229,7 @@ class CheckpointStore:
 
     def _write_segment(self, entry):
         """Serialise one chain entry into a fresh segment file."""
-        payload = _codec.dumps(entry["payload"], self.codec)
+        payload = _codec.encode(entry["payload"])
         name = f"{_SEGMENT_PREFIX}{self._next_file_id:08d}{_SEGMENT_SUFFIX}"
         self._next_file_id += 1
         self._write_file(name, framing.encode_frame(_SEGMENT_MAGIC, payload))

@@ -15,26 +15,27 @@ column-packed runs instead of per-item opcodes:
   packed as one key column plus one value blob;
 * a list of ints (delta ``deletions``) is packed as one ``struct`` run.
 
-Anything outside the vocabulary falls back to an embedded pickle blob
-(``pickle.HIGHEST_PROTOCOL``), so the codec never rejects a payload.
+The one value either service answers with that is none of these,
+:class:`~repro.fs.memfs.Stat` (NetFS ``lstat``), has a fixed-layout tag of
+its own.  The vocabulary is closed: a value of any other type raises
+:class:`~repro.common.errors.ProtocolError` when it is encoded, and a tag
+or leading byte no encoder writes raises
+:class:`~repro.common.errors.CheckpointError` when it is decoded.  There is
+no pickle behind either — bytes read from a replica connection or a store
+directory are parsed, never executed.
 
-Framing and backward compatibility: every encoded value starts with the
-magic byte ``0xC3`` followed by a format version.  ``0xC3`` is not a valid
-first byte of any pickle stream (protocol >= 2 starts with ``0x80``;
-protocols 0/1 start with ASCII opcodes), so :func:`decode` auto-detects the
-format — segment files written by older releases with ``pickle.dumps(...,
-protocol=4)`` still load through the same entry point.
+Framing: every encoded value starts with the magic byte ``0xC3`` followed
+by a format version.
 """
 
-import pickle
 import struct
 
 from repro.common.errors import CheckpointError, ProtocolError
 from repro.core.command import Command
+from repro.fs.memfs import Stat
 from repro.multicast.group import ALL_GROUPS
 
-#: First byte of every codec stream.  Deliberately not a valid pickle
-#: leading byte so :func:`decode` can auto-detect legacy pickle payloads.
+#: First byte of every codec stream and of every encoded command.
 MAGIC = 0xC3
 _VERSION = 1
 _HEADER = bytes((MAGIC, _VERSION))
@@ -61,7 +62,9 @@ _T_TUPLE = ord("t")
 _T_SET = ord("S")
 _T_FROZENSET = ord("Z")
 _T_DICT = ord("d")
-_T_PICKLE = ord("P")
+#: ``fs.memfs.Stat``: is_dir, size, mode, nlink, atime, mtime.
+_T_STAT = ord("A")
+_STAT = struct.Struct(">?qIIdd")
 #: Bulk fast paths (see module docstring).
 _T_INT_RUN = ord("R")
 _T_PAIR_RUN = ord("K")
@@ -211,11 +214,21 @@ def encode_value(value, out):
         for key, item in value.items():
             encode_value(key, out)
             encode_value(item, out)
+    elif kind is Stat:
+        try:
+            fields = _STAT.pack(
+                value.is_dir, value.size, value.mode, value.nlink,
+                value.atime, value.mtime,
+            )
+        except struct.error as exc:
+            raise ProtocolError(f"{value!r:.80}: {exc}") from None
+        out.append(_T_STAT)
+        out += fields
     else:
-        raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(_T_PICKLE)
-        out += _U32.pack(len(raw))
-        out += raw
+        raise ProtocolError(
+            f"a {kind.__module__}.{kind.__qualname__} is outside the "
+            "codec's vocabulary"
+        )
 
 
 def decode_value(buf, offset):
@@ -308,11 +321,8 @@ def decode_value(buf, offset):
             value, offset = decode_value(buf, offset)
             mapping[key] = value
         return mapping, offset
-    if tag == _T_PICKLE:
-        (length,) = _U32.unpack_from(buf, offset)
-        offset += 4
-        raw = bytes(buf[offset:offset + length])
-        return pickle.loads(raw), offset + length
+    if tag == _T_STAT:
+        return Stat(*_STAT.unpack_from(buf, offset)), offset + _STAT.size
     raise CheckpointError(f"unknown codec tag 0x{tag:02x} at offset {offset - 1}")
 
 
@@ -324,34 +334,18 @@ def encode(value):
 
 
 def decode(data):
-    """Deserialise bytes produced by :func:`encode` *or* by pickle.
-
-    Auto-detects the format from the first byte, so payloads written by
-    older releases as raw pickle (any protocol) keep loading.
-    """
-    if len(data) >= 2 and data[0] == MAGIC:
-        if data[1] != _VERSION:
-            raise CheckpointError(f"unsupported codec version {data[1]}")
-        value, offset = decode_value(memoryview(data), 2)
-        if offset != len(data):
-            raise CheckpointError(
-                f"trailing garbage after codec stream ({len(data) - offset} bytes)"
-            )
-        return value
-    return pickle.loads(data)
-
-
-def dumps(value, codec="binary"):
-    """Serialise with the named codec: ``"binary"`` or ``"pickle"``.
-
-    Both outputs round-trip through :func:`decode` (detection is by leading
-    byte), so callers can switch codecs without a migration step.
-    """
-    if codec == "binary":
-        return encode(value)
-    if codec == "pickle":
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    raise CheckpointError(f"unknown codec {codec!r}")
+    """Deserialise bytes produced by :func:`encode`; anything that does
+    not start with its header is a :class:`CheckpointError`."""
+    if len(data) < 2 or data[0] != MAGIC:
+        raise CheckpointError("not a codec stream")
+    if data[1] != _VERSION:
+        raise CheckpointError(f"unsupported codec version {data[1]}")
+    value, offset = decode_value(memoryview(data), 2)
+    if offset != len(data):
+        raise CheckpointError(
+            f"trailing garbage after codec stream ({len(data) - offset} bytes)"
+        )
+    return value
 
 
 # ----------------------------------------------------------------------

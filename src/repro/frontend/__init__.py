@@ -1,6 +1,6 @@
 """Client-facing HTTP frontend over the replicated services (ROADMAP item 2).
 
-``create_app`` builds the (FastAPI-or-shim) ASGI app over
+``create_app`` builds the ASGI app (on :mod:`~repro.frontend.miniapi`) over
 :class:`ClusterBackend` bridges; ``limits``/``server``/``testing``
 provide backpressure, sockets, and in-process clients.
 """

@@ -33,19 +33,17 @@ await afterwards — at no ``Task``, coroutine or timer per command.  The
 request timeout travels with each command as a deadline in the
 backend's per-loop queue.
 
-The app is coded to the FastAPI subset provided by both the real
-``fastapi`` package (installed via the ``[frontend]`` extra) and the
-dependency-free :mod:`repro.frontend.miniapi` shim; set
-``REPRO_FRONTEND_FORCE_MINIAPI=1`` to force the shim even when fastapi
-is importable (CI exercises both paths when available).
+The app runs on :mod:`repro.frontend.miniapi`, the bundled ASGI
+framework (route decorators, signature-driven binding, pydantic
+validation), served over sockets by :mod:`repro.frontend.server`.
 """
 
 import asyncio
 import itertools
-import os
 
 from repro.frontend.backend import BackendTimeout
 from repro.frontend.limits import InFlightLimiter, Saturated
+from repro.frontend.miniapi import FastAPI, HTTPException
 from repro.frontend.models import (
     BatchOpResult,
     BatchRequest,
@@ -58,18 +56,6 @@ from repro.frontend.models import (
     decode_value,
     encode_value,
 )
-
-if os.environ.get("REPRO_FRONTEND_FORCE_MINIAPI"):
-    _HAVE_FASTAPI = False
-else:
-    try:  # pragma: no cover - exercised only when fastapi is installed
-        from fastapi import FastAPI, HTTPException
-
-        _HAVE_FASTAPI = True
-    except ImportError:
-        _HAVE_FASTAPI = False
-if not _HAVE_FASTAPI:
-    from repro.frontend.miniapi import FastAPI, HTTPException
 
 #: KV error strings produced by ``KeyValueStoreServer.apply``.
 _ERR_NOT_FOUND = "err=1"
@@ -105,8 +91,7 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
     if limiter is None:
         limiter = InFlightLimiter()
     app = FastAPI(title="repro-psmr-frontend", version="1")
-    # Exposed for tests and the stats endpoint (both stacks allow
-    # attribute assignment on the app object).
+    # Exposed for tests and the stats endpoint.
     app.kv_backend = kv_backend
     app.fs_backend = fs_backend
     app.limiter = limiter

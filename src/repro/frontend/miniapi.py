@@ -1,9 +1,9 @@
 """A minimal, dependency-free ASGI framework with FastAPI's surface.
 
-The container this repo targets does not ship ``fastapi``/``starlette``,
-and the hard rule is *no new dependencies* — so the HTTP frontend codes
-against the small FastAPI subset it actually uses and this module
-provides that subset as a pure-stdlib (+pydantic) ASGI 3 application:
+The hard rule is *no new dependencies*, so this module is the HTTP
+frontend's one framework: the small FastAPI-shaped subset
+:mod:`repro.frontend.app` uses, as a pure-stdlib (+pydantic) ASGI 3
+application:
 
 * ``FastAPI()`` with ``@app.get/put/post/delete("/kv/{key}")`` route
   decorators, ``{name}`` and ``{name:path}`` path parameters;
@@ -17,10 +17,6 @@ provides that subset as a pure-stdlib (+pydantic) ASGI 3 application:
 * ``JSONResponse``/``PlainResponse`` returns, pydantic models serialised
   via ``model_dump_json()`` (pydantic's own writer; straight to bytes,
   no intermediate dict on the loop thread).
-
-When the real ``fastapi`` is installed (the ``[frontend]`` extra),
-:mod:`repro.frontend.app` imports it instead — the application code is
-written to the shared subset, so both stacks serve the same API.
 """
 
 import inspect

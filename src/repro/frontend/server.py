@@ -1,11 +1,10 @@
 """Serving the frontend app over real sockets.
 
-``uvicorn`` (the ``[frontend]`` extra) is preferred when installed;
-otherwise :class:`AsgiHTTPServer` — a small asyncio HTTP/1.1 server
-speaking ASGI 3 to the app — keeps the frontend fully runnable on the
-bare container.  It supports keep-alive (the load rig reuses
-connections) and Content-Length framing; no TLS, no chunked uploads —
-it serves the repro's benchmarks and tests, not the open internet.
+:class:`AsgiHTTPServer` is a small asyncio HTTP/1.1 server speaking
+ASGI 3 to the app: stdlib only, so the frontend runs on the bare
+container.  It supports keep-alive (the load rig reuses connections) and
+Content-Length framing; no TLS, no chunked uploads — it serves the
+repro's benchmarks and tests, not the open internet.
 """
 
 import asyncio
@@ -179,14 +178,7 @@ def run_app_in_thread(app, host="127.0.0.1", port=0):
 
 
 def serve(app, host="127.0.0.1", port=8000):  # pragma: no cover - manual entry
-    """Blocking entry point; uses uvicorn when installed."""
-    try:
-        import uvicorn
-    except ImportError:
-        uvicorn = None
-    if uvicorn is not None:
-        uvicorn.run(app, host=host, port=port, log_level="warning")
-        return
+    """Blocking entry point."""
 
     async def _main():
         server = AsgiHTTPServer(app, host, port)

@@ -1,11 +1,9 @@
-"""In-process HTTP clients for tests and the load rig.
+"""In-process HTTP client for tests and the load rig.
 
 :class:`AsgiClient` speaks ASGI directly to the app — no sockets, no
-server thread — mirroring the ``httpx.AsyncClient(transport=ASGITransport)``
-surface the integration tests are written against (``status_code``,
-case-insensitive ``headers``, ``.json()``).  :func:`make_client` returns
-a real httpx client when the ``[frontend]`` extra is installed and the
-shim otherwise, so the same tests run on both stacks.
+server thread — with the response surface the integration tests are
+written against (``status_code``, case-insensitive ``headers``,
+``.json()``).
 """
 
 import json as _json
@@ -13,7 +11,7 @@ import urllib.parse
 
 
 class Headers:
-    """Case-insensitive read-only header view (the httpx surface we use)."""
+    """Case-insensitive read-only header view."""
 
     def __init__(self, raw_pairs):
         self._items = [(k.decode("latin-1").lower(), v.decode("latin-1"))
@@ -129,14 +127,3 @@ class AsgiClient:
     async def __aexit__(self, exc_type, exc, tb):
         await self.aclose()
         return False
-
-
-def make_client(app):
-    """An async client for ``app``: httpx when installed, the shim otherwise."""
-    try:  # pragma: no cover - exercised only when httpx is installed
-        import httpx
-    except ImportError:
-        return AsgiClient(app)
-    return httpx.AsyncClient(  # pragma: no cover
-        transport=httpx.ASGITransport(app=app), base_url="http://testserver"
-    )

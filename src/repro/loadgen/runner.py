@@ -1,7 +1,7 @@
 """Closed- and open-loop HTTP load generation against the frontend.
 
 The rig simulates thousands of concurrent clients as asyncio tasks over
-an in-process ASGI client (:func:`repro.frontend.testing.make_client`)
+an in-process ASGI client (:class:`repro.frontend.testing.AsgiClient`)
 or any object with the same ``get``/``put``/``delete`` surface — so the
 measured path is the full HTTP stack (routing, validation, limiter,
 bridge, cluster) without socket noise.
@@ -131,7 +131,7 @@ def open_arrival_times(config):
 
 @dataclass
 class LoadResult:
-    """Aggregated outcome of one run (shape mirrored into BENCH_frontend)."""
+    """Aggregated outcome of one run."""
 
     config: LoadConfig
     duration: float

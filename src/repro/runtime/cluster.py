@@ -1304,12 +1304,10 @@ class ThreadedPSMRCluster(PSMRControlPlane):
                  coarse_cg=False, barrier_timeout=10.0, seed=0,
                  log_retention=None, checkpoint_policy=None,
                  checkpoint_poll_interval=0.005, store_dir=None,
-                 delivery_batch_size=32, wire_codec=None, fault_plane=None,
-                 shard_map=None):
+                 delivery_batch_size=32, fault_plane=None, shard_map=None):
         super().__init__(
             spec, mpl,
-            dict(retention=log_retention, wire_codec=wire_codec,
-                 fault_plane=fault_plane),
+            dict(retention=log_retention, fault_plane=fault_plane),
             num_replicas, coarse_cg, barrier_timeout, seed, checkpoint_policy,
             checkpoint_poll_interval, delivery_batch_size, shard_map,
         )

@@ -34,10 +34,10 @@ from repro.common.checkpoint import (
     estimate_checkpoint_size,
     restore_chain,
 )
+from repro.common.codec import decode_command
 from repro.common.errors import CheckpointError, ReplicaCrashedError
 from repro.core.protocol import plan_execution
 from repro.multicast.sharding import build_shard_artifact
-from repro.runtime.multicast import decode_wire
 from repro.runtime.transport import wire
 
 #: ``plan_execution`` is a pure function of hashable arguments and the hot
@@ -326,7 +326,7 @@ class ReplicaEngine:
                             self._flush_responses(pending)
                         continue
                     if isinstance(command, (bytes, bytearray)):
-                        command = decode_wire(command)
+                        command = decode_command(command)
                     plan = _cached_plan(destinations, index, mpl)
                     if plan.mode == "parallel":
                         pending.append((command.uid, self._execute(command)))

@@ -10,15 +10,10 @@ in-process queues, optionally detoured through the fault pipe), which
 makes :class:`LocalAtomicMulticast` behave exactly as it did before the
 transport split; the process-per-replica runtime plugs in
 :class:`~repro.runtime.transport.tcp.TcpCoordinatorTransport` instead.
-
-``DeliveryQueue`` and ``FaultyLinkPipe`` live in
-:mod:`repro.runtime.transport.inproc` and are re-exported here for
-compatibility.
 """
 
 import collections
 import itertools
-import pickle
 import threading
 
 from repro.common import codec as _codec
@@ -30,27 +25,15 @@ from repro.common.errors import (
 from repro.core.command import Command
 from repro.multicast.group import ALL_GROUPS, GroupLayout
 from repro.runtime.transport.base import TransportRoute
-from repro.runtime.transport.inproc import (  # noqa: F401  (compat re-export)
-    DeliveryQueue,
-    FaultyLinkPipe,
-    InprocTransport,
-)
+from repro.runtime.transport.inproc import InprocTransport
 
 
 def encode_wire(command, wire_codec):
-    """Serialise a command for the wire with the named codec."""
+    """:func:`~repro.common.codec.encode_command` under the name and
+    signature ``bench/run.py`` imports; ``"binary"`` is the one codec."""
     if wire_codec == "binary":
         return _codec.encode_command(command)
-    if wire_codec == "pickle":
-        return pickle.dumps(command, protocol=pickle.HIGHEST_PROTOCOL)
     raise ConfigurationError(f"unknown wire codec {wire_codec!r}")
-
-
-def decode_wire(data):
-    """Deserialise a wire payload from either wire codec (auto-detected)."""
-    if data[0] == _codec.MAGIC:
-        return _codec.decode_command(data)
-    return pickle.loads(data)
 
 
 class LocalAtomicMulticast:
@@ -76,14 +59,11 @@ class LocalAtomicMulticast:
     ``fault_plane`` (the threaded runtime's behaviour).
     """
 
-    def __init__(self, mpl, retention=None, wire_codec=None, fault_plane=None,
-                 transport=None):
+    def __init__(self, mpl, retention=None, fault_plane=None, transport=None):
         if mpl < 1:
             raise ConfigurationError("multiprogramming level must be >= 1")
         if retention is not None and retention < 1:
             raise ConfigurationError("log retention must be >= 1 (or None)")
-        if wire_codec not in (None, "binary", "pickle"):
-            raise ConfigurationError(f"unknown wire codec {wire_codec!r}")
         if transport is not None and fault_plane is not None:
             raise ConfigurationError(
                 "pass the fault plane to the transport, not the multicast, "
@@ -99,13 +79,12 @@ class LocalAtomicMulticast:
         )
         self.layout = GroupLayout(mpl)
         self.mpl = mpl
-        #: ``None`` passes command objects by reference (zero-copy, the
-        #: in-process default); ``"binary"``/``"pickle"`` serialise every
-        #: command at multicast time and let each worker deserialise its own
-        #: copy — the real wire path, measurable via ``wire_bytes``.
-        #: Control messages (markers, shard updates) are plain wire dicts
-        #: already; the transport that needs bytes frames them itself.
-        self.wire_codec = wire_codec
+        #: Encoded command bytes ordered so far.  A transport that
+        #: ``carries_bytes`` gets every command encoded once, at multicast
+        #: time, and each worker decodes its own copy; any other is handed
+        #: the command object by reference and this stays 0.  Control
+        #: messages (markers, shard updates) are plain wire dicts already;
+        #: the transport that needs bytes frames them itself.
         self.wire_bytes = 0
         self._lock = threading.Lock()
         self._sequence = itertools.count()
@@ -227,9 +206,9 @@ class LocalAtomicMulticast:
                 self._threads_for[destinations] = threads
             except TypeError:
                 pass
-        encoded = self.wire_codec is not None and isinstance(payload, Command)
+        encoded = self.transport.carries_bytes and isinstance(payload, Command)
         if encoded:
-            payload = encode_wire(payload, self.wire_codec)
+            payload = _codec.encode_command(payload)
         with self._lock:
             if shard_version is not None and shard_version != self.shard_version:
                 self.stale_routings_rejected += 1

@@ -223,8 +223,8 @@ class ProcessPSMRCluster(PSMRControlPlane):
     ``"netfs"``); ``service_args`` (a JSON-able dict) parameterises it in
     the child.  ``store_dir`` roots the per-replica durable checkpoint
     stores; when omitted the cluster owns a temporary directory and
-    removes it at shutdown.  Commands always travel binary-encoded — this
-    runtime has no zero-copy reference path.
+    removes it at shutdown.  The transport is a socket, so commands
+    travel encoded (:func:`~repro.common.codec.encode_command`).
     """
 
     def __init__(self, spec=None, service="kvstore", service_args=None,
@@ -241,8 +241,7 @@ class ProcessPSMRCluster(PSMRControlPlane):
         )
         super().__init__(
             spec if spec is not None else _DEFAULT_SPECS[service], mpl,
-            dict(retention=log_retention, wire_codec="binary",
-                 transport=self.transport),
+            dict(retention=log_retention, transport=self.transport),
             num_replicas, False, barrier_timeout, seed, checkpoint_policy,
             checkpoint_poll_interval, delivery_batch_size, shard_map,
         )

@@ -48,6 +48,10 @@ class Transport:
     0 from endpoints and accounts for it in :meth:`in_flight`).
     """
 
+    #: True when items leave the process: the core then hands over every
+    #: command as its encoded bytes instead of the object itself.
+    carries_bytes = False
+
     def open_endpoint(self, replica_id, thread_index):
         """Create and return the delivery endpoint of one worker thread."""
         raise NotImplementedError

@@ -71,6 +71,8 @@ class TcpCoordinatorTransport(Transport):
     hello — handlers must be cheap and non-blocking.
     """
 
+    carries_bytes = True  # a socket needs them; see ``Transport``
+
     def __init__(self, fault_plane=None, on_message=None, host="127.0.0.1"):
         self.fault_plane = fault_plane
         self.on_message = on_message

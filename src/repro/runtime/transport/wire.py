@@ -53,7 +53,9 @@ stream header (:func:`repro.common.codec.encode_value`):
            one multicast: :func:`ordered_part` builds the rest once,
            :func:`deliver_frame` adds ``ls`` and the frame CRC per link.
 ``r``      ``'r'`` u8 · response count u32 · per response: uid (i64, i64)
-           · ``value`` *value* · ``error`` *value*.
+           · ``value`` *value* · ``error`` *value*.  A ``value`` outside
+           the codec's vocabulary travels as ``None`` with an ``error``
+           naming its type; the frame's other responses are unaffected.
 command    ``0xC3`` u8 · layout ``2`` u8 · uid (i64, i64) · ``size_bytes``
            u32 · ``submitted_at`` f64 · destination count u16 · name length
            u16 · count x group id u32 · name, UTF-8 · ``args`` *value*
@@ -69,8 +71,12 @@ ids up to 2**32 - 1 are far above any ``mpl`` a ``GroupLayout`` or
 :class:`~repro.common.errors.ProtocolError` when the command is encoded
 — nothing wraps — and a CRC-valid payload that contradicts its layout
 (short header, a count running past the end, bytes left over, an unknown
-body kind or first byte) is a :class:`WireError`, like a bad checksum.
-Chain entries travel as ``(kind, sequence, payload)`` tuples.
+body kind, first byte or value tag) is a :class:`WireError`, like a bad
+checksum.  The value tags are the codec's closed vocabulary, NetFS's
+``Stat`` (``'A'`` · is_dir u8 · size i64 · mode u32 · nlink u32 · atime
+f64 · mtime f64) among them; no tag and no payload kind reaches a general
+deserialiser.  Chain entries travel as ``(kind, sequence, payload)``
+tuples.
 """
 
 import socket
@@ -78,7 +84,7 @@ import struct
 
 from repro.common import codec as _codec
 from repro.common import framing
-from repro.common.errors import CheckpointError
+from repro.common.errors import CheckpointError, ProtocolError
 from repro.multicast.group import ALL_GROUPS
 
 
@@ -179,7 +185,15 @@ def _encode_responses(responses):
     out = bytearray(_RESPONSES.pack(_RESPONSES_TAG, len(responses)))
     for uid, value, error in responses:
         out += _UID.pack(*uid)
-        _codec.encode_value(value, out)
+        start = len(out)
+        try:
+            _codec.encode_value(value, out)
+        except ProtocolError as exc:
+            # One answer the codec cannot carry must not cost the frame
+            # (up to a batch of them) or the worker that is sending it.
+            del out[start:]
+            _codec.encode_value(None, out)
+            error = f"response not encodable: {exc}"
         _codec.encode_value(error, out)
     return framing.encode_frame(framing.WIRE_MAGIC, out)
 

@@ -10,14 +10,14 @@ survive the optimisation:
   (``marker_boundary_violations`` stays zero) and recovery from those
   checkpoints still converges;
 * pipelined clients (``invoke_async``) actually fill batches, and the
-  resulting concurrent histories stay linearizable;
-* the binary wire codec round-trips every command on the multicast path
-  without changing any observable behaviour.
+  resulting concurrent histories stay linearizable.
+
+The threaded runtime hands commands over by reference; the encoded path
+is the process runtime's (``test_process_cluster.py`` runs every command
+kind over it and against this runtime).
 """
 
 import threading
-
-import pytest
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
@@ -167,36 +167,3 @@ class TestMarkersAtBatchBoundaries:
             # command count never exceeds what was multicast before it.
             assert 0 <= state["commands_executed"] <= 120
             assert cluster.marker_boundary_violations == 0
-
-
-class TestWireCodec:
-    @pytest.mark.parametrize("wire_codec", ["binary", "pickle"])
-    def test_wire_codec_round_trips_every_command(self, wire_codec):
-        with kv_cluster(delivery_batch_size=32, wire_codec=wire_codec) as cluster:
-            results = run_mixed_workload(cluster)
-            snapshots = cluster.replica_snapshots()
-            assert snapshots[0] == snapshots[1]
-            assert cluster.multicast.wire_bytes > 0
-        with kv_cluster(delivery_batch_size=32) as reference:
-            assert run_mixed_workload(reference) == results
-
-    def test_wire_codec_history_is_linearizable(self):
-        with kv_cluster(
-            mpl=2, initial_keys=4, delivery_batch_size=16, wire_codec="binary"
-        ) as cluster:
-            recorder = HistoryRecorder()
-            client = cluster.client()
-            for step in range(10):
-                key = step % 3
-                if step % 2 == 0:
-                    recorder.timed_call(
-                        0, "update", {"key": key, "value": b"w"},
-                        lambda k=key: client.invoke("update", key=k, value=b"w").error,
-                    )
-                else:
-                    recorder.timed_call(
-                        0, "read", {"key": key},
-                        lambda k=key: client.invoke("read", key=k).value,
-                    )
-            initial = {key: b"\x00" * 8 for key in range(4)}
-            assert check_linearizable(recorder.operations, initial_state=initial)

@@ -6,6 +6,7 @@ durable store, and injected faults mangle actual socket frames.  The
 tests use fixed seeds so any failure reproduces with one command.
 """
 
+import asyncio
 import os
 import random
 import signal
@@ -17,6 +18,9 @@ import pytest
 from repro.common.checkpoint import CheckpointPolicy
 from repro.common.errors import RecoveryError
 from repro.common.faults import FaultPlane
+from repro.frontend import ClusterBackend, create_app
+from repro.frontend.testing import AsgiClient
+from repro.fs import Stat
 from repro.harness.nemesis import assert_episode_ok, run_proc_nemesis_episode
 from repro.multicast.sharding import ShardMap
 from repro.runtime import (
@@ -202,6 +206,73 @@ def test_pipelined_burst_with_a_marker_mid_burst():
         assert transport.in_flight() == 0
 
 
+def test_netfs_on_the_process_runtime(tmp_path):
+    """The one service / runtime pairing nothing else starts: every NetFS
+    answer crosses the wire in the codec's vocabulary (``lstat``'s ``Stat``
+    under its own tag), a full and a delta checkpoint carry the fd table
+    and an open-but-unlinked inode through the store, and a SIGKILLed
+    replica restarted from that store converges."""
+    with ProcessPSMRCluster(
+        service="netfs", mpl=2, num_replicas=2, barrier_timeout=20.0,
+        store_dir=str(tmp_path),
+        # Never due on its own: the test decides when to checkpoint.
+        checkpoint_policy=CheckpointPolicy(every_messages=10_000_000, full_every=4),
+    ) as cluster:
+        client = cluster.client()
+
+        def call(name, **args):
+            response = client.invoke(name, **args)
+            assert response.error is None, (name, args, response.error)
+            return response.value
+
+        call("mkdir", path="/d", now=1.0)
+        call("release", fd=call("create", path="/d/f", now=2.0))
+        cluster.periodic_checkpoint()  # full
+        assert call("write", path="/d/f", data=b"hello", now=3.0) == 5
+        assert call("read", path="/d/f", size=16, now=4.0) == b"hello"
+        stat = call("lstat", path="/d/f")
+        assert type(stat) is Stat
+        assert stat == Stat(
+            is_dir=False, size=5, mode=0o644, nlink=1, atime=4.0, mtime=3.0
+        )
+        assert call("readdir", path="/d") == [".", "..", "f"]
+        assert client.invoke("lstat", path="/nope").error == "ENOENT"
+        # Held open across the cut, then unlinked: the checkpoint must
+        # carry the descriptor and the inode only it still reaches.
+        held = call("create", path="/d/gone", now=5.0)
+        call("unlink", path="/d/gone", now=6.0)
+        cluster.periodic_checkpoint()  # delta
+        assert [e["kind"] for e in cluster.checkpoint_events] == [
+            "full", "full", "delta", "delta"  # two replicas each
+        ]
+        _sequence, state = cluster.checkpoint()  # a whole state, over the wire
+        assert held in state["fs"]["fd_table"]
+
+        cluster.crash_replica(1)  # SIGKILL
+        assert call("write", path="/d/f", data=b"!", offset=5, now=7.0) == 1
+        cluster.restart_replica_from_disk(1)
+        # Its own durable chain plus the log suffix, not a peer's state.
+        assert cluster.recovery_transfers[-1]["mode"] == "replay"
+        call("release", fd=held)
+        assert call("lstat", path="/d/f").size == 6
+        snapshots = cluster.replica_snapshots()
+        assert len(snapshots) == 2 and snapshots[0] == snapshots[1]
+        assert cluster.marker_boundary_violations == 0
+
+        async def over_http():
+            app = create_app(fs_backend=ClusterBackend(cluster))
+            async with AsgiClient(app) as http:
+                return await http.get("/fs/stat/d/f")
+
+        response = asyncio.run(over_http())
+        assert response.status_code == 200
+        assert response.json() == {
+            "path": "/d/f",
+            "stat": {"is_dir": False, "size": 6, "mode": 0o644, "nlink": 1,
+                     "atime": 4.0, "mtime": 7.0},
+        }
+
+
 def _agreement_script(cluster):
     """One seeded single-client script that also drives the shared control
     plane; returns everything the two runtimes must agree on."""
@@ -302,6 +373,11 @@ def test_threaded_and_process_runtimes_agree(tmp_path):
         proc_agreed, proc_mode = _agreement_script(proc)
     for key, value in threaded_agreed.items():
         assert proc_agreed[key] == value, key
+    # Which path a command took is read off the transport: objects by
+    # reference between threads, encoded bytes — every command kind of the
+    # script — over the socket.
+    assert threaded.multicast.wire_bytes == 0
+    assert proc.multicast.wire_bytes > 0
     assert threaded_agreed["compactions"] == 2
     assert [mode for _r, mode, _e in threaded_agreed["recovery_transfers"]] == ["replay"]
     # A threaded "crash" keeps its in-memory chain and may replay; a

@@ -7,14 +7,13 @@ ISSUE 6's persist-cycle audit, pinned as regression tests:
   are untouched (no re-serialisation, no re-fsync of the unchanged prefix);
 * compaction reuses the base segment file and rewrites only the merged
   delta;
-* segments written by older releases with ``pickle.dumps(..., protocol=4)``
-  load through the codec-aware reader, and a chain can mix codecs freely.
+* segments are smaller than the same payload pickled (``pickle`` is the
+  yardstick here, not a format the store reads:
+  ``tests/unit/test_hostile_bytes.py``).
 """
 
 import os
 import pickle
-import struct
-import zlib
 
 from repro.common import codec
 from repro.common.checkpoint import compact_chain
@@ -103,60 +102,19 @@ class TestIncrementalPersist:
         assert len(after) == 3
 
 
-class TestCodecCompatibility:
-    def test_protocol4_segments_still_load(self, tmp_path):
-        """A store written by an older release (protocol-4 pickle) loads."""
-        directory = tmp_path / "replica-0"
-        store = CheckpointStore(directory)
-        payload = {"tree": {"order": 4, "items": [(1, b"a"), (2, b"b")]},
-                   "commands_executed": 7}
-        store.sync_chain([_entry("full", 3, payload)])
-        # Rewrite the committed segment the way the old code did: same
-        # header format, payload pinned to pickle protocol 4.
-        record = store._records[0]
-        raw = pickle.dumps(payload, protocol=4)
-        header = struct.Struct(">8sQI").pack(
-            b"PSMRSEG1", len(raw), zlib.crc32(raw) & 0xFFFFFFFF
-        )
-        path = os.path.join(str(directory), record["segment"])
-        with open(path, "wb") as handle:
-            handle.write(header + raw)
-        record["length"] = len(raw)
-        record["crc"] = zlib.crc32(raw) & 0xFFFFFFFF
-        store._commit_manifest(store._records)
-
-        chain = CheckpointStore(directory).load_chain()
-        assert chain == [_entry("full", 3, payload)]
-
-    def test_mixed_codec_chain_loads(self, tmp_path):
-        """Binary and pickle segments coexist in one chain (upgrade path)."""
-        directory = tmp_path / "replica-0"
-        legacy = CheckpointStore(directory, codec="pickle")
-        legacy.sync_chain([_entry("full", 1, {"a": [1, 2, 3]})])
-        upgraded = CheckpointStore(directory, codec="binary")
-        upgraded.sync_chain([
-            _entry("full", 1, {"a": [1, 2, 3]}),
-            _entry("delta", 2, {"changes": [(9, b"z")], "deletions": []}),
-        ])
-        chain = CheckpointStore(directory).load_chain()
-        assert [entry["sequence"] for entry in chain] == [1, 2]
-        assert chain[0]["payload"] == {"a": [1, 2, 3]}
-        assert chain[1]["payload"]["changes"] == [(9, b"z")]
-
+class TestSegmentCodec:
     def test_binary_segments_are_smaller(self, tmp_path):
         items = [(key, b"\x00" * 8) for key in range(1000)]
         payload = {"tree": {"order": 64, "items": items},
                    "commands_executed": 1000}
-        binary = CheckpointStore(tmp_path / "binary", codec="binary")
-        pickled = CheckpointStore(tmp_path / "pickle", codec="pickle")
-        binary.sync_chain([_entry("full", 1, payload)])
-        pickled.sync_chain([_entry("full", 1, payload)])
-        assert binary.disk_bytes() < pickled.disk_bytes()
-        assert binary.load_chain() == pickled.load_chain()
+        store = CheckpointStore(tmp_path / "binary")
+        store.sync_chain([_entry("full", 1, payload)])
+        pickled = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        assert store.disk_bytes() < len(pickled)
+        assert store.load_chain() == [_entry("full", 1, payload)]
 
     def test_encode_decode_symmetry_for_store_payloads(self):
         payload = {"tree": {"order": 64, "items": [(k, bytes([k % 251]))
                                                    for k in range(100)]},
                    "commands_executed": 2**70}
-        assert codec.decode(codec.dumps(payload, "binary")) == payload
-        assert codec.decode(codec.dumps(payload, "pickle")) == payload
+        assert codec.decode(codec.encode(payload)) == payload

@@ -1,13 +1,11 @@
-"""Property suite: the binary codec round-trips everything pickle does.
+"""Property suite: the binary codec round-trips its whole vocabulary.
 
-The codec replaces pickle on two hot paths — multicast commands and
-checkpoint-segment payloads — so the contract is equivalence with the
-pickle path over the whole payload vocabulary: any value either codec
-serialises must come back equal (and type-identical at the container
-level), whichever codec wrote the bytes.  :func:`repro.common.codec.decode`
-is a single entry point that auto-detects the format, which is also the
-backward-compatibility story for segments written by older releases with
-``pickle.dumps(..., protocol=4)``.
+The codec is the only serialisation on two paths — what crosses the wire
+(command ``args``, response values, control dicts) and checkpoint-segment
+payloads — so the contract is over the whole payload vocabulary: any value
+in it must come back equal (and type-identical at the container level).
+``pickle`` appears here only as the reference the codec is compared
+against; nothing under ``src/`` imports it.
 """
 
 import pickle
@@ -36,6 +34,17 @@ scalars = (
 
 hashable = st.integers() | st.text(max_size=10) | st.binary(max_size=10)
 
+int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+uint32 = st.integers(min_value=0, max_value=2**32 - 1)
+group_ids = uint32
+
+#: The NetFS ``lstat`` response: the one dataclass with a tag of its own.
+stats = st.builds(
+    Stat,
+    is_dir=st.booleans(), size=int64, mode=uint32, nlink=uint32,
+    atime=st.floats(allow_nan=False), mtime=st.floats(allow_nan=False),
+)
+
 
 def containers(children):
     return (
@@ -47,7 +56,7 @@ def containers(children):
     )
 
 
-values = st.recursive(scalars, containers, max_leaves=25)
+values = st.recursive(scalars | stats, containers, max_leaves=25)
 
 #: The B+-tree delta shape: ``{changes, deletions}`` plus bookkeeping.
 delta_payloads = st.fixed_dictionaries(
@@ -78,17 +87,10 @@ def test_binary_round_trip(value):
 @settings(max_examples=200, deadline=None)
 @given(values)
 def test_binary_agrees_with_pickle_path(value):
-    """Both codecs decode, through the same entry point, to the same value."""
-    via_binary = codec.decode(codec.dumps(value, "binary"))
-    via_pickle = codec.decode(codec.dumps(value, "pickle"))
+    """The codec and the reference serialiser restore the same value."""
+    via_binary = codec.decode(codec.encode(value))
+    via_pickle = pickle.loads(pickle.dumps(value))
     assert via_binary == via_pickle == value
-
-
-@settings(max_examples=100, deadline=None)
-@given(values)
-def test_legacy_protocol4_payloads_load(value):
-    """Segments pinned to protocol 4 by older releases keep loading."""
-    assert codec.decode(pickle.dumps(value, protocol=4)) == value
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,10 +105,6 @@ def test_delta_checkpoint_shape_round_trip(payload):
         assert type(restored[0]) is int and type(restored[1]) is bytes
         assert restored == original
     assert decoded["deletions"] == payload["deletions"]
-
-
-int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
-group_ids = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,12 +191,6 @@ def test_responses_frame_round_trip(responses):
         assert type(restored_value) is type(value)
 
 
-def test_a_response_value_outside_the_vocabulary_takes_the_pickle_fallback():
-    stat = Stat(is_dir=False, size=3, mode=0o644, nlink=1, atime=1.0, mtime=2.0)
-    message = {"t": "r", "resps": (((1, 2), stat, None), ((1, 3), None, "ENOENT"))}
-    assert _through_the_wire(message) == message
-
-
 def test_big_ints_and_frozensets_explicitly():
     payload = {
         "counter": 2**200 + 17,
@@ -220,7 +212,7 @@ def test_binary_is_smaller_on_kv_checkpoint_shapes():
         "commands_executed": 2400,
     }
     for payload in (full, delta):
-        binary = codec.dumps(payload, "binary")
-        pickled = codec.dumps(payload, "pickle")
-        assert codec.decode(binary) == codec.decode(pickled) == payload
+        binary = codec.encode(payload)
+        pickled = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        assert codec.decode(binary) == payload
         assert len(binary) < len(pickled)

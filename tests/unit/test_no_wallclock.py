@@ -29,12 +29,13 @@ def _python_sources():
             for name in filenames:
                 if name.endswith(".py"):
                     yield os.path.join(dirpath, name)
-    bench_root = os.path.join(os.path.dirname(root), os.pardir, "benchmarks")
-    bench_root = os.path.normpath(bench_root)
-    if os.path.isdir(bench_root):
-        for name in os.listdir(bench_root):
+    # The benchmark that is actually used, its helper scripts and the
+    # paper-figure tests live beside ``src/``, not under it.
+    repo_root = os.path.normpath(os.path.join(root, os.pardir, os.pardir))
+    for directory in ("bench", "scripts", "benchmarks"):
+        for name in os.listdir(os.path.join(repo_root, directory)):
             if name.endswith(".py"):
-                yield os.path.join(bench_root, name)
+                yield os.path.join(repo_root, directory, name)
 
 
 def test_no_wallclock_timing_anywhere():

@@ -7,9 +7,14 @@ blocks of crash recovery.
 
 import pytest
 
+from repro.common import codec
+from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import ConfigurationError, RecoveryError
+from repro.core.command import Command
 from repro.multicast.group import ALL_GROUPS
-from repro.runtime.multicast import LocalAtomicMulticast
+from repro.runtime import ThreadedPSMRCluster
+from repro.runtime.multicast import LocalAtomicMulticast, encode_wire
+from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
 
 def make_multicast(mpl=2, replicas=(0, 1), retention=None):
@@ -26,6 +31,40 @@ def drain(queue_):
     while not queue_.empty():
         items.append(queue_.get_nowait())
     return items
+
+
+class TestOneCodec:
+    """Whether commands are encoded is read off the transport; the options
+    that used to select it are gone, not ignored."""
+
+    def test_the_in_process_transport_passes_commands_by_reference(self):
+        multicast, queues = make_multicast(replicas=(0,))
+        command = Command((1, 2), "read", {"key": 3}, destinations=frozenset({1}))
+        multicast.multicast(frozenset({1}), command)
+        assert drain(queues[0][1])[0][2] is command
+        assert multicast.wire_bytes == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tmp: LocalAtomicMulticast(2, wire_codec="binary"),
+            lambda tmp: ThreadedPSMRCluster(
+                KVSTORE_SPEC, KeyValueStoreServer, wire_codec="binary"
+            ),
+            lambda tmp: CheckpointStore(tmp, codec="pickle"),
+            lambda tmp: codec.encode({}, codec="pickle"),
+        ],
+        ids=["multicast", "cluster", "store", "encode"],
+    )
+    def test_a_removed_option_is_a_type_error(self, tmp_path, build):
+        with pytest.raises(TypeError):
+            build(tmp_path)
+
+    def test_encode_wire_keeps_the_contract_the_benchmark_imports(self):
+        command = Command((1, 2), "read", {"key": 3}, destinations=frozenset({1}))
+        assert encode_wire(command, "binary") == codec.encode_command(command)
+        with pytest.raises(ConfigurationError):
+            encode_wire(command, "pickle")
 
 
 class TestDrainApi:

@@ -12,7 +12,7 @@ import pytest
 from repro.common import codec, framing
 from repro.common.errors import CheckpointError, ProtocolError, RecoveryError
 from repro.common.faults import FaultPlane, ReliableLink
-from repro.core.command import Command
+from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
 from repro.runtime.multicast import LocalAtomicMulticast
 from repro.runtime.replica_proc import ReplicaProcess
@@ -637,13 +637,11 @@ class TestSerialiseOnce:
             raise AssertionError("a d frame went through the general codec")
 
         with fake_replicas(replicas) as (transport, readers):
-            multicast = LocalAtomicMulticast(
-                4, wire_codec="binary", transport=transport
-            )
+            multicast = LocalAtomicMulticast(4, transport=transport)
             for replica_id in range(replicas):
                 multicast.register_replica(replica_id, range(1, 5))
             monkeypatch.setattr(codec, "encode_command", encode_command)
-            for name in ("encode", "dumps", "encode_value"):
+            for name in ("encode", "encode_value"):
                 monkeypatch.setattr(codec, name, general_codec)
             for n in range(commands):
                 multicast.multicast(
@@ -657,6 +655,70 @@ class TestSerialiseOnce:
                 assert {frame["dst"] for frame in frames} == {(2,)}
             run_pending(transport)
             assert transport.frames_written == replicas * commands
+
+
+class _NamesItsWorker:
+    """A toy service: answers with the executing thread's name, except
+    ``lock``, whose answer no serialiser can carry."""
+
+    def apply(self, command):
+        if command.name == "lock":
+            return Response(uid=command.uid, value=threading.Lock())
+        return Response(uid=command.uid, value=threading.current_thread().name)
+
+
+class TestUnencodableResponse:
+    """One answer the codec cannot carry costs that answer only: not the
+    ``r`` frame it shares with others, not the worker that sends it."""
+
+    def test_it_becomes_an_error_response_and_the_worker_lives(self):
+        left, right = socket.socketpair()
+        left.settimeout(5.0)  # a dead worker reads as EOF here, not a hang
+        replica = ReplicaProcess(right, 0, 2, _NamesItsWorker, None)
+        server = threading.Thread(target=replica.serve, args=([],), daemon=True)
+        server.start()
+        group = frozenset({1})
+        reader = wire.FrameReader(left)
+
+        def deliver(first, *names):
+            """One write, so one run: the worker drains it as one batch."""
+            left.sendall(b"".join(
+                wire.encode_message({
+                    "t": "d", "ls": n, "s": n, "dst": (1,),
+                    "b": codec.encode_command(
+                        Command((7, n), name, {}, destinations=group)
+                    ),
+                })
+                for n, name in enumerate(names, first)
+            ))
+
+        try:
+            for message in (
+                {"t": "welcome", "batch": 32, "barrier_timeout": 5.0,
+                 "full_every": None, "compact_after": None},
+                {"t": "start"},
+            ):
+                wire.send_message(left, message)
+            deliver(0, "name", "lock", "name")
+            (flush,) = reader.read()  # all three answers, in one frame
+            (first, worker, _), (second, value, error), (third, same, _) = (
+                flush["resps"]
+            )
+            assert (first, second, third) == ((7, 0), (7, 1), (7, 2))
+            assert worker == same == "psmr-replica0-t1"
+            assert value is None and "lock" in error
+            deliver(3, "name")  # the group's next command: same worker, alive
+            assert reader.read() == [
+                {"t": "r", "resps": (((7, 3), worker, None),)}
+            ]
+        finally:
+            wire.send_message(left, {"t": "bye"})
+            server.join(5.0)
+            replica.engine.stop()
+            left.close()
+            right.close()
+        assert not server.is_alive()
+        assert not any(thread.is_alive() for thread in replica.engine.threads)
 
 
 class TestUnreadableFrames:
