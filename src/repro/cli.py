@@ -110,10 +110,14 @@ def main(argv=None, stream=sys.stdout):
         print("runtimes: " + " ".join(RUNTIMES), file=stream)
         return 0
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
+    results = [
         run_experiment(name, args.warmup, args.duration, args.seed,
                        stream=stream, runtime=args.runtime)
-    return 0
+        for name in names
+    ]
+    # An experiment whose oracle failed says so in ``failures``; its text
+    # already carries them, the exit status is what CI reads.
+    return 1 if any(result.get("failures") for result in results) else 0
 
 
 if __name__ == "__main__":

@@ -23,11 +23,7 @@ import shutil
 import tempfile
 
 from repro.common.faults import FaultPlane
-from repro.harness.nemesis import (
-    run_proc_nemesis_episode,
-    run_sim_nemesis_episode,
-    run_threaded_nemesis_episode,
-)
+from repro.harness.nemesis import run_live_nemesis_episode, run_sim_nemesis_episode
 from repro.harness.runner import DEFAULT_WARMUP, build_kv_system
 from repro.harness.tables import format_table
 from repro.workload import mixed_workload
@@ -37,6 +33,13 @@ from repro.workload import mixed_workload
 #: uses in-process replica threads; ``proc`` spawns one OS process per
 #: replica and drives faults through the TCP socket layer.
 RUNTIMES = ("threaded", "proc", "sim")
+
+#: The live episode's plan at smoke scale: fewer steps than the suite's
+#: episodes, spaced for what a recovery costs on each runtime.
+LIVE_EPISODE_PLAN = {
+    "threaded": {"steps": 6, "mean_gap": 0.05},
+    "proc": {"steps": 5, "mean_gap": 0.3},
+}
 
 #: What the experiment is expected to show (used in the output and tests).
 EXPECTATIONS = {
@@ -154,14 +157,10 @@ def run_nemesis(warmup=DEFAULT_WARMUP, duration=0.04, seed=20260808,
     if runtime != "sim":
         scratch = tempfile.mkdtemp(prefix="psmr-nemesis-")
         try:
-            if runtime == "proc":
-                live_episode = run_proc_nemesis_episode(
-                    seed=seed, store_dir=scratch, steps=5, mean_gap=0.3
-                )
-            else:
-                live_episode = run_threaded_nemesis_episode(
-                    seed=seed, store_dir=scratch, steps=6, mean_gap=0.05
-                )
+            live_episode = run_live_nemesis_episode(
+                seed=seed, runtime=runtime, store_dir=scratch,
+                **LIVE_EPISODE_PLAN[runtime],
+            )
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
     episodes = []
@@ -234,6 +233,7 @@ def run_nemesis(warmup=DEFAULT_WARMUP, duration=0.04, seed=20260808,
         "episodes": episodes,
         "sim_episode": {k: v for k, v in sim_episode.items() if k != "plan"},
         "summary": summary,
+        "failures": failures,
         "expectations": EXPECTATIONS,
         "text": text,
     }

@@ -1,34 +1,52 @@
-"""Seeded nemesis episodes against both runtimes.
+"""Seeded nemesis episodes: one live skeleton, and what each episode plugs in.
 
-An *episode* is one randomized adversarial run: a :class:`Nemesis` plan
-(partitions, crashes, recoveries, disk restarts, compactions, checkpoint
-markers — all derived from one seed) interleaved with live workload over
-a :class:`FaultPlane` whose per-link fault probabilities are derived from
-the same seed.  When the plan is exhausted the episode heals the network,
-recovers every crashed replica, drains, and then asserts the three oracle
-properties from ROADMAP item 5:
+An *episode* is one randomized adversarial run whose every random choice
+descends from one seed.  It drives a schedule against a cluster that is
+serving recorded traffic, then heals the network, recovers every crashed
+replica, drains, and checks the oracle the paper's correctness claim
+(section IV-E) rests on:
 
 (a) the recorded history is linearizable (checked per key — every KV
     command touches exactly one key, so locality applies);
-(b) all replicas converge to identical service state;
-(c) ``marker_boundary_violations == 0`` (threaded runtime).
+(b) all replicas converge to identical service state, all of them live;
+(c) the multicast drained and ``marker_boundary_violations == 0``.
 
-Everything random descends from the episode seed, so a failing episode is
-reproducible with one command; :func:`assert_episode_ok` prints the seed
-and writes a JSON artifact (seed, plan, history) when a check fails.
+:func:`_run_live_episode` is that skeleton, written once: traffic threads
+(started, stopped, joined and *accounted for* — one that died or hung is a
+failure, not a shorter history), the loop that applies the schedule with
+its ``skipped`` bookkeeping, the final heal / recover / quiesce, the
+oracle, the history dump and the ``failures -> ok`` fold.  Each live
+episode supplies its cluster, its own report fields and failure clauses,
+and:
 
-The threaded episode exercises the real-thread runtime end to end; the
-simulated episode runs the same plan shape in virtual time, where the
-fault schedule is *fully* deterministic (the report's ``schedule_digest``
-is identical across replays of the same seed).
+* :func:`run_live_nemesis_episode` — KV clients on threads; a
+  :class:`Nemesis` plan (threaded or process runtime);
+* :func:`run_shard_migration_episode` — the same clients with a skewed
+  loader; rounds of ``rebalance_shards``;
+* :func:`run_frontend_nemesis_episode` — HTTP coroutines on one thread; a
+  :class:`Nemesis` plan.
+
+:func:`run_sim_nemesis_episode` keeps its virtual-time driver — there the
+fault schedule is *fully* deterministic (``schedule_digest`` is identical
+across replays of a seed) — and shares the dispatch table, the history
+check and the report helpers.
+
+Runners take only what a caller ever varies; the rest are the constants
+below.  Every report carries a ``reproduce`` string, the call that
+regenerates its plan; :func:`assert_episode_ok` prints it and writes a
+JSON artifact (seed, plan, history) when a check fails.
 """
 
+import collections
+import dataclasses
 import hashlib
 import json
 import os
 import random
 import threading
 import time
+from functools import partial
+from types import SimpleNamespace
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.common.errors import LinearizabilityViolation, RecoveryError
@@ -44,28 +62,60 @@ from repro.runtime import (
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 from repro.workload import mixed_workload
 
-#: Op kinds for each runtime.  ``restart_disk`` and ``compact`` need a
-#: live cluster with a durable store (threaded or process runtime); the
-#: sim models checkpoints and recovery transfers but has no durable-store
-#: restart path.
+#: Op kinds per episode.  ``restart_disk`` and ``compact`` need a live
+#: cluster with a durable store (the live episode drops ``restart_disk``
+#: without one); the frontend episode runs without a store, and the sim
+#: models checkpoints and recovery transfers but has no restart path.
 THREADED_KINDS = (
     "partition", "heal", "crash", "recover", "restart_disk", "compact", "checkpoint",
 )
-PROC_KINDS = THREADED_KINDS
 SIM_KINDS = ("partition", "heal", "crash", "recover", "checkpoint")
+FRONTEND_KINDS = ("partition", "heal", "crash", "recover", "checkpoint")
 
-#: Initial value of pre-seeded keys (KeyValueStoreServer default).
-_SEED_VALUE = b"\x00" * 8
+#: Shared by every live episode: recorded probe clients and the two keys
+#: they contend on (absent at start), unrecorded background generators.
+PROBE_CLIENTS = 2
+PROBE_KEYS = (900, 901)
+BACKGROUND = 2
+BARRIER_TIMEOUT = 15.0
+CHECKPOINT_TIMEOUT = 10.0
+CHECKPOINT_POLICY = CheckpointPolicy(every_messages=400, full_every=3, compact_after=2)
+
+#: The live fault-plan episode, where the runtimes really differ: process
+#: spawn and full-transfer recoveries take real fractions of a second, so
+#: ``proc`` spaces its ops wider and waits longer.
+LIVE = {
+    "threaded": {"num_replicas": 3, "mpl": 3, "steps": 8, "mean_gap": 0.08, "probe_ops": 12,
+                 "load_keys": 48, "invoke_timeout": 15.0, "quiesce_timeout": 30.0},
+    "proc": {"num_replicas": 3, "mpl": 2, "steps": 6, "mean_gap": 0.3, "probe_ops": 10,
+             "load_keys": 48, "invoke_timeout": 30.0, "quiesce_timeout": 60.0},
+}
+FRONTEND = {"num_replicas": 3, "mpl": 3, "steps": 6, "mean_gap": 0.08, "probe_ops": 12,
+            "load_keys": 48, "invoke_timeout": 15.0, "quiesce_timeout": 30.0,
+            "max_in_flight": 64}
+SHARD = {"num_replicas": 2, "mpl": 4, "key_space": 4096, "probe_ops": 10,
+         "load_keys": 64, "invoke_timeout": 15.0, "quiesce_timeout": 30.0,
+         "migrations": 2, "migration_gap": 0.2}
+#: Virtual seconds.  Probe keys straddle ``initial_keys``: half present at
+#: the start, half absent, so reads see both values and not-found.
+SIM = {"num_replicas": 3, "mpl": 3, "steps": 8, "mean_gap": 0.012, "warmup": 0.01,
+       "num_clients": 4, "key_space": 200, "initial_keys": 100,
+       "probe_keys": tuple(range(96, 104))}
 
 
-def link_profile_from_seed(seed, scale=1.0):
-    """Derive randomized per-link fault probabilities from the seed.
+# ----------------------------------------------------------------------
+# Helpers every episode shares (the sim included)
+# ----------------------------------------------------------------------
 
-    ``scale`` stretches the delay magnitudes: the threaded runtime works
-    in wall milliseconds, the simulation in sub-millisecond virtual time.
+def _fault_plan(runtime, runner, arguments, shape, kinds, scale=1.0, **plane_options):
+    """The seed's fault plane (randomized per-link faults), plan and report.
+
+    ``scale`` stretches the delay magnitudes: the live runtimes work in
+    wall milliseconds, the simulation in sub-millisecond virtual time.
     """
+    seed = arguments["seed"]
     rng = random.Random(derive_seed(seed, "links"))
-    return {
+    profile = {
         "drop": rng.uniform(0.0, 0.25),
         "delay": rng.uniform(0.0, 0.4),
         "delay_range": (0.0005 * scale, 0.004 * scale),
@@ -73,474 +123,517 @@ def link_profile_from_seed(seed, scale=1.0):
         "reorder": rng.uniform(0.0, 0.25),
         "reorder_window": 0.004 * scale,
     }
-
-
-def _digest(plane):
-    return hashlib.sha256(plane.schedule_bytes()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Live-cluster episodes (threaded and process runtimes)
-# ----------------------------------------------------------------------
-
-def run_threaded_nemesis_episode(
-    seed,
-    store_dir=None,
-    num_replicas=3,
-    mpl=3,
-    steps=8,
-    mean_gap=0.08,
-    kinds=THREADED_KINDS,
-    link_profile=None,
-    background_threads=2,
-    probe_clients=2,
-    probe_ops=12,
-    probe_keys=(900, 901),
-    load_keys=48,
-    invoke_timeout=15.0,
-    quiesce_timeout=30.0,
-):
-    """Run one seeded nemesis episode on the threaded runtime.
-
-    Returns a report dict (never raises for oracle failures — feed it to
-    :func:`assert_episode_ok`).  ``store_dir`` enables the durable store;
-    without it ``restart_disk`` ops degrade to plain recovery.
-    """
-    kinds = tuple(kinds)
-    if store_dir is None:
-        kinds = tuple(k for k in kinds if k != "restart_disk")
-    plane = FaultPlane(seed=derive_seed(seed, "plane"), retransmit_backoff=0.005)
-    profile = link_profile if link_profile is not None else link_profile_from_seed(seed)
+    plane = FaultPlane(seed=derive_seed(seed, "plane"), **plane_options)
     plane.set_link(**profile)
-    nemesis = Nemesis(seed, num_replicas, steps=steps, mean_gap=mean_gap, kinds=kinds)
-    policy = CheckpointPolicy(every_messages=400, full_every=3, compact_after=2)
-    cluster = ThreadedPSMRCluster(
-        KVSTORE_SPEC,
-        lambda: KeyValueStoreServer(initial_keys=load_keys),
-        mpl=mpl,
-        num_replicas=num_replicas,
-        barrier_timeout=15.0,
-        seed=seed,
-        checkpoint_policy=policy,
-        store_dir=store_dir,
-        fault_plane=plane,
-    )
-    return _run_live_cluster_episode(
-        "threaded", cluster, plane, profile, nemesis, seed,
-        use_disk_restart=store_dir is not None,
-        num_replicas=num_replicas,
-        steps=steps, mean_gap=mean_gap,
-        background_threads=background_threads,
-        probe_clients=probe_clients, probe_ops=probe_ops,
-        probe_keys=probe_keys, load_keys=load_keys,
-        invoke_timeout=invoke_timeout, quiesce_timeout=quiesce_timeout,
-    )
+    nemesis = Nemesis(seed, shape["num_replicas"], steps=shape["steps"],
+                      mean_gap=shape["mean_gap"], kinds=kinds)
+    report = _new_report(runtime, runner, arguments, [op.describe() for op in nemesis.plan])
+    report["link_profile"] = dict(profile, delay_range=list(profile["delay_range"]))
+    return plane, nemesis, report
 
 
-def run_proc_nemesis_episode(
-    seed,
-    store_dir=None,
-    num_replicas=3,
-    mpl=2,
-    steps=6,
-    mean_gap=0.3,
-    kinds=PROC_KINDS,
-    link_profile=None,
-    background_threads=2,
-    probe_clients=2,
-    probe_ops=10,
-    probe_keys=(900, 901),
-    load_keys=48,
-    invoke_timeout=30.0,
-    quiesce_timeout=60.0,
-):
-    """Run one seeded nemesis episode on the process-per-replica runtime.
-
-    Same plan shape and oracle as the threaded episode, but crashes are
-    real ``SIGKILL``s, ``restart_disk`` re-execs a replica process from
-    its durable store, and partitions/faults apply to actual TCP frames.
-    The process runtime always has a durable store (an owned temporary
-    one when ``store_dir`` is None), so ``restart_disk`` ops never
-    degrade.  ``mean_gap`` defaults higher than the threaded episode's:
-    process spawn and full-transfer recoveries take real fractions of a
-    second.
-    """
-    plane = FaultPlane(seed=derive_seed(seed, "plane"), retransmit_backoff=0.005)
-    profile = link_profile if link_profile is not None else link_profile_from_seed(seed)
-    plane.set_link(**profile)
-    nemesis = Nemesis(
-        seed, num_replicas, steps=steps, mean_gap=mean_gap, kinds=tuple(kinds)
-    )
-    policy = CheckpointPolicy(every_messages=400, full_every=3, compact_after=2)
-    cluster = ProcessPSMRCluster(
-        service="kvstore",
-        service_args={"initial_keys": load_keys},
-        mpl=mpl,
-        num_replicas=num_replicas,
-        barrier_timeout=15.0,
-        seed=seed,
-        checkpoint_policy=policy,
-        store_dir=store_dir,
-        fault_plane=plane,
-    )
-    return _run_live_cluster_episode(
-        "proc", cluster, plane, profile, nemesis, seed,
-        use_disk_restart=True,
-        num_replicas=num_replicas,
-        steps=steps, mean_gap=mean_gap,
-        background_threads=background_threads,
-        probe_clients=probe_clients, probe_ops=probe_ops,
-        probe_keys=probe_keys, load_keys=load_keys,
-        invoke_timeout=invoke_timeout, quiesce_timeout=quiesce_timeout,
-    )
-
-
-def _run_live_cluster_episode(
-    runtime, cluster, plane, profile, nemesis, seed, *,
-    use_disk_restart, num_replicas, steps, mean_gap,
-    background_threads, probe_clients, probe_ops, probe_keys,
-    load_keys, invoke_timeout, quiesce_timeout,
-):
-    """Drive one nemesis plan against a live (threaded or process) cluster.
-
-    Everything below touches the cluster only through the surface both
-    runtimes share: clients, crash/recover/restart, compaction, periodic
-    checkpoints, quiescence, snapshots and the boundary-violation counter.
-    """
-    recorder = HistoryRecorder()
-    report = {
+def _new_report(runtime, runner, arguments, plan):
+    """``arguments`` is everything ``runner`` was called with, defaults resolved."""
+    return {
         "runtime": runtime,
-        "seed": seed,
-        "link_profile": dict(profile, delay_range=list(profile["delay_range"])),
-        "plan": [op.describe() for op in nemesis.plan],
+        "seed": arguments["seed"],
+        "reproduce": "{}({})".format(
+            runner.__name__, ", ".join(f"{k}={v!r}" for k, v in arguments.items())
+        ),
+        "plan": plan,
         "applied": [],
         "failures": [],
         "load_errors": [],
         "recovery_s": [],
     }
-    stop = threading.Event()
-    started_at = time.monotonic()
 
-    def loader(index):
-        client = cluster.client()
-        rng = random.Random(derive_seed(seed, "load", index))
-        while not stop.is_set():
-            key = rng.randrange(load_keys)
-            name = rng.choice(("update", "update", "read", "insert", "delete"))
-            args = {"key": key}
-            if name in ("update", "insert"):
-                args["value"] = key.to_bytes(4, "big") + rng.randrange(1 << 16).to_bytes(4, "big")
+
+def _fault_actions(plane, cluster, report):
+    """The one ``{kind: action(target)}`` table a plan is dispatched through.
+
+    Cluster methods are looked up when an action runs, not here: the sim
+    has no ``restart_disk`` / ``compact`` and never plans them.
+    """
+    def timed(method):
+        def recover(replica_id):
+            started = time.monotonic()
+            getattr(cluster, method)(replica_id)
+            report["recovery_s"].append(time.monotonic() - started)
+        return recover
+
+    return {
+        "partition": lambda target: plane.isolate(f"replica{target}"),
+        "heal": lambda _target: plane.heal(),
+        "crash": lambda target: cluster.crash_replica(target),
+        "recover": timed("recover_replica"),
+        "restart_disk": timed("restart_replica_from_disk"),
+        "compact": lambda _target: cluster.compact_chains(),
+        "checkpoint": lambda _target: cluster.periodic_checkpoint(timeout=CHECKPOINT_TIMEOUT),
+    }
+
+
+def _apply(report, label, action):
+    """Run one scheduled action; one the cluster refuses is ``skipped``.
+
+    A refusal (recovering a replica whose marker is already in flight, a
+    checkpoint that times out behind a fault) is the plan meeting the
+    cluster's state, not a failure: the episode continues.
+    """
+    status, detail = "ok", ""
+    try:
+        action()
+    except (RecoveryError, TimeoutError) as exc:
+        status, detail = "skipped", f"{type(exc).__name__}: {exc}"
+    report["applied"].append({"op": label, "status": status, "detail": detail})
+
+
+def _check_history(report, operations, initial_state):
+    try:
+        check_kv_history(operations, initial_state=initial_state)
+        report["linearizable"] = True
+    except LinearizabilityViolation as violation:
+        report["linearizable"] = False
+        report["failures"].append(f"linearizability: {violation}")
+    report["probe_operations"] = len(operations)
+
+
+def _fold(report, clauses):
+    """Append the message of every clause that fired; ``ok`` = no failures."""
+    report["failures"] += [message for fired, message in clauses if fired]
+    report["ok"] = not report["failures"]
+    return report
+
+
+# ----------------------------------------------------------------------
+# The live skeleton
+# ----------------------------------------------------------------------
+
+def _run_live_episode(report, cluster, shape, *, plane, traffic, schedule, disk_restart=False):
+    """Drive one schedule against a live cluster under traffic; fill ``report``.
+
+    The cluster is touched only through the surface both runtimes share;
+    ``shape`` is the episode's constants table.  The episode's hooks each
+    take ``live`` (cluster, report, recorder, stop event, start time and
+    the ``{kind: action}`` dispatch table):
+
+    * ``traffic(live)`` -> ``[(thread name, body)]``, called on the started
+      cluster; bodies run until done or until ``live.stop`` is set;
+    * ``schedule(live)`` -> iterable of ``(label, action)`` that paces
+      itself (it sleeps before it yields).
+
+    Never raises for oracle failures — feed the report to
+    :func:`assert_episode_ok`.
+    """
+    live = SimpleNamespace(
+        cluster=cluster, report=report, recorder=HistoryRecorder(),
+        stop=threading.Event(), started_at=time.monotonic(),
+        actions=_fault_actions(plane, cluster, report),
+    )
+    quiesce_timeout = shape["quiesce_timeout"]
+    died = {}
+
+    def guarded(name, body):
+        def run():
             try:
-                client.invoke(name, timeout=invoke_timeout, **args)
-            except TimeoutError:
-                report["load_errors"].append(f"loader{index}: {name} key={key} timed out")
+                body()
+            except Exception as exc:  # an episode failure, folded in below
+                died[name] = exc
+        return threading.Thread(target=run, name=name, daemon=True)
 
-    def probe(index):
-        client = cluster.client()
-        rng = random.Random(derive_seed(seed, "probe", index))
-        pace = (steps * mean_gap) / max(1, probe_ops)
-        for op_index in range(probe_ops):
-            key = probe_keys[(index + op_index) % len(probe_keys)]
-            name = rng.choice(("insert", "read", "update", "read", "delete", "read"))
-            args = {"key": key}
-            if name in ("insert", "update"):
-                args["value"] = f"p{index}-{op_index}".encode()
-
-            def call(name=name, args=args):
-                response = client.invoke(name, timeout=invoke_timeout, **args)
-                if name == "read":
-                    return response.value if response.error is None else None
-                return None if response.error is None else response.error
-
-            try:
-                recorder.timed_call(client.client_id, name, args, call)
-            except TimeoutError:
-                pass  # recorded as pending (possibly applied)
-            time.sleep(rng.uniform(0.2, 1.0) * pace)
-
-    threads = [
-        threading.Thread(target=loader, args=(i,), name=f"nemesis-load{i}", daemon=True)
-        for i in range(background_threads)
-    ] + [
-        threading.Thread(target=probe, args=(i,), name=f"nemesis-probe{i}", daemon=True)
-        for i in range(probe_clients)
-    ]
     try:
         with cluster:
-            # Seed the durable chains so restart_disk ops have a base.
-            cluster.periodic_checkpoint(timeout=10.0)
+            if disk_restart:
+                # Seed the durable chains so restart_disk ops have a base.
+                cluster.periodic_checkpoint(timeout=CHECKPOINT_TIMEOUT)
+            threads = [guarded(name, body) for name, body in traffic(live)]
             for thread in threads:
                 thread.start()
-            for op in nemesis.plan:
-                delay = started_at + op.at - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                status, detail = "ok", ""
-                op_started = time.monotonic()
-                try:
-                    if op.kind == "partition":
-                        plane.isolate(f"replica{op.target}")
-                    elif op.kind == "heal":
-                        plane.heal()
-                    elif op.kind == "crash":
-                        cluster.crash_replica(op.target)
-                    elif op.kind == "recover":
-                        cluster.recover_replica(op.target)
-                        report["recovery_s"].append(time.monotonic() - op_started)
-                    elif op.kind == "restart_disk":
-                        cluster.restart_replica_from_disk(op.target)
-                        report["recovery_s"].append(time.monotonic() - op_started)
-                    elif op.kind == "compact":
-                        cluster.compact_chains()
-                    elif op.kind == "checkpoint":
-                        cluster.periodic_checkpoint(timeout=10.0)
-                except (RecoveryError, TimeoutError) as exc:
-                    status, detail = "skipped", f"{type(exc).__name__}: {exc}"
-                report["applied"].append(
-                    {"op": op.describe(), "status": status, "detail": detail}
-                )
-            stop.set()
+            for label, action in schedule(live):
+                _apply(report, label, action)
+            live.stop.set()
             for thread in threads:
                 thread.join(timeout=quiesce_timeout)
+            stuck = [thread.name for thread in threads if thread.is_alive()]
+            operations = list(live.recorder.operations)
             # Final phase: heal, recover everyone, drain, check the oracle.
-            plane.heal()
+            if plane is not None:
+                plane.heal()
+            rejoin = live.actions["restart_disk" if disk_restart else "recover"]
             for replica in cluster.replicas:
                 if not replica.crashed:
                     continue
-                op_started = time.monotonic()
                 try:
-                    if use_disk_restart:
-                        cluster.restart_replica_from_disk(replica.replica_id)
-                    else:
-                        cluster.recover_replica(replica.replica_id)
+                    rejoin(replica.replica_id)
                 except (RecoveryError, TimeoutError):
-                    cluster.recover_replica(replica.replica_id)
-                report["recovery_s"].append(time.monotonic() - op_started)
+                    live.actions["recover"](replica.replica_id)
             cluster.wait_for_quiescence(timeout=quiesce_timeout)
             report["drained"] = cluster.multicast.pending_count() == 0
             snapshots = cluster.replica_snapshots(quiesce=False)
             report["converged"] = all(s == snapshots[0] for s in snapshots)
             report["live_replicas"] = len(snapshots)
             report["marker_boundary_violations"] = cluster.marker_boundary_violations
-            try:
-                check_kv_history(recorder.operations, initial_state={})
-                report["linearizable"] = True
-            except LinearizabilityViolation as violation:
-                report["linearizable"] = False
-                report["failures"].append(f"linearizability: {violation}")
     finally:
-        stop.set()
-        report["elapsed_s"] = time.monotonic() - started_at
+        live.stop.set()
+    _check_history(report, operations, initial_state={})
+    report["elapsed_s"] = time.monotonic() - live.started_at
+    if plane is not None:
         report["plane_stats"] = dict(plane.stats)
-        report["schedule_digest"] = _digest(plane)
-        report["history"] = [
-            {
-                "client": op.client_id,
-                "name": op.name,
-                "args": {k: repr(v) for k, v in op.args.items()},
-                "result": repr(op.result),
-                "invoked_at": op.invoked_at,
-                "returned_at": op.returned_at,
-            }
-            for op in recorder.operations
-        ]
-        report["probe_operations"] = len(recorder.operations)
-    if not report.get("drained", False):
-        report["failures"].append("multicast did not drain")
-    if not report.get("converged", False):
-        report["failures"].append("replica states diverged")
-    if report.get("live_replicas") != num_replicas:
-        report["failures"].append("not every replica was live at the end")
-    if report.get("marker_boundary_violations", 1) != 0:
-        report["failures"].append("marker boundary violations observed")
-    if report["load_errors"]:
-        report["failures"].append(f"{len(report['load_errors'])} load invocations timed out")
-    report["ok"] = not report["failures"]
-    return report
+        report["schedule_digest"] = hashlib.sha256(plane.schedule_bytes()).hexdigest()
+    # Raw values: the artifact writer reprs what JSON cannot carry.
+    report["history"] = [dataclasses.asdict(op) for op in operations]
+    expected = PROBE_CLIENTS * shape["probe_ops"]
+    return _fold(report, [
+        # Three ways the history is shorter than the episode claims to have
+        # checked: say so instead of passing the oracle on what is left.
+        (stuck, f"traffic threads outlived their {quiesce_timeout}s join: {stuck}"),
+        (died, f"traffic threads died: {died}"),
+        (len(operations) != expected,
+         f"history holds {len(operations)} probe operations, expected {expected}"),
+        (not report["drained"], "multicast did not drain"),
+        (not report["converged"], "replica states diverged"),
+        (report["live_replicas"] != shape["num_replicas"],
+         "not every replica was live at the end"),
+        (report["marker_boundary_violations"] != 0, "marker boundary violations observed"),
+        (report["load_errors"], f"{len(report['load_errors'])} load invocations timed out"),
+    ])
+
+
+def _plan_schedule(plan):
+    """A schedule that yields each nemesis op at its offset from the start."""
+    def schedule(live):
+        for op in plan:
+            delay = live.started_at + op.at - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            yield op.describe(), partial(live.actions[op.kind], op.target)
+    return schedule
+
+
+def _probe_commands(rng, index, prefix, probe_ops):
+    """One probe client's commands: both clients contend on ``PROBE_KEYS``."""
+    for op_index in range(probe_ops):
+        key = PROBE_KEYS[(index + op_index) % len(PROBE_KEYS)]
+        name = rng.choice(("insert", "read", "update", "read", "delete", "read"))
+        args = {"key": key}
+        if name in ("insert", "update"):
+            args["value"] = f"{prefix}{index}-{op_index}".encode()
+        yield name, args
+
+
+def _kv_cluster(runtime, seed, shape, **control):
+    """A KV cluster of ``runtime`` sized and pre-seeded as ``shape`` says."""
+    common = dict(mpl=shape["mpl"], num_replicas=shape["num_replicas"],
+                  barrier_timeout=BARRIER_TIMEOUT, seed=seed, **control)
+    if runtime == "threaded":
+        return ThreadedPSMRCluster(
+            KVSTORE_SPEC,
+            lambda: KeyValueStoreServer(initial_keys=shape["load_keys"]),
+            **common,
+        )
+    if runtime == "proc":
+        return ProcessPSMRCluster(
+            service="kvstore", service_args={"initial_keys": shape["load_keys"]}, **common
+        )
+    raise ValueError(f"unknown runtime {runtime!r}")
+
+
+def _kv_traffic(seed, shape, span, labels, load_names, pick_key):
+    """KV clients on threads: unrecorded loaders plus recorded, paced probes.
+
+    ``span`` is how long the schedule lasts (probes pace themselves across
+    it); ``labels`` are the loader / probe ``derive_seed`` labels and the
+    probe value prefix; ``load_names`` and ``pick_key(rng)`` shape the load.
+    """
+    load_label, probe_label, prefix = labels
+    timeout = shape["invoke_timeout"]
+
+    def traffic(live):
+        def loader(index):
+            client = live.cluster.client()
+            rng = random.Random(derive_seed(seed, load_label, index))
+            while not live.stop.is_set():
+                key = pick_key(rng)
+                name = rng.choice(load_names)
+                args = {"key": key}
+                if name in ("update", "insert"):
+                    args["value"] = (
+                        key.to_bytes(4, "big") + rng.randrange(1 << 16).to_bytes(4, "big")
+                    )
+                try:
+                    client.invoke(name, timeout=timeout, **args)
+                except TimeoutError:
+                    live.report["load_errors"].append(
+                        f"loader{index}: {name} key={key} timed out"
+                    )
+
+        def probe(index):
+            client = live.cluster.client()
+            rng = random.Random(derive_seed(seed, probe_label, index))
+            pace = span / shape["probe_ops"]
+            for name, args in _probe_commands(rng, index, prefix, shape["probe_ops"]):
+                def call(name=name, args=args):
+                    response = client.invoke(name, timeout=timeout, **args)
+                    if name == "read":
+                        return response.value if response.error is None else None
+                    return None if response.error is None else response.error
+
+                try:
+                    live.recorder.timed_call(client.client_id, name, args, call)
+                except TimeoutError:
+                    pass  # recorded as pending (possibly applied)
+                time.sleep(rng.uniform(0.2, 1.0) * pace)
+
+        loaders = [(f"load{i}", partial(loader, i)) for i in range(BACKGROUND)]
+        return loaders + [(f"probe{i}", partial(probe, i)) for i in range(PROBE_CLIENTS)]
+
+    return traffic
 
 
 # ----------------------------------------------------------------------
-# Shard-migration episode: live re-partitioning under recorded load
+# The three live episodes: fault plan, shard migration, HTTP frontend
 # ----------------------------------------------------------------------
 
-def run_shard_migration_episode(
-    seed,
-    runtime="threaded",
-    num_replicas=2,
-    mpl=4,
-    key_space=4096,
-    background_threads=2,
-    probe_clients=2,
-    probe_ops=10,
-    probe_keys=(900, 901),
-    load_keys=64,
-    migrations=2,
-    migration_gap=0.2,
-    invoke_timeout=15.0,
-    quiesce_timeout=30.0,
-):
+def run_live_nemesis_episode(seed, runtime="threaded", store_dir=None, steps=None, mean_gap=None):
+    """Run one seeded nemesis episode on a live cluster of ``runtime``.
+
+    ``threaded`` runs replica threads in this process; on ``proc`` crashes
+    are real ``SIGKILL``s, ``restart_disk`` re-execs a replica process from
+    its durable store, and partitions/faults apply to actual TCP frames.
+    ``store_dir`` enables the durable store; the threaded runtime without
+    it plans no ``restart_disk`` (the process runtime always has a store,
+    an owned temporary one by default).  ``runtime`` is a key of
+    :data:`LIVE`; ``steps`` / ``mean_gap`` default to its row.
+    """
+    given = {"steps": steps, "mean_gap": mean_gap}
+    shape = {**LIVE[runtime], **{k: v for k, v in given.items() if v is not None}}
+    durable = runtime == "proc" or store_dir is not None
+    kinds = tuple(k for k in THREADED_KINDS if durable or k != "restart_disk")
+    plane, nemesis, report = _fault_plan(
+        runtime, run_live_nemesis_episode,
+        {"seed": seed, "runtime": runtime, "store_dir": store_dir,
+         "steps": shape["steps"], "mean_gap": shape["mean_gap"]},
+        shape, kinds, retransmit_backoff=0.005,
+    )
+    cluster = _kv_cluster(
+        runtime, seed, shape,
+        checkpoint_policy=CHECKPOINT_POLICY, store_dir=store_dir, fault_plane=plane,
+    )
+    return _run_live_episode(
+        report, cluster, shape, plane=plane, disk_restart=durable,
+        traffic=_kv_traffic(
+            seed, shape, shape["steps"] * shape["mean_gap"], ("load", "probe", "p"),
+            ("update", "update", "read", "insert", "delete"),
+            lambda rng: rng.randrange(shape["load_keys"]),
+        ),
+        schedule=_plan_schedule(nemesis.plan),
+    )
+
+
+def run_shard_migration_episode(seed, runtime="threaded"):
     """One seeded episode of live shard migration under recorded load.
 
     The cluster starts from an even :class:`ShardMap` while skewed
     background load (most commands hit the low end of the keyspace, i.e.
     group 1's initial range) drives the router's load tracker off
     balance.  Mid-load, the episode calls :meth:`rebalance_shards`
-    ``migrations`` times — each installs a new map through the
+    ``SHARD["migrations"]`` times — each installs a new map through the
     totally-ordered update barrier and builds a verified hand-off
     artifact while probe clients keep recording operations.  The oracle
-    is the usual one (linearizable probe history, converged replicas,
-    drained stream, zero boundary violations) plus the migration-specific
-    checks: at least one migration actually moved ranges, and every
-    hand-off artifact verified against a fresh restore.
+    is the skeleton's plus the migration-specific checks: at least one
+    migration actually moved ranges, and every hand-off artifact verified
+    against a fresh restore.
 
     ``runtime`` selects ``"threaded"`` or ``"proc"``; both expose the
-    same sharding surface, so the episode body is runtime-agnostic.
+    same sharding surface.
     """
     from repro.multicast.sharding import ShardMap
 
-    shard_map = ShardMap.initial(mpl, key_space=key_space)
-    if runtime == "threaded":
-        cluster = ThreadedPSMRCluster(
-            KVSTORE_SPEC,
-            lambda: KeyValueStoreServer(initial_keys=load_keys),
-            mpl=mpl,
-            num_replicas=num_replicas,
-            barrier_timeout=15.0,
-            seed=seed,
-            shard_map=shard_map,
-        )
-    elif runtime == "proc":
-        cluster = ProcessPSMRCluster(
-            service="kvstore",
-            service_args={"initial_keys": load_keys},
-            mpl=mpl,
-            num_replicas=num_replicas,
-            barrier_timeout=15.0,
-            seed=seed,
-            shard_map=shard_map,
-        )
-    else:
-        raise ValueError(f"unknown runtime {runtime!r}")
-    recorder = HistoryRecorder()
-    report = {
-        "runtime": f"shard-{runtime}",
-        "seed": seed,
-        "failures": [],
-        "load_errors": [],
-        "migrations": [],
-    }
-    stop = threading.Event()
-    started_at = time.monotonic()
+    shape, gap, rounds = SHARD, SHARD["migration_gap"], SHARD["migrations"]
+    cluster = _kv_cluster(
+        runtime, seed, shape,
+        shard_map=ShardMap.initial(shape["mpl"], key_space=shape["key_space"]),
+    )
+    plan = [f"[{index}] rebalance" for index in range(rounds)]
+    report = _new_report(
+        f"shard-{runtime}", run_shard_migration_episode,
+        {"seed": seed, "runtime": runtime}, plan,
+    )
+    report["migrations"] = []
 
-    def loader(index):
-        client = cluster.client()
-        rng = random.Random(derive_seed(seed, "shardload", index))
-        while not stop.is_set():
-            # Skewed: most commands land in the lowest eighth of the
-            # keyspace — group 1's slice of the initial even map.
-            if rng.random() < 0.8:
-                key = rng.randrange(max(1, load_keys // 8))
-            else:
-                key = rng.randrange(load_keys)
-            name = rng.choice(("update", "update", "update", "read"))
-            args = {"key": key}
-            if name == "update":
-                args["value"] = key.to_bytes(4, "big") + rng.randrange(1 << 16).to_bytes(4, "big")
+    def skewed_key(rng):
+        # Most commands land in the lowest eighth of the keyspace —
+        # group 1's slice of the initial even map.
+        if rng.random() < 0.8:
+            return rng.randrange(max(1, shape["load_keys"] // 8))
+        return rng.randrange(shape["load_keys"])
+
+    def rebalance():
+        record = cluster.rebalance_shards(min_imbalance=1.05)
+        if record is not None:
+            report["migrations"].append(
+                dict(record, moved_ranges=[list(r) for r in record["moved_ranges"]])
+            )
+
+    def schedule(_live):
+        for label in plan:
+            time.sleep(gap)
+            yield label, rebalance
+        time.sleep(gap)  # the last map serves load before the drain
+
+    _run_live_episode(
+        report, cluster, shape, plane=None, schedule=schedule,
+        traffic=_kv_traffic(
+            seed, shape, (rounds + 1) * gap, ("shardload", "shardprobe", "sp"),
+            ("update", "update", "update", "read"), skewed_key,
+        ),
+    )
+    report["stale_routings_rejected"] = cluster.multicast.stale_routings_rejected
+    report["final_map_version"] = cluster.shard_router.shard_map.version
+    migrations = report["migrations"]
+    return _fold(report, [
+        (not migrations, "no migration happened (load never unbalanced the map)"),
+        (any(not record["verified"] for record in migrations),
+         "a hand-off artifact failed verification"),
+        (not any(record["moved_ranges"] for record in migrations),
+         "no migration moved any range"),
+    ])
+
+
+def run_frontend_nemesis_episode(seed):
+    """One seeded nemesis episode probed through the HTTP frontend.
+
+    Same fault plan shape and oracle as the threaded live episode (no
+    durable store, so plain recovery), but every probe is an HTTP request
+    through the full edge (routing, validation, limiter, asyncio bridge).
+    The HTTP status codes carry the linearizability bookkeeping:
+
+    * ``200``/``404``/``409`` map onto the KV model results;
+    * ``429`` means the limiter rejected the request *before* submission
+      — the attempt is retried and never enters the history;
+    * ``503`` (backend timeout) is *possibly applied* — recorded as a
+      pending operation, exactly like a lost ack;
+    * anything else (500s, wrong data shapes) is a hard failure: faults
+      must surface as latency or 503, never as wrong answers.
+    """
+    import asyncio
+
+    from repro.frontend import ClusterBackend, InFlightLimiter, create_app
+    from repro.frontend.models import encode_value
+    from repro.frontend.testing import AsgiClient
+
+    shape = FRONTEND
+    plane, nemesis, report = _fault_plan(
+        "frontend", run_frontend_nemesis_episode, {"seed": seed},
+        shape, FRONTEND_KINDS, retransmit_backoff=0.005,
+    )
+    cluster = _kv_cluster("threaded", seed, shape, fault_plane=plane)
+    # Every coroutine below runs on the one traffic thread: no lock.
+    statuses = collections.Counter()
+    report.update(probe_errors=[], bad_statuses=[], status_counts=statuses, retries_429=0)
+
+    async def probe_client(http, recorder, index, pace):
+        rng = random.Random(derive_seed(seed, "httpprobe", index))
+        client_id = 1000 + index
+        for name, args in _probe_commands(rng, index, "hp", shape["probe_ops"]):
+            key = args["key"]
+            while True:
+                invoked_at = time.monotonic()
+                try:
+                    if name == "read":
+                        resp = await http.get(f"/kv/{key}")
+                    elif name == "delete":
+                        resp = await http.delete(f"/kv/{key}")
+                    else:
+                        # insert/update are single replicated commands —
+                        # the modes the linearizability model understands.
+                        resp = await http.put(
+                            f"/kv/{key}",
+                            json={"value": args["value"].decode(), "mode": name},
+                        )
+                except Exception as exc:  # transport failure: possibly applied
+                    recorder.record_pending(client_id, name, args, invoked_at)
+                    report["probe_errors"].append(f"{name} key={key}: {exc!r}")
+                    break
+                statuses[resp.status_code] += 1
+                if resp.status_code == 429:
+                    # Rejected before submission: not part of the history.
+                    report["retries_429"] += 1
+                    await asyncio.sleep(float(resp.headers.get("retry-after", 0.01)))
+                    continue
+                if resp.status_code == 503:
+                    recorder.record_pending(client_id, name, args, invoked_at)
+                    break
+                returned_at = time.monotonic()
+                result = None
+                if name == "read" and resp.status_code == 200:
+                    payload = resp.json()
+                    result = encode_value(payload["value"], payload["encoding"])
+                elif name != "read" and resp.status_code == 404:
+                    result = "err=1"
+                elif name != "read" and resp.status_code == 409:
+                    result = "err=2"
+                elif resp.status_code != (404 if name == "read" else 200):
+                    report["bad_statuses"].append(f"{name} key={key} -> {resp.status_code}")
+                    break
+                recorder.record(client_id, name, args, result, invoked_at, returned_at)
+                break
+            await asyncio.sleep(rng.uniform(0.2, 1.0) * pace)
+
+    async def background_load(http, index, probes_done):
+        """Unrecorded HTTP traffic over the bulk key space."""
+        rng = random.Random(derive_seed(seed, "httpload", index))
+        while not probes_done.is_set():
+            key = rng.randrange(shape["load_keys"])
             try:
-                client.invoke(name, timeout=invoke_timeout, **args)
-            except TimeoutError:
-                report["load_errors"].append(f"loader{index}: {name} key={key} timed out")
-
-    def probe(index):
-        client = cluster.client()
-        rng = random.Random(derive_seed(seed, "shardprobe", index))
-        pace = (migrations + 1) * migration_gap / max(1, probe_ops)
-        for op_index in range(probe_ops):
-            key = probe_keys[(index + op_index) % len(probe_keys)]
-            name = rng.choice(("insert", "read", "update", "read", "delete", "read"))
-            args = {"key": key}
-            if name in ("insert", "update"):
-                args["value"] = f"sp{index}-{op_index}".encode()
-
-            def call(name=name, args=args):
-                response = client.invoke(name, timeout=invoke_timeout, **args)
-                if name == "read":
-                    return response.value if response.error is None else None
-                return None if response.error is None else response.error
-
-            try:
-                recorder.timed_call(client.client_id, name, args, call)
-            except TimeoutError:
-                pass  # recorded as pending (possibly applied)
-            time.sleep(rng.uniform(0.2, 1.0) * pace)
-
-    threads = [
-        threading.Thread(target=loader, args=(i,), name=f"shard-load{i}", daemon=True)
-        for i in range(background_threads)
-    ] + [
-        threading.Thread(target=probe, args=(i,), name=f"shard-probe{i}", daemon=True)
-        for i in range(probe_clients)
-    ]
-    try:
-        with cluster:
-            for thread in threads:
-                thread.start()
-            for _round in range(migrations):
-                time.sleep(migration_gap)
-                record = cluster.rebalance_shards(min_imbalance=1.05)
-                if record is not None:
-                    report["migrations"].append(
-                        dict(record, moved_ranges=[list(r) for r in record["moved_ranges"]])
+                if rng.random() < 0.5:
+                    resp = await http.get(f"/kv/{key}")
+                else:
+                    resp = await http.put(
+                        f"/kv/{key}",
+                        json={"value": f"bg{index}-{key}", "mode": "upsert"},
                     )
-            time.sleep(migration_gap)
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=quiesce_timeout)
-            cluster.wait_for_quiescence(timeout=quiesce_timeout)
-            report["drained"] = cluster.multicast.pending_count() == 0
-            snapshots = cluster.replica_snapshots(quiesce=False)
-            report["converged"] = all(s == snapshots[0] for s in snapshots)
-            report["live_replicas"] = len(snapshots)
-            report["marker_boundary_violations"] = cluster.marker_boundary_violations
-            report["stale_routings_rejected"] = cluster.multicast.stale_routings_rejected
-            report["final_map_version"] = cluster.shard_router.shard_map.version
+                statuses[resp.status_code] += 1
+            except Exception as exc:
+                report["probe_errors"].append(f"background: {exc!r}")
+            await asyncio.sleep(rng.uniform(0.001, 0.01))
+
+    def traffic(live):
+        """HTTP coroutines on one thread; background runs until probes finish."""
+        app = create_app(
+            kv_backend=ClusterBackend(cluster),
+            limiter=InFlightLimiter(max_in_flight=shape["max_in_flight"]),
+            request_timeout=shape["invoke_timeout"],
+        )
+
+        async def main():
+            http = AsgiClient(app)
+            pace = (shape["steps"] * shape["mean_gap"]) / shape["probe_ops"]
+            probes_done = asyncio.Event()
+            background = [
+                asyncio.create_task(background_load(http, index, probes_done))
+                for index in range(BACKGROUND)
+            ]
             try:
-                check_kv_history(recorder.operations, initial_state={})
-                report["linearizable"] = True
-            except LinearizabilityViolation as violation:
-                report["linearizable"] = False
-                report["failures"].append(f"linearizability: {violation}")
-    finally:
-        stop.set()
-        report["elapsed_s"] = time.monotonic() - started_at
-        report["history"] = [
-            {
-                "client": op.client_id,
-                "name": op.name,
-                "args": {k: repr(v) for k, v in op.args.items()},
-                "result": repr(op.result),
-                "invoked_at": op.invoked_at,
-                "returned_at": op.returned_at,
-            }
-            for op in recorder.operations
-        ]
-        report["probe_operations"] = len(recorder.operations)
-    if not report.get("drained", False):
-        report["failures"].append("multicast did not drain")
-    if not report.get("converged", False):
-        report["failures"].append("replica states diverged")
-    if report.get("marker_boundary_violations", 1) != 0:
-        report["failures"].append("marker boundary violations observed")
-    if not report["migrations"]:
-        report["failures"].append("no migration happened (load never unbalanced the map)")
-    if any(not record["verified"] for record in report["migrations"]):
-        report["failures"].append("a hand-off artifact failed verification")
-    if not any(record["moved_ranges"] for record in report["migrations"]):
-        report["failures"].append("no migration moved any range")
-    if report["load_errors"]:
-        report["failures"].append(f"{len(report['load_errors'])} load invocations timed out")
-    report["ok"] = not report["failures"]
-    return report
+                await asyncio.gather(*(
+                    probe_client(http, live.recorder, index, pace)
+                    for index in range(PROBE_CLIENTS)
+                ))
+            finally:
+                probes_done.set()
+                await asyncio.gather(*background, return_exceptions=True)
+
+        return [("frontend-probes", lambda: asyncio.run(main()))]
+
+    _run_live_episode(
+        report, cluster, shape, plane=plane, traffic=traffic,
+        schedule=_plan_schedule(nemesis.plan),
+    )
+    return _fold(report, [
+        (report["bad_statuses"],
+         "unexpected HTTP statuses (faults must surface as latency or "
+         "503, never wrong answers): " + "; ".join(report["bad_statuses"])),
+        (report["probe_errors"], f"{len(report['probe_errors'])} probe transport errors"),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +644,6 @@ class _SimHistoryTap:
     """Record a probe subset of the sim's client history for the checker."""
 
     def __init__(self, clients, probe_keys, recorder):
-        self.clients = clients
         self.probe_keys = frozenset(probe_keys)
         self.recorder = recorder
         self._invoked = {}
@@ -585,103 +677,46 @@ class _SimHistoryTap:
         self._invoked.clear()
 
 
-def run_sim_nemesis_episode(
-    seed,
-    num_replicas=3,
-    mpl=3,
-    steps=8,
-    mean_gap=0.012,
-    warmup=0.01,
-    duration=0.08,
-    num_clients=4,
-    key_space=200,
-    initial_keys=100,
-    probe_keys=None,
-    kinds=SIM_KINDS,
-    link_profile=None,
-    record_schedule=True,
-):
+def run_sim_nemesis_episode(seed, duration=0.08, record_schedule=True):
     """Run one seeded nemesis episode on the simulated runtime.
 
     Virtual time makes the whole episode deterministic: re-running the
     same seed yields a byte-identical fault schedule (``schedule_digest``).
     """
-    if probe_keys is None:
-        # Half present initially, half initially absent: reads exercise
-        # both value and not-found results.
-        probe_keys = tuple(range(initial_keys - 4, initial_keys + 4))
-    plane = FaultPlane(
-        seed=derive_seed(seed, "plane"),
-        retransmit_backoff=0.001,
-        record_schedule=record_schedule,
+    from repro.replication.base import call_after
+
+    shape, warmup, probe_keys = SIM, SIM["warmup"], SIM["probe_keys"]
+    plane, nemesis, report = _fault_plan(
+        "sim", run_sim_nemesis_episode,
+        {"seed": seed, "duration": duration, "record_schedule": record_schedule},
+        shape, SIM_KINDS, scale=0.2,
+        retransmit_backoff=0.001, record_schedule=record_schedule,
     )
-    profile = (
-        link_profile
-        if link_profile is not None
-        else link_profile_from_seed(seed, scale=0.2)
-    )
-    plane.set_link(**profile)
-    nemesis = Nemesis(seed, num_replicas, steps=steps, mean_gap=mean_gap, kinds=kinds)
     system = build_kv_system(
-        "P-SMR",
-        mpl,
-        mix=mixed_workload(0.15),
-        num_clients=num_clients,
-        key_space=key_space,
-        initial_keys=initial_keys,
-        execute_state=True,
-        seed=seed,
+        "P-SMR", shape["mpl"], mix=mixed_workload(0.15),
+        num_clients=shape["num_clients"], key_space=shape["key_space"],
+        initial_keys=shape["initial_keys"], execute_state=True, seed=seed,
         checkpoint_policy=CheckpointPolicy(every_seconds=0.02),
-        fault_plane=plane,
-        num_replicas=num_replicas,
+        fault_plane=plane, num_replicas=shape["num_replicas"],
     )
     recorder = HistoryRecorder()
     tap = _SimHistoryTap(system.clients, probe_keys, recorder)
-    report = {
-        "runtime": "sim",
-        "seed": seed,
-        "link_profile": dict(profile, delay_range=list(profile["delay_range"])),
-        "plan": [op.describe() for op in nemesis.plan],
-        "applied": [],
-        "failures": [],
-        "recovery_s": [],
-    }
-    from repro.replication.base import call_after
-
-    # The measured window must cover the whole plan: an op firing during
-    # the drain phase (e.g. a crash nobody recovers) would be a harness
-    # artifact, not a protocol bug.
-    plan_horizon = nemesis.plan[-1].at if nemesis.plan else 0.0
-    duration = max(duration, plan_horizon + 2 * mean_gap)
-    finalizing = {"on": False}
-
-    def apply_op(op):
-        if finalizing["on"]:
-            report["applied"].append(
-                {"op": op.describe(), "status": "dropped", "detail": "after final heal"}
-            )
-            return
-        status, detail = "ok", ""
-        try:
-            if op.kind == "partition":
-                plane.isolate(f"replica{op.target}")
-            elif op.kind == "heal":
-                plane.heal()
-            elif op.kind == "crash":
-                system.crash_replica(op.target)
-            elif op.kind == "recover":
-                system.recover_replica(op.target)
-            elif op.kind == "checkpoint":
-                system.submit_checkpoint_marker()
-        except RecoveryError as exc:
-            status, detail = "skipped", str(exc)
-        report["applied"].append({"op": op.describe(), "status": status, "detail": detail})
-
+    # Recovery time is read off the system's virtual-time records below,
+    # so ``recover`` is the system's own; markers are its checkpoints.
+    actions = dict(
+        _fault_actions(plane, system, report),
+        recover=system.recover_replica,
+        checkpoint=lambda _target: system.submit_checkpoint_marker(),
+    )
     for op in nemesis.plan:
-        call_after(system.env, warmup + op.at, lambda op=op: apply_op(op))
+        action = partial(actions[op.kind], op.target)
+        call_after(system.env, warmup + op.at, partial(_apply, report, op.describe(), action))
+    # The measured window covers the whole plan: an op firing during the
+    # drain phase (e.g. a crash nobody recovers) would be a harness
+    # artifact, not a protocol bug.
+    duration = max(duration, nemesis.plan[-1].at + 2 * shape["mean_gap"])
     result = system.run(warmup=warmup, duration=duration)
     # Final phase: heal, recover the still-crashed, drain.
-    finalizing["on"] = True
     plane.heal()
     for replica_id, replica in enumerate(system.replicas):
         if replica["health"].crashed:
@@ -689,25 +724,19 @@ def run_sim_nemesis_episode(
                 system.recover_replica(replica_id)
             except RecoveryError:
                 pass  # a recovery marker for it is already in flight
+
+    def step_while(busy, limit):
+        guard = system.env.now + limit
+        while busy() and system.env.now < guard and system.env.peek() is not None:
+            system.env.step()
+
     outstanding = system.quiesce(limit=5.0)
-    guard = system.env.now + 5.0
-    while (
-        any(not record.done for record in system.recoveries)
-        and system.env.now < guard
-        and system.env.peek() is not None
-    ):
-        system.env.step()
+    step_while(lambda: any(not record.done for record in system.recoveries), 5.0)
     outstanding = system.quiesce(limit=1.0) or outstanding
     # The periodic checkpoint clock keeps ordering markers forever, so the
     # plane is only *momentarily* empty between marker batches; step to
     # such an instant before sampling the drain state.
-    guard = system.env.now + 1.0
-    while (
-        system.fault_in_flight() > 0
-        and system.env.now < guard
-        and system.env.peek() is not None
-    ):
-        system.env.step()
+    step_while(lambda: system.fault_in_flight() > 0, 1.0)
     tap.finish_pending()
     report["throughput_kcps"] = result.throughput_kcps
     report["avg_latency_ms"] = result.avg_latency_ms
@@ -720,307 +749,23 @@ def run_sim_nemesis_episode(
         if record.done and record.completed_at is not None
     ]
     report["recoveries_done"] = all(record.done for record in system.recoveries)
-    states = [system.replica_state(r).snapshot() for r in range(num_replicas)]
-    counts = [system.replica_state(r).commands_executed for r in range(num_replicas)]
-    report["converged"] = all(s == states[0] for s in states) and len(set(counts)) == 1
-    try:
-        check_kv_history(
-            recorder.operations,
-            initial_state={k: _SEED_VALUE for k in probe_keys if k < initial_keys},
-        )
-        report["linearizable"] = True
-    except LinearizabilityViolation as violation:
-        report["linearizable"] = False
-        report["failures"].append(f"linearizability: {violation}")
-    report["probe_operations"] = len(recorder.operations)
+    replicas = [system.replica_state(r) for r in range(shape["num_replicas"])]
+    states = [replica.snapshot() for replica in replicas]
+    counts = {replica.commands_executed for replica in replicas}
+    report["converged"] = all(s == states[0] for s in states) and len(counts) == 1
+    seeded = b"\x00" * 8  # KeyValueStoreServer's value for pre-seeded keys
+    _check_history(
+        report, recorder.operations,
+        initial_state={k: seeded for k in probe_keys if k < shape["initial_keys"]},
+    )
     report["plane_stats"] = dict(plane.stats)
-    report["schedule_digest"] = _digest(plane)
-    if outstanding:
-        report["failures"].append(f"{outstanding} commands still outstanding after quiesce")
-    if report["fault_in_flight"]:
-        report["failures"].append("fault plane still holds in-flight deliveries")
-    if not report["recoveries_done"]:
-        report["failures"].append("a recovery never completed")
-    if not report["converged"]:
-        report["failures"].append("replica states diverged")
-    report["ok"] = not report["failures"]
-    return report
-
-
-# ----------------------------------------------------------------------
-# Frontend episode: the HTTP edge as the probing client
-# ----------------------------------------------------------------------
-
-#: Op kinds for the frontend episode (no durable store: plain recovery).
-FRONTEND_KINDS = ("partition", "heal", "crash", "recover", "checkpoint")
-
-
-def run_frontend_nemesis_episode(
-    seed,
-    num_replicas=3,
-    mpl=3,
-    steps=6,
-    mean_gap=0.08,
-    kinds=FRONTEND_KINDS,
-    probe_clients=2,
-    probe_ops=12,
-    probe_keys=(900, 901),
-    load_keys=48,
-    background_tasks=2,
-    request_timeout=15.0,
-    quiesce_timeout=30.0,
-    max_in_flight=64,
-):
-    """One seeded nemesis episode probed through the HTTP frontend.
-
-    Same fault plan and oracle as the threaded episode, but every probe
-    is an HTTP request through the full edge (routing, validation,
-    limiter, asyncio bridge).  The HTTP status codes carry the
-    linearizability bookkeeping:
-
-    * ``200``/``404``/``409`` map onto the KV model results;
-    * ``429`` means the limiter rejected the request *before* submission
-      — the attempt is retried and never enters the history;
-    * ``503`` (backend timeout) is *possibly applied* — recorded as a
-      pending operation, exactly like a lost ack;
-    * anything else (500s, wrong data shapes) is a hard failure: faults
-      must surface as latency or 503, never as wrong answers.
-    """
-    import asyncio
-
-    from repro.frontend import ClusterBackend, InFlightLimiter, create_app
-    from repro.frontend.models import encode_value
-    from repro.frontend.testing import AsgiClient
-
-    plane = FaultPlane(seed=derive_seed(seed, "plane"), retransmit_backoff=0.005)
-    profile = link_profile_from_seed(seed)
-    plane.set_link(**profile)
-    nemesis = Nemesis(
-        seed, num_replicas, steps=steps, mean_gap=mean_gap, kinds=tuple(kinds)
-    )
-    cluster = ThreadedPSMRCluster(
-        KVSTORE_SPEC,
-        lambda: KeyValueStoreServer(initial_keys=load_keys),
-        mpl=mpl,
-        num_replicas=num_replicas,
-        barrier_timeout=15.0,
-        seed=seed,
-        fault_plane=plane,
-    )
-    recorder = HistoryRecorder()
-    report = {
-        "runtime": "frontend",
-        "seed": seed,
-        "link_profile": dict(profile, delay_range=list(profile["delay_range"])),
-        "plan": [op.describe() for op in nemesis.plan],
-        "applied": [],
-        "failures": [],
-        "probe_errors": [],
-        "bad_statuses": [],
-        "status_counts": {},
-        "retries_429": 0,
-        "recovery_s": [],
-    }
-    status_lock = threading.Lock()
-    stop = threading.Event()
-    started_at = time.monotonic()
-
-    def _count(status):
-        with status_lock:
-            report["status_counts"][status] = (
-                report["status_counts"].get(status, 0) + 1
-            )
-
-    async def _probe_client(http, index, pace):
-        rng = random.Random(derive_seed(seed, "httpprobe", index))
-        client_id = 1000 + index
-        for op_index in range(probe_ops):
-            key = probe_keys[(index + op_index) % len(probe_keys)]
-            name = rng.choice(("insert", "read", "update", "read", "delete", "read"))
-            text = f"hp{index}-{op_index}"
-            args = {"key": key}
-            if name in ("insert", "update"):
-                args["value"] = text.encode()
-            while True:
-                invoked_at = time.monotonic()
-                try:
-                    if name == "read":
-                        resp = await http.get(f"/kv/{key}")
-                    elif name == "delete":
-                        resp = await http.delete(f"/kv/{key}")
-                    else:
-                        # insert/update are single replicated commands —
-                        # the modes the linearizability model understands.
-                        resp = await http.put(
-                            f"/kv/{key}", json={"value": text, "mode": name}
-                        )
-                except Exception as exc:  # transport failure: possibly applied
-                    recorder.record_pending(client_id, name, args, invoked_at)
-                    report["probe_errors"].append(f"{name} key={key}: {exc!r}")
-                    break
-                _count(resp.status_code)
-                if resp.status_code == 429:
-                    # Rejected before submission: not part of the history.
-                    with status_lock:
-                        report["retries_429"] += 1
-                    retry_after = float(resp.headers.get("retry-after", 0.01))
-                    await asyncio.sleep(retry_after)
-                    continue
-                if resp.status_code == 503:
-                    recorder.record_pending(client_id, name, args, invoked_at)
-                    break
-                returned_at = time.monotonic()
-                result = None
-                if name == "read":
-                    if resp.status_code == 200:
-                        payload = resp.json()
-                        result = encode_value(payload["value"], payload["encoding"])
-                    elif resp.status_code != 404:
-                        report["bad_statuses"].append(
-                            f"read key={key} -> {resp.status_code}"
-                        )
-                        break
-                else:
-                    if resp.status_code == 404:
-                        result = "err=1"
-                    elif resp.status_code == 409:
-                        result = "err=2"
-                    elif resp.status_code != 200:
-                        report["bad_statuses"].append(
-                            f"{name} key={key} -> {resp.status_code}"
-                        )
-                        break
-                recorder.record(client_id, name, args, result, invoked_at, returned_at)
-                break
-            await asyncio.sleep(rng.uniform(0.2, 1.0) * pace)
-
-    async def _background_load(http, index):
-        """Unrecorded HTTP traffic over the bulk key space."""
-        rng = random.Random(derive_seed(seed, "httpload", index))
-        while not stop.is_set():
-            key = rng.randrange(load_keys)
-            try:
-                if rng.random() < 0.5:
-                    resp = await http.get(f"/kv/{key}")
-                else:
-                    resp = await http.put(
-                        f"/kv/{key}",
-                        json={"value": f"bg{index}-{key}", "mode": "upsert"},
-                    )
-                _count(resp.status_code)
-            except Exception as exc:
-                report["probe_errors"].append(f"background: {exc!r}")
-            await asyncio.sleep(rng.uniform(0.001, 0.01))
-
-    def _probe_thread(app):
-        async def _main():
-            http = AsgiClient(app)
-            pace = (steps * mean_gap) / max(1, probe_ops)
-            background = [
-                asyncio.create_task(_background_load(http, index))
-                for index in range(background_tasks)
-            ]
-            await asyncio.gather(
-                *(_probe_client(http, index, pace) for index in range(probe_clients))
-            )
-            stop.set()
-            await asyncio.gather(*background, return_exceptions=True)
-
-        asyncio.run(_main())
-
-    try:
-        with cluster:
-            app = create_app(
-                kv_backend=ClusterBackend(cluster),
-                limiter=InFlightLimiter(max_in_flight=max_in_flight),
-                request_timeout=request_timeout,
-            )
-            probes = threading.Thread(
-                target=_probe_thread, args=(app,), name="frontend-probes",
-                daemon=True,
-            )
-            probes.start()
-            for op in nemesis.plan:
-                delay = started_at + op.at - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                status, detail = "ok", ""
-                op_started = time.monotonic()
-                try:
-                    if op.kind == "partition":
-                        plane.isolate(f"replica{op.target}")
-                    elif op.kind == "heal":
-                        plane.heal()
-                    elif op.kind == "crash":
-                        cluster.crash_replica(op.target)
-                    elif op.kind == "recover":
-                        cluster.recover_replica(op.target)
-                        report["recovery_s"].append(time.monotonic() - op_started)
-                    elif op.kind == "checkpoint":
-                        cluster.periodic_checkpoint(timeout=10.0)
-                except (RecoveryError, TimeoutError) as exc:
-                    status, detail = "skipped", f"{type(exc).__name__}: {exc}"
-                report["applied"].append(
-                    {"op": op.describe(), "status": status, "detail": detail}
-                )
-            probes.join(timeout=quiesce_timeout)
-            stop.set()
-            # Final phase: heal, recover everyone, drain, check the oracle.
-            plane.heal()
-            for replica in cluster.replicas:
-                if not replica.crashed:
-                    continue
-                op_started = time.monotonic()
-                cluster.recover_replica(replica.replica_id)
-                report["recovery_s"].append(time.monotonic() - op_started)
-            cluster.wait_for_quiescence(timeout=quiesce_timeout)
-            report["drained"] = cluster.multicast.pending_count() == 0
-            snapshots = cluster.replica_snapshots(quiesce=False)
-            report["converged"] = all(s == snapshots[0] for s in snapshots)
-            report["live_replicas"] = len(snapshots)
-            report["marker_boundary_violations"] = cluster.marker_boundary_violations
-            try:
-                check_kv_history(recorder.operations, initial_state={})
-                report["linearizable"] = True
-            except LinearizabilityViolation as violation:
-                report["linearizable"] = False
-                report["failures"].append(f"linearizability: {violation}")
-    finally:
-        stop.set()
-        report["elapsed_s"] = time.monotonic() - started_at
-        report["plane_stats"] = dict(plane.stats)
-        report["schedule_digest"] = _digest(plane)
-        report["history"] = [
-            {
-                "client": op.client_id,
-                "name": op.name,
-                "args": {k: repr(v) for k, v in op.args.items()},
-                "result": repr(op.result),
-                "invoked_at": op.invoked_at,
-                "returned_at": op.returned_at,
-            }
-            for op in recorder.operations
-        ]
-        report["probe_operations"] = len(recorder.operations)
-    if not report.get("drained", False):
-        report["failures"].append("multicast did not drain")
-    if not report.get("converged", False):
-        report["failures"].append("replica states diverged")
-    if report.get("live_replicas") != num_replicas:
-        report["failures"].append("not every replica was live at the end")
-    if report.get("marker_boundary_violations", 1) != 0:
-        report["failures"].append("marker boundary violations observed")
-    if report["bad_statuses"]:
-        report["failures"].append(
-            "unexpected HTTP statuses (faults must surface as latency or "
-            "503, never wrong answers): " + "; ".join(report["bad_statuses"])
-        )
-    if report["probe_errors"]:
-        report["failures"].append(
-            f"{len(report['probe_errors'])} probe transport errors"
-        )
-    report["ok"] = not report["failures"]
-    return report
+    report["schedule_digest"] = hashlib.sha256(plane.schedule_bytes()).hexdigest()
+    return _fold(report, [
+        (outstanding, f"{outstanding} commands still outstanding after quiesce"),
+        (report["fault_in_flight"], "fault plane still holds in-flight deliveries"),
+        (not report["recoveries_done"], "a recovery never completed"),
+        (not report["converged"], "replica states diverged"),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -1030,8 +775,8 @@ def run_frontend_nemesis_episode(
 def assert_episode_ok(report, artifact_dir=None):
     """Assert an episode passed; on failure, print the seed and save an artifact.
 
-    The assertion message always contains the seed and a one-command
-    reproduction hint.  ``artifact_dir`` (or the ``NEMESIS_ARTIFACT_DIR``
+    The assertion message always contains the seed and the report's
+    ``reproduce`` call.  ``artifact_dir`` (or the ``NEMESIS_ARTIFACT_DIR``
     environment variable) selects where the failing episode's JSON record
     (seed, plan, applied ops, history) is written.
     """
@@ -1049,6 +794,6 @@ def assert_episode_ok(report, artifact_dir=None):
     raise AssertionError(
         f"nemesis episode FAILED (runtime={report['runtime']}, seed={report['seed']}): "
         + "; ".join(report["failures"])
-        + f"\nreproduce: run_{report['runtime']}_nemesis_episode(seed={report['seed']})"
+        + f"\nreproduce: {report['reproduce']}"
         + (f"\nartifact: {artifact_path}" if artifact_path else "")
     )

@@ -9,7 +9,13 @@ statuses a client may ever see are 200/404/409 (model results), 429
 means a fault leaked out as a wrong answer.
 """
 
-from repro.harness.nemesis import assert_episode_ok, run_frontend_nemesis_episode
+from repro.common.faults import Nemesis
+from repro.harness.nemesis import (
+    FRONTEND,
+    FRONTEND_KINDS,
+    assert_episode_ok,
+    run_frontend_nemesis_episode,
+)
 
 ALLOWED_STATUSES = {200, 404, 409, 429, 503}
 
@@ -17,6 +23,10 @@ ALLOWED_STATUSES = {200, 404, 409, 429, 503}
 def test_frontend_episode_seed_11_is_linearizable():
     report = run_frontend_nemesis_episode(seed=11)
     assert_episode_ok(report)
+    assert report["reproduce"] == "run_frontend_nemesis_episode(seed=11)"
+    replay = Nemesis(11, FRONTEND["num_replicas"], steps=FRONTEND["steps"],
+                     mean_gap=FRONTEND["mean_gap"], kinds=FRONTEND_KINDS)
+    assert report["plan"] == [op.describe() for op in replay.plan]
     assert report["linearizable"] is True
     assert report["converged"] is True
     assert report["drained"] is True

@@ -19,11 +19,13 @@ import pytest
 
 from repro.common.faults import FaultPlane, Nemesis
 from repro.harness.nemesis import (
+    LIVE,
+    SIM,
     SIM_KINDS,
     THREADED_KINDS,
     assert_episode_ok,
+    run_live_nemesis_episode,
     run_sim_nemesis_episode,
-    run_threaded_nemesis_episode,
 )
 from repro.runtime import HistoryRecorder, ThreadedPSMRCluster, check_kv_history
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
@@ -39,6 +41,13 @@ def make_cluster(plane, num_replicas=2, mpl=2, **kwargs):
         fault_plane=plane,
         **kwargs,
     )
+
+
+def planned(seed, shape, kinds):
+    """The plan a fresh Nemesis built from the constants table regenerates."""
+    nemesis = Nemesis(seed, shape["num_replicas"], steps=shape["steps"],
+                      mean_gap=shape["mean_gap"], kinds=kinds)
+    return [op.describe() for op in nemesis.plan]
 
 
 # ----------------------------------------------------------------------
@@ -128,10 +137,14 @@ class TestAcceptanceEpisodes:
                           kinds=THREADED_KINDS)
         kinds = {op.kind for op in nemesis.plan}
         assert {"crash", "partition", "restart_disk", "compact"} <= kinds
-        report = run_threaded_nemesis_episode(
+        report = run_live_nemesis_episode(
             seed=self.THREADED_SEED, store_dir=str(tmp_path), steps=10,
         )
         assert_episode_ok(report)
+        assert report["reproduce"] == (
+            f"run_live_nemesis_episode(seed=14, runtime='threaded', "
+            f"store_dir={str(tmp_path)!r}, steps=10, mean_gap=0.08)"
+        )
         assert report["linearizable"] and report["converged"]
         assert report["marker_boundary_violations"] == 0
         # Reproducibility: the same seed regenerates the identical plan.
@@ -144,6 +157,9 @@ class TestAcceptanceEpisodes:
         seed = 2  # plan covers partition, heal, crash, recover, checkpoint
         report = run_sim_nemesis_episode(seed=seed)
         assert_episode_ok(report)
+        assert report["reproduce"] == (
+            "run_sim_nemesis_episode(seed=2, duration=0.08, record_schedule=True)"
+        )
         applied_kinds = {entry["op"].split()[2] for entry in report["applied"]}
         assert {"partition", "crash", "recover", "checkpoint"} <= applied_kinds
         # Virtual time makes the whole run deterministic: the replay's
@@ -161,12 +177,15 @@ class TestAcceptanceEpisodes:
 class TestSeededSweeps:
     @pytest.mark.parametrize("seed", [7, 23, 101])
     def test_threaded_sweep(self, tmp_path, seed):
-        report = run_threaded_nemesis_episode(seed=seed, store_dir=str(tmp_path))
+        report = run_live_nemesis_episode(seed=seed, store_dir=str(tmp_path))
         assert_episode_ok(report)
+        assert report["plan"] == planned(seed, LIVE["threaded"], THREADED_KINDS)
 
     @pytest.mark.parametrize("seed", [1, 3, 4, 5, 9, 13])
     def test_sim_sweep(self, seed):
-        assert_episode_ok(run_sim_nemesis_episode(seed=seed))
+        report = run_sim_nemesis_episode(seed=seed)
+        assert_episode_ok(report)
+        assert report["plan"] == planned(seed, SIM, SIM_KINDS)
 
 
 # ----------------------------------------------------------------------
@@ -180,13 +199,14 @@ class TestFailureReporting:
             "seed": 4242,
             "ok": False,
             "failures": ["replica states diverged"],
+            "reproduce": "run_sim_nemesis_episode(seed=4242, duration=0.05)",
             "plan": ["[0] t+0.010s crash replica1"],
         }
         with pytest.raises(AssertionError) as excinfo:
             assert_episode_ok(report, artifact_dir=str(tmp_path))
         message = str(excinfo.value)
         assert "seed=4242" in message
-        assert "run_sim_nemesis_episode(seed=4242)" in message
+        assert "reproduce: run_sim_nemesis_episode(seed=4242, duration=0.05)" in message
         artifact = tmp_path / "nemesis-sim-seed4242.json"
         assert artifact.exists()
         assert "replica states diverged" in artifact.read_text()

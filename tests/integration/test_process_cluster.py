@@ -17,11 +17,16 @@ import pytest
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.common.errors import RecoveryError
-from repro.common.faults import FaultPlane
+from repro.common.faults import FaultPlane, Nemesis
 from repro.frontend import ClusterBackend, create_app
 from repro.frontend.testing import AsgiClient
 from repro.fs import Stat
-from repro.harness.nemesis import assert_episode_ok, run_proc_nemesis_episode
+from repro.harness.nemesis import (
+    LIVE,
+    THREADED_KINDS,
+    assert_episode_ok,
+    run_live_nemesis_episode,
+)
 from repro.multicast.sharding import ShardMap
 from repro.runtime import (
     ProcessPSMRCluster,
@@ -500,10 +505,15 @@ def test_crash_wakes_pending_management_requests():
 def test_proc_nemesis_episode_passes_oracle(tmp_path):
     """A seeded nemesis episode — SIGKILL crashes, socket-level partitions,
     restart-from-disk — passes the full oracle on the process runtime."""
-    report = run_proc_nemesis_episode(
-        seed=20260808, store_dir=str(tmp_path), steps=4, mean_gap=0.25
+    report = run_live_nemesis_episode(
+        seed=20260808, runtime="proc", store_dir=str(tmp_path), steps=4, mean_gap=0.25
     )
     assert_episode_ok(report)
     assert report["runtime"] == "proc"
+    assert "runtime='proc'" in report["reproduce"]
+    assert "steps=4, mean_gap=0.25" in report["reproduce"]
+    replay = Nemesis(20260808, LIVE["proc"]["num_replicas"], steps=4, mean_gap=0.25,
+                     kinds=THREADED_KINDS)
+    assert report["plan"] == [op.describe() for op in replay.plan]
     assert report["linearizable"] and report["converged"]
     assert report["marker_boundary_violations"] == 0

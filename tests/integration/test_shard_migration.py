@@ -91,6 +91,9 @@ def test_rebalance_is_a_noop_under_even_load():
 def test_threaded_migration_episode_is_linearizable():
     report = run_shard_migration_episode(20260808, runtime="threaded")
     assert_episode_ok(report)
+    assert report["reproduce"] == (
+        "run_shard_migration_episode(seed=20260808, runtime='threaded')"
+    )
     assert report["migrations"]
     assert report["final_map_version"] >= 1
     assert all(record["verified"] for record in report["migrations"])
@@ -99,6 +102,9 @@ def test_threaded_migration_episode_is_linearizable():
 def test_proc_migration_episode_is_linearizable():
     report = run_shard_migration_episode(20260808, runtime="proc")
     assert_episode_ok(report)
+    assert report["reproduce"] == (
+        "run_shard_migration_episode(seed=20260808, runtime='proc')"
+    )
     assert report["migrations"]
     assert all(record["verified"] for record in report["migrations"])
 

@@ -71,3 +71,14 @@ def test_nemesis_via_cli_with_tiny_window():
     assert "seeded randomized episodes" in output
     # Every episode line carries the seed for one-command reproduction.
     assert "--seed 5" in output
+
+
+@pytest.mark.parametrize("failures, code", [(["replica states diverged"], 1), ([], 0)])
+def test_exit_status_reports_an_oracle_failure(monkeypatch, failures, code):
+    # `repro.cli nemesis` is a CI step: at the parent a failing episode only
+    # added a line to the text and the step stayed green.
+    def driver(warmup, duration, seed, runtime):
+        return {"text": "EPISODE FAILURES" if failures else "ok", "failures": failures}
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "nemesis", (driver, True, True))
+    assert cli.main(["nemesis"], stream=io.StringIO()) == code
