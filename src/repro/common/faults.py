@@ -146,16 +146,6 @@ class FaultPlane:
             self._note(("set_link", src, dst, link_faults))
         return link_faults
 
-    def clear_faults(self):
-        """Remove every link fault configuration (partitions are untouched)."""
-        with self._lock:
-            self._links.clear()
-            self._note(("clear_faults",))
-
-    def faults_for(self, src, dst):
-        with self._lock:
-            return self._faults_for_locked(src, dst)
-
     def _faults_for_locked(self, src, dst):
         for key in ((src, dst), (None, dst), (src, None), (None, None)):
             found = self._links.get(key)
@@ -207,19 +197,8 @@ class FaultPlane:
                     return True
             return False
 
-    def partitioned_nodes(self):
-        """Every node currently named by a partition, block or isolation."""
-        with self._lock:
-            nodes = set(self._isolated)
-            for src, dst in self._blocked:
-                nodes.update((src, dst))
-            for side_a, side_b in self._partitions:
-                nodes.update(side_a)
-                nodes.update(side_b)
-            return nodes
-
     def note_blocked_retry(self):
-        """Count one blocked-link retry (called by the runtimes' pipes)."""
+        """Count one blocked-link retry (called by the runtime's pump)."""
         with self._lock:
             self.stats["blocked_retries"] += 1
 

@@ -56,6 +56,9 @@ from repro.runtime.engine import ReplicaEngine
 from repro.runtime.multicast import LocalAtomicMulticast
 from repro.runtime.transport.wire import make_marker, make_shard_update
 
+#: Seconds between two looks of the checkpoint scheduler at its policy.
+CHECKPOINT_POLL_INTERVAL = 0.005
+
 
 class _ReplicaWaitable:
     """Coordinator-side waiter for one control message's per-replica reports.
@@ -404,18 +407,17 @@ class _CheckpointScheduler(threading.Thread):
     next poll retries.
     """
 
-    def __init__(self, cluster, policy, poll_interval=0.005):
+    def __init__(self, cluster, policy):
         super().__init__(name="psmr-checkpoint-scheduler", daemon=True)
         self.cluster = cluster
         self.policy = policy
-        self.poll_interval = poll_interval
         # NB: not ``_stop`` — that would shadow threading.Thread internals.
         self._stop_event = threading.Event()
         self._last_messages = cluster.multicast.messages_multicast
         self._last_time = time.monotonic()
 
     def run(self):
-        while not self._stop_event.wait(self.poll_interval):
+        while not self._stop_event.wait(CHECKPOINT_POLL_INTERVAL):
             messages = self.cluster.multicast.messages_multicast
             elapsed = time.monotonic() - self._last_time
             if not self.policy.due(messages - self._last_messages, elapsed):
@@ -460,32 +462,23 @@ class PSMRControlPlane(ResponseRouter):
     with their handles.
     """
 
-    def __init__(self, spec, mpl, multicast_options, num_replicas, coarse_cg,
-                 barrier_timeout, seed, checkpoint_policy,
-                 checkpoint_poll_interval, delivery_batch_size, shard_map):
+    def __init__(self, spec, mpl, multicast_options, num_replicas,
+                 barrier_timeout, seed, checkpoint_policy, shard_map):
         if num_replicas < 1:
             raise ConfigurationError("need at least one replica")
-        if delivery_batch_size < 1:
-            raise ConfigurationError("delivery batch size must be >= 1")
         self.spec = spec
         self.mpl = mpl
         self.multicast = multicast = LocalAtomicMulticast(mpl, **multicast_options)
         self.num_replicas = num_replicas
         self.barrier_timeout = barrier_timeout
-        #: Messages a worker drains per wakeup; 1 is one lock round-trip
-        #: per command (the baseline benchmark's "before" arm).
-        self.delivery_batch_size = delivery_batch_size
         self.shard_router = None
         if shard_map is not None:
             self.shard_router = ShardRouter(shard_map, self.mpl)
             multicast.shard_router = self.shard_router
             multicast.shard_version = shard_map.version
         self.shard_migrations = []
-        self.cg = CGFunction(
-            spec, self.mpl, seed=seed, coarse=coarse_cg, router=self.shard_router
-        )
+        self.cg = CGFunction(spec, self.mpl, seed=seed, router=self.shard_router)
         self.checkpoint_policy = checkpoint_policy
-        self.checkpoint_poll_interval = checkpoint_poll_interval
         self.checkpoints_taken = 0
         self.truncations = 0
         self.compactions = 0
@@ -532,9 +525,7 @@ class PSMRControlPlane(ResponseRouter):
             replica.start()
         self._started = True
         if self.checkpoint_policy is not None:
-            self._scheduler = _CheckpointScheduler(
-                self, self.checkpoint_policy, self.checkpoint_poll_interval
-            )
+            self._scheduler = _CheckpointScheduler(self, self.checkpoint_policy)
             self._scheduler.start()
         return self
 
@@ -570,7 +561,7 @@ class PSMRControlPlane(ResponseRouter):
             )
 
     # ------------------------------------------------------------------
-    # Replica reports (a worker thread, or the transport's event loop —
+    # Replica reports (a worker thread, or the transport's reader thread —
     # keep handlers cheap)
     # ------------------------------------------------------------------
     def _handle_marker_done(self, replica_id, message):
@@ -1220,8 +1211,7 @@ class _LocalReplica:
         self.generation += 1
         return ReplicaEngine(
             self.replica_id, cluster.mpl, cluster.service_factory, chain,
-            self.store, cluster.checkpoint_policy, cluster.delivery_batch_size,
-            cluster.barrier_timeout,
+            self.store, cluster.checkpoint_policy, cluster.barrier_timeout,
             on_responses=cluster._respond_many,
             on_marker_done=partial(cluster._handle_marker_done, self.replica_id),
             on_shard_done=partial(cluster._handle_shard_done, self.replica_id),
@@ -1297,19 +1287,18 @@ class ThreadedPSMRCluster(PSMRControlPlane):
     ``store_dir/replica-<id>`` (crash-safe segments plus an atomic
     manifest), and a crashed replica can rejoin as a restarted *process*
     via :meth:`restart_replica_from_disk`.  ``fault_plane`` detours
-    deliveries through the multicast's :class:`FaultyLinkPipe`.
+    deliveries through the transport's
+    :class:`~repro.runtime.transport.pump.FramePump`.
     """
 
     def __init__(self, spec, service_factory, mpl=4, num_replicas=2,
-                 coarse_cg=False, barrier_timeout=10.0, seed=0,
-                 log_retention=None, checkpoint_policy=None,
-                 checkpoint_poll_interval=0.005, store_dir=None,
-                 delivery_batch_size=32, fault_plane=None, shard_map=None):
+                 barrier_timeout=10.0, seed=0, log_retention=None,
+                 checkpoint_policy=None, store_dir=None, fault_plane=None,
+                 shard_map=None):
         super().__init__(
             spec, mpl,
             dict(retention=log_retention, fault_plane=fault_plane),
-            num_replicas, coarse_cg, barrier_timeout, seed, checkpoint_policy,
-            checkpoint_poll_interval, delivery_batch_size, shard_map,
+            num_replicas, barrier_timeout, seed, checkpoint_policy, shard_map,
         )
         self.service_factory = service_factory
         self.fault_plane = fault_plane

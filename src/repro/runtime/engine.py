@@ -40,6 +40,10 @@ from repro.core.protocol import plan_execution
 from repro.multicast.sharding import build_shard_artifact
 from repro.runtime.transport import wire
 
+#: Messages a worker drains per wake-up: one lock round-trip amortised
+#: over the run instead of paid per command.
+DELIVERY_BATCH_SIZE = 32
+
 #: ``plan_execution`` is a pure function of hashable arguments and the hot
 #: path calls it once per delivered command — memoising it removes the
 #: per-command plan construction (the argument space is tiny: destination
@@ -141,8 +145,7 @@ class ReplicaEngine:
     """
 
     def __init__(self, replica_id, mpl, service_factory, chain, store, policy,
-                 batch_size, barrier_timeout, on_responses, on_marker_done,
-                 on_shard_done):
+                 barrier_timeout, on_responses, on_marker_done, on_shard_done):
         self.replica_id = replica_id
         self.mpl = mpl
         self.service_factory = service_factory
@@ -150,7 +153,6 @@ class ReplicaEngine:
         self.service = None
         self.store = store
         self.policy = policy
-        self.batch_size = batch_size
         self.barrier_timeout = barrier_timeout
         self.on_responses = on_responses
         self.on_marker_done = on_marker_done
@@ -283,8 +285,8 @@ class ReplicaEngine:
         """Drain delivered messages in batches and execute them in order.
 
         One :meth:`DeliveryQueue.get_batch` wakeup processes up to
-        ``batch_size`` messages — one lock round-trip amortised over the
-        whole run instead of paid per command.  Parallel-mode responses
+        ``DELIVERY_BATCH_SIZE`` messages — one lock round-trip amortised
+        over the whole run instead of paid per command.  Parallel-mode responses
         are accumulated and handed to ``on_responses`` in one batch too;
         they are always flushed before anything that can block or reorder
         — a barrier, a checkpoint marker — and at the end of every drained
@@ -292,12 +294,11 @@ class ReplicaEngine:
         this thread is sitting on.
         """
         mpl = self.mpl
-        batch_size = self.batch_size
         barrier = self.barrier
         timeout = self.barrier_timeout
         pending = []  # (uid, response) pairs not yet reported
         while True:
-            batch = delivery_queue.get_batch(batch_size)
+            batch = delivery_queue.get_batch(DELIVERY_BATCH_SIZE)
             self.batches[index] += 1
             for item in batch:
                 if item is None or self.crashed:

@@ -6,9 +6,8 @@ it to the pluggable :class:`~repro.runtime.transport.base.Transport`
 for delivery to every worker thread subscribed to a destination group.
 The default transport is
 :class:`~repro.runtime.transport.inproc.InprocTransport` (per-thread
-in-process queues, optionally detoured through the fault pipe), which
-makes :class:`LocalAtomicMulticast` behave exactly as it did before the
-transport split; the process-per-replica runtime plugs in
+in-process queues, detoured through the pump when a fault plane is
+set); the process-per-replica runtime plugs in
 :class:`~repro.runtime.transport.tcp.TcpCoordinatorTransport` instead.
 """
 
@@ -71,8 +70,7 @@ class LocalAtomicMulticast:
             )
         #: Optional :class:`~repro.common.faults.FaultPlane`; when set (and
         #: no explicit transport is given), all deliveries detour through
-        #: the in-process :class:`FaultyLinkPipe` instead of the inline
-        #: fast path.
+        #: the transport's pump instead of the inline fast path.
         self.fault_plane = fault_plane
         self.transport = (
             transport if transport is not None else InprocTransport(fault_plane)
@@ -115,11 +113,6 @@ class LocalAtomicMulticast:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register_thread(self, replica_id, thread_index):
-        """Create and return the delivery queue of one worker thread."""
-        with self._lock:
-            return self._register_locked(replica_id, thread_index)
-
     def register_replica(self, replica_id, thread_indices, after_sequence=None):
         """Register every thread of a replica; return ``{thread_index: queue}``.
 

@@ -41,6 +41,9 @@ from repro.services import KVSTORE_SPEC, NETFS_SPEC
 
 _DEFAULT_SPECS = {"kvstore": KVSTORE_SPEC, "netfs": NETFS_SPEC}
 
+#: How long a spawned replica process has to dial in and say ``hello``.
+SPAWN_TIMEOUT = 30.0
+
 
 class _ProcReplica:
     """Process-runtime replica handle: owns a child process.
@@ -106,9 +109,7 @@ class _ProcReplica:
         self.proc = subprocess.Popen(command, env=env)
         self.generation += 1
         try:
-            hello = transport.take_hello(
-                self.replica_id, timeout=cluster.spawn_timeout
-            )
+            hello = transport.take_hello(self.replica_id, timeout=SPAWN_TIMEOUT)
         except RecoveryError:
             self.kill()
             raise
@@ -117,7 +118,6 @@ class _ProcReplica:
         self._send(
             {
                 "t": "welcome",
-                "batch": cluster.delivery_batch_size,
                 "barrier_timeout": cluster.barrier_timeout,
                 "full_every": policy.full_every if policy else None,
                 "compact_after": policy.compact_after if policy else None,
@@ -194,7 +194,7 @@ class _ProcReplica:
         return entry[1]
 
     def _reply(self, message):
-        """Event-loop thread: hand a reply frame to its waiting request."""
+        """Reader thread: hand a reply frame to its waiting request."""
         with self._lock:
             entry = self._requests.get(message.get("req"))
         if entry is not None:
@@ -229,10 +229,8 @@ class ProcessPSMRCluster(PSMRControlPlane):
 
     def __init__(self, spec=None, service="kvstore", service_args=None,
                  mpl=4, num_replicas=2, barrier_timeout=10.0, seed=0,
-                 log_retention=None, checkpoint_policy=None,
-                 checkpoint_poll_interval=0.005, store_dir=None,
-                 delivery_batch_size=32, fault_plane=None,
-                 spawn_timeout=30.0, host="127.0.0.1", shard_map=None):
+                 log_retention=None, checkpoint_policy=None, store_dir=None,
+                 fault_plane=None, host="127.0.0.1", shard_map=None):
         if service not in _DEFAULT_SPECS:
             raise ConfigurationError(f"unknown service {service!r}")
         self.fault_plane = fault_plane
@@ -242,12 +240,10 @@ class ProcessPSMRCluster(PSMRControlPlane):
         super().__init__(
             spec if spec is not None else _DEFAULT_SPECS[service], mpl,
             dict(retention=log_retention, transport=self.transport),
-            num_replicas, False, barrier_timeout, seed, checkpoint_policy,
-            checkpoint_poll_interval, delivery_batch_size, shard_map,
+            num_replicas, barrier_timeout, seed, checkpoint_policy, shard_map,
         )
         self.service = service
         self.service_args = dict(service_args or {})
-        self.spawn_timeout = spawn_timeout
         self._own_store_dir = None
         if store_dir is None:
             store_dir = self._own_store_dir = tempfile.mkdtemp(
@@ -281,7 +277,8 @@ class ProcessPSMRCluster(PSMRControlPlane):
             shutil.rmtree(self._own_store_dir, ignore_errors=True)
 
     def _on_message(self, replica_id, message):
-        """Inbound frames (event-loop thread — handlers must stay cheap)."""
+        """Inbound frames (the transport's reader thread — handlers must
+        stay cheap)."""
         kind = message.get("t")
         if kind == "r":
             self._respond_many(

@@ -92,7 +92,7 @@ class ReplicaProcess:
             )
         self.engine = ReplicaEngine(
             self.replica_id, self.mpl, self.service_factory, chain, self.store,
-            policy, message["batch"], message["barrier_timeout"],
+            policy, message["barrier_timeout"],
             on_responses=self.send_responses,
             on_marker_done=self.send,
             on_shard_done=self.send,

@@ -7,14 +7,16 @@ delivery endpoints of every subscribed worker thread.  Two
 implementations exist:
 
 * :class:`repro.runtime.transport.inproc.InprocTransport` — in-process
-  pipes (per-thread :class:`DeliveryQueue`, optionally detoured through
-  the :class:`FaultyLinkPipe` when a fault plane is set).  This is the
-  threaded runtime's transport and is behaviour-identical to the
-  pre-split multicast.
+  per-thread :class:`DeliveryQueue`, filled inline.  This is the
+  threaded runtime's transport.
 * :class:`repro.runtime.transport.tcp.TcpCoordinatorTransport` — real
   sockets: one TCP connection per replica *process*, length-prefixed
-  CRC-framed messages, and a per-link fault proxy applying the same
-  :class:`~repro.common.faults.FaultPlane` semantics to frames.
+  CRC-framed messages.
+
+With a :class:`~repro.common.faults.FaultPlane` both hand their items to
+the one :class:`~repro.runtime.transport.pump.FramePump`, which applies
+it per link (a replica is one link in either); the TCP transport's
+frames take the pump with or without a plane.
 
 Threading contract: the core invokes every method below while holding
 its sequencer lock, so implementations see registration changes and

@@ -1,19 +1,23 @@
-"""In-process transport: per-thread delivery queues and the fault pipe.
+"""In-process transport: per-thread delivery queues.
 
-This is the threaded runtime's transport — the delivery half of the
-pre-split ``runtime/multicast.py``, moved behind the
-:class:`~repro.runtime.transport.base.Transport` interface unchanged.
+This is the threaded runtime's transport.  Without a fault plane an
+ordered item is put on every subscribed worker's
+:class:`DeliveryQueue` inline, under the sequencer lock.  With one, it
+takes the process runtime's path minus the socket: ``send`` plans the
+copies per replica, the :class:`~repro.runtime.transport.pump.FramePump`
+holds them until they are due, and ``write`` does what a replica process
+does with the ``d`` frames of one read — reassemble through the
+replica's :class:`~repro.common.faults.ReliableLink`, then one
+``put_many`` (one wake-up) per worker queue.
 """
 
 import collections
-import heapq
-import itertools
 import queue
 import threading
-import time
 
 from repro.common.faults import ReliableLink
 from repro.runtime.transport.base import Transport
+from repro.runtime.transport.pump import FramePump, Link
 
 
 class DeliveryQueue:
@@ -39,12 +43,6 @@ class DeliveryQueue:
         with self._cond:
             self._items.extend(items)
             self._cond.notify_all()
-
-    def get(self):
-        """Block until one item is available and return it."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._items)
-            return self._items.popleft()
 
     def get_batch(self, max_items):
         """Block until items are available; return up to ``max_items`` of them."""
@@ -74,165 +72,31 @@ class DeliveryQueue:
             return not self._items
 
 
-class FaultyLinkPipe:
-    """Background delivery pipe applying a :class:`FaultPlane` to each link.
-
-    When the multicast has a fault plane, ordered messages are no longer
-    put on worker queues inline: each (replica, thread) link gets per-link
-    sequence numbers and the plane plans per-copy arrival delays.  One
-    background thread pops copies from a time-ordered heap; at fire time a
-    copy whose link is partitioned is pushed back ``retransmit_backoff``
-    later (a partition is latency, not loss), and surviving copies pass
-    through a receiver-side :class:`ReliableLink` that deduplicates and
-    releases in sequence order — so the worker queue still sees a
-    gap-free FIFO stream and the multicast's ordering guarantees hold
-    under every fault.
-
-    ``in_flight()`` counts copies still in the heap plus items parked in
-    reassembly buffers; :meth:`LocalAtomicMulticast.pending_count` adds it
-    so drain checks cannot return early during a delay window.  Per-replica
-    incarnation counters, bumped when a replica's queues are (un)registered,
-    invalidate copies addressed to a crashed or replaced registration.
-    """
-
-    def __init__(self, fault_plane):
-        self.plane = fault_plane
-        self._cond = threading.Condition()
-        self._heap = []
-        self._tiebreak = itertools.count()
-        self._incarnations = {}  # replica_id -> int
-        self._send_seq = {}  # (replica_id, thread_index) -> next link sequence
-        self._recv = {}  # (replica_id, thread_index) -> ReliableLink
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="psmr-fault-pipe", daemon=True
-        )
-        self._thread.start()
-
-    @staticmethod
-    def node_name(replica_id):
-        return f"replica{replica_id}"
-
-    def reset_replica(self, replica_id):
-        """Invalidate in-flight copies and link state for one replica."""
-        with self._cond:
-            self._incarnations[replica_id] = self._incarnations.get(replica_id, 0) + 1
-            for key in [k for k in self._send_seq if k[0] == replica_id]:
-                del self._send_seq[key]
-            for key in [k for k in self._recv if k[0] == replica_id]:
-                del self._recv[key]
-            self._cond.notify()
-
-    def send(self, replica_id, targets, item):
-        """Route ``item`` to ``[(thread_index, queue)]`` of one replica."""
-        delays = self.plane.plan_delivery("order", self.node_name(replica_id))
-        now = time.monotonic()
-        with self._cond:
-            incarnation = self._incarnations.get(replica_id, 0)
-            for thread_index, delivery_queue in targets:
-                key = (replica_id, thread_index)
-                sequence = self._send_seq.get(key, 0)
-                self._send_seq[key] = sequence + 1
-                for delay in delays:
-                    heapq.heappush(
-                        self._heap,
-                        (
-                            now + delay,
-                            next(self._tiebreak),
-                            key,
-                            incarnation,
-                            sequence,
-                            delivery_queue,
-                            item,
-                        ),
-                    )
-            self._cond.notify()
-
-    def in_flight(self, replica_id=None):
-        """Copies in the heap plus reassembly-parked items (live links only)."""
-        with self._cond:
-            count = 0
-            for _due, _tb, key, incarnation, _seq, _q, _item in self._heap:
-                if incarnation != self._incarnations.get(key[0], 0):
-                    continue
-                if replica_id is None or key[0] == replica_id:
-                    count += 1
-            for key, link in self._recv.items():
-                if replica_id is None or key[0] == replica_id:
-                    count += link.pending()
-            return count
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify()
-        self._thread.join(timeout=5.0)
-
-    def _run(self):
-        backoff = self.plane.retransmit_backoff
-        while True:
-            released = None
-            with self._cond:
-                if self._closed:
-                    return
-                now = time.monotonic()
-                if not self._heap:
-                    self._cond.wait(timeout=0.1)
-                    continue
-                due = self._heap[0][0]
-                if due > now:
-                    self._cond.wait(timeout=min(due - now, 0.1))
-                    continue
-                entry = heapq.heappop(self._heap)
-                _due, _tb, key, incarnation, sequence, delivery_queue, item = entry
-                replica_id, _thread_index = key
-                if incarnation != self._incarnations.get(replica_id, 0):
-                    continue
-                if self.plane.is_blocked("order", self.node_name(replica_id)):
-                    self.plane.note_blocked_retry()
-                    heapq.heappush(
-                        self._heap,
-                        (
-                            now + backoff,
-                            next(self._tiebreak),
-                            key,
-                            incarnation,
-                            sequence,
-                            delivery_queue,
-                            item,
-                        ),
-                    )
-                    continue
-                link = self._recv.get(key)
-                if link is None:
-                    link = self._recv[key] = ReliableLink()
-                released = link.accept(sequence, item)
-            if released:
-                delivery_queue.put_many(released)
-
-
 class InprocTransport(Transport):
-    """In-process delivery: direct queue puts, or the fault pipe when a
-    :class:`~repro.common.faults.FaultPlane` is attached.
-
-    Behaviour-preserving extraction of the pre-split multicast's delivery
-    logic: the fast path puts each item on every subscribed queue inline
-    under the sequencer lock; with a plane, items detour through one
-    :class:`FaultyLinkPipe` with per-replica copy planning in ascending
-    replica order (so the plane's RNG draws line up across replays of
-    the same ordered-message sequence).
-    """
+    """In-process delivery: direct queue puts, or the pump when a
+    :class:`~repro.common.faults.FaultPlane` is attached.  Each replica
+    is then one link — one planned delivery per replica per message, in
+    ascending replica order (so the plane's RNG draws line up across
+    replays of the same ordered-message sequence, and with the process
+    runtime), its threads sharing the planned copies like one connection
+    per peer."""
 
     def __init__(self, fault_plane=None):
         self.fault_plane = fault_plane
-        self._pipe = (
-            FaultyLinkPipe(fault_plane) if fault_plane is not None else None
+        # replica_id -> Link whose sink is the registration's ReliableLink;
+        # stays empty without a plane.
+        self._links = {}
+        self.pump = (
+            FramePump(self._write, fault_plane)
+            if fault_plane is not None else None
         )
 
     def open_endpoint(self, replica_id, thread_index):
         return DeliveryQueue()
 
     def on_replica_registered(self, replica_id, endpoints, replay):
+        # The replayed suffix bypasses the pump deliberately — recovery
+        # replay is a local handover, not network traffic.
         if replay is not None:
             for thread_index, endpoint in endpoints.items():
                 endpoint.put_many(
@@ -240,36 +104,52 @@ class InprocTransport(Transport):
                     for sequence, destinations, threads, payload in replay
                     if thread_index in threads
                 )
-        if self._pipe is not None:
-            # Fresh incarnation: link sequences restart at zero and any
-            # copy still in flight toward the old registration is void.
-            # The replayed suffix above bypasses the pipe deliberately —
-            # recovery replay is a local handover, not network traffic.
-            self._pipe.reset_replica(replica_id)
+        if self.pump is not None:
+            self._links[replica_id] = Link(
+                f"replica{replica_id}", ReliableLink()
+            )
 
     def on_replica_unregistered(self, replica_id, endpoints):
-        if self._pipe is not None:
-            self._pipe.reset_replica(replica_id)
+        link = self._links.pop(replica_id, None)
+        if link is not None:
+            self.pump.void(link)
 
     def send(self, route, item):
-        if self._pipe is None:
+        if self.pump is None:
             for endpoint in route.flat:
                 endpoint.put(item)
-        else:
-            for replica_id, targets in route.grouped:
-                self._pipe.send(replica_id, targets, item)
+            return
+        plan, links = self.fault_plane.plan_delivery, self._links
+        entries = []
+        for replica_id, targets in route.grouped:
+            link = links[replica_id]
+            entries.append((link, (targets, item), plan("order", link.node)))
+        self.pump.post(entries)
+
+    def _write(self, link, items):
+        """Pump thread: what ``replica_proc``'s ``accept_deliver`` and
+        ``flush_run`` do with the ``d`` frames of one read."""
+        run = {}  # worker queue -> the items released to it, in order
+        for sequence, parcel in items:
+            for targets, item in link.sink.accept(sequence, parcel):
+                for _thread_index, endpoint in targets:
+                    run.setdefault(endpoint, []).append(item)
+        for endpoint, released in run.items():
+            endpoint.put_many(released)
 
     def in_flight(self, replica_id=None):
-        if self._pipe is not None:
-            return self._pipe.in_flight(replica_id)
-        return 0
+        """Copies the pump still holds plus items parked in reassembly."""
+        return sum(
+            link.in_flight + link.sink.pending()
+            for key, link in list(self._links.items())
+            if replica_id in (None, key)
+        )
 
     def shutdown(self, endpoints):
-        if self._pipe is not None:
-            self._pipe.close()
+        self.close()
         for endpoint in endpoints.values():
             endpoint.put(None)
 
     def close(self):
-        if self._pipe is not None:
-            self._pipe.close()
+        if self.pump is not None:
+            self.pump.close()

@@ -14,17 +14,17 @@ type                    dir    meaning
 ======================  =====  ==============================================
 ``hello``               c→s    first frame after connect: replica id, pid,
                                durable-chain watermark + manifest
-``welcome``             s→c    handshake reply: batch size, barrier timeout
-                               and the checkpoint-policy knobs the engine
-                               reads locally (full_every, compact_after)
+``welcome``             s→c    handshake reply: barrier timeout and the
+                               checkpoint-policy knobs the engine reads
+                               locally (full_every, compact_after)
 ``restore``             s→c    recovery state install before start: mode
                                ``full`` (sequence + state) or ``chain``
                                (suffix entries extending the local chain)
 ``start``               s→c    registration complete; spin up workers
 ``d``                   s→c    one ordered message: per-link sequence
-                               ``ls`` (the fault proxy may reorder or
-                               duplicate frames; a ReliableLink restores
-                               the gap-free stream), global sequence,
+                               ``ls`` (the pump may reorder or duplicate
+                               frames under a fault plane; a ReliableLink
+                               restores the gap-free stream), global sequence,
                                destinations, body (encoded command bytes
                                or a marker / shard-update dict)
 ``r``                   c→s    batched command responses
@@ -81,6 +81,7 @@ tuples.
 
 import socket
 import struct
+import time
 
 from repro.common import codec as _codec
 from repro.common import framing
@@ -266,7 +267,7 @@ def decode_chain(wire):
 
 
 # ----------------------------------------------------------------------
-# Blocking-socket helpers (the replica-process side)
+# Blocking-socket helpers (both ends of a link)
 # ----------------------------------------------------------------------
 class FrameReader:
     """Buffered frame reader: one ``recv_into`` takes whatever a burst
@@ -285,7 +286,7 @@ class FrameReader:
         self._sock = sock
         self._view = memoryview(bytearray(self.SIZE))
         self._end = 0  # buffered bytes; the first always starts a frame
-        self._error = None
+        self.error = None  # what ended the stream, once a pass met it
 
     def read(self):
         """Block until a frame is complete; return the messages of every
@@ -296,18 +297,29 @@ class FrameReader:
         error on an established stream is fatal) — raised once the
         frames ahead of it have been returned.
         """
+        while True:
+            if self.error is not None:
+                raise WireError(self.error)
+            messages = self.take()
+            if messages is None or messages:
+                return messages
+
+    def take(self):
+        """One ``recv_into``: the messages of the frames it completed,
+        ``None`` on EOF/reset.  The step for a caller serving several
+        sockets: told this one is readable it never waits — a partial
+        frame yields ``[]`` instead of parking it here — and a corrupt
+        frame sets ``error`` in the pass that met it, behind the frames
+        ahead of it."""
+        try:
+            count = self._sock.recv_into(self._view[self._end:])
+        except OSError:
+            return None
+        if not count:
+            return None
+        self._end += count
         messages = []
-        while not messages:
-            if self._error is not None:
-                raise WireError(self._error)
-            try:
-                count = self._sock.recv_into(self._view[self._end:])
-            except OSError:
-                return None
-            if not count:
-                return None
-            self._end += count
-            self._error = self._parse(messages)
+        self.error = self._parse(messages)
         return messages
 
     def _parse(self, messages):
@@ -365,13 +377,12 @@ def connect_with_backoff(host, port, deadline_seconds=15.0, base_delay=0.05):
     the same loop: try, back off, try again until the deadline.  The
     returned socket blocks: the 2 s bound is on the dial, and left on the
     stream it would read as EOF in a replica that sat idle that long.
-    It also has ``TCP_NODELAY`` set (asyncio sets it on the coordinator's
-    end): with Nagle on, a worker's small ``r`` frame waits for the ACK
-    of the one before it, which the coordinator's kernel delays by up to
-    40 ms unless a ``d`` frame happens to carry it.
+    It also has ``TCP_NODELAY`` set (the coordinator sets it on the
+    sockets it accepts): with Nagle on, a worker's small ``r`` frame
+    waits for the ACK of the one before it, which the coordinator's
+    kernel delays by up to 40 ms unless a ``d`` frame happens to carry
+    it.
     """
-    import time
-
     deadline = time.monotonic() + deadline_seconds
     delay = base_delay
     while True:

@@ -4,8 +4,8 @@ Workers drain a *batch* of delivered commands per wakeup and hand their
 responses back in one batch too.  These tests pin the semantics that must
 survive the optimisation:
 
-* batched and unbatched (``delivery_batch_size=1``, the legacy loop)
-  executions are indistinguishable — same states, same responses;
+* a batched execution is indistinguishable from one service executing
+  the same commands one at a time — same states, same responses;
 * checkpoint markers cut exactly at batch boundaries
   (``marker_boundary_violations`` stays zero) and recovery from those
   checkpoints still converges;
@@ -17,9 +17,11 @@ is the process runtime's (``test_process_cluster.py`` runs every command
 kind over it and against this runtime).
 """
 
+import itertools
 import threading
 
 from repro.common.checkpoint import CheckpointPolicy
+from repro.core.command import Command
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
 from repro.runtime.linearizability import HistoryRecorder
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
@@ -36,9 +38,8 @@ def kv_cluster(mpl=4, replicas=2, initial_keys=32, **kwargs):
     )
 
 
-def run_mixed_workload(cluster, steps=60):
+def run_mixed_workload(client, steps=60):
     """A deterministic single-client workload touching every command type."""
-    client = cluster.client()
     results = []
     for step in range(steps):
         key = step % 16
@@ -54,18 +55,24 @@ def run_mixed_workload(cluster, steps=60):
 
 
 class TestBatchedSemantics:
-    def test_batched_matches_unbatched(self):
-        outcomes = {}
-        for batch_size in (1, 64):
-            with kv_cluster(delivery_batch_size=batch_size) as cluster:
-                results = run_mixed_workload(cluster)
-                snapshots = cluster.replica_snapshots()
-                assert snapshots[0] == snapshots[1]
-                outcomes[batch_size] = (results, snapshots[0])
-        assert outcomes[1] == outcomes[64]
+    def test_batched_matches_one_at_a_time(self):
+        with kv_cluster() as cluster:
+            results = run_mixed_workload(cluster.client())
+            snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1]
+        # The reference: one service, no cluster, one command per call.
+        service = KeyValueStoreServer(initial_keys=32)
+        uids = itertools.count()
+
+        class Sequential:
+            def invoke(self, name, **args):
+                return service.apply(Command((0, next(uids)), name, args))
+
+        assert results == run_mixed_workload(Sequential())
+        assert snapshots[0] == service.snapshot()
 
     def test_pipelined_clients_fill_batches(self):
-        with kv_cluster(mpl=2, delivery_batch_size=64) as cluster:
+        with kv_cluster(mpl=2) as cluster:
             client = cluster.client()
             window = [
                 client.invoke_async("update", key=i % 16, value=b"p")
@@ -80,7 +87,7 @@ class TestBatchedSemantics:
             assert stats["avg_batch"] > 1.5
 
     def test_pipelined_history_is_linearizable(self):
-        with kv_cluster(mpl=3, initial_keys=4, delivery_batch_size=32) as cluster:
+        with kv_cluster(mpl=3, initial_keys=4) as cluster:
             recorder = HistoryRecorder()
             barrier = threading.Barrier(3)
 
@@ -116,11 +123,7 @@ class TestMarkersAtBatchBoundaries:
     def test_markers_cut_batches_cleanly_under_load(self, tmp_path):
         policy = CheckpointPolicy(every_messages=40, full_every=3, compact_after=4)
         with kv_cluster(
-            mpl=2,
-            delivery_batch_size=64,
-            checkpoint_policy=policy,
-            checkpoint_poll_interval=0.001,
-            store_dir=str(tmp_path),
+            mpl=2, checkpoint_policy=policy, store_dir=str(tmp_path)
         ) as cluster:
             client = cluster.client()
             window = [
@@ -137,10 +140,7 @@ class TestMarkersAtBatchBoundaries:
 
     def test_recovery_replays_into_batched_workers(self):
         policy = CheckpointPolicy(every_messages=30)
-        with kv_cluster(
-            mpl=2, delivery_batch_size=32, checkpoint_policy=policy,
-            checkpoint_poll_interval=0.001,
-        ) as cluster:
+        with kv_cluster(mpl=2, checkpoint_policy=policy) as cluster:
             client = cluster.client()
             for i in range(60):
                 client.invoke("update", key=i % 16, value=b"before")
@@ -153,7 +153,7 @@ class TestMarkersAtBatchBoundaries:
             assert cluster.marker_boundary_violations == 0
 
     def test_explicit_checkpoint_during_batched_load(self):
-        with kv_cluster(mpl=2, delivery_batch_size=64) as cluster:
+        with kv_cluster(mpl=2) as cluster:
             client = cluster.client()
             window = [
                 client.invoke_async("update", key=i % 8, value=b"c")

@@ -44,7 +44,7 @@ def manual_policy(max_replay_lag=None):
 # ----------------------------------------------------------------------
 def test_scheduler_keeps_log_bounded_under_sustained_load():
     policy = CheckpointPolicy(every_messages=40)
-    with kv_cluster(checkpoint_policy=policy, checkpoint_poll_interval=0.002) as cluster:
+    with kv_cluster(checkpoint_policy=policy) as cluster:
         client = cluster.client()
         samples = []
         total = 800

@@ -170,11 +170,7 @@ def test_threaded_recovery_while_source_is_checkpointing():
     them coming).  No hang, no lost acknowledged suffix, linearizable."""
     recorder = HistoryRecorder()
     policy = CheckpointPolicy(every_messages=12, full_every=3, max_replay_lag=10_000)
-    with kv_cluster(
-        initial_keys=8,
-        checkpoint_policy=policy,
-        checkpoint_poll_interval=0.001,
-    ) as cluster:
+    with kv_cluster(initial_keys=8, checkpoint_policy=policy) as cluster:
         stop = threading.Event()
 
         def churn():

@@ -62,13 +62,16 @@ def test_basic_operations_and_convergence():
         assert cluster.marker_boundary_violations == 0
 
 
-def test_replica_processes_are_real_and_distinct():
+def test_replica_processes_are_real_and_distinct(transport_threads):
     with proc_cluster(replicas=2) as cluster:
         pids = {replica.pid for replica in cluster.replicas}
         assert len(pids) == 2
         assert os.getpid() not in pids
         for pid in pids:
             os.kill(pid, 0)  # alive (signal 0 = existence probe)
+        # The runner's side of the links: two threads, not two per replica.
+        assert transport_threads() == ["psmr-pump", "psmr-tcp-reader"]
+    assert transport_threads() == []
 
 
 def test_sigkill_mid_load_then_restart_from_disk_is_linearizable(tmp_path):
@@ -409,6 +412,18 @@ def test_control_plane_method_is_one_function_object(name):
     assert getattr(ThreadedPSMRCluster, name) is getattr(ProcessPSMRCluster, name)
 
 
+@pytest.mark.parametrize(
+    "keyword",
+    ["delivery_batch_size", "checkpoint_poll_interval", "spawn_timeout", "coarse_cg"],
+)
+def test_an_option_that_became_a_constant_is_a_type_error(keyword):
+    """One value was ever in use; nothing accepts and ignores another."""
+    with pytest.raises(TypeError):
+        ProcessPSMRCluster(**{keyword: 1})
+    with pytest.raises(TypeError):
+        ThreadedPSMRCluster(KVSTORE_SPEC, KeyValueStoreServer, **{keyword: 1})
+
+
 def _replica_children():
     """Pids of the live ``repro.runtime.replica_proc`` children of this process."""
     children = []
@@ -431,10 +446,10 @@ def _replica_children():
     return sorted(children)
 
 
-def test_failed_start_leaves_nothing_behind(monkeypatch):
+def test_failed_start_leaves_nothing_behind(monkeypatch, transport_threads):
     """``__enter__`` raising means ``__exit__`` never runs: a start that
     fails on the second replica must itself reap the first child, stop the
-    transport thread and remove the temp store it owns."""
+    transport threads and remove the temp store it owns."""
     take_hello = TcpCoordinatorTransport.take_hello
 
     def second_replica_never_connects(self, replica_id, timeout):
@@ -450,7 +465,7 @@ def test_failed_start_leaves_nothing_behind(monkeypatch):
         with cluster:
             pytest.fail("start() should have raised")
     assert _replica_children() == []
-    assert not cluster.transport._thread.is_alive()
+    assert transport_threads() == []
     assert not os.path.exists(cluster.store_dir)
 
 

@@ -17,7 +17,7 @@ def test_split_names_the_runner_and_replica_threads(tmp_path, monkeypatch):
     spec.loader.exec_module(thread_cpu)
     rows, runner, rate = thread_cpu.split("http-batch", seconds=0.5, warmup_s=0.2)
     names = {row[0] for row in rows}
-    assert {"frontend-http", "psmr-tcp-coordinator", "generator-0", "generator-1"} <= names
+    assert {"frontend-http", "psmr-pump", "psmr-tcp-reader", "generator-0", "generator-1"} <= names
     for replica in (0, 1):
         assert {f"replica{replica}-recv", *(f"replica{replica}-t{t}" for t in range(1, 5))} <= names
     assert rate > 0 and 0 < runner <= len(os.sched_getaffinity(0))

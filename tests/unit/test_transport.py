@@ -2,13 +2,18 @@
 
 import collections
 import contextlib
+import os
+import re
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.common import codec, framing
 from repro.common.errors import CheckpointError, ProtocolError, RecoveryError
 from repro.common.faults import FaultPlane, ReliableLink
@@ -17,10 +22,13 @@ from repro.multicast.group import ALL_GROUPS
 from repro.runtime.multicast import LocalAtomicMulticast
 from repro.runtime.replica_proc import ReplicaProcess
 from repro.runtime.transport import (
+    InprocTransport,
     TcpCoordinatorTransport,
     TransportRoute,
+    tcp,
     wire,
 )
+from repro.runtime.transport.pump import Link
 
 
 # ----------------------------------------------------------------------
@@ -392,78 +400,95 @@ class TestFrameReader:
             right.close()
 
 
+def _unreadable_frame(how):
+    """A frame the receiver cannot use: a flipped payload byte under the
+    old CRC, or a valid CRC over a payload no encoder produces."""
+    if how == "malformed":
+        return framing.encode_frame(
+            framing.WIRE_MAGIC, MALFORMED["d: unknown body kind"]
+        )
+    frame = bytearray(wire.encode_message(STREAM[0]))
+    frame[-1] ^= 0xFF
+    return bytes(frame)
+
+
+class TestFrameReaderTake:
+    """The step a caller serving several sockets uses: it never waits for
+    the rest of a frame, and reports a corrupt frame in the pass that
+    met it."""
+
+    def test_a_partial_frame_yields_nothing_and_does_not_block(self):
+        frames = [wire.encode_message(message) for message in STREAM[:2]]
+        left, right = socket.socketpair()
+        right.settimeout(0.5)  # a ``take`` that waited would read as EOF
+        try:
+            reader = wire.FrameReader(right)
+            left.sendall(frames[0] + frames[1][:10])
+            assert reader.take() == STREAM[:1]
+            left.sendall(frames[1][10:-1])
+            assert reader.take() == []
+            left.sendall(frames[1][-1:])
+            assert reader.take() == STREAM[1:2]
+            assert reader.error is None
+            left.close()
+            assert reader.take() is None
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("how", ["bad crc", "malformed"])
+    def test_a_corrupt_frame_is_reported_with_the_frames_ahead_of_it(self, how):
+        left, right = socket.socketpair()
+        try:
+            reader = wire.FrameReader(right)
+            left.sendall(wire.encode_message(STREAM[0]) + _unreadable_frame(how))
+            assert reader.take() == STREAM[:1]
+            assert reader.error is not None
+            with pytest.raises(wire.WireError):
+                reader.read()
+        finally:
+            left.close()
+            right.close()
+
+
 # ----------------------------------------------------------------------
 # TCP coordinator transport
 # ----------------------------------------------------------------------
+HELLO = {"t": "hello", "watermark": -1, "manifest": ()}
+
+
+def dial(transport, replica_id, arm=True):
+    """One fake replica's connection, its hello sent."""
+    if arm:
+        transport.discard_hello(replica_id)  # as ``respawn`` does
+    sock = socket.create_connection((transport.host, transport.port), timeout=5.0)
+    wire.send_message(sock, {**HELLO, "replica": replica_id, "pid": replica_id})
+    return sock
+
+
 @contextlib.contextmanager
-def fake_replicas(count, fault_plane=None):
+def fake_replicas(count, fault_plane=None, on_message=None):
     """A started transport with ``count`` replica connections past their
     hello; yields ``(transport, [FrameReader per replica])``."""
-    transport = TcpCoordinatorTransport(fault_plane)
-    host, port = transport.start()
+    transport = TcpCoordinatorTransport(fault_plane, on_message=on_message)
+    transport.start()
     socks = []
     try:
         for replica_id in range(count):
-            transport.discard_hello(replica_id)
-            sock = socket.create_connection((host, port), timeout=5.0)
-            socks.append(sock)
-            wire.send_message(
-                sock,
-                {"t": "hello", "replica": replica_id, "watermark": -1,
-                 "manifest": (), "pid": replica_id},
-            )
+            socks.append(dial(transport, replica_id))
             transport.take_hello(replica_id, timeout=5.0)
         yield transport, [wire.FrameReader(sock) for sock in socks]
     finally:
         for sock in socks:
             sock.close()
-        # Let the connection handlers see the EOFs and finish, so closing
-        # the loop under them does not destroy a pending task.
-        deadline = time.monotonic() + 5.0
-        while (
-            any(transport.connected(replica_id) for replica_id in range(count))
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.002)
         transport.close()
 
 
-@contextlib.contextmanager
-def held_loop(transport):
-    """Park the coordinator loop inside a callback for the block; yields
-    the callbacks scheduled onto it from other threads meanwhile.  On
-    exit the loop is released and everything scheduled has run."""
-    loop = transport._loop
-    entered, release = threading.Event(), threading.Event()
-
-    def hold():
-        entered.set()
-        release.wait(10.0)
-
-    loop.call_soon_threadsafe(hold)
-    assert entered.wait(5.0)
-    scheduled = []
-    schedule = loop.call_soon_threadsafe
-
-    def recording(callback, *args):
-        scheduled.append(callback)
-        return schedule(callback, *args)
-
-    loop.call_soon_threadsafe = recording
-    try:
-        yield scheduled
-    finally:
-        del loop.call_soon_threadsafe
-        release.set()
-        run_pending(transport)
-
-
-def run_pending(transport):
-    """Return once every callback already scheduled on the loop has run
-    (callbacks run in FIFO order, so a marker behind them tells)."""
-    ran = threading.Event()
-    transport._loop.call_soon_threadsafe(ran.set)
-    assert ran.wait(5.0)
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert condition()
 
 
 def route_to(*replica_ids):
@@ -479,39 +504,220 @@ def read_frames(reader, count):
     return frames
 
 
+# ----------------------------------------------------------------------
+# The pump, against both sinks
+# ----------------------------------------------------------------------
+class SocketSink:
+    """The TCP transport and ``count`` fake replica processes."""
+
+    def __init__(self, stack, count, plane):
+        self.transport, self.readers = stack.enter_context(
+            fake_replicas(count, plane)
+        )
+        self.route = route_to(*range(count))
+        self._links = [ReliableLink() for _ in range(count)]
+
+    def released(self, replica_id, count):
+        """The next ``count`` ``(sequence, body)`` the replica's
+        ``ReliableLink`` releases — what its workers would be handed."""
+        released = []
+        while len(released) < count:
+            for frame in read_frames(self.readers[replica_id], 1):
+                released.extend(
+                    self._links[replica_id].accept(frame["ls"], frame)
+                )
+        return [(frame["s"], frame["b"]) for frame in released]
+
+
+class QueueSink:
+    """The in-process transport and one worker queue per replica; a plane
+    without faults still selects the pump."""
+
+    def __init__(self, stack, count, plane):
+        self.transport = InprocTransport(plane or FaultPlane())
+        stack.callback(self.transport.close)
+        self.queues = [
+            self.transport.open_endpoint(replica_id, 1)
+            for replica_id in range(count)
+        ]
+        for replica_id, endpoint in enumerate(self.queues):
+            self.transport.on_replica_registered(replica_id, {1: endpoint}, None)
+        self.route = TransportRoute(
+            list(self.queues),
+            [(replica_id, [(1, q)]) for replica_id, q in enumerate(self.queues)],
+        )
+
+    def released(self, replica_id, count):
+        wait_until(lambda: self.queues[replica_id].qsize() >= count)
+        return [
+            (sequence, body)
+            for sequence, _destinations, body
+            in self.queues[replica_id].get_batch(count)
+        ]
+
+
+@pytest.fixture(params=[SocketSink, QueueSink], ids=["socket", "queues"])
+def sink(request):
+    """``sink(count, plane=None)`` builds one; torn down with the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda count, plane=None: request.param(stack, count, plane)
+
+
+class Held:
+    """What the pump did after a :func:`held_pump` block let it go."""
+
+    def __init__(self):
+        self.wakeups = 0  # ``notify`` calls made while it was held
+        self.writes = []  # (link, number of items) per ``write``, in order
+
+
+@contextlib.contextmanager
+def held_pump(transport):
+    """Park the pump thread inside the ``write`` of a fake link for the
+    block; on exit it is released and has written all that was posted
+    meanwhile."""
+    pump = transport.pump
+    plug, held = Link("plug", None), Held()
+    entered, release, flushed = (threading.Event() for _ in range(3))
+    write, notify = pump.write, pump._cond.notify
+
+    def holding_write(link, items):
+        if link is not plug:
+            held.writes.append((link, len(items)))
+            write(link, items)
+        elif not entered.is_set():
+            entered.set()
+            release.wait(10.0)
+        else:
+            flushed.set()
+
+    def counting_notify():
+        held.wakeups += 1
+        notify()
+
+    pump.write = holding_write
+    pump.post([(plug, None, None)])
+    assert entered.wait(5.0)
+    pump._cond.notify = counting_notify
+    try:
+        yield held
+    finally:
+        del pump._cond.notify
+        release.set()
+        pump.post([(plug, None, None)])  # behind all that was posted
+        assert flushed.wait(5.0)
+        pump.write = write
+
+
 class TestBurstPath:
     COUNT = 40
+    BURST = [(sequence, b"cmd%d" % sequence) for sequence in range(COUNT)]
 
-    def send_burst(self, transport, route):
-        for sequence in range(self.COUNT):
-            transport.send(route, (sequence, ALL_GROUPS, b"cmd%d" % sequence))
+    def send_burst(self, sink):
+        for sequence, body in self.BURST:
+            sink.transport.send(sink.route, (sequence, ALL_GROUPS, body))
 
-    def test_a_burst_is_one_wakeup_and_one_write_per_link(self):
+    def test_a_burst_is_one_wakeup_and_one_write_per_link(self, sink):
+        count = self.COUNT
+        sink = sink(2)
+        transport = sink.transport
+        with held_pump(transport) as held:
+            self.send_burst(sink)
+            assert transport.in_flight() == 2 * count
+            assert transport.in_flight(1) == count
+            assert held.writes == []
+        assert held.wakeups == 1
+        assert [items for _link, items in held.writes] == [count, count]
+        for replica_id in (0, 1):
+            assert sink.released(replica_id, count) == self.BURST
+        wait_until(lambda: transport.in_flight() == 0)
+
+    def test_a_lone_frame_leaves_at_once(self, sink):
+        sink = sink(1)
+        sink.transport.send(sink.route, (0, ALL_GROUPS, b"only"))
+        assert sink.released(0, 1) == [(0, b"only")]
+        wait_until(lambda: sink.transport.in_flight() == 0)
+
+    def test_a_generation_bump_before_the_pass_voids_the_copies(self, sink):
+        count = self.COUNT
+        sink = sink(2)
+        transport = sink.transport
+        with held_pump(transport) as held:
+            self.send_burst(sink)
+            transport.on_replica_unregistered(1, {})
+            # Void copies are dropped already, as far as a drain check is
+            # concerned ...
+            assert transport.in_flight(1) == 0
+            assert transport.in_flight() == count
+        # ... and nothing was written toward the voided registration.
+        assert [items for _link, items in held.writes] == [count]
+        assert sink.released(0, count) == self.BURST
+        wait_until(lambda: transport.in_flight() == 0)
+
+    def test_faults_still_yield_each_message_once_in_order(self, sink):
+        count = self.COUNT
+        plane = FaultPlane(seed=5, retransmit_backoff=0.002)
+        plane.set_link(
+            duplicate=0.5, delay=0.5, delay_range=(0.0, 0.01),
+            reorder=0.2, reorder_window=0.005,
+        )
+        plane.isolate("replica1")
+        sink = sink(2, plane)
+        transport = sink.transport
+        with held_pump(transport):
+            self.send_burst(sink)
+            plans = [e for e in plane.schedule() if e[0] == "plan"]
+            copies = {
+                node: sum(len(e[3]) for e in plans if e[2] == node)
+                for node in ("replica0", "replica1")
+            }
+            assert copies["replica0"] > count  # some were duplicated
+            assert transport.in_flight(0) == copies["replica0"]
+            assert transport.in_flight(1) == copies["replica1"]
+        # One plan per replica per message, in ascending replica order.
+        assert [e[2] for e in plans] == ["replica0", "replica1"] * count
+        assert sink.released(0, count) == self.BURST
+        # The partitioned link's copies were re-parked, not lost and
+        # not counted out.
+        assert plane.stats["blocked_retries"] > 0
+        assert transport.in_flight(1) == copies["replica1"]
+        plane.heal()
+        assert sink.released(1, count) == self.BURST
+        # Trailing duplicates are still on the heap.
+        wait_until(lambda: transport.in_flight() == 0)
+        if isinstance(sink, SocketSink):  # every copy became a frame
+            assert transport.frames_written == sum(copies.values())
+
+
+class TestSocketBurstPath:
+    """What only frames on a socket have: control frames among the ``d``
+    frames, the replay of a retained suffix, the write counters."""
+
+    COUNT = TestBurstPath.COUNT
+
+    def test_the_counters_read_one_write_per_link_per_burst(self):
         count = self.COUNT
         with fake_replicas(2) as (transport, readers):
-            with held_loop(transport) as scheduled:
-                self.send_burst(transport, route_to(0, 1))
-                assert transport.in_flight() == 2 * count
-                assert transport.in_flight(1) == count
+            with held_pump(transport):
+                for sequence in range(count):
+                    transport.send(route_to(0, 1), (sequence, ALL_GROUPS, b"c"))
                 assert transport.frames_written == 0
-            assert scheduled == [transport._drain]
+            wait_until(lambda: transport.in_flight() == 0)
             assert transport.writes == 2
             assert transport.frames_written == 2 * count
-            assert transport.in_flight() == 0
             for reader in readers:
                 frames = read_frames(reader, count)
                 assert [frame["ls"] for frame in frames] == list(range(count))
                 assert [frame["s"] for frame in frames] == list(range(count))
                 assert {frame["t"] for frame in frames} == {"d"}
-
-    def test_a_lone_frame_leaves_at_once(self):
-        with fake_replicas(1) as (transport, readers):
-            transport.send(route_to(0), (0, ALL_GROUPS, b"only"))
+            # A lone frame is a write of its own, at once.
+            transport.send(route_to(0), (count, ALL_GROUPS, b"only"))
             (frame,) = read_frames(readers[0], 1)
-            assert (frame["ls"], frame["b"]) == (0, b"only")
-            run_pending(transport)
-            assert (transport.writes, transport.frames_written) == (1, 1)
-            assert transport.in_flight() == 0
+            assert (frame["ls"], frame["b"]) == (count, b"only")
+            wait_until(lambda: transport.in_flight() == 0)
+            assert (transport.writes, transport.frames_written) == (
+                3, 2 * count + 1
+            )
 
     def test_replay_is_one_wakeup(self):
         count = self.COUNT
@@ -520,10 +726,11 @@ class TestBurstPath:
             for sequence in range(count)
         ]
         with fake_replicas(1) as (transport, readers):
-            with held_loop(transport) as scheduled:
+            with held_pump(transport) as held:
                 transport.on_replica_registered(0, {}, replay)
                 assert transport.in_flight(0) == count
-            assert scheduled == [transport._drain]
+            assert held.wakeups == 1
+            assert [items for _link, items in held.writes] == [count]
             assert (transport.writes, transport.frames_written) == (1, count)
             frames = read_frames(readers[0], count)
             assert [frame["ls"] for frame in frames] == list(range(count))
@@ -531,7 +738,7 @@ class TestBurstPath:
 
     def test_a_control_frame_keeps_its_place_between_deliveries(self):
         with fake_replicas(1) as (transport, readers):
-            with held_loop(transport):
+            with held_pump(transport):
                 transport.send(route_to(0), (0, ALL_GROUPS, b"before"))
                 assert transport.control_send(0, {"t": "stats?", "req": 7})
                 transport.send(route_to(0), (1, ALL_GROUPS, b"after"))
@@ -540,79 +747,63 @@ class TestBurstPath:
             assert [frame["t"] for frame in frames] == ["d", "stats?", "d"]
             assert [frames[0]["b"], frames[2]["b"]] == [b"before", b"after"]
 
-    def test_an_epoch_bump_before_the_drain_voids_the_copies(self):
-        count = self.COUNT
+    def test_a_voided_registration_keeps_its_connection(self):
         with fake_replicas(2) as (transport, readers):
-            with held_loop(transport):
-                self.send_burst(transport, route_to(0, 1))
+            with held_pump(transport):
+                transport.send(route_to(0, 1), (0, ALL_GROUPS, b"cmd"))
                 transport.on_replica_unregistered(1, {})
-                # Stale-epoch copies are dropped already, as far as a
-                # drain check is concerned ...
-                assert transport.in_flight(1) == 0
-                assert transport.in_flight() == count
-                assert len(transport._in_flight) == 2
-            # ... and their key is gone once the drain has seen them.
-            assert transport._in_flight == {}
-            assert (transport.writes, transport.frames_written) == (1, count)
-            assert len(read_frames(readers[0], count)) == count
-            # Nothing was written toward the voided registration.
+            assert (transport.writes, transport.frames_written) == (1, 1)
             assert transport.control_send(1, {"t": "bye"})
             assert read_frames(readers[1], 1) == [{"t": "bye"}]
 
-    def test_faults_still_yield_each_message_once_in_order(self):
-        count = self.COUNT
-        plane = FaultPlane(seed=5, retransmit_backoff=0.002)
-        plane.set_link(
-            duplicate=0.5, delay=0.5, delay_range=(0.0, 0.01),
-            reorder=0.2, reorder_window=0.005,
-        )
-        plane.isolate("replica1")
-        with fake_replicas(2, plane) as (transport, readers):
-            with held_loop(transport):
-                self.send_burst(transport, route_to(0, 1))
-                plans = [e for e in plane.schedule() if e[0] == "plan"]
-                copies = {
-                    node: sum(len(e[3]) for e in plans if e[2] == node)
-                    for node in ("replica0", "replica1")
-                }
-                assert copies["replica0"] > count  # some were duplicated
-                assert transport.in_flight(0) == copies["replica0"]
-                assert transport.in_flight(1) == copies["replica1"]
-            # One plan per replica per message, in ascending replica order.
-            assert [e[2] for e in plans] == ["replica0", "replica1"] * count
-
-            def released_by(reader):
-                link, released = ReliableLink(), []
-                while len(released) < count:
-                    for frame in read_frames(reader, 1):
-                        released.extend(link.accept(frame["ls"], frame))
-                return [frame["s"] for frame in released]
-
-            assert released_by(readers[0]) == list(range(count))
-            # The partitioned link's copies were re-parked, not lost and
-            # not counted out.
-            assert plane.stats["blocked_retries"] > 0
-            assert transport.in_flight(1) == copies["replica1"]
-            plane.heal()
-            assert released_by(readers[1]) == list(range(count))
-            deadline = time.monotonic() + 5.0
-            while transport.in_flight() and time.monotonic() < deadline:
-                time.sleep(0.005)  # trailing duplicates on their timers
-            assert transport.in_flight() == 0
-            assert transport._in_flight == {}
-            assert transport.frames_written == sum(copies.values())
+    def test_a_peer_that_stops_reading_costs_the_others_a_bounded_delay(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(tcp, "SEND_TIMEOUT", 0.3)
+        count, body = 12, b"x" * (1 << 20)  # more than the kernel buffers
+        with fake_replicas(2) as (transport, readers):
+            for sequence in range(count):
+                transport.send(route_to(0, 1), (sequence, ALL_GROUPS, body))
+            # Replica 1 never reads.  Replica 0 still gets the burst ...
+            frames = read_frames(readers[0], count)
+            assert [frame["s"] for frame in frames] == list(range(count))
+            # ... and the stalled link is dropped, like any broken one.
+            wait_until(lambda: not transport.connected(1))
+            assert transport.connected(0)
+            assert not transport.control_send(1, {"t": "stats?", "req": 0})
+            # (A pass settles after its last write, the one that timed out.)
+            wait_until(lambda: transport.in_flight() == 0)
+            transport.send(route_to(0, 1), (count, ALL_GROUPS, b"next"))
+            assert read_frames(readers[0], 1)[0]["b"] == b"next"
 
 
-def _unreadable_frame(how):
-    """A frame the receiver cannot use: a flipped payload byte under the
-    old CRC, or a valid CRC over a payload no encoder produces."""
-    if how == "malformed":
-        return framing.encode_frame(
-            framing.WIRE_MAGIC, MALFORMED["d: unknown body kind"]
-        )
-    frame = bytearray(wire.encode_message(STREAM[0]))
-    frame[-1] ^= 0xFF
-    return bytes(frame)
+class TestTransportThreads:
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_two_threads_whatever_the_replica_count(
+        self, replicas, transport_threads
+    ):
+        with fake_replicas(replicas) as (transport, _readers):
+            assert transport_threads() == ["psmr-pump", "psmr-tcp-reader"]
+            transport.close()
+            assert transport_threads() == []
+        # ``fake_replicas`` closed it a second time.
+        assert transport_threads() == []
+
+    def test_a_transport_never_started_owns_no_thread(self, transport_threads):
+        transport = TcpCoordinatorTransport()
+        assert transport_threads() == []
+        transport.close()
+
+    def test_the_queue_transport_owns_a_pump_only_under_a_plane(
+        self, transport_threads
+    ):
+        InprocTransport().close()
+        assert transport_threads() == []
+        transport = InprocTransport(FaultPlane())
+        assert transport_threads() == ["psmr-pump"]
+        transport.close()
+        transport.close()
+        assert transport_threads() == []
 
 
 class TestSerialiseOnce:
@@ -653,7 +844,7 @@ class TestSerialiseOnce:
                 assert [frame["ls"] for frame in frames] == list(range(commands))
                 assert [frame["b"] for frame in frames] == bodies
                 assert {frame["dst"] for frame in frames} == {(2,)}
-            run_pending(transport)
+            wait_until(lambda: transport.in_flight() == 0)
             assert transport.frames_written == replicas * commands
 
 
@@ -694,7 +885,7 @@ class TestUnencodableResponse:
 
         try:
             for message in (
-                {"t": "welcome", "batch": 32, "barrier_timeout": 5.0,
+                {"t": "welcome", "barrier_timeout": 5.0,
                  "full_every": None, "compact_after": None},
                 {"t": "start"},
             ):
@@ -838,3 +1029,104 @@ class TestTcpCoordinatorTransport:
             second.close()
         finally:
             transport.close()
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {**HELLO},  # no id at all
+            {**HELLO, "replica": 99},  # an id nobody armed a waiter for
+            {**HELLO, "replica": "0"},
+            {**HELLO, "replica": True},
+            {"t": "stats", "replica": 0},  # not a hello
+        ],
+        ids=["missing", "unknown", "str", "bool", "not-a-hello"],
+    )
+    def test_a_hello_nobody_waits_for_is_refused(self, hello):
+        with fake_replicas(1) as (transport, _readers):
+            transport.discard_hello(1)  # armed, but not for what is claimed
+            sock = socket.create_connection(
+                (transport.host, transport.port), timeout=5.0
+            )
+            try:
+                wire.send_message(sock, hello)
+                assert wire.FrameReader(sock).read() is None  # closed on us
+            finally:
+                sock.close()
+            assert sorted(transport._links) == [0]
+            # The reader thread survived it.
+            assert transport.control_send(0, {"t": "start"})
+
+    def test_an_unarmed_second_hello_cannot_take_over_a_live_link(self):
+        received = []
+        with fake_replicas(
+            1, on_message=lambda replica_id, message: received.append(message)
+        ) as (transport, readers):
+            intruder = dial(transport, 0, arm=False)
+            try:
+                assert wire.FrameReader(intruder).read() is None
+                # Forged answers went nowhere; the replica's still flow,
+                # in both directions.
+                wire.send_message(intruder, {"t": "r", "resps": ()})
+                genuine = {"t": "stats", "req": 1}
+                wire.send_message(readers[0]._sock, genuine)
+                wait_until(lambda: received)
+                assert received == [genuine]
+                assert transport.control_send(0, {"t": "start"})
+                assert readers[0].read() == [{"t": "start"}]
+            finally:
+                intruder.close()
+
+    def test_a_handler_that_raises_costs_its_own_link_only(self, capsys):
+        received = []
+
+        def on_message(replica_id, message):
+            if message.get("req") == "boom":
+                raise KeyError("manifest")
+            received.append((replica_id, message))
+
+        with fake_replicas(2, on_message=on_message) as (transport, readers):
+            wire.send_message(readers[0]._sock, {"t": "mk", "req": "boom"})
+            assert readers[0].read() is None  # closed on us, not left open
+            assert not transport.connected(0)
+            assert "KeyError" in capsys.readouterr().err  # and reported
+            wire.send_message(readers[1]._sock, {"t": "stats", "req": 2})
+            wait_until(lambda: received)
+            assert received == [(1, {"t": "stats", "req": 2})]
+            assert transport.connected(1)
+
+
+#: An import of asyncio, or a call through it (prose may still name the
+#: frontend's loop).
+_ASYNCIO = re.compile(
+    r"^\s*import\s+(?:[\w.]+\s*,\s*)*asyncio\b"
+    r"|^\s*from\s+asyncio\b"
+    r"|\basyncio\s*\.\s*\w+\s*\("
+)
+
+
+class TestOneConcurrencyModel:
+    def test_nothing_under_runtime_or_common_imports_asyncio(self):
+        root = list(repro.__path__)[0]
+        offenders = []
+        for package in ("runtime", "common"):
+            for dirpath, _dirnames, filenames in os.walk(os.path.join(root, package)):
+                for name in filenames:
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(dirpath, name)
+                    with open(path, "r", encoding="utf-8") as handle:
+                        for line_number, line in enumerate(handle, 1):
+                            if _ASYNCIO.search(line):
+                                offenders.append(f"{path}:{line_number}: {line.strip()}")
+        assert not offenders, "asyncio used:\n" + "\n".join(offenders)
+
+    def test_a_replica_process_never_loads_asyncio(self):
+        # Everything a replica child imports, in a fresh interpreter.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.runtime.replica_proc; "
+             "print('asyncio' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert loaded.stdout.strip() == "False"
