@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Crash/recovery demo across both runtimes.
+"""Crash/recovery demo on the threaded cluster.
 
 Part 1 drives the threaded cluster through a full lifecycle: load, crash a
 replica, keep serving, recover it (checkpoint transfer + log replay) and
@@ -10,14 +10,9 @@ the multicast replay log bounded while commands flow, a replica crashed past
 its replayable horizon is recovered via full state transfer, and two
 simultaneously-crashed replicas heal from one shared checkpoint.
 
-Part 3 runs the simulated recovery experiments: a replica is crashed and
-recovered at virtual times while a mixed workload runs, producing the
-throughput-over-time, catch-up-time and checkpoint-scaling tables.
-
 Run with:  python examples/recovery_demo.py
 """
 
-from repro.harness.experiments import run_checkpoint_scaling, run_recovery
 from repro.runtime import CheckpointPolicy, ThreadedPSMRCluster
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
@@ -79,19 +74,9 @@ def periodic_checkpointing():
               f"{snapshots[0] == snapshots[1] == snapshots[2]}")
 
 
-def simulated_experiment():
-    print("\nSimulated recovery experiment (virtual-time crash/recovery)")
-    result = run_recovery(duration=0.12)
-    print(result["text"])
-    print("\nSimulated checkpoint-scaling experiment (recovery vs. state size)")
-    result = run_checkpoint_scaling(duration=0.06)
-    print(result["text"])
-
-
 def main():
     threaded_lifecycle()
     periodic_checkpointing()
-    simulated_experiment()
 
 
 if __name__ == "__main__":

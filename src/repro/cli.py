@@ -13,7 +13,7 @@ Each sub-command runs the corresponding experiment driver from
 :mod:`repro.harness.experiments` and prints the paper-style table.
 Experiments with a live-cluster phase accept ``--runtime`` to pick the
 cluster flavour: ``threaded`` (in-process threads, default), ``proc``
-(one OS process per replica over TCP) or ``sim`` (simulation only).
+(one OS process per replica over TCP).
 """
 
 import argparse
@@ -24,8 +24,6 @@ from repro.harness.experiments import (
     run_frontend,
     run_ablation_cg_granularity,
     run_ablation_merge_policy,
-    run_checkpoint_scaling,
-    run_delta_checkpoint,
     run_durable_recovery,
     run_fig3_independent,
     run_fig4_dependent,
@@ -34,14 +32,13 @@ from repro.harness.experiments import (
     run_fig7_skew,
     run_fig8_netfs,
     run_nemesis,
-    run_recovery,
     run_shard_rebalance,
     run_table1,
 )
 
 #: Live-cluster runtimes accepted by ``--runtime`` (experiments without a
 #: live phase ignore the flag).
-RUNTIMES = ("threaded", "proc", "sim")
+RUNTIMES = ("threaded", "proc")
 
 #: Experiment name -> (driver, accepts timing kwargs, accepts runtime kwarg).
 EXPERIMENTS = {
@@ -52,11 +49,8 @@ EXPERIMENTS = {
     "fig6": (run_fig6_mixed, True, False),
     "fig7": (run_fig7_skew, False, False),
     "fig8": (run_fig8_netfs, True, False),
-    "recovery": (run_recovery, True, False),
-    "checkpoint-scaling": (run_checkpoint_scaling, True, False),
-    "delta-checkpoint": (run_delta_checkpoint, True, False),
     "durable-recovery": (run_durable_recovery, True, False),
-    "nemesis": (run_nemesis, True, True),
+    "nemesis": (run_nemesis, False, True),
     "frontend": (run_frontend, True, True),
     "shard-rebalance": (run_shard_rebalance, True, False),
     "ablation-merge": (run_ablation_merge_policy, True, False),
@@ -81,8 +75,7 @@ def build_parser():
     parser.add_argument("--runtime", choices=RUNTIMES, default="threaded",
                         help="live-cluster runtime for experiments with a "
                              "live phase (threaded: in-process threads; "
-                             "proc: one OS process per replica over TCP; "
-                             "sim: simulation only)")
+                             "proc: one OS process per replica over TCP)")
     return parser
 
 

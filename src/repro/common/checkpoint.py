@@ -1,13 +1,12 @@
-"""Checkpoint scheduling policy shared by both runtimes.
+"""Checkpoint scheduling policy of the live runtimes' control plane.
 
 The paper's replica fault model (section IV) pairs checkpoint transfer with
 multicast log-suffix replay, but the replay log grows without bound unless
-checkpoints are taken — and the log truncated — periodically.  Both runtimes
-implement the same policy:
+checkpoints are taken — and the log truncated — periodically.  The threaded
+and process runtimes share one control plane that implements this policy:
 
 * take a marker checkpoint every ``every_messages`` ordered messages and/or
-  every ``every_seconds`` seconds (real time in the threaded runtime,
-  virtual time in the simulation);
+  every ``every_seconds`` seconds;
 * after every periodic checkpoint, truncate the ordered-message log up to
   the minimum installed-checkpoint watermark across all replicas;
 * a crashed replica pins the log at its last installed watermark only while
@@ -23,62 +22,9 @@ checkpoint is full and the ones between are deltas, so a chain holds at most
 ``full_every - 1`` deltas before the next full snapshot resets it.  Restore
 applies base + delta chain in order; recovery transfers only the chain
 suffix the joiner is missing.
-
-A :class:`CompressionModel` (ratio + cpu-seconds per byte) makes checkpoint
-compression a first-class cost: the simulated runtime charges
-serialise + compress + transfer time from it, and the harness reports the
-resulting wire bytes.
 """
 
 from repro.common.errors import CheckpointError, ConfigurationError
-
-
-class CompressionModel:
-    """Cost model for compressing a checkpoint before it hits the wire.
-
-    ``ratio``
-        Compressed size as a fraction of the raw serialised size
-        (``1.0`` = incompressible / compression disabled).
-    ``cpu_seconds_per_byte``
-        CPU time charged per *raw* byte pushed through the compressor.
-        Modern fast compressors sit around a fraction of a nanosecond per
-        byte; tighter codecs trade more CPU for a smaller ratio.
-    """
-
-    def __init__(self, name="none", ratio=1.0, cpu_seconds_per_byte=0.0):
-        if not 0.0 < ratio <= 1.0:
-            raise ConfigurationError("compression ratio must be in (0, 1]")
-        if cpu_seconds_per_byte < 0.0:
-            raise ConfigurationError("cpu_seconds_per_byte must be >= 0")
-        self.name = name
-        self.ratio = ratio
-        self.cpu_seconds_per_byte = cpu_seconds_per_byte
-
-    def wire_size(self, raw_bytes):
-        """Bytes actually transferred for a ``raw_bytes``-sized checkpoint."""
-        if raw_bytes <= 0:
-            return 0
-        return max(1, int(raw_bytes * self.ratio))
-
-    def cpu_seconds(self, raw_bytes):
-        """CPU seconds charged to compress ``raw_bytes`` of checkpoint."""
-        return max(0, raw_bytes) * self.cpu_seconds_per_byte
-
-    def __repr__(self):
-        return (
-            f"CompressionModel(name={self.name!r}, ratio={self.ratio}, "
-            f"cpu_seconds_per_byte={self.cpu_seconds_per_byte})"
-        )
-
-
-#: No compression: raw bytes on the wire, zero CPU.
-NO_COMPRESSION = CompressionModel("none", 1.0, 0.0)
-
-#: An LZ4-class codec: modest ratio, nearly free CPU.
-FAST_COMPRESSION = CompressionModel("fast", 0.55, 0.4e-9)
-
-#: A zstd-class codec: tighter ratio, noticeably more CPU per byte.
-TIGHT_COMPRESSION = CompressionModel("tight", 0.35, 2.0e-9)
 
 
 class CheckpointPolicy:
@@ -104,9 +50,6 @@ class CheckpointPolicy:
         ``full_every - 1`` deltas chain off one base.  ``1`` (the default)
         disables deltas — every checkpoint is full.  ``None`` is treated as
         ``1``.
-    ``compression``
-        A :class:`CompressionModel` applied to every checkpoint before
-        transfer accounting; ``None`` means :data:`NO_COMPRESSION`.
     ``compact_after``
         Delta-compaction trigger: once a chain holds this many deltas, the
         scheduler merges them into a single delta (:func:`compact_chain`),
@@ -120,7 +63,7 @@ class CheckpointPolicy:
     """
 
     def __init__(self, every_messages=None, every_seconds=None, max_replay_lag=None,
-                 full_every=1, compression=None, compact_after=None):
+                 full_every=1, compact_after=None):
         if every_messages is None and every_seconds is None:
             raise ConfigurationError(
                 "checkpoint policy needs a message and/or a time trigger"
@@ -137,10 +80,6 @@ class CheckpointPolicy:
             raise ConfigurationError("full_every must be an int >= 1 (or None)")
         if full_every < 1:
             raise ConfigurationError("full_every must be an int >= 1 (or None)")
-        if compression is None:
-            compression = NO_COMPRESSION
-        if not isinstance(compression, CompressionModel):
-            raise ConfigurationError("compression must be a CompressionModel")
         if compact_after is not None:
             if not isinstance(compact_after, int) or isinstance(compact_after, bool):
                 raise ConfigurationError("compact_after must be an int >= 2 (or None)")
@@ -151,7 +90,6 @@ class CheckpointPolicy:
         self.every_seconds = every_seconds
         self.max_replay_lag = max_replay_lag
         self.full_every = full_every
-        self.compression = compression
 
     def due(self, messages_since, seconds_since):
         """True when either trigger has elapsed since the last checkpoint."""
@@ -185,7 +123,6 @@ class CheckpointPolicy:
             f"every_seconds={self.every_seconds}, "
             f"max_replay_lag={self.max_replay_lag}, "
             f"full_every={self.full_every}, "
-            f"compression={self.compression.name!r}, "
             f"compact_after={self.compact_after})"
         )
 

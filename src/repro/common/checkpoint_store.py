@@ -342,11 +342,6 @@ class ChainGossip:
                 (kind, sequence) for kind, sequence in manifest
             )
 
-    def drop(self, replica_id):
-        """Forget a replica's manifest (its lineage is gone for good)."""
-        with self._lock:
-            self._manifests.pop(replica_id, None)
-
     def manifest_of(self, replica_id):
         with self._lock:
             return self._manifests.get(replica_id, ())

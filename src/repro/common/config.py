@@ -31,12 +31,6 @@ class MulticastConfig:
     #: ``"timestamp"`` (merge by coordinator timestamps, the default) or
     #: ``"round_robin"`` (Multi-Ring Paxos deterministic merge with skips).
     merge_policy: str = "timestamp"
-    #: Amortise per-command delivery cost over a delivered batch: the full
-    #: wakeup cost is paid once per batch, each command then paying only
-    #: ``CostModelConfig.batched_delivery_share`` of the delivery cost.
-    #: Off by default — the calibrated paper-figure experiments charge
-    #: delivery per command.
-    delivery_batching: bool = False
 
     def validate(self):
         if self.acceptors_per_group < 1:
@@ -65,11 +59,6 @@ class CostModelConfig:
     kv_execute: float = 1.09e-6
     #: CPU time to unmarshal/deliver one command at a worker thread.
     delivery: float = 0.10e-6
-    #: Fraction of :attr:`delivery` still paid per command when batched
-    #: delivery is on (``MulticastConfig.delivery_batching``): the residual
-    #: unmarshal work, after the wakeup/lock round-trip is amortised over
-    #: the batch.
-    batched_delivery_share: float = 0.25
     #: CPU time the sP-SMR / no-rep scheduler spends dispatching one command.
     scheduler_dispatch: float = 0.82e-6
     #: Additional scheduler CPU time per worker thread per command (the

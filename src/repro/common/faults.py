@@ -1,4 +1,4 @@
-"""Network fault plane shared by the threaded and simulated runtimes.
+"""Network fault plane shared by the threaded and process runtimes.
 
 The paper's atomic multicast is *reliable* and FIFO-atomic: messages may
 be arbitrarily delayed by the network, but every correct destination
@@ -108,7 +108,6 @@ class FaultPlane:
         seed=0,
         retransmit_backoff=0.01,
         max_retransmits=16,
-        record_schedule=True,
     ):
         if retransmit_backoff <= 0:
             raise ConfigurationError("retransmit_backoff must be > 0")
@@ -123,7 +122,6 @@ class FaultPlane:
         self._partitions = []  # list of (frozenset, frozenset)
         self._blocked = set()  # asymmetric (src, dst) pairs
         self._isolated = set()  # fully isolated nodes
-        self._record = record_schedule
         self._schedule = []
         self.stats = {
             "messages": 0,
@@ -143,7 +141,7 @@ class FaultPlane:
         link_faults = LinkFaults(**faults).validate()
         with self._lock:
             self._links[(src, dst)] = link_faults
-            self._note(("set_link", src, dst, link_faults))
+            self._schedule.append(("set_link", src, dst, link_faults))
         return link_faults
 
     def _faults_for_locked(self, src, dst):
@@ -163,19 +161,19 @@ class FaultPlane:
             raise ConfigurationError("partition sides must be disjoint")
         with self._lock:
             self._partitions.append((side_a, side_b))
-            self._note(("partition", tuple(sorted(side_a)), tuple(sorted(side_b))))
+            self._schedule.append(("partition", tuple(sorted(side_a)), tuple(sorted(side_b))))
 
     def block(self, src, dst):
         """Sever one direction of one link (asymmetric partition)."""
         with self._lock:
             self._blocked.add((src, dst))
-            self._note(("block", src, dst))
+            self._schedule.append(("block", src, dst))
 
     def isolate(self, node):
         """Sever every link to and from ``node`` until healed."""
         with self._lock:
             self._isolated.add(node)
-            self._note(("isolate", node))
+            self._schedule.append(("isolate", node))
 
     def heal(self):
         """Restore full connectivity (link fault probabilities persist)."""
@@ -183,7 +181,7 @@ class FaultPlane:
             self._partitions.clear()
             self._blocked.clear()
             self._isolated.clear()
-            self._note(("heal",))
+            self._schedule.append(("heal",))
 
     def is_blocked(self, src, dst):
         """True while the src->dst link is severed by the current topology."""
@@ -218,7 +216,7 @@ class FaultPlane:
             self.stats["messages"] += 1
             if not faults.any_active():
                 self.stats["copies"] += 1
-                self._note(("plan", src, dst, (0.0,)))
+                self._schedule.append(("plan", src, dst, (0.0,)))
                 return (0.0,)
             rng = self._rng
             base = 0.0
@@ -243,16 +241,12 @@ class FaultPlane:
                 self.stats["duplicates"] += 1
             self.stats["copies"] += len(delays)
             delays = tuple(delays)
-            self._note(("plan", src, dst, delays))
+            self._schedule.append(("plan", src, dst, delays))
             return delays
 
     # ------------------------------------------------------------------
     # Schedule replay
     # ------------------------------------------------------------------
-    def _note(self, entry):
-        if self._record:
-            self._schedule.append(entry)
-
     def schedule(self):
         with self._lock:
             return list(self._schedule)
@@ -300,9 +294,8 @@ class ReliableLink:
 # Nemesis plan generation
 # ----------------------------------------------------------------------
 
-#: Every operation kind a nemesis plan may contain.  ``restart_disk`` is
-#: threaded-runtime-only (the sim has no durable store restart path);
-#: callers restrict ``kinds`` accordingly.
+#: Every operation kind a nemesis plan may contain.  ``restart_disk`` needs
+#: a cluster with a durable store; callers restrict ``kinds`` accordingly.
 NEMESIS_OP_KINDS = (
     "partition",
     "heal",

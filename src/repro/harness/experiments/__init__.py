@@ -11,8 +11,6 @@ from repro.harness.experiments.scalability import run_fig5_scalability
 from repro.harness.experiments.mixed import run_fig6_mixed
 from repro.harness.experiments.skew import run_fig7_skew
 from repro.harness.experiments.netfs import run_fig8_netfs
-from repro.harness.experiments.recovery import run_checkpoint_scaling, run_recovery
-from repro.harness.experiments.delta import run_delta_checkpoint
 from repro.harness.experiments.durable import run_durable_recovery
 from repro.harness.experiments.nemesis import run_nemesis
 from repro.harness.experiments.frontend import run_frontend
@@ -31,9 +29,6 @@ __all__ = [
     "run_fig6_mixed",
     "run_fig7_skew",
     "run_fig8_netfs",
-    "run_recovery",
-    "run_checkpoint_scaling",
-    "run_delta_checkpoint",
     "run_durable_recovery",
     "run_nemesis",
     "run_frontend",

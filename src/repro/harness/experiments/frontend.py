@@ -8,7 +8,7 @@ under a closed-loop concurrency sweep and reports the end-to-end numbers
 ``invoke``; this one includes everything a real client would see.
 
 ``runtime`` picks the cluster flavour under the app: ``threaded`` or
-``proc`` (``sim`` has no live cluster and falls back to threaded).
+``proc``.
 """
 
 from repro.frontend import ClusterBackend, InFlightLimiter, create_app
@@ -61,11 +61,10 @@ def run_frontend(warmup=0.01, duration=0.04, seed=1, runtime="threaded",
     ``warmup``/``duration`` scale the per-client request counts so the
     CLI's tiny-window flags keep the experiment fast in tests.
     """
-    live_runtime = "threaded" if runtime == "sim" else runtime
     requests_per_client = max(2, int(round(duration * 150)))
     warmup_requests = max(1, int(round(warmup * 150)))
     rows = []
-    cluster = _build_cluster(live_runtime, seed)
+    cluster = _build_cluster(runtime, seed)
     with cluster:
         limiter = InFlightLimiter(max_in_flight=max_in_flight)
         app = create_app(kv_backend=ClusterBackend(cluster), limiter=limiter)
@@ -99,13 +98,13 @@ def run_frontend(warmup=0.01, duration=0.04, seed=1, runtime="threaded",
                  "p99_ms", "p999_ms", "retries_429", "peak_concurrency"],
         title=(
             f"HTTP frontend - closed-loop saturation sweep "
-            f"({live_runtime} runtime, window {max_in_flight}, "
+            f"({runtime} runtime, window {max_in_flight}, "
             f"repro: --seed {seed})"
         ),
     )
     return {
         "figure": "frontend",
-        "runtime": live_runtime,
+        "runtime": runtime,
         "max_in_flight": max_in_flight,
         "rows": rows,
         "expectations": EXPECTATIONS,

@@ -26,11 +26,6 @@ and:
 * :func:`run_frontend_nemesis_episode` — HTTP coroutines on one thread; a
   :class:`Nemesis` plan.
 
-:func:`run_sim_nemesis_episode` keeps its virtual-time driver — there the
-fault schedule is *fully* deterministic (``schedule_digest`` is identical
-across replays of a seed) — and shares the dispatch table, the history
-check and the report helpers.
-
 Runners take only what a caller ever varies; the rest are the constants
 below.  Every report carries a ``reproduce`` string, the call that
 regenerates its plan; :func:`assert_episode_ok` prints it and writes a
@@ -52,7 +47,6 @@ from repro.common.checkpoint import CheckpointPolicy
 from repro.common.errors import LinearizabilityViolation, RecoveryError
 from repro.common.faults import FaultPlane, Nemesis
 from repro.common.rng import derive_seed
-from repro.harness.runner import build_kv_system
 from repro.runtime import (
     HistoryRecorder,
     ProcessPSMRCluster,
@@ -60,16 +54,13 @@ from repro.runtime import (
     check_kv_history,
 )
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
-from repro.workload import mixed_workload
 
 #: Op kinds per episode.  ``restart_disk`` and ``compact`` need a live
 #: cluster with a durable store (the live episode drops ``restart_disk``
-#: without one); the frontend episode runs without a store, and the sim
-#: models checkpoints and recovery transfers but has no restart path.
+#: without one); the frontend episode runs without a store.
 THREADED_KINDS = (
     "partition", "heal", "crash", "recover", "restart_disk", "compact", "checkpoint",
 )
-SIM_KINDS = ("partition", "heal", "crash", "recover", "checkpoint")
 FRONTEND_KINDS = ("partition", "heal", "crash", "recover", "checkpoint")
 
 #: Shared by every live episode: recorded probe clients and the two keys
@@ -96,32 +87,23 @@ FRONTEND = {"num_replicas": 3, "mpl": 3, "steps": 6, "mean_gap": 0.08, "probe_op
 SHARD = {"num_replicas": 2, "mpl": 4, "key_space": 4096, "probe_ops": 10,
          "load_keys": 64, "invoke_timeout": 15.0, "quiesce_timeout": 30.0,
          "migrations": 2, "migration_gap": 0.2}
-#: Virtual seconds.  Probe keys straddle ``initial_keys``: half present at
-#: the start, half absent, so reads see both values and not-found.
-SIM = {"num_replicas": 3, "mpl": 3, "steps": 8, "mean_gap": 0.012, "warmup": 0.01,
-       "num_clients": 4, "key_space": 200, "initial_keys": 100,
-       "probe_keys": tuple(range(96, 104))}
 
 
 # ----------------------------------------------------------------------
-# Helpers every episode shares (the sim included)
+# Helpers every episode shares
 # ----------------------------------------------------------------------
 
-def _fault_plan(runtime, runner, arguments, shape, kinds, scale=1.0, **plane_options):
-    """The seed's fault plane (randomized per-link faults), plan and report.
-
-    ``scale`` stretches the delay magnitudes: the live runtimes work in
-    wall milliseconds, the simulation in sub-millisecond virtual time.
-    """
+def _fault_plan(runtime, runner, arguments, shape, kinds, **plane_options):
+    """The seed's fault plane (randomized per-link faults), plan and report."""
     seed = arguments["seed"]
     rng = random.Random(derive_seed(seed, "links"))
     profile = {
         "drop": rng.uniform(0.0, 0.25),
         "delay": rng.uniform(0.0, 0.4),
-        "delay_range": (0.0005 * scale, 0.004 * scale),
+        "delay_range": (0.0005, 0.004),
         "duplicate": rng.uniform(0.0, 0.3),
         "reorder": rng.uniform(0.0, 0.25),
-        "reorder_window": 0.004 * scale,
+        "reorder_window": 0.004,
     }
     plane = FaultPlane(seed=derive_seed(seed, "plane"), **plane_options)
     plane.set_link(**profile)
@@ -149,11 +131,7 @@ def _new_report(runtime, runner, arguments, plan):
 
 
 def _fault_actions(plane, cluster, report):
-    """The one ``{kind: action(target)}`` table a plan is dispatched through.
-
-    Cluster methods are looked up when an action runs, not here: the sim
-    has no ``restart_disk`` / ``compact`` and never plans them.
-    """
+    """The one ``{kind: action(target)}`` table a plan is dispatched through."""
     def timed(method):
         def recover(replica_id):
             started = time.monotonic()
@@ -187,9 +165,9 @@ def _apply(report, label, action):
     report["applied"].append({"op": label, "status": status, "detail": detail})
 
 
-def _check_history(report, operations, initial_state):
+def _check_history(report, operations):
     try:
-        check_kv_history(operations, initial_state=initial_state)
+        check_kv_history(operations, initial_state={})
         report["linearizable"] = True
     except LinearizabilityViolation as violation:
         report["linearizable"] = False
@@ -274,7 +252,7 @@ def _run_live_episode(report, cluster, shape, *, plane, traffic, schedule, disk_
             report["marker_boundary_violations"] = cluster.marker_boundary_violations
     finally:
         live.stop.set()
-    _check_history(report, operations, initial_state={})
+    _check_history(report, operations)
     report["elapsed_s"] = time.monotonic() - live.started_at
     if plane is not None:
         report["plane_stats"] = dict(plane.stats)
@@ -633,138 +611,6 @@ def run_frontend_nemesis_episode(seed):
          "unexpected HTTP statuses (faults must surface as latency or "
          "503, never wrong answers): " + "; ".join(report["bad_statuses"])),
         (report["probe_errors"], f"{len(report['probe_errors'])} probe transport errors"),
-    ])
-
-
-# ----------------------------------------------------------------------
-# Simulated episode
-# ----------------------------------------------------------------------
-
-class _SimHistoryTap:
-    """Record a probe subset of the sim's client history for the checker."""
-
-    def __init__(self, clients, probe_keys, recorder):
-        self.probe_keys = frozenset(probe_keys)
-        self.recorder = recorder
-        self._invoked = {}
-        original_submit = clients.submit_fn
-        original_deliver = clients.deliver_response
-
-        def submit(command):
-            if command.args.get("key") in self.probe_keys:
-                self._invoked[command.uid] = (
-                    command.name, dict(command.args), command.submitted_at,
-                )
-            original_submit(command)
-
-        def deliver(uid, completed_at, value=None):
-            entry = self._invoked.pop(uid, None)
-            if entry is not None:
-                name, args, submitted_at = entry
-                result = value
-                if name == "read" and value == "err=1":
-                    result = None  # stored values are bytes; "err=1" is not-found
-                self.recorder.record(uid[0], name, args, result, submitted_at, completed_at)
-            original_deliver(uid, completed_at, value=value)
-
-        clients.submit_fn = submit
-        clients.deliver_response = deliver
-
-    def finish_pending(self):
-        """Record every invocation that never saw a response as pending."""
-        for name, args, submitted_at in self._invoked.values():
-            self.recorder.record(-1, name, args, None, submitted_at, None)
-        self._invoked.clear()
-
-
-def run_sim_nemesis_episode(seed, duration=0.08, record_schedule=True):
-    """Run one seeded nemesis episode on the simulated runtime.
-
-    Virtual time makes the whole episode deterministic: re-running the
-    same seed yields a byte-identical fault schedule (``schedule_digest``).
-    """
-    from repro.replication.base import call_after
-
-    shape, warmup, probe_keys = SIM, SIM["warmup"], SIM["probe_keys"]
-    plane, nemesis, report = _fault_plan(
-        "sim", run_sim_nemesis_episode,
-        {"seed": seed, "duration": duration, "record_schedule": record_schedule},
-        shape, SIM_KINDS, scale=0.2,
-        retransmit_backoff=0.001, record_schedule=record_schedule,
-    )
-    system = build_kv_system(
-        "P-SMR", shape["mpl"], mix=mixed_workload(0.15),
-        num_clients=shape["num_clients"], key_space=shape["key_space"],
-        initial_keys=shape["initial_keys"], execute_state=True, seed=seed,
-        checkpoint_policy=CheckpointPolicy(every_seconds=0.02),
-        fault_plane=plane, num_replicas=shape["num_replicas"],
-    )
-    recorder = HistoryRecorder()
-    tap = _SimHistoryTap(system.clients, probe_keys, recorder)
-    # Recovery time is read off the system's virtual-time records below,
-    # so ``recover`` is the system's own; markers are its checkpoints.
-    actions = dict(
-        _fault_actions(plane, system, report),
-        recover=system.recover_replica,
-        checkpoint=lambda _target: system.submit_checkpoint_marker(),
-    )
-    for op in nemesis.plan:
-        action = partial(actions[op.kind], op.target)
-        call_after(system.env, warmup + op.at, partial(_apply, report, op.describe(), action))
-    # The measured window covers the whole plan: an op firing during the
-    # drain phase (e.g. a crash nobody recovers) would be a harness
-    # artifact, not a protocol bug.
-    duration = max(duration, nemesis.plan[-1].at + 2 * shape["mean_gap"])
-    result = system.run(warmup=warmup, duration=duration)
-    # Final phase: heal, recover the still-crashed, drain.
-    plane.heal()
-    for replica_id, replica in enumerate(system.replicas):
-        if replica["health"].crashed:
-            try:
-                system.recover_replica(replica_id)
-            except RecoveryError:
-                pass  # a recovery marker for it is already in flight
-
-    def step_while(busy, limit):
-        guard = system.env.now + limit
-        while busy() and system.env.now < guard and system.env.peek() is not None:
-            system.env.step()
-
-    outstanding = system.quiesce(limit=5.0)
-    step_while(lambda: any(not record.done for record in system.recoveries), 5.0)
-    outstanding = system.quiesce(limit=1.0) or outstanding
-    # The periodic checkpoint clock keeps ordering markers forever, so the
-    # plane is only *momentarily* empty between marker batches; step to
-    # such an instant before sampling the drain state.
-    step_while(lambda: system.fault_in_flight() > 0, 1.0)
-    tap.finish_pending()
-    report["throughput_kcps"] = result.throughput_kcps
-    report["avg_latency_ms"] = result.avg_latency_ms
-    report["completed"] = result.completed
-    report["outstanding"] = outstanding
-    report["fault_in_flight"] = system.fault_in_flight()
-    report["recovery_s"] = [
-        record.completed_at - record.started_at
-        for record in system.recoveries
-        if record.done and record.completed_at is not None
-    ]
-    report["recoveries_done"] = all(record.done for record in system.recoveries)
-    replicas = [system.replica_state(r) for r in range(shape["num_replicas"])]
-    states = [replica.snapshot() for replica in replicas]
-    counts = {replica.commands_executed for replica in replicas}
-    report["converged"] = all(s == states[0] for s in states) and len(counts) == 1
-    seeded = b"\x00" * 8  # KeyValueStoreServer's value for pre-seeded keys
-    _check_history(
-        report, recorder.operations,
-        initial_state={k: seeded for k in probe_keys if k < shape["initial_keys"]},
-    )
-    report["plane_stats"] = dict(plane.stats)
-    report["schedule_digest"] = hashlib.sha256(plane.schedule_bytes()).hexdigest()
-    return _fold(report, [
-        (outstanding, f"{outstanding} commands still outstanding after quiesce"),
-        (report["fault_in_flight"], "fault plane still holds in-flight deliveries"),
-        (not report["recoveries_done"], "a recovery never completed"),
-        (not report["converged"], "replica states diverged"),
     ])
 
 

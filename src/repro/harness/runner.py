@@ -64,26 +64,12 @@ def build_kv_system(
     batch_max_bytes=None,
     execute_state=False,
     initial_keys=0,
-    checkpoint_policy=None,
-    delivery_batching=False,
-    fault_plane=None,
-    num_replicas=None,
 ):
     """Construct (but do not run) one technique over the key-value store."""
     mix = mix if mix is not None else READ_ONLY_MIX
-    if checkpoint_policy is not None and technique != "P-SMR":
-        raise ConfigurationError(
-            "periodic checkpoint policies are implemented for P-SMR only"
-        )
-    if fault_plane is not None and technique != "P-SMR":
-        raise ConfigurationError(
-            "the network fault plane is implemented for P-SMR only"
-        )
     num_clients = num_clients if num_clients is not None else default_clients(technique, threads)
-    if num_replicas is None:
-        num_replicas = 1 if technique in ("no-rep", "BDB") else 2
+    num_replicas = 1 if technique in ("no-rep", "BDB") else 2
     config = _base_config(threads, num_clients, seed, num_replicas=num_replicas)
-    config.multicast.delivery_batching = delivery_batching
     if batch_max_bytes is not None:
         config.multicast.batch_max_bytes = batch_max_bytes
         # Keep the command-count cap from masking the byte limit.
@@ -106,8 +92,7 @@ def build_kv_system(
         return PSMRSystem(
             config, generator, profile, spec=KVSTORE_SPEC, coarse_cg=coarse_cg,
             merge_policy=merge_policy, execute_state=execute_state,
-            state_factory=state_factory, checkpoint_policy=checkpoint_policy,
-            fault_plane=fault_plane,
+            state_factory=state_factory,
         )
     if technique == "SMR":
         return SMRSystem(

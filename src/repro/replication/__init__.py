@@ -12,7 +12,6 @@ profile, then ``run(warmup, duration)`` to obtain an
 :class:`~repro.metrics.results.ExperimentResult`.
 """
 
-from repro.replication.base import RECOVERY_COMMAND, RecoveryRecord, ReplicaHealth
 from repro.replication.costmodel import KVCostProfile, NetFSCostProfile
 from repro.replication.psmr import PSMRSystem
 from repro.replication.smr import SMRSystem
@@ -29,9 +28,6 @@ TECHNIQUES = {
 }
 
 __all__ = [
-    "RECOVERY_COMMAND",
-    "RecoveryRecord",
-    "ReplicaHealth",
     "KVCostProfile",
     "NetFSCostProfile",
     "PSMRSystem",

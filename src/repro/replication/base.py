@@ -14,7 +14,6 @@ Pieces used by every technique:
   every technique.
 """
 
-from repro.common.checkpoint import CheckpointPolicy, estimate_checkpoint_size
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import SeededRNG
@@ -22,7 +21,7 @@ from repro.consensus import Acceptor, Batcher, ClientValue, Coordinator
 from repro.core.command import Command
 from repro.metrics import CpuAccountant, ExperimentResult, LatencyRecorder, ThroughputMeter
 from repro.multicast.merge import MergeBuffer
-from repro.sim import Environment, Event, Store, poll_until
+from repro.sim import Environment, Event, Store
 
 
 def call_after(env, delay, callback):
@@ -30,107 +29,6 @@ def call_after(env, delay, callback):
     timer = env.timeout(delay)
     timer.callbacks.append(lambda _event: callback())
     return timer
-
-
-#: Name of the control command that carries a recovery marker through the
-#: ordered streams.  It is not part of any service spec: workers special-case
-#: it before normal execution-mode planning.
-RECOVERY_COMMAND = "__recover__"
-
-#: Name of the control command that carries a *periodic checkpoint* marker
-#: through the ordered streams (the simulated mirror of the threaded
-#: runtime's ``CheckpointMarker`` with ``source_replica_id=None``): every
-#: live replica pays the checkpoint serialisation cost at the marker cut,
-#: and once all of them have, the virtual replay log is truncated (at zero
-#: simulated cost — truncation is pure bookkeeping).
-CHECKPOINT_COMMAND = "__checkpoint__"
-
-# ``CheckpointPolicy`` and ``estimate_checkpoint_size`` live in
-# :mod:`repro.common.checkpoint` (both runtimes share them) and stay
-# importable from this module for the simulated side's historical path.
-
-
-class CheckpointTicket:
-    """Bookkeeping for one periodic checkpoint marker in the simulation.
-
-    ``installed`` collects the replicas that materialised a checkpoint at
-    the marker cut; once every live replica has, ``completed_at`` is
-    stamped and the virtual log is truncated up to ``append_count`` (the
-    number of commands ordered before the marker was submitted).
-    """
-
-    def __init__(self, env, append_count, ticket_id=None):
-        self.started_at = env.now
-        self.append_count = append_count
-        self.ticket_id = ticket_id
-        self.installed = set()
-        #: ``replica_id -> (kind, raw_bytes, wire_bytes)`` of the checkpoint
-        #: each replica materialised at this cut (full or delta).
-        self.sizes = {}
-        self.completed_at = None
-
-    @property
-    def done(self):
-        return self.completed_at is not None
-
-
-class ReplicaHealth:
-    """Shared crash flag for every worker of one simulated replica."""
-
-    def __init__(self):
-        self.crashed = False
-        self.crashes = 0
-        self.recoveries = 0
-
-    def crash(self):
-        self.crashed = True
-        self.crashes += 1
-
-    def recover(self):
-        self.crashed = False
-        self.recoveries += 1
-
-
-class RecoveryRecord:
-    """Bookkeeping for one recovery marker flowing through the streams.
-
-    ``checkpoint_ready`` is succeeded — with ``(checkpoint, size_bytes)`` —
-    by the first live replica whose executor thread reaches the marker; the
-    recovering replica's executor waits on it, charges the transfer time and
-    restores.  ``completed_at`` is stamped when the replica is back online,
-    so ``completed_at - started_at`` is the recovery (catch-up) time.
-    """
-
-    def __init__(self, env, replica_id):
-        self.replica_id = replica_id
-        self.started_at = env.now
-        self.completed_at = None
-        self.checkpoint_ready = Event(env)
-        #: Stamped by the publishing replica: ``"full"`` when the whole
-        #: state crossed the wire, ``"delta"`` when only the chain suffix
-        #: the joiner was missing did.  ``transfer_bytes`` is the
-        #: compressed byte count charged for the transfer.
-        self.transfer_mode = None
-        self.transfer_bytes = 0
-        #: The gossiped peer whose chain suffix was accounted for a
-        #: ``"delta"`` transfer (``None`` for a full transfer).  May name a
-        #: replica other than the one that published the checkpoint — that
-        #: is exactly what chain gossip buys.
-        self.chain_donor_id = None
-        #: Set (synchronously) by the live executor that will publish the
-        #: checkpoint, *before* it yields for the serialisation time — so a
-        #: second live replica reaching the marker during that window does
-        #: not also try to succeed ``checkpoint_ready``.
-        self.claimed = False
-
-    @property
-    def done(self):
-        return self.completed_at is not None
-
-    def duration(self):
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
 
 
 class ClientPool:
@@ -158,9 +56,6 @@ class ClientPool:
         #: When True, completed commands are not replaced by new ones (used
         #: to quiesce the system at the end of a run).
         self.stopped = False
-        #: Optional ``callback(completed_at)`` fired on every completion;
-        #: the recovery experiment uses it to bucket throughput over time.
-        self.on_completion = None
 
     def start(self):
         """Submit the initial window of every client."""
@@ -196,8 +91,6 @@ class ClientPool:
         # simulation events, to keep the event count per command low.
         latency = completed_at - command.submitted_at + 2 * self.costs.net_latency
         self.throughput.record_completion(completed_at)
-        if self.on_completion is not None:
-            self.on_completion(completed_at)
         window_start = self.throughput.window_start
         window_end = self.throughput.window_end
         if (
@@ -210,78 +103,10 @@ class ClientPool:
             self._submit_new(uid[0])
 
 
-class SimFaultyLink:
-    """One stream->subscriber edge under a network fault plane.
-
-    The link is a FIFO with head-of-line blocking, like one TCP
-    connection: sends queue in order and each is released no earlier than
-    its planned ready time *and* no earlier than its predecessors — extra
-    latency on one message delays its successors rather than overtaking
-    them, so the subscriber's merge buffer never sees a stream sequence go
-    backwards.  While the plane reports the link severed (a partition),
-    the head of the queue polls connectivity with the plane's retransmit
-    backoff: a partition is an infinite-delay link until healed, never a
-    loss.  ``pending()`` feeds the system's quiescence check; sends with
-    ``counted=False`` (heartbeat skips — the streams emit those forever,
-    so one is in flight at almost any instant) still traverse the FIFO
-    but are excluded from that count, which would otherwise never settle.
-    """
-
-    def __init__(self, env, plane, src, dst, name):
-        self.env = env
-        self.plane = plane
-        self.src = src
-        self.dst = dst
-        self.name = name
-        self._queue = []
-        self._head = 0
-        self._running = False
-        self._counted = 0
-
-    def send(self, ready_at, deliver_fn, counted=True):
-        self._queue.append((ready_at, deliver_fn, counted))
-        if counted:
-            self._counted += 1
-        if not self._running:
-            self._running = True
-            self.env.process(self._drain(), name=self.name)
-
-    def pending(self):
-        return self._counted
-
-    def _drain(self):
-        while self._head < len(self._queue):
-            ready_at, deliver_fn, counted = self._queue[self._head]
-            if self.env.now < ready_at:
-                yield self.env.timeout(ready_at - self.env.now)
-            yield from poll_until(
-                self.env,
-                lambda: not self.plane.is_blocked(self.src, self.dst),
-                self.plane.retransmit_backoff,
-                on_wait=self.plane.note_blocked_retry,
-            )
-            self._head += 1
-            if counted:
-                self._counted -= 1
-            deliver_fn()
-        del self._queue[:]
-        self._head = 0
-        self._running = False
-
-
 class SimStream:
-    """One multicast group: ordering through Paxos plus delivery to subscribers.
+    """One multicast group: ordering through Paxos plus delivery to subscribers."""
 
-    With ``fault_plane`` set, every delivery (batches and skips alike)
-    detours through a per-subscriber :class:`SimFaultyLink`:
-    ``fault_node_namer(subscriber)`` names the destination node the plane
-    knows, the plane plans per-copy delays (the earliest surviving copy
-    wins — redundant duplicates carry no new information in-simulation),
-    and the link releases deliveries in order.
-    """
-
-    def __init__(self, env, stream_id, multicast_config, costs, rng, cpu=None, name=None,
-                 fault_plane=None, fault_node_namer=None):
+    def __init__(self, env, stream_id, multicast_config, costs, rng, cpu=None, name=None):
         self.env = env
         self.stream_id = stream_id
         self.config = multicast_config
@@ -303,9 +128,6 @@ class SimStream:
         )
         self._complete_phase1()
         self.subscribers = []
-        self.fault_plane = fault_plane
-        self._fault_node_namer = fault_node_namer
-        self._fault_links = {}
         self._ready = Store(env)
         self._flush_scheduled = False
         self._last_delivery_at = {}
@@ -406,46 +228,13 @@ class SimStream:
                 self._last_delivery_at.get(index, 0.0) + self._LINK_FIFO_EPSILON,
             )
             self._last_delivery_at[index] = deliver_at
-            self._send(
-                index,
-                subscriber,
-                deliver_at,
+            call_after(
+                self.env,
+                deliver_at - self.env.now,
                 lambda s=subscriber, b=batch, t=timestamp: s.offer(
                     self.stream_id, b.sequence, t, b
                 ),
             )
-
-    def _send(self, index, subscriber, deliver_at, deliver_fn, plan=True):
-        """Dispatch one delivery: inline when fault-free, else via the link.
-
-        ``plan=False`` (heartbeat skips) still traverses the link — skips
-        must stay FIFO with batches and park during partitions — but does
-        not consume fault randomness: a skip is idle-time control traffic,
-        and charging it fault decisions would both bloat the replayable
-        schedule and keep the drain check permanently busy.
-        """
-        if self.fault_plane is None:
-            call_after(self.env, deliver_at - self.env.now, deliver_fn)
-            return
-        link = self._fault_links.get(index)
-        if link is None:
-            node = (
-                self._fault_node_namer(subscriber)
-                if self._fault_node_namer is not None
-                else f"{self.name}-sub{index}"
-            )
-            link = self._fault_links[index] = SimFaultyLink(
-                self.env, self.fault_plane, "order", node,
-                name=f"{self.name}-link{index}",
-            )
-        extra = 0.0
-        if plan:
-            extra = min(self.fault_plane.plan_delivery("order", link.dst))
-        link.send(deliver_at + extra, deliver_fn, counted=plan)
-
-    def fault_in_flight(self):
-        """Deliveries currently held by this stream's fault links."""
-        return sum(link.pending() for link in self._fault_links.values())
 
     def _heartbeat_loop(self):
         """Emit skip messages while the stream is idle (Multi-Ring Paxos style).
@@ -473,14 +262,12 @@ class SimStream:
                     self._last_delivery_at.get(index, 0.0) + self._LINK_FIFO_EPSILON,
                 )
                 self._last_delivery_at[index] = deliver_at
-                self._send(
-                    index,
-                    subscriber,
-                    deliver_at,
+                call_after(
+                    self.env,
+                    deliver_at - self.env.now,
                     lambda s=subscriber, q=sequence, t=timestamp: s.offer_skip(
                         self.stream_id, q, t
                     ),
-                    plan=False,
                 )
 
 
@@ -570,39 +357,13 @@ class BarrierBoard:
 
     def complete(self, uid, when):
         """The executor finished ``uid``: release every waiting peer."""
-        if not self.try_complete(uid, when):
-            raise ProtocolError(f"barrier completed twice for {uid}")
-
-    def try_complete(self, uid, when):
-        """Like :meth:`complete` but tolerate a barrier already cleared.
-
-        Returns False when ``uid`` has no pending state — which happens
-        legitimately when a crash :meth:`reset` raced the executor.
-        """
         state = self._states.pop(uid, None)
         if state is None:
-            return False
+            raise ProtocolError(f"barrier completed twice for {uid}")
         state["done"].succeed(when)
-        return True
 
     def pending(self):
         return len(self._states)
-
-    def reset(self):
-        """Fail open every pending barrier; return how many were pending.
-
-        Used when a replica crashes: worker processes parked on ``ready`` or
-        ``done`` events must resume (they observe the crash flag and drop
-        the command) instead of waiting forever for peers that will never
-        signal.
-        """
-        states, self._states = self._states, {}
-        for state in states.values():
-            if not state["ready"].triggered:
-                state["ready"].succeed()
-            if not state["done"].triggered:
-                state["done"].succeed()
-        return len(states)
 
 
 class BaseSystem:
@@ -648,62 +409,17 @@ class BaseSystem:
         """CPU accounting prefix of the first server node (for the CPU graphs)."""
         return "server0"
 
-    # ------------------------------------------------------------------
-    # Crash/recovery lifecycle (implemented by replicated techniques)
-    # ------------------------------------------------------------------
-    def crash_replica(self, replica_id):  # pragma: no cover - overridden
-        raise NotImplementedError(f"{self.name} does not support crash injection")
-
-    def recover_replica(self, replica_id):  # pragma: no cover - overridden
-        raise NotImplementedError(f"{self.name} does not support recovery")
-
-    def schedule_crash(self, replica_id, at):
-        """Crash ``replica_id`` at virtual time ``at`` (>= now)."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a crash in the past")
-        return call_after(
-            self.env, at - self.env.now, lambda: self.crash_replica(replica_id)
-        )
-
-    def schedule_recovery(self, replica_id, at):
-        """Start recovering ``replica_id`` at virtual time ``at`` (>= now)."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a recovery in the past")
-        return call_after(
-            self.env, at - self.env.now, lambda: self.recover_replica(replica_id)
-        )
-
-    def fault_in_flight(self):
-        """Deliveries currently delayed or parked by a network fault plane.
-
-        Zero when no fault plane is attached.  Quiescence must include
-        this: a delayed or partition-parked delivery is in flight, and a
-        drain check that ignores it can declare the system quiet while a
-        replica is merely behind.
-        """
-        streams = getattr(self, "streams", None)
-        if not streams:
-            return 0
-        return sum(
-            stream.fault_in_flight()
-            for stream in streams.values()
-            if hasattr(stream, "fault_in_flight")
-        )
-
     def quiesce(self, grace=0.05, limit=2.0):
         """Stop the load and let every replica finish the commands in flight.
 
         Clients stop replacing completed commands; the simulation then runs
-        until every outstanding command has a response *and* no delivery is
-        still held by the fault plane, plus ``grace`` seconds so slower
-        replicas drain their delivery queues too.  Used by tests that
-        compare replica states after a run.
+        until every outstanding command has a response, plus ``grace``
+        seconds so slower replicas drain their delivery queues too.  Used by
+        tests that compare replica states after a run.
         """
         self.clients.stopped = True
         deadline = self.env.now + limit
-        while (
-            self.clients.outstanding() > 0 or self.fault_in_flight() > 0
-        ) and self.env.now < deadline:
+        while self.clients.outstanding() > 0 and self.env.now < deadline:
             if self.env.peek() is None:
                 break
             self.env.step()

@@ -13,34 +13,17 @@ Structure (paper sections IV and VI-A):
   with the other destination threads.
 """
 
-import itertools
-
-from repro.common.checkpoint import NO_COMPRESSION
-from repro.common.checkpoint_store import ChainGossip
-from repro.common.errors import RecoveryError
-from repro.core.command import Command
 from repro.core.protocol import plan_execution
 from repro.core.cg import CGFunction
-from repro.multicast.group import ALL_GROUPS, GroupLayout
-from repro.replication.base import (
-    CHECKPOINT_COMMAND,
-    RECOVERY_COMMAND,
-    BarrierBoard,
-    BaseSystem,
-    CheckpointTicket,
-    RecoveryRecord,
-    ReplicaHealth,
-    SimStream,
-    StreamInbox,
-    estimate_checkpoint_size,
-)
+from repro.multicast.group import GroupLayout
+from repro.replication.base import BarrierBoard, BaseSystem, SimStream, StreamInbox
 from repro.replication.costmodel import KeyCache
 
 
 class PsmrWorker:
     """One worker thread of one P-SMR replica (Algorithm 1, server side)."""
 
-    def __init__(self, system, replica_id, index, barrier, cache, state, health):
+    def __init__(self, system, replica_id, index, barrier, cache, state):
         self.system = system
         self.env = system.env
         self.costs = system.config.costs
@@ -51,9 +34,7 @@ class PsmrWorker:
         self.barrier = barrier
         self.cache = cache
         self.state = state
-        self.health = health
         self.scale = self.costs.contention_factor(self.mpl)
-        self.delivery_batching = system.config.multicast.delivery_batching
         self.cpu_name = f"server{replica_id}/worker{index}"
         self.inbox = StreamInbox(
             system.env,
@@ -91,30 +72,7 @@ class PsmrWorker:
         chunk = []
         chunk_cost = 0.0
         delivery = costs.delivery
-        if self.delivery_batching and len(batch.commands) > 1:
-            # Amortised drain: one full-priced wakeup for the whole batch,
-            # then only the residual unmarshal share per command.
-            delivery = costs.delivery * costs.batched_delivery_share
-            chunk_cost = costs.delivery * self.scale
         for command in batch.commands:
-            if command.name == RECOVERY_COMMAND:
-                if chunk or chunk_cost > 0:
-                    yield from self._flush_chunk(chunk, chunk_cost)
-                    chunk = []
-                    chunk_cost = 0.0
-                yield from self._recovery_marker(command)
-                continue
-            if command.name == CHECKPOINT_COMMAND:
-                if chunk or chunk_cost > 0:
-                    yield from self._flush_chunk(chunk, chunk_cost)
-                    chunk = []
-                    chunk_cost = 0.0
-                yield from self._checkpoint_marker(command)
-                continue
-            if self.health.crashed:
-                # A crashed replica loses the delivery; the commands it
-                # misses are covered by the peer checkpoint it restores.
-                continue
             destinations = command.destinations
             if (
                 not via_all
@@ -152,8 +110,6 @@ class PsmrWorker:
         start = self.env.now
         if total_cost > 0:
             yield self.env.timeout(total_cost)
-            if self.health.crashed:
-                return  # crashed mid-burst: the chunk's effects are lost
             self.system.cpu.charge(self.cpu_name, total_cost, self.env.now)
         for command, offset in chunk:
             value = self._apply(command)
@@ -166,8 +122,6 @@ class PsmrWorker:
         if plan.mode == "assist":
             cost = (costs.delivery + costs.merge_overhead) * self.scale + costs.signal
             yield self.env.timeout(cost)
-            if self.health.crashed:
-                return
             self.system.cpu.charge(self.cpu_name, cost, self.env.now)
             self.barrier.signal(command.uid, self.index)
             yield self.barrier.done_event(command.uid)
@@ -176,152 +130,19 @@ class PsmrWorker:
         # Executor (lowest-indexed destination thread).
         delivery_cost = (costs.delivery + costs.merge_overhead) * self.scale
         yield self.env.timeout(delivery_cost)
-        if self.health.crashed:
-            return
         self.system.cpu.charge(self.cpu_name, delivery_cost, self.env.now)
         ready = self.barrier.expect(command.uid, plan.peers)
         yield ready
-        if self.health.crashed:
-            return
         execute_cost = (
             self.profile.execute_cost(command, self.cache) * self.scale
             + 2 * len(plan.peers) * costs.signal
         )
         yield self.env.timeout(execute_cost)
-        if self.health.crashed:
-            return
         self.system.cpu.charge(self.cpu_name, execute_cost, self.env.now)
         value = self._apply(command)
         self.executed += 1
         self.system.clients.deliver_response(command.uid, self.env.now, value)
         self.barrier.complete(command.uid, self.env.now)
-
-    def _recovery_marker(self, command):
-        """Handle a recovery marker ordered through ``g_all``.
-
-        The marker runs in synchronous mode on *every* replica — including
-        crashed ones, whose workers keep draining their inboxes looking for
-        it.  When all of a replica's threads have reached the marker, the
-        replica's state reflects exactly the stream prefix before it, so
-        the first live replica's executor publishes a checkpoint at that
-        cut; the recovering replica's executor restores it (after paying
-        the simulated transfer time) and flips the replica back online.
-        Everything ordered after the marker is then processed live — the
-        suffix-replay half of recovery comes for free from the streams.
-        """
-        record = command.args["record"]
-        uid = command.uid
-        costs = self.costs
-        plan = plan_execution(ALL_GROUPS, self.index, self.mpl)
-        if plan.mode == "assist":
-            self.barrier.signal(uid, self.index)
-            yield self.barrier.done_event(uid)
-            return
-        # Executor (thread 1; with mpl == 1 the plan degenerates to parallel).
-        ready = self.barrier.expect(uid, plan.peers)
-        yield ready
-        if self.health.crashed and record.replica_id == self.replica_id:
-            checkpoint, size = yield record.checkpoint_ready
-            transfer = size / costs.nic_bandwidth + costs.net_latency
-            yield self.env.timeout(transfer)
-            self.system.cpu.charge(self.cpu_name, transfer, self.env.now)
-            if self.state is not None and checkpoint is not None:
-                self.state.restore(checkpoint)
-            self.health.recover()
-            record.completed_at = self.env.now
-            self.system.replica_recovered(self.replica_id, record.started_at)
-        elif not self.health.crashed and not record.claimed:
-            # Claim before yielding: another live replica's executor may
-            # reach the marker during our serialisation window, and only
-            # one of us may succeed the event.
-            record.claimed = True
-            checkpoint = self.state.checkpoint() if self.state is not None else None
-            # Negotiate full-vs-delta transfer: when this replica's
-            # checkpoint chain extends the joiner's last installed cut,
-            # only the chain suffix (plus the residual delta up to this
-            # marker) is charged to the wire; the state object itself is
-            # handed over either way (the cut is identical).
-            mode, raw, wire, chain_donor = self.system.negotiate_transfer(
-                record.replica_id, self.state, checkpoint
-            )
-            serialize = self._checkpoint_serialize_cost(raw, wire)
-            yield self.env.timeout(serialize)
-            if self.health.crashed:
-                # Crashed mid-serialisation: release the claim so another
-                # live replica (or a later marker) can publish instead.
-                record.claimed = False
-            else:
-                self.system.cpu.charge(self.cpu_name, serialize, self.env.now)
-                record.transfer_mode = mode
-                record.transfer_bytes = wire
-                record.chain_donor_id = chain_donor
-                record.checkpoint_ready.succeed((checkpoint, wire))
-        # try_complete: a concurrent crash may have reset this barrier.
-        self.barrier.try_complete(uid, self.env.now)
-
-    def _checkpoint_marker(self, command):
-        """Handle a periodic checkpoint marker ordered through ``g_all``.
-
-        Mirror of the threaded runtime's periodic ``CheckpointMarker``:
-        synchronous mode on every replica, and each *live* replica's
-        executor pays the checkpoint serialisation cost — delivery, plus
-        the policy's compression CPU over the raw bytes, plus compressed
-        bytes over NIC bandwidth — which is what makes periodic
-        checkpointing's overhead visible in client throughput.  The
-        policy's ``full_every`` decides whether this cut is a full snapshot
-        or a delta chained off the replica's last full.  Once every live
-        replica has installed the checkpoint, the system truncates its
-        virtual replay log at zero simulated cost.
-        """
-        ticket = command.args["ticket"]
-        uid = command.uid
-        plan = plan_execution(ALL_GROUPS, self.index, self.mpl)
-        if plan.mode == "assist":
-            self.barrier.signal(uid, self.index)
-            if self.health.crashed:
-                # A crash reset may have cleared this barrier after the
-                # executor passed it: waiting on the fresh done event would
-                # hang this worker forever and block its inbox (so the
-                # recovery marker would never be reached).  The signal
-                # above still lets a waiting executor pass; commands after
-                # the marker are dropped while crashed anyway.
-                return
-            yield self.barrier.done_event(uid)
-            return
-        # Executor (thread 1; with mpl == 1 the plan degenerates to parallel).
-        ready = self.barrier.expect(uid, plan.peers)
-        yield ready
-        if not self.health.crashed:
-            kind = self.system.checkpoint_kind(self.replica_id, self.state)
-            if self.state is None:
-                payload = None
-            elif kind == "delta":
-                payload = self.state.delta_checkpoint()
-            else:
-                payload = self.state.checkpoint()
-                if hasattr(self.state, "reset_delta_tracking"):
-                    self.state.reset_delta_tracking()
-            raw = estimate_checkpoint_size(payload)
-            wire = self.system.checkpoint_compression().wire_size(raw)
-            serialize = self._checkpoint_serialize_cost(raw, wire)
-            yield self.env.timeout(serialize)
-            if not self.health.crashed:
-                self.system.cpu.charge(self.cpu_name, serialize, self.env.now)
-                self.system.checkpoint_installed(
-                    self.replica_id, ticket, kind=kind, raw_bytes=raw, wire_bytes=wire
-                )
-        # try_complete: a concurrent crash may have reset this barrier.
-        self.barrier.try_complete(uid, self.env.now)
-
-    def _checkpoint_serialize_cost(self, raw, wire):
-        """Seconds to serialise and push one checkpoint onto the wire:
-        delivery, plus compression CPU over the raw bytes, plus compressed
-        bytes over NIC bandwidth."""
-        return (
-            self.costs.delivery
-            + self.system.checkpoint_compression().cpu_seconds(raw)
-            + wire / self.costs.nic_bandwidth
-        )
 
     def _apply(self, command):
         if self.state is None:
@@ -336,16 +157,10 @@ class PSMRSystem(BaseSystem):
     name = "P-SMR"
 
     def __init__(self, config, generator, profile, spec, coarse_cg=False,
-                 merge_policy=None, execute_state=False, state_factory=None,
-                 checkpoint_policy=None, fault_plane=None):
+                 merge_policy=None, execute_state=False, state_factory=None):
         self.spec = spec
         self.coarse_cg = coarse_cg
         self._merge_policy_override = merge_policy
-        self.checkpoint_policy = checkpoint_policy
-        #: Optional shared network fault plane (see :mod:`repro.common.faults`):
-        #: ordered deliveries to replica ``r`` traverse the plane's
-        #: ``order -> replica<r>`` link.
-        self.fault_plane = fault_plane
         super().__init__(
             config,
             generator,
@@ -372,44 +187,11 @@ class PSMRSystem(BaseSystem):
                 rng=self.rng.child("stream", stream_id),
                 cpu=self.cpu,
                 name=f"g{stream_id}" if stream_id else "g_all",
-                fault_plane=self.fault_plane,
-                fault_node_namer=lambda worker: f"replica{worker.replica_id}",
             )
         self.replicas = []
-        self.recoveries = []
-        self._recovery_sequence = itertools.count()
-        #: Periodic-checkpoint bookkeeping (virtual replay-log accounting:
-        #: appends are counted per ordered client command, truncation is
-        #: zero-cost and happens when a checkpoint marker completes).
-        self.checkpoints = []
-        self.log_appends = 0
-        self._log_truncated = 0
-        self._last_checkpoint_appends = 0
-        self._checkpoint_inflight = None
-        self._checkpoint_sequence = itertools.count()
-        #: Per-replica checkpoint-chain metadata: the cuts (ticket ids) of
-        #: the entries since the last full snapshot, newest last.  Used to
-        #: pick full vs. delta at each marker and to negotiate chain-suffix
-        #: recovery transfers.  ``tip`` is the last installed cut (``None``
-        #: after a restore, which starts a fresh lineage).
-        self._chains = [
-            {"cuts": [], "wire": [], "tip": None, "deltas_since_full": 0}
-            for _ in range(config.num_replicas)
-        ]
-        #: Chain-manifest gossip: every replica publishes its cuts at each
-        #: marker, so recovery can pick *any* live peer whose lineage still
-        #: contains the joiner's cut as the chain-suffix donor.
-        self.gossip = ChainGossip()
-        #: Measured checkpoint traffic, by kind (compressed wire bytes).
-        self.checkpoint_bytes = {"full": 0, "delta": 0}
-        self.checkpoint_counts = {"full": 0, "delta": 0}
-        self.compactions = 0
-        if self.checkpoint_policy is not None and self.checkpoint_policy.every_seconds:
-            self.env.process(self._checkpoint_clock(), name="psmr-checkpoint-clock")
         for replica_id in range(config.num_replicas):
             barrier = BarrierBoard(self.env)
             cache = KeyCache(config.costs.cache_size)
-            health = ReplicaHealth()
             state = None
             if self.execute_state and self.state_factory is not None:
                 state = self.state_factory()
@@ -422,14 +204,11 @@ class PSMRSystem(BaseSystem):
                     barrier=barrier,
                     cache=cache,
                     state=state,
-                    health=health,
                 )
                 for stream_id in self.layout.subscriptions_of_thread(index):
                     self.streams[stream_id].subscribe(worker)
                 workers.append(worker)
-            self.replicas.append(
-                {"workers": workers, "barrier": barrier, "state": state, "health": health}
-            )
+            self.replicas.append({"workers": workers, "barrier": barrier, "state": state})
 
     # ------------------------------------------------------------------
     # Client proxy (Algorithm 1, lines 1-6)
@@ -438,16 +217,7 @@ class PSMRSystem(BaseSystem):
         gamma = self.cg.groups_for(command.name, command.args)
         command.destinations = gamma
         stream_id = self.layout.stream_for_destinations(gamma)
-        self.log_appends += 1
         self.streams[stream_id].submit(command)
-        policy = self.checkpoint_policy
-        if (
-            policy is not None
-            and policy.every_messages is not None
-            and self.log_appends - self._last_checkpoint_appends
-            >= policy.every_messages
-        ):
-            self.submit_checkpoint_marker()
 
     def threads_per_server(self):
         return self.config.mpl
@@ -455,253 +225,3 @@ class PSMRSystem(BaseSystem):
     def replica_state(self, replica_id=0):
         """The service state machine of one replica (when ``execute_state``)."""
         return self.replicas[replica_id]["state"]
-
-    # ------------------------------------------------------------------
-    # Crash and recovery (scheduled at virtual times via BaseSystem)
-    # ------------------------------------------------------------------
-    def crash_replica(self, replica_id):
-        """Fail-stop one simulated replica at the current virtual time.
-
-        Its workers drop every delivery from here on; pending barriers are
-        failed open so worker processes parked on them resume (and observe
-        the crash) instead of deadlocking the replica forever.
-        """
-        replica = self.replicas[replica_id]
-        if replica["health"].crashed:
-            raise RecoveryError(f"replica {replica_id} is already crashed")
-        live = [r for r in self.replicas if not r["health"].crashed]
-        if len(live) <= 1:
-            raise RecoveryError("cannot crash the last live replica")
-        replica["health"].crash()
-        replica["barrier"].reset()
-        # A periodic checkpoint marker waiting on this replica must not
-        # stay pending forever: the live set just shrank, so the in-flight
-        # ticket may now be complete.
-        if self._checkpoint_inflight is not None:
-            self._maybe_complete_checkpoint(self._checkpoint_inflight)
-        return replica
-
-    def recover_replica(self, replica_id):
-        """Start recovering a crashed replica; return its :class:`RecoveryRecord`.
-
-        Ordering the marker through ``g_all`` totally orders the recovery
-        point against every command, exactly like the threaded runtime's
-        checkpoint marker; the record's ``completed_at`` is stamped once the
-        replica has restored a live peer's checkpoint and rejoined.
-        """
-        replica = self.replicas[replica_id]
-        if not replica["health"].crashed:
-            raise RecoveryError(f"replica {replica_id} is not crashed")
-        record = RecoveryRecord(self.env, replica_id)
-        command = Command(
-            uid=(RECOVERY_COMMAND, next(self._recovery_sequence)),
-            name=RECOVERY_COMMAND,
-            args={"record": record},
-            size_bytes=64,
-            submitted_at=self.env.now,
-        )
-        command.destinations = ALL_GROUPS
-        self.streams[GroupLayout.ALL_STREAM_ID].submit(command)
-        self.recoveries.append(record)
-        return record
-
-    def live_replica_ids(self):
-        return [
-            replica_id
-            for replica_id, replica in enumerate(self.replicas)
-            if not replica["health"].crashed
-        ]
-
-    # ------------------------------------------------------------------
-    # Periodic checkpoints and virtual log truncation
-    # ------------------------------------------------------------------
-    def _checkpoint_clock(self):
-        """Time half of the checkpoint policy, at virtual times."""
-        period = self.checkpoint_policy.every_seconds
-        while True:
-            yield self.env.timeout(period)
-            self.submit_checkpoint_marker()
-
-    def submit_checkpoint_marker(self):
-        """Order one periodic checkpoint marker through ``g_all``.
-
-        At most one marker is in flight at a time (a slow barrier must not
-        pile markers up behind itself).  Returns the new
-        :class:`~repro.replication.base.CheckpointTicket`, or ``None`` when
-        one is already pending.
-        """
-        if self._checkpoint_inflight is not None and not self._checkpoint_inflight.done:
-            return None
-        ticket_id = next(self._checkpoint_sequence)
-        ticket = CheckpointTicket(
-            self.env, append_count=self.log_appends, ticket_id=ticket_id
-        )
-        command = Command(
-            uid=(CHECKPOINT_COMMAND, ticket_id),
-            name=CHECKPOINT_COMMAND,
-            args={"ticket": ticket},
-            size_bytes=64,
-            submitted_at=self.env.now,
-        )
-        command.destinations = ALL_GROUPS
-        self.streams[GroupLayout.ALL_STREAM_ID].submit(command)
-        self._checkpoint_inflight = ticket
-        self.checkpoints.append(ticket)
-        self._last_checkpoint_appends = self.log_appends
-        return ticket
-
-    def checkpoint_installed(self, replica_id, ticket, kind="full",
-                             raw_bytes=0, wire_bytes=0):
-        """One replica finished its (full or delta) checkpoint at a marker cut.
-
-        Updates the replica's chain metadata, compacts it when the policy's
-        ``compact_after`` is reached — the delta cuts collapse onto the tip,
-        with the merged wire size modelled as the largest constituent (the
-        union of overlapping dirty sets on a skewed workload) — and
-        publishes the resulting manifest to the gossip registry.
-        """
-        ticket.installed.add(replica_id)
-        ticket.sizes[replica_id] = (kind, raw_bytes, wire_bytes)
-        chain = self._chains[replica_id]
-        if kind == "full":
-            chain["cuts"] = [ticket.ticket_id]
-            chain["wire"] = [wire_bytes]
-            chain["deltas_since_full"] = 0
-        else:
-            chain["cuts"].append(ticket.ticket_id)
-            chain["wire"].append(wire_bytes)
-            chain["deltas_since_full"] += 1
-            policy = self.checkpoint_policy
-            if policy is not None and policy.compact_due(len(chain["cuts"]) - 1):
-                chain["cuts"] = [chain["cuts"][0], chain["cuts"][-1]]
-                chain["wire"] = [chain["wire"][0], max(chain["wire"][1:])]
-                self.compactions += 1
-        chain["tip"] = ticket.ticket_id
-        self.gossip.publish(
-            replica_id,
-            [("full", chain["cuts"][0])]
-            + [("delta", cut) for cut in chain["cuts"][1:]],
-        )
-        self.checkpoint_bytes[kind] += wire_bytes
-        self.checkpoint_counts[kind] += 1
-        self._maybe_complete_checkpoint(ticket)
-
-    def checkpoint_compression(self):
-        """The policy's compression cost model (no-op without a policy)."""
-        if self.checkpoint_policy is not None:
-            return self.checkpoint_policy.compression
-        return NO_COMPRESSION
-
-    def checkpoint_kind(self, replica_id, state):
-        """Full or delta for the replica's next periodic checkpoint.
-
-        A delta needs an existing base on the chain (``tip`` is ``None``
-        right after build or a restore), a policy that still allows deltas
-        on the chain, and a state machine with delta support.
-        """
-        chain = self._chains[replica_id]
-        policy = self.checkpoint_policy
-        if (
-            chain["tip"] is not None
-            and chain["cuts"]
-            and policy is not None
-            and not policy.take_full(chain["deltas_since_full"])
-            and state is not None
-            and hasattr(state, "delta_checkpoint")
-        ):
-            return "delta"
-        return "full"
-
-    def negotiate_transfer(self, joiner_id, donor_state, checkpoint):
-        """Pick the transfer mode, bytes and chain donor for one recovery.
-
-        The gossiped chain manifests widen the negotiation beyond the
-        claiming replica: *any* live peer whose published lineage still
-        contains the joiner's last installed cut can donate the chain
-        suffix after it, and the cheapest advertised suffix wins — the
-        claiming replica then only ships the residual delta up to the
-        recovery marker.  When no gossiped lineage covers the cut (or a
-        full snapshot is simply cheaper) the whole checkpoint crosses the
-        wire.  Returns ``(mode, raw_bytes, wire_bytes, chain_donor_id)``
-        where ``raw_bytes`` drives compression CPU, ``wire_bytes`` transfer
-        time, and ``chain_donor_id`` names the suffix donor (``None`` for a
-        full transfer).  The handed-over state object is the full
-        ``checkpoint`` either way — the cut is identical; only the
-        accounting differs, and in the threaded runtime only the suffix
-        actually moves.
-        """
-        compression = self.checkpoint_compression()
-        full_raw = estimate_checkpoint_size(checkpoint)
-        joiner_tip = self._chains[joiner_id]["tip"]
-        if (
-            joiner_tip is not None
-            and donor_state is not None
-            and hasattr(donor_state, "delta_checkpoint")
-        ):
-            live = set(self.live_replica_ids())
-            best = None  # (suffix_wire, peer_id), cheapest advertised suffix
-            for peer_id in self.gossip.donors_for(joiner_tip, exclude=(joiner_id,)):
-                if peer_id not in live:
-                    continue  # advertised lineage, but the peer is down
-                chain = self._chains[peer_id]
-                if joiner_tip not in chain["cuts"]:
-                    continue  # stale gossip (compacted away since publish)
-                position = chain["cuts"].index(joiner_tip)
-                suffix_wire = sum(chain["wire"][position + 1:])
-                if best is None or suffix_wire < best[0]:
-                    best = (suffix_wire, peer_id)
-            if best is not None:
-                residual = donor_state.delta_checkpoint(reset=False)
-                residual_raw = estimate_checkpoint_size(residual)
-                raw = residual_raw  # compression CPU re-paid for the residual only
-                wire = best[0] + compression.wire_size(residual_raw)
-                if wire < compression.wire_size(full_raw):
-                    return "delta", raw, wire, best[1]
-        return "full", full_raw, compression.wire_size(full_raw), None
-
-    def replica_recovered(self, replica_id, recovery_started_at):
-        """Credit a just-recovered replica on a ticket it skipped while down.
-
-        Only tickets submitted before the recovery marker qualify: the
-        replica skipped those markers while crashed, and the peer
-        checkpoint it restored — taken at the later-ordered recovery
-        marker — covers their cuts.  Without the credit such a ticket
-        would wait forever on the recovered replica and stall every
-        future checkpoint.  A ticket submitted *after* the recovery
-        marker is left alone: the replica executes that marker itself
-        (and pays for it) once it is back online.
-
-        The restored state also starts a fresh checkpoint lineage: the
-        replica's chain metadata resets, so its next periodic marker takes
-        a full snapshot and later recoveries cannot chain off pre-crash
-        cuts.
-        """
-        self._chains[replica_id] = {
-            "cuts": [], "wire": [], "tip": None, "deltas_since_full": 0
-        }
-        self.gossip.drop(replica_id)
-        ticket = self._checkpoint_inflight
-        if ticket is not None and ticket.started_at <= recovery_started_at:
-            ticket.installed.add(replica_id)
-            self._maybe_complete_checkpoint(ticket)
-
-    def _maybe_complete_checkpoint(self, ticket):
-        if ticket.done or not set(self.live_replica_ids()) <= ticket.installed:
-            return
-        ticket.completed_at = self.env.now
-        # Truncation is pure bookkeeping: dropping the prefix of the
-        # replay log costs no simulated time (threaded side: list slice
-        # under the sequencer lock).
-        self._log_truncated = max(self._log_truncated, ticket.append_count)
-        if self._checkpoint_inflight is ticket:
-            self._checkpoint_inflight = None
-
-    def log_size(self):
-        """Virtual replay-log length: ordered commands minus truncated prefix.
-
-        Accounting only — simulated recovery restores a fresh peer
-        checkpoint from the streams rather than replaying a log, so the
-        policy's ``max_replay_lag`` horizon and crashed-replica pinning
-        apply to the threaded runtime alone.
-        """
-        return self.log_appends - self._log_truncated

@@ -40,7 +40,7 @@ import threading
 import time
 from functools import partial
 
-from repro.common.checkpoint import NO_COMPRESSION, estimate_checkpoint_size
+from repro.common.checkpoint import estimate_checkpoint_size
 from repro.common.checkpoint_store import ChainGossip, CheckpointStore
 from repro.common.errors import (
     CheckpointError,
@@ -485,7 +485,7 @@ class PSMRControlPlane(ResponseRouter):
         #: Chain-manifest exchange: replicas publish ``(kind, sequence)``
         #: manifests at every marker cut; recovery consults it for donors.
         self.gossip = ChainGossip()
-        #: Measured checkpoint sizes: wire bytes by kind, plus a per-entry
+        #: Measured checkpoint sizes: raw bytes by kind, plus a per-entry
         #: event log and per-recovery transfer records (mode + bytes).
         self.checkpoint_bytes = {"full": 0, "delta": 0}
         self.checkpoint_events = []
@@ -575,16 +575,14 @@ class PSMRControlPlane(ResponseRouter):
         self.gossip.publish(replica_id, message["manifest"])
         self._note_boundary(replica, message["boundary"])
         raw = message["raw_bytes"]
-        wire_bytes = self._compression().wire_size(raw)
         with self._lock:
-            self.checkpoint_bytes[message["kind"]] += wire_bytes
+            self.checkpoint_bytes[message["kind"]] += raw
             self.checkpoint_events.append(
                 {
                     "sequence": sequence,
                     "replica_id": replica_id,
                     "kind": message["kind"],
                     "raw_bytes": raw,
-                    "wire_bytes": wire_bytes,
                 }
             )
             marker = self._pending_markers.get(("__checkpoint__", message["marker"]))
@@ -835,27 +833,20 @@ class PSMRControlPlane(ResponseRouter):
                         "replica_id": replica.replica_id,
                         "kind": "compaction",
                         "raw_bytes": 0,
-                        "wire_bytes": 0,
                     }
                 )
         return compacted
 
-    def _compression(self):
-        if self.checkpoint_policy is not None:
-            return self.checkpoint_policy.compression
-        return NO_COMPRESSION
-
     def _record_transfer(self, replica_id, mode, payloads):
         """Account one recovery's transferred checkpoint bytes."""
         raw = sum(estimate_checkpoint_size(payload) for payload in payloads)
-        wire_bytes = self._compression().wire_size(raw) if payloads else 0
         with self._lock:
             self.recovery_transfers.append(
                 {
                     "replica_id": replica_id,
                     "mode": mode,
                     "entries": len(payloads),
-                    "wire_bytes": wire_bytes,
+                    "raw_bytes": raw,
                 }
             )
 

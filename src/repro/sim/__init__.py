@@ -11,7 +11,7 @@ clock.  The public surface mirrors the subset of simpy used in most
 distributed-system simulators so the code reads familiarly.
 """
 
-from repro.sim.events import Event, Timeout, Process, AnyOf, AllOf, poll_until
+from repro.sim.events import Event, Timeout, Process, AnyOf, AllOf
 from repro.sim.environment import Environment
 from repro.sim.resources import Store, Resource
 
@@ -23,6 +23,5 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Store",
-    "poll_until",
     "Resource",
 ]

@@ -144,22 +144,6 @@ class Process(Event):
             return
 
 
-def poll_until(env, predicate, interval, on_wait=None):
-    """Generator: yield ``interval`` timeouts until ``predicate()`` holds.
-
-    The building block for fault-plane links: a partitioned link is an
-    infinite-delay link, modelled as a process polling connectivity with
-    the plane's retransmit backoff until healed.  ``on_wait`` (if given)
-    is called once per waited interval, e.g. to count blocked retries.
-    """
-    if interval <= 0:
-        raise SimulationError("poll_until interval must be > 0")
-    while not predicate():
-        if on_wait is not None:
-            on_wait()
-        yield env.timeout(interval)
-
-
 class _Condition(Event):
     """Base for AnyOf / AllOf composite events."""
 

@@ -5,21 +5,16 @@ bounded under sustained load; a crashed replica inside its replayable
 horizon recovers by replaying its own checkpoint's log suffix; one past the
 horizon is marked for full state transfer and recovers that way with
 linearizability preserved; simultaneous multi-replica failures heal from a
-single shared checkpoint.  Simulated side: the same policy runs at virtual
-times, with truncation free and the periodic-checkpoint overhead visible in
-throughput.
+single shared checkpoint.
 """
 
 import threading
 import time
 
 from repro.common.checkpoint import CheckpointPolicy
-from repro.harness.experiments.recovery import run_checkpoint_scaling
-from repro.harness.runner import build_kv_system
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
 from repro.runtime.linearizability import HistoryRecorder
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
-from repro.workload import mixed_workload
 
 
 def kv_cluster(mpl=2, replicas=2, initial_keys=16, **kwargs):
@@ -170,80 +165,3 @@ def test_simultaneous_two_replica_crash_recovers_from_shared_checkpoint():
         assert snapshots[0] == snapshots[1] == snapshots[2]
         counters = [r.service.commands_executed for r in cluster.replicas]
         assert len(set(counters)) == 1
-
-
-# ----------------------------------------------------------------------
-# Simulated runtime: the mirrored policy at virtual times
-# ----------------------------------------------------------------------
-def sim_system(**kwargs):
-    return build_kv_system(
-        "P-SMR", 4, mix=mixed_workload(0.1), execute_state=True,
-        initial_keys=64, key_space=256, seed=5, **kwargs,
-    )
-
-
-def test_sim_periodic_checkpoints_truncate_log_and_cost_throughput():
-    baseline = sim_system()
-    baseline_result = baseline.run(warmup=0.01, duration=0.06)
-    system = sim_system(
-        checkpoint_policy=CheckpointPolicy(every_seconds=0.004)
-    )
-    result = system.run(warmup=0.01, duration=0.06)
-    done = [ticket for ticket in system.checkpoints if ticket.done]
-    assert len(done) >= 3
-    # Truncation is zero-cost bookkeeping, so the log shrinks...
-    assert system.log_size() < system.log_appends
-    assert system.log_size() == system.log_appends - max(t.append_count for t in done)
-    # ...but the checkpoints themselves are not free: every replica's
-    # executor pays the serialisation time, which costs client throughput.
-    assert result.completed <= baseline_result.completed
-    assert baseline.log_size() == baseline.log_appends  # no policy, no truncation
-
-
-def test_sim_message_count_trigger_and_crash_completion():
-    system = sim_system(
-        checkpoint_policy=CheckpointPolicy(every_messages=2000)
-    )
-    system.schedule_crash(1, 0.02)
-    result = system.run(warmup=0.01, duration=0.05)
-    assert result.completed > 0
-    assert len(system.checkpoints) >= 1
-    # Markers waiting on the crashed replica complete against the shrunken
-    # live set instead of sticking forever.
-    assert any(ticket.done for ticket in system.checkpoints)
-    assert system.log_size() < system.log_appends
-
-
-def test_sim_checkpoints_continue_after_a_crash_recovery_cycle():
-    """Regression: a marker in flight across a crash/recovery must not get
-    stuck waiting on the recovered replica (which skipped it while down) —
-    that would silently stall every later checkpoint and unbound the log."""
-    system = sim_system(checkpoint_policy=CheckpointPolicy(every_seconds=0.003))
-    system.schedule_crash(1, 0.015)
-    system.schedule_recovery(1, 0.025)
-    system.run(warmup=0.01, duration=0.08)
-    record = system.recoveries[0]
-    assert record.done
-    completed_after_recovery = [
-        ticket
-        for ticket in system.checkpoints
-        if ticket.done and ticket.started_at > record.completed_at
-    ]
-    assert len(completed_after_recovery) >= 2
-
-
-def test_checkpoint_scaling_experiment_reports_latency_vs_state_size():
-    result = run_checkpoint_scaling(
-        warmup=0.008, duration=0.04, seed=3, state_sizes=(32, 512),
-        checkpoint_every_seconds=0.005,
-    )
-    assert result["figure"] == "checkpoint-scaling"
-    rows = result["rows"]
-    assert len(rows) == 2
-    for row in rows:
-        assert row["catch_up_ms"] is not None and row["catch_up_ms"] > 0
-        assert row["checkpoints"] > 0
-        # The policy keeps the steady-state log well below everything ordered.
-        assert row["steady_log_size"] < row["ordered_total"]
-    assert rows[1]["checkpoint_kb"] > rows[0]["checkpoint_kb"]
-    assert "Checkpoint scaling" in result["text"]

@@ -1,4 +1,4 @@
-"""Integration tests for incremental (delta) checkpoints in both runtimes.
+"""Integration tests for incremental (delta) checkpoints on the threaded runtime.
 
 Threaded: periodic markers build full+delta chains per ``full_every``; a
 crashed replica recovers by replaying on top of its own chain; one whose
@@ -6,20 +6,15 @@ log was truncated recovers via a *chain-suffix* transfer (only the deltas
 it missed cross the wire); and the ROADMAP scenario — a replica crashing
 and recovering while the surviving source is itself inside periodic
 checkpoints — completes without hangs, without losing acknowledged writes,
-and linearizably.  Simulated: the same policy cuts steady-state checkpoint
-bytes and negotiates delta recovery transfers; the ``delta-checkpoint``
-experiment meets the >=5x reduction target on the skewed-write workload.
+and linearizably.
 """
 
 import threading
 
-from repro.common.checkpoint import CheckpointPolicy, FAST_COMPRESSION
-from repro.harness.experiments.delta import run_delta_checkpoint
-from repro.harness.runner import build_kv_system
+from repro.common.checkpoint import CheckpointPolicy
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
 from repro.runtime.linearizability import HistoryRecorder
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
-from repro.workload import skewed_update_mix
 
 
 def kv_cluster(mpl=2, replicas=2, initial_keys=16, **kwargs):
@@ -66,7 +61,7 @@ def test_threaded_periodic_markers_build_delta_chains():
         # Deltas are measured smaller than fulls on this workload.
         fulls = [e for e in cluster.checkpoint_events if e["kind"] == "full"]
         deltas = [e for e in cluster.checkpoint_events if e["kind"] == "delta"]
-        assert max(d["wire_bytes"] for d in deltas) < min(f["wire_bytes"] for f in fulls)
+        assert max(d["raw_bytes"] for d in deltas) < min(f["raw_bytes"] for f in fulls)
 
 
 def test_threaded_replay_recovery_on_top_of_a_delta_chain():
@@ -127,9 +122,9 @@ def test_threaded_chain_suffix_transfer_when_log_is_truncated():
         assert transfer["entries"] == 2  # exactly the two missed deltas
         # The transferred suffix is cheaper than a full snapshot would be.
         full_sizes = [
-            e["wire_bytes"] for e in cluster.checkpoint_events if e["kind"] == "full"
+            e["raw_bytes"] for e in cluster.checkpoint_events if e["kind"] == "full"
         ]
-        assert transfer["wire_bytes"] < min(full_sizes)
+        assert transfer["raw_bytes"] < min(full_sizes)
         assert [e["kind"] for e in replica.checkpoint_chain] == [
             "full", "delta", "delta", "delta",
         ]
@@ -231,106 +226,3 @@ def test_threaded_recovery_while_source_is_checkpointing():
         assert counters[0] == counters[1]
     initial = {key: b"\x00" * 8 for key in range(8)}
     assert check_linearizable(recorder.operations, initial_state=initial)
-
-
-# ----------------------------------------------------------------------
-# Simulated runtime
-# ----------------------------------------------------------------------
-def sim_system(**kwargs):
-    return build_kv_system(
-        "P-SMR", 4, mix=skewed_update_mix(), execute_state=True,
-        initial_keys=2048, key_space=2048, distribution="zipfian",
-        zipf_theta=0.9, seed=5, **kwargs,
-    )
-
-
-def test_sim_delta_chains_cut_checkpoint_bytes():
-    full_only = sim_system(
-        checkpoint_policy=CheckpointPolicy(every_seconds=0.004)
-    )
-    full_only.run(warmup=0.01, duration=0.05)
-    chained = sim_system(
-        checkpoint_policy=CheckpointPolicy(every_seconds=0.004, full_every=4)
-    )
-    chained.run(warmup=0.01, duration=0.05)
-    assert full_only.checkpoint_counts["delta"] == 0
-    assert chained.checkpoint_counts["delta"] > 0
-    mean = lambda s: sum(s.checkpoint_bytes.values()) / max(  # noqa: E731
-        1, sum(s.checkpoint_counts.values())
-    )
-    assert mean(chained) < mean(full_only)
-    # Deltas truncate the virtual log just like fulls do.
-    assert chained.log_size() < chained.log_appends
-
-
-def test_sim_compression_model_shrinks_wire_bytes_and_charges_cpu():
-    plain = sim_system(
-        checkpoint_policy=CheckpointPolicy(every_seconds=0.004)
-    )
-    plain.run(warmup=0.01, duration=0.04)
-    compressed = sim_system(
-        checkpoint_policy=CheckpointPolicy(
-            every_seconds=0.004, compression=FAST_COMPRESSION
-        )
-    )
-    compressed.run(warmup=0.01, duration=0.04)
-    plain_sizes = [
-        wire for t in plain.checkpoints for (_k, _raw, wire) in t.sizes.values()
-    ]
-    compressed_sizes = [
-        wire for t in compressed.checkpoints for (_k, _raw, wire) in t.sizes.values()
-    ]
-    assert plain_sizes and compressed_sizes
-    assert max(compressed_sizes) < min(plain_sizes)
-    for ticket in compressed.checkpoints:
-        for _kind, raw, wire in ticket.sizes.values():
-            assert wire == FAST_COMPRESSION.wire_size(raw)
-
-
-def test_sim_recovery_negotiates_delta_transfer_while_checkpointing():
-    """Crash and recover mid-window with periodic delta checkpoints in
-    flight: recovery completes (no stall), transfers only the chain suffix
-    when the donor's lineage still covers the joiner's cut, and checkpoints
-    keep completing afterwards."""
-    # A store big enough that a full snapshot dwarfs the per-interval dirty
-    # set — otherwise the negotiation (correctly) prefers a full transfer.
-    system = build_kv_system(
-        "P-SMR", 4, mix=skewed_update_mix(), execute_state=True,
-        initial_keys=16384, key_space=16384, distribution="zipfian",
-        zipf_theta=0.99, seed=5,
-        checkpoint_policy=CheckpointPolicy(every_seconds=0.003, full_every=8),
-    )
-    system.schedule_crash(1, 0.022)
-    system.schedule_recovery(1, 0.028)
-    system.run(warmup=0.01, duration=0.06)
-    record = system.recoveries[0]
-    assert record.done
-    assert record.transfer_mode == "delta"
-    assert 0 < record.transfer_bytes < sum(
-        wire
-        for t in system.checkpoints
-        for (kind, _raw, wire) in t.sizes.values()
-        if kind == "full"
-    )
-    completed_after = [
-        ticket
-        for ticket in system.checkpoints
-        if ticket.done and ticket.started_at > record.completed_at
-    ]
-    assert len(completed_after) >= 2
-
-
-def test_delta_checkpoint_experiment_meets_reduction_target():
-    """Acceptance: >=5x steady-state checkpoint-byte reduction on the
-    skewed-write workload, with the property of delta recovery visible."""
-    result = run_delta_checkpoint(
-        warmup=0.01, duration=0.06, seed=1, full_every_values=(1, 16)
-    )
-    assert result["figure"] == "delta-checkpoint"
-    rows = {row["full_every"]: row for row in result["rows"]}
-    assert rows[16]["reduction_x"] >= 5.0
-    assert rows[16]["deltas"] > rows[16]["fulls"]
-    assert rows[16]["transfer"] == "delta"
-    assert rows[16]["transfer_kb"] < rows[1]["transfer_kb"]
-    assert rows[16]["catch_up_ms"] < rows[1]["catch_up_ms"]
-    assert "Delta checkpoints" in result["text"]

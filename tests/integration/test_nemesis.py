@@ -11,8 +11,7 @@ delivery boundary.
 
 Every randomized episode is seeded; a failing episode prints its seed
 (and writes a JSON artifact when ``NEMESIS_ARTIFACT_DIR`` is set), and
-re-running with that seed regenerates the identical nemesis plan — in
-the simulated runtime the entire fault schedule replays byte-for-byte.
+re-running with that seed regenerates the identical nemesis plan.
 """
 
 import pytest
@@ -20,12 +19,9 @@ import pytest
 from repro.common.faults import FaultPlane, Nemesis
 from repro.harness.nemesis import (
     LIVE,
-    SIM,
-    SIM_KINDS,
     THREADED_KINDS,
     assert_episode_ok,
     run_live_nemesis_episode,
-    run_sim_nemesis_episode,
 )
 from repro.runtime import HistoryRecorder, ThreadedPSMRCluster, check_kv_history
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
@@ -153,22 +149,6 @@ class TestAcceptanceEpisodes:
         assert replay.plan == nemesis.plan
         assert report["plan"] == [op.describe() for op in nemesis.plan]
 
-    def test_sim_episode_with_byte_identical_replay(self):
-        seed = 2  # plan covers partition, heal, crash, recover, checkpoint
-        report = run_sim_nemesis_episode(seed=seed)
-        assert_episode_ok(report)
-        assert report["reproduce"] == (
-            "run_sim_nemesis_episode(seed=2, duration=0.08, record_schedule=True)"
-        )
-        applied_kinds = {entry["op"].split()[2] for entry in report["applied"]}
-        assert {"partition", "crash", "recover", "checkpoint"} <= applied_kinds
-        # Virtual time makes the whole run deterministic: the replay's
-        # fault schedule digest is identical, byte for byte.
-        replay = run_sim_nemesis_episode(seed=seed)
-        assert replay["schedule_digest"] == report["schedule_digest"]
-        assert replay["plan"] == report["plan"]
-        assert replay["probe_operations"] == report["probe_operations"]
-
 
 # ----------------------------------------------------------------------
 # Seeded randomized sweeps (fixed seeds so CI is deterministic)
@@ -181,12 +161,6 @@ class TestSeededSweeps:
         assert_episode_ok(report)
         assert report["plan"] == planned(seed, LIVE["threaded"], THREADED_KINDS)
 
-    @pytest.mark.parametrize("seed", [1, 3, 4, 5, 9, 13])
-    def test_sim_sweep(self, seed):
-        report = run_sim_nemesis_episode(seed=seed)
-        assert_episode_ok(report)
-        assert report["plan"] == planned(seed, SIM, SIM_KINDS)
-
 
 # ----------------------------------------------------------------------
 # Failure reporting: the seed must be printed and the artifact written
@@ -195,50 +169,22 @@ class TestSeededSweeps:
 class TestFailureReporting:
     def test_failed_episode_prints_seed_and_writes_artifact(self, tmp_path):
         report = {
-            "runtime": "sim",
+            "runtime": "proc",
             "seed": 4242,
             "ok": False,
             "failures": ["replica states diverged"],
-            "reproduce": "run_sim_nemesis_episode(seed=4242, duration=0.05)",
+            "reproduce": "run_live_nemesis_episode(seed=4242, runtime='proc')",
             "plan": ["[0] t+0.010s crash replica1"],
         }
         with pytest.raises(AssertionError) as excinfo:
             assert_episode_ok(report, artifact_dir=str(tmp_path))
         message = str(excinfo.value)
         assert "seed=4242" in message
-        assert "reproduce: run_sim_nemesis_episode(seed=4242, duration=0.05)" in message
-        artifact = tmp_path / "nemesis-sim-seed4242.json"
+        assert "reproduce: run_live_nemesis_episode(seed=4242, runtime='proc')" in message
+        artifact = tmp_path / "nemesis-proc-seed4242.json"
         assert artifact.exists()
         assert "replica states diverged" in artifact.read_text()
 
     def test_passing_episode_returns_report(self):
         report = {"runtime": "threaded", "seed": 1, "ok": True, "failures": []}
         assert assert_episode_ok(report) is report
-
-
-# ----------------------------------------------------------------------
-# Simulated runtime: quiescence accounts for in-flight fault deliveries
-# ----------------------------------------------------------------------
-
-class TestSimQuiescence:
-    def test_quiesce_waits_for_delayed_links(self):
-        from repro.harness.runner import build_kv_system
-        from repro.workload import mixed_workload
-
-        plane = FaultPlane(seed=9, retransmit_backoff=0.001)
-        # Heavy fixed delays: at quiesce time many deliveries are parked
-        # inside SimFaultyLink queues rather than worker mailboxes.
-        plane.set_link(delay=1.0, delay_range=(0.002, 0.004))
-        system = build_kv_system(
-            "P-SMR", 2, mix=mixed_workload(0.1), num_clients=4,
-            key_space=64, initial_keys=32, execute_state=True, seed=9,
-            fault_plane=plane, num_replicas=2,
-        )
-        system.run(warmup=0.005, duration=0.02)
-        outstanding = system.quiesce(limit=5.0)
-        assert outstanding == 0
-        assert system.fault_in_flight() == 0
-        states = [system.replica_state(r).snapshot() for r in (0, 1)]
-        counts = [system.replica_state(r).commands_executed for r in (0, 1)]
-        assert states[0] == states[1]
-        assert counts[0] == counts[1]

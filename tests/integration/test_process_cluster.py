@@ -399,7 +399,7 @@ def test_threaded_and_process_runtimes_agree(tmp_path):
 SHARED_CONTROL_PLANE = (
     "checkpoint", "periodic_checkpoint", "update_shard_map", "rebalance_shards",
     "truncate_to_watermarks", "compact_chains", "_record_transfer",
-    "_compression", "crash_replica", "recover_replica", "recover_replicas",
+    "crash_replica", "recover_replica", "recover_replicas",
     "restart_replica_from_disk", "_recover_via_replay",
     "_recover_via_chain_transfer", "_recover_via_full_transfer",
     "_handle_marker_done", "_handle_shard_done", "wait_for_quiescence",

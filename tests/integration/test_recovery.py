@@ -1,10 +1,8 @@
-"""Integration tests for crash/recovery in both runtimes.
+"""Integration tests for crash/recovery on the threaded runtime.
 
-The threaded tests exercise the real lifecycle — crash a replica's worker
-threads under load, recover via checkpoint transfer plus multicast log
-replay, and verify convergence and linearizability.  The simulation tests
-schedule the same lifecycle at virtual times and verify state convergence
-and the recovery experiment's outputs.
+The tests exercise the real lifecycle — crash a replica's worker threads
+under load, recover via checkpoint transfer plus multicast log replay, and
+verify convergence and linearizability.
 """
 
 import threading
@@ -13,13 +11,10 @@ import time
 import pytest
 
 from repro.common.errors import RecoveryError
-from repro.harness.experiments.recovery import run_recovery
-from repro.harness.runner import build_kv_system
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
 from repro.runtime.linearizability import HistoryRecorder
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 from repro.services.netfs import NETFS_SPEC, NetFSServer
-from repro.workload import mixed_workload
 
 
 def kv_cluster(mpl=4, replicas=3, initial_keys=32, **kwargs):
@@ -238,107 +233,6 @@ def test_history_spanning_crash_and_recovery_is_linearizable():
         assert check_linearizable(recorder.operations, initial_state=initial)
         snapshots = cluster.replica_snapshots()
         assert snapshots[0] == snapshots[1]
-
-
-# ----------------------------------------------------------------------
-# Simulated runtime
-# ----------------------------------------------------------------------
-def sim_system(**kwargs):
-    return build_kv_system(
-        "P-SMR", 4, mix=mixed_workload(0.1), execute_state=True,
-        initial_keys=64, key_space=256, seed=5, **kwargs,
-    )
-
-
-def test_sim_crash_and_recover_converges():
-    system = sim_system()
-    system.schedule_crash(1, 0.03)
-    system.schedule_recovery(1, 0.06)
-    result = system.run(warmup=0.01, duration=0.1)
-    assert result.completed > 0
-    record = system.recoveries[0]
-    assert record.done
-    assert record.duration() > 0
-    assert system.live_replica_ids() == [0, 1]
-    assert system.quiesce() == 0
-    state0 = system.replica_state(0)
-    state1 = system.replica_state(1)
-    assert state0.snapshot() == state1.snapshot()
-    assert state0.commands_executed == state1.commands_executed
-
-
-def test_sim_crashed_replica_does_not_execute():
-    system = sim_system()
-    system.schedule_crash(1, 0.02)
-    result = system.run(warmup=0.01, duration=0.05)
-    # Clients are still served by the surviving replica.
-    assert result.completed > 0
-    assert system.live_replica_ids() == [0]
-    executed_down = sum(w.executed for w in system.replicas[1]["workers"])
-    executed_live = sum(w.executed for w in system.replicas[0]["workers"])
-    assert executed_live > executed_down
-
-
-def test_sim_recovery_with_three_replicas_keeps_all_executors_alive():
-    """Regression: with >= 2 live replicas, both executors may reach the
-    recovery marker within one serialisation window; only one may publish
-    the checkpoint, and neither worker may die doing so."""
-    from repro.common.config import ClusterConfig
-    from repro.replication import KVCostProfile, PSMRSystem
-    from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
-    from repro.workload import KVWorkloadGenerator
-
-    config = ClusterConfig(
-        num_replicas=3, mpl=4, num_clients=24, client_window=20, seed=7
-    )
-    generator = KVWorkloadGenerator(
-        mix=mixed_workload(0.1), key_space=256, distribution="uniform", seed=11
-    )
-    system = PSMRSystem(
-        config,
-        generator,
-        KVCostProfile(config.costs),
-        spec=KVSTORE_SPEC,
-        execute_state=True,
-        state_factory=lambda: KeyValueStoreServer(initial_keys=64),
-    )
-    system.schedule_crash(2, 0.02)
-    system.schedule_recovery(2, 0.04)
-    system.run(warmup=0.01, duration=0.08)
-    assert system.recoveries[0].done
-    assert system.live_replica_ids() == [0, 1, 2]
-    assert system.quiesce() == 0
-    snapshots = [system.replica_state(i).snapshot() for i in range(3)]
-    assert snapshots[0] == snapshots[1] == snapshots[2]
-    counters = [system.replica_state(i).commands_executed for i in range(3)]
-    assert len(set(counters)) == 1
-    # Every replica's workers kept executing after the marker (no silently
-    # dead executor processes).
-    for replica in system.replicas:
-        assert sum(worker.executed for worker in replica["workers"]) > 0
-
-
-def test_sim_lifecycle_misuse_raises():
-    system = sim_system()
-    with pytest.raises(RecoveryError):
-        system.recover_replica(0)
-    system.crash_replica(1)
-    with pytest.raises(RecoveryError):
-        system.crash_replica(1)
-    with pytest.raises(RecoveryError):
-        system.crash_replica(0)
-
-
-def test_recovery_experiment_produces_dip_and_catchup_table():
-    result = run_recovery(warmup=0.01, duration=0.08, seed=2, buckets=8)
-    assert result["figure"] == "recovery"
-    assert len(result["rows"]) == 8
-    phases = [row["phase"] for row in result["rows"]]
-    assert "before" in phases and "down" in phases and "after" in phases
-    summary = result["summary"]
-    assert summary["catch_up_ms"] is not None and summary["catch_up_ms"] > 0
-    assert summary["before_kcps"] > 0 and summary["down_kcps"] > 0
-    assert "throughput dip" in result["text"] or "catch-up" in result["text"]
 
 
 # ----------------------------------------------------------------------

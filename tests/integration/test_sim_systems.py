@@ -92,6 +92,54 @@ def test_replicated_state_converges(technique):
     assert len(snapshots[0]) > 0
 
 
+def test_p_smr_replicas_converge_under_round_robin_merge():
+    system = build_kv_system(
+        "P-SMR", 3, mix=mixed_workload(0.2), key_space=200, num_clients=4,
+        execute_state=True, initial_keys=200, merge_policy="round_robin",
+    )
+    system.run(warmup=0.002, duration=0.01)
+    assert system.quiesce() == 0
+    first, second = (system.replica_state(replica_id).snapshot() for replica_id in (0, 1))
+    assert first == second
+    assert len(first) > 0
+
+
+@pytest.mark.parametrize(
+    "mix",
+    (READ_ONLY_MIX, DEPENDENT_ONLY_MIX, mixed_workload(0.2)),
+    ids=("independent", "dependent", "mixed"),
+)
+def test_p_smr_executes_every_command_once_per_replica(mix):
+    """A parallel-mode command is applied by the one thread that delivers
+    it, a synchronous-mode one by its executor only — never by the threads
+    that assist it — and every barrier is released."""
+    system = build_kv_system(
+        "P-SMR", 4, mix=mix, key_space=200, num_clients=4,
+        execute_state=True, initial_keys=200,
+    )
+    system.run(warmup=0.002, duration=0.01)
+    assert system.quiesce() == 0
+    for replica in system.replicas:
+        executed = sum(worker.executed for worker in replica["workers"])
+        assert executed == system.clients.submitted
+        assert replica["state"].commands_executed == system.clients.submitted
+        assert replica["barrier"].pending() == 0
+
+
+# ----------------------------------------------------------------------
+# A run is a function of its configuration and seed.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_same_seed_gives_identical_results(technique):
+    first, second = (
+        run_kv_technique(
+            technique, 2, mix=mixed_workload(0.05), num_clients=6, seed=7, **FAST
+        )
+        for _ in range(2)
+    )
+    assert first == second
+
+
 def test_single_server_techniques_apply_state():
     for technique in ("no-rep", "BDB"):
         system = build_kv_system(

@@ -1,14 +1,10 @@
 """Unit tests for the shared checkpoint policy, the delta-chain cadence
-(``full_every``), the compression cost model and the size estimator."""
+(``full_every``) and the size estimator."""
 
 import pytest
 
 from repro.common.checkpoint import (
-    FAST_COMPRESSION,
-    NO_COMPRESSION,
-    TIGHT_COMPRESSION,
     CheckpointPolicy,
-    CompressionModel,
     compact_chain,
     estimate_checkpoint_size,
     merge_deltas,
@@ -42,27 +38,14 @@ class TestValidation:
         # None is treated as 1 (deltas disabled).
         assert CheckpointPolicy(every_messages=10, full_every=None).full_every == 1
 
-    def test_compression_validation(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(every_messages=10, compression="zstd")
-        with pytest.raises(ConfigurationError):
-            CompressionModel(ratio=0.0)
-        with pytest.raises(ConfigurationError):
-            CompressionModel(ratio=1.5)
-        with pytest.raises(ConfigurationError):
-            CompressionModel(cpu_seconds_per_byte=-1e-9)
-        # None means the no-op model.
-        assert CheckpointPolicy(every_messages=10).compression is NO_COMPRESSION
-
     def test_repr_names_the_knobs(self):
         policy = CheckpointPolicy(
             every_messages=5, every_seconds=1.0, max_replay_lag=9,
-            full_every=4, compression=FAST_COMPRESSION,
+            full_every=4,
         )
         assert "every_messages=5" in repr(policy)
         assert "max_replay_lag=9" in repr(policy)
         assert "full_every=4" in repr(policy)
-        assert "'fast'" in repr(policy)
 
 
 class TestDue:
@@ -123,27 +106,6 @@ class TestTakeFull:
         assert not policy.take_full(2)
         assert policy.take_full(3)  # the 4th checkpoint of the cycle is full
         assert policy.take_full(7)  # never underestimates a long chain
-
-
-class TestCompressionModel:
-    def test_wire_size_scales_by_ratio(self):
-        model = CompressionModel("half", ratio=0.5, cpu_seconds_per_byte=1e-9)
-        assert model.wire_size(1000) == 500
-        assert model.wire_size(0) == 0
-        assert model.wire_size(1) == 1  # never rounds a payload to nothing
-
-    def test_cpu_seconds_scales_by_raw_bytes(self):
-        model = CompressionModel("half", ratio=0.5, cpu_seconds_per_byte=2e-9)
-        assert model.cpu_seconds(1_000_000) == pytest.approx(2e-3)
-        assert model.cpu_seconds(0) == 0.0
-
-    def test_no_compression_is_identity(self):
-        assert NO_COMPRESSION.wire_size(12345) == 12345
-        assert NO_COMPRESSION.cpu_seconds(12345) == 0.0
-
-    def test_presets_trade_ratio_for_cpu(self):
-        assert TIGHT_COMPRESSION.ratio < FAST_COMPRESSION.ratio < 1.0
-        assert TIGHT_COMPRESSION.cpu_seconds_per_byte > FAST_COMPRESSION.cpu_seconds_per_byte
 
 
 class TestRestoreChain:
@@ -290,11 +252,6 @@ class TestReplayable:
 
 
 def test_estimate_checkpoint_size_importable_from_common():
-    # Shared by both runtimes; the historical import path in
-    # repro.replication.base must keep working too.
-    from repro.replication.base import estimate_checkpoint_size as legacy
-
-    assert legacy is estimate_checkpoint_size
     assert estimate_checkpoint_size(None) == 4096
     assert estimate_checkpoint_size({"a": b"xy"}) == 16 + (1 + 8) + (2 + 8)
 

@@ -13,7 +13,8 @@ def test_list_prints_every_experiment():
     lines = stream.getvalue().splitlines()
     names = [line for line in lines if not line.startswith("runtimes:")]
     assert "fig3" in names and "table1" in names and "ablation-merge" in names
-    assert "recovery" in names and "checkpoint-scaling" in names
+    assert "nemesis" in names and "durable-recovery" in names
+    assert not {"recovery", "checkpoint-scaling", "delta-checkpoint"} & set(names)
     assert set(names) == set(cli.EXPERIMENTS)
     # The accepted --runtime values are listed too.
     assert "runtimes: " + " ".join(cli.RUNTIMES) in lines
@@ -47,10 +48,10 @@ def test_every_registered_experiment_has_a_driver():
         assert callable(driver), name
 
 
-def test_nemesis_is_registered_with_timing_kwargs():
+def test_nemesis_is_registered_without_timing_kwargs():
     driver, takes_timing, takes_runtime = cli.EXPERIMENTS["nemesis"]
     assert callable(driver)
-    assert takes_timing
+    assert not takes_timing
     assert takes_runtime
 
 
@@ -59,16 +60,24 @@ def test_parser_rejects_unknown_runtime():
         cli.build_parser().parse_args(["nemesis", "--runtime", "gpu"])
 
 
-def test_nemesis_via_cli_with_tiny_window():
+@pytest.mark.parametrize("argv", [
+    ["nemesis", "--runtime", "sim"],
+    ["recovery"],
+    ["checkpoint-scaling"],
+    ["delta-checkpoint"],
+], ids=" ".join)
+def test_removed_choices_exit_with_usage_error(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv, stream=io.StringIO())
+    assert excinfo.value.code == 2
+
+
+def test_nemesis_via_cli():
     stream = io.StringIO()
-    code = cli.main(
-        ["nemesis", "--warmup", "0.004", "--duration", "0.012", "--seed", "5"],
-        stream=stream,
-    )
+    code = cli.main(["nemesis", "--seed", "5"], stream=stream)
     assert code == 0
     output = stream.getvalue()
-    assert "degradation by fault class" in output
-    assert "seeded randomized episodes" in output
+    assert "seeded randomized episode" in output
     # Every episode line carries the seed for one-command reproduction.
     assert "--seed 5" in output
 
@@ -77,8 +86,8 @@ def test_nemesis_via_cli_with_tiny_window():
 def test_exit_status_reports_an_oracle_failure(monkeypatch, failures, code):
     # `repro.cli nemesis` is a CI step: at the parent a failing episode only
     # added a line to the text and the step stayed green.
-    def driver(warmup, duration, seed, runtime):
+    def driver(seed, runtime):
         return {"text": "EPISODE FAILURES" if failures else "ok", "failures": failures}
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "nemesis", (driver, True, True))
+    monkeypatch.setitem(cli.EXPERIMENTS, "nemesis", (driver, False, True))
     assert cli.main(["nemesis"], stream=io.StringIO()) == code

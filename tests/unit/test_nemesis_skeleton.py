@@ -9,13 +9,19 @@ is being checked.
 """
 
 import threading
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
+from repro.common.checkpoint import CheckpointPolicy
+from repro.common.config import CostModelConfig, MulticastConfig
 from repro.common.errors import RecoveryError
 from repro.common.faults import FaultPlane, NemesisOp
-from repro.harness import nemesis
+from repro.harness import build_kv_system, nemesis
+from repro.harness.experiments import run_nemesis
+from repro.replication import PSMRSystem
+from repro.replication.base import SimStream
 
 SHAPE = {"num_replicas": 3, "probe_ops": 4, "load_keys": 8,
          "invoke_timeout": 0.2, "quiesce_timeout": 0.2}
@@ -289,14 +295,37 @@ def test_reproduce_is_the_call_that_regenerates_the_plan(built, monkeypatch, cal
     assert callable(getattr(nemesis, call.partition("(")[0]))
 
 
-@pytest.mark.parametrize("runner, removed", [
-    (nemesis.run_live_nemesis_episode, "num_replicas"),
-    (nemesis.run_live_nemesis_episode, "probe_ops"),
-    (nemesis.run_shard_migration_episode, "migrations"),
-    (nemesis.run_sim_nemesis_episode, "kinds"),
-    (nemesis.run_frontend_nemesis_episode, "max_in_flight"),
+@pytest.mark.parametrize("call, removed", [
+    pytest.param(partial(nemesis.run_live_nemesis_episode, 1), "num_replicas",
+                 id="run_live_nemesis_episode-num_replicas"),
+    pytest.param(partial(nemesis.run_live_nemesis_episode, 1), "probe_ops",
+                 id="run_live_nemesis_episode-probe_ops"),
+    pytest.param(partial(nemesis.run_shard_migration_episode, 1), "migrations",
+                 id="run_shard_migration_episode-migrations"),
+    pytest.param(partial(nemesis.run_frontend_nemesis_episode, 1), "max_in_flight",
+                 id="run_frontend_nemesis_episode-max_in_flight"),
+    pytest.param(partial(nemesis._fault_plan, "threaded", nemesis.run_live_nemesis_episode,
+                         {"seed": 1}, nemesis.LIVE["threaded"], nemesis.THREADED_KINDS),
+                 "scale", id="_fault_plan-scale"),
+    pytest.param(FaultPlane, "record_schedule", id="FaultPlane-record_schedule"),
+    pytest.param(partial(CheckpointPolicy, every_messages=10), "compression",
+                 id="CheckpointPolicy-compression"),
+    pytest.param(run_nemesis, "warmup", id="run_nemesis-warmup"),
+    pytest.param(run_nemesis, "duration", id="run_nemesis-duration"),
+    pytest.param(MulticastConfig, "delivery_batching", id="MulticastConfig-delivery_batching"),
+    pytest.param(CostModelConfig, "batched_delivery_share",
+                 id="CostModelConfig-batched_delivery_share"),
+    *(pytest.param(partial(build_kv_system, "P-SMR", 2), removed,
+                   id=f"build_kv_system-{removed}")
+      for removed in ("checkpoint_policy", "delivery_batching", "fault_plane", "num_replicas")),
+    *(pytest.param(partial(PSMRSystem, None, None, None, None), removed,
+                   id=f"PSMRSystem-{removed}")
+      for removed in ("checkpoint_policy", "fault_plane")),
+    *(pytest.param(partial(SimStream, None, 1, None, None, None), removed,
+                   id=f"SimStream-{removed}")
+      for removed in ("fault_plane", "fault_node_namer")),
 ])
-def test_a_removed_keyword_is_a_type_error(runner, removed):
-    with pytest.raises(TypeError):
-        runner(1, **{removed: 2})
+def test_a_removed_keyword_is_a_type_error(call, removed):
+    with pytest.raises(TypeError, match=removed):
+        call(**{removed: 2})
 

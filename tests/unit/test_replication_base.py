@@ -146,6 +146,22 @@ def test_stream_inbox_skips_do_not_wake_with_items(env):
     assert inbox.drain() == []
 
 
+def test_stream_inbox_skip_wakes_waiter(env):
+    inbox = StreamInbox(env, [0, 1], policy="timestamp")
+    inbox.offer(1, 0, 1.0, "item")
+    woken = []
+
+    def consumer(env, inbox):
+        yield inbox.wait()
+        woken.append(env.now)
+        woken.extend(inbox.drain())
+
+    env.process(consumer(env, inbox))
+    call_after(env, 2.0, lambda: inbox.offer_skip(0, 0, 2.0))
+    env.run()
+    assert woken == [2.0, "item"]
+
+
 # ----------------------------------------------------------------------
 # BarrierBoard
 # ----------------------------------------------------------------------
