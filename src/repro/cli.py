@@ -21,7 +21,6 @@ import sys
 
 from repro.harness.experiments import (
     run_ablation_batch_size,
-    run_frontend,
     run_ablation_cg_granularity,
     run_ablation_merge_policy,
     run_durable_recovery,
@@ -51,7 +50,6 @@ EXPERIMENTS = {
     "fig8": (run_fig8_netfs, True, False),
     "durable-recovery": (run_durable_recovery, True, False),
     "nemesis": (run_nemesis, False, True),
-    "frontend": (run_frontend, True, True),
     "shard-rebalance": (run_shard_rebalance, True, False),
     "ablation-merge": (run_ablation_merge_policy, True, False),
     "ablation-cg": (run_ablation_cg_granularity, True, False),

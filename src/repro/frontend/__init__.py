@@ -1,8 +1,10 @@
-"""Client-facing HTTP frontend over the replicated services (ROADMAP item 2).
+"""Client-facing HTTP frontend over the replicated services.
 
 ``create_app`` builds the ASGI app (on :mod:`~repro.frontend.miniapi`) over
 :class:`ClusterBackend` bridges; ``limits``/``server``/``testing``
-provide backpressure, sockets, and in-process clients.
+provide backpressure, the socket server and the in-process test client.
+The benchmark's ``http-point`` / ``http-batch`` workloads (``bench/``)
+measure this stack over real sockets.
 """
 
 from repro.frontend.app import create_app

@@ -90,7 +90,7 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
     """
     if limiter is None:
         limiter = InFlightLimiter()
-    app = FastAPI(title="repro-psmr-frontend", version="1")
+    app = FastAPI()
     # Exposed for tests and the stats endpoint.
     app.kv_backend = kv_backend
     app.fs_backend = fs_backend

@@ -14,7 +14,7 @@ application:
   ``{"detail": [...]}`` body; ``HTTPException(status_code, detail,
   headers)`` → JSON error responses (``Retry-After`` on 429 rides on
   ``headers``);
-* ``JSONResponse``/``PlainResponse`` returns, pydantic models serialised
+* ``Response``/``JSONResponse`` returns, pydantic models serialised
   via ``model_dump_json()`` (pydantic's own writer; straight to bytes,
   no intermediate dict on the loop thread).
 """
@@ -189,13 +189,10 @@ def _pydantic_errors(exc):
 class FastAPI:
     """The shim application: routing plus the ASGI 3 entry point."""
 
-    def __init__(self, title="repro", version="0", **_ignored):
-        self.title = title
-        self.version = version
+    def __init__(self):
         self.routes = []
 
-    # -- route decorators (FastAPI names; extra kwargs are accepted and
-    #    ignored so app code can pass e.g. response_model under either stack)
+    # -- route decorators (FastAPI's names) -----------------------------
     def _register(self, method, path, status_code):
         def decorator(handler):
             self.routes.append(_Route(method, path, handler, status_code))
@@ -203,29 +200,20 @@ class FastAPI:
 
         return decorator
 
-    def get(self, path, status_code=200, **_ignored):
+    def get(self, path, status_code=200):
         return self._register("GET", path, status_code)
 
-    def put(self, path, status_code=200, **_ignored):
+    def put(self, path, status_code=200):
         return self._register("PUT", path, status_code)
 
-    def post(self, path, status_code=200, **_ignored):
+    def post(self, path, status_code=200):
         return self._register("POST", path, status_code)
 
-    def delete(self, path, status_code=200, **_ignored):
+    def delete(self, path, status_code=200):
         return self._register("DELETE", path, status_code)
 
     # -- ASGI 3 --------------------------------------------------------
     async def __call__(self, scope, receive, send):
-        if scope["type"] == "lifespan":
-            # Accept startup/shutdown so ASGI servers can drive us.
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
         if scope["type"] != "http":
             raise RuntimeError(f"unsupported ASGI scope {scope['type']!r}")
         body = bytearray()

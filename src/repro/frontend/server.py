@@ -2,9 +2,9 @@
 
 :class:`AsgiHTTPServer` is a small asyncio HTTP/1.1 server speaking
 ASGI 3 to the app: stdlib only, so the frontend runs on the bare
-container.  It supports keep-alive (the load rig reuses connections) and
-Content-Length framing; no TLS, no chunked uploads — it serves the
-repro's benchmarks and tests, not the open internet.
+container.  It supports keep-alive (the benchmark's clients reuse
+connections) and Content-Length framing; no TLS, no chunked uploads — it
+serves the repro's benchmarks and tests, not the open internet.
 """
 
 import asyncio
@@ -176,14 +176,3 @@ def run_app_in_thread(app, host="127.0.0.1", port=0):
 
     return f"http://{server.host}:{server.port}", stop
 
-
-def serve(app, host="127.0.0.1", port=8000):  # pragma: no cover - manual entry
-    """Blocking entry point."""
-
-    async def _main():
-        server = AsgiHTTPServer(app, host, port)
-        bound = await server.start()
-        print(f"frontend listening on http://{host}:{bound}")
-        await asyncio.Event().wait()
-
-    asyncio.run(_main())

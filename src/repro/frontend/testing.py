@@ -1,4 +1,4 @@
-"""In-process HTTP client for tests and the load rig.
+"""In-process HTTP client for tests.
 
 :class:`AsgiClient` speaks ASGI directly to the app — no sockets, no
 server thread — with the response surface the integration tests are

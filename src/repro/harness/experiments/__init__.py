@@ -13,7 +13,6 @@ from repro.harness.experiments.skew import run_fig7_skew
 from repro.harness.experiments.netfs import run_fig8_netfs
 from repro.harness.experiments.durable import run_durable_recovery
 from repro.harness.experiments.nemesis import run_nemesis
-from repro.harness.experiments.frontend import run_frontend
 from repro.harness.experiments.shard import run_shard_rebalance
 from repro.harness.experiments.ablations import (
     run_ablation_merge_policy,
@@ -31,7 +30,6 @@ __all__ = [
     "run_fig8_netfs",
     "run_durable_recovery",
     "run_nemesis",
-    "run_frontend",
     "run_shard_rebalance",
     "run_ablation_merge_policy",
     "run_ablation_cg_granularity",

@@ -32,38 +32,6 @@ class LatencyRecorder:
             return 0.0
         return sum(self._samples) / len(self._samples)
 
-    def percentile(self, fraction):
-        """Return the latency at the given fraction (0..1) of the distribution."""
-        if not self._samples:
-            return 0.0
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError("percentile fraction must be in [0, 1]")
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-        return ordered[index]
-
-    def p50(self):
-        """Median latency (seconds)."""
-        return self.percentile(0.50)
-
-    def p99(self):
-        """99th-percentile latency (seconds)."""
-        return self.percentile(0.99)
-
-    def p999(self):
-        """99.9th-percentile latency (seconds) — the HTTP edge's tail metric."""
-        return self.percentile(0.999)
-
-    def summary(self):
-        """``{count, mean, p50, p99, p999}`` — the benchmark runner's record shape."""
-        return {
-            "count": len(self._samples),
-            "mean": self.mean(),
-            "p50": self.p50(),
-            "p99": self.p99(),
-            "p999": self.p999(),
-        }
-
     def cdf(self, points=50):
         """Return ``[(latency, cumulative fraction)]`` suitable for plotting."""
         if not self._samples:

@@ -19,6 +19,7 @@ kind over it and against this runtime).
 
 import itertools
 import threading
+import time
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.core.command import Command
@@ -133,6 +134,12 @@ class TestMarkersAtBatchBoundaries:
             for pending in window:
                 assert pending.result(timeout=20.0).error is None
             cluster.wait_for_quiescence()
+            # The scheduler thread counts a checkpoint only once its round
+            # has collected every replica's report, which may still be in
+            # flight when the replicas look quiescent.
+            deadline = time.monotonic() + 20.0
+            while cluster.checkpoints_taken < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert cluster.checkpoints_taken >= 1
             assert cluster.marker_boundary_violations == 0
             snapshots = cluster.replica_snapshots()

@@ -65,6 +65,7 @@ def test_parser_rejects_unknown_runtime():
     ["recovery"],
     ["checkpoint-scaling"],
     ["delta-checkpoint"],
+    ["frontend"],
 ], ids=" ".join)
 def test_removed_choices_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -26,16 +26,6 @@ def test_latency_rejects_negative_samples():
         LatencyRecorder().record(-1.0)
 
 
-def test_latency_percentiles():
-    recorder = LatencyRecorder()
-    for value in range(1, 101):
-        recorder.record(float(value))
-    assert recorder.percentile(0.5) == pytest.approx(50.0, abs=1.0)
-    assert recorder.percentile(0.99) == pytest.approx(99.0, abs=1.0)
-    with pytest.raises(ConfigurationError):
-        recorder.percentile(1.5)
-
-
 def test_latency_cdf_monotonic_and_complete():
     recorder = LatencyRecorder()
     for value in range(100):
@@ -51,6 +41,39 @@ def test_latency_reset_clears_samples():
     recorder.record(1.0)
     recorder.reset()
     assert len(recorder) == 0
+
+
+def test_latency_cdf_of_empty_is_empty():
+    assert LatencyRecorder().cdf() == []
+
+
+def test_latency_cdf_keeps_every_sample_when_there_are_few():
+    recorder = LatencyRecorder()
+    for value in (3.0, 1.0, 2.0):
+        recorder.record(value)
+    assert recorder.cdf(points=50) == [
+        (1.0, pytest.approx(1 / 3)),
+        (2.0, pytest.approx(2 / 3)),
+        (3.0, pytest.approx(1.0)),
+    ]
+
+
+def test_latency_cdf_ends_at_the_maximum_when_the_step_skips_it():
+    recorder = LatencyRecorder()
+    for value in range(10):
+        recorder.record(float(value))
+    # Step 5 samples indices 0 and 5 only, so the maximum is appended.
+    curve = recorder.cdf(points=2)
+    assert curve[-1] == (9.0, 1.0)
+    assert [latency for latency, _fraction in curve] == [0.0, 5.0, 9.0]
+
+
+def test_latency_samples_is_a_copy():
+    recorder = LatencyRecorder()
+    recorder.record(1.0)
+    samples = recorder.samples
+    samples.append(2.0)
+    assert recorder.samples == [1.0]
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +103,32 @@ def test_throughput_kcps_scaling():
     for _ in range(5000):
         meter.record_completion(0.5)
     assert meter.throughput_kcps() == pytest.approx(5.0)
+
+
+def test_throughput_window_edges_are_inclusive():
+    meter = ThroughputMeter()
+    meter.open_window(1.0)
+    meter.close_window(2.0)
+    meter.record_completion(1.0)
+    meter.record_completion(2.0)
+    assert meter.completed == 2
+
+
+def test_throughput_counts_while_the_window_is_open():
+    meter = ThroughputMeter()
+    meter.open_window(1.0)
+    meter.record_completion(5.0)
+    assert meter.completed == 1
+    # No rate until the window closes.
+    assert meter.throughput() == 0.0
+
+
+def test_throughput_of_an_empty_window_is_zero():
+    meter = ThroughputMeter()
+    meter.open_window(1.0)
+    meter.close_window(1.0)
+    meter.record_completion(1.0)
+    assert meter.throughput() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +162,34 @@ def test_cpu_total_percent_with_prefix():
     assert cpu.components() == ["server0/worker1", "server0/worker2", "server1/worker1"]
 
 
+def test_cpu_charges_before_a_window_opens_count():
+    cpu = CpuAccountant()
+    cpu.charge("worker", 0.3, now=0.0)
+    assert cpu.busy_time("worker") == pytest.approx(0.3)
+    # Without a closed window there is no duration to divide by.
+    assert cpu.utilization("worker") == 0.0
+    assert cpu.total_cpu_percent() == 0.0
+
+
+def test_cpu_unknown_component_is_idle():
+    cpu = CpuAccountant()
+    cpu.open_window(0.0)
+    cpu.close_window(1.0)
+    assert cpu.busy_time("nobody") == 0.0
+    assert cpu.utilization("nobody") == 0.0
+    assert cpu.components() == []
+
+
+def test_cpu_empty_window_reports_zero():
+    cpu = CpuAccountant()
+    cpu.open_window(1.0)
+    cpu.close_window(1.0)
+    cpu.charge("worker", 0.5, now=1.0)
+    assert cpu.busy_time("worker") == pytest.approx(0.5)
+    assert cpu.utilization("worker") == 0.0
+    assert cpu.total_cpu_percent() == 0.0
+
+
 # ----------------------------------------------------------------------
 # ExperimentResult
 # ----------------------------------------------------------------------
@@ -133,3 +210,11 @@ def test_experiment_result_normalized_per_thread():
     )
     assert result.normalized_per_thread(600.0) == pytest.approx(0.5)
     assert result.normalized_per_thread(0.0) == 0.0
+
+
+def test_experiment_result_normalized_without_threads_is_zero():
+    result = ExperimentResult(
+        technique="SMR", threads=0, throughput_kcps=100.0,
+        avg_latency_ms=1.0, cpu_percent=100.0, completed=1,
+    )
+    assert result.normalized_per_thread(100.0) == 0.0

@@ -24,7 +24,7 @@ class Item(BaseModel):
 
 
 def build_app():
-    app = FastAPI(title="t")
+    app = FastAPI()
 
     @app.get("/items/{item_id}")
     async def get_item(item_id: int, verbose: bool = False):
@@ -57,6 +57,10 @@ def build_app():
     @app.get("/model")
     async def model_out() -> Item:
         return Item(name="m", count=2)
+
+    @app.get("/search")
+    async def search(q: str, limit: int = 10):
+        return {"q": q, "limit": limit}
 
     @app.get("/raw")
     async def raw():
@@ -102,6 +106,32 @@ class TestRouting:
     def test_query_param_binding(self):
         response = call(build_app(), "GET", "/items/7?verbose=true")
         assert response.json() == {"item_id": 7, "verbose": True}
+
+    @pytest.mark.parametrize("raw", ["0", "false", "False"])
+    def test_false_spellings_of_a_bool_query_param(self, raw):
+        response = call(build_app(), "GET", f"/items/7?verbose={raw}")
+        assert response.json() == {"item_id": 7}
+
+    def test_missing_required_query_param_is_422(self):
+        response = call(build_app(), "GET", "/search")
+        assert response.status_code == 422
+        detail = response.json()["detail"]
+        assert [entry["loc"] for entry in detail] == [["query", "q"]]
+
+    def test_bad_query_param_is_422(self):
+        response = call(build_app(), "GET", "/search?q=x&limit=many")
+        assert response.status_code == 422
+        detail = response.json()["detail"]
+        assert detail[0]["loc"] == ["query", "limit"]
+        assert detail[0]["input"] == "many"
+
+    def test_query_param_default_and_override(self):
+        assert call(build_app(), "GET", "/search?q=x").json() == {"q": "x", "limit": 10}
+        assert call(build_app(), "GET", "/search?q=x&limit=3").json() == {"q": "x", "limit": 3}
+
+    def test_path_param_is_percent_decoded(self):
+        response = call(build_app(), "GET", "/files/a%20b/c%2Fd")
+        assert response.json() == {"path": "a b/c/d"}
 
     def test_compile_path_anchors_fully(self):
         pattern = _compile_path("/kv/{key}")
@@ -198,24 +228,73 @@ class TestResponses:
 
 
 class TestLifespan:
-    def test_lifespan_protocol_completes(self):
+    # Only ``http`` scopes are served; no server in the repo sends a
+    # ``lifespan`` scope, so the app has no branch for one.
+    def test_lifespan_scope_raises(self):
         app = build_app()
-        sent = []
-        messages = [
-            {"type": "lifespan.startup"},
-            {"type": "lifespan.shutdown"},
-        ]
-
-        async def receive():
-            return messages.pop(0)
-
-        async def send(message):
-            sent.append(message["type"])
-
-        asyncio.run(app({"type": "lifespan"}, receive, send))
-        assert sent == ["lifespan.startup.complete", "lifespan.shutdown.complete"]
+        with pytest.raises(RuntimeError):
+            asyncio.run(app({"type": "lifespan"}, None, None))
 
     def test_unknown_scope_type_raises(self):
         app = build_app()
         with pytest.raises(RuntimeError):
             asyncio.run(app({"type": "websocket"}, None, None))
+
+
+def drive(app, scope, messages):
+    """Run one ASGI call on scripted ``receive`` messages; return what was sent."""
+    sent = []
+
+    async def receive():
+        return messages.pop(0)
+
+    async def send(message):
+        sent.append(message)
+
+    asyncio.run(app(scope, receive, send))
+    return sent
+
+
+def http_scope(method, path):
+    return {"type": "http", "method": method, "path": path, "query_string": b""}
+
+
+class TestAsgiMessages:
+    def test_body_split_across_messages_is_reassembled(self):
+        sent = drive(build_app(), http_scope("PUT", "/items/3"), [
+            {"type": "http.request", "body": b'{"name": ', "more_body": True},
+            {"type": "http.request", "body": b'"split"}', "more_body": False},
+        ])
+        assert [message["type"] for message in sent] == [
+            "http.response.start", "http.response.body",
+        ]
+        assert sent[0]["status"] == 200
+        assert sent[1]["body"] == b'{"item_id": 3, "name": "split", "count": 1}'
+
+    def test_disconnect_before_the_body_ends_sends_nothing(self):
+        sent = drive(build_app(), http_scope("PUT", "/items/3"), [
+            {"type": "http.request", "body": b'{"name"', "more_body": True},
+            {"type": "http.disconnect"},
+        ])
+        assert sent == []
+
+    def test_response_headers_are_lowercased_bytes(self):
+        sent = drive(build_app(), http_scope("GET", "/teapot"), [
+            {"type": "http.request", "body": b""},
+        ])
+        headers = dict(sent[0]["headers"])
+        assert headers[b"retry-after"] == b"3.5"
+        assert headers[b"content-type"] == b"application/json"
+
+
+class TestSurface:
+    # One HTTP stack: the shim takes only the arguments the app uses.
+    def test_app_takes_no_settings(self):
+        with pytest.raises(TypeError):
+            FastAPI(title="t")
+
+    def test_route_decorators_take_no_extra_options(self):
+        app = FastAPI()
+        for decorator in (app.get, app.put, app.post, app.delete):
+            with pytest.raises(TypeError):
+                decorator("/x", response_model=Item)

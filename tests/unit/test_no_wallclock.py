@@ -14,8 +14,7 @@ import re
 import repro
 
 SWEPT_PACKAGES = [
-    "runtime", "metrics", "replication", "harness", "common",
-    "frontend", "loadgen",
+    "runtime", "metrics", "replication", "harness", "common", "frontend",
 ]
 
 #: Matches a call of time.time (not time.monotonic / perf_counter).
