@@ -29,11 +29,39 @@ by a format version.
 """
 
 import struct
+import threading
 
 from repro.common.errors import CheckpointError, ProtocolError
 from repro.core.command import Command
 from repro.fs.memfs import Stat
 from repro.multicast.group import ALL_GROUPS
+
+
+class Memo(dict):
+    """``memo[key]`` is ``make(key)``, remembered for the first
+    :data:`MEMO_ENTRIES` keys only: the caches on the wire path are fed
+    by what peers send, and endless distinct names or keys must not grow
+    them.  ``make`` raising leaves nothing behind.  A hit is a plain dict
+    lookup; a miss takes a lock, so threads missing at once cannot push
+    the memo past its bound."""
+
+    __slots__ = ("_make", "_lock")
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        value = self._make(key)
+        with self._lock:
+            if len(self) < MEMO_ENTRIES:
+                self[key] = value
+        return value
+
+
+#: How many keys a :class:`Memo` remembers.
+MEMO_ENTRIES = 512
 
 #: First byte of every codec stream and of every encoded command.
 MAGIC = 0xC3
@@ -358,13 +386,7 @@ _DESTINATIONS_NONE = 0xFFFE
 MAX_DESTINATIONS = 0xFFFD
 
 
-def pack_destinations(destinations):
-    """``(count, packed group ids)``: a fixed layout's destination field.
-
-    ``None`` and :data:`~repro.multicast.group.ALL_GROUPS` are counts of
-    their own with no ids behind them; any other iterable travels sorted
-    (frozensets have no stable iteration order) as unsigned 32-bit ids.
-    """
+def _pack_destinations(destinations):
     if destinations is None:
         return _DESTINATIONS_NONE, b""
     if destinations == ALL_GROUPS:
@@ -376,9 +398,33 @@ def pack_destinations(destinations):
             f"{count} destination groups: the wire carries {MAX_DESTINATIONS}"
         )
     try:
-        return count, struct.pack(">%dI" % count, *group_ids)
+        return count, _GROUP_IDS[count].pack(*group_ids)
     except struct.error as exc:
         raise ProtocolError(f"group id in {group_ids!r:.80}: {exc}") from None
+
+
+def _group_ids_struct(count):
+    return struct.Struct(">%dI" % count)
+
+
+#: ``count`` -> the ``struct`` of that many group ids.
+_GROUP_IDS = Memo(_group_ids_struct)
+#: destination set -> its packed field: a multicast packs its
+#: destinations twice, in the command and in the ``d`` frame around it.
+_PACKED_DESTINATIONS = Memo(_pack_destinations)
+
+
+def pack_destinations(destinations):
+    """``(count, packed group ids)``: a fixed layout's destination field.
+
+    ``None`` and :data:`~repro.multicast.group.ALL_GROUPS` are counts of
+    their own with no ids behind them; any other iterable travels sorted
+    (frozensets have no stable iteration order) as unsigned 32-bit ids.
+    """
+    try:
+        return _PACKED_DESTINATIONS[destinations]
+    except TypeError:  # unhashable (a set): packed, not remembered
+        return _pack_destinations(destinations)
 
 
 def unpack_destinations(buf, offset, count):
@@ -388,7 +434,7 @@ def unpack_destinations(buf, offset, count):
         return ALL_GROUPS, offset
     if count == _DESTINATIONS_NONE:
         return None, offset
-    return struct.unpack_from(">%dI" % count, buf, offset), offset + 4 * count
+    return _GROUP_IDS[count].unpack_from(buf, offset), offset + 4 * count
 
 
 #: Second byte of a command, where a codec stream has its version:
@@ -402,6 +448,78 @@ _COMMAND_LAYOUT = 2
 _COMMAND = struct.Struct(">BBqqIdHH")
 
 
+def _str_item(key):
+    raw = key.encode("utf-8")
+    return _TAGGED_LENGTH.pack(_T_STR, len(raw)) + raw
+
+
+def _utf8(raw):
+    return str(raw, "utf-8")
+
+
+#: The strings every command repeats — its name and its ``args`` keys —
+#: in both directions: name -> UTF-8, key -> tagged codec value, and the
+#: raw UTF-8 of either -> the str.
+_NAMES_OUT = Memo(lambda name: name.encode("utf-8"))
+_KEYS_OUT = Memo(_str_item)
+_STRS_IN = Memo(_utf8)
+
+_TAGGED_LENGTH = struct.Struct(">BI")  # str / bytes / dict: tag, length
+_TAGGED_I64 = struct.Struct(">Bq")
+
+
+def _encode_args(args, out):
+    """``encode_value(args, out)``, byte for byte, with a fast path for
+    what commands carry: a dict of str keys to int64 or bytes values."""
+    if type(args) is not dict:
+        encode_value(args, out)
+        return
+    out += _TAGGED_LENGTH.pack(_T_DICT, len(args))
+    for key, value in args.items():
+        if type(key) is str:
+            out += _KEYS_OUT[key]
+        else:
+            encode_value(key, out)
+        kind = type(value)
+        if kind is int and _I64_MIN <= value <= _I64_MAX:
+            out += _TAGGED_I64.pack(_T_INT64, value)
+        elif kind is bytes:
+            out += _TAGGED_LENGTH.pack(_T_BYTES, len(value))
+            out += value
+        else:
+            encode_value(value, out)
+
+
+def _decode_args(data, offset):
+    """``decode_value(data, offset)`` with :func:`_encode_args`'s fast
+    path; ``data`` is ``bytes``."""
+    if data[offset] != _T_DICT:
+        return decode_value(data, offset)
+    (count,) = _U32.unpack_from(data, offset + 1)
+    offset += 5
+    args = {}
+    for _ in range(count):
+        if data[offset] == _T_STR:
+            (length,) = _U32.unpack_from(data, offset + 1)
+            offset += 5
+            key = _STRS_IN[data[offset:offset + length]]
+            offset += length
+        else:
+            key, offset = decode_value(data, offset)
+        tag = data[offset]
+        if tag == _T_INT64:
+            args[key] = _I64.unpack_from(data, offset + 1)[0]
+            offset += 9
+        elif tag == _T_BYTES:
+            (length,) = _U32.unpack_from(data, offset + 1)
+            offset += 5
+            args[key] = data[offset:offset + length]
+            offset += length
+        else:
+            args[key], offset = decode_value(data, offset)
+    return args, offset
+
+
 def encode_command(command):
     """Encode a :class:`~repro.core.command.Command` for the wire.
 
@@ -411,7 +529,7 @@ def encode_command(command):
     raises :class:`~repro.common.errors.ProtocolError`; nothing wraps.
     """
     count, group_ids = pack_destinations(command.destinations)
-    name = command.name.encode("utf-8")
+    name = _NAMES_OUT[command.name]
     try:
         out = bytearray(
             _COMMAND.pack(
@@ -425,7 +543,7 @@ def encode_command(command):
         ) from None
     out += group_ids
     out += name
-    encode_value(command.args, out)
+    _encode_args(command.args, out)
     return bytes(out)
 
 
@@ -433,6 +551,8 @@ def decode_command(data):
     """Decode bytes from :func:`encode_command` back into a ``Command``;
     :class:`~repro.common.errors.CheckpointError` for anything else (a
     short header, a count or length past the data, bytes left over)."""
+    if type(data) is not bytes:
+        data = bytes(data)
     try:
         (
             magic, layout, client_id, sequence, size_bytes, submitted_at,
@@ -443,8 +563,8 @@ def decode_command(data):
         destinations, offset = unpack_destinations(data, _COMMAND.size, count)
         if type(destinations) is tuple:
             destinations = frozenset(destinations)
-        name = str(data[offset:offset + name_length], "utf-8")
-        args, end = decode_value(data, offset + name_length)
+        name = _STRS_IN[data[offset:offset + name_length]]
+        args, end = _decode_args(data, offset + name_length)
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"malformed command: {exc}") from exc
     if end != len(data):

@@ -262,11 +262,12 @@ class ReliableLink:
 
     The sender stamps each message with a per-link sequence number
     (0, 1, 2, ...).  :meth:`accept` files one arriving copy and returns
-    the (possibly empty) list of items now releasable in order; duplicate
-    and already-released sequence numbers are discarded.  ``pending()``
-    counts copies held back waiting for an earlier sequence number, which
-    the drain checks must include: a reordered message is in flight, not
-    delivered.
+    the (possibly empty) list of items now releasable in order (the next
+    expected copy, with nothing held back, passes straight through);
+    duplicate and already-released sequence numbers are discarded.
+    ``pending()`` counts copies held back waiting for an earlier sequence
+    number, which the drain checks must include: a reordered message is
+    in flight, not delivered.
     """
 
     def __init__(self):
@@ -274,6 +275,9 @@ class ReliableLink:
         self._buffer = {}
 
     def accept(self, sequence, item):
+        if sequence == self._next and not self._buffer:
+            self._next = sequence + 1  # in order, nothing held back
+            return [item]
         if sequence < self._next or sequence in self._buffer:
             return []
         self._buffer[sequence] = item

@@ -49,7 +49,7 @@ from repro.common.errors import (
     StaleShardRouteError,
 )
 from repro.core.cg import CGFunction
-from repro.core.command import Command
+from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
 from repro.multicast.sharding import ShardRouter
 from repro.runtime.engine import ReplicaEngine
@@ -348,37 +348,38 @@ class ResponseRouter:
         return self._take_response(uid)
 
     def _respond(self, uid, response):
-        with self._lock:
-            if uid not in self._waiters or uid in self._responses:
-                # Duplicate replies, replies after a client timed out, and
-                # replies re-executed during recovery replay are dropped.
-                return
-            waiter = self._waiters[uid]
-            if callable(waiter):
-                # Callback consumer: hand the response over directly (the
-                # registration is dropped, nothing is stored) so a marker
-                # retained in the log cannot pin it and duplicates hit the
-                # "uid not in waiters" drop above.
-                del self._waiters[uid]
-            else:
-                self._responses[uid] = response
-        if callable(waiter):
-            waiter(response)
-        elif waiter is not None:
-            waiter.set()
+        self._respond_many([(uid, response)])
 
-    def _respond_many(self, responses):
-        """Deliver a batch of ``(uid, response)`` pairs in one lock round-trip."""
+    def _respond_many(self, responses, replica_id=None):
+        """Deliver a batch of answers in one lock round-trip.
+
+        ``responses`` holds ``(uid, Response)`` pairs or — given the
+        ``replica_id`` of the process that sent them, as a decoded ``r``
+        frame's ``resps`` — ``(uid, value, error)`` triples, of which only
+        an answer still awaited becomes a :class:`Response`.  Duplicate
+        replies (active replication sends one per replica), replies after
+        a client timed out or was discarded, and replies re-executed
+        during recovery replay stop at the uid check.
+        """
         to_wake = []
         to_call = []
         with self._lock:
             waiters = self._waiters
             stored = self._responses
-            for uid, response in responses:
+            for answer in responses:
+                uid = answer[0]
                 if uid not in waiters or uid in stored:
-                    continue  # same duplicate/timeout policy as _respond
+                    continue
+                if replica_id is None:
+                    response = answer[1]
+                else:
+                    response = Response(uid, answer[1], answer[2], replica_id)
                 waiter = waiters[uid]
                 if callable(waiter):
+                    # Callback consumer: hand the response over directly
+                    # (the registration is dropped, nothing is stored) so a
+                    # marker retained in the log cannot pin it and
+                    # duplicates hit the "uid not in waiters" drop above.
                     del waiters[uid]
                     to_call.append((waiter, response))
                     continue

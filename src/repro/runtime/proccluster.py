@@ -33,7 +33,6 @@ import threading
 
 import repro
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.core.command import Response
 from repro.runtime.cluster import PSMRControlPlane
 from repro.runtime.transport import wire
 from repro.runtime.transport.tcp import TcpCoordinatorTransport
@@ -281,18 +280,7 @@ class ProcessPSMRCluster(PSMRControlPlane):
         stay cheap)."""
         kind = message.get("t")
         if kind == "r":
-            self._respond_many(
-                [
-                    (
-                        uid,
-                        Response(
-                            uid=uid, value=value, error=error,
-                            replica_id=replica_id,
-                        ),
-                    )
-                    for uid, value, error in message["resps"]
-                ]
-            )
+            self._respond_many(message["resps"], replica_id)
         elif kind == "mk":
             self._handle_marker_done(replica_id, message)
         elif kind == "sh":

@@ -10,8 +10,8 @@ threaded runtime runs in-process — with its three sinks bound to ``r`` /
 
 The receive loop is the process's main thread: each read takes every
 frame a burst left in the socket (``wire.FrameReader``), reassembles
-the (possibly reordered/duplicated) ``d`` frames through a
-:class:`~repro.common.faults.ReliableLink`, hands the ordered run to
+the (possibly reordered/duplicated) messages of its ``d`` frames through
+a :class:`~repro.common.faults.ReliableLink`, hands the ordered run to
 the delivering worker threads with one ``put_many`` (one wake-up) per
 worker, and answers the coordinator's management requests (stats,
 snapshots, chain donations, compaction) inline — after the run ahead of
@@ -29,6 +29,7 @@ import threading
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.common.checkpoint_store import CheckpointStore
+from repro.common.codec import Memo
 from repro.common.faults import ReliableLink
 from repro.multicast.group import GroupLayout
 from repro.runtime.engine import ReplicaEngine
@@ -54,8 +55,10 @@ class ReplicaProcess:
         self.layout = GroupLayout(mpl)
         self.queues = {index: DeliveryQueue() for index in range(1, mpl + 1)}
         self.link = ReliableLink()
-        # Ordered items released during the current read, per worker.
+        # Ordered items released during the current read, per worker, and
+        # destinations -> the run lists of the workers delivering them.
         self._run = {index: [] for index in self.queues}
+        self._runs_for = Memo(self._runs_of)
         self.engine = None  # built at ``welcome``, which carries its knobs
         self._write_lock = threading.Lock()
 
@@ -101,16 +104,24 @@ class ReplicaProcess:
     # ------------------------------------------------------------------
     # Ordered-stream dispatch (main thread)
     # ------------------------------------------------------------------
-    def accept_deliver(self, message):
-        """File one ``d`` frame; what the link releases joins the run."""
-        for released in self.link.accept(message["ls"], message):
+    def accept_deliver(self, messages):
+        """File a ``d`` frame's ``(ls, s, dst, body)`` messages; what the
+        link releases joins the run of each delivering worker."""
+        accept, runs_for = self.link.accept, self._runs_for
+        for link_sequence, sequence, destinations, body in messages:
             # ``dst`` is decoded as the workers want it ("ALL" or a tuple)
             # and the body is still the command's bytes: each worker
             # decodes its own copy, off this thread.
-            destinations = released["dst"]
-            item = (released["s"], destinations, released["b"])
-            for index in self.layout.delivering_threads(destinations):
-                self._run[index].append(item)
+            for item in accept(link_sequence, (sequence, destinations, body)):
+                for run in runs_for[item[1]]:
+                    run.append(item)
+
+    def _runs_of(self, destinations):
+        """The run lists of the workers that deliver ``destinations``."""
+        return [
+            self._run[index]
+            for index in self.layout.delivering_threads(destinations)
+        ]
 
     def flush_run(self):
         """Hand the run over: one ``put_many`` (one wake-up) per worker."""
@@ -173,7 +184,7 @@ class ReplicaProcess:
             for message in messages:
                 kind = message.get("t")
                 if kind == "d":
-                    self.accept_deliver(message)
+                    self.accept_deliver(message["msgs"])
                     continue
                 # A control frame cuts the run: everything ordered before
                 # it is queued before it is handled.

@@ -2,12 +2,14 @@
 
 The coordinator (the process running :class:`LocalAtomicMulticast`)
 listens on loopback.  Each replica *process* dials in, sends a ``hello``
-frame, and from then on the transport sends one ``d`` (deliver) frame
-per ordered message per replica — serialised once per message, with only
-the link sequence and the frame CRC packed per replica.  The replica
-fans the message out to its worker threads locally, so the fault plane
-plans one delivery per replica per message in both runtimes and its RNG
-draws line up across them.
+frame, and from then on the transport sends it every ordered message
+addressed to its threads — serialised once per message, with only the
+link sequence packed per replica, and framed per burst: each write
+carries a link's run of messages as ``d`` frames (one CRC for the run,
+:func:`wire.deliver_frames`).  The replica fans each message out to its
+worker threads locally, so the fault plane plans one delivery per
+replica per message in both runtimes and its RNG draws line up across
+them.
 
 Two threads, whatever the replica count, on the blocking sockets and the
 :class:`wire.FrameReader` the replica end uses too:
@@ -91,9 +93,10 @@ class TcpCoordinatorTransport(Transport):
         self._lock = threading.Lock()
         self._links = {}  # replica_id -> _Peer; only the current connection
         self._hellos = {}  # replica_id -> [threading.Event, message]
-        #: Frames handed to a socket and the ``sendall`` calls that carried
-        #: them (pump thread only); their ratio is the achieved coalescing
-        #: factor.
+        #: Ordered messages plus control frames handed to a socket, and
+        #: the ``sendall`` calls that carried them (pump thread only; a
+        #: write that failed counts in neither): their ratio is the
+        #: achieved coalescing factor.
         self.frames_written = 0
         self.writes = 0
         self.pump = None
@@ -266,7 +269,7 @@ class TcpCoordinatorTransport(Transport):
 
     def send(self, route, item):
         # Serialise once per multicast: per link, only the link sequence
-        # and the frame CRC are left to pack (``_write``).
+        # is left to pack, and the frame around the burst (``_write``).
         ordered = wire.ordered_part(*item)
         plane = self.fault_plane
         links = self._links
@@ -284,17 +287,25 @@ class TcpCoordinatorTransport(Transport):
         self.pump.post(entries)
 
     def _write(self, link, items):
-        """Pump thread: one ``sendall`` for everything due on one link."""
-        data = b"".join(
-            [
-                body if sequence is None else wire.deliver_frame(sequence, body)
-                for sequence, body in items
-            ]
-        )
+        """Pump thread: one ``sendall`` for everything due on one link —
+        each run of ordered messages between control frames as ``d``
+        bursts (:func:`wire.deliver_frames`), control frames as they are."""
+        chunks, run = [], []
+        for sequence, body in items:
+            if sequence is not None:
+                run.append((sequence, body))
+                continue
+            if run:
+                chunks += wire.deliver_frames(run)
+                run = []
+            chunks.append(body)
+        if run:
+            chunks += wire.deliver_frames(run)
         try:
-            link.sink.sendall(data)
+            link.sink.sendall(b"".join(chunks))
         except OSError:  # reset, closed under us, or ``SEND_TIMEOUT``
             self._sever(link)
+            return
         self.writes += 1
         self.frames_written += len(items)
 

@@ -2,12 +2,16 @@
 
 Every message is one :mod:`repro.common.framing` frame (magic
 ``PSMRWIR1``, length prefix, CRC-32) carrying a message dict whose
-``"t"`` key names the type.  ``d`` and ``r``, which cross the wire once
-per command, have a fixed ``struct`` layout (second table); every other
-type is the dict in the :mod:`repro.common.codec` binary format.  The
-first payload byte (``d``, ``r`` or the codec's ``0xC3``) tells them
-apart; :func:`encode_message` / :func:`decode_payload` speak dicts for
-all of them.
+``"t"`` key names the type.  ``d`` and ``r``, which carry commands and
+their answers, have a fixed ``struct`` layout (second table) and batch
+them: a ``d`` frame is a burst of ordered messages, an ``r`` frame a
+batch of responses.  Every other type is the dict in the
+:mod:`repro.common.codec` binary format.  The first payload byte (``d``,
+``r`` or the codec's ``0xC3``) tells them apart; :func:`encode_message`
+/ :func:`decode_payload` speak dicts for all of them — a ``d`` frame is
+encoded from one message ``{"t": "d", "ls", "s", "dst", "b"}`` and
+decoded as ``{"t": "d", "msgs": [(ls, s, dst, b), ...]}``; the transport
+writes a whole run with :func:`deliver_frames`.
 
 ======================  =====  ==============================================
 type                    dir    meaning
@@ -21,12 +25,13 @@ type                    dir    meaning
                                ``full`` (sequence + state) or ``chain``
                                (suffix entries extending the local chain)
 ``start``               s→c    registration complete; spin up workers
-``d``                   s→c    one ordered message: per-link sequence
-                               ``ls`` (the pump may reorder or duplicate
-                               frames under a fault plane; a ReliableLink
-                               restores the gap-free stream), global sequence,
-                               destinations, body (encoded command bytes
-                               or a marker / shard-update dict)
+``d``                   s→c    a burst of ordered messages, each with its
+                               per-link sequence ``ls`` (the pump may
+                               reorder or duplicate copies under a fault
+                               plane; a ReliableLink restores the gap-free
+                               stream), global sequence, destinations and
+                               body (encoded command bytes or a marker /
+                               shard-update dict)
 ``r``                   c→s    batched command responses
 ``mk``                  c→s    marker executed: sequence, chain manifest,
                                checkpoint kind/bytes, state (source
@@ -45,13 +50,18 @@ Fixed layouts, big-endian; *value* is one tagged codec value without the
 stream header (:func:`repro.common.codec.encode_value`):
 
 =========  ================================================================
-``d``      ``'d'`` u8 · ``ls`` i64 · ``s`` i64 · body kind u8 · destination
-           count u16 · count x group id u32 · body, to the payload's end.
-           Kind 0: the encoded command, verbatim — the ordering layer does
-           not parse what it orders; kind 1: one *value* (a marker or
-           shard-update dict).  Only ``ls`` differs between the copies of
-           one multicast: :func:`ordered_part` builds the rest once,
-           :func:`deliver_frame` adds ``ls`` and the frame CRC per link.
+``d``      ``'d'`` u8 · message count u32 · per message: ``ls`` i64 ·
+           length u32 · the ordered part: ``s`` i64 · body kind u8 ·
+           destination count u16 · count x group id u32 · body, to the
+           length's end.  Kind 0: the encoded command, verbatim — the
+           ordering layer does not parse what it orders; kind 1: one
+           *value* (a marker or shard-update dict).  Only ``ls`` differs
+           between the copies of one multicast: :func:`ordered_part` builds
+           the rest once, :func:`deliver_frames` frames one link's run of
+           them — every run between two control frames, cut so that no
+           frame's payload passes :attr:`FrameReader.SIZE` unless one
+           message alone does.  One message is the count-1 case
+           (:func:`deliver_frame`).
 ``r``      ``'r'`` u8 · response count u32 · per response: uid (i64, i64)
            · ``value`` *value* · ``error`` *value*.  A ``value`` outside
            the codec's vocabulary travels as ``None`` with an ``error``
@@ -70,13 +80,14 @@ ids up to 2**32 - 1 are far above any ``mpl`` a ``GroupLayout`` or
 ``size_bytes`` past its width raises
 :class:`~repro.common.errors.ProtocolError` when the command is encoded
 — nothing wraps — and a CRC-valid payload that contradicts its layout
-(short header, a count running past the end, bytes left over, an unknown
-body kind, first byte or value tag) is a :class:`WireError`, like a bad
-checksum.  The value tags are the codec's closed vocabulary, NetFS's
-``Stat`` (``'A'`` · is_dir u8 · size i64 · mode u32 · nlink u32 · atime
-f64 · mtime f64) among them; no tag and no payload kind reaches a general
-deserialiser.  Chain entries travel as ``(kind, sequence, payload)``
-tuples.
+(short header, a count or length running past the end, a ``d`` message
+shorter than its destination ids, bytes left over, an unknown body kind,
+first byte or value tag) is a :class:`WireError`, like a bad checksum —
+and nothing of that frame is delivered.  The value tags are the codec's
+closed vocabulary, NetFS's ``Stat`` (``'A'`` · is_dir u8 · size i64 ·
+mode u32 · nlink u32 · atime f64 · mtime f64) among them; no tag and no
+payload kind reaches a general deserialiser.  Chain entries travel as
+``(kind, sequence, payload)`` tuples.
 """
 
 import socket
@@ -133,9 +144,10 @@ def is_shard_update(payload):
 _DELIVER_TAG = ord("d")
 _RESPONSES_TAG = ord("r")
 
-_LINK = struct.Struct(">Bq")  # tag, ls: all of a ``d`` frame a link owns
+_BURST = struct.Struct(">BI")  # tag, message count
+_ITEM = struct.Struct(">qI")  # ls, length of the ordered part: per link
 _ORDERED = struct.Struct(">qBH")  # s, body kind, destination count
-_DELIVER = struct.Struct(">BqqBH")  # both, as the decoder reads them
+_DELIVERED = struct.Struct(">qIqBH")  # an item's head, as the decoder reads it
 _RESPONSES = struct.Struct(">BI")  # tag, response count
 _UID = struct.Struct(">qq")
 
@@ -144,7 +156,7 @@ _BODY_VALUE = 1  # one codec value: marker and shard-update dicts
 
 
 def ordered_part(sequence, destinations, payload):
-    """Everything of a ``d`` payload the copies of one multicast share:
+    """Everything of a ``d`` item the copies of one multicast share:
     global sequence, body kind, destinations and the body — bytes go in
     verbatim, anything else as a codec value."""
     if type(payload) is bytes:
@@ -153,33 +165,81 @@ def ordered_part(sequence, destinations, payload):
         kind, body = _BODY_VALUE, bytearray()
         _codec.encode_value(payload, body)
     count, group_ids = _codec.pack_destinations(destinations)
-    return _ORDERED.pack(sequence, kind, count) + group_ids + body
+    return b"".join((_ORDERED.pack(sequence, kind, count), group_ids, body))
+
+
+def deliver_frames(messages):
+    """One link's ``d`` frames for a run of ``(ls, ordered part)`` pairs,
+    as a list of byte strings to write in order.
+
+    As few frames as fit :attr:`FrameReader.SIZE` bytes of payload each
+    (a message larger than that travels alone), so a replayed log suffix
+    is never one frame of megabytes."""
+    chunks = []
+    limit = FrameReader.SIZE
+    parts, size = [None], _BURST.size
+    for link_sequence, ordered in messages:
+        item = _ITEM.size + len(ordered)
+        if size + item > limit and size > _BURST.size:
+            _close_burst(parts, chunks)
+            parts, size = [None], _BURST.size
+        parts.append(_ITEM.pack(link_sequence, len(ordered)))
+        parts.append(ordered)
+        size += item
+    _close_burst(parts, chunks)
+    return chunks
+
+
+def _close_burst(parts, chunks):
+    parts[0] = _BURST.pack(_DELIVER_TAG, len(parts) // 2)
+    payload = b"".join(parts)
+    chunks.append(
+        framing.HEADER.pack(
+            framing.WIRE_MAGIC, len(payload), framing.crc32(payload)
+        )
+    )
+    chunks.append(payload)
 
 
 def deliver_frame(link_sequence, ordered):
-    """One link's ``d`` frame around :func:`ordered_part`'s bytes."""
-    return framing.encode_frame(
-        framing.WIRE_MAGIC, _LINK.pack(_DELIVER_TAG, link_sequence) + ordered
-    )
+    """The ``d`` frame of one message: :func:`deliver_frames`' one-message
+    case."""
+    return b"".join(deliver_frames([(link_sequence, ordered)]))
 
 
 def _decode_deliver(payload):
-    _tag, link_sequence, sequence, kind, count = _DELIVER.unpack_from(payload)
-    destinations, offset = _codec.unpack_destinations(
-        payload, _DELIVER.size, count
-    )
-    if kind == _BODY_COMMAND:
-        body = bytes(payload[offset:])
-    elif kind == _BODY_VALUE:
-        body, end = _codec.decode_value(payload, offset)
-        if end != len(payload):
-            raise WireError(f"d frame ends at byte {end} of {len(payload)}")
-    else:
-        raise WireError(f"unknown d-frame body kind {kind}")
-    return {
-        "t": "d", "ls": link_sequence, "s": sequence, "dst": destinations,
-        "b": body,
-    }
+    """A ``d`` payload in one pass: ``(ls, s, dst, body)`` per message."""
+    _tag, count = _BURST.unpack_from(payload)
+    end = len(payload)
+    offset = _BURST.size
+    if count * _DELIVERED.size > end - offset:
+        raise WireError(f"d frame of {end} bytes claims {count} messages")
+    messages = []
+    for _ in range(count):
+        link_sequence, length, sequence, kind, destination_count = (
+            _DELIVERED.unpack_from(payload, offset)
+        )
+        start = offset + _ITEM.size
+        offset = start + length
+        if length < _ORDERED.size or offset > end:
+            raise WireError(f"d message of {length} bytes at {start} of {end}")
+        destinations, at = _codec.unpack_destinations(
+            payload, start + _ORDERED.size, destination_count
+        )
+        if at > offset:
+            raise WireError(f"d message at {start} ends inside its destinations")
+        if kind == _BODY_COMMAND:
+            body = bytes(payload[at:offset])
+        elif kind == _BODY_VALUE:
+            body, at = _codec.decode_value(payload, at)
+            if at != offset:
+                raise WireError(f"d message ends at byte {at}, not {offset}")
+        else:
+            raise WireError(f"unknown d-message body kind {kind}")
+        messages.append((link_sequence, sequence, destinations, body))
+    if offset != end:
+        raise WireError(f"d frame ends at byte {offset} of {end}")
+    return {"t": "d", "msgs": messages}
 
 
 def _encode_responses(responses):
@@ -216,7 +276,7 @@ def _decode_responses(payload):
 def encode_message(message):
     """One wire frame for a message dict."""
     kind = message["t"]
-    if kind == "d":
+    if kind == "d":  # one ordered message: ``ls``, ``s``, ``dst``, ``b``
         return deliver_frame(
             message["ls"],
             ordered_part(message["s"], message["dst"], message["b"]),

@@ -9,10 +9,15 @@ against; nothing under ``src/`` imports it.
 """
 
 import pickle
+import struct
+import sys
+import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import codec
+from repro.common.errors import CheckpointError
 from repro.common.framing import HEADER_SIZE
 from repro.core.command import Command
 from repro.fs.memfs import Stat
@@ -134,8 +139,139 @@ def test_command_wire_round_trip(
         assert type(restored.args[key]) is type(value)
 
 
+#: What a command's ``args`` may hold: str keys (any unicode) and the
+#: keys the fast path leaves to the generic codec, int64 and bytes values
+#: next to ints past the int64 edges, bytearrays and nested values.
+edge_ints = st.sampled_from(
+    [-(2**63) - 1, -(2**63), -1, 0, 2**63 - 1, 2**63, 2**64, -(2**64)]
+)
+arg_keys = st.text(max_size=8) | st.integers() | st.binary(max_size=4)
+arg_values = (
+    int64 | edge_ints | st.integers() | st.binary(max_size=40)
+    | st.binary(max_size=20).map(bytearray) | values
+)
+command_args = (
+    st.dictionaries(arg_keys, arg_values, max_size=6)
+    | st.dictionaries(st.text(max_size=8), int64 | st.binary(max_size=40), max_size=4)
+    | values  # not a dict at all
+)
+
+
+def _generic_command(command):
+    """:func:`codec.encode_command` spelled out without its fast paths:
+    the fixed header, the ids, the name, ``args`` by ``encode_value``."""
+    destinations = command.destinations
+    if destinations is None:
+        count, group_ids = 0xFFFE, b""
+    elif destinations == ALL_GROUPS:
+        count, group_ids = 0xFFFF, b""
+    else:
+        count = len(destinations)
+        group_ids = struct.pack(">%dI" % count, *sorted(destinations))
+    name = command.name.encode("utf-8")
+    out = bytearray(
+        struct.pack(
+            ">BBqqIdHH", 0xC3, 2, *command.uid, command.size_bytes,
+            command.submitted_at, count, len(name),
+        )
+    )
+    out += group_ids + name
+    codec.encode_value(command.args, out)
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    uid=st.tuples(int64, int64),
+    name=st.text(max_size=12),
+    args=command_args,
+    destinations=st.none()
+    | st.just(ALL_GROUPS)
+    | st.frozensets(group_ids, max_size=4),
+)
+def test_the_command_fast_path_is_the_generic_encoding(
+    uid, name, args, destinations
+):
+    command = Command(uid, name, args, destinations=destinations)
+    encoded = codec.encode_command(command)
+    assert encoded == _generic_command(command)
+    # Twice: the second time every cache is warm.
+    assert codec.encode_command(command) == encoded
+    for data in (encoded, bytearray(encoded), memoryview(encoded)):
+        restored = codec.decode_command(data)
+        assert restored == command
+        assert type(restored.args) is type(args)
+        if type(args) is dict:
+            for key, value in args.items():
+                assert type(restored.args[key]) is type(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uid=st.tuples(int64, int64), name=st.text(max_size=6), args=command_args)
+def test_every_truncated_command_is_a_checkpoint_error(uid, name, args):
+    encoded = codec.encode_command(Command(uid, name, args))
+    for cut in range(len(encoded)):
+        with pytest.raises(CheckpointError):
+            codec.decode_command(encoded[:cut])
+
+
+def test_hostile_names_and_keys_leave_every_cache_at_its_bound():
+    memos = [
+        memo for memo in vars(codec).values() if isinstance(memo, codec.Memo)
+    ]
+    assert memos
+    for n in range(10_000):
+        command = Command(
+            (1, n), "name-%d" % n, {"key-%d" % n: n, "k\u00e9y-%d" % n: b"%d" % n},
+            destinations=frozenset({n, n + 1}),
+        )
+        assert codec.decode_command(codec.encode_command(command)) == command
+    sizes = [len(memo) for memo in memos]
+    assert max(sizes) == codec.MEMO_ENTRIES  # they were fed ...
+    assert all(size <= codec.MEMO_ENTRIES for size in sizes)  # ... and held
+
+
+def test_threads_missing_at_once_keep_a_memo_at_its_bound():
+    """Threads that miss together, one key short of the bound, store one
+    key between them — in every round."""
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(20):
+            together = threading.Barrier(threads, timeout=10)
+
+            def make(key):
+                if key >= codec.MEMO_ENTRIES:
+                    together.wait()  # every thread inside ``make`` at once
+                return -key
+
+            memo = codec.Memo(make)
+            for key in range(codec.MEMO_ENTRIES - 1):
+                memo[key]
+            found = []
+            workers = [
+                threading.Thread(
+                    target=lambda key: found.append(memo[key]),
+                    args=(codec.MEMO_ENTRIES + n,),
+                )
+                for n in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert sorted(found) == [
+                -(codec.MEMO_ENTRIES + n) for n in reversed(range(threads))
+            ]
+            assert len(memo) == codec.MEMO_ENTRIES
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # ----------------------------------------------------------------------
-# The fixed-layout frames: ``d`` (one ordered message) and ``r`` (responses)
+# The fixed-layout frames: ``d`` (ordered messages) and ``r`` (responses)
 # ----------------------------------------------------------------------
 def _through_the_wire(message):
     return wire.decode_payload(wire.encode_message(message)[HEADER_SIZE:])
@@ -170,9 +306,13 @@ def test_deliver_frame_round_trip(link_sequence, sequence, destinations, body):
         "b": body,
     }
     restored = _through_the_wire(message)
-    assert restored == message
-    assert type(restored["dst"]) is type(destinations)
-    assert type(restored["b"]) is type(body)
+    # One ordered message travels as a burst of one.
+    assert restored == {
+        "t": "d", "msgs": [(link_sequence, sequence, destinations, body)]
+    }
+    ((_ls, _s, restored_destinations, restored_body),) = restored["msgs"]
+    assert type(restored_destinations) is type(destinations)
+    assert type(restored_body) is type(body)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from repro.common import codec
 from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.core.command import Command
+from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
 from repro.runtime import ThreadedPSMRCluster
 from repro.runtime.multicast import LocalAtomicMulticast, encode_wire
@@ -389,6 +389,49 @@ class TestResponseRouterAbandonment:
         assert seen == [("a", 1)]
         assert "b" not in router._responses
         assert router._responses == {"c": 3}
+
+
+class TestAnsweredOnce:
+    """A replica process's answers arrive as decoded ``r`` frames: one
+    copy per replica, and only the first for a uid becomes a Response."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The Responses the router builds, in order."""
+        from repro.runtime import cluster
+
+        built = []
+
+        def counting(*fields):
+            built.append(fields)
+            return Response(*fields)
+
+        monkeypatch.setattr(cluster, "Response", counting)
+        return built
+
+    def test_the_second_replicas_copy_builds_no_response_and_fires_nothing(
+        self, built
+    ):
+        router = _Router().host
+        seen = []
+        for uid in ((1, 1), (1, 2)):
+            router._register_waiter(uid)
+        router._set_waiter_callback((1, 1), seen.append)
+        resps = (((1, 1), b"v", None), ((1, 2), None, "no such key"))
+        router._respond_many(resps, 0)
+        router._respond_many(resps, 1)  # the other replica's copy
+        assert built == [((1, 1), b"v", None, 0), ((1, 2), None, "no such key", 0)]
+        assert seen == [Response((1, 1), b"v", None, 0)]
+        assert router._responses == {(1, 2): Response((1, 2), None, "no such key", 0)}
+        assert router._take_response((1, 2)).replica_id == 0
+
+    def test_an_answer_after_discard_is_dropped(self, built):
+        router = _Router().host
+        router._register_waiter((1, 1))
+        router._discard_waiter((1, 1))
+        router._respond_many((((1, 1), b"late", None),), 0)
+        assert built == []
+        assert router._waiters == {} and router._responses == {}
 
 
 class TestPendingInvocationLifecycle:

@@ -19,6 +19,7 @@ from repro.common.errors import CheckpointError, ProtocolError, RecoveryError
 from repro.common.faults import FaultPlane, ReliableLink
 from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
+from repro.runtime.cluster import ResponseRouter
 from repro.runtime.multicast import LocalAtomicMulticast
 from repro.runtime.replica_proc import ReplicaProcess
 from repro.runtime.transport import (
@@ -28,12 +29,34 @@ from repro.runtime.transport import (
     tcp,
     wire,
 )
-from repro.runtime.transport.pump import Link
+from repro.runtime.transport.pump import NOW, Link
 
 
 # ----------------------------------------------------------------------
 # Wire encoding
 # ----------------------------------------------------------------------
+def burst(*messages):
+    """A ``d`` frame as :func:`wire.decode_payload` returns it: its
+    ``(ls, s, dst, body)`` messages, in order."""
+    return {"t": "d", "msgs": list(messages)}
+
+
+def encode(message):
+    """The frames of ``message``: a decoded burst goes out the way the
+    transport writes a run (:func:`wire.deliver_frames`), anything else
+    through :func:`wire.encode_message`."""
+    if message["t"] != "d":
+        return wire.encode_message(message)
+    return b"".join(
+        wire.deliver_frames(
+            [
+                (link_sequence, wire.ordered_part(sequence, destinations, body))
+                for link_sequence, sequence, destinations, body in message["msgs"]
+            ]
+        )
+    )
+
+
 class TestWireEncoding:
     def test_message_roundtrips_through_a_frame(self):
         message = {"t": "d", "ls": 3, "s": 7, "dst": "ALL", "b": b"\x00cmd"}
@@ -45,7 +68,8 @@ class TestWireEncoding:
         length, crc = parsed
         payload = data[framing.HEADER_SIZE:]
         assert framing.payload_valid(payload, length, crc)
-        assert wire.decode_payload(payload) == message
+        # One ordered message is a burst of one.
+        assert wire.decode_payload(payload) == burst((3, 7, "ALL", b"\x00cmd"))
 
     def test_destinations_roundtrip(self):
         assert wire.encode_destinations(ALL_GROUPS) == ALL_GROUPS
@@ -54,7 +78,9 @@ class TestWireEncoding:
             frame = wire.encode_message(
                 {"t": "d", "ls": 0, "s": 0, "dst": destinations, "b": b""}
             )
-            decoded = wire.decode_payload(frame[framing.HEADER_SIZE:])["dst"]
+            ((_ls, _s, decoded, _b),) = wire.decode_payload(
+                frame[framing.HEADER_SIZE:]
+            )["msgs"]
             assert decoded == destinations
             # Tuples stay tuples: hashable for the workers' plan cache.
             assert type(decoded) is type(destinations)
@@ -84,13 +110,30 @@ class TestWireEncoding:
             + struct.pack(">2I", 3, 5) + "né".encode() + b"d\x00\x00\x00\x00"
         )
         deliver = {"t": "d", "ls": 4, "s": 11, "dst": (3, 5), "b": body}
+        ordered = struct.pack(">qBH2I", 11, 0, 2, 3, 5) + body
         assert wire.encode_message(deliver)[framing.HEADER_SIZE:] == (
-            struct.pack(">BqqBH2I", ord("d"), 4, 11, 0, 2, 3, 5) + body
+            struct.pack(">BI", ord("d"), 1)
+            + struct.pack(">qI", 4, len(ordered)) + ordered
         )
         marker = {"t": "d", "ls": 0, "s": 1, "dst": "ALL", "b": {"k": None}}
-        assert wire.encode_message(marker)[framing.HEADER_SIZE:] == (
-            struct.pack(">BqqBH", ord("d"), 0, 1, 1, 0xFFFF)
+        marked = (
+            struct.pack(">qBH", 1, 1, 0xFFFF)
             + b"d\x00\x00\x00\x01s\x00\x00\x00\x01kN"
+        )
+        assert wire.encode_message(marker)[framing.HEADER_SIZE:] == (
+            struct.pack(">BI", ord("d"), 1)
+            + struct.pack(">qI", 0, len(marked)) + marked
+        )
+        # A run of them is one frame: per message only ``ls`` and the
+        # length of its ordered part are added.
+        (header, payload) = wire.deliver_frames([(9, ordered), (12, marked)])
+        assert header == framing.HEADER.pack(
+            framing.WIRE_MAGIC, len(payload), framing.crc32(payload)
+        )
+        assert payload == (
+            struct.pack(">BI", ord("d"), 2)
+            + struct.pack(">qI", 9, len(ordered)) + ordered
+            + struct.pack(">qI", 12, len(marked)) + marked
         )
         responses = {"t": "r", "resps": (((1, 2), b"v", None), ((1, 3), None, "e"))}
         assert wire.encode_message(responses)[framing.HEADER_SIZE:] == (
@@ -133,7 +176,9 @@ class TestWireEncoding:
             "b": b"",
         }
         frame = wire.encode_message(message)
-        assert wire.decode_payload(frame[framing.HEADER_SIZE:]) == message
+        assert wire.decode_payload(frame[framing.HEADER_SIZE:]) == burst(
+            (2**63 - 1, 2**63 - 1, (2**32 - 1,), b"")
+        )
 
     @pytest.mark.parametrize(
         "destinations",
@@ -232,39 +277,67 @@ class TestSocketHelpers:
 # ----------------------------------------------------------------------
 # Buffered frame reader (the replica-process side)
 # ----------------------------------------------------------------------
-#: What one burst looks like on a replica's socket: ``d`` frames with a
-#: control frame among them and one frame far larger than the others.
+#: What one read looks like on a replica's socket: ``d`` bursts (of one
+#: message and of several) with control frames among them and one frame
+#: far larger than the others.
 STREAM = [
-    {"t": "d", "ls": 0, "s": 10, "dst": (1,), "b": b"first"},
-    {"t": "d", "ls": 1, "s": 11, "dst": "ALL", "b": b""},
+    burst((0, 10, (1,), b"first")),
+    burst((1, 11, "ALL", b""), (2, 12, (1, 2), b"x" * 90)),
     {"t": "stats?", "req": 4},
     {"t": "restore", "mode": "full", "sequence": 9, "state": b"s" * 700},
-    {"t": "d", "ls": 2, "s": 12, "dst": (1, 2), "b": b"x" * 90},
+    burst((3, 13, (2,), b"y" * 30), (5, 15, "ALL", {"m": 1}), (4, 14, (1,), b"")),
     {"t": "bye"},
 ]
 
 
-def _deliver_payload(kind=0, count=1, group_ids=(1,), body=b"cmd"):
-    return (
-        struct.pack(">BqqBH", ord("d"), 0, 0, kind, count)
+def _item(kind=0, count=1, group_ids=(1,), body=b"cmd", length=None, ls=0):
+    """One message of a ``d`` payload; ``length`` overrides its own."""
+    ordered = (
+        struct.pack(">qBH", ls, kind, count)
         + struct.pack(">%dI" % len(group_ids), *group_ids) + body
     )
+    if length is None:
+        length = len(ordered)
+    return struct.pack(">qI", ls, length) + ordered
+
+
+def _deliver_payload(*items, count=None):
+    """A ``d`` payload: a well-formed message (link sequence 1: the one
+    after ``STREAM[0]``'s), then ``items``."""
+    items = (_item(ls=1), *items)
+    if count is None:
+        count = len(items)
+    return struct.pack(">BI", ord("d"), count) + b"".join(items)
 
 
 _RESPONSE = struct.pack(">qq", 3, 4) + b"NN"  # uid, value None, error None
 
 #: CRC-valid payloads no encoder produces, by what is wrong with them.
+#: Every ``d`` case starts with a well-formed message, which must not be
+#: released either: a frame is decoded whole or not at all.
 MALFORMED = {
     "empty payload": b"",
     "unknown first byte": b"\x00abc",
-    "d: short header": _deliver_payload()[:12],
+    "d: short header": _deliver_payload()[:3],
+    "d: message count past the payload": _deliver_payload(count=2),
+    "d: item length past the payload": _deliver_payload(_item(length=99)),
+    "d: item shorter than its head": _deliver_payload(_item(length=10)),
     "d: destination count past the payload": _deliver_payload(
-        count=4, body=b""
+        _item(count=4, group_ids=(1,), body=b"")
     ),
-    "d: unknown body kind": _deliver_payload(kind=9),
-    "d: value body cut short": _deliver_payload(kind=1, body=b"s\x00\x00"),
+    "d: item shorter than its destination ids": _deliver_payload(
+        _item(count=4, group_ids=(1,), body=b""), _item()
+    ),
+    "d: trailing bytes": _deliver_payload() + b"\x00",
+    "d: unknown body kind": _deliver_payload(_item(kind=9)),
+    "d: value body cut short": _deliver_payload(
+        _item(kind=1, body=b"s\x00\x00")
+    ),
+    "d: value body past its item": _deliver_payload(
+        _item(kind=1, body=b"s\x00\x00\x00\x09abc"), _item()
+    ),
     "d: trailing bytes after a value body": _deliver_payload(
-        kind=1, body=b"N\x00"
+        _item(kind=1, body=b"N\x00")
     ),
     "r: short header": b"r\x00\x00",
     "r: response count past the payload": (
@@ -296,8 +369,8 @@ class TestFrameReader:
     def test_every_cut_of_the_stream_yields_the_same_messages(
         self, monkeypatch, size
     ):
+        frames = [encode(message) for message in STREAM]  # one frame each
         monkeypatch.setattr(wire.FrameReader, "SIZE", size)
-        frames = [wire.encode_message(message) for message in STREAM]
         stream = b"".join(frames)
         ends = [sum(map(len, frames[: i + 1])) for i in range(len(frames))]
         for cut in range(len(stream) + 1):
@@ -324,7 +397,7 @@ class TestFrameReader:
     def test_a_corrupt_frame_is_fatal_after_the_frames_ahead_of_it(
         self, victim, where
     ):
-        frames = [bytearray(wire.encode_message(message)) for message in STREAM]
+        frames = [bytearray(encode(message)) for message in STREAM]
         offset = {"magic": 0, "crc": framing.HEADER_SIZE - 1, "payload": -1}[where]
         frames[victim][offset] ^= 0xFF
         left, right = socket.socketpair()
@@ -353,9 +426,9 @@ class TestFrameReader:
         # The flipped bytes above never reach the decoder; these frames
         # carry a valid CRC and do.
         frames = [
-            wire.encode_message(STREAM[0]),
+            encode(STREAM[0]),
             framing.encode_frame(framing.WIRE_MAGIC, MALFORMED[case]),
-            wire.encode_message(STREAM[1]),
+            encode(STREAM[1]),
         ]
         left, right = socket.socketpair()
         try:
@@ -388,7 +461,7 @@ class TestFrameReader:
             codec.decode_command(data)
 
     def test_eof_inside_a_frame_is_eof(self):
-        stream = b"".join(wire.encode_message(message) for message in STREAM)
+        stream = b"".join(encode(message) for message in STREAM)
         left, right = socket.socketpair()
         try:
             left.sendall(stream[:-1])
@@ -407,7 +480,7 @@ def _unreadable_frame(how):
         return framing.encode_frame(
             framing.WIRE_MAGIC, MALFORMED["d: unknown body kind"]
         )
-    frame = bytearray(wire.encode_message(STREAM[0]))
+    frame = bytearray(encode(STREAM[0]))
     frame[-1] ^= 0xFF
     return bytes(frame)
 
@@ -418,7 +491,7 @@ class TestFrameReaderTake:
     met it."""
 
     def test_a_partial_frame_yields_nothing_and_does_not_block(self):
-        frames = [wire.encode_message(message) for message in STREAM[:2]]
+        frames = [encode(message) for message in STREAM[:2]]
         left, right = socket.socketpair()
         right.settimeout(0.5)  # a ``take`` that waited would read as EOF
         try:
@@ -441,7 +514,7 @@ class TestFrameReaderTake:
         left, right = socket.socketpair()
         try:
             reader = wire.FrameReader(right)
-            left.sendall(wire.encode_message(STREAM[0]) + _unreadable_frame(how))
+            left.sendall(encode(STREAM[0]) + _unreadable_frame(how))
             assert reader.take() == STREAM[:1]
             assert reader.error is not None
             with pytest.raises(wire.WireError):
@@ -496,12 +569,29 @@ def route_to(*replica_ids):
 
 
 def read_frames(reader, count):
+    """The next ``count`` frames, decoded (a ``d`` burst is one)."""
     frames = []
     while len(frames) < count:
-        burst = reader.read()
-        assert burst is not None, f"stream ended after {len(frames)} frames"
-        frames.extend(burst)
+        read = reader.read()
+        assert read is not None, f"stream ended after {len(frames)} frames"
+        frames.extend(read)
     return frames
+
+
+def read_messages(reader, count):
+    """The next ``count`` messages: each ordered one of a ``d`` burst as
+    ``{"t": "d", "ls", "s", "dst", "b"}``, control frames as they are."""
+    messages = []
+    while len(messages) < count:
+        for frame in read_frames(reader, 1):
+            if frame["t"] != "d":
+                messages.append(frame)
+                continue
+            messages.extend(
+                {"t": "d", "ls": ls, "s": s, "dst": dst, "b": b}
+                for ls, s, dst, b in frame["msgs"]
+            )
+    return messages
 
 
 # ----------------------------------------------------------------------
@@ -522,11 +612,11 @@ class SocketSink:
         ``ReliableLink`` releases — what its workers would be handed."""
         released = []
         while len(released) < count:
-            for frame in read_frames(self.readers[replica_id], 1):
+            for message in read_messages(self.readers[replica_id], 1):
                 released.extend(
-                    self._links[replica_id].accept(frame["ls"], frame)
+                    self._links[replica_id].accept(message["ls"], message)
                 )
-        return [(frame["s"], frame["b"]) for frame in released]
+        return [(message["s"], message["b"]) for message in released]
 
 
 class QueueSink:
@@ -706,13 +796,13 @@ class TestSocketBurstPath:
             assert transport.writes == 2
             assert transport.frames_written == 2 * count
             for reader in readers:
-                frames = read_frames(reader, count)
-                assert [frame["ls"] for frame in frames] == list(range(count))
-                assert [frame["s"] for frame in frames] == list(range(count))
-                assert {frame["t"] for frame in frames} == {"d"}
+                # The write was one frame: a burst of every message.
+                (frame,) = read_frames(reader, 1)
+                assert [m[0] for m in frame["msgs"]] == list(range(count))
+                assert [m[1] for m in frame["msgs"]] == list(range(count))
             # A lone frame is a write of its own, at once.
             transport.send(route_to(0), (count, ALL_GROUPS, b"only"))
-            (frame,) = read_frames(readers[0], 1)
+            (frame,) = read_messages(readers[0], 1)
             assert (frame["ls"], frame["b"]) == (count, b"only")
             wait_until(lambda: transport.in_flight() == 0)
             assert (transport.writes, transport.frames_written) == (
@@ -732,7 +822,7 @@ class TestSocketBurstPath:
             assert held.wakeups == 1
             assert [items for _link, items in held.writes] == [count]
             assert (transport.writes, transport.frames_written) == (1, count)
-            frames = read_frames(readers[0], count)
+            frames = read_messages(readers[0], count)
             assert [frame["ls"] for frame in frames] == list(range(count))
             assert [frame["b"] for frame in frames] == [e[3] for e in replay]
 
@@ -743,9 +833,12 @@ class TestSocketBurstPath:
                 assert transport.control_send(0, {"t": "stats?", "req": 7})
                 transport.send(route_to(0), (1, ALL_GROUPS, b"after"))
             assert (transport.writes, transport.frames_written) == (1, 3)
+            # The control frame cut the run into two bursts around it.
             frames = read_frames(readers[0], 3)
             assert [frame["t"] for frame in frames] == ["d", "stats?", "d"]
-            assert [frames[0]["b"], frames[2]["b"]] == [b"before", b"after"]
+            assert [frames[0]["msgs"], frames[2]["msgs"]] == [
+                [(0, 0, "ALL", b"before")], [(1, 1, "ALL", b"after")]
+            ]
 
     def test_a_voided_registration_keeps_its_connection(self):
         with fake_replicas(2) as (transport, readers):
@@ -765,7 +858,7 @@ class TestSocketBurstPath:
             for sequence in range(count):
                 transport.send(route_to(0, 1), (sequence, ALL_GROUPS, body))
             # Replica 1 never reads.  Replica 0 still gets the burst ...
-            frames = read_frames(readers[0], count)
+            frames = read_messages(readers[0], count)
             assert [frame["s"] for frame in frames] == list(range(count))
             # ... and the stalled link is dropped, like any broken one.
             wait_until(lambda: not transport.connected(1))
@@ -774,7 +867,141 @@ class TestSocketBurstPath:
             # (A pass settles after its last write, the one that timed out.)
             wait_until(lambda: transport.in_flight() == 0)
             transport.send(route_to(0, 1), (count, ALL_GROUPS, b"next"))
-            assert read_frames(readers[0], 1)[0]["b"] == b"next"
+            assert read_messages(readers[0], 1)[0]["b"] == b"next"
+
+    def test_a_failed_write_counts_nothing(self):
+        transport = TcpCoordinatorTransport()
+        transport.start()
+        try:
+            peer = tcp._Peer(_BrokenSink())
+            with held_pump(transport):
+                transport.pump.post([
+                    (peer, wire.ordered_part(0, ALL_GROUPS, b"cmd"), NOW),
+                    (peer, wire.encode_message({"t": "stats?", "req": 1}), None),
+                ])
+            # The link was dropped like any broken one ...
+            assert peer.sink.shut and peer.in_flight == 0
+            # ... and nothing reached a socket.
+            assert (transport.writes, transport.frames_written) == (0, 0)
+        finally:
+            transport.close()
+
+
+class _BrokenSink:
+    """A socket whose every write fails, as after a reset."""
+
+    def __init__(self):
+        self.shut = False
+
+    def sendall(self, data):
+        raise OSError("connection reset by peer")
+
+    def shutdown(self, how):
+        self.shut = True
+
+
+class TestBurstPathFrames:
+    """What the burst layout adds: a run too long for the reader's buffer
+    is cut into frames that fit it, and a replica process releases each
+    message once, in order, whatever the fault plane did to the copies."""
+
+    def test_a_replay_longer_than_the_cap_is_split_into_several_frames(self):
+        count, body = 40, b"r" * 4000  # about 160 KiB of ordered parts
+        replay = [
+            (sequence, ALL_GROUPS, frozenset({1}), body + b"%d" % sequence)
+            for sequence in range(count)
+        ]
+        with fake_replicas(1) as (transport, readers):
+            with held_pump(transport) as held:
+                transport.on_replica_registered(0, {}, replay)
+            assert [items for _link, items in held.writes] == [count]
+            assert (transport.writes, transport.frames_written) == (1, count)
+            frames = []
+            while sum(len(frame["msgs"]) for frame in frames) < count:
+                frames += read_frames(readers[0], 1)
+        assert len(frames) >= 3
+        messages = [message for frame in frames for message in frame["msgs"]]
+        assert messages == [
+            (sequence, sequence, ALL_GROUPS, payload)
+            for sequence, _dst, _threads, payload in replay
+        ]
+
+    def test_every_frame_fits_the_cap_but_a_larger_message_travels_alone(self):
+        small = wire.ordered_part(0, ALL_GROUPS, b"s" * 1000)
+        large = wire.ordered_part(1, ALL_GROUPS, b"l" * (2 * wire.FrameReader.SIZE))
+        run = [(0, small)] * 100 + [(100, large)] + [(101, small)] * 3
+        chunks = wire.deliver_frames(run)
+        payloads = chunks[1::2]
+        counts = [struct.unpack_from(">BI", p)[1] for p in payloads]
+        assert sum(counts) == len(run) and counts[-2:] == [1, 3]
+        assert all(len(p) <= wire.FrameReader.SIZE for p in payloads[:-2])
+        assert all(len(p) > wire.FrameReader.SIZE * 0.9 for p in payloads[:-3])
+        decoded = [
+            message
+            for payload in payloads
+            for message in wire.decode_payload(payload)["msgs"]
+        ]
+        assert [message[0] for message in decoded] == [
+            link_sequence for link_sequence, _ordered in run
+        ]
+
+    def test_under_faults_a_replica_releases_each_message_once_in_order(self):
+        count = 60
+        plane = FaultPlane(seed=11, retransmit_backoff=0.002)
+        plane.set_link(
+            duplicate=0.4, delay=0.5, delay_range=(0.0, 0.01),
+            reorder=0.3, reorder_window=0.005,
+        )
+        destinations = [(1,), (2,), ALL_GROUPS]
+        sent = [
+            (sequence, destinations[sequence % 3], b"c%d" % sequence)
+            for sequence in range(count)
+        ]
+        replica = ReplicaProcess(None, 0, 2, None, None)
+        with fake_replicas(1, plane) as (transport, readers):
+            for sequence, dst, body in sent:
+                transport.send(route_to(0), (sequence, dst, body))
+            copies = sum(
+                len(entry[3]) for entry in plane.schedule() if entry[0] == "plan"
+            )
+            assert copies > count  # some were duplicated
+            arrived = 0
+            while arrived < copies:  # every copy, the late duplicates too
+                for frame in read_frames(readers[0], 1):
+                    replica.accept_deliver(frame["msgs"])
+                    arrived += len(frame["msgs"])
+                replica.flush_run()
+            wait_until(lambda: transport.in_flight() == 0)
+        assert replica.link.next_expected() == count
+        assert replica.link.pending() == 0
+        for index, queue in replica.queues.items():
+            expected = [
+                item for item in sent if item[1] in ((index,), ALL_GROUPS)
+            ]
+            assert queue.get_batch(count) == expected
+            assert queue.empty()
+
+    @pytest.mark.parametrize(
+        "case", sorted(case for case in MALFORMED if case.startswith("d:"))
+    )
+    def test_a_replica_releases_nothing_from_a_malformed_burst(self, case):
+        left, right = socket.socketpair()
+        try:
+            replica = ReplicaProcess(right, 0, 2, None, None)
+            left.sendall(
+                encode(STREAM[0])
+                + framing.encode_frame(framing.WIRE_MAGIC, MALFORMED[case])
+                + encode(STREAM[1])
+            )
+            left.shutdown(socket.SHUT_WR)  # a serve that read on returns too
+            replica.serve([])  # returns at the malformed frame
+            # STREAM[0] only: not the well-formed message that leads the
+            # malformed burst, not the frame behind it.
+            assert replica.link.next_expected() == 1
+            assert [queue.qsize() for queue in replica.queues.values()] == [1, 0]
+        finally:
+            left.close()
+            right.close()
 
 
 class TestTransportThreads:
@@ -840,7 +1067,7 @@ class TestSerialiseOnce:
                 )
             assert calls == {"encode_command": commands}
             for reader in readers:
-                frames = read_frames(reader, commands)
+                frames = read_messages(reader, commands)
                 assert [frame["ls"] for frame in frames] == list(range(commands))
                 assert [frame["b"] for frame in frames] == bodies
                 assert {frame["dst"] for frame in frames} == {(2,)}
@@ -920,7 +1147,7 @@ class TestUnreadableFrames:
         left, right = socket.socketpair()
         try:
             replica = ReplicaProcess(right, 0, 2, None, None)
-            left.sendall(wire.encode_message(STREAM[0]) + _unreadable_frame(how))
+            left.sendall(encode(STREAM[0]) + _unreadable_frame(how))
             replica.serve([])  # returns: no exception, no further read
             assert replica.queues[1].qsize() == 1  # STREAM[0] was queued
             assert replica.queues[2].qsize() == 0
@@ -952,6 +1179,45 @@ class TestUnreadableFrames:
         finally:
             client.close()
             transport.close()
+
+
+class _Router(ResponseRouter):
+    """A bare response router: just the state it requires."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._waiters = {}
+        self._responses = {}
+
+
+class TestAnsweredOnceOnTheWire:
+    def test_a_malformed_value_in_a_duplicate_copy_costs_the_whole_frame(self):
+        """Only the first answer per uid becomes a Response, but every
+        copy is still decoded: the second replica's ``r`` frame, whose
+        copy of an answered uid carries a value no encoder writes, is a
+        WireError — its other, fresh answer is not delivered either."""
+        router = _Router()
+        with fake_replicas(
+            2, on_message=lambda replica_id, message: router._respond_many(
+                message["resps"], replica_id
+            )
+        ) as (transport, readers):
+            for uid in ((1, 1), (1, 2)):
+                router._register_waiter(uid)
+            first = {"t": "r", "resps": (((1, 1), b"v", None),)}
+            wire.send_message(readers[0]._sock, first)
+            wait_until(lambda: (1, 1) in router._responses)
+            duplicate = bytearray(wire.encode_message(
+                {"t": "r", "resps": (((1, 1), b"v", None), ((1, 2), b"w", None))}
+            )[framing.HEADER_SIZE:])
+            duplicate[struct.calcsize(">BIqq")] = ord("?")  # the copy's value tag
+            readers[1]._sock.sendall(
+                framing.encode_frame(framing.WIRE_MAGIC, bytes(duplicate))
+            )
+            wait_until(lambda: not transport.connected(1))
+            assert transport.connected(0)
+        assert router._responses == {(1, 1): Response((1, 1), b"v", None, 0)}
+        assert (1, 2) in router._waiters
 
 
 class TestTcpCoordinatorTransport:
