@@ -5,8 +5,7 @@ multicast log-suffix replay, but the replay log grows without bound unless
 checkpoints are taken — and the log truncated — periodically.  The threaded
 and process runtimes share one control plane that implements this policy:
 
-* take a marker checkpoint every ``every_messages`` ordered messages and/or
-  every ``every_seconds`` seconds;
+* take a marker checkpoint every ``every_messages`` ordered messages;
 * after every periodic checkpoint, truncate the ordered-message log up to
   the minimum installed-checkpoint watermark across all replicas;
 * a crashed replica pins the log at its last installed watermark only while
@@ -32,10 +31,7 @@ class CheckpointPolicy:
 
     ``every_messages``
         Take a checkpoint once this many messages have been ordered since
-        the previous one (``None`` disables the message trigger).
-    ``every_seconds``
-        Take a checkpoint once this much time has elapsed since the
-        previous one (``None`` disables the time trigger).
+        the previous one.
     ``max_replay_lag``
         The replayable horizon of a *crashed* replica, in ordered messages
         behind the latest sequence number.  While a crashed replica is
@@ -62,16 +58,10 @@ class CheckpointPolicy:
         default) disables compaction.
     """
 
-    def __init__(self, every_messages=None, every_seconds=None, max_replay_lag=None,
-                 full_every=1, compact_after=None):
-        if every_messages is None and every_seconds is None:
-            raise ConfigurationError(
-                "checkpoint policy needs a message and/or a time trigger"
-            )
-        if every_messages is not None and every_messages < 1:
-            raise ConfigurationError("every_messages must be >= 1 (or None)")
-        if every_seconds is not None and every_seconds <= 0:
-            raise ConfigurationError("every_seconds must be > 0 (or None)")
+    def __init__(self, every_messages, max_replay_lag=None, full_every=1,
+                 compact_after=None):
+        if every_messages is None or every_messages < 1:
+            raise ConfigurationError("every_messages must be >= 1")
         if max_replay_lag is not None and max_replay_lag < 0:
             raise ConfigurationError("max_replay_lag must be >= 0 (or None)")
         if full_every is None:
@@ -87,17 +77,13 @@ class CheckpointPolicy:
                 raise ConfigurationError("compact_after must be an int >= 2 (or None)")
         self.compact_after = compact_after
         self.every_messages = every_messages
-        self.every_seconds = every_seconds
         self.max_replay_lag = max_replay_lag
         self.full_every = full_every
 
-    def due(self, messages_since, seconds_since):
-        """True when either trigger has elapsed since the last checkpoint."""
-        if self.every_messages is not None and messages_since >= self.every_messages:
-            return True
-        if self.every_seconds is not None and seconds_since >= self.every_seconds:
-            return True
-        return False
+    def due(self, messages_since):
+        """True once ``every_messages`` messages were ordered since the last
+        checkpoint."""
+        return messages_since >= self.every_messages
 
     def replayable(self, lag):
         """True when a crashed replica ``lag`` messages behind may still replay."""
@@ -120,7 +106,6 @@ class CheckpointPolicy:
     def __repr__(self):
         return (
             f"CheckpointPolicy(every_messages={self.every_messages}, "
-            f"every_seconds={self.every_seconds}, "
             f"max_replay_lag={self.max_replay_lag}, "
             f"full_every={self.full_every}, "
             f"compact_after={self.compact_after})"

@@ -34,17 +34,10 @@ the crash guarantee the fault-injection suite sweeps for:
 :meth:`CheckpointStore.load_chain` additionally verifies every checksum on
 the way back in, so even externally torn files degrade to the longest valid
 chain prefix instead of a crash or silent corruption.
-
-:class:`ChainGossip` is the companion exchange mechanism: replicas publish
-their chain *manifests* (kind + sequence per entry, no payloads) at every
-marker cut, so recovery can find **any** peer whose lineage still contains
-the joiner's last installed cut — not just the original donor — and ask it
-for the chain suffix.
 """
 
 import json
 import os
-import threading
 
 from repro.common import codec as _codec
 from repro.common import framing
@@ -319,53 +312,3 @@ class CheckpointStore:
         """Forget the durable chain (an empty manifest commit)."""
         self._commit_manifest([])
 
-
-class ChainGossip:
-    """Cluster-wide exchange of per-replica chain manifests.
-
-    Replicas publish their chain manifest — ``(kind, sequence)`` per entry,
-    no payloads — at every marker cut; recovery consults the registry to
-    find donors whose lineage still contains the joiner's last installed
-    cut.  The registry is deliberately metadata-only: it is what crosses
-    the wire between replicas, and what a joiner can hold without any peer
-    state.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._manifests = {}
-
-    def publish(self, replica_id, manifest):
-        """Record ``replica_id``'s current chain manifest (replaces the old)."""
-        with self._lock:
-            self._manifests[replica_id] = tuple(
-                (kind, sequence) for kind, sequence in manifest
-            )
-
-    def manifest_of(self, replica_id):
-        with self._lock:
-            return self._manifests.get(replica_id, ())
-
-    def replica_ids(self):
-        with self._lock:
-            return sorted(self._manifests)
-
-    def donors_for(self, cut, exclude=()):
-        """Replica ids whose published lineage contains the cut, in id order.
-
-        A donor qualifies when some entry of its manifest has sequence
-        ``cut`` — the donor checkpointed at that marker and has not started
-        a new lineage (or compacted the cut away) since, so the entries
-        after it form exactly the suffix the joiner is missing.
-        """
-        excluded = set(exclude)
-        with self._lock:
-            return [
-                replica_id
-                for replica_id in sorted(self._manifests)
-                if replica_id not in excluded
-                and any(
-                    sequence == cut
-                    for _kind, sequence in self._manifests[replica_id]
-                )
-            ]

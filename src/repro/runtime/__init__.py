@@ -27,7 +27,7 @@ claims; the process runtime gives every replica its own.
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.runtime.multicast import LocalAtomicMulticast
-from repro.runtime.cluster import CheckpointMarker, ThreadedPSMRCluster, ThreadedClient
+from repro.runtime.cluster import ThreadedPSMRCluster, ThreadedClient
 from repro.runtime.proccluster import ProcessPSMRCluster
 from repro.runtime.linearizability import (
     HistoryRecorder,
@@ -37,7 +37,6 @@ from repro.runtime.linearizability import (
 )
 
 __all__ = [
-    "CheckpointMarker",
     "CheckpointPolicy",
     "LocalAtomicMulticast",
     "ProcessPSMRCluster",

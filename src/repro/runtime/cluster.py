@@ -8,20 +8,24 @@ instance; responses travel back to the client proxy, which returns the
 first one.
 
 :class:`PSMRControlPlane` is everything above the replicas, written once
-for both runtimes: client response routing, consistent cuts (checkpoint
-markers and shard-map updates multicast to every group), the checkpoint
-scheduler with watermark-driven log truncation and off-path compaction,
-the replica fault model of the paper's section IV (crash, then rejoin by
-log replay, chain-suffix transfer or full state transfer — cheapest
-first) and the inspection helpers.  It talks to a replica only through a
-small handle interface:
+for both runtimes: client response routing, consistent cuts (one kind of
+control message, :class:`_Cut`, multicast to every group: a checkpoint
+marker or a shard-map update, each replica's report landing in
+:meth:`~PSMRControlPlane._handle_cut_done`), the checkpoint scheduler
+with watermark-driven log truncation and off-path compaction, the replica
+fault model of the paper's section IV (crash, then rejoin by log replay,
+chain-suffix transfer from the first live peer whose chain holds the
+joiner's cut, or full state transfer — cheapest first) and the
+inspection helpers.  It talks to a replica only through a small handle
+interface:
 
 ``replica_id``, ``watermark``, ``crashed``, ``needs_full_transfer``, ``queues``
     bookkeeping the control plane reads and writes;
 ``kill()``
     fail-stop the current incarnation and wake anything waiting on it;
-``respawn(from_disk) -> (watermark, manifest)``
-    create the next incarnation and say what checkpoint chain it holds;
+``respawn(from_disk) -> watermark``
+    create the next incarnation and say up to which cut its checkpoint
+    chain reaches (-1: no chain);
 ``install(mode, ...)`` / ``start()`` / ``stop()``
     settle transferred state, run the workers, shut down cleanly;
 ``stats()`` / ``snapshot()`` / ``chain_suffix(after)`` / ``compact()``
@@ -41,7 +45,7 @@ import time
 from functools import partial
 
 from repro.common.checkpoint import estimate_checkpoint_size
-from repro.common.checkpoint_store import ChainGossip, CheckpointStore
+from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import (
     CheckpointError,
     ConfigurationError,
@@ -54,126 +58,61 @@ from repro.multicast.group import ALL_GROUPS
 from repro.multicast.sharding import ShardRouter
 from repro.runtime.engine import ReplicaEngine
 from repro.runtime.multicast import LocalAtomicMulticast
-from repro.runtime.transport.wire import make_marker, make_shard_update
+from repro.runtime.transport.wire import make_cut
 
 #: Seconds between two looks of the checkpoint scheduler at its policy.
 CHECKPOINT_POLL_INTERVAL = 0.005
 
 
-class _ReplicaWaitable:
-    """Coordinator-side waiter for one control message's per-replica reports.
+class _Cut:
+    """Coordinator-side waiter for one cut's per-replica reports.
 
-    A control message is multicast to :data:`ALL_GROUPS` and executed in
-    synchronous mode by every replica; what travels is the wire dict from
-    :meth:`wire`, while this object stays with the issuing thread,
-    published in the control plane's ``_pending_markers`` under ``uid`` so
-    the replicas' ``mk`` / ``sh`` reports can find it.  First delivery
-    wins, a crash fails the waiter immediately, and results are handed
-    over on collection.
+    A cut — a checkpoint marker or a shard-map update — is multicast to
+    :data:`ALL_GROUPS`, so it is totally ordered against every command,
+    and executed in synchronous mode by every replica (see
+    :meth:`ReplicaEngine._handle_cut`).  What travels is :attr:`wire`;
+    this object stays with the issuing thread, published in the control
+    plane's ``_pending_cuts`` under :attr:`id` so the replicas' ``c``
+    reports can find it.  ``source`` is the one replica whose report
+    matters, or ``None`` when every replica reports — ``crash_replica``
+    scans pending cuts by it to decide whom a crash fails.  The first
+    outcome per replica wins: a report, or the exception standing in for
+    it (a crash, a failed checkpoint).
     """
 
     _ids = itertools.count()
 
-    def __init__(self, kind, source_replica_id):
-        self.uid = (kind, next(self._ids))
-        #: The one replica whose report matters, or ``None`` when every
-        #: replica participates — ``crash_replica`` scans pending control
-        #: messages by this field to decide whom a crash fails.
-        self.source_replica_id = source_replica_id
-        self._lock = threading.Lock()
-        self._delivered = set()
-        self._results = {}
-        self._failures = {}
-        self._events = {}
+    def __init__(self, source=None, new_map=None, moved=()):
+        self.id = next(self._ids)
+        self.source = source
+        self.wire = make_cut(
+            self.id, source, None if new_map is None else new_map.to_wire(), moved
+        )
+        self._settled = threading.Condition()
+        self._outcomes = {}
 
-    def deliver(self, replica_id, sequence, state):
-        """Record one replica's report (first delivery wins).
-
-        A delivery after :meth:`fail` is dropped too: the waiter already
-        raised, and storing the state would pin it with no consumer.
-        """
-        with self._lock:
-            if replica_id in self._delivered or replica_id in self._failures:
-                return
-            self._delivered.add(replica_id)
-            self._results[replica_id] = (sequence, state)
-            event = self._events.get(replica_id)
-        if event is not None:
-            event.set()
-
-    def fail(self, replica_id, exc):
-        """Mark ``replica_id`` as unable to report (it crashed mid-message).
-
-        Wakes any :meth:`wait_for` caller immediately with ``exc`` instead
-        of letting it run into the full barrier timeout.  A report that
-        was already delivered wins over a later crash.
-        """
-        with self._lock:
-            if replica_id in self._delivered or replica_id in self._failures:
-                return
-            self._failures[replica_id] = exc
-            event = self._events.get(replica_id)
-        if event is not None:
-            event.set()
+    def settle(self, replica_id, outcome):
+        """Record ``replica_id``'s report, or the exception raised in its
+        place; a later outcome for the same replica is dropped."""
+        with self._settled:
+            self._outcomes.setdefault(replica_id, outcome)
+            self._settled.notify_all()
 
     def wait_for(self, replica_id, timeout=None):
-        """Block until ``replica_id`` reported; return ``(sequence, state)``.
-
-        Raises the failure recorded by :meth:`fail` if the replica crashed
-        before reporting, or :class:`TimeoutError` on timeout.
-        """
-        with self._lock:
-            if replica_id in self._results:
-                return self._results.pop(replica_id)
-            if replica_id in self._failures:
-                raise self._failures[replica_id]
-            event = self._events.setdefault(replica_id, threading.Event())
-        if not event.wait(timeout):
-            raise TimeoutError(f"no checkpoint from replica {replica_id}")
-        with self._lock:
-            if replica_id in self._failures:
-                raise self._failures[replica_id]
-            return self._results.pop(replica_id)
-
-
-class CheckpointMarker(_ReplicaWaitable):
-    """Waiter for a control message that snapshots replicas at a consistent cut.
-
-    The marker is multicast to :data:`ALL_GROUPS`, so it is totally ordered
-    against every command, and executed in synchronous mode by every
-    replica (see :meth:`ReplicaEngine._handle_marker`).  With a concrete
-    ``source_replica_id`` only that replica materialises its state; with
-    ``None`` (a *periodic* marker) every replica takes a local checkpoint
-    and reports only completion, which is what log truncation waits on.
-    """
-
-    def __init__(self, source_replica_id=None):
-        super().__init__("__checkpoint__", source_replica_id)
-
-    def wire(self):
-        return make_marker(self.uid[1], self.source_replica_id)
-
-
-class ShardMapUpdate(_ReplicaWaitable):
-    """Waiter for a control message that re-partitions the keyspace at a cut.
-
-    Ordered on every group (so it is a barrier against every command) via
-    :meth:`LocalAtomicMulticast.multicast_shard_update`, which advances
-    the sequencer's shard version atomically with the update's own
-    sequence number.  Every replica participates (see
-    :meth:`ReplicaEngine._handle_shard_update`), so a crash of *any*
-    replica fails the waiter.
-    """
-
-    def __init__(self, new_map, moved_ranges):
-        super().__init__("__shardmap__", None)
-        self.new_map = new_map
-        self.moved_ranges = moved_ranges
-
-    def wire(self):
-        return make_shard_update(
-            self.uid[1], self.new_map.to_wire(), self.moved_ranges
-        )
+        """Block until ``replica_id`` reported; return its report or raise
+        the exception that stands in for it (:class:`TimeoutError` when
+        nothing came within ``timeout``)."""
+        with self._settled:
+            if not self._settled.wait_for(
+                lambda: replica_id in self._outcomes, timeout
+            ):
+                raise TimeoutError(
+                    f"no report of cut {self.id} from replica {replica_id}"
+                )
+            outcome = self._outcomes[replica_id]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 class PendingInvocation:
@@ -401,11 +340,11 @@ class ResponseRouter:
 class _CheckpointScheduler(threading.Thread):
     """Background driver of a cluster's :class:`CheckpointPolicy`.
 
-    Polls the multicast message counter and the wall clock; when either
-    policy trigger is due it runs one periodic checkpoint (every live
-    replica snapshots locally at a marker cut) followed by watermark-driven
-    log truncation.  A crash racing the marker aborts that round only — the
-    next poll retries.
+    Polls the multicast message counter; once ``every_messages`` ordered
+    messages are due it runs one periodic checkpoint (every live replica
+    snapshots locally at a marker cut) followed by watermark-driven log
+    truncation.  A crash racing the marker, or a replica whose checkpoint
+    failed, aborts that round only — the next poll retries.
     """
 
     def __init__(self, cluster, policy):
@@ -415,23 +354,21 @@ class _CheckpointScheduler(threading.Thread):
         # NB: not ``_stop`` — that would shadow threading.Thread internals.
         self._stop_event = threading.Event()
         self._last_messages = cluster.multicast.messages_multicast
-        self._last_time = time.monotonic()
 
     def run(self):
         while not self._stop_event.wait(CHECKPOINT_POLL_INTERVAL):
             messages = self.cluster.multicast.messages_multicast
-            elapsed = time.monotonic() - self._last_time
-            if not self.policy.due(messages - self._last_messages, elapsed):
+            if not self.policy.due(messages - self._last_messages):
                 continue
             try:
                 self.cluster.periodic_checkpoint()
-            except (RecoveryError, TimeoutError):
-                # A crash or slow barrier aborted this round.  Leave the
-                # trigger counters untouched so the policy stays due and
-                # the next poll retries, instead of waiting a full period.
+            except (RecoveryError, TimeoutError, CheckpointError):
+                # A crash, a slow barrier or a failed checkpoint aborted
+                # this round.  Leave the trigger counter untouched so the
+                # policy stays due and the next poll retries, instead of
+                # waiting a full period.
                 continue
             self._last_messages = self.cluster.multicast.messages_multicast
-            self._last_time = time.monotonic()
 
     def stop(self, join_timeout=5.0):
         self._stop_event.set()
@@ -483,9 +420,6 @@ class PSMRControlPlane(ResponseRouter):
         self.checkpoints_taken = 0
         self.truncations = 0
         self.compactions = 0
-        #: Chain-manifest exchange: replicas publish ``(kind, sequence)``
-        #: manifests at every marker cut; recovery consults it for donors.
-        self.gossip = ChainGossip()
         #: Measured checkpoint sizes: raw bytes by kind, plus a per-entry
         #: event log and per-recovery transfer records (mode + bytes).
         self.checkpoint_bytes = {"full": 0, "delta": 0}
@@ -493,7 +427,7 @@ class PSMRControlPlane(ResponseRouter):
         self.recovery_transfers = []
         self.replicas = []
         self._scheduler = None
-        self._pending_markers = {}  # waitable uid -> CheckpointMarker / ShardMapUpdate
+        self._pending_cuts = {}  # cut id -> _Cut
         # Cumulative boundary-violation count last reported by each
         # (replica, generation) — summed by ``marker_boundary_violations``,
         # so violations observed before a crash still count afterwards.
@@ -565,42 +499,31 @@ class PSMRControlPlane(ResponseRouter):
     # Replica reports (a worker thread, or the transport's reader thread —
     # keep handlers cheap)
     # ------------------------------------------------------------------
-    def _handle_marker_done(self, replica_id, message):
-        """A replica executed a checkpoint marker: the single place
-        watermarks, gossip and checkpoint events are recorded."""
-        sequence = message["sequence"]
+    def _handle_cut_done(self, replica_id, report):
+        """A replica executed a cut: the single place watermarks, checkpoint
+        events and boundary counts are recorded, and the waiting cut (if
+        it still waits) is handed the report, or its ``error``."""
         replica = self.replicas[replica_id]
-        # Always advance the bookkeeping — even for a marker nobody is
-        # waiting on anymore (e.g. one re-executed during replay).
-        replica.watermark = max(replica.watermark, sequence)
-        self.gossip.publish(replica_id, message["manifest"])
-        self._note_boundary(replica, message["boundary"])
-        raw = message["raw_bytes"]
+        self._note_boundary(replica, report["boundary"])
+        error = report["error"]
         with self._lock:
-            self.checkpoint_bytes[message["kind"]] += raw
-            self.checkpoint_events.append(
-                {
-                    "sequence": sequence,
-                    "replica_id": replica_id,
-                    "kind": message["kind"],
-                    "raw_bytes": raw,
-                }
-            )
-            marker = self._pending_markers.get(("__checkpoint__", message["marker"]))
-        if marker is not None:
-            marker.deliver(replica_id, sequence, message["state"])
-
-    def _handle_shard_done(self, replica_id, message):
-        """A replica executed a shard-map update: hand the artifact's
-        stats (or the build failure) to the waiting update."""
-        with self._lock:
-            update = self._pending_markers.get(("__shardmap__", message["update"]))
-        if update is None:
-            return  # e.g. re-executed during replay after the wait ended
-        if message["error"]:
-            update.fail(replica_id, CheckpointError(message["error"]))
-        else:
-            update.deliver(replica_id, message["sequence"], message)
+            # Always advance the bookkeeping — even for a cut nobody is
+            # waiting on anymore (e.g. one re-executed during replay).
+            if error is None and report["kind"] != "shard":
+                sequence, kind = report["sequence"], report["kind"]
+                replica.watermark = max(replica.watermark, sequence)
+                self.checkpoint_bytes[kind] += report["raw_bytes"]
+                self.checkpoint_events.append(
+                    {
+                        "sequence": sequence,
+                        "replica_id": replica_id,
+                        "kind": kind,
+                        "raw_bytes": report["raw_bytes"],
+                    }
+                )
+            cut = self._pending_cuts.get(report["cut"])
+        if cut is not None:
+            cut.settle(replica_id, CheckpointError(error) if error else report)
 
     def _note_boundary(self, replica, count):
         with self._lock:
@@ -608,7 +531,7 @@ class PSMRControlPlane(ResponseRouter):
 
     @property
     def marker_boundary_violations(self):
-        """Markers that completed with responses still pending on a worker;
+        """Cuts that completed with responses still pending on a worker;
         the batched drain keeps this at zero and tests assert on it."""
         with self._lock:
             return sum(self._boundary_counts.values())
@@ -617,22 +540,23 @@ class PSMRControlPlane(ResponseRouter):
     # Consistent cuts
     # ------------------------------------------------------------------
     @contextlib.contextmanager
-    def _published(self, waitable):
-        """Keep ``waitable`` findable by replica reports and crashes."""
+    def _published(self, cut):
+        """Keep ``cut`` findable by replica reports and crashes."""
         with self._lock:
-            self._pending_markers[waitable.uid] = waitable
+            self._pending_cuts[cut.id] = cut
         try:
             yield
         finally:
             with self._lock:
-                self._pending_markers.pop(waitable.uid, None)
+                self._pending_cuts.pop(cut.id, None)
 
-    def _collect(self, waitable, replicas, timeout):
-        """``{replica_id: (sequence, result)}`` from every replica that reported.
+    def _collect(self, cut, replicas, timeout):
+        """``{replica_id: report}`` from every replica that reported.
 
         One shared deadline across the waits: the bound is ``timeout``
         total, not ``timeout`` per replica.  A replica that crashed while
-        the message was in flight is skipped.
+        the cut was in flight is skipped; a failed checkpoint or artifact
+        raises its :class:`CheckpointError`.
         """
         if timeout is None:
             timeout = self.barrier_timeout
@@ -640,7 +564,7 @@ class PSMRControlPlane(ResponseRouter):
         reports = {}
         for replica in replicas:
             try:
-                reports[replica.replica_id] = waitable.wait_for(
+                reports[replica.replica_id] = cut.wait_for(
                     replica.replica_id, max(0.0, deadline - time.monotonic())
                 )
             except RecoveryError:
@@ -655,53 +579,57 @@ class PSMRControlPlane(ResponseRouter):
         replica).  Every live replica synchronises at the same cut; only
         the source materialises its state.  Raises :class:`RecoveryError`
         immediately if the source crashes after the marker is multicast but
-        before it delivers its checkpoint.
+        before it delivers its checkpoint, and :class:`CheckpointError` if
+        its snapshot or durable write failed.
         """
         if replica_id is None:
             replica_id = self.live_replicas()[0].replica_id
         elif self.replicas[replica_id].crashed:
             raise RecoveryError(f"replica {replica_id} is crashed")
-        marker = CheckpointMarker(source_replica_id=replica_id)
-        with self._published(marker):
-            # Re-check after publishing the marker: a crash_replica that ran
+        cut = _Cut(source=replica_id)
+        with self._published(cut):
+            # Re-check after publishing the cut: a crash_replica that ran
             # between the validation above and the publish scanned an empty
             # pending set, so one of the two sides must observe the other
             # (crash_replica sets ``crashed`` before scanning).
             if self.replicas[replica_id].crashed:
                 raise RecoveryError(f"replica {replica_id} is crashed")
-            self.multicast.multicast(ALL_GROUPS, marker.wire())
+            self.multicast.multicast(ALL_GROUPS, cut.wire)
             if timeout is None:
                 timeout = self.barrier_timeout
-            return marker.wait_for(replica_id, timeout)
+            report = cut.wait_for(replica_id, timeout)
+        return report["sequence"], report["state"]
 
     def periodic_checkpoint(self, timeout=None):
         """Take one local checkpoint on every live replica, then truncate.
 
-        Multicasts a periodic marker (``source_replica_id=None``): each
-        live replica snapshots its own service at the marker cut and
-        advances its installed-checkpoint watermark.  Once every live
-        replica has reported in, the multicast log is truncated up to the
-        minimum watermark (see :meth:`truncate_to_watermarks`).  Returns
-        the marker's sequence number, or ``None`` when no replica
-        checkpointed (e.g. everything crashed mid-marker).
+        Multicasts a periodic marker (no source): each live replica
+        snapshots its own service at the marker cut and advances its
+        installed-checkpoint watermark.  Once every live replica has
+        reported in, the multicast log is truncated up to the minimum
+        watermark (see :meth:`truncate_to_watermarks`).  Returns the
+        marker's sequence number, or ``None`` when no replica checkpointed
+        (e.g. everything crashed mid-marker).  A replica whose checkpoint
+        failed raises :class:`CheckpointError` at once; its watermark stays
+        where it was.
 
         Normally driven by the background scheduler, but safe to call
         directly (tests and operators do).
         """
-        marker = CheckpointMarker(source_replica_id=None)
-        with self._published(marker):
+        cut = _Cut()
+        with self._published(cut):
             live = self.live_replicas()
-            self.multicast.multicast(ALL_GROUPS, marker.wire())
-            reports = self._collect(marker, live, timeout)
+            self.multicast.multicast(ALL_GROUPS, cut.wire)
+            reports = self._collect(cut, live, timeout)
         if not reports:
             return None
         self.checkpoints_taken += 1
         self.truncate_to_watermarks()
         # Merge due delta runs now, on this (scheduler) thread — after
-        # the marker barrier released the workers, not while every
-        # thread of every replica was stalled inside it.
+        # the cut's barrier released the workers, not while every thread
+        # of every replica was stalled inside it.
         self.compact_chains()
-        return next(iter(reports.values()))[0]
+        return next(iter(reports.values()))["sequence"]
 
     def update_shard_map(self, new_map, timeout=None):
         """Install a new shard map live; returns the migration record.
@@ -709,14 +637,15 @@ class PSMRControlPlane(ResponseRouter):
         The update is ordered on every group, so it is a barrier against
         every command: commands sequenced before it were routed (and
         checked) under the old map, commands after it under the new one —
-        the sequencer flips versions atomically with the update's
-        sequencing, and clients re-route anything rejected as stale.  Each
-        live replica synchronises its workers at the update and builds a
-        verified hand-off artifact (base checkpoint + delta suffix,
-        filtered to the moved ranges) at the cut, reporting its stats; the
-        artifact itself stays with the replica, which is where the moved
-        state already lives.  The cluster keeps the migration record in
-        :attr:`shard_migrations`.
+        :meth:`LocalAtomicMulticast.multicast_shard_update` flips the
+        sequencer's shard version atomically with the update's sequencing,
+        and clients re-route anything rejected as stale.  Each live replica
+        synchronises its workers at the cut and builds a verified hand-off
+        artifact (base checkpoint + delta suffix, filtered to the moved
+        ranges), reporting its stats; the artifact itself stays with the
+        replica, which is where the moved state already lives.  Every
+        replica reports, so a crash of *any* fails its wait.  The cluster
+        keeps the migration record in :attr:`shard_migrations`.
 
         No replica stops serving at any point: the barrier is the same one
         a periodic checkpoint pays, and command execution resumes the
@@ -731,22 +660,25 @@ class PSMRControlPlane(ResponseRouter):
                 f"{old_map.version} -> {new_map.version}"
             )
         moved = new_map.moved_ranges(old_map)
-        update = ShardMapUpdate(new_map, moved)
+        cut = _Cut(new_map=new_map, moved=moved)
         started = time.monotonic()
-        with self._published(update):
+        with self._published(cut):
             live = self.live_replicas()
-            self.multicast.multicast_shard_update(update.wire(), new_map)
-            reports = self._collect(update, live, timeout)
-        stats = [report for _sequence, report in reports.values()]
+            self.multicast.multicast_shard_update(cut.wire, new_map)
+            reports = self._collect(cut, live, timeout)
         record = {
             "from_version": old_map.version,
             "to_version": new_map.version,
-            "sequence": next((sequence for sequence, _ in reports.values()), None),
+            "sequence": next(
+                (report["sequence"] for report in reports.values()), None
+            ),
             "moved_ranges": list(moved),
             "duration_seconds": time.monotonic() - started,
             "replicas": sorted(reports),
-            "bytes": sum(report["bytes"] for report in stats),
-            "verified": all(report["verified"] is not False for report in stats),
+            "bytes": sum(report["raw_bytes"] for report in reports.values()),
+            "verified": all(
+                report["verified"] is not False for report in reports.values()
+            ),
         }
         with self._lock:
             self.shard_migrations.append(record)
@@ -819,18 +751,18 @@ class PSMRControlPlane(ResponseRouter):
         compacted = 0
         for replica in self.live_replicas():
             try:
-                count, manifest = replica.compact()
+                count = replica.compact()
             except (RecoveryError, TimeoutError):
                 continue  # crashed (or wedged) since the liveness check
             if not count:
                 continue
             compacted += count
-            self.gossip.publish(replica.replica_id, manifest)
             with self._lock:
                 self.compactions += count
                 self.checkpoint_events.append(
                     {
-                        "sequence": manifest[-1][1],
+                        # The merged delta keeps the chain's tip cut.
+                        "sequence": replica.watermark,
                         "replica_id": replica.replica_id,
                         "kind": "compaction",
                         "raw_bytes": 0,
@@ -863,7 +795,7 @@ class PSMRControlPlane(ResponseRouter):
 
         Survivors are unaffected — barriers are per-replica, so in-flight
         synchronous-mode commands on live replicas keep making progress.
-        Checkpoint markers and management requests currently waiting on
+        Cuts and management requests currently waiting on
         this replica are failed immediately (with :class:`RecoveryError`)
         instead of hanging for the full barrier timeout.
         """
@@ -876,14 +808,14 @@ class PSMRControlPlane(ResponseRouter):
         replica.kill()
         self.multicast.unregister_replica(replica_id)
         with self._lock:
-            pending = list(self._pending_markers.values())
-        for marker in pending:
-            if marker.source_replica_id in (None, replica_id):
-                marker.fail(
+            pending = list(self._pending_cuts.values())
+        for cut in pending:
+            if cut.source in (None, replica_id):
+                cut.settle(
                     replica_id,
                     RecoveryError(
-                        f"checkpoint source replica {replica_id} crashed "
-                        f"before delivering its checkpoint"
+                        f"replica {replica_id} crashed before reporting "
+                        f"cut {cut.id}"
                     ),
                 )
         return replica
@@ -900,8 +832,8 @@ class PSMRControlPlane(ResponseRouter):
     def recover_replica(self, replica_id, source_replica_id=None):
         """Bring a crashed replica back online, negotiating the cheapest path.
 
-        The replica's next incarnation says what checkpoint chain it still
-        holds (a threaded "crash" keeps its in-memory chain; a killed
+        The replica's next incarnation says up to which cut its checkpoint
+        chain reaches (a threaded "crash" keeps its in-memory chain; a killed
         process keeps nothing, so this is always a full transfer there —
         :meth:`restart_replica_from_disk` is its cheap path).  Three
         paths, tried in cost order:
@@ -959,21 +891,21 @@ class PSMRControlPlane(ResponseRouter):
     def _rejoin(self, replica_id, source_replica_id, from_disk):
         (replica,) = self._crashed_replicas([replica_id], source_replica_id)
         with self._negotiating([replica]):
-            watermark, manifest = replica.respawn(from_disk)
+            replica.watermark = replica.respawn(from_disk)
             if from_disk:
                 # The disk watermark may differ from the one the crash left
                 # in our bookkeeping; re-derive transfer feasibility.
                 replica.needs_full_transfer = False
-            replica.watermark = watermark
             joined = False
-            # With an empty chain, replay would re-execute the whole retained
-            # history from a fresh service — O(history), not O(state) — so
-            # such a joiner skips straight to a peer transfer.
-            if source_replica_id is None and manifest:
+            # With an empty chain (watermark -1), replay would re-execute
+            # the whole retained history from a fresh service —
+            # O(history), not O(state) — so such a joiner skips straight
+            # to a peer transfer.
+            if source_replica_id is None and replica.watermark >= 0:
                 if not replica.needs_full_transfer:
-                    joined = self._recover_via_replay(replica, manifest)
+                    joined = self._recover_via_replay(replica)
                 if not joined:
-                    joined = self._recover_via_chain_transfer(replica, manifest)
+                    joined = self._recover_via_chain_transfer(replica)
             if not joined:
                 self._recover_via_full_transfer([replica], source_replica_id)
         return replica
@@ -1022,7 +954,7 @@ class PSMRControlPlane(ResponseRouter):
                 for replica in replicas:
                     self._truncation_floors.pop(replica.replica_id, None)
 
-    def _join(self, replica, after_sequence, manifest):
+    def _join(self, replica, after_sequence):
         """Register a settled joiner with the log after its cut; start it.
 
         Raises :class:`RecoveryError` (and changes nothing) when the log no
@@ -1030,13 +962,12 @@ class PSMRControlPlane(ResponseRouter):
         """
         self._register(replica, after_sequence)
         replica.watermark = after_sequence
-        self.gossip.publish(replica.replica_id, manifest)
         if self._started:
             replica.start()
         replica.needs_full_transfer = False
         replica.crashed = False
 
-    def _recover_via_replay(self, replica, manifest):
+    def _recover_via_replay(self, replica):
         """Cheapest rung: the joiner's own chain plus retained-log replay.
 
         False when the log no longer reaches back to the joiner's watermark
@@ -1048,47 +979,38 @@ class PSMRControlPlane(ResponseRouter):
             replica.needs_full_transfer = True
             return False
         try:
-            self._join(replica, replica.watermark, manifest)
+            self._join(replica, replica.watermark)
         except RecoveryError:  # the log is truncated past the joiner's cut
             replica.needs_full_transfer = True
             return False
         self._record_transfer(replica.replica_id, "replay", [])
         return True
 
-    def _recover_via_chain_transfer(self, replica, manifest):
+    def _recover_via_chain_transfer(self, replica):
         """Delta rung: transfer only the chain suffix the joiner misses.
 
-        Donors come from the gossiped chain manifests: any replica whose
-        advertised lineage contains the joiner's watermark ``w`` as a cut
-        qualifies — periodic markers cut every replica at the same
-        sequences, so that holds exactly when the peer has not started a
-        new chain (taken a full snapshot) or compacted ``w`` away since.
-        Candidates are tried in replica-id order, skipping crashed ones —
-        so when the first-choice donor is itself down, the next gossiped
-        peer donates instead.  The gossip is re-verified against the
-        donor's live chain (a compaction may have dropped the cut since it
-        was published).  The joiner restores its *own* chain to ``w``,
-        applies the donor's delta entries after ``w``, and replays the log
-        after the donor's chain tip (retained, because the live donor's
-        watermark pins truncation).  False when no live donor's chain
-        extends the joiner's, or when the replay after the donor's tip
-        would itself exceed the policy's ``max_replay_lag`` horizon (the
-        O(history) replay the horizon forbids).
+        The live peers are asked in replica-id order for their chain after
+        the joiner's watermark ``w``; the first whose chain still holds
+        ``w`` as a cut donates — periodic markers cut every replica at the
+        same sequences, so that holds exactly when the peer has not started
+        a new chain (taken a full snapshot) or compacted ``w`` away since.
+        The joiner restores its *own* chain to ``w``, applies the donor's
+        delta entries after ``w``, and replays the log after the donor's
+        chain tip (retained, because the live donor's watermark pins
+        truncation).  False when no live peer's chain extends the
+        joiner's, or when the replay after the donor's tip would itself
+        exceed the policy's ``max_replay_lag`` horizon (the O(history)
+        replay the horizon forbids).
         """
         watermark = replica.watermark
         policy = self.checkpoint_policy
-        for donor_id in self.gossip.donors_for(
-            watermark, exclude=(replica.replica_id,)
-        ):
-            donor = self.replicas[donor_id]
-            if donor.crashed:
-                continue  # advertised lineage, but the donor is down
+        for donor in self.live_replicas():
             try:
                 suffix = donor.chain_suffix(watermark)
             except (RecoveryError, TimeoutError):
-                continue
+                continue  # crashed (or wedged) since the liveness check
             if suffix is None:
-                continue  # the donor compacted the cut away since gossiping
+                continue  # the donor's chain no longer holds the cut
             tip = suffix[-1]["sequence"] if suffix else watermark
             if policy is not None and not policy.replayable(
                 self.multicast.latest_sequence() - tip
@@ -1096,10 +1018,7 @@ class PSMRControlPlane(ResponseRouter):
                 return False
             replica.install("chain", entries=suffix)
             try:
-                self._join(
-                    replica, tip,
-                    [*manifest, *((e["kind"], e["sequence"]) for e in suffix)],
-                )
+                self._join(replica, tip)
             except RecoveryError:
                 # The full-transfer fallback replaces the extended chain
                 # wholesale, so the install above is harmless.
@@ -1116,7 +1035,7 @@ class PSMRControlPlane(ResponseRouter):
         sequence, state = self.checkpoint(replica_id=source_replica_id)
         for replica in replicas:
             replica.install("full", sequence=sequence, state=state)
-            self._join(replica, sequence, [("full", sequence)])
+            self._join(replica, sequence)
             self._record_transfer(replica.replica_id, "full", [state])
 
     # ------------------------------------------------------------------
@@ -1178,8 +1097,8 @@ class PSMRControlPlane(ResponseRouter):
 class _LocalReplica:
     """Threaded-runtime replica handle: owns an in-process engine.
 
-    The engine's three sinks are bound to direct calls into the control
-    plane, so a response batch or a marker report is one method call away
+    The engine's two sinks are bound to direct calls into the control
+    plane, so a response batch or a cut report is one method call away
     from the waiting client or coordinator thread.
     """
 
@@ -1205,8 +1124,7 @@ class _LocalReplica:
             self.replica_id, cluster.mpl, cluster.service_factory, chain,
             self.store, cluster.checkpoint_policy, cluster.barrier_timeout,
             on_responses=cluster._respond_many,
-            on_marker_done=partial(cluster._handle_marker_done, self.replica_id),
-            on_shard_done=partial(cluster._handle_shard_done, self.replica_id),
+            on_cut_done=partial(cluster._handle_cut_done, self.replica_id),
         )
 
     # What tests and examples read (and the crash tests overwrite) on a
@@ -1238,7 +1156,7 @@ class _LocalReplica:
                 )
             chain = CheckpointStore(self.store.directory).load_chain()
         self.engine = self._new_engine(chain)
-        return self.engine.watermark, self.engine.manifest()
+        return self.engine.watermark
 
     def install(self, mode, **transfer):
         self.engine.install(mode, **transfer)

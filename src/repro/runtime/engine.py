@@ -8,22 +8,19 @@ checkpoint chain with its full/delta cadence, the durable store it is
 persisted to, compaction, chain-suffix donation and the delivery
 counters.
 
-It reports outward only through three callables, fired per flush and
-per cut, never per command:
+It reports outward only through two callables, fired per flush and per
+cut, never per command:
 
 * ``on_responses(pairs)`` — a batch of ``(uid, Response)`` pairs;
-* ``on_marker_done(message)`` — an ``mk`` report: a checkpoint marker
-  was executed at a consistent cut;
-* ``on_shard_done(message)`` — an ``sh`` report: a shard-map update was
-  executed and its hand-off artifact built.
+* ``on_cut_done(report)`` — a ``c`` report: a cut (a checkpoint marker
+  or a shard-map update) was executed, and the checkpoint taken or the
+  hand-off artifact built at it — or the ``error`` that stopped it.
 
 The threaded runtime binds them to direct calls into the control plane;
-a replica process binds them to ``r`` / ``mk`` / ``sh`` frames on its
-socket.  Control messages arrive in one form in both runtimes — the wire
-dicts of :func:`~repro.runtime.transport.wire.make_marker` and
-:func:`~repro.runtime.transport.wire.make_shard_update` — and the
-reports are the matching wire dicts, so neither side of either binding
-translates anything.
+a replica process binds them to ``r`` / ``c`` frames on its socket.  A
+cut arrives in one form in both runtimes — the wire dict of
+:func:`~repro.runtime.transport.wire.make_cut` — and the report is a wire
+dict too, so neither side of either binding translates anything.
 """
 
 import threading
@@ -38,7 +35,6 @@ from repro.common.codec import decode_command
 from repro.common.errors import CheckpointError, ReplicaCrashedError
 from repro.core.protocol import plan_execution
 from repro.multicast.sharding import build_shard_artifact
-from repro.runtime.transport import wire
 
 #: Messages a worker drains per wake-up: one lock round-trip amortised
 #: over the run instead of paid per command.
@@ -145,7 +141,7 @@ class ReplicaEngine:
     """
 
     def __init__(self, replica_id, mpl, service_factory, chain, store, policy,
-                 barrier_timeout, on_responses, on_marker_done, on_shard_done):
+                 barrier_timeout, on_responses, on_cut_done):
         self.replica_id = replica_id
         self.mpl = mpl
         self.service_factory = service_factory
@@ -155,8 +151,7 @@ class ReplicaEngine:
         self.policy = policy
         self.barrier_timeout = barrier_timeout
         self.on_responses = on_responses
-        self.on_marker_done = on_marker_done
-        self.on_shard_done = on_shard_done
+        self.on_cut_done = on_cut_done
         self.barrier = _BarrierSync()
         self.crashed = False
         #: The replica's local checkpoint chain: one full base entry
@@ -173,7 +168,11 @@ class ReplicaEngine:
         #: by at most the compacted run, the trade ``compact_after``
         #: already accepts.
         self.deltas_since_full = self._count_deltas()
-        #: Serialises chain mutations (markers, recovery install) against
+        #: Set while a checkpoint is being taken and left set if it fails:
+        #: the service's delta tracking then no longer starts at the chain
+        #: tip, so the next checkpoint must be full.
+        self._rebase = False
+        #: Serialises chain mutations (cuts, recovery install) against
         #: off-path compaction and donation; also makes the durable store
         #: single-writer.
         self.chain_lock = threading.Lock()
@@ -181,9 +180,9 @@ class ReplicaEngine:
         #: Batches drained per thread (``delivered[i] / batches[i]`` is the
         #: thread's achieved amortisation).  Single-writer slots: no lock.
         self.batches = [0] * (mpl + 1)
-        #: Incremented if a marker ever completes with responses still
+        #: Incremented if a cut ever completes with responses still
         #: pending on a worker — the batched drain keeps this at zero
-        #: (markers cut exactly at batch boundaries); tests assert on it.
+        #: (cuts land exactly at batch boundaries); tests assert on it.
         self.boundary_violations = 0
         self._counter_lock = threading.Lock()
         self.queues = {}
@@ -201,19 +200,16 @@ class ReplicaEngine:
         service state (the cut before any message)."""
         return self.chain[-1]["sequence"] if self.chain else -1
 
-    def manifest(self):
-        return tuple((entry["kind"], entry["sequence"]) for entry in self.chain)
-
     def _set_chain(self, chain):
-        """Replace the chain and persist it; caller holds ``chain_lock``.
+        """Persist ``chain``, then adopt it; caller holds ``chain_lock``.
 
-        The durable write happens before any report leaves the engine: a
-        peer acting on the gossiped manifest can rely on the advertised
-        lineage surviving this replica's own restart.
+        A chain is adopted only once it is durable: when the write fails
+        the replica keeps its old chain, in memory as on disk, so no report
+        and no donation ever names a cut its own restart would not find.
         """
-        self.chain = chain
         if self.store is not None:
             self.store.sync_chain(chain)
+        self.chain = chain
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -241,7 +237,7 @@ class ReplicaEngine:
         """Run the workers over ``{thread_index: delivery queue}``.
 
         Chain and cadence are settled *before* the workers start — the
-        queues may already hold a replayed periodic marker whose execution
+        queues may already hold a replayed periodic cut whose execution
         reads (and must extend, not be overwritten by) the chain, keeping
         it in sync with the service's delta-tracking mark.
         """
@@ -289,7 +285,7 @@ class ReplicaEngine:
         over the whole run instead of paid per command.  Parallel-mode responses
         are accumulated and handed to ``on_responses`` in one batch too;
         they are always flushed before anything that can block or reorder
-        — a barrier, a checkpoint marker — and at the end of every drained
+        — a barrier, a cut — and at the end of every drained
         batch, so a closed-loop client is never left waiting on a response
         this thread is sitting on.
         """
@@ -311,16 +307,13 @@ class ReplicaEngine:
                 self.delivered[index] += 1
                 try:
                     if isinstance(command, dict):
-                        # A control message cuts the batch: every response
-                        # from before it becomes client-visible before the
+                        # A cut splits the batch: every response from
+                        # before it becomes client-visible before the
                         # barrier, and nothing after it has executed yet
-                        # (in-order drain) — so the cut lands exactly on a
+                        # (in-order drain) — so it lands exactly on a
                         # batch boundary.
                         self._flush_responses(pending)
-                        if wire.is_marker(command):
-                            self._handle_marker(sequence, command, index)
-                        else:
-                            self._handle_shard_update(sequence, command, index)
+                        self._handle_cut(sequence, command, index)
                         if pending:
                             with self._counter_lock:
                                 self.boundary_violations += 1
@@ -361,10 +354,10 @@ class ReplicaEngine:
         return response
 
     def _synchronise(self, uid, index):
-        """Barrier every worker at a control message; True on the executor.
+        """Barrier every worker at a cut; True on the executor.
 
-        When thread 1 returns, every sibling has reached the message, so
-        the service reflects exactly the commands sequenced before it; the
+        When thread 1 returns, every sibling has reached the cut, so the
+        service reflects exactly the commands sequenced before it; the
         siblings return only after the executor called ``barrier.complete``.
         """
         if index != 1:
@@ -375,71 +368,70 @@ class ReplicaEngine:
         )
         return True
 
-    def _handle_marker(self, sequence, marker, index):
-        """Synchronous-mode execution of a checkpoint marker.
+    def _handle_cut(self, sequence, cut, index):
+        """Synchronous-mode execution of a cut, and its report.
 
-        With a concrete ``source`` only that replica materialises its
-        state — the others pay just the barrier, which is what makes the
-        cut consistent cluster-wide without N copies of the state.  With
-        ``source=None`` (a *periodic* marker) every replica takes a local
-        checkpoint at the cut and keeps the state to itself; the report
-        carries only the chain manifest and the measured size.
+        A shard-map update (``map`` set) builds the hand-off artifact of
+        the moved ranges on every replica.  A checkpoint marker with a
+        concrete ``source`` is materialised by that replica only — the
+        others pay just the barrier, which is what makes the cut consistent
+        cluster-wide without N copies of the state; with ``source=None``
+        (a *periodic* marker) every replica takes a local checkpoint and
+        keeps the state to itself.  A snapshot, write or artifact build
+        that fails is reported as the ``error``; the barrier completes and
+        the workers go on either way.
         """
-        uid = ("__checkpoint__", marker["marker"])
+        uid = ("__cut__", cut["cut"])
         if not self._synchronise(uid, index):
             return
-        source = marker["source"]
-        if source is None or source == self.replica_id:
-            with self.chain_lock:
-                entry = self._take_local_checkpoint(sequence, full=source is not None)
-                manifest = self.manifest()
+        source = cut["source"]
+        if cut["map"] is not None or source in (None, self.replica_id):
+            report = {"t": "c", "cut": cut["cut"], "sequence": sequence,
+                      "error": None}
+            try:
+                with self.chain_lock:
+                    if cut["map"] is not None:
+                        report.update(self._shard_artifact(cut["moved"]))
+                    else:
+                        report.update(self._checkpoint(sequence, source))
+            except (CheckpointError, OSError) as exc:
+                report["error"] = f"replica {self.replica_id}: {exc!r}"
             with self._counter_lock:
-                boundary = self.boundary_violations
-            self.on_marker_done(
-                {
-                    "t": "mk",
-                    "marker": marker["marker"],
-                    "sequence": sequence,
-                    "manifest": manifest,
-                    "kind": entry["kind"],
-                    "raw_bytes": estimate_checkpoint_size(entry["payload"]),
-                    # Only a source marker (recovery transfer) hands its
-                    # state out; a periodic checkpoint stays local.
-                    "state": entry["payload"] if source is not None else None,
-                    "boundary": boundary,
-                }
-            )
+                report["boundary"] = self.boundary_violations
+            self.on_cut_done(report)
         self.barrier.complete(uid)
 
-    def _take_local_checkpoint(self, sequence, full=False):
-        """Snapshot the service at a cut; returns the new chain entry.
+    def _checkpoint(self, sequence, source):
+        """Snapshot the service at a cut, as the report's fields.
 
         A delta is taken when the policy allows more deltas on the current
         chain and the service supports delta checkpoints; otherwise (and
-        always for a source marker, ``full=True``) a full snapshot starts a
-        new chain and resets the service's delta tracking, so the next
-        delta is relative to this base.  Delta compaction is deliberately
-        *not* done here: every worker thread of every replica is stalled
-        at the marker barrier while this runs, so the merge is paid
-        off-path by the checkpoint scheduler instead (:meth:`compact`).
+        always for a source marker, whose state is handed out) a full
+        snapshot starts a new chain and resets the service's delta
+        tracking, so the next delta is relative to this base.  Delta
+        compaction is deliberately *not* done here: every worker thread of
+        every replica is stalled at the cut while this runs, so the merge
+        is paid off-path by the checkpoint scheduler instead
+        (:meth:`compact`).  Caller holds ``chain_lock``.
         """
         policy = self.policy
-        chain = self.chain
         take_delta = (
-            not full
-            and chain
+            source is None
+            and self.chain
+            and not self._rebase
             and policy is not None
             and not policy.take_full(self.deltas_since_full)
             and hasattr(self.service, "delta_checkpoint")
         )
+        self._rebase = True
         if take_delta:
             entry = {
                 "kind": "delta",
                 "sequence": sequence,
                 "payload": self.service.delta_checkpoint(),
             }
+            self._set_chain([*self.chain, entry])
             self.deltas_since_full += 1
-            self._set_chain([*chain, entry])
         else:
             entry = {
                 "kind": "full",
@@ -448,57 +440,37 @@ class ReplicaEngine:
             }
             if hasattr(self.service, "reset_delta_tracking"):
                 self.service.reset_delta_tracking()
-            self.deltas_since_full = 0
             self._set_chain([entry])
-        return entry
-
-    def _handle_shard_update(self, sequence, update, index):
-        """Synchronous-mode execution of a shard-map update.
-
-        Once every thread has reached the update, the service reflects
-        exactly the commands routed under the old shard map, so the
-        executor's hand-off artifact is a consistent cut of the moved
-        ranges at ``sequence``.  Routing already switched at the sequencer
-        when the update was ordered; this barrier is what makes the state
-        transfer point well-defined on every replica.  Only the artifact's
-        stats are reported — every P-SMR replica already holds the full
-        state; what moves is ordering ownership, and the artifact proves
-        the transferable state was consistent.
-        """
-        uid = ("__shardmap__", update["update"])
-        if not self._synchronise(uid, index):
-            return
-        moved = update["moved"]
-        report = {
-            "t": "sh",
-            "update": update["update"],
-            "sequence": sequence,
-            "version": update["map"]["version"],
-            "ranges": len(moved),
-            "entries": 0,
-            "bytes": 0,
-            "keys": 0,
-            "verified": None,
-            "error": None,
+            self.deltas_since_full = 0
+        self._rebase = False
+        return {
+            "kind": entry["kind"],
+            "raw_bytes": estimate_checkpoint_size(entry["payload"]),
+            # Only a source marker (recovery transfer) hands its state
+            # out; a periodic checkpoint stays local.
+            "state": entry["payload"] if source is not None else None,
         }
-        try:
-            if moved:
-                with self.chain_lock:
-                    artifact = build_shard_artifact(
-                        self.service,
-                        self.chain,
-                        moved,
-                        service_factory=self.service_factory,
-                    )
-                report["entries"] = artifact["entries"]
-                report["bytes"] = artifact["bytes"]
-                report["keys"] = artifact.get("keys", 0)
-                report["verified"] = artifact["verified"]
-        except CheckpointError as exc:
-            report["error"] = str(exc)
-            report["verified"] = False
-        self.on_shard_done(report)
-        self.barrier.complete(uid)
+
+    def _shard_artifact(self, moved):
+        """The hand-off artifact of the ``moved`` ranges, as the report's fields.
+
+        Routing already switched at the sequencer when the update was
+        ordered; the cut is what makes the state transfer point
+        well-defined on every replica.  Only the artifact's stats are
+        reported — every P-SMR replica already holds the full state; what
+        moves is ordering ownership, and the artifact proves the
+        transferable state was consistent.  Caller holds ``chain_lock``.
+        """
+        if not moved:
+            return {"kind": "shard", "raw_bytes": 0, "verified": None}
+        artifact = build_shard_artifact(
+            self.service, self.chain, moved, service_factory=self.service_factory
+        )
+        return {
+            "kind": "shard",
+            "raw_bytes": artifact["bytes"],
+            "verified": artifact["verified"],
+        }
 
     # ------------------------------------------------------------------
     # Management (any thread)
@@ -531,9 +503,9 @@ class ReplicaEngine:
     def compact(self):
         """Merge the delta run if the policy says it is due.
 
-        Runs off the marker path with only this replica's ``chain_lock``
-        held; workers keep executing commands throughout.  Returns
-        ``(chains compacted, manifest)``.
+        Runs off the cut path with only this replica's ``chain_lock``
+        held; workers keep executing commands throughout.  Returns the
+        number of chains compacted (0 or 1).
         """
         with self.chain_lock:
             chain = self.chain
@@ -544,4 +516,4 @@ class ReplicaEngine:
             )
             if due:
                 self._set_chain(compact_chain(chain))
-            return int(due), self.manifest()
+            return int(due)

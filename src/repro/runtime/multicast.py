@@ -80,8 +80,8 @@ class LocalAtomicMulticast:
         #: Encoded command bytes ordered so far.  A transport that
         #: ``carries_bytes`` gets every command encoded once, at multicast
         #: time, and each worker decodes its own copy; any other is handed
-        #: the command object by reference and this stays 0.  Control
-        #: messages (markers, shard updates) are plain wire dicts already;
+        #: the command object by reference and this stays 0.  Cuts
+        #: (checkpoint markers, shard updates) are plain wire dicts already;
         #: the transport that needs bytes frames them itself.
         self.wire_bytes = 0
         self._lock = threading.Lock()

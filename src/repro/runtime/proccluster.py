@@ -122,7 +122,7 @@ class _ProcReplica:
                 "compact_after": policy.compact_after if policy else None,
             }
         )
-        return hello["watermark"], hello["manifest"]
+        return hello["watermark"]
 
     def kill(self):
         """A literal ``SIGKILL``; then wake every management request still
@@ -211,8 +211,7 @@ class _ProcReplica:
         return None if entries is None else wire.decode_chain(entries)
 
     def compact(self):
-        reply = self._request({"t": "compact"})
-        return reply["count"], reply["manifest"]
+        return self._request({"t": "compact"})["count"]
 
 
 class ProcessPSMRCluster(PSMRControlPlane):
@@ -281,9 +280,7 @@ class ProcessPSMRCluster(PSMRControlPlane):
         kind = message.get("t")
         if kind == "r":
             self._respond_many(message["resps"], replica_id)
-        elif kind == "mk":
-            self._handle_marker_done(replica_id, message)
-        elif kind == "sh":
-            self._handle_shard_done(replica_id, message)
+        elif kind == "c":
+            self._handle_cut_done(replica_id, message)
         else:  # the reply to a management request
             self.replicas[replica_id]._reply(message)

@@ -5,8 +5,8 @@ replica's identity, service and durable-store directory; it dials back
 over TCP, replays the handshake (``hello`` → ``welcome`` → optional
 ``restore`` → ``start``) and then runs a
 :class:`~repro.runtime.engine.ReplicaEngine` — the same engine the
-threaded runtime runs in-process — with its three sinks bound to ``r`` /
-``mk`` / ``sh`` frames on the socket.
+threaded runtime runs in-process — with its two sinks bound to ``r`` /
+``c`` frames on the socket.
 
 The receive loop is the process's main thread: each read takes every
 frame a burst left in the socket (``wire.FrameReader``), reassembles
@@ -97,8 +97,7 @@ class ReplicaProcess:
             self.replica_id, self.mpl, self.service_factory, chain, self.store,
             policy, message["barrier_timeout"],
             on_responses=self.send_responses,
-            on_marker_done=self.send,
-            on_shard_done=self.send,
+            on_cut_done=self.send,
         )
 
     # ------------------------------------------------------------------
@@ -148,10 +147,7 @@ class ReplicaProcess:
             entries = None if suffix is None else wire.encode_chain(suffix)
             self.send({"t": "chain", "req": req, "entries": entries})
         elif kind == "compact":
-            count, manifest = engine.compact()
-            self.send(
-                {"t": "compacted", "req": req, "count": count, "manifest": manifest}
-            )
+            self.send({"t": "compacted", "req": req, "count": engine.compact()})
 
     # ------------------------------------------------------------------
     # Main loop
@@ -163,7 +159,6 @@ class ReplicaProcess:
                 "t": "hello",
                 "replica": self.replica_id,
                 "watermark": chain[-1]["sequence"] if chain else -1,
-                "manifest": tuple((e["kind"], e["sequence"]) for e in chain),
                 "pid": os.getpid(),
             }
         )

@@ -17,7 +17,7 @@ writes a whole run with :func:`deliver_frames`.
 type                    dir    meaning
 ======================  =====  ==============================================
 ``hello``               c→s    first frame after connect: replica id, pid,
-                               durable-chain watermark + manifest
+                               durable-chain watermark
 ``welcome``             s→c    handshake reply: barrier timeout and the
                                checkpoint-policy knobs the engine reads
                                locally (full_every, compact_after)
@@ -30,15 +30,15 @@ type                    dir    meaning
                                reorder or duplicate copies under a fault
                                plane; a ReliableLink restores the gap-free
                                stream), global sequence, destinations and
-                               body (encoded command bytes or a marker /
-                               shard-update dict)
+                               body (encoded command bytes or a cut dict,
+                               :func:`make_cut`)
 ``r``                   c→s    batched command responses
-``mk``                  c→s    marker executed: sequence, chain manifest,
-                               checkpoint kind/bytes, state (source
-                               markers only)
-``sh``                  c→s    shard-map update executed: sequence plus
-                               the hand-off artifact's stats (ranges,
-                               entries, bytes, verified)
+``c``                   c→s    cut executed: cut id, sequence, kind
+                               (``full`` / ``delta`` checkpoint or
+                               ``shard`` artifact), raw bytes, state
+                               (source markers only), artifact verified,
+                               boundary count, error (a failed snapshot,
+                               write or artifact build)
 ``stats?``/``stats``    s→c/c→s  execution counters + queue backlog
 ``snap?``/``snap``      s→c/c→s  service snapshot
 ``chain?``/``chain``    s→c/c→s  chain-suffix donation after a cut
@@ -55,7 +55,7 @@ stream header (:func:`repro.common.codec.encode_value`):
            destination count u16 · count x group id u32 · body, to the
            length's end.  Kind 0: the encoded command, verbatim — the
            ordering layer does not parse what it orders; kind 1: one
-           *value* (a marker or shard-update dict).  Only ``ls`` differs
+           *value* (a cut dict).  Only ``ls`` differs
            between the copies of one multicast: :func:`ordered_part` builds
            the rest once, :func:`deliver_frames` frames one link's run of
            them — every run between two control frames, cut so that no
@@ -104,41 +104,23 @@ class WireError(Exception):
     """A peer sent something unframeable; the connection is unusable."""
 
 
-MARKER_KEY = "__psmr_marker__"
+def make_cut(cut_id, source, shard_map, moved):
+    """A consistent cut as it is multicast in both runtimes: a plain dict,
+    because it must be able to cross the wire.
 
-
-def make_marker(marker_id, source_replica_id):
-    """A checkpoint marker as it is multicast in both runtimes: a plain
-    dict, because it must be able to cross the wire.  The coordinator-side
-    ``CheckpointMarker`` waiter stays behind, found again by ``marker``."""
+    A checkpoint marker has no ``map``: only replica ``source`` snapshots
+    and hands its state out, or, with ``source=None``, every replica takes
+    a local checkpoint.  A shard-map update carries the new map
+    (:meth:`ShardMap.to_wire`) and the moved hash ranges ``(lo, hi,
+    from_group, to_group)`` its hand-off artifact must cover.  The
+    coordinator's waiter stays behind, found again by ``cut``.
+    """
     return {
-        MARKER_KEY: True,
-        "marker": marker_id,
-        "source": source_replica_id,
+        "cut": cut_id,
+        "source": source,
+        "map": shard_map,
+        "moved": tuple(tuple(entry) for entry in moved),
     }
-
-
-def is_marker(payload):
-    return isinstance(payload, dict) and payload.get(MARKER_KEY)
-
-
-SHARD_KEY = "__psmr_shard__"
-
-
-def make_shard_update(update_id, map_wire, moved_ranges):
-    """A shard-map update as it is multicast: a plain wire dict carrying
-    the new map (:meth:`ShardMap.to_wire`) and the moved hash ranges
-    ``(lo, hi, from_group, to_group)`` the hand-off artifact must cover."""
-    return {
-        SHARD_KEY: True,
-        "update": update_id,
-        "map": map_wire,
-        "moved": tuple(tuple(entry) for entry in moved_ranges),
-    }
-
-
-def is_shard_update(payload):
-    return isinstance(payload, dict) and payload.get(SHARD_KEY)
 
 
 _DELIVER_TAG = ord("d")
@@ -152,7 +134,7 @@ _RESPONSES = struct.Struct(">BI")  # tag, response count
 _UID = struct.Struct(">qq")
 
 _BODY_COMMAND = 0  # encoded command bytes, verbatim
-_BODY_VALUE = 1  # one codec value: marker and shard-update dicts
+_BODY_VALUE = 1  # one codec value: a cut dict
 
 
 def ordered_part(sequence, destinations, payload):

@@ -9,18 +9,20 @@ last chain whose manifest commit completed — never a torn manifest, never
 a half-written segment (the checksums reject those).
 
 On top of the byte sweep: checksum rejection of externally corrupted
-segments and manifests, gossip-donated chain-suffix recovery when the
-original donor is itself crashed (with a linearizability check across the
-whole episode) and process-restart recovery from disk in the threaded
-cluster.
+segments and manifests, chain-suffix recovery from the first live peer
+whose chain still holds the joiner's cut (with a linearizability check
+across one such episode), process-restart recovery from disk in the
+threaded cluster, and a checkpoint write that fails on a full disk.
 """
 
+import errno
 import os
+import time
 
 import pytest
 
 from repro.common.checkpoint import CheckpointPolicy, compact_chain
-from repro.common.checkpoint_store import ChainGossip, CheckpointStore
+from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import CheckpointError, RecoveryError
 from repro.harness.experiments.durable import run_durable_recovery
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
@@ -248,31 +250,16 @@ def test_append_delta_to_empty_store_is_a_typed_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Chain gossip
+# Threaded cluster: donor selection and process restart from disk
 # ----------------------------------------------------------------------
-def test_gossip_donors_match_cuts_in_id_order():
-    gossip = ChainGossip()
-    gossip.publish(2, [("full", 5), ("delta", 7), ("delta", 9)])
-    gossip.publish(0, [("full", 5), ("delta", 7)])
-    gossip.publish(1, [("full", 9)])
-    assert gossip.donors_for(7) == [0, 2]
-    assert gossip.donors_for(9) == [1, 2]
-    assert gossip.donors_for(9, exclude=(1,)) == [2]
-    assert gossip.donors_for(4) == []
-    assert gossip.manifest_of(3) == ()
-    assert gossip.manifest_of(0) == (("full", 5), ("delta", 7))
-
-
-# ----------------------------------------------------------------------
-# Threaded cluster: gossip recovery and process restart from disk
-# ----------------------------------------------------------------------
-def kv_cluster(mpl=2, replicas=2, initial_keys=16, **kwargs):
+def kv_cluster(mpl=2, replicas=2, initial_keys=16, barrier_timeout=20.0,
+               **kwargs):
     return ThreadedPSMRCluster(
         spec=KVSTORE_SPEC,
         service_factory=lambda: KeyValueStoreServer(initial_keys=initial_keys),
         mpl=mpl,
         num_replicas=replicas,
-        barrier_timeout=20.0,
+        barrier_timeout=barrier_timeout,
         **kwargs,
     )
 
@@ -287,11 +274,14 @@ def _read_value(client, key):
     return response.value if response.error is None else None
 
 
-def test_gossiped_peer_donates_chain_suffix_when_original_donor_is_down():
-    """Satellite scenario: the joiner's first-choice donor (lowest replica
-    id, the one the pre-gossip negotiation would have used) is itself
-    crashed; a gossiped peer donates the chain suffix instead.  The whole
-    episode is checked linearizable."""
+def _cuts(chain):
+    return [entry["sequence"] for entry in chain]
+
+
+def test_next_live_peer_donates_chain_suffix_when_lowest_id_donor_is_down():
+    """The joiner's first-choice donor (the lowest replica id) is itself
+    crashed; the next live peer donates the chain suffix instead.  The
+    whole episode is checked linearizable."""
     recorder = HistoryRecorder()
     policy = manual_policy(full_every=8, max_replay_lag=5)
     with kv_cluster(replicas=3, initial_keys=16, checkpoint_policy=policy) as cluster:
@@ -334,11 +324,12 @@ def test_gossiped_peer_donates_chain_suffix_when_original_donor_is_down():
         assert transfer["mode"] == "chain-suffix"
         assert transfer["entries"] == 2  # exactly the two missed deltas
         assert replica.checkpoint_watermark > joiner_watermark
-        # The donated lineage was advertised through the gossip registry.
-        donated_cuts = [
-            sequence for _kind, sequence in cluster.gossip.manifest_of(1)
-        ]
-        assert joiner_watermark in donated_cuts
+        # Replica 1 donated: its chain held the joiner's cut, and the
+        # joiner now holds the same cuts.
+        assert joiner_watermark in _cuts(cluster.replicas[1].checkpoint_chain)
+        assert _cuts(replica.checkpoint_chain) == _cuts(
+            cluster.replicas[1].checkpoint_chain
+        )
         cluster.recover_replica(0)
         for key in range(4):
             update(key, "after")
@@ -346,6 +337,130 @@ def test_gossiped_peer_donates_chain_suffix_when_original_donor_is_down():
         assert snapshots[0] == snapshots[1] == snapshots[2]
     initial = {key: b"\x00" * 8 for key in range(16)}
     assert check_linearizable(recorder.operations, initial_state=initial)
+
+
+def test_a_peer_whose_chain_lost_the_cut_is_skipped():
+    """The lowest-id live peer took a source checkpoint since the joiner
+    crashed, so its chain starts at a fresh full base and no longer holds
+    the joiner's cut: it is asked, declines, and the next peer donates."""
+    policy = manual_policy(full_every=8, max_replay_lag=5)
+    with kv_cluster(replicas=3, initial_keys=16, checkpoint_policy=policy) as cluster:
+        client = cluster.client()
+        for key in range(16):
+            client.invoke("update", key=key, value="before")
+        cluster.wait_for_quiescence()
+        cluster.periodic_checkpoint()  # full base on all three replicas
+        for key in range(4):
+            client.invoke("update", key=key, value="d1")
+        cluster.wait_for_quiescence()
+        joiner_watermark = cluster.periodic_checkpoint()  # delta cut w
+        cluster.crash_replica(2)
+        for burst in range(2):
+            for key in range(8):
+                client.invoke("update", key=key, value=f"b{burst}")
+            cluster.wait_for_quiescence()
+            cluster.periodic_checkpoint()
+        assert cluster.replicas[2].needs_full_transfer
+        source_cut, _state = cluster.checkpoint(replica_id=0)
+        assert _cuts(cluster.replicas[0].checkpoint_chain) == [source_cut]
+        assert joiner_watermark in _cuts(cluster.replicas[1].checkpoint_chain)
+        replica = cluster.recover_replica(2)
+        transfer = cluster.recovery_transfers[-1]
+        assert transfer["mode"] == "chain-suffix"
+        assert transfer["entries"] == 2  # replica 1's two deltas after w
+        assert _cuts(replica.checkpoint_chain) == _cuts(
+            cluster.replicas[1].checkpoint_chain
+        )
+        for key in range(4):
+            client.invoke("update", key=key, value="after")
+        snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1] == snapshots[2]
+
+
+# ----------------------------------------------------------------------
+# A checkpoint write that fails
+# ----------------------------------------------------------------------
+def _disk_full(path, mode):
+    raise OSError(errno.ENOSPC, "No space left on device", path)
+
+
+def _eventually(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def test_a_failed_checkpoint_write_is_reported_and_the_replica_lives(
+    tmp_path, monkeypatch
+):
+    """Replica 0's disk fills up: its periodic checkpoint fails at once
+    with a CheckpointError (not a barrier timeout), its watermark and chain
+    stay where the last durable write left them, its workers live on, and
+    its next checkpoint is a full base — the failed delta already consumed
+    the service's dirty set."""
+    policy = manual_policy(full_every=4)
+    with kv_cluster(
+        checkpoint_policy=policy, store_dir=str(tmp_path), barrier_timeout=3.0
+    ) as cluster:
+        client = cluster.client()
+        for key in range(16):
+            client.invoke("update", key=key, value="base")
+        cluster.wait_for_quiescence()
+        base = cluster.periodic_checkpoint()
+        for key in range(4):
+            client.invoke("update", key=key, value="lost-delta")
+        monkeypatch.setattr(cluster.stores[0], "_opener", _disk_full)
+        started = time.monotonic()
+        with pytest.raises(CheckpointError, match="replica 0"):
+            cluster.periodic_checkpoint()
+        assert time.monotonic() - started < 1.0  # the barrier timeout is 3 s
+        failed = cluster.replicas[0]
+        assert failed.checkpoint_watermark == base
+        assert _cuts(failed.checkpoint_chain) == [base]
+        assert cluster.stores[0].manifest() == [("full", base)]
+        # Replica 1 checkpointed at the same cut (its report may land
+        # after replica 0's error was raised).
+        _eventually(lambda: cluster.replicas[1].checkpoint_watermark > base)
+        assert not failed.crashed
+        assert all(thread.is_alive() for thread in failed.threads)
+        for key in range(4, 8):
+            client.invoke("update", key=key, value="after-failure")
+        cluster.wait_for_quiescence()
+        monkeypatch.undo()
+        retried = cluster.periodic_checkpoint()
+        assert failed.checkpoint_watermark == retried
+        assert [entry["kind"] for entry in failed.checkpoint_chain] == ["full"]
+        assert [kind for kind, _ in cluster.stores[1].manifest()] == [
+            "full", "delta", "delta"
+        ]
+        # The durable chain is whole: a restart from disk replays on it.
+        client.invoke("update", key=0, value="after-retry")
+        cluster.crash_replica(0)
+        cluster.restart_replica_from_disk(0)
+        assert cluster.recovery_transfers[-1]["mode"] == "replay"
+        snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1]
+
+
+def test_the_scheduler_retries_after_a_failed_checkpoint(tmp_path, monkeypatch):
+    """The background scheduler survives a CheckpointError and keeps the
+    policy due, so the first round after the disk recovers checkpoints."""
+    policy = CheckpointPolicy(every_messages=4)
+    with kv_cluster(
+        checkpoint_policy=policy, store_dir=str(tmp_path), barrier_timeout=3.0
+    ) as cluster:
+        monkeypatch.setattr(cluster.stores[0], "_opener", _disk_full)
+        client = cluster.client()
+        for key in range(8):
+            client.invoke("update", key=key, value="disk-full")
+        _eventually(lambda: cluster.replicas[1].checkpoint_watermark >= 0)
+        assert cluster.replicas[0].checkpoint_watermark == -1
+        monkeypatch.undo()
+        _eventually(lambda: cluster.replicas[0].checkpoint_watermark >= 0)
+        assert cluster.stores[0].manifest()
+        snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1]
 
 
 def test_restart_from_disk_replays_on_top_of_the_durable_chain(tmp_path):

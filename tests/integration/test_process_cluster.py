@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.common.checkpoint import CheckpointPolicy
-from repro.common.errors import RecoveryError
+from repro.common.errors import CheckpointError, RecoveryError
 from repro.common.faults import FaultPlane, Nemesis
 from repro.frontend import ClusterBackend, create_app
 from repro.frontend.testing import AsgiClient
@@ -38,13 +38,14 @@ from repro.runtime.transport import TcpCoordinatorTransport
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
 
-def proc_cluster(mpl=2, replicas=2, initial_keys=16, **kwargs):
+def proc_cluster(mpl=2, replicas=2, initial_keys=16, barrier_timeout=20.0,
+                 **kwargs):
     return ProcessPSMRCluster(
         service="kvstore",
         service_args={"initial_keys": initial_keys},
         mpl=mpl,
         num_replicas=replicas,
-        barrier_timeout=20.0,
+        barrier_timeout=barrier_timeout,
         **kwargs,
     )
 
@@ -402,7 +403,7 @@ SHARED_CONTROL_PLANE = (
     "crash_replica", "recover_replica", "recover_replicas",
     "restart_replica_from_disk", "_recover_via_replay",
     "_recover_via_chain_transfer", "_recover_via_full_transfer",
-    "_handle_marker_done", "_handle_shard_done", "wait_for_quiescence",
+    "_handle_cut_done", "wait_for_quiescence",
     "replica_snapshots", "delivery_batch_stats", "client",
 )
 
@@ -515,6 +516,38 @@ def test_crash_wakes_pending_management_requests():
         asker.join(timeout=5.0)
         assert raised and isinstance(raised[0][0], RecoveryError)
         assert raised[0][1] - crashed_at < 1.0
+
+
+def test_a_failed_checkpoint_write_in_a_replica_process_is_reported(tmp_path):
+    """The segment file replica 0 writes next is taken by a directory, so
+    its next checkpoint write fails inside the child process: the ``c``
+    report carries the error, the caller gets a CheckpointError at once,
+    and the process, its workers and its durable chain live on."""
+    with proc_cluster(store_dir=str(tmp_path), barrier_timeout=5.0) as cluster:
+        client = cluster.client()
+        for key in range(16):
+            client.invoke("update", key=key, value=b"base")
+        base = cluster.periodic_checkpoint()
+        store = os.path.join(str(tmp_path), "replica-0")
+        segments = [name for name in os.listdir(store) if name.startswith("seg-")]
+        next_id = max(int(name[4:12]) for name in segments) + 1
+        os.mkdir(os.path.join(store, f"seg-{next_id:08d}.ckpt"))
+        client.invoke("update", key=0, value=b"unwritten")
+        started = time.monotonic()
+        with pytest.raises(CheckpointError, match="replica 0"):
+            cluster.periodic_checkpoint()
+        assert time.monotonic() - started < 2.0  # the barrier timeout is 5 s
+        victim = cluster.replicas[0]
+        assert victim.proc.poll() is None
+        assert victim.watermark == base
+        client.invoke("update", key=1, value=b"after")
+        retried = cluster.periodic_checkpoint()  # the next segment id is free
+        assert victim.watermark == retried > base
+        cluster.crash_replica(0)
+        cluster.restart_replica_from_disk(0)
+        assert cluster.recovery_transfers[-1]["mode"] == "replay"
+        snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1]
 
 
 def test_proc_nemesis_episode_passes_oracle(tmp_path):

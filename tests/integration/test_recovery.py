@@ -12,6 +12,7 @@ import pytest
 
 from repro.common.errors import RecoveryError
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
+from repro.runtime.cluster import _Cut
 from repro.runtime.linearizability import HistoryRecorder
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 from repro.services.netfs import NETFS_SPEC, NetFSServer
@@ -311,6 +312,27 @@ def test_checkpoint_source_crashing_mid_marker_raises_recovery_error():
         assert "1" in str(outcome["exc"])
         assert time.monotonic() - crashed_at < 10.0
         cluster.recover_replica(1)
+
+
+def test_a_cut_keeps_each_replica_s_first_outcome():
+    """A report that landed before a crash wins over it, a crash that came
+    first wins over a late report, a report settled from another thread
+    wakes the waiter, and a replica that never reports times out."""
+    cut = _Cut()
+    report = {"sequence": 7}
+    cut.settle(0, report)
+    cut.settle(0, RecoveryError("crashed after reporting"))
+    cut.settle(1, RecoveryError("crashed first"))
+    cut.settle(1, {"sequence": 7})
+    assert cut.wait_for(0, timeout=1.0) is report
+    with pytest.raises(RecoveryError, match="crashed first"):
+        cut.wait_for(1, timeout=1.0)
+    late = threading.Timer(0.05, cut.settle, (2, report))
+    late.start()
+    assert cut.wait_for(2, timeout=5.0) is report
+    late.join(5.0)
+    with pytest.raises(TimeoutError):
+        cut.wait_for(3, timeout=0.05)
 
 
 def test_recover_replica_validates_explicit_source_up_front():

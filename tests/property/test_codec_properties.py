@@ -279,10 +279,14 @@ def _through_the_wire(message):
 
 deliver_bodies = (
     st.binary(max_size=64)  # an encoded command, opaque to the frame
-    | st.builds(wire.make_marker, st.integers(min_value=0), st.none() | int64)
-    | st.builds(
-        wire.make_shard_update,
+    | st.builds(  # a checkpoint marker
+        wire.make_cut, st.integers(min_value=0), st.none() | int64,
+        st.none(), st.just(()),
+    )
+    | st.builds(  # a shard-map update
+        wire.make_cut,
         st.integers(min_value=0),
+        st.none(),
         st.builds(
             lambda mpl: ShardMap.initial(mpl).to_wire(),
             st.integers(min_value=1, max_value=8),

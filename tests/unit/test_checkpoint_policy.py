@@ -14,15 +14,20 @@ from repro.common.errors import CheckpointError, ConfigurationError
 
 
 class TestValidation:
-    def test_needs_at_least_one_trigger(self):
-        with pytest.raises(ConfigurationError):
+    def test_needs_the_message_trigger(self):
+        with pytest.raises(TypeError):
             CheckpointPolicy()
+        with pytest.raises(ConfigurationError):
+            CheckpointPolicy(every_messages=None)
+
+    def test_the_time_trigger_is_gone(self):
+        """Only its own tests ever set it; nothing accepts and ignores it."""
+        with pytest.raises(TypeError):
+            CheckpointPolicy(every_messages=10, every_seconds=1)
 
     def test_rejects_non_positive_triggers(self):
         with pytest.raises(ConfigurationError):
             CheckpointPolicy(every_messages=0)
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(every_seconds=0.0)
         with pytest.raises(ConfigurationError):
             CheckpointPolicy(every_messages=10, max_replay_lag=-1)
 
@@ -40,8 +45,7 @@ class TestValidation:
 
     def test_repr_names_the_knobs(self):
         policy = CheckpointPolicy(
-            every_messages=5, every_seconds=1.0, max_replay_lag=9,
-            full_every=4,
+            every_messages=5, max_replay_lag=9, full_every=4,
         )
         assert "every_messages=5" in repr(policy)
         assert "max_replay_lag=9" in repr(policy)
@@ -51,46 +55,18 @@ class TestValidation:
 class TestDue:
     def test_message_trigger(self):
         policy = CheckpointPolicy(every_messages=10)
-        assert not policy.due(9, 1e9)  # no time trigger configured
-        assert policy.due(10, 0.0)
-
-    def test_time_trigger(self):
-        policy = CheckpointPolicy(every_seconds=0.5)
-        assert not policy.due(10_000, 0.49)
-        assert policy.due(0, 0.5)
-
-    def test_either_trigger_fires(self):
-        policy = CheckpointPolicy(every_messages=10, every_seconds=0.5)
-        assert policy.due(10, 0.0)
-        assert policy.due(0, 0.5)
-        assert not policy.due(9, 0.49)
+        assert not policy.due(9)
+        assert policy.due(10)
 
     def test_message_trigger_boundary_is_inclusive(self):
         """Exactly ``every_messages`` ordered messages is due, one less is not."""
         policy = CheckpointPolicy(every_messages=1)
-        assert not policy.due(0, 0.0)
-        assert policy.due(1, 0.0)
+        assert not policy.due(0)
+        assert policy.due(1)
         policy = CheckpointPolicy(every_messages=100)
-        assert not policy.due(99, 0.0)
-        assert policy.due(100, 0.0)
-        assert policy.due(101, 0.0)
-
-    def test_time_trigger_boundary_at_equality(self):
-        """Elapsed time exactly equal to ``every_seconds`` is due."""
-        policy = CheckpointPolicy(every_seconds=2.0)
-        assert not policy.due(10**9, 1.9999999)
-        assert policy.due(0, 2.0)
-        assert policy.due(0, 2.0000001)
-
-    def test_both_triggers_racing_at_their_boundaries(self):
-        """Both triggers hitting their exact thresholds together fire once
-        (due is a single decision, not one per trigger)."""
-        policy = CheckpointPolicy(every_messages=10, every_seconds=0.5)
-        assert policy.due(10, 0.5)
-        # One at threshold, the other just below: still due (OR semantics).
-        assert policy.due(10, 0.4999)
-        assert policy.due(9, 0.5)
-        assert not policy.due(9, 0.4999)
+        assert not policy.due(99)
+        assert policy.due(100)
+        assert policy.due(101)
 
 
 class TestTakeFull:

@@ -92,12 +92,16 @@ class TestWireEncoding:
         ]
         assert wire.decode_chain(wire.encode_chain(chain)) == chain
 
-    def test_marker_helpers(self):
-        marker = wire.make_marker(17, 2)
-        assert wire.is_marker(marker)
-        assert marker["marker"] == 17 and marker["source"] == 2
-        assert not wire.is_marker({"key": 1})
-        assert not wire.is_marker(b"not a dict")
+    def test_cut_helper(self):
+        marker = wire.make_cut(17, 2, None, ())
+        assert marker == {"cut": 17, "source": 2, "map": None, "moved": ()}
+        update = wire.make_cut(18, None, {"version": 3}, [[0, 9, 1, 2]])
+        assert update["map"] == {"version": 3}
+        assert update["moved"] == ((0, 9, 1, 2),)  # tuples: hashable, codec-exact
+        for cut in (marker, update):
+            assert wire.decode_payload(wire.encode_message(
+                {"t": "d", "ls": 0, "s": 5, "dst": "ALL", "b": cut}
+            )[framing.HEADER_SIZE:])["msgs"] == [(0, 5, "ALL", cut)]
 
     def test_the_fixed_layouts_are_the_documented_bytes(self):
         command = Command(
@@ -527,7 +531,7 @@ class TestFrameReaderTake:
 # ----------------------------------------------------------------------
 # TCP coordinator transport
 # ----------------------------------------------------------------------
-HELLO = {"t": "hello", "watermark": -1, "manifest": ()}
+HELLO = {"t": "hello", "watermark": -1}
 
 
 def dial(transport, replica_id, arm=True):
@@ -1167,8 +1171,7 @@ class TestUnreadableFrames:
             transport.discard_hello(0)
             wire.send_message(
                 client,
-                {"t": "hello", "replica": 0, "watermark": -1,
-                 "manifest": (), "pid": 0},
+                {"t": "hello", "replica": 0, "watermark": -1, "pid": 0},
             )
             transport.take_hello(0, timeout=5.0)
             good = {"t": "r", "resps": (((1, 2), b"v", None),)}
@@ -1236,8 +1239,7 @@ class TestTcpCoordinatorTransport:
             assert not transport.connected(0)
             transport.discard_hello(0)  # arm the waiter, as respawn does
             client = socket.create_connection((host, port), timeout=5.0)
-            hello = {"t": "hello", "replica": 0, "watermark": -1,
-                     "manifest": (), "pid": 4242}
+            hello = {"t": "hello", "replica": 0, "watermark": -1, "pid": 4242}
             assert wire.send_message(client, hello)
             assert transport.take_hello(0, timeout=5.0) == hello
             assert transport.connected(0)
@@ -1273,8 +1275,7 @@ class TestTcpCoordinatorTransport:
             first = socket.create_connection((host, port), timeout=5.0)
             wire.send_message(
                 first,
-                {"t": "hello", "replica": 1, "watermark": -1,
-                 "manifest": (), "pid": 1},
+                {"t": "hello", "replica": 1, "watermark": -1, "pid": 1},
             )
             transport.take_hello(1, timeout=5.0)
             # A restarted process dials in again with the same replica id;
@@ -1283,8 +1284,7 @@ class TestTcpCoordinatorTransport:
             second = socket.create_connection((host, port), timeout=5.0)
             wire.send_message(
                 second,
-                {"t": "hello", "replica": 1, "watermark": 5,
-                 "manifest": (), "pid": 2},
+                {"t": "hello", "replica": 1, "watermark": 5, "pid": 2},
             )
             hello = transport.take_hello(1, timeout=5.0)
             assert hello["pid"] == 2
@@ -1347,11 +1347,11 @@ class TestTcpCoordinatorTransport:
 
         def on_message(replica_id, message):
             if message.get("req") == "boom":
-                raise KeyError("manifest")
+                raise KeyError("cut")
             received.append((replica_id, message))
 
         with fake_replicas(2, on_message=on_message) as (transport, readers):
-            wire.send_message(readers[0]._sock, {"t": "mk", "req": "boom"})
+            wire.send_message(readers[0]._sock, {"t": "c", "req": "boom"})
             assert readers[0].read() is None  # closed on us, not left open
             assert not transport.connected(0)
             assert "KeyError" in capsys.readouterr().err  # and reported
