@@ -4,7 +4,7 @@ Small batches pay a Paxos round per handful of commands and cap the
 ordering layer's throughput; the paper's 8 KB batches amortise that cost.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_ablation_batch_size
 
@@ -21,6 +21,7 @@ def test_ablation_batch_size(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("ablation-batch", result["text"])
     rows = {row["batch_bytes"]: row for row in result["rows"]}
     # Tiny batches cap the ordering layer below the replica's execution rate.
     assert rows[8 * 1024]["throughput_kcps"] > 1.1 * rows[64]["throughput_kcps"]

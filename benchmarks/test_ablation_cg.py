@@ -6,7 +6,7 @@ the same group.  Under a 50% update workload the coarse mapping forfeits
 almost all of P-SMR's concurrency.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_ablation_cg_granularity
 
@@ -19,6 +19,7 @@ def test_ablation_cg_granularity(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("ablation-cg", result["text"])
     rows = {row["cg"]: row for row in result["rows"]}
     fine = rows["per-key C-G"]["throughput_kcps"]
     coarse = rows["coarse C-G"]["throughput_kcps"]

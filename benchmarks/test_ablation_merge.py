@@ -6,7 +6,7 @@ slowest (skip-rate-bound) stream, which costs throughput when some streams
 are idle.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_ablation_merge_policy
 
@@ -19,6 +19,7 @@ def test_ablation_merge_policy(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("ablation-merge", result["text"])
     rows = {row["merge_policy"]: row for row in result["rows"]}
     assert rows["timestamp"]["throughput_kcps"] > 0
     assert rows["round_robin"]["throughput_kcps"] > 0

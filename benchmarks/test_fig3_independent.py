@@ -4,7 +4,7 @@ Paper result: P-SMR ~3.15x SMR, sP-SMR ~1.14x, no-rep ~1.22x, BDB lowest;
 P-SMR's latency at peak is the highest of the replicated techniques.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_fig3_independent
 
@@ -17,6 +17,7 @@ def test_fig3_independent_commands(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("fig3", result["text"])
     rows = {row["technique"]: row for row in result["rows"]}
 
     # Shape checks against the paper's factors.

@@ -4,7 +4,7 @@ Paper result: SMR is the fastest (no synchronisation overhead); P-SMR
 reaches ~0.5x SMR, no-rep ~0.32x, sP-SMR ~0.28x and BDB ~0.12x.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_fig4_dependent
 
@@ -17,6 +17,7 @@ def test_fig4_dependent_commands(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("fig4", result["text"])
     rows = {row["technique"]: row for row in result["rows"]}
 
     # SMR wins when every command is dependent.

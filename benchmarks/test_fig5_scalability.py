@@ -8,6 +8,8 @@ added.
 
 from conftest import WARMUP
 
+from conftest import assert_matches_golden
+
 from repro.harness.experiments import run_fig5_scalability
 
 THREADS = (1, 2, 4, 8)
@@ -25,6 +27,7 @@ def test_fig5_scalability(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("fig5", result["text"])
     series = result["series"]
 
     def throughputs(workload, technique):

@@ -5,7 +5,7 @@ dependent commands; its throughput (and latency) fall as the percentage of
 dependent commands grows.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_fig6_mixed
 
@@ -22,6 +22,7 @@ def test_fig6_mixed_workloads(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("fig6", result["text"])
     rows = result["rows"]
     by_percent = {row["dependent_percent"]: row for row in rows}
 

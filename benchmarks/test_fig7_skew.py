@@ -7,6 +7,8 @@ slightly *faster* with the Zipfian distribution at low thread counts thanks
 to caching of hot keys).  P-SMR scales better than sP-SMR in every case.
 """
 
+from conftest import assert_matches_golden
+
 from repro.harness.experiments import run_fig7_skew
 
 THREADS = (1, 2, 4, 8)
@@ -22,6 +24,7 @@ def test_fig7_skewed_workloads(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("fig7", result["text"])
     series = result["series"]
 
     def kcps(technique, distribution):

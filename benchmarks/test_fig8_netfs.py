@@ -6,7 +6,7 @@ improves only ~1.1-1.2x because the scheduler saturates; P-SMR reaches
 compressing the 1 KB response costs more than decompressing the request.
 """
 
-from conftest import DURATION, WARMUP
+from conftest import DURATION, WARMUP, assert_matches_golden
 
 from repro.harness.experiments import run_fig8_netfs
 
@@ -19,6 +19,7 @@ def test_fig8_netfs(benchmark):
         iterations=1,
     )
     print("\n" + result["text"])
+    assert_matches_golden("fig8", result["text"])
     rows = {(row["operation"], row["technique"]): row for row in result["rows"]}
 
     for operation in ("read", "write"):

@@ -14,18 +14,18 @@ from repro.common.errors import ConfigurationError
 class MulticastConfig:
     """Configuration of the atomic multicast substrate (paper section VI-A).
 
-    The paper maps each multicast group to one Paxos instance with three
-    acceptors (tolerating one acceptor failure) and batches commands into
-    batches of at most 8 Kbytes.
+    The paper maps each multicast group to one Paxos instance and batches
+    commands into batches of at most 8 Kbytes.  The simulator models that
+    ordering by its costs (see :class:`repro.replication.base.SimStream`),
+    so only the batching and merge knobs are configurable.
     """
 
-    acceptors_per_group: int = 3
     batch_max_bytes: int = 8 * 1024
     batch_max_commands: int = 64
     batch_timeout: float = 50e-6
-    #: Interval at which an idle group coordinator emits a skip/heartbeat so
-    #: that the deterministic merge at subscribers does not stall
-    #: (Multi-Ring Paxos style).
+    #: Interval at which an idle group coordinator emits a skip so that the
+    #: deterministic merge at subscribers does not stall (Multi-Ring Paxos
+    #: style); a skip advances the stream's merge horizon under either policy.
     skip_interval: float = 200e-6
     #: Merge policy used by subscribers of multiple streams:
     #: ``"timestamp"`` (merge by coordinator timestamps, the default) or
@@ -33,8 +33,6 @@ class MulticastConfig:
     merge_policy: str = "timestamp"
 
     def validate(self):
-        if self.acceptors_per_group < 1:
-            raise ConfigurationError("acceptors_per_group must be >= 1")
         if self.batch_max_bytes <= 0:
             raise ConfigurationError("batch_max_bytes must be positive")
         if self.batch_max_commands <= 0:

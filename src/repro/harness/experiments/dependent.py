@@ -5,8 +5,7 @@ BDB (4 threads): with dependent-only commands extra threads only add
 synchronisation overhead.
 """
 
-from repro.harness.runner import DEFAULT_DURATION, DEFAULT_WARMUP, run_kv_technique
-from repro.harness.tables import format_table
+from repro.harness.runner import DEFAULT_DURATION, DEFAULT_WARMUP, run_peak_comparison
 from repro.workload import DEPENDENT_ONLY_MIX
 
 #: Thread counts of the paper's configuration for Figure 4.
@@ -19,38 +18,14 @@ PAPER_FACTORS = {"no-rep": 0.32, "SMR": 1.0, "sP-SMR": 0.28, "P-SMR": 0.5, "BDB"
 def run_fig4_dependent(warmup=DEFAULT_WARMUP, duration=DEFAULT_DURATION, seed=1,
                        techniques=None):
     """Run the dependent-commands comparison; return rows plus paper factors."""
-    techniques = techniques or list(FIG4_THREADS)
-    results = {}
-    for technique in techniques:
-        results[technique] = run_kv_technique(
-            technique,
-            FIG4_THREADS[technique],
-            mix=DEPENDENT_ONLY_MIX,
-            warmup=warmup,
-            duration=duration,
-            seed=seed,
-        )
-    smr_kcps = results.get("SMR").throughput_kcps if "SMR" in results else None
-    rows = []
-    for technique in techniques:
-        result = results[technique]
-        row = result.as_row()
-        row["factor_vs_SMR"] = (
-            round(result.throughput_kcps / smr_kcps, 2) if smr_kcps else None
-        )
-        row["paper_factor"] = PAPER_FACTORS[technique]
-        rows.append(row)
-    return {
-        "figure": "4",
-        "rows": rows,
-        "results": results,
-        "latency_cdfs": {t: results[t].latency_cdf for t in techniques},
-        "text": format_table(
-            rows,
-            columns=[
-                "technique", "threads", "throughput_kcps", "factor_vs_SMR",
-                "paper_factor", "avg_latency_ms", "cpu_percent",
-            ],
-            title="Figure 4 - dependent commands (insert/delete workload)",
-        ),
-    }
+    return run_peak_comparison(
+        "4",
+        "Figure 4 - dependent commands (insert/delete workload)",
+        FIG4_THREADS,
+        PAPER_FACTORS,
+        DEPENDENT_ONLY_MIX,
+        warmup,
+        duration,
+        seed,
+        techniques,
+    )

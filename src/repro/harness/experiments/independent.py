@@ -5,8 +5,7 @@ sP-SMR and no-rep, 1 for SMR and 6 for BDB.  Reported: throughput (Kcps),
 CPU usage, average latency and the latency CDF.
 """
 
-from repro.harness.runner import DEFAULT_DURATION, DEFAULT_WARMUP, run_kv_technique
-from repro.harness.tables import format_table
+from repro.harness.runner import DEFAULT_DURATION, DEFAULT_WARMUP, run_peak_comparison
 from repro.workload import READ_ONLY_MIX
 
 #: Thread counts of the paper's peak-throughput configuration.
@@ -19,38 +18,14 @@ PAPER_FACTORS = {"no-rep": 1.22, "SMR": 1.0, "sP-SMR": 1.14, "P-SMR": 3.15, "BDB
 def run_fig3_independent(warmup=DEFAULT_WARMUP, duration=DEFAULT_DURATION, seed=1,
                          techniques=None):
     """Run the independent-commands comparison; return rows plus paper factors."""
-    techniques = techniques or list(FIG3_THREADS)
-    results = {}
-    for technique in techniques:
-        results[technique] = run_kv_technique(
-            technique,
-            FIG3_THREADS[technique],
-            mix=READ_ONLY_MIX,
-            warmup=warmup,
-            duration=duration,
-            seed=seed,
-        )
-    smr_kcps = results.get("SMR").throughput_kcps if "SMR" in results else None
-    rows = []
-    for technique in techniques:
-        result = results[technique]
-        row = result.as_row()
-        row["factor_vs_SMR"] = (
-            round(result.throughput_kcps / smr_kcps, 2) if smr_kcps else None
-        )
-        row["paper_factor"] = PAPER_FACTORS[technique]
-        rows.append(row)
-    return {
-        "figure": "3",
-        "rows": rows,
-        "results": results,
-        "latency_cdfs": {t: results[t].latency_cdf for t in techniques},
-        "text": format_table(
-            rows,
-            columns=[
-                "technique", "threads", "throughput_kcps", "factor_vs_SMR",
-                "paper_factor", "avg_latency_ms", "cpu_percent",
-            ],
-            title="Figure 3 - independent commands (read-only workload)",
-        ),
-    }
+    return run_peak_comparison(
+        "3",
+        "Figure 3 - independent commands (read-only workload)",
+        FIG3_THREADS,
+        PAPER_FACTORS,
+        READ_ONLY_MIX,
+        warmup,
+        duration,
+        seed,
+        techniques,
+    )

@@ -2,6 +2,7 @@
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
+from repro.harness.tables import format_table
 from repro.replication import (
     KVCostProfile,
     LockStoreSystem,
@@ -121,6 +122,50 @@ def run_kv_technique(technique, threads, warmup=DEFAULT_WARMUP, duration=DEFAULT
     """Build and run one key-value store experiment; return the ExperimentResult."""
     system = build_kv_system(technique, threads, **kwargs)
     return system.run(warmup=warmup, duration=duration)
+
+
+def run_peak_comparison(figure, title, threads, paper_factors, mix, warmup, duration,
+                        seed, techniques=None):
+    """Run each technique at its ``threads`` count under ``mix`` (Figures 3, 4).
+
+    Returns the rows (with throughput relative to SMR next to the paper's
+    factor), the raw results, their latency CDFs and a formatted table.
+    """
+    techniques = techniques or list(threads)
+    results = {}
+    for technique in techniques:
+        results[technique] = run_kv_technique(
+            technique,
+            threads[technique],
+            mix=mix,
+            warmup=warmup,
+            duration=duration,
+            seed=seed,
+        )
+    smr_kcps = results.get("SMR").throughput_kcps if "SMR" in results else None
+    rows = []
+    for technique in techniques:
+        result = results[technique]
+        row = result.as_row()
+        row["factor_vs_SMR"] = (
+            round(result.throughput_kcps / smr_kcps, 2) if smr_kcps else None
+        )
+        row["paper_factor"] = paper_factors[technique]
+        rows.append(row)
+    return {
+        "figure": figure,
+        "rows": rows,
+        "results": results,
+        "latency_cdfs": {t: results[t].latency_cdf for t in techniques},
+        "text": format_table(
+            rows,
+            columns=[
+                "technique", "threads", "throughput_kcps", "factor_vs_SMR",
+                "paper_factor", "avg_latency_ms", "cpu_percent",
+            ],
+            title=title,
+        ),
+    }
 
 
 def build_netfs_system(

@@ -7,8 +7,10 @@ The abstraction offered to the replication protocols is the paper's:
 
 Internally (matching the paper's prototype):
 
-* each group ``g_i`` is one Paxos stream with its own coordinator, acceptors
-  and batcher;
+* each group ``g_i`` is one Paxos-ordered stream with its own coordinator
+  and :class:`~repro.multicast.batcher.Batcher`; the simulator models the
+  Paxos round by its costs (:class:`repro.replication.base.SimStream`), the
+  live runtimes order through a sequencer (:mod:`repro.runtime.multicast`);
 * each worker thread ``t_i`` subscribes to its own group ``g_i`` and to the
   ``g_all`` group that every thread belongs to;
 * a message addressed to a single group travels on that group's stream; a

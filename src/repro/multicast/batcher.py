@@ -13,7 +13,7 @@ from repro.common.errors import ConfigurationError
 
 @dataclass
 class Batch:
-    """An ordered batch of commands decided as a single Paxos value."""
+    """A sequence-numbered batch of commands, proposed and delivered as one unit."""
 
     group_id: int
     sequence: int

@@ -12,7 +12,7 @@ Two policies are provided (see the merge ablation benchmark):
 ``timestamp``
     Batches carry the coordinator's sealing timestamp.  A batch is
     deliverable once every other subscribed stream is known (through a later
-    batch or a heartbeat) not to produce anything earlier.  This is the
+    batch or skip) not to produce anything earlier.  This is the
     default: fast streams are never throttled by slow ones, they only pay a
     bounded waiting latency when some stream is idle.
 
@@ -47,7 +47,7 @@ class MergeBuffer:
         self.policy = policy
         self.stream_ids = sorted(set(stream_ids))
         self._queues = {sid: deque() for sid in self.stream_ids}
-        #: Latest timestamp known per stream (batches and heartbeats advance it).
+        #: Latest timestamp known per stream (batches and skips advance it).
         self._horizon = {sid: -1.0 for sid in self.stream_ids}
         #: Next expected per-stream sequence number (round-robin policy).
         self._next_seq = {sid: 0 for sid in self.stream_ids}
@@ -68,15 +68,9 @@ class MergeBuffer:
             self._horizon[stream_id] = timestamp
 
     def offer_skip(self, stream_id, sequence, timestamp):
-        """Add an idle-stream skip (only meaningful for the round-robin policy)."""
+        """Add an idle-stream skip: a round-robin filler and a horizon advance."""
         self._check_stream(stream_id)
         self._queues[stream_id].append((sequence, timestamp, SkipToken(stream_id, sequence)))
-        if timestamp > self._horizon[stream_id]:
-            self._horizon[stream_id] = timestamp
-
-    def heartbeat(self, stream_id, timestamp):
-        """Advance a stream's horizon without carrying a batch (timestamp policy)."""
-        self._check_stream(stream_id)
         if timestamp > self._horizon[stream_id]:
             self._horizon[stream_id] = timestamp
 

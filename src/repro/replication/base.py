@@ -4,9 +4,13 @@ Pieces used by every technique:
 
 * :class:`ClientPool` — closed-loop clients with a window of outstanding
   commands (the paper's clients keep up to 50 requests in flight);
-* :class:`SimStream` — one multicast group: batcher + Paxos ordering (the
-  real :mod:`repro.consensus` state machines drive the ordering decisions,
-  the simulator charges the network round trips) + delivery to subscribers;
+* :class:`SimStream` — one multicast group: batcher + a cost model of the
+  group's Paxos ordering + delivery to subscribers.  A batch reaches each
+  subscriber one Paxos round trip after it is proposed (3 one-way
+  ``net_latency`` hops plus up to ``net_jitter``), and the coordinator is
+  busy for the batch's NIC time plus ``coordinator_batch_cpu``.  No Paxos
+  code runs: with a stable leader and no failures, as in this simulator,
+  Paxos decides every proposal, so a batch is delivered as proposed;
 * :class:`StreamInbox` — subscriber-side deterministic merge plus wake-up;
 * :class:`BarrierBoard` — per-replica signalling between worker threads for
   P-SMR's synchronous execution mode;
@@ -17,9 +21,9 @@ Pieces used by every technique:
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import SeededRNG
-from repro.consensus import Acceptor, Batcher, ClientValue, Coordinator
 from repro.core.command import Command
 from repro.metrics import CpuAccountant, ExperimentResult, LatencyRecorder, ThroughputMeter
+from repro.multicast.batcher import Batcher
 from repro.multicast.merge import MergeBuffer
 from repro.sim import Environment, Event, Store
 
@@ -104,7 +108,20 @@ class ClientPool:
 
 
 class SimStream:
-    """One multicast group: ordering through Paxos plus delivery to subscribers."""
+    """One multicast group: Paxos-ordered batches delivered to subscribers.
+
+    Ordering is a cost model of the paper's per-group Paxos instance
+    (section VI-A).  A batch is delivered one Paxos round trip after it is
+    proposed: 3 one-way ``net_latency`` hops plus a uniform draw of up to
+    ``net_jitter`` per subscriber.  The coordinator is occupied for the
+    batch's NIC transmission time plus ``coordinator_batch_cpu``, which
+    bounds the stream's throughput.  With a stable leader and no failures,
+    as in this simulator, Paxos decides every proposal, so the decided
+    batch is the proposed one and no Paxos code needs to run.
+
+    Subscribers are :class:`StreamInbox` objects (anything with ``offer``
+    and ``offer_skip``).
+    """
 
     def __init__(self, env, stream_id, multicast_config, costs, rng, cpu=None, name=None):
         self.env = env
@@ -120,13 +137,6 @@ class SimStream:
             max_commands=multicast_config.batch_max_commands,
             timeout=multicast_config.batch_timeout,
         )
-        self.acceptors = [Acceptor(i) for i in range(multicast_config.acceptors_per_group)]
-        self.coordinator = Coordinator(
-            coordinator_id=stream_id,
-            acceptor_ids=[a.acceptor_id for a in self.acceptors],
-            group_id=stream_id,
-        )
-        self._complete_phase1()
         self.subscribers = []
         self._ready = Store(env)
         self._flush_scheduled = False
@@ -134,19 +144,10 @@ class SimStream:
         self._last_activity = 0.0
         self.commands_submitted = 0
         env.process(self._order_loop(), name=f"{self.name}-coordinator")
-        env.process(self._heartbeat_loop(), name=f"{self.name}-heartbeat")
-
-    def _complete_phase1(self):
-        """Run Paxos phase 1 synchronously (leadership is stable in the experiments)."""
-        for prepare in self.coordinator.start_phase1():
-            for acceptor in self.acceptors:
-                reply = acceptor.receive(prepare)
-                self.coordinator.receive(reply)
-        if not self.coordinator.phase1_complete:
-            raise ProtocolError("coordinator failed to complete phase 1")
+        env.process(self._skip_loop(), name=f"{self.name}-skips")
 
     def subscribe(self, subscriber):
-        """Register a subscriber exposing ``offer()`` and ``heartbeat()``."""
+        """Register a subscriber exposing ``offer()`` and ``offer_skip()``."""
         self.subscribers.append(subscriber)
 
     # ------------------------------------------------------------------
@@ -175,7 +176,7 @@ class SimStream:
             self._schedule_flush()
 
     # ------------------------------------------------------------------
-    # Ordering (Paxos phase 2 per batch)
+    # Ordering (one Paxos round per batch, as a cost model)
     # ------------------------------------------------------------------
     def _order_loop(self):
         while True:
@@ -185,16 +186,7 @@ class SimStream:
             # only delays delivery, it does not change the decided order.
             timestamp = self.env.now
             self._last_activity = timestamp
-            value = ClientValue(payload=batch, size_bytes=batch.size_bytes)
-            _instance, accepts = self.coordinator.propose(value)
-            decisions = []
-            for accept in accepts:
-                for acceptor in self.acceptors:
-                    reply = acceptor.receive(accept)
-                    decisions.extend(self.coordinator.receive(reply))
-            if not decisions:
-                raise ProtocolError("Paxos round produced no decision")
-            self._deliver(decisions[0].value.payload, timestamp)
+            self._deliver(batch, timestamp)
             # The coordinator is occupied for the batch's NIC transmission
             # plus its Paxos bookkeeping; consecutive rounds are pipelined,
             # so the occupancy (not the round-trip latency) bounds throughput.
@@ -236,7 +228,7 @@ class SimStream:
                 ),
             )
 
-    def _heartbeat_loop(self):
+    def _skip_loop(self):
         """Emit skip messages while the stream is idle (Multi-Ring Paxos style).
 
         Skips advance the subscribers' merge horizons so that commands from
@@ -285,10 +277,6 @@ class StreamInbox:
 
     def offer_skip(self, stream_id, sequence, timestamp):
         self.merge.offer_skip(stream_id, sequence, timestamp)
-        self._notify()
-
-    def heartbeat(self, stream_id, timestamp):
-        self.merge.heartbeat(stream_id, timestamp)
         self._notify()
 
     def _notify(self):

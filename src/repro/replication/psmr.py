@@ -44,16 +44,6 @@ class PsmrWorker:
         self.executed = 0
         system.env.process(self._run(), name=f"psmr-r{replica_id}-t{index}")
 
-    # Subscriber interface used by the streams.
-    def offer(self, stream_id, sequence, timestamp, batch):
-        self.inbox.offer(stream_id, sequence, timestamp, batch)
-
-    def offer_skip(self, stream_id, sequence, timestamp):
-        self.inbox.offer_skip(stream_id, sequence, timestamp)
-
-    def heartbeat(self, stream_id, timestamp):
-        self.inbox.heartbeat(stream_id, timestamp)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -206,7 +196,7 @@ class PSMRSystem(BaseSystem):
                     state=state,
                 )
                 for stream_id in self.layout.subscriptions_of_thread(index):
-                    self.streams[stream_id].subscribe(worker)
+                    self.streams[stream_id].subscribe(worker.inbox)
                 workers.append(worker)
             self.replicas.append({"workers": workers, "barrier": barrier, "state": state})
 

@@ -27,15 +27,6 @@ class SmrReplica:
         self.executed = 0
         system.env.process(self._run(), name=f"smr-r{replica_id}")
 
-    def offer(self, stream_id, sequence, timestamp, batch):
-        self.inbox.offer(stream_id, sequence, timestamp, batch)
-
-    def offer_skip(self, stream_id, sequence, timestamp):
-        self.inbox.offer_skip(stream_id, sequence, timestamp)
-
-    def heartbeat(self, stream_id, timestamp):
-        self.inbox.heartbeat(stream_id, timestamp)
-
     def _run(self):
         while True:
             batches = self.inbox.drain()
@@ -92,7 +83,7 @@ class SMRSystem(BaseSystem):
         self.replicas = []
         for replica_id in range(self.config.num_replicas):
             replica = SmrReplica(self, replica_id)
-            self.stream.subscribe(replica)
+            self.stream.subscribe(replica.inbox)
             self.replicas.append(replica)
 
     def submit(self, command):

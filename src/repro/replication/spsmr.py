@@ -65,17 +65,8 @@ class SchedulerReplica:
             )
 
     # ------------------------------------------------------------------
-    # Ingress: either a multicast subscriber (sP-SMR) or direct (no-rep)
+    # Ingress: the stream feeds ``inbox`` (sP-SMR), or ``push`` (no-rep)
     # ------------------------------------------------------------------
-    def offer(self, stream_id, sequence, timestamp, batch):
-        self.inbox.offer(stream_id, sequence, timestamp, batch)
-
-    def offer_skip(self, stream_id, sequence, timestamp):
-        self.inbox.offer_skip(stream_id, sequence, timestamp)
-
-    def heartbeat(self, stream_id, timestamp):
-        self.inbox.heartbeat(stream_id, timestamp)
-
     def push(self, command):
         """Direct (unordered) submission used by the no-rep deployment."""
         self._direct_pending.append(command)
@@ -284,7 +275,7 @@ class SPSMRSystem(BaseSystem):
                 spec=self.spec,
                 ordered=True,
             )
-            self.stream.subscribe(replica)
+            self.stream.subscribe(replica.inbox)
             self.replicas.append(replica)
 
     def submit(self, command):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.harness import build_kv_system, run_kv_technique, run_netfs_technique
+from repro.harness import (
+    build_kv_system,
+    build_netfs_system,
+    run_kv_technique,
+    run_netfs_technique,
+)
+from repro.multicast import OrderChecker
 from repro.workload import DEPENDENT_ONLY_MIX, READ_ONLY_MIX, mixed_workload
 
 TECHNIQUES = ("SMR", "P-SMR", "sP-SMR", "no-rep", "BDB")
@@ -124,6 +130,79 @@ def test_p_smr_executes_every_command_once_per_replica(mix):
         assert executed == system.clients.submitted
         assert replica["state"].commands_executed == system.clients.submitted
         assert replica["barrier"].pending() == 0
+
+
+@pytest.mark.parametrize("technique", ("SMR", "sP-SMR", "P-SMR"))
+@pytest.mark.parametrize("operation", ("read", "write"))
+def test_netfs_replicated_state_converges(technique, operation):
+    system = build_netfs_system(
+        technique, 2, operation=operation, num_clients=6, execute_state=True
+    )
+    system.run(warmup=0.002, duration=0.01)
+    assert system.quiesce() == 0
+    first, second = (system.replica_state(replica_id).snapshot() for replica_id in (0, 1))
+    assert first == second
+    assert len(first) > 0
+
+
+# ----------------------------------------------------------------------
+# Atomic multicast: agreement and acyclic order of the sim's streams.
+# ----------------------------------------------------------------------
+def _subscriber_inboxes(system):
+    """Map ``(replica, thread)`` to the inbox that feeds that thread."""
+    if system.name == "P-SMR":
+        return {
+            (replica_id, worker.index): worker.inbox
+            for replica_id, replica in enumerate(system.replicas)
+            for worker in replica["workers"]
+        }
+    return {(replica_id, 1): replica.inbox for replica_id, replica in enumerate(system.replicas)}
+
+
+def _record_releases(checker, subscriber_id, inbox):
+    drain = inbox.drain
+
+    def recording_drain():
+        batches = drain()
+        for batch in batches:
+            for command in batch.commands:
+                checker.record(subscriber_id, command.uid)
+        return batches
+
+    inbox.drain = recording_drain
+
+
+@pytest.mark.parametrize(
+    "technique, merge_policy",
+    (("SMR", None), ("sP-SMR", None), ("P-SMR", "timestamp"), ("P-SMR", "round_robin")),
+    ids=("SMR", "sP-SMR", "P-SMR-timestamp", "P-SMR-round-robin"),
+)
+def test_streams_deliver_with_agreement_and_acyclic_order(technique, merge_policy):
+    system = build_kv_system(
+        technique, 3, mix=mixed_workload(0.2), key_space=200, num_clients=4,
+        merge_policy=merge_policy,
+    )
+    checker = OrderChecker()
+    inboxes = _subscriber_inboxes(system)
+    for subscriber_id, inbox in inboxes.items():
+        _record_releases(checker, subscriber_id, inbox)
+    replicas = range(system.config.num_replicas)
+    submit = system.clients.submit_fn
+
+    def submit_and_expect(command):
+        submit(command)  # sets the command's destination groups
+        threads = (
+            system.layout.threads_for_destinations(command.destinations)
+            if technique == "P-SMR" else [1]
+        )
+        checker.expect(command.uid, [(r, t) for r in replicas for t in threads])
+
+    system.clients.submit_fn = submit_and_expect
+    system.run(warmup=0.002, duration=0.01)
+    assert system.quiesce() == 0
+    assert checker.check_all()
+    # Every replica's subscribers released something.
+    assert all(checker.deliveries_of(subscriber) for subscriber in inboxes)
 
 
 # ----------------------------------------------------------------------

@@ -90,3 +90,42 @@ def test_everything_is_eventually_delivered(data, seed):
         if not is_skip
     }
     assert set(delivered) == expected
+
+
+def replay_round_robin(streams, arrival_order):
+    buffer = MergeBuffer(streams, policy="round_robin")
+    delivered = []
+    for stream, seq, timestamp, is_skip in arrival_order:
+        if is_skip:
+            buffer.offer_skip(stream, seq, timestamp)
+        else:
+            buffer.offer(stream, seq, timestamp, (stream, seq))
+        delivered.extend(buffer.pop_deliverable())
+    return buffer, delivered
+
+
+def complete_rounds(per_stream):
+    return min(len(events) for events in per_stream.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=stream_events(), seed=st.integers(0, 2**16))
+def test_round_robin_delivers_complete_rounds_in_stream_order(data, seed):
+    streams, per_stream = data
+    _buffer, delivered = replay_round_robin(streams, interleave(per_stream, seed))
+    expected = [
+        (stream, seq)
+        for seq in range(complete_rounds(per_stream))
+        for stream in sorted(streams)
+        if not per_stream[stream][seq][3]
+    ]
+    assert delivered == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=stream_events(), seed=st.integers(0, 2**16))
+def test_round_robin_holds_back_only_incomplete_rounds(data, seed):
+    streams, per_stream = data
+    buffer, _delivered = replay_round_robin(streams, interleave(per_stream, seed))
+    rounds = complete_rounds(per_stream)
+    assert buffer.pending() == sum(len(events) - rounds for events in per_stream.values())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.consensus import Batcher
+from repro.multicast.batcher import Batcher
 
 
 def test_batcher_rejects_nonpositive_limits():
@@ -85,3 +85,27 @@ def test_counters_track_batches_and_commands():
     batcher.flush()
     assert batcher.batches_emitted == 2
     assert batcher.commands_batched == 3
+
+
+def test_batch_len_counts_commands():
+    batcher = Batcher(group_id=2, max_commands=10)
+    for name in ("a", "b", "c"):
+        batcher.add(name, 1, 0.0)
+    batch = batcher.flush()
+    assert len(batch) == 3
+    assert batch.group_id == 2
+
+
+def test_should_flush_is_false_when_empty():
+    batcher = Batcher(group_id=1, timeout=0.001)
+    assert not batcher.should_flush(now=10.0)
+
+
+def test_timeout_clock_restarts_after_flush():
+    batcher = Batcher(group_id=1, timeout=0.001)
+    batcher.add("a", 1, now=0.0)
+    batcher.flush()
+    batcher.add("b", 1, now=5.0)
+    assert batcher.oldest_enqueue_time == 5.0
+    assert not batcher.should_flush(now=5.0005)
+    assert batcher.should_flush(now=5.001)

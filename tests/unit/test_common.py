@@ -73,8 +73,14 @@ def test_seeded_rng_choice_and_sample():
 # ----------------------------------------------------------------------
 def test_multicast_config_defaults_match_paper():
     config = MulticastConfig()
-    assert config.acceptors_per_group == 3
     assert config.batch_max_bytes == 8 * 1024
+
+
+def test_multicast_config_has_no_acceptor_count():
+    # Ordering is a cost model of a stable-leader Paxos round; no acceptor
+    # list exists to size.
+    with pytest.raises(TypeError):
+        MulticastConfig(acceptors_per_group=3)
 
 
 def test_multicast_config_rejects_bad_merge_policy():
@@ -83,7 +89,6 @@ def test_multicast_config_rejects_bad_merge_policy():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("acceptors_per_group", 0),
     ("batch_max_bytes", 0),
     ("batch_max_commands", 0),
 ])

@@ -42,7 +42,7 @@ def test_timestamp_merge_waits_for_other_stream_information():
     buffer.offer(1, 0, 5.0, "late-stream-item")
     # Nothing can be delivered: stream 0 might still produce an earlier item.
     assert buffer.pop_deliverable() == []
-    buffer.heartbeat(0, 6.0)
+    buffer.offer_skip(0, 0, 6.0)
     assert buffer.pop_deliverable() == ["late-stream-item"]
 
 
@@ -50,8 +50,8 @@ def test_timestamp_merge_orders_across_streams_by_timestamp():
     buffer = MergeBuffer([0, 1], policy="timestamp")
     buffer.offer(0, 0, 2.0, "b")
     buffer.offer(1, 0, 1.0, "a")
-    buffer.heartbeat(0, 10.0)
-    buffer.heartbeat(1, 10.0)
+    buffer.offer_skip(0, 1, 10.0)
+    buffer.offer_skip(1, 1, 10.0)
     assert buffer.pop_deliverable() == ["a", "b"]
 
 
@@ -59,8 +59,8 @@ def test_timestamp_merge_breaks_ties_by_stream_id():
     buffer = MergeBuffer([0, 1], policy="timestamp")
     buffer.offer(1, 0, 3.0, "from-1")
     buffer.offer(0, 0, 3.0, "from-0")
-    buffer.heartbeat(0, 9.0)
-    buffer.heartbeat(1, 9.0)
+    buffer.offer_skip(0, 1, 9.0)
+    buffer.offer_skip(1, 1, 9.0)
     assert buffer.pop_deliverable() == ["from-0", "from-1"]
 
 
@@ -69,9 +69,9 @@ def test_timestamp_merge_equal_horizon_blocks_lower_priority_stream():
     buffer.offer(1, 0, 3.0, "item")
     # Stream 0's horizon equals the item's timestamp: a batch at 3.0 from
     # stream 0 would sort first (lower stream id), so the item must wait.
-    buffer.heartbeat(0, 3.0)
+    buffer.offer_skip(0, 0, 3.0)
     assert buffer.pop_deliverable() == []
-    buffer.heartbeat(0, 3.1)
+    buffer.offer_skip(0, 1, 3.1)
     assert buffer.pop_deliverable() == ["item"]
 
 
@@ -145,3 +145,21 @@ def test_skip_token_dataclass_fields():
     token = SkipToken(stream_id=2, sequence=7)
     assert token.stream_id == 2
     assert token.sequence == 7
+
+
+def test_skip_to_unknown_stream_raises():
+    buffer = MergeBuffer([0, 1])
+    with pytest.raises(ProtocolError):
+        buffer.offer_skip(2, 0, 1.0)
+
+
+def test_round_robin_skip_only_round_advances_to_next_round():
+    buffer = MergeBuffer([0, 1], policy="round_robin")
+    buffer.offer_skip(0, 0, 1.0)
+    buffer.offer_skip(1, 0, 1.0)
+    assert buffer.pop_deliverable() == []
+    assert buffer.pending() == 0
+    buffer.offer(1, 1, 2.0, "b")
+    buffer.offer(0, 1, 2.0, "a")
+    assert buffer.pop_deliverable() == ["a", "b"]
+    assert buffer.delivered == 2

@@ -3,9 +3,10 @@
 ``time.time()`` is subject to NTP steps and DST adjustments; a benchmark
 or latency measurement taken with it can go backwards or jump.  Every
 duration in the runtime, the metrics layer and the benchmark runner must
-come from ``time.monotonic()`` / ``time.perf_counter()``.  This sweep pins
-that property so a future edit cannot quietly reintroduce wall-clock
-timing.
+come from ``time.monotonic()`` / ``time.perf_counter()``, and the simulator
+must stay a function of virtual time and its seed only.  This sweep walks
+every module under ``src/repro`` so a future edit, or a new package, cannot
+quietly reintroduce wall-clock timing.
 """
 
 import os
@@ -13,21 +14,16 @@ import re
 
 import repro
 
-SWEPT_PACKAGES = [
-    "runtime", "metrics", "replication", "harness", "common", "frontend",
-]
-
 #: Matches a call of time.time (not time.monotonic / perf_counter).
 _WALLCLOCK = re.compile(r"\btime\.time\s*\(")
 
 
 def _python_sources():
     root = list(repro.__path__)[0]
-    for package in SWEPT_PACKAGES:
-        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, package)):
-            for name in filenames:
-                if name.endswith(".py"):
-                    yield os.path.join(dirpath, name)
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in filenames:
+            if name.endswith(".py"):
+                yield os.path.join(dirpath, name)
     # The benchmark that is actually used, its helper scripts and the
     # paper-figure tests live beside ``src/``, not under it.
     repo_root = os.path.normpath(os.path.join(root, os.pardir, os.pardir))

@@ -142,7 +142,7 @@ def test_stream_inbox_skips_do_not_wake_with_items(env):
     assert inbox.drain() == []          # stream 0 horizon unknown
     inbox.offer_skip(0, 0, 6.0)
     assert inbox.drain() == ["item"]
-    inbox.heartbeat(0, 8.0)
+    inbox.offer_skip(0, 1, 8.0)
     assert inbox.drain() == []
 
 
@@ -228,9 +228,6 @@ class _RecordingSubscriber:
     def offer_skip(self, stream_id, sequence, timestamp):
         self.skips.append((stream_id, sequence, timestamp))
 
-    def heartbeat(self, stream_id, timestamp):  # pragma: no cover - unused
-        pass
-
 
 def make_stream(env, **overrides):
     config = MulticastConfig(**overrides) if overrides else MulticastConfig()
@@ -282,17 +279,33 @@ def test_stream_emits_skips_when_idle(env):
     assert sequences == sorted(sequences)
 
 
-def test_stream_paxos_coordinator_decides_every_batch(env):
+def test_stream_delivers_each_batch_one_paxos_round_after_proposal(env):
+    costs = CostModelConfig()
     stream = make_stream(env, batch_max_commands=4)
-    subscriber = _RecordingSubscriber()
+    arrivals = []
+
+    class _TimedSubscriber(_RecordingSubscriber):
+        def offer(self, stream_id, sequence, timestamp, batch):
+            arrivals.append((env.now, timestamp))
+            super().offer(stream_id, sequence, timestamp, batch)
+
+    subscriber = _TimedSubscriber()
     stream.subscribe(subscriber)
-    for index in range(12):
+    for index in range(13):
         stream.submit(_command((1, index)))
     env.run(until=0.01)
-    assert len(stream.coordinator.decided) == len(
-        [b for b in subscriber.batches]
-    )
-    assert stream.commands_submitted == 12
+    assert stream.commands_submitted == 13
+    # Every submitted command arrives in exactly one batch.
+    delivered = [c.uid for _sid, _seq, _ts, batch in subscriber.batches for c in batch.commands]
+    assert sorted(delivered) == [(1, index) for index in range(13)]
+    # Batches arrive in sequence order.
+    sequences = [sequence for _sid, sequence, _ts, _b in subscriber.batches]
+    assert sequences == [0, 1, 2, 3]
+    # Each batch arrives one Paxos round (3 one-way hops plus jitter) after
+    # its proposal, whose time is the batch's merge timestamp.
+    for arrived, proposed in arrivals:
+        assert 3 * costs.net_latency - 1e-12 <= arrived - proposed
+        assert arrived - proposed <= 3 * costs.net_latency + costs.net_jitter + 1e-12
 
 
 def test_stream_delivery_is_fifo_per_subscriber(env):
@@ -307,3 +320,140 @@ def test_stream_delivery_is_fifo_per_subscriber(env):
         times = [ts for _sid, _seq, ts, _b in subscriber.batches]
         assert times == sorted(times)
         assert len(subscriber.batches) == 20
+
+
+def _occupancy(size_bytes, costs):
+    return size_bytes / costs.nic_bandwidth + costs.coordinator_batch_cpu
+
+
+def test_stream_coordinator_occupancy_spaces_proposals(env):
+    costs = CostModelConfig()
+    stream = make_stream(env, batch_max_commands=1)
+    subscriber = _RecordingSubscriber()
+    stream.subscribe(subscriber)
+    for index in range(5):
+        stream.submit(_command((3, index), size=1000))
+    env.run(until=0.01)
+    proposed = [timestamp for _sid, _seq, timestamp, _b in subscriber.batches]
+    # Batches ready at once are proposed back to back: each one waits for
+    # the coordinator to finish the NIC time and bookkeeping of the last.
+    step = _occupancy(1000, costs)
+    assert proposed == pytest.approx([index * step for index in range(5)])
+
+
+def test_stream_charges_coordinator_cpu_per_batch(env):
+    from repro.metrics.recorders import CpuAccountant
+
+    costs = CostModelConfig()
+    cpu = CpuAccountant()
+    stream = SimStream(
+        env=env, stream_id=1, multicast_config=MulticastConfig(batch_max_commands=2),
+        costs=costs, rng=SeededRNG(3), cpu=cpu,
+    )
+    stream.subscribe(_RecordingSubscriber())
+    for index in range(6):
+        stream.submit(_command((4, index), size=100))
+    env.run(until=0.01)
+    assert cpu.busy_time("stream1/coordinator") == pytest.approx(3 * _occupancy(200, costs))
+
+
+def test_stream_subscribers_receive_the_same_batches(env):
+    stream = make_stream(env, batch_max_commands=3, batch_timeout=10e-6)
+    first, second = _RecordingSubscriber(), _RecordingSubscriber()
+    stream.subscribe(first)
+    stream.subscribe(second)
+    for index in range(10):
+        call_after(env, index * 30e-6, lambda i=index: stream.submit(_command((5, i))))
+    env.run(until=0.005)
+    assert first.batches and first.skips
+    assert first.batches == second.batches
+    assert first.skips == second.skips
+
+
+def test_stream_skips_reach_subscribers_one_hop_after_emission(env):
+    costs = CostModelConfig()
+    stream = make_stream(env, skip_interval=100e-6)
+    arrivals = []
+
+    class _TimedSubscriber(_RecordingSubscriber):
+        def offer_skip(self, stream_id, sequence, timestamp):
+            arrivals.append(env.now - timestamp)
+
+    stream.subscribe(_TimedSubscriber())
+    env.run(until=0.001)
+    assert arrivals
+    assert arrivals == pytest.approx([costs.net_latency] * len(arrivals))
+
+
+def test_stream_sends_no_skips_while_busy(env):
+    stream = make_stream(env, batch_max_commands=100, skip_interval=200e-6)
+    subscriber = _RecordingSubscriber()
+    stream.subscribe(subscriber)
+    # One command every 100 us: the stream is never idle for a skip interval.
+    for index in range(20):
+        call_after(env, index * 100e-6, lambda i=index: stream.submit(_command((6, i))))
+    env.run(until=0.003)
+    last_proposal = max(timestamp for _sid, _seq, timestamp, _b in subscriber.batches)
+    assert subscriber.skips, "the stream skips again once idle"
+    assert all(timestamp > last_proposal for _sid, _seq, timestamp in subscriber.skips)
+
+
+def test_stream_sequences_are_contiguous_across_batches_and_skips(env):
+    stream = make_stream(env, batch_max_commands=2, skip_interval=100e-6)
+    arrivals = []
+
+    class _ArrivalLog:
+        def offer(self, stream_id, sequence, timestamp, batch):
+            arrivals.append(("batch", sequence))
+
+        def offer_skip(self, stream_id, sequence, timestamp):
+            arrivals.append(("skip", sequence))
+
+    stream.subscribe(_ArrivalLog())
+
+    def burst(base):
+        for index in range(5):
+            stream.submit(_command((7, base + index)))
+
+    burst(0)
+    call_after(env, 0.001, lambda: burst(5))
+    env.run(until=0.002)
+    # Skips and batches share one sequence space; a subscriber sees every
+    # number once, in order, which is what the round-robin merge relies on.
+    assert [sequence for _kind, sequence in arrivals] == list(range(len(arrivals)))
+    assert {kind for kind, _seq in arrivals} == {"batch", "skip"}
+
+
+@pytest.mark.parametrize("policy", ("timestamp", "round_robin"))
+def test_two_streams_merge_identically_at_two_inboxes(env, policy):
+    streams = [
+        SimStream(
+            env=env, stream_id=stream_id,
+            multicast_config=MulticastConfig(batch_max_commands=2),
+            costs=CostModelConfig(), rng=SeededRNG(stream_id + 10),
+        )
+        for stream_id in (0, 1)
+    ]
+    inboxes = [StreamInbox(env, [0, 1], policy=policy) for _ in range(2)]
+    for stream in streams:
+        for inbox in inboxes:
+            stream.subscribe(inbox)
+    released = [[], []]
+
+    def consumer(env, inbox, log):
+        while True:
+            for batch in inbox.drain():
+                log.extend(command.uid for command in batch.commands)
+            yield inbox.wait()
+
+    for inbox, log in zip(inboxes, released):
+        env.process(consumer(env, inbox, log))
+    submitted = []
+    for index in range(30):
+        stream = streams[(index * 7) % 3 % 2]
+        uid = (stream.stream_id, index)
+        submitted.append(uid)
+        call_after(env, index * 40e-6, lambda s=stream, u=uid: s.submit(_command(u)))
+    env.run(until=0.01)
+    assert released[0] == released[1]
+    assert sorted(released[0]) == sorted(submitted)
