@@ -329,16 +329,15 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Delta checkpointing
     # ------------------------------------------------------------------
-    def delta(self, reset=True):
+    def delta(self):
         """Return the changes since the last delta-tracking mark.
 
         The delta is ``{"order", "changes", "deletions"}``: ``changes`` are
         the current ``(key, value)`` pairs of every key written since the
         mark, ``deletions`` the keys removed.  Applying the delta (with
         :meth:`apply_delta`) to any tree whose contents match the state at
-        the mark reproduces this tree's contents exactly.  With ``reset``
-        the mark moves to now — the normal checkpoint-chain behaviour; pass
-        ``reset=False`` to peek without disturbing the chain.
+        the mark reproduces this tree's contents exactly.  The mark moves
+        to now.
         """
         changes = [(key, self.search(key)) for key in sorted(self._dirty_keys)]
         delta = {
@@ -346,8 +345,7 @@ class BPlusTree:
             "changes": changes,
             "deletions": sorted(self._deleted_keys),
         }
-        if reset:
-            self.clear_delta_tracking()
+        self.clear_delta_tracking()
         return delta
 
     def apply_delta(self, delta):

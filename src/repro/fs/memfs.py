@@ -435,7 +435,7 @@ class MemoryFileSystem:
     # ------------------------------------------------------------------
     # Delta checkpointing
     # ------------------------------------------------------------------
-    def delta_checkpoint(self, reset=True):
+    def delta_checkpoint(self):
         """Serialise only the inodes dirtied since the last tracking mark.
 
         The delta is ``{"changed", "removed", "fd_table", "next_fd",
@@ -448,9 +448,8 @@ class MemoryFileSystem:
         died (unlinked with no descriptor left).  The descriptor table is
         small session state and travels whole in every delta.  Applying the
         delta (with :meth:`apply_delta`) to a file system whose contents
-        match the state at the mark reproduces this one exactly.  With
-        ``reset`` the mark moves to now; ``reset=False`` peeks without
-        disturbing the chain.
+        match the state at the mark reproduces this one exactly.  The mark
+        moves to now.
         """
         changed = {
             ino: self._serialise_inode(self._inodes[ino])
@@ -471,8 +470,7 @@ class MemoryFileSystem:
             "next_fd": self._next_fd,
             "next_ino": self._next_ino,
         }
-        if reset:
-            self.clear_delta_tracking()
+        self.clear_delta_tracking()
         return delta
 
     def apply_delta(self, delta):

@@ -10,9 +10,9 @@ shard map fix it live:
 * **static-skew** — even initial map, Zipfian keys in rank order (key 0
   hottest), no rebalance: group 1 serves ~84% of commands;
 * **rebalanced-skew** — same load, but after a warmup the cluster calls
-  :meth:`rebalance_shards`, which installs a load-proportional map
-  through the totally-ordered update barrier (hand-off artifact built
-  and verified mid-load) and then measures again;
+  :meth:`rebalance_shards`, which switches routing to a
+  load-proportional map at one totally-ordered barrier mid-load (no
+  state moves: every replica holds all of it) and then measures again;
 * **uniform** — uniform keys on the static map: the no-skew reference
   ceiling.
 
@@ -43,8 +43,9 @@ EXPECTATIONS = {
             "throughput collapses toward a single worker's rate",
     "rebalance": "one live migration flattens the per-group load and "
                  "recovers most of the uniform ceiling (>= 1.3x static)",
-    "safety": "the migration's hand-off artifact verifies and no stale "
-              "routing reaches the sequencer unchecked",
+    "safety": "the switch is one barrier (a moved key's old group finishes "
+              "before its new group starts) and no stale routing reaches "
+              "the sequencer unchecked",
 }
 
 
@@ -191,7 +192,6 @@ def run_shard_rebalance(warmup=0.015, duration=0.04, seed=20260808):
         "migration_moved_ranges": (
             len(migration["moved_ranges"]) if migration else 0
         ),
-        "migration_verified": bool(migration and migration["verified"]),
         "migration_ms": (
             round(migration["duration_seconds"] * 1000.0, 2)
             if migration else None

@@ -414,12 +414,11 @@ def run_shard_migration_episode(seed, runtime="threaded"):
     background load (most commands hit the low end of the keyspace, i.e.
     group 1's initial range) drives the router's load tracker off
     balance.  Mid-load, the episode calls :meth:`rebalance_shards`
-    ``SHARD["migrations"]`` times — each installs a new map through the
-    totally-ordered update barrier and builds a verified hand-off
-    artifact while probe clients keep recording operations.  The oracle
-    is the skeleton's plus the migration-specific checks: at least one
-    migration actually moved ranges, and every hand-off artifact verified
-    against a fresh restore.
+    ``SHARD["migrations"]`` times — each switches routing to a new map
+    at one totally-ordered barrier while probe clients keep recording
+    operations.  The oracle is the skeleton's (linearizable history,
+    converged replicas) plus the migration-specific checks: a migration
+    happened and at least one moved ranges.
 
     ``runtime`` selects ``"threaded"`` or ``"proc"``; both expose the
     same sharding surface.
@@ -470,8 +469,6 @@ def run_shard_migration_episode(seed, runtime="threaded"):
     migrations = report["migrations"]
     return _fold(report, [
         (not migrations, "no migration happened (load never unbalanced the map)"),
-        (any(not record["verified"] for record in migrations),
-         "a hand-off artifact failed verification"),
         (not any(record["moved_ranges"] for record in migrations),
          "no migration moved any range"),
     ])

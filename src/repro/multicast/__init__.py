@@ -27,7 +27,6 @@ from repro.multicast.sharding import (
     ShardLoadTracker,
     ShardMap,
     ShardRouter,
-    build_shard_artifact,
     group_loads,
     propose_rebalance,
     stable_key_hash,
@@ -44,7 +43,6 @@ __all__ = [
     "ShardLoadTracker",
     "ShardMap",
     "ShardRouter",
-    "build_shard_artifact",
     "group_loads",
     "propose_rebalance",
     "stable_key_hash",

@@ -12,11 +12,14 @@ partition *dynamic*:
   rebalancer can see where the load actually lands;
 * :func:`propose_rebalance` turns a load snapshot into a new, better
   balanced :class:`ShardMap` (version + 1) by sweeping the observed hashes
-  in order and cutting equal-load ranges;
-* :func:`build_shard_artifact` materialises the state of the moved ranges
-  as a base-checkpoint + delta-suffix chain (the PR 4/5 machinery), taken
-  at a marker-defined cut, so a shard hand-off ships exactly the keys that
-  changed ownership and is verifiable via :func:`restore_chain`.
+  in order and cutting equal-load ranges.
+
+No state moves with a range: every P-SMR replica holds the whole service
+state, and the map only decides which worker orders and executes a
+command.  A shard move is therefore a routing switch at one barrier — the
+update is ordered to every worker like a dependent command, so a moved
+key's old group finishes everything ordered before the switch before its
+new group starts on anything ordered after it.
 
 Routing consistency across a map change is enforced at the sequencer: the
 multicast layer records the shard-map version each command was routed
@@ -31,16 +34,7 @@ before the command.
 import bisect
 import threading
 
-from repro.common.checkpoint import (
-    compact_chain,
-    estimate_checkpoint_size,
-    restore_chain,
-)
-from repro.common.errors import (
-    CheckpointError,
-    ConfigurationError,
-    StaleShardRouteError,
-)
+from repro.common.errors import ConfigurationError, StaleShardRouteError
 
 __all__ = [
     "HASH_SPACE",
@@ -48,7 +42,6 @@ __all__ = [
     "ShardMap",
     "ShardRouter",
     "StaleShardRouteError",
-    "build_shard_artifact",
     "group_loads",
     "propose_rebalance",
     "stable_key_hash",
@@ -196,8 +189,7 @@ class ShardMap:
         """Ownership changes from ``old_map`` to this map.
 
         Returns coalesced ``(lo, hi, from_group, to_group)`` tuples for
-        every hash interval whose owning group differs — exactly the
-        ranges a hand-off artifact must cover.
+        every hash interval whose owning group differs.
         """
         cuts = sorted(set(self.bounds) | set(old_map.bounds)) + [HASH_SPACE]
         moved = []
@@ -211,25 +203,6 @@ class ShardMap:
             else:
                 moved.append((lo, hi, source, target))
         return moved
-
-    # ------------------------------------------------------------------
-    # Wire form
-    # ------------------------------------------------------------------
-    def to_wire(self):
-        return {
-            "version": self.version,
-            "bounds": list(self.bounds),
-            "groups": list(self.groups),
-        }
-
-    @classmethod
-    def from_wire(cls, document, mpl=None):
-        return cls(
-            document["version"],
-            document["bounds"],
-            document["groups"],
-            mpl=mpl,
-        )
 
     def __eq__(self, other):
         return (
@@ -385,103 +358,3 @@ class ShardRouter:
             current, self.tracker.snapshot(), self.mpl, min_imbalance=min_imbalance
         )
 
-
-# ----------------------------------------------------------------------
-# Shard hand-off artifacts
-# ----------------------------------------------------------------------
-def _hash_in_ranges(key_hash, ranges):
-    for lo, hi, *_rest in ranges:
-        if lo <= key_hash < hi:
-            return True
-    return False
-
-
-def _key_in_ranges(key, ranges):
-    return _hash_in_ranges(stable_key_hash(key) & _HASH_MASK, ranges)
-
-
-def _filter_payload(payload, ranges):
-    """Restrict a checkpoint payload (full or delta) to keys in ``ranges``."""
-    if not isinstance(payload, dict):
-        raise CheckpointError("shard artifacts need dict checkpoint payloads")
-    if "tree" in payload:  # key-value full checkpoint
-        tree = payload["tree"]
-        filtered = dict(payload)
-        filtered["tree"] = {
-            **tree,
-            "items": [
-                (key, value)
-                for key, value in tree["items"]
-                if _key_in_ranges(key, ranges)
-            ],
-        }
-        return filtered
-    if "changes" in payload:  # key-value / B+-tree delta checkpoint
-        filtered = dict(payload)
-        filtered["changes"] = [
-            (key, value)
-            for key, value in payload["changes"]
-            if _key_in_ranges(key, ranges)
-        ]
-        filtered["deletions"] = [
-            key for key in payload.get("deletions", ())
-            if _key_in_ranges(key, ranges)
-        ]
-        return filtered
-    raise CheckpointError(
-        "shard hand-off supports key-value checkpoint chains only; "
-        f"got payload keys {sorted(payload)}"
-    )
-
-
-def build_shard_artifact(service, chain, moved_ranges, service_factory=None):
-    """Materialise the moved ranges' state as a restorable checkpoint chain.
-
-    Taken at a marker-defined cut (the caller holds the replica's chain
-    lock and a delivery barrier, so ``service`` and ``chain`` are
-    mutually consistent): the artifact is the replica's durable chain with
-    every payload restricted to the moved ranges, plus one live-tail delta
-    (``delta_checkpoint(reset=False)``) covering executions since the chain
-    tip — then compacted, so the receiver applies one base and at most one
-    delta.  With no chain yet, the current full state (filtered) is the
-    base.
-
-    With a ``service_factory`` the artifact is verified end-to-end: the
-    chain is restored into a fresh service and its contents compared
-    against the live state's moved-range slice.
-    """
-    ranges = [tuple(entry) for entry in moved_ranges]
-    entries = []
-    if chain:
-        for entry in chain:
-            entries.append(
-                {**entry, "payload": _filter_payload(entry["payload"], ranges)}
-            )
-        tail = _filter_payload(service.delta_checkpoint(reset=False), ranges)
-        entries.append({"kind": "delta", "sequence": None, "payload": tail})
-        entries = compact_chain(entries)
-    else:
-        entries = [
-            {
-                "kind": "full",
-                "sequence": None,
-                "payload": _filter_payload(service.checkpoint(), ranges),
-            }
-        ]
-    artifact = {
-        "ranges": ranges,
-        "chain": entries,
-        "entries": len(entries),
-        "bytes": estimate_checkpoint_size([entry["payload"] for entry in entries]),
-        "verified": None,
-    }
-    if service_factory is not None and hasattr(service, "snapshot"):
-        expected = {
-            key: value
-            for key, value in service.snapshot().items()
-            if _key_in_ranges(key, ranges)
-        }
-        restored = restore_chain(service_factory(), entries)
-        artifact["verified"] = restored.snapshot() == expected
-        artifact["keys"] = len(expected)
-    return artifact

@@ -158,7 +158,7 @@ class SimStream:
         self.commands_submitted += 1
         batch = self.batcher.add(command, command.size_bytes, self.env.now)
         if batch is not None:
-            self._ready.put(batch)
+            self._seal(batch)
         elif not self._flush_scheduled and len(self.batcher) > 0:
             self._schedule_flush()
 
@@ -171,9 +171,20 @@ class SimStream:
         if self.batcher.should_flush(self.env.now):
             batch = self.batcher.flush()
             if batch is not None:
-                self._ready.put(batch)
+                self._seal(batch)
         elif len(self.batcher) > 0:
             self._schedule_flush()
+
+    def _seal(self, batch):
+        """Hand a sealed batch to the coordinator.
+
+        Marks the stream active at once: the coordinator takes the batch
+        out of ``_ready`` in a later event of the same instant, and a skip
+        allocated in between would get a higher sequence number than the
+        batch yet reach subscribers before it.
+        """
+        self._last_activity = self.env.now
+        self._ready.put(batch)
 
     # ------------------------------------------------------------------
     # Ordering (one Paxos round per batch, as a cost model)

@@ -82,12 +82,10 @@ class _Cut:
 
     _ids = itertools.count()
 
-    def __init__(self, source=None, new_map=None, moved=()):
+    def __init__(self, source=None, shard=False):
         self.id = next(self._ids)
         self.source = source
-        self.wire = make_cut(
-            self.id, source, None if new_map is None else new_map.to_wire(), moved
-        )
+        self.wire = make_cut(self.id, source, shard)
         self._settled = threading.Condition()
         self._outcomes = {}
 
@@ -555,8 +553,8 @@ class PSMRControlPlane(ResponseRouter):
 
         One shared deadline across the waits: the bound is ``timeout``
         total, not ``timeout`` per replica.  A replica that crashed while
-        the cut was in flight is skipped; a failed checkpoint or artifact
-        raises its :class:`CheckpointError`.
+        the cut was in flight is skipped; a failed checkpoint raises its
+        :class:`CheckpointError`.
         """
         if timeout is None:
             timeout = self.barrier_timeout
@@ -640,16 +638,15 @@ class PSMRControlPlane(ResponseRouter):
         :meth:`LocalAtomicMulticast.multicast_shard_update` flips the
         sequencer's shard version atomically with the update's sequencing,
         and clients re-route anything rejected as stale.  Each live replica
-        synchronises its workers at the cut and builds a verified hand-off
-        artifact (base checkpoint + delta suffix, filtered to the moved
-        ranges), reporting its stats; the artifact itself stays with the
-        replica, which is where the moved state already lives.  Every
-        replica reports, so a crash of *any* fails its wait.  The cluster
-        keeps the migration record in :attr:`shard_migrations`.
+        synchronises its workers at the cut and reports; that barrier is
+        the whole move.  A moved key's old group finishes everything
+        ordered before the switch before its new group starts, and no
+        state moves, because every replica already holds all of it.
+        Every replica reports, so a crash of *any* fails its wait.  The
+        cluster keeps the migration record in :attr:`shard_migrations`.
 
         No replica stops serving at any point: the barrier is the same one
-        a periodic checkpoint pays, and command execution resumes the
-        moment the artifact is built.
+        a periodic checkpoint pays, minus the snapshot.
         """
         if self.shard_router is None:
             raise ConfigurationError("cluster was built without a shard map")
@@ -660,7 +657,7 @@ class PSMRControlPlane(ResponseRouter):
                 f"{old_map.version} -> {new_map.version}"
             )
         moved = new_map.moved_ranges(old_map)
-        cut = _Cut(new_map=new_map, moved=moved)
+        cut = _Cut(shard=True)
         started = time.monotonic()
         with self._published(cut):
             live = self.live_replicas()
@@ -675,10 +672,6 @@ class PSMRControlPlane(ResponseRouter):
             "moved_ranges": list(moved),
             "duration_seconds": time.monotonic() - started,
             "replicas": sorted(reports),
-            "bytes": sum(report["raw_bytes"] for report in reports.values()),
-            "verified": all(
-                report["verified"] is not False for report in reports.values()
-            ),
         }
         with self._lock:
             self.shard_migrations.append(record)

@@ -13,8 +13,9 @@ cut, never per command:
 
 * ``on_responses(pairs)`` — a batch of ``(uid, Response)`` pairs;
 * ``on_cut_done(report)`` — a ``c`` report: a cut (a checkpoint marker
-  or a shard-map update) was executed, and the checkpoint taken or the
-  hand-off artifact built at it — or the ``error`` that stopped it.
+  or a shard-map update) was executed, and the checkpoint taken at it —
+  or the ``error`` that stopped it.  A shard-map update takes nothing:
+  its barrier is the whole of a routing switch.
 
 The threaded runtime binds them to direct calls into the control plane;
 a replica process binds them to ``r`` / ``c`` frames on its socket.  A
@@ -34,7 +35,6 @@ from repro.common.checkpoint import (
 from repro.common.codec import decode_command
 from repro.common.errors import CheckpointError, ReplicaCrashedError
 from repro.core.protocol import plan_execution
-from repro.multicast.sharding import build_shard_artifact
 
 #: Messages a worker drains per wake-up: one lock round-trip amortised
 #: over the run instead of paid per command.
@@ -371,31 +371,33 @@ class ReplicaEngine:
     def _handle_cut(self, sequence, cut, index):
         """Synchronous-mode execution of a cut, and its report.
 
-        A shard-map update (``map`` set) builds the hand-off artifact of
-        the moved ranges on every replica.  A checkpoint marker with a
-        concrete ``source`` is materialised by that replica only — the
-        others pay just the barrier, which is what makes the cut consistent
-        cluster-wide without N copies of the state; with ``source=None``
-        (a *periodic* marker) every replica takes a local checkpoint and
-        keeps the state to itself.  A snapshot, write or artifact build
-        that fails is reported as the ``error``; the barrier completes and
-        the workers go on either way.
+        A shard-map update is only its barrier: once it completes, a moved
+        key's old group has executed everything ordered before the switch
+        and its new group starts on what is ordered after it.  Every
+        replica reports it; no state moves, because every replica already
+        holds all of it.  A checkpoint marker with a concrete ``source``
+        is materialised by that replica only — the others pay just the
+        barrier, which is what makes the cut consistent cluster-wide
+        without N copies of the state; with ``source=None`` (a *periodic*
+        marker) every replica takes a local checkpoint and keeps the state
+        to itself.  A snapshot or write that fails is reported as the
+        ``error``; the barrier completes and the workers go on either way.
         """
         uid = ("__cut__", cut["cut"])
         if not self._synchronise(uid, index):
             return
         source = cut["source"]
-        if cut["map"] is not None or source in (None, self.replica_id):
+        if cut["shard"] or source in (None, self.replica_id):
             report = {"t": "c", "cut": cut["cut"], "sequence": sequence,
                       "error": None}
-            try:
-                with self.chain_lock:
-                    if cut["map"] is not None:
-                        report.update(self._shard_artifact(cut["moved"]))
-                    else:
+            if cut["shard"]:
+                report["kind"] = "shard"
+            else:
+                try:
+                    with self.chain_lock:
                         report.update(self._checkpoint(sequence, source))
-            except (CheckpointError, OSError) as exc:
-                report["error"] = f"replica {self.replica_id}: {exc!r}"
+                except (CheckpointError, OSError) as exc:
+                    report["error"] = f"replica {self.replica_id}: {exc!r}"
             with self._counter_lock:
                 report["boundary"] = self.boundary_violations
             self.on_cut_done(report)
@@ -449,27 +451,6 @@ class ReplicaEngine:
             # Only a source marker (recovery transfer) hands its state
             # out; a periodic checkpoint stays local.
             "state": entry["payload"] if source is not None else None,
-        }
-
-    def _shard_artifact(self, moved):
-        """The hand-off artifact of the ``moved`` ranges, as the report's fields.
-
-        Routing already switched at the sequencer when the update was
-        ordered; the cut is what makes the state transfer point
-        well-defined on every replica.  Only the artifact's stats are
-        reported — every P-SMR replica already holds the full state; what
-        moves is ordering ownership, and the artifact proves the
-        transferable state was consistent.  Caller holds ``chain_lock``.
-        """
-        if not moved:
-            return {"kind": "shard", "raw_bytes": 0, "verified": None}
-        artifact = build_shard_artifact(
-            self.service, self.chain, moved, service_factory=self.service_factory
-        )
-        return {
-            "kind": "shard",
-            "raw_bytes": artifact["bytes"],
-            "verified": artifact["verified"],
         }
 
     # ------------------------------------------------------------------

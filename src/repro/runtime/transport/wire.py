@@ -35,10 +35,10 @@ type                    dir    meaning
 ``r``                   c→s    batched command responses
 ``c``                   c→s    cut executed: cut id, sequence, kind
                                (``full`` / ``delta`` checkpoint or
-                               ``shard`` artifact), raw bytes, state
-                               (source markers only), artifact verified,
-                               boundary count, error (a failed snapshot,
-                               write or artifact build)
+                               ``shard`` switch), raw bytes and state
+                               (checkpoints; state for source markers
+                               only), boundary count, error (a failed
+                               snapshot or write)
 ``stats?``/``stats``    s→c/c→s  execution counters + queue backlog
 ``snap?``/``snap``      s→c/c→s  service snapshot
 ``chain?``/``chain``    s→c/c→s  chain-suffix donation after a cut
@@ -104,23 +104,19 @@ class WireError(Exception):
     """A peer sent something unframeable; the connection is unusable."""
 
 
-def make_cut(cut_id, source, shard_map, moved):
+def make_cut(cut_id, source, shard):
     """A consistent cut as it is multicast in both runtimes: a plain dict,
     because it must be able to cross the wire.
 
-    A checkpoint marker has no ``map``: only replica ``source`` snapshots
-    and hands its state out, or, with ``source=None``, every replica takes
-    a local checkpoint.  A shard-map update carries the new map
-    (:meth:`ShardMap.to_wire`) and the moved hash ranges ``(lo, hi,
-    from_group, to_group)`` its hand-off artifact must cover.  The
-    coordinator's waiter stays behind, found again by ``cut``.
+    A checkpoint marker (``shard`` false) is snapshotted by replica
+    ``source`` only, which hands its state out, or, with ``source=None``,
+    by every replica, which keeps it.  A shard-map update (``shard``
+    true) is only the barrier: routing already switched at the sequencer
+    and every replica holds the whole state, so neither the map nor the
+    moved ranges travel.  The coordinator's waiter stays behind, found
+    again by ``cut``.
     """
-    return {
-        "cut": cut_id,
-        "source": source,
-        "map": shard_map,
-        "moved": tuple(tuple(entry) for entry in moved),
-    }
+    return {"cut": cut_id, "source": source, "shard": shard}
 
 
 _DELIVER_TAG = ord("d")

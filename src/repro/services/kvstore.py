@@ -149,15 +149,14 @@ class KeyValueStoreServer:
         self.commands_executed = state["commands_executed"]
         return self
 
-    def delta_checkpoint(self, reset=True):
+    def delta_checkpoint(self):
         """Serialise only the keys written/deleted since the last tracking mark.
 
         Applying the result (with :meth:`apply_delta`) to a replica whose
-        state matches the mark reproduces this replica exactly.  With
-        ``reset`` the mark moves to now — the normal checkpoint-chain
-        behaviour; ``reset=False`` peeks without disturbing the chain.
+        state matches the mark reproduces this replica exactly.  The mark
+        moves to now.
         """
-        delta = self._tree.delta(reset=reset)
+        delta = self._tree.delta()
         delta["commands_executed"] = self.commands_executed
         return delta
 

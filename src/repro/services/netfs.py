@@ -179,16 +179,15 @@ class NetFSServer:
         self.commands_executed = state["commands_executed"]
         return self
 
-    def delta_checkpoint(self, reset=True):
+    def delta_checkpoint(self):
         """Serialise only the inodes dirtied since the last tracking mark.
 
         Applying the result (with :meth:`apply_delta`) to a replica whose
         state matches the mark reproduces this replica exactly, open
-        descriptors included.  With ``reset`` the mark moves to now;
-        ``reset=False`` peeks without disturbing the chain.
+        descriptors included.  The mark moves to now.
         """
         return {
-            "fs": self.fs.delta_checkpoint(reset=reset),
+            "fs": self.fs.delta_checkpoint(),
             "commands_executed": self.commands_executed,
         }
 

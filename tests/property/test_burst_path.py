@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.common import framing
 from repro.common.faults import FaultPlane
 from repro.multicast.group import ALL_GROUPS
-from repro.multicast.sharding import ShardMap
 from repro.runtime.replica_proc import ReplicaProcess
 from repro.runtime.transport import wire
 
@@ -26,15 +25,7 @@ bodies = (
     st.binary(max_size=48)  # kind 0, and kind 1: a marker or a shard update
     | st.builds(
         wire.make_cut, st.integers(min_value=0), st.none() | int64,
-        st.none(), st.just(()),
-    )
-    | st.builds(
-        wire.make_cut, st.integers(min_value=0), st.none(),
-        st.builds(
-            lambda mpl: ShardMap.initial(mpl).to_wire(),
-            st.integers(min_value=1, max_value=8),
-        ),
-        st.lists(st.tuples(int64, int64, group_ids, group_ids), max_size=3),
+        st.booleans(),
     )
 )
 destinations = (

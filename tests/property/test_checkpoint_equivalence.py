@@ -95,25 +95,6 @@ def test_kvstore_chain_equals_live_and_full(segments, suffix):
     restored.tree.validate()
 
 
-@settings(max_examples=40, deadline=None)
-@given(segments=segments_of(kv_operations))
-def test_kvstore_peek_delta_does_not_disturb_the_chain(segments):
-    """``delta_checkpoint(reset=False)`` (recovery negotiation's residual
-    peek) must leave the tracking mark alone: the chain built afterwards
-    still restores exactly."""
-    live = KeyValueStoreServer(initial_keys=6)
-    chain = []
-    step = 0
-    for operations, want_delta in segments:
-        run_kv(live, operations, base_step=step)
-        step += len(operations)
-        live.delta_checkpoint(reset=False)  # peek, as a recovery donor does
-        take_checkpoint(live, chain, want_delta)
-    restored = restore_chain(KeyValueStoreServer(), chain)
-    assert restored.snapshot() == live.snapshot()
-    assert restored.commands_executed == live.commands_executed
-
-
 # ----------------------------------------------------------------------
 # Raw B+-tree (the state layer under the key-value store)
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.common.framing import HEADER_SIZE
 from repro.core.command import Command
 from repro.fs.memfs import Stat
 from repro.multicast.group import ALL_GROUPS
-from repro.multicast.sharding import ShardMap
 from repro.runtime.transport import wire
 
 # ----------------------------------------------------------------------
@@ -279,19 +278,9 @@ def _through_the_wire(message):
 
 deliver_bodies = (
     st.binary(max_size=64)  # an encoded command, opaque to the frame
-    | st.builds(  # a checkpoint marker
+    | st.builds(  # a checkpoint marker or a shard-map update
         wire.make_cut, st.integers(min_value=0), st.none() | int64,
-        st.none(), st.just(()),
-    )
-    | st.builds(  # a shard-map update
-        wire.make_cut,
-        st.integers(min_value=0),
-        st.none(),
-        st.builds(
-            lambda mpl: ShardMap.initial(mpl).to_wire(),
-            st.integers(min_value=1, max_value=8),
-        ),
-        st.lists(st.tuples(int64, int64, group_ids, group_ids), max_size=3),
+        st.booleans(),
     )
 )
 

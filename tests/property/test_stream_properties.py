@@ -7,7 +7,7 @@ reach each subscriber in sequence order over a FIFO link, one Paxos round
 idle skips share one gap-free sequence space.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.config import CostModelConfig, MulticastConfig
 from repro.common.rng import SeededRNG
@@ -88,6 +88,14 @@ def test_stream_batches_arrive_one_round_after_proposal(config, plan, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(config=stream_configs, plan=submissions, seed=st.integers(0, 2**16))
+@example(  # a batch sealed on a skip tick, before the coordinator takes it
+    config=MulticastConfig(
+        batch_max_bytes=512, batch_max_commands=1, batch_timeout=10e-6,
+        skip_interval=100e-6,
+    ),
+    plan=[(100, 16), (400, 16)],
+    seed=0,
+)
 def test_stream_sequence_space_is_gap_free_and_shared(config, plan, seed):
     _uids, logs = _run(config, plan, seed)
     first, second = logs

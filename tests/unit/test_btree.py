@@ -186,3 +186,23 @@ def test_keys_match_leaf_chain_after_heavy_churn():
     keys = list(tree.keys())
     assert keys == sorted(keys)
     assert len(keys) == 150
+
+
+def test_each_delta_starts_where_the_last_one_ended():
+    tree = BPlusTree(order=5)
+    for key in range(20):
+        tree.insert(key, key)
+    base = tree.delta()
+    assert [key for key, _ in base["changes"]] == list(range(20))
+    assert tree.delta() == {"order": 5, "changes": [], "deletions": []}
+    tree.update(3, "three")
+    tree.delete(7)
+    second = tree.delta()
+    assert second["changes"] == [(3, "three")]
+    assert second["deletions"] == [7]
+    assert tree.delta()["changes"] == []
+    # The two deltas replay onto an empty tree as the tree itself.
+    replica = BPlusTree(order=5)
+    replica.apply_delta(base)
+    replica.apply_delta(second)
+    assert list(replica.items()) == list(tree.items())

@@ -314,3 +314,21 @@ def test_content_change_promotes_attr_dirty_inode(fs):
     restored = MemoryFileSystem().restore(base)
     restored.apply_delta(delta)
     assert restored.tree_snapshot() == fs.tree_snapshot()
+
+
+def test_each_delta_starts_where_the_last_one_ended(fs):
+    fs.mknod("/f")
+    base = fs.checkpoint()
+    fs.clear_delta_tracking()
+    fs.write(path="/f", data=b"data", now=1.0)
+    first = fs.delta_checkpoint()
+    assert fs._lookup("/f").ino in first["changed"]
+    second = fs.delta_checkpoint()
+    assert second["changed"] == {} and second["removed"] == []
+
+    from repro.fs.memfs import MemoryFileSystem
+
+    restored = MemoryFileSystem().restore(base)
+    restored.apply_delta(first)
+    restored.apply_delta(second)
+    assert restored.tree_snapshot() == fs.tree_snapshot()

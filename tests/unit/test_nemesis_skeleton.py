@@ -84,7 +84,7 @@ class FakeCluster:
     def rebalance_shards(self, min_imbalance):
         self._control("rebalance_shards")
         self.shard_router.shard_map.version += 1
-        return {"verified": True, "moved_ranges": [(0, 8)]}
+        return {"moved_ranges": [(0, 8, 1, 2)]}
 
     def replica_snapshots(self, quiesce=True):
         live = [replica for replica in self.replicas if not replica.crashed]

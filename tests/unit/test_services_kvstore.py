@@ -107,3 +107,19 @@ def test_commands_executed_counter(server):
     server.execute("read", {"key": 1})
     server.execute("read", {"key": 2})
     assert server.commands_executed == 2
+
+
+def test_each_delta_checkpoint_starts_where_the_last_one_ended(server):
+    base = server.checkpoint()
+    server.delta_checkpoint()
+    server.execute("update", {"key": 2, "value": b"two"})
+    first = server.delta_checkpoint()
+    assert first["changes"] == [(2, b"two")]
+    second = server.delta_checkpoint()
+    assert second["changes"] == [] and second["deletions"] == []
+    assert second["commands_executed"] == server.commands_executed
+    replica = KeyValueStoreServer()
+    replica.restore(base)
+    replica.apply_delta(first)
+    replica.apply_delta(second)
+    assert replica.snapshot() == server.snapshot()

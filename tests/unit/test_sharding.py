@@ -2,17 +2,12 @@
 
 Covers the shard map's validation and lookup, the load tracker and
 rebalance proposals, the router's atomic installs, the sequencer-side
-staleness check, the C-G integration, and the hand-off artifact's
-build-and-verify path.
+staleness check and the C-G integration.
 """
 
 import pytest
 
-from repro.common.errors import (
-    CheckpointError,
-    ConfigurationError,
-    StaleShardRouteError,
-)
+from repro.common.errors import ConfigurationError, StaleShardRouteError
 from repro.core.cg import CGFunction
 from repro.multicast.group import ALL_GROUPS
 from repro.multicast.sharding import (
@@ -20,13 +15,12 @@ from repro.multicast.sharding import (
     ShardLoadTracker,
     ShardMap,
     ShardRouter,
-    build_shard_artifact,
     group_loads,
     propose_rebalance,
     stable_key_hash,
 )
 from repro.runtime.multicast import LocalAtomicMulticast
-from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
+from repro.services.kvstore import KVSTORE_SPEC
 
 
 # ----------------------------------------------------------------------
@@ -122,12 +116,39 @@ def test_moved_ranges_are_coalesced():
     )
 
 
-def test_wire_round_trip():
-    shard_map = ShardMap.initial(3, key_space=99).split(10).move(10, 3)
-    clone = ShardMap.from_wire(shard_map.to_wire(), mpl=3)
-    assert clone == shard_map
-    with pytest.raises(ConfigurationError):
-        ShardMap.from_wire(shard_map.to_wire(), mpl=2)  # group 3 > mpl 2
+def test_group_for_hash_masks_to_the_hash_space():
+    shard_map = ShardMap.initial(4, key_space=256)
+    for key_hash in (0, 70, 200):
+        assert shard_map.group_for_hash(HASH_SPACE + key_hash) == (
+            shard_map.group_for_hash(key_hash)
+        )
+
+
+def test_ranges_tile_hash_space_after_split_and_move():
+    shard_map = ShardMap.initial(4, key_space=256).split(10).move(10, 3).split(200)
+    ranges = shard_map.ranges()
+    assert ranges[0][0] == 0 and ranges[-1][1] == HASH_SPACE
+    for (_, hi, _), (lo, _, _) in zip(ranges, ranges[1:]):
+        assert hi == lo
+    assert [group for _, _, group in ranges] == list(shard_map.groups)
+    assert shard_map.group_for_key(10) == 3 and shard_map.group_for_key(9) == 1
+
+
+def test_a_split_moves_nothing():
+    old = ShardMap.initial(4, key_space=256)
+    assert old.moved_ranges(old) == []
+    assert old.split(100).moved_ranges(old) == []
+    # Moving a range back to its owner is a new version that moves nothing.
+    assert old.move(64, 2).moved_ranges(old) == []
+
+
+def test_shard_maps_compare_by_version_and_partition():
+    shard_map = ShardMap.initial(2, key_space=100)
+    assert shard_map == ShardMap(0, (0, 50), (1, 2))
+    assert shard_map != ShardMap(1, (0, 50), (1, 2))
+    assert shard_map != ShardMap(0, (0, 50), (2, 1))
+    assert shard_map != (0, (0, 50), (1, 2))
+    assert repr(shard_map) == "ShardMap(version=0, ranges=2, groups=[1, 2])"
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +165,22 @@ def test_tracker_counts_and_overflow():
     tracker.reset()
     assert tracker.snapshot() == {}
     assert tracker.untracked == 0
+
+
+def test_group_loads_sums_counts_per_owning_group():
+    shard_map = ShardMap.initial(2, key_space=100)
+    assert group_loads(shard_map, {}) == {}
+    assert group_loads(shard_map, {1: 3, 49: 2, 50: 7, HASH_SPACE - 1: 1}) == {
+        1: 5,
+        2: 8,
+    }
+
+
+def test_tracker_and_router_reject_bad_configuration():
+    with pytest.raises(ConfigurationError):
+        ShardLoadTracker(max_tracked=0)
+    with pytest.raises(ConfigurationError):
+        ShardRouter((0, (0,), (1,)), 2)  # not a ShardMap
 
 
 def test_propose_rebalance_flattens_skew():
@@ -236,79 +273,3 @@ def test_shard_update_advances_version_atomically():
         multicast.multicast(frozenset({1}), {"cmd": 2}, shard_version=0)
     with pytest.raises(ConfigurationError):
         multicast.multicast_shard_update({"update": 1}, new_map)  # stale map
-
-
-# ----------------------------------------------------------------------
-# Hand-off artifacts
-# ----------------------------------------------------------------------
-def _kv_with_chain():
-    """A KV service plus a realistic full+delta checkpoint chain."""
-    service = KeyValueStoreServer()
-    for key in range(16):
-        service.execute("insert", {"key": key, "value": key.to_bytes(2, "big")})
-    chain = [{"kind": "full", "sequence": 15, "payload": service.checkpoint()}]
-    for key in range(4, 8):
-        service.execute("update", {"key": key, "value": b"\xff\xff"})
-    service.execute("delete", {"key": 12})
-    chain.append(
-        {"kind": "delta", "sequence": 20, "payload": service.delta_checkpoint()}
-    )
-    # Live tail past the chain tip, captured by the artifact's own delta.
-    service.execute("insert", {"key": 2048, "value": b"tail"})
-    return service, chain
-
-
-def test_artifact_covers_exactly_the_moved_ranges():
-    service, chain = _kv_with_chain()
-    moved = [(4, 8, 1, 2), (2000, 2100, 2, 1)]
-    artifact = build_shard_artifact(
-        service, chain, moved, service_factory=KeyValueStoreServer
-    )
-    assert artifact["verified"] is True
-    assert artifact["keys"] == 5  # keys 4..7 plus the live-tail 2048
-    restored = KeyValueStoreServer()
-    from repro.common.checkpoint import restore_chain
-
-    restore_chain(restored, artifact["chain"])
-    assert restored.snapshot() == {
-        **{key: b"\xff\xff" for key in range(4, 8)},
-        2048: b"tail",
-    }
-    assert artifact["bytes"] > 0
-    assert artifact["ranges"] == [tuple(entry) for entry in moved]
-
-
-def test_artifact_without_chain_filters_the_full_state():
-    service = KeyValueStoreServer()
-    for key in (1, 5, 9):
-        service.execute("insert", {"key": key, "value": b"v"})
-    artifact = build_shard_artifact(
-        service, [], [(0, 6, 1, 2)], service_factory=KeyValueStoreServer
-    )
-    assert artifact["verified"] is True
-    assert artifact["entries"] == 1
-    assert artifact["keys"] == 2  # keys 1 and 5; 9 stays behind
-
-
-def test_artifact_filters_deletions_into_the_moved_ranges():
-    service, chain = _kv_with_chain()
-    artifact = build_shard_artifact(
-        service, chain, [(10, 14, 1, 3)],
-        service_factory=KeyValueStoreServer,
-    )
-    assert artifact["verified"] is True
-    restored = KeyValueStoreServer()
-    from repro.common.checkpoint import restore_chain
-
-    restore_chain(restored, artifact["chain"])
-    # Key 12 was deleted after the full checkpoint: the filtered delta
-    # must carry that deletion into the artifact.
-    assert 12 not in restored.snapshot()
-    assert set(restored.snapshot()) == {10, 11, 13}
-
-
-def test_artifact_rejects_unknown_payload_shapes():
-    service = KeyValueStoreServer()
-    chain = [{"kind": "full", "sequence": 0, "payload": {"blob": b"opaque"}}]
-    with pytest.raises(CheckpointError):
-        build_shard_artifact(service, chain, [(0, 10, 1, 2)])

@@ -93,11 +93,10 @@ class TestWireEncoding:
         assert wire.decode_chain(wire.encode_chain(chain)) == chain
 
     def test_cut_helper(self):
-        marker = wire.make_cut(17, 2, None, ())
-        assert marker == {"cut": 17, "source": 2, "map": None, "moved": ()}
-        update = wire.make_cut(18, None, {"version": 3}, [[0, 9, 1, 2]])
-        assert update["map"] == {"version": 3}
-        assert update["moved"] == ((0, 9, 1, 2),)  # tuples: hashable, codec-exact
+        marker = wire.make_cut(17, 2, False)
+        assert marker == {"cut": 17, "source": 2, "shard": False}
+        update = wire.make_cut(18, None, True)
+        assert update == {"cut": 18, "source": None, "shard": True}
         for cut in (marker, update):
             assert wire.decode_payload(wire.encode_message(
                 {"t": "d", "ls": 0, "s": 5, "dst": "ALL", "b": cut}
