@@ -9,7 +9,16 @@ Upon delivering a command, a worker thread decides between:
   other destination thread; the others signal the executor and wait.
 
 ``plan_execution`` captures the deterministic part of that decision so both
-the simulated and the threaded runtimes (and the tests) share it.
+the simulated and the live runtimes (and the tests) share it.  The
+simulator follows Algorithm 1 literally: the executor it names waits for
+its peers, runs the command and signals them.  The live engine
+(:mod:`repro.runtime.engine`) uses the plan only to tell the modes apart
+and to size the barrier: whichever destination thread arrives last runs
+the command and releases the rest, which saves a hand-off to a sleeping
+executor.  The two are equivalent: either way the command runs while
+every other destination thread is parked at the same point of its
+stream, after everything ordered before it there and before anything
+ordered after it, so the service sees the same sequence of commands.
 """
 
 from dataclasses import dataclass

@@ -3,6 +3,11 @@
 This is the server side of the paper's "commodified architecture"
 (Figure 1): ``mpl`` worker threads that deliver, synchronise (barriers
 for synchronous mode) and execute against the local service instance.
+A command or cut addressed to several threads runs on whichever of them
+arrives last at its barrier; the earlier arrivals are parked until it is
+done (Algorithm 1 names the lowest-indexed thread instead; with every
+other destination parked at the same point of its stream, the outcome is
+the same).
 The engine also owns everything a replica keeps to itself — the
 checkpoint chain with its full/delta cadence, the durable store it is
 persisted to, compaction, chain-suffix donation and the delivery
@@ -47,86 +52,61 @@ DELIVERY_BATCH_SIZE = 32
 _cached_plan = lru_cache(maxsize=None)(plan_execution)
 
 
-class _Barrier:
-    """One barrier's state, from its first arrival to ``complete``."""
-
-    __slots__ = ("arrived", "awaited", "ready", "done")
-
-    def __init__(self):
-        self.arrived = set()  # assisting thread indices
-        self.awaited = None  # the peers the executor is blocked on, if it is
-        self.ready = None  # set by the arrival that completes ``awaited``
-        self.done = threading.Event()  # set by the executor: assistants go on
-
-
 class _BarrierSync:
-    """Per-replica synchronous-mode signalling, one record per barrier.
+    """Per-replica synchronous-mode barriers: the last arrival runs.
 
-    Algorithm 1's rule stands: the lowest-indexed destination thread
-    executes, its peers assist.  An assistant registers its arrival and
-    picks up the barrier's completion event under one lock acquisition;
-    the executor cannot complete before that arrival, so no waiter can
-    come late and nothing is remembered once ``complete`` dropped the
-    record.  The executor blocks only while a peer is missing, and only
-    the arrival that completes its set wakes it: one wake-up per thread
-    per barrier.
+    A centralized barrier (Mellor-Crummey & Scott, 1991): the arrival
+    that completes ``uid`` gets True from :meth:`arrive`, executes the
+    command or cut and calls :meth:`release`; every earlier arrival parks
+    on a one-shot lock, allocated already held, which ``release`` frees:
+    no thread sleeps while another does the work, and nobody is woken
+    twice.  The record lives from the first arrival to ``release`` (so
+    :meth:`crash` can free threads parked behind a completer that is
+    still executing) and nothing is kept after it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._barriers = {}  # uid -> _Barrier
+        self._barriers = {}  # uid -> the parked arrivals' locks
         self._crashed = False
 
-    def _enter(self, uid):
-        """The barrier of ``uid``, created by whoever arrives first; locked."""
+    def arrive(self, uid, parties, timeout=None):
+        """Arrive at ``uid``'s barrier of ``parties`` threads.
+
+        True on the completing arrival, which must call :meth:`release`;
+        an earlier arrival parks and returns False once released.
+        """
+        with self._lock:
+            if self._crashed:
+                raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
+            parked = self._barriers.setdefault(uid, [])
+            if len(parked) + 1 == parties:
+                return True
+            gate = threading.Lock()
+            gate.acquire()
+            parked.append(gate)
+        if not gate.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError(f"barrier timed out waiting for the arrivals of {uid}")
         if self._crashed:
             raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
-        barrier = self._barriers.get(uid)
-        if barrier is None:
-            barrier = self._barriers[uid] = _Barrier()
-        return barrier
+        return False
 
-    def _wait(self, event, uid, timeout, whom):
-        if not event.wait(timeout):
-            raise TimeoutError(f"barrier timed out waiting for {whom} of {uid}")
-        if self._crashed:
-            raise ReplicaCrashedError(f"replica crashed at barrier of {uid}")
-
-    def assist(self, uid, thread_index, timeout=None):
-        """Signal arrival at ``uid``; block until its executor completed it."""
+    def release(self, uid):
+        """Drop ``uid``'s record and let its parked arrivals go on."""
         with self._lock:
-            barrier = self._enter(uid)
-            barrier.arrived.add(thread_index)
-            awaited = barrier.awaited
-            if awaited is not None and awaited <= barrier.arrived:
-                barrier.ready.set()
-        self._wait(barrier.done, uid, timeout, "executor")
-
-    def wait_for_peers(self, uid, peers, timeout=None):
-        with self._lock:
-            barrier = self._enter(uid)
-            if barrier.arrived.issuperset(peers):
-                return
-            barrier.awaited = frozenset(peers)
-            barrier.ready = threading.Event()
-        self._wait(barrier.ready, uid, timeout, "peers")
-
-    def complete(self, uid):
-        with self._lock:
-            barrier = self._barriers.pop(uid, None)
-        if barrier is not None:
-            barrier.done.set()
+            parked = self._barriers.pop(uid, ())
+        for gate in parked:
+            gate.release()
 
     def crash(self):
-        """Wake every waiting worker with :class:`ReplicaCrashedError`."""
+        """Wake every parked worker with :class:`ReplicaCrashedError`."""
         with self._lock:
             self._crashed = True
-            barriers = list(self._barriers.values())
+            records = list(self._barriers.values())
             self._barriers.clear()
-        for barrier in barriers:
-            barrier.done.set()
-            if barrier.ready is not None:
-                barrier.ready.set()
+        for parked in records:
+            for gate in parked:
+                gate.release()
 
 
 class ReplicaEngine:
@@ -313,7 +293,7 @@ class ReplicaEngine:
                         # (in-order drain) — so it lands exactly on a
                         # batch boundary.
                         self._flush_responses(pending)
-                        self._handle_cut(sequence, command, index)
+                        self._handle_cut(sequence, command)
                         if pending:
                             with self._counter_lock:
                                 self.boundary_violations += 1
@@ -324,16 +304,12 @@ class ReplicaEngine:
                     plan = _cached_plan(destinations, index, mpl)
                     if plan.mode == "parallel":
                         pending.append((command.uid, self._execute(command)))
-                    elif plan.mode == "execute":
+                    elif plan.mode != "ignore":  # synchronous mode
                         self._flush_responses(pending)
-                        barrier.wait_for_peers(
-                            command.uid, plan.peers, timeout=timeout
-                        )
-                        self.on_responses([(command.uid, self._execute(command))])
-                        barrier.complete(command.uid)
-                    elif plan.mode == "assist":
-                        self._flush_responses(pending)
-                        barrier.assist(command.uid, index, timeout)
+                        uid = command.uid
+                        if barrier.arrive(uid, len(plan.peers) + 1, timeout):
+                            self.on_responses([(uid, self._execute(command))])
+                            barrier.release(uid)
                     # plan.mode == "ignore": not a destination; nothing to do.
                 except ReplicaCrashedError:
                     return
@@ -353,23 +329,12 @@ class ReplicaEngine:
         response.replica_id = self.replica_id
         return response
 
-    def _synchronise(self, uid, index):
-        """Barrier every worker at a cut; True on the executor.
-
-        When thread 1 returns, every sibling has reached the cut, so the
-        service reflects exactly the commands sequenced before it; the
-        siblings return only after the executor called ``barrier.complete``.
-        """
-        if index != 1:
-            self.barrier.assist(uid, index, self.barrier_timeout)
-            return False
-        self.barrier.wait_for_peers(
-            uid, range(2, self.mpl + 1), timeout=self.barrier_timeout
-        )
-        return True
-
-    def _handle_cut(self, sequence, cut, index):
+    def _handle_cut(self, sequence, cut):
         """Synchronous-mode execution of a cut, and its report.
+
+        Every worker arrives at the cut's barrier; the last to arrive runs
+        the cut while the others are parked, so the service reflects
+        exactly the commands sequenced before it.
 
         A shard-map update is only its barrier: once it completes, a moved
         key's old group has executed everything ordered before the switch
@@ -384,7 +349,7 @@ class ReplicaEngine:
         ``error``; the barrier completes and the workers go on either way.
         """
         uid = ("__cut__", cut["cut"])
-        if not self._synchronise(uid, index):
+        if not self.barrier.arrive(uid, self.mpl, self.barrier_timeout):
             return
         source = cut["source"]
         if cut["shard"] or source in (None, self.replica_id):
@@ -401,7 +366,7 @@ class ReplicaEngine:
             with self._counter_lock:
                 report["boundary"] = self.boundary_violations
             self.on_cut_done(report)
-        self.barrier.complete(uid)
+        self.barrier.release(uid)
 
     def _checkpoint(self, sequence, source):
         """Snapshot the service at a cut, as the report's fields.
