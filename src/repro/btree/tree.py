@@ -6,6 +6,8 @@ the structural invariants and is used heavily by the property-based tests.
 """
 
 import bisect
+from itertools import islice
+from operator import lt
 
 from repro.common.errors import KeyNotFoundError, KeyAlreadyExistsError
 from repro.common.errors import ConfigurationError
@@ -33,18 +35,22 @@ class BPlusTree:
     """A B+-tree mapping orderable keys to arbitrary values.
 
     ``order`` is the maximum number of children of an internal node; leaves
-    hold at most ``order - 1`` entries.
+    hold at most ``order - 1`` entries.  ``keys`` and ``values`` seed the
+    tree in one bottom-up pass (see :meth:`_bulk_load`): ``keys`` a sized,
+    strictly ascending sequence such as a ``range``, ``values`` a parallel
+    iterable such as ``itertools.repeat(fill, len(keys))``.  Delta tracking
+    starts clean, so the seed is the implicit base of the first delta.
     """
 
-    def __init__(self, order=32):
+    def __init__(self, order=32, keys=(), values=()):
         if order < 4:
             raise ConfigurationError("B+-tree order must be >= 4")
         self.order = order
-        self._root = _Node(is_leaf=True)
-        self._size = 0
-        #: Incremented every time the tree structure changes (split/merge/
-        #: root change).  The simulator uses it to distinguish structural
-        #: inserts/deletes from in-place ones when charging CPU time.
+        self._root = self._bulk_load(keys, values)
+        self._size = len(keys)
+        #: Splits, merges, borrows and root changes made by inserts and
+        #: deletes since the tree was built or restored: how often an
+        #: operation restructured the tree rather than edit one node.
         self.structural_changes = 0
         #: Keys written (inserted/updated) and keys removed since the last
         #: delta-tracking mark — the raw material of delta checkpoints.
@@ -311,18 +317,22 @@ class BPlusTree:
         return {"order": self.order, "items": list(self.items())}
 
     def restore(self, state):
-        """Rebuild this tree in place from a :meth:`checkpoint` value."""
-        items = list(state["items"])
-        order = int(state["order"])
-        if order < 4:
-            raise ConfigurationError("B+-tree order must be >= 4")
+        """Rebuild this tree in place from a :meth:`checkpoint` value.
+
+        Raises :class:`ConfigurationError`, and changes nothing, on an order
+        below 4 or items whose keys are not strictly ascending.
+        """
+        items = state["items"]
         keys = [key for key, _value in items]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if not all(map(lt, keys, keys[1:])):
             raise ConfigurationError("checkpoint items must be strictly ascending")
-        self.order = order
+        built = BPlusTree(
+            int(state["order"]), keys, [value for _key, value in items]
+        )
+        self.order = built.order
+        self._root = built._root
+        self._size = built._size
         self.structural_changes = 0
-        self._size = len(items)
-        self._root = self._bulk_load(items)
         self.clear_delta_tracking()
         return self
 
@@ -395,18 +405,24 @@ class BPlusTree:
             "deletions": sorted(deletions),
         }
 
-    def _bulk_load(self, items):
-        """Build a valid tree bottom-up from sorted ``(key, value)`` pairs."""
-        if not items:
+    def _bulk_load(self, keys, values):
+        """Build a valid tree bottom-up from two parallel columns; return its root.
+
+        ``keys`` is a sized sequence in strictly ascending order, ``values``
+        an iterable of the same length; the order is the caller's to
+        guarantee (:meth:`restore` checks it on the checkpoint it reads).
+        Leaves are filled straight from the columns, so no per-key
+        temporary is made.
+        """
+        if not len(keys):
             return _Node(is_leaf=True)
+        key_iter = iter(keys)
+        value_iter = iter(values)
         leaves = []
-        position = 0
-        for chunk in self._chunk(len(items), self.order - 1, self._min_entries()):
+        for chunk in self._chunk(len(keys), self.order - 1, self._min_entries()):
             leaf = _Node(is_leaf=True)
-            slice_ = items[position:position + chunk]
-            position += chunk
-            leaf.keys = [key for key, _value in slice_]
-            leaf.values = [value for _key, value in slice_]
+            leaf.keys = list(islice(key_iter, chunk))
+            leaf.values = list(islice(value_iter, chunk))
             if leaves:
                 leaves[-1].next_leaf = leaf
             leaves.append(leaf)

@@ -23,9 +23,10 @@ interface:
     bookkeeping the control plane reads and writes;
 ``kill()``
     fail-stop the current incarnation and wake anything waiting on it;
-``respawn(from_disk) -> watermark``
-    create the next incarnation and say up to which cut its checkpoint
-    chain reaches (-1: no chain);
+``launch(from_disk)`` / ``handshake() -> watermark``
+    create the next incarnation, then wait until it says up to which cut
+    its checkpoint chain reaches (-1: no chain) — two steps, so that
+    several replicas start up side by side;
 ``install(mode, ...)`` / ``start()`` / ``stop()``
     settle transferred state, run the workers, shut down cleanly;
 ``stats()`` / ``snapshot()`` / ``chain_suffix(after)`` / ``compact()``
@@ -447,14 +448,18 @@ class PSMRControlPlane(ResponseRouter):
     def start(self):
         if self._started:
             return self
-        for replica in self.replicas:
-            if replica.crashed:
-                continue
-            if replica.queues is None:
-                # Not subscribed at construction (a replica process has to
-                # exist and dial in first): bring its first incarnation up.
-                replica.respawn(from_disk=True)
-                self._register(replica)
+        live = self.live_replicas()
+        # Replicas not subscribed at construction (a replica process has
+        # to exist and dial in first) bring their first incarnation up:
+        # all are launched before any handshake is awaited, so they start
+        # up in parallel.
+        newborn = [replica for replica in live if replica.queues is None]
+        for replica in newborn:
+            replica.launch(from_disk=True)
+        for replica in newborn:
+            replica.handshake()
+            self._register(replica)
+        for replica in live:
             replica.start()
         self._started = True
         if self.checkpoint_policy is not None:
@@ -877,14 +882,17 @@ class PSMRControlPlane(ResponseRouter):
             return []
         with self._negotiating(replicas):
             for replica in replicas:
-                replica.respawn(from_disk=False)
+                replica.launch(from_disk=False)
+            for replica in replicas:
+                replica.handshake()
             self._recover_via_full_transfer(replicas, source_replica_id)
         return replicas
 
     def _rejoin(self, replica_id, source_replica_id, from_disk):
         (replica,) = self._crashed_replicas([replica_id], source_replica_id)
         with self._negotiating([replica]):
-            replica.watermark = replica.respawn(from_disk)
+            replica.launch(from_disk)
+            replica.watermark = replica.handshake()
             if from_disk:
                 # The disk watermark may differ from the one the crash left
                 # in our bookkeeping; re-derive transfer feasibility.
@@ -928,8 +936,9 @@ class PSMRControlPlane(ResponseRouter):
         negotiation (-1 pins everything: cheap, and the window is one
         recovery), so a concurrent periodic checkpoint cannot truncate past
         the point a joiner will replay from before it is registered.  If
-        the recovery fails, every incarnation it created is reaped again —
-        the replica stays crashed, exactly as before the call.
+        the recovery fails, every incarnation it launched is reaped again,
+        handshaken or not — the replica stays crashed, exactly as before
+        the call.
         """
         with self._recovery_lock:
             for replica in replicas:
@@ -1136,9 +1145,9 @@ class _LocalReplica:
     def kill(self):
         self.engine.crash()
 
-    def respawn(self, from_disk):
+    def launch(self, from_disk):
         """The one real asymmetry with a replica process: a threaded
-        "crash" keeps its in-memory chain, so a plain respawn may still
+        "crash" keeps its in-memory chain, so a plain relaunch may still
         replay.  From disk, the chain is what a cold reopen of the store
         finds — exactly what a fresh process would see."""
         chain = self.engine.chain
@@ -1149,6 +1158,9 @@ class _LocalReplica:
                 )
             chain = CheckpointStore(self.store.directory).load_chain()
         self.engine = self._new_engine(chain)
+
+    def handshake(self):
+        """The engine is built by :meth:`launch`: nothing to wait for."""
         return self.engine.watermark
 
     def install(self, mode, **transfer):

@@ -19,7 +19,11 @@ its own :class:`~repro.runtime.engine.ReplicaEngine` and its own durable
 
 What this module adds to the control plane is only the replica handle
 (:class:`_ProcReplica`: a ``Popen`` plus a request/reply RPC over the
-replica's connection) and the dispatch of inbound frames.
+replica's connection) and the dispatch of inbound frames.  A handle
+starts its child in two steps, ``launch`` (exec, return at once) and
+``handshake`` (wait for ``hello``, answer ``welcome``), so the control
+plane launches every child before it waits for the first: a cluster
+comes up in about one replica's start-up time, not the sum of them.
 """
 
 import itertools
@@ -74,17 +78,18 @@ class _ProcReplica:
     # ------------------------------------------------------------------
     # Incarnations
     # ------------------------------------------------------------------
-    def respawn(self, from_disk):
-        """Exec the replica binary and shake hands up to ``welcome``.
+    def launch(self, from_disk):
+        """Arm the hello waiter and exec the replica binary; return at once.
 
         A killed process keeps nothing in memory, and without ``from_disk``
         the replacement discards the store too (``--fresh``: a replacement
         node, not a restart) — so it reports an empty chain and recovery
-        is always a full transfer.
+        is always a full transfer.  :meth:`handshake` completes the start.
         """
         cluster = self.cluster
         transport = cluster.transport
         transport.discard_hello(self.replica_id)
+        self.pid = None  # until the hello names it
         command = [
             sys.executable, "-m", "repro.runtime.replica_proc",
             "--host", transport.host,
@@ -107,8 +112,16 @@ class _ProcReplica:
         )
         self.proc = subprocess.Popen(command, env=env)
         self.generation += 1
+
+    def handshake(self):
+        """Wait for the launched child's ``hello``, answer ``welcome``, and
+        return the watermark it reported; a child that never says hello
+        is killed and :class:`RecoveryError` raised."""
+        cluster = self.cluster
         try:
-            hello = transport.take_hello(self.replica_id, timeout=SPAWN_TIMEOUT)
+            hello = cluster.transport.take_hello(
+                self.replica_id, timeout=SPAWN_TIMEOUT
+            )
         except RecoveryError:
             self.kill()
             raise
@@ -150,8 +163,13 @@ class _ProcReplica:
         self._send({"t": "start"})
 
     def stop(self):
-        """Clean exit: ask, wait, and only then insist."""
+        """Clean exit: ask, wait, and only then insist.  A child launched
+        but never handshaken may not have dialled in yet, so it is not
+        asked."""
         if self.proc is None:
+            return
+        if self.pid is None:
+            self.kill()
             return
         self._send({"t": "bye"})
         try:
@@ -263,8 +281,8 @@ class ProcessPSMRCluster(PSMRControlPlane):
             return super().start()
         except BaseException:
             # ``__enter__`` raised, so ``__exit__`` will not run: reap the
-            # children spawned so far, the transport thread and the owned
-            # temp store here.
+            # children launched so far (handshaken or not), the transport
+            # thread and the owned temp store here.
             self.shutdown()
             raise
 

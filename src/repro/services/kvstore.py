@@ -13,6 +13,8 @@ paper's C-Dep: *inserts and deletes depend on all commands; an update on key
 k depends on other updates on k, on reads on k, and on inserts and deletes.*
 """
 
+from itertools import repeat
+
 from repro.btree import BPlusTree
 from repro.common.checkpoint import estimate_checkpoint_size
 from repro.common.errors import KeyAlreadyExistsError, KeyNotFoundError, ServiceError
@@ -78,11 +80,11 @@ class KeyValueStoreServer:
     ERR_EXISTS = 2
 
     def __init__(self, initial_keys=0, value=b"\x00" * 8, order=64):
-        self._tree = BPlusTree(order=order)
-        for key in range(initial_keys):
-            self._tree.insert(key, value)
-        # The seeded state is the implicit base: tracking starts clean.
-        self._tree.clear_delta_tracking()
+        # Keys 0..initial_keys-1, built in one pass; the seeded state is
+        # the implicit base, so delta tracking starts clean.
+        self._tree = BPlusTree(
+            order, range(initial_keys), repeat(value, initial_keys)
+        )
         self.commands_executed = 0
 
     def __len__(self):

@@ -447,19 +447,50 @@ def _replica_children():
     return sorted(children)
 
 
-def test_failed_start_leaves_nothing_behind(monkeypatch, transport_threads):
-    """``__enter__`` raising means ``__exit__`` never runs: a start that
-    fails on the second replica must itself reap the first child, stop the
-    transport threads and remove the temp store it owns."""
+def test_every_replica_is_launched_before_the_first_handshake(monkeypatch):
+    """Replica processes start up side by side: by the first wait for a
+    hello, of ``start()`` and of ``recover_replicas``, every child the
+    call needs already runs."""
+    take_hello = TcpCoordinatorTransport.take_hello
+    seen = []  # children at the first wait of each call
+    armed = [True]
+
+    def recording(self, replica_id, timeout):
+        if armed[0]:
+            armed[0] = False
+            seen.append(_replica_children())
+        return take_hello(self, replica_id, timeout)
+
+    monkeypatch.setattr(TcpCoordinatorTransport, "take_hello", recording)
+    with proc_cluster(replicas=3) as cluster:
+        assert seen == [sorted(replica.pid for replica in cluster.replicas)]
+        cluster.crash_replicas([1, 2])
+        armed[0] = True
+        cluster.recover_replicas([1, 2])
+        assert len(seen) == 2
+        assert seen[1] == sorted(replica.pid for replica in cluster.replicas)
+        cluster.client().invoke("update", key=1, value=b"x")
+        snapshots = cluster.replica_snapshots()
+        assert len(snapshots) == 3 and snapshots[0] == snapshots[2]
+
+
+@pytest.mark.parametrize("silent", [0, 1])
+def test_failed_start_leaves_nothing_behind(monkeypatch, transport_threads,
+                                            silent):
+    """``__enter__`` raising means ``__exit__`` never runs: a start whose
+    handshake with one replica fails must itself reap every child it
+    launched (replica 1's is launched, never handshaken, when replica 0
+    fails), stop the transport threads and remove the temp store it
+    owns."""
     take_hello = TcpCoordinatorTransport.take_hello
 
-    def second_replica_never_connects(self, replica_id, timeout):
-        if replica_id == 1:
-            raise RecoveryError("replica 1 did not connect (forced)")
+    def one_replica_never_connects(self, replica_id, timeout):
+        if replica_id == silent:
+            raise RecoveryError(f"replica {silent} did not connect (forced)")
         return take_hello(self, replica_id, timeout)
 
     monkeypatch.setattr(
-        TcpCoordinatorTransport, "take_hello", second_replica_never_connects
+        TcpCoordinatorTransport, "take_hello", one_replica_never_connects
     )
     cluster = proc_cluster()
     with pytest.raises(RecoveryError):

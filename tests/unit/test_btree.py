@@ -206,3 +206,13 @@ def test_each_delta_starts_where_the_last_one_ended():
     replica.apply_delta(base)
     replica.apply_delta(second)
     assert list(replica.items()) == list(tree.items())
+
+
+def test_restore_rejects_keys_out_of_order_and_changes_nothing():
+    tree = BPlusTree(4, range(10), range(10, 20))
+    assert tree.validate() and len(tree) == 10
+    for items in ([(0, "a"), (0, "b")], [(0, "a"), (2, "b"), (1, "c")]):
+        with pytest.raises(ConfigurationError):
+            tree.restore({"order": 4, "items": items})
+    assert tree.validate()
+    assert list(tree.items()) == [(key, key + 10) for key in range(10)]
