@@ -380,31 +380,6 @@ class BPlusTree:
         self._dirty_keys = set()
         self._deleted_keys = set()
 
-    @staticmethod
-    def merge_deltas(older, newer):
-        """Merge two adjacent :meth:`delta` payloads into one equivalent delta.
-
-        Last-writer-wins on keys, deletions folded: applying the merged
-        delta to a base matching ``older``'s mark produces exactly the
-        state of applying ``older`` then ``newer``.  A key written in
-        ``older`` and deleted in ``newer`` ends up in ``deletions``; one
-        deleted and recreated ends up in ``changes`` with the new value.
-        The merged delta keeps the :meth:`delta` invariant that ``changes``
-        and ``deletions`` are disjoint and sorted.
-        """
-        changes = dict(older["changes"])
-        for key in newer["deletions"]:
-            changes.pop(key, None)
-        changes.update(dict(newer["changes"]))
-        deletions = (
-            set(older["deletions"]) | set(newer["deletions"])
-        ) - set(changes)
-        return {
-            "order": newer["order"],
-            "changes": sorted(changes.items()),
-            "deletions": sorted(deletions),
-        }
-
     def _bulk_load(self, keys, values):
         """Build a valid tree bottom-up from two parallel columns; return its root.
 

@@ -14,7 +14,7 @@ from repro.common.errors import (
     KeyNotFoundError,
     FileSystemError,
 )
-from repro.common.checkpoint import CheckpointPolicy, estimate_checkpoint_size
+from repro.common.checkpoint import CheckpointPolicy
 from repro.common.ids import IdGenerator, make_command_uid
 from repro.common.config import (
     ClusterConfig,
@@ -32,7 +32,6 @@ __all__ = [
     "KeyNotFoundError",
     "FileSystemError",
     "CheckpointPolicy",
-    "estimate_checkpoint_size",
     "IdGenerator",
     "make_command_uid",
     "ClusterConfig",

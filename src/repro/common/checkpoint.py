@@ -20,7 +20,9 @@ since the previous checkpoint, chained off the last full base.  The
 checkpoint is full and the ones between are deltas, so a chain holds at most
 ``full_every - 1`` deltas before the next full snapshot resets it.  Restore
 applies base + delta chain in order; recovery transfers only the chain
-suffix the joiner is missing.
+suffix the joiner is missing.  Taking a checkpoint is the snapshot and its
+durable write, nothing more: a chain is never measured or merged, and
+``full_every`` is the one bound on its length.
 """
 
 from repro.common.errors import CheckpointError, ConfigurationError
@@ -46,20 +48,9 @@ class CheckpointPolicy:
         ``full_every - 1`` deltas chain off one base.  ``1`` (the default)
         disables deltas — every checkpoint is full.  ``None`` is treated as
         ``1``.
-    ``compact_after``
-        Delta-compaction trigger: once a chain holds this many deltas, the
-        scheduler merges them into a single delta (:func:`compact_chain`),
-        so restores and chain-suffix transfers apply one merged delta
-        instead of the whole run.  Compaction drops the chain's
-        intermediate cuts — a joiner checkpointed at a merged-away cut can
-        no longer take a suffix and falls back to a full transfer — which
-        is the storage-vs-granularity trade the knob expresses.  Must be
-        ``>= 2`` (compacting a single delta is a no-op); ``None`` (the
-        default) disables compaction.
     """
 
-    def __init__(self, every_messages, max_replay_lag=None, full_every=1,
-                 compact_after=None):
+    def __init__(self, every_messages, max_replay_lag=None, full_every=1):
         if every_messages is None or every_messages < 1:
             raise ConfigurationError("every_messages must be >= 1")
         if max_replay_lag is not None and max_replay_lag < 0:
@@ -70,12 +61,6 @@ class CheckpointPolicy:
             raise ConfigurationError("full_every must be an int >= 1 (or None)")
         if full_every < 1:
             raise ConfigurationError("full_every must be an int >= 1 (or None)")
-        if compact_after is not None:
-            if not isinstance(compact_after, int) or isinstance(compact_after, bool):
-                raise ConfigurationError("compact_after must be an int >= 2 (or None)")
-            if compact_after < 2:
-                raise ConfigurationError("compact_after must be an int >= 2 (or None)")
-        self.compact_after = compact_after
         self.every_messages = every_messages
         self.max_replay_lag = max_replay_lag
         self.full_every = full_every
@@ -99,16 +84,11 @@ class CheckpointPolicy:
         """
         return self.full_every <= 1 or deltas_since_full >= self.full_every - 1
 
-    def compact_due(self, delta_count):
-        """True when a chain holding ``delta_count`` deltas should be compacted."""
-        return self.compact_after is not None and delta_count >= self.compact_after
-
     def __repr__(self):
         return (
             f"CheckpointPolicy(every_messages={self.every_messages}, "
             f"max_replay_lag={self.max_replay_lag}, "
-            f"full_every={self.full_every}, "
-            f"compact_after={self.compact_after})"
+            f"full_every={self.full_every})"
         )
 
 
@@ -125,109 +105,15 @@ def restore_chain(service, chain):
     service is touched, so a caller negotiating recovery can fall back to
     another path with its service state intact.
     """
-    _validate_chain(chain)
+    if not chain:
+        raise CheckpointError("checkpoint chain is empty")
     first, *rest = chain
+    if first["kind"] != "full":
+        raise CheckpointError("checkpoint chain must start with a full base")
+    if any(entry["kind"] != "delta" for entry in rest):
+        raise CheckpointError("checkpoint chain may hold one full base only")
     service.restore(first["payload"])
     for entry in rest:
         service.apply_delta(entry["payload"])
     return service
 
-
-def _validate_chain(chain):
-    """Reject chains :func:`restore_chain`/:func:`compact_chain` cannot use."""
-    if not chain:
-        raise CheckpointError("checkpoint chain is empty")
-    if chain[0]["kind"] != "full":
-        raise CheckpointError("checkpoint chain must start with a full base")
-    for entry in chain[1:]:
-        if entry["kind"] != "delta":
-            raise CheckpointError("checkpoint chain may hold one full base only")
-
-
-def merge_deltas(older, newer):
-    """Merge two *adjacent* delta checkpoints into one equivalent delta.
-
-    ``older`` and ``newer`` must come from consecutive cuts of the same
-    chain.  The merge is last-writer-wins on keys (B+-tree deltas) and
-    inode numbers (file-system deltas), with deletions folded: a key
-    written in ``older`` and deleted in ``newer`` ends up deleted, one
-    deleted and then recreated ends up written.  Applying the result to a
-    base matching ``older``'s mark produces exactly the state of applying
-    ``older`` then ``newer``.
-
-    Dispatches on the payload shape the services produce: a NetFS service
-    delta (``{"fs": ..., "commands_executed": ...}``), a raw file-system
-    delta (``{"changed", "removed", ...}``), or a tree/key-value delta
-    (``{"changes", "deletions", ...}``).  Mismatched or unrecognised
-    shapes raise :class:`~repro.common.errors.CheckpointError`.
-    """
-    if not isinstance(older, dict) or not isinstance(newer, dict):
-        raise CheckpointError("delta payloads must be dicts")
-    # Imported lazily: the services import this module at load time.
-    from repro.btree import BPlusTree
-    from repro.fs import MemoryFileSystem
-    from repro.services.kvstore import KeyValueStoreServer
-    from repro.services.netfs import NetFSServer
-
-    if "fs" in older and "fs" in newer:
-        return NetFSServer.merge_deltas(older, newer)
-    if "changed" in older and "changed" in newer:
-        return MemoryFileSystem.merge_deltas(older, newer)
-    if "changes" in older and "changes" in newer:
-        if "commands_executed" in newer:
-            return KeyValueStoreServer.merge_deltas(older, newer)
-        return BPlusTree.merge_deltas(older, newer)
-    raise CheckpointError(
-        "cannot merge deltas of mismatched or unrecognised shapes: "
-        f"{sorted(older)} vs {sorted(newer)}"
-    )
-
-
-def compact_chain(chain):
-    """Collapse a chain's run of deltas into one merged delta.
-
-    Returns a new chain (the input is never mutated): the same full base
-    followed by at most one delta carrying the merged changes, stamped with
-    the *last* delta's metadata (sequence and any extra keys) so the chain
-    still names its tip cut.  A chain with one delta or fewer is returned
-    as a shallow copy.  Malformed chains raise
-    :class:`~repro.common.errors.CheckpointError`.
-    """
-    entries = list(chain)
-    _validate_chain(entries)
-    if len(entries) <= 2:
-        return entries
-    merged = entries[1]["payload"]
-    for entry in entries[2:]:
-        merged = merge_deltas(merged, entry["payload"])
-    return [entries[0], {**entries[-1], "payload": merged}]
-
-
-def estimate_checkpoint_size(state, default=4096):
-    """Estimate the wire size of a checkpoint, for transfer-time accounting.
-
-    Walks the plain containers produced by the services' ``checkpoint()``
-    and ``delta_checkpoint()`` methods.  Strings and byte strings are
-    charged their length plus a header; dicts, lists, tuples, sets and
-    frozensets are charged a container header plus their contents; integers
-    are charged their byte width (at least 8, so small ints and floats cost
-    the same as before); unknown leaf types are charged a flat 8 bytes.
-    When there is no materialised state (``execute_state=False``
-    deployments), ``default`` models the paper's small-application
-    checkpoint.
-    """
-    if state is None:
-        return default
-
-    def walk(value):
-        if isinstance(value, (bytes, bytearray, str)):
-            return len(value) + 8
-        if isinstance(value, dict):
-            return 16 + sum(walk(k) + walk(v) for k, v in value.items())
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return 16 + sum(walk(item) for item in value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return max(8, (value.bit_length() + 7) // 8)
-        return 8
-
-    return walk(state)

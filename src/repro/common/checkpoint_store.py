@@ -283,8 +283,8 @@ class CheckpointStore:
         The longest common prefix (by kind and sequence) is kept — its
         segment files are reused untouched — and only the divergent suffix
         is written before one manifest commit.  Appending a delta writes
-        one segment; compacting k deltas rewrites one merged delta while
-        reusing the base segment; a new full base rewrites everything.
+        one segment; a new full base rewrites everything and the manifest
+        commit drops the old segments.
         """
         chain = list(chain)
         if not chain:
@@ -299,8 +299,8 @@ class CheckpointStore:
             ):
                 break
             prefix += 1
-        # A compacted or rebased chain diverges before the old tip: the
-        # shared prefix survives, the rest is rewritten.
+        # A rebased chain diverges before the old tip: the shared prefix
+        # survives, the rest is rewritten.
         records = list(self._records[:prefix])
         if prefix == len(chain) and prefix == len(self._records):
             return  # already in sync

@@ -56,9 +56,8 @@ class ReplicaCrashedError(ReproError):
 class CheckpointError(ReproError):
     """Raised when a checkpoint chain or durable checkpoint store is malformed.
 
-    Examples: restoring an empty or delta-first chain, merging deltas of
-    incompatible shapes, or compacting a chain that does not start with a
-    full base.  Distinct from :class:`RecoveryError` (lifecycle misuse) and
+    Examples: restoring an empty or delta-first chain, or one holding a
+    second full base.  Distinct from :class:`RecoveryError` (lifecycle misuse) and
     :class:`ConfigurationError` (bad knob values): a ``CheckpointError``
     means the checkpoint *data* itself cannot be used.
     """

@@ -13,7 +13,7 @@ what the nemesis suite pins against the linearizability oracle.
 Three pieces live here because both runtimes share them:
 
 * :class:`FaultPlane` — per-link fault probabilities (drop, delay,
-  duplicate, reorder), symmetric/asymmetric partitions and heal, all
+  duplicate, reorder), partitions, isolation and heal, all
   driven by one explicit ``random.Random(seed)``.  Every random decision
   and every topology change is appended to a schedule log so a run's
   fault schedule can be compared byte-for-byte across replays.
@@ -21,7 +21,7 @@ Three pieces live here because both runtimes share them:
   duplicate suppression and in-order release, turning the plane's
   delayed/duplicated/reordered copies back into a gap-free FIFO stream.
 * :class:`Nemesis` — a seeded plan generator interleaving partitions,
-  crashes, recoveries, disk restarts, compactions and checkpoint markers
+  crashes, recoveries, disk restarts and checkpoint markers
   under safety constraints (never crash the last live replica, heal
   before marker-dependent operations).
 """
@@ -120,7 +120,6 @@ class FaultPlane:
         self._lock = threading.Lock()
         self._links = {}  # (src|None, dst|None) -> LinkFaults
         self._partitions = []  # list of (frozenset, frozenset)
-        self._blocked = set()  # asymmetric (src, dst) pairs
         self._isolated = set()  # fully isolated nodes
         self._schedule = []
         self.stats = {
@@ -163,12 +162,6 @@ class FaultPlane:
             self._partitions.append((side_a, side_b))
             self._schedule.append(("partition", tuple(sorted(side_a)), tuple(sorted(side_b))))
 
-    def block(self, src, dst):
-        """Sever one direction of one link (asymmetric partition)."""
-        with self._lock:
-            self._blocked.add((src, dst))
-            self._schedule.append(("block", src, dst))
-
     def isolate(self, node):
         """Sever every link to and from ``node`` until healed."""
         with self._lock:
@@ -179,7 +172,6 @@ class FaultPlane:
         """Restore full connectivity (link fault probabilities persist)."""
         with self._lock:
             self._partitions.clear()
-            self._blocked.clear()
             self._isolated.clear()
             self._schedule.append(("heal",))
 
@@ -187,8 +179,6 @@ class FaultPlane:
         """True while the src->dst link is severed by the current topology."""
         with self._lock:
             if src in self._isolated or dst in self._isolated:
-                return True
-            if (src, dst) in self._blocked:
                 return True
             for side_a, side_b in self._partitions:
                 if (src in side_a and dst in side_b) or (src in side_b and dst in side_a):
@@ -306,7 +296,6 @@ NEMESIS_OP_KINDS = (
     "crash",
     "recover",
     "restart_disk",
-    "compact",
     "checkpoint",
 )
 
@@ -389,8 +378,6 @@ class Nemesis:
                     candidates.extend(["restart_disk"] * 2)
                 if "checkpoint" in self.kinds:
                     candidates.append("checkpoint")
-            if "compact" in self.kinds:
-                candidates.append("compact")
             if not candidates:
                 continue
             kind = rng.choice(candidates)
@@ -413,7 +400,3 @@ class Nemesis:
             at += rng.uniform(0.5, 1.5) * mean_gap
             plan.append(NemesisOp(step=len(plan), at=at, kind="heal", target=None))
         return tuple(plan)
-
-    def describe(self):
-        header = f"nemesis seed={self.seed} replicas={self.num_replicas}"
-        return "\n".join([header] + [op.describe() for op in self.plan])

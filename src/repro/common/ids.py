@@ -31,15 +31,6 @@ class IdGenerator:
             self._counters[scope] = counter
         return next(counter)
 
-    def peek(self, scope="default"):
-        """Return how many ids have been handed out for ``scope``."""
-        counter = self._counters.get(scope)
-        if counter is None:
-            return 0
-        # itertools.count has no peek; track via a fresh probe is wrong, so we
-        # reconstruct from its repr which is stable in CPython.
-        return int(repr(counter)[6:-1])
-
 
 def make_command_uid(client_id, sequence):
     """Build a globally unique command identifier from its origin.

@@ -43,14 +43,8 @@ class SeededRNG:
     def uniform(self, a, b):
         return self._random.uniform(a, b)
 
-    def expovariate(self, lambd):
-        return self._random.expovariate(lambd)
-
     def choice(self, seq):
         return self._random.choice(seq)
-
-    def shuffle(self, seq):
-        self._random.shuffle(seq)
 
     def sample(self, population, k):
         return self._random.sample(population, k)

@@ -519,42 +519,6 @@ class MemoryFileSystem:
         self._attr_inos = set()
         self._dead_inos = set()
 
-    @staticmethod
-    def merge_deltas(older, newer):
-        """Merge two adjacent :meth:`delta_checkpoint` payloads into one.
-
-        Last-writer-wins per inode *and* per field: a full record in
-        ``newer`` replaces the inode outright, while an attr-only record
-        (no ``data``/``entries`` keys) layered on an older full record
-        keeps the older contents and takes the newer timestamps.  Inodes
-        that died in ``newer`` are dropped from ``changed`` and folded into
-        ``removed`` — inode numbers are never reused, so a removed inode
-        cannot reappear in a later delta.  The descriptor table and the
-        counters travel whole, from ``newer``.  Applying the result to a
-        file system matching ``older``'s mark produces exactly the state
-        of applying ``older`` then ``newer``.
-        """
-        changed = {int(ino): dict(record) for ino, record in older["changed"].items()}
-        for ino in newer["removed"]:
-            changed.pop(int(ino), None)
-        for ino, record in newer["changed"].items():
-            ino = int(ino)
-            changed[ino] = {**changed.get(ino, {}), **record}
-        removed = sorted(
-            (
-                {int(ino) for ino in older["removed"]}
-                | {int(ino) for ino in newer["removed"]}
-            )
-            - set(changed)
-        )
-        return {
-            "changed": {ino: changed[ino] for ino in sorted(changed)},
-            "removed": removed,
-            "fd_table": dict(newer["fd_table"]),
-            "next_fd": newer["next_fd"],
-            "next_ino": newer["next_ino"],
-        }
-
     # ------------------------------------------------------------------
     # Whole-tree helpers used by tests
     # ------------------------------------------------------------------

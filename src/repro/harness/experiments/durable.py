@@ -4,13 +4,11 @@ Two measurements, both against the durable checkpoint store
 (:mod:`repro.common.checkpoint_store`):
 
 * a **store sweep** builds checkpoint chains of increasing delta-chain
-  length over a skewed-write key-value state, persists each chain raw and
-  compacted (:func:`~repro.common.checkpoint.compact_chain`), and measures
-  the cold restart path — reopen the store from disk, verify every
-  checksum, restore base + deltas — for both.  Long raw chains pay one
-  ``apply_delta`` per segment at restart; compaction collapses that to a
-  single merged delta, so restart latency stays flat while raw-chain
-  latency grows with k;
+  length over a skewed-write key-value state, persists each one, and
+  measures the cold restart path — reopen the store from disk, verify
+  every checksum, restore base + deltas.  A chain pays one
+  ``apply_delta`` per segment at restart, on top of restoring its base,
+  which is what ``full_every`` bounds;
 * a **cluster episode** runs a threaded P-SMR cluster with a ``store_dir``,
   builds per-replica durable chains at periodic markers, crashes a
   replica, and brings it back with
@@ -25,7 +23,7 @@ import shutil
 import tempfile
 import time
 
-from repro.common.checkpoint import CheckpointPolicy, compact_chain, restore_chain
+from repro.common.checkpoint import CheckpointPolicy, restore_chain
 from repro.common.checkpoint_store import CheckpointStore
 from repro.harness.runner import DEFAULT_WARMUP
 from repro.harness.tables import format_table
@@ -33,10 +31,9 @@ from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
 #: What the experiment is expected to show (used in the output and tests).
 EXPECTATIONS = {
-    "latency": "restart-from-disk latency grows with raw delta-chain length "
-               "but stays flat once chains are compacted",
-    "disk": "compaction collapses k delta segments into one, shrinking both "
-            "segment count and manifest size",
+    "latency": "restart-from-disk latency grows with delta-chain length, "
+               "one apply_delta per segment on top of the base restore",
+    "disk": "each delta is one more segment on disk",
     "episode": "a replica restarted from its on-disk chain rejoins the "
                "cluster and converges with the survivor",
 }
@@ -53,7 +50,7 @@ def _build_chain(chain_length, initial_keys, dirty_per_delta, seed):
         for _ in range(dirty_per_delta):
             key = rng.randrange(hot)
             server.execute("update", {"key": key, "value": rng.randbytes(8)})
-        # A little structural churn so deletions fold during compaction.
+        # A little structural churn, so deltas carry deletions too.
         fresh = initial_keys + index
         server.execute("insert", {"key": fresh, "value": b"tmp"})
         if index % 2 == 0:
@@ -146,28 +143,17 @@ def run_durable_recovery(
             live, chain = _build_chain(
                 chain_length, initial_keys, dirty_per_delta, seed
             )
-            raw_dir = os.path.join(scratch, f"raw-{chain_length}")
-            compact_dir = os.path.join(scratch, f"compact-{chain_length}")
-            raw_store = CheckpointStore(raw_dir)
-            raw_store.sync_chain(chain)
-            compact_store = CheckpointStore(compact_dir)
-            compact_store.sync_chain(compact_chain(chain))
-            raw_seconds, raw_restored = _restart_from_disk(raw_dir)
-            compact_seconds, compact_restored = _restart_from_disk(compact_dir)
-            assert raw_restored.snapshot() == live.snapshot()
-            assert compact_restored.snapshot() == live.snapshot()
+            directory = os.path.join(scratch, f"chain-{chain_length}")
+            store = CheckpointStore(directory)
+            store.sync_chain(chain)
+            seconds, restored = _restart_from_disk(directory)
+            assert restored.snapshot() == live.snapshot()
             rows.append(
                 {
                     "deltas": chain_length,
-                    "segments_raw": raw_store.segment_count(),
-                    "segments_compacted": compact_store.segment_count(),
-                    "disk_kb_raw": round(raw_store.disk_bytes() / 1024.0, 1),
-                    "disk_kb_compacted": round(
-                        compact_store.disk_bytes() / 1024.0, 1
-                    ),
-                    "restore_ms_raw": round(raw_seconds * 1000.0, 3),
-                    "restore_ms_compacted": round(compact_seconds * 1000.0, 3),
-                    "speedup_x": round(raw_seconds / max(compact_seconds, 1e-9), 1),
+                    "segments": store.segment_count(),
+                    "disk_kb": round(store.disk_bytes() / 1024.0, 1),
+                    "restore_ms": round(seconds * 1000.0, 3),
                 }
             )
         episode = _cluster_episode(os.path.join(scratch, "cluster"), seed)
@@ -176,8 +162,8 @@ def run_durable_recovery(
             shutil.rmtree(scratch, ignore_errors=True)
     summary = {
         "longest_chain": max(chain_lengths),
-        "restore_ms_raw_at_longest": rows[-1]["restore_ms_raw"],
-        "restore_ms_compacted_at_longest": rows[-1]["restore_ms_compacted"],
+        "restore_ms_at_shortest": rows[0]["restore_ms"],
+        "restore_ms_at_longest": rows[-1]["restore_ms"],
         "episode_transfer": episode["transfer"],
         "episode_rejoin_ms": episode["rejoin_ms"],
         "episode_converged": episode["converged"],
@@ -186,20 +172,11 @@ def run_durable_recovery(
         [
             format_table(
                 rows,
-                columns=[
-                    "deltas",
-                    "segments_raw",
-                    "segments_compacted",
-                    "disk_kb_raw",
-                    "disk_kb_compacted",
-                    "restore_ms_raw",
-                    "restore_ms_compacted",
-                    "speedup_x",
-                ],
+                columns=["deltas", "segments", "disk_kb", "restore_ms"],
                 title=(
                     f"Durable recovery - restart-from-disk vs. chain length "
                     f"({initial_keys} keys, {dirty_per_delta} dirty keys per "
-                    f"delta, compacted vs. raw)"
+                    f"delta)"
                 ),
             ),
             "",

@@ -2,7 +2,7 @@
 
 The episode (threaded by default, or process-per-replica with
 ``runtime="proc"``) interleaves randomized partitions, crashes,
-recoveries, disk restarts and compactions against live load, then heals,
+recoveries, disk restarts and checkpoints against live load, then heals,
 drains and runs the full oracle: linearizable probe history, converged
 replicas, zero marker boundary violations.  Faults surface as latency,
 never as ordering violations — the paper's multicast is reliable.  The

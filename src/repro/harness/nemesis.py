@@ -55,12 +55,10 @@ from repro.runtime import (
 )
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
-#: Op kinds per episode.  ``restart_disk`` and ``compact`` need a live
-#: cluster with a durable store (the live episode drops ``restart_disk``
-#: without one); the frontend episode runs without a store.
-THREADED_KINDS = (
-    "partition", "heal", "crash", "recover", "restart_disk", "compact", "checkpoint",
-)
+#: Op kinds per episode.  ``restart_disk`` needs a live cluster with a
+#: durable store (the live episode drops it without one); the frontend
+#: episode runs without a store.
+THREADED_KINDS = ("partition", "heal", "crash", "recover", "restart_disk", "checkpoint")
 FRONTEND_KINDS = ("partition", "heal", "crash", "recover", "checkpoint")
 
 #: Shared by every live episode: recorded probe clients and the two keys
@@ -70,7 +68,7 @@ PROBE_KEYS = (900, 901)
 BACKGROUND = 2
 BARRIER_TIMEOUT = 15.0
 CHECKPOINT_TIMEOUT = 10.0
-CHECKPOINT_POLICY = CheckpointPolicy(every_messages=400, full_every=3, compact_after=2)
+CHECKPOINT_POLICY = CheckpointPolicy(every_messages=400, full_every=3)
 
 #: The live fault-plan episode, where the runtimes really differ: process
 #: spawn and full-transfer recoveries take real fractions of a second, so
@@ -145,7 +143,6 @@ def _fault_actions(plane, cluster, report):
         "crash": lambda target: cluster.crash_replica(target),
         "recover": timed("recover_replica"),
         "restart_disk": timed("restart_replica_from_disk"),
-        "compact": lambda _target: cluster.compact_chains(),
         "checkpoint": lambda _target: cluster.periodic_checkpoint(timeout=CHECKPOINT_TIMEOUT),
     }
 

@@ -25,25 +25,31 @@ claims; the process runtime gives every replica its own.
 * :mod:`~repro.runtime.linearizability` — the history checker.
 """
 
-from repro.common.checkpoint import CheckpointPolicy
-from repro.runtime.multicast import LocalAtomicMulticast
-from repro.runtime.cluster import ThreadedPSMRCluster, ThreadedClient
-from repro.runtime.proccluster import ProcessPSMRCluster
-from repro.runtime.linearizability import (
-    HistoryRecorder,
-    Operation,
-    check_kv_history,
-    check_linearizable,
-)
+import importlib
 
-__all__ = [
-    "CheckpointPolicy",
-    "LocalAtomicMulticast",
-    "ProcessPSMRCluster",
-    "ThreadedPSMRCluster",
-    "ThreadedClient",
-    "HistoryRecorder",
-    "Operation",
-    "check_kv_history",
-    "check_linearizable",
-]
+#: Public name -> the module defining it.  Resolved on first access
+#: (PEP 562), so a replica process, which imports only the engine side of
+#: this package, never loads the coordinator, the cluster handles or the
+#: history checker.
+_EXPORTS = {
+    "CheckpointPolicy": "repro.common.checkpoint",
+    "LocalAtomicMulticast": "repro.runtime.multicast",
+    "ProcessPSMRCluster": "repro.runtime.proccluster",
+    "ThreadedPSMRCluster": "repro.runtime.cluster",
+    "ThreadedClient": "repro.runtime.cluster",
+    "HistoryRecorder": "repro.runtime.linearizability",
+    "Operation": "repro.runtime.linearizability",
+    "check_kv_history": "repro.runtime.linearizability",
+    "check_linearizable": "repro.runtime.linearizability",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

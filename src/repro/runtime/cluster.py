@@ -12,7 +12,7 @@ for both runtimes: client response routing, consistent cuts (one kind of
 control message, :class:`_Cut`, multicast to every group: a checkpoint
 marker or a shard-map update, each replica's report landing in
 :meth:`~PSMRControlPlane._handle_cut_done`), the checkpoint scheduler
-with watermark-driven log truncation and off-path compaction, the replica
+with watermark-driven log truncation, the replica
 fault model of the paper's section IV (crash, then rejoin by log replay,
 chain-suffix transfer from the first live peer whose chain holds the
 joiner's cut, or full state transfer — cheapest first) and the
@@ -29,7 +29,7 @@ interface:
     several replicas start up side by side;
 ``install(mode, ...)`` / ``start()`` / ``stop()``
     settle transferred state, run the workers, shut down cleanly;
-``stats()`` / ``snapshot()`` / ``chain_suffix(after)`` / ``compact()``
+``stats()`` / ``snapshot()`` / ``chain_suffix(after)``
     management requests.
 
 :class:`ThreadedPSMRCluster` is the control plane plus :class:`_LocalReplica`
@@ -45,7 +45,6 @@ import threading
 import time
 from functools import partial
 
-from repro.common.checkpoint import estimate_checkpoint_size
 from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import (
     CheckpointError,
@@ -380,7 +379,7 @@ class PSMRControlPlane(ResponseRouter):
     """Everything a P-SMR deployment does above its replicas (see module doc).
 
     ``checkpoint_policy`` — a :class:`~repro.common.checkpoint.CheckpointPolicy`
-    — turns on the checkpoint-scheduling and log-compaction subsystem: a
+    — turns on the checkpoint-scheduling and log-truncation subsystem: a
     background scheduler periodically multicasts a *local* checkpoint
     marker at which **every** live replica snapshots its own service,
     advancing its installed-checkpoint watermark; the multicast log is
@@ -418,10 +417,8 @@ class PSMRControlPlane(ResponseRouter):
         self.checkpoint_policy = checkpoint_policy
         self.checkpoints_taken = 0
         self.truncations = 0
-        self.compactions = 0
-        #: Measured checkpoint sizes: raw bytes by kind, plus a per-entry
-        #: event log and per-recovery transfer records (mode + bytes).
-        self.checkpoint_bytes = {"full": 0, "delta": 0}
+        #: One record per checkpoint a replica took (sequence, replica,
+        #: kind) and one per recovery (replica, mode, entries transferred).
         self.checkpoint_events = []
         self.recovery_transfers = []
         self.replicas = []
@@ -515,14 +512,8 @@ class PSMRControlPlane(ResponseRouter):
             if error is None and report["kind"] != "shard":
                 sequence, kind = report["sequence"], report["kind"]
                 replica.watermark = max(replica.watermark, sequence)
-                self.checkpoint_bytes[kind] += report["raw_bytes"]
                 self.checkpoint_events.append(
-                    {
-                        "sequence": sequence,
-                        "replica_id": replica_id,
-                        "kind": kind,
-                        "raw_bytes": report["raw_bytes"],
-                    }
+                    {"sequence": sequence, "replica_id": replica_id, "kind": kind}
                 )
             cut = self._pending_cuts.get(report["cut"])
         if cut is not None:
@@ -628,10 +619,6 @@ class PSMRControlPlane(ResponseRouter):
             return None
         self.checkpoints_taken += 1
         self.truncate_to_watermarks()
-        # Merge due delta runs now, on this (scheduler) thread — after
-        # the cut's barrier released the workers, not while every thread
-        # of every replica was stalled inside it.
-        self.compact_chains()
         return next(iter(reports.values()))["sequence"]
 
     def update_shard_map(self, new_map, timeout=None):
@@ -700,7 +687,7 @@ class PSMRControlPlane(ResponseRouter):
         return record
 
     # ------------------------------------------------------------------
-    # Log truncation and compaction
+    # Log truncation
     # ------------------------------------------------------------------
     def truncate_to_watermarks(self):
         """Truncate the multicast log up to the minimum replayable watermark.
@@ -736,49 +723,11 @@ class PSMRControlPlane(ResponseRouter):
                 self.multicast.truncate_log(floor)
                 self.truncations += 1
 
-    def compact_chains(self):
-        """Compact due delta runs on every live replica, off the marker path.
-
-        The policy's ``compact_after`` is enforced here, on the scheduler
-        thread, rather than inside the marker barrier where every worker
-        thread of every replica would stall while one thread merged k
-        deltas.  Returns the number of chains compacted.
-        """
-        if self.checkpoint_policy is None:
-            return 0
-        compacted = 0
-        for replica in self.live_replicas():
-            try:
-                count = replica.compact()
-            except (RecoveryError, TimeoutError):
-                continue  # crashed (or wedged) since the liveness check
-            if not count:
-                continue
-            compacted += count
-            with self._lock:
-                self.compactions += count
-                self.checkpoint_events.append(
-                    {
-                        # The merged delta keeps the chain's tip cut.
-                        "sequence": replica.watermark,
-                        "replica_id": replica.replica_id,
-                        "kind": "compaction",
-                        "raw_bytes": 0,
-                    }
-                )
-        return compacted
-
-    def _record_transfer(self, replica_id, mode, payloads):
-        """Account one recovery's transferred checkpoint bytes."""
-        raw = sum(estimate_checkpoint_size(payload) for payload in payloads)
+    def _record_transfer(self, replica_id, mode, entries):
+        """Record one recovery: its path and how many chain entries moved."""
         with self._lock:
             self.recovery_transfers.append(
-                {
-                    "replica_id": replica_id,
-                    "mode": mode,
-                    "entries": len(payloads),
-                    "raw_bytes": raw,
-                }
+                {"replica_id": replica_id, "mode": mode, "entries": entries}
             )
 
     # ------------------------------------------------------------------
@@ -985,7 +934,7 @@ class PSMRControlPlane(ResponseRouter):
         except RecoveryError:  # the log is truncated past the joiner's cut
             replica.needs_full_transfer = True
             return False
-        self._record_transfer(replica.replica_id, "replay", [])
+        self._record_transfer(replica.replica_id, "replay", 0)
         return True
 
     def _recover_via_chain_transfer(self, replica):
@@ -995,7 +944,7 @@ class PSMRControlPlane(ResponseRouter):
         the joiner's watermark ``w``; the first whose chain still holds
         ``w`` as a cut donates — periodic markers cut every replica at the
         same sequences, so that holds exactly when the peer has not started
-        a new chain (taken a full snapshot) or compacted ``w`` away since.
+        a new chain (taken a full snapshot) since.
         The joiner restores its *own* chain to ``w``, applies the donor's
         delta entries after ``w``, and replays the log after the donor's
         chain tip (retained, because the live donor's watermark pins
@@ -1025,10 +974,7 @@ class PSMRControlPlane(ResponseRouter):
                 # The full-transfer fallback replaces the extended chain
                 # wholesale, so the install above is harmless.
                 return False
-            self._record_transfer(
-                replica.replica_id, "chain-suffix",
-                [entry["payload"] for entry in suffix],
-            )
+            self._record_transfer(replica.replica_id, "chain-suffix", len(suffix))
             return True
         return False
 
@@ -1038,7 +984,7 @@ class PSMRControlPlane(ResponseRouter):
         for replica in replicas:
             replica.install("full", sequence=sequence, state=state)
             self._join(replica, sequence)
-            self._record_transfer(replica.replica_id, "full", [state])
+            self._record_transfer(replica.replica_id, "full", 1)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -1180,9 +1126,6 @@ class _LocalReplica:
 
     def chain_suffix(self, after):
         return self.engine.chain_suffix(after)
-
-    def compact(self):
-        return self.engine.compact()
 
 
 class ThreadedPSMRCluster(PSMRControlPlane):

@@ -10,8 +10,9 @@ other destination parked at the same point of its stream, the outcome is
 the same).
 The engine also owns everything a replica keeps to itself — the
 checkpoint chain with its full/delta cadence, the durable store it is
-persisted to, compaction, chain-suffix donation and the delivery
-counters.
+persisted to, chain-suffix donation and the delivery counters.  A
+checkpoint taken at a cut is its snapshot and its durable write, nothing
+more: the payload is handed to the store (or kept in memory) unread.
 
 It reports outward only through two callables, fired per flush and per
 cut, never per command:
@@ -32,11 +33,7 @@ dict too, so neither side of either binding translates anything.
 import threading
 from functools import lru_cache
 
-from repro.common.checkpoint import (
-    compact_chain,
-    estimate_checkpoint_size,
-    restore_chain,
-)
+from repro.common.checkpoint import restore_chain
 from repro.common.codec import decode_command
 from repro.common.errors import CheckpointError, ReplicaCrashedError
 from repro.core.protocol import plan_execution
@@ -116,8 +113,7 @@ class ReplicaEngine:
     on disk, or what a threaded "crash" left in memory); ``store`` is the
     optional :class:`~repro.common.checkpoint_store.CheckpointStore`
     every chain mutation is persisted to; ``policy`` supplies the
-    full/delta cadence and the compaction trigger (scheduling itself
-    lives in the control plane).
+    full/delta cadence (scheduling itself lives in the control plane).
     """
 
     def __init__(self, replica_id, mpl, service_factory, chain, store, policy,
@@ -141,20 +137,12 @@ class ReplicaEngine:
         #: Its tip is the replica's installed-checkpoint watermark: the log
         #: must retain everything after it for suffix replay.
         self.chain = list(chain)
-        #: Periodic deltas taken since the last full snapshot — the
-        #: ``full_every`` cadence counter.  Kept separately from the chain
-        #: length because compaction shrinks the chain without making the
-        #: base any fresher; seeding it from the entry count under-counts
-        #: by at most the compacted run, the trade ``compact_after``
-        #: already accepts.
-        self.deltas_since_full = self._count_deltas()
         #: Set while a checkpoint is being taken and left set if it fails:
         #: the service's delta tracking then no longer starts at the chain
         #: tip, so the next checkpoint must be full.
         self._rebase = False
         #: Serialises chain mutations (cuts, recovery install) against
-        #: off-path compaction and donation; also makes the durable store
-        #: single-writer.
+        #: donation; also makes the durable store single-writer.
         self.chain_lock = threading.Lock()
         self.delivered = [0] * (mpl + 1)
         #: Batches drained per thread (``delivered[i] / batches[i]`` is the
@@ -171,9 +159,6 @@ class ReplicaEngine:
     # ------------------------------------------------------------------
     # Chain bookkeeping
     # ------------------------------------------------------------------
-    def _count_deltas(self):
-        return sum(1 for entry in self.chain if entry["kind"] == "delta")
-
     @property
     def watermark(self):
         """Sequence of the latest installed checkpoint; -1 is the initial
@@ -210,7 +195,6 @@ class ReplicaEngine:
                 chain = [*self.chain, *entries]
                 restore_chain(service, chain)
             self._set_chain(chain)
-            self.deltas_since_full = self._count_deltas()
         self.service = service
 
     def start(self, queues):
@@ -375,11 +359,10 @@ class ReplicaEngine:
         chain and the service supports delta checkpoints; otherwise (and
         always for a source marker, whose state is handed out) a full
         snapshot starts a new chain and resets the service's delta
-        tracking, so the next delta is relative to this base.  Delta
-        compaction is deliberately *not* done here: every worker thread of
-        every replica is stalled at the cut while this runs, so the merge
-        is paid off-path by the checkpoint scheduler instead
-        (:meth:`compact`).  Caller holds ``chain_lock``.
+        tracking, so the next delta is relative to this base.  Every
+        worker of the replica is parked at the cut while this runs, so it
+        takes the payload and writes it, and never walks it.  Caller
+        holds ``chain_lock``.
         """
         policy = self.policy
         take_delta = (
@@ -387,7 +370,8 @@ class ReplicaEngine:
             and self.chain
             and not self._rebase
             and policy is not None
-            and not policy.take_full(self.deltas_since_full)
+            # The chain is one full base and the deltas taken since.
+            and not policy.take_full(len(self.chain) - 1)
             and hasattr(self.service, "delta_checkpoint")
         )
         self._rebase = True
@@ -398,7 +382,6 @@ class ReplicaEngine:
                 "payload": self.service.delta_checkpoint(),
             }
             self._set_chain([*self.chain, entry])
-            self.deltas_since_full += 1
         else:
             entry = {
                 "kind": "full",
@@ -408,11 +391,9 @@ class ReplicaEngine:
             if hasattr(self.service, "reset_delta_tracking"):
                 self.service.reset_delta_tracking()
             self._set_chain([entry])
-            self.deltas_since_full = 0
         self._rebase = False
         return {
             "kind": entry["kind"],
-            "raw_bytes": estimate_checkpoint_size(entry["payload"]),
             # Only a source marker (recovery transfer) hands its state
             # out; a periodic checkpoint stays local.
             "state": entry["payload"] if source is not None else None,
@@ -438,7 +419,8 @@ class ReplicaEngine:
 
     def chain_suffix(self, after):
         """The chain entries after the cut ``after``, or ``None`` when the
-        cut is not (or no longer — compaction drops cuts) on this chain."""
+        cut is not (or no longer — a full snapshot starts a new chain) on
+        this chain."""
         with self.chain_lock:
             chain = self.chain
         for position, entry in enumerate(chain):
@@ -446,20 +428,3 @@ class ReplicaEngine:
                 return chain[position + 1:]
         return None
 
-    def compact(self):
-        """Merge the delta run if the policy says it is due.
-
-        Runs off the cut path with only this replica's ``chain_lock``
-        held; workers keep executing commands throughout.  Returns the
-        number of chains compacted (0 or 1).
-        """
-        with self.chain_lock:
-            chain = self.chain
-            due = (
-                self.policy is not None
-                and len(chain) > 1
-                and self.policy.compact_due(len(chain) - 1)
-            )
-            if due:
-                self._set_chain(compact_chain(chain))
-            return int(due)

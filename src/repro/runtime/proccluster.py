@@ -132,7 +132,6 @@ class _ProcReplica:
                 "t": "welcome",
                 "barrier_timeout": cluster.barrier_timeout,
                 "full_every": policy.full_every if policy else None,
-                "compact_after": policy.compact_after if policy else None,
             }
         )
         return hello["watermark"]
@@ -227,9 +226,6 @@ class _ProcReplica:
     def chain_suffix(self, after):
         entries = self._request({"t": "chain?", "after": after})["entries"]
         return None if entries is None else wire.decode_chain(entries)
-
-    def compact(self):
-        return self._request({"t": "compact"})["count"]
 
 
 class ProcessPSMRCluster(PSMRControlPlane):

@@ -14,7 +14,7 @@ the (possibly reordered/duplicated) messages of its ``d`` frames through
 a :class:`~repro.common.faults.ReliableLink`, hands the ordered run to
 the delivering worker threads with one ``put_many`` (one wake-up) per
 worker, and answers the coordinator's management requests (stats,
-snapshots, chain donations, compaction) inline — after the run ahead of
+snapshots, chain donations) inline — after the run ahead of
 them is queued.  Killing this process with SIGKILL is therefore a
 *real* crash: no flushes, no goodbyes — recovery starts from whatever
 the checkpoint store's crash-safe segments hold.
@@ -87,11 +87,9 @@ class ReplicaProcess:
         if message["full_every"] is not None:
             # ``every_messages=1`` is a placeholder trigger: scheduling
             # lives on the coordinator, the engine only consults the
-            # policy's full/delta cadence and compaction knobs.
+            # policy's full/delta cadence.
             policy = CheckpointPolicy(
-                every_messages=1,
-                full_every=message["full_every"],
-                compact_after=message["compact_after"],
+                every_messages=1, full_every=message["full_every"]
             )
         self.engine = ReplicaEngine(
             self.replica_id, self.mpl, self.service_factory, chain, self.store,
@@ -146,8 +144,6 @@ class ReplicaProcess:
             suffix = engine.chain_suffix(message["after"])
             entries = None if suffix is None else wire.encode_chain(suffix)
             self.send({"t": "chain", "req": req, "entries": entries})
-        elif kind == "compact":
-            self.send({"t": "compacted", "req": req, "count": engine.compact()})
 
     # ------------------------------------------------------------------
     # Main loop

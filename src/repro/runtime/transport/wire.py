@@ -19,8 +19,8 @@ type                    dir    meaning
 ``hello``               c→s    first frame after connect: replica id, pid,
                                durable-chain watermark
 ``welcome``             s→c    handshake reply: barrier timeout and the
-                               checkpoint-policy knobs the engine reads
-                               locally (full_every, compact_after)
+                               checkpoint-policy knob the engine reads
+                               locally (full_every)
 ``restore``             s→c    recovery state install before start: mode
                                ``full`` (sequence + state) or ``chain``
                                (suffix entries extending the local chain)
@@ -35,14 +35,12 @@ type                    dir    meaning
 ``r``                   c→s    batched command responses
 ``c``                   c→s    cut executed: cut id, sequence, kind
                                (``full`` / ``delta`` checkpoint or
-                               ``shard`` switch), raw bytes and state
-                               (checkpoints; state for source markers
+                               ``shard`` switch), state (source markers
                                only), boundary count, error (a failed
                                snapshot or write)
 ``stats?``/``stats``    s→c/c→s  execution counters + queue backlog
 ``snap?``/``snap``      s→c/c→s  service snapshot
 ``chain?``/``chain``    s→c/c→s  chain-suffix donation after a cut
-``compact``/``compacted`` s→c/c→s  compact the local delta run if due
 ``bye``                 s→c    clean shutdown request
 ======================  =====  ==============================================
 

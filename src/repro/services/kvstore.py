@@ -16,7 +16,6 @@ k depends on other updates on k, on reads on k, and on inserts and deletes.*
 from itertools import repeat
 
 from repro.btree import BPlusTree
-from repro.common.checkpoint import estimate_checkpoint_size
 from repro.common.errors import KeyAlreadyExistsError, KeyNotFoundError, ServiceError
 from repro.core.cdep import CDep
 from repro.core.command import Response
@@ -171,21 +170,6 @@ class KeyValueStoreServer:
     def reset_delta_tracking(self):
         """Move the delta-tracking mark to the current state (a new full base)."""
         self._tree.clear_delta_tracking()
-
-    @staticmethod
-    def merge_deltas(older, newer):
-        """Merge two adjacent :meth:`delta_checkpoint` payloads into one.
-
-        Delegates the key merge to :meth:`BPlusTree.merge_deltas` and takes
-        the command counter from ``newer`` (the merged delta's cut).
-        """
-        merged = BPlusTree.merge_deltas(older, newer)
-        merged["commands_executed"] = newer["commands_executed"]
-        return merged
-
-    def checkpoint_size_bytes(self):
-        """Wire size of a checkpoint of the current state (transfer accounting)."""
-        return estimate_checkpoint_size(self.checkpoint())
 
     # ------------------------------------------------------------------
     # State inspection (used to compare replicas in tests)

@@ -18,7 +18,6 @@ expressed with a :class:`Keyed` declaration whose conflict key is the path
 number of ranges is wanted.
 """
 
-from repro.common.checkpoint import estimate_checkpoint_size
 from repro.common.errors import FileSystemError, ServiceError
 from repro.core.cdep import CDep
 from repro.core.command import Response
@@ -200,22 +199,6 @@ class NetFSServer:
     def reset_delta_tracking(self):
         """Move the delta-tracking mark to the current state (a new full base)."""
         self.fs.clear_delta_tracking()
-
-    @staticmethod
-    def merge_deltas(older, newer):
-        """Merge two adjacent :meth:`delta_checkpoint` payloads into one.
-
-        Delegates the inode merge to :meth:`MemoryFileSystem.merge_deltas`
-        and takes the command counter from ``newer`` (the merged cut).
-        """
-        return {
-            "fs": MemoryFileSystem.merge_deltas(older["fs"], newer["fs"]),
-            "commands_executed": newer["commands_executed"],
-        }
-
-    def checkpoint_size_bytes(self):
-        """Wire size of a checkpoint of the current state (transfer accounting)."""
-        return estimate_checkpoint_size(self.checkpoint())
 
     # ------------------------------------------------------------------
     # State inspection

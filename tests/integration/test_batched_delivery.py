@@ -122,7 +122,7 @@ class TestBatchedSemantics:
 
 class TestMarkersAtBatchBoundaries:
     def test_markers_cut_batches_cleanly_under_load(self, tmp_path):
-        policy = CheckpointPolicy(every_messages=40, full_every=3, compact_after=4)
+        policy = CheckpointPolicy(every_messages=40, full_every=3)
         with kv_cluster(
             mpl=2, checkpoint_policy=policy, store_dir=str(tmp_path)
         ) as cluster:

@@ -165,3 +165,59 @@ def test_simultaneous_two_replica_crash_recovers_from_shared_checkpoint():
         assert snapshots[0] == snapshots[1] == snapshots[2]
         counters = [r.service.commands_executed for r in cluster.replicas]
         assert len(set(counters)) == 1
+
+
+# ----------------------------------------------------------------------
+# A cut takes the snapshot and keeps it: nothing walks the payload
+# ----------------------------------------------------------------------
+class _ReadRecordingDict(dict):
+    """A checkpoint payload that notes every way of walking it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = []
+
+    def items(self):
+        self.reads.append("items")
+        return super().items()
+
+    def keys(self):
+        self.reads.append("keys")
+        return super().keys()
+
+    def values(self):
+        self.reads.append("values")
+        return super().values()
+
+    def __iter__(self):
+        self.reads.append("iter")
+        return super().__iter__()
+
+
+class _RecordingServer(KeyValueStoreServer):
+    def __init__(self, taken, **kwargs):
+        super().__init__(**kwargs)
+        self._taken = taken
+
+    def checkpoint(self):
+        payload = _ReadRecordingDict(super().checkpoint())
+        self._taken.append(payload)
+        return payload
+
+
+def test_a_store_less_cut_never_reads_its_snapshot():
+    taken = []
+    with ThreadedPSMRCluster(
+        spec=KVSTORE_SPEC,
+        service_factory=lambda: _RecordingServer(taken, initial_keys=16),
+        mpl=2,
+        num_replicas=2,
+        barrier_timeout=20.0,
+        checkpoint_policy=manual_policy(),
+    ) as cluster:
+        client = cluster.client()
+        for key in range(8):
+            client.invoke("update", key=key, value=b"v")
+        assert cluster.periodic_checkpoint() is not None
+        assert len(taken) == 2  # one full snapshot per replica
+        assert [payload.reads for payload in taken] == [[], []]

@@ -11,6 +11,7 @@ and linearizably.
 
 import threading
 
+from repro.common import codec
 from repro.common.checkpoint import CheckpointPolicy
 from repro.runtime import ThreadedPSMRCluster, check_linearizable
 from repro.runtime.linearizability import HistoryRecorder
@@ -58,10 +59,9 @@ def test_threaded_periodic_markers_build_delta_chains():
             if event["replica_id"] == 0
         ]
         assert event_kinds == ["full", "delta", "delta", "full", "delta"]
-        # Deltas are measured smaller than fulls on this workload.
-        fulls = [e for e in cluster.checkpoint_events if e["kind"] == "full"]
-        deltas = [e for e in cluster.checkpoint_events if e["kind"] == "delta"]
-        assert max(d["raw_bytes"] for d in deltas) < min(f["raw_bytes"] for f in fulls)
+        # A delta encodes smaller than a full on this workload.
+        full, delta = cluster.replicas[0].checkpoint_chain
+        assert len(codec.encode(delta["payload"])) < len(codec.encode(full["payload"]))
 
 
 def test_threaded_replay_recovery_on_top_of_a_delta_chain():
@@ -120,14 +120,11 @@ def test_threaded_chain_suffix_transfer_when_log_is_truncated():
         transfer = cluster.recovery_transfers[-1]
         assert transfer["mode"] == "chain-suffix"
         assert transfer["entries"] == 2  # exactly the two missed deltas
-        # The transferred suffix is cheaper than a full snapshot would be.
-        full_sizes = [
-            e["raw_bytes"] for e in cluster.checkpoint_events if e["kind"] == "full"
-        ]
-        assert transfer["raw_bytes"] < min(full_sizes)
-        assert [e["kind"] for e in replica.checkpoint_chain] == [
-            "full", "delta", "delta", "delta",
-        ]
+        chain = replica.checkpoint_chain
+        assert [e["kind"] for e in chain] == ["full", "delta", "delta", "delta"]
+        # The transferred suffix encodes smaller than a full snapshot.
+        suffix_bytes = sum(len(codec.encode(e["payload"])) for e in chain[2:])
+        assert suffix_bytes < len(codec.encode(chain[0]["payload"]))
         client.invoke("update", key=0, value=b"after")
         snapshots = cluster.replica_snapshots()
         assert snapshots[0] == snapshots[1]

@@ -3,7 +3,7 @@
 The acceptance criterion of the durable subsystem: **a crash at any byte of
 a persist cycle leaves a recoverable longest-valid-prefix**.  The sweep
 here injects a crash after every single byte offset of a full persist
-cycle (base, three deltas, one compaction rewrite) via a ``CrashingFile``
+cycle (base, three deltas, the next base) via a ``CrashingFile``
 opener, reopens the store cold each time, and asserts it loads exactly the
 last chain whose manifest commit completed — never a torn manifest, never
 a half-written segment (the checksums reject those).
@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.common.checkpoint import CheckpointPolicy, compact_chain
+from repro.common.checkpoint import CheckpointPolicy
 from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import CheckpointError, RecoveryError
 from repro.harness.experiments.durable import run_durable_recovery
@@ -98,8 +98,9 @@ def persist_cycle_steps():
     """The successive chain states of one scripted persist cycle.
 
     Built once from a deterministic key-value history: a full base, three
-    deltas (with delete/recreate overlap), then a compaction rewrite —
-    every kind of write the store performs.
+    deltas (with delete/recreate overlap), then the next full base, whose
+    manifest commit drops the old segments — every kind of write the store
+    performs.
     """
     server = KeyValueStoreServer(initial_keys=6)
     chain = [{"kind": "full", "sequence": 0, "payload": server.checkpoint()}]
@@ -117,7 +118,8 @@ def persist_cycle_steps():
             }
         )
         steps.append(list(chain))
-    steps.append(compact_chain(chain))
+    server.execute("update", {"key": 0, "value": b"rebased"})
+    steps.append([{"kind": "full", "sequence": 4, "payload": server.checkpoint()}])
     return steps
 
 
@@ -171,20 +173,20 @@ def test_crash_at_every_byte_recovers_the_last_committed_chain(tmp_path):
             ]
 
 
-def test_crash_free_cycle_persists_the_compacted_chain(tmp_path):
+def test_crash_free_cycle_persists_the_rebased_chain(tmp_path):
     steps = persist_cycle_steps()
     store = CheckpointStore(str(tmp_path))
     for step in steps:
         store.sync_chain(step)
     loaded = CheckpointStore(str(tmp_path)).load_chain()
-    assert chain_identity(loaded) == [("full", 0), ("delta", 3)]
-    # Compaction reuses the base segment and garbage-collects the old
-    # delta segments: two files remain.
-    assert store.segment_count() == 2
+    assert chain_identity(loaded) == [("full", 4)]
+    # The new base's manifest commit garbage-collects the old base and
+    # delta segments: one file remains.
+    assert store.segment_count() == 1
     segments = [
         name for name in os.listdir(str(tmp_path)) if name.startswith("seg-")
     ]
-    assert len(segments) == 2
+    assert len(segments) == 1
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_crash_free_cycle_persists_the_compacted_chain(tmp_path):
 def _persisted_store(tmp_path):
     steps = persist_cycle_steps()
     store = CheckpointStore(str(tmp_path))
-    store.sync_chain(steps[-2])  # [full, d1, d2, d3], no compaction
+    store.sync_chain(steps[-2])  # [full, d1, d2, d3], before the rebase
     return store
 
 
@@ -542,14 +544,15 @@ def test_restart_from_disk_requires_a_store():
         cluster.recover_replica(1)
 
 
-def test_compaction_bounds_the_durable_chain(tmp_path):
-    """compact_after=2 keeps the durable chain at [full, merged-delta] while
-    the cadence counter still forces the periodic full on schedule."""
-    policy = manual_policy(full_every=6, compact_after=2)
+def test_full_every_bounds_the_durable_chain(tmp_path):
+    """The durable chain grows by one segment per delta and the cadence
+    full drops them all: it never holds more than ``full_every`` segments."""
+    policy = manual_policy(full_every=3)
     with kv_cluster(
         checkpoint_policy=policy, store_dir=str(tmp_path)
     ) as cluster:
         client = cluster.client()
+        segments = []
         for round_index in range(7):
             for key in range(8):
                 client.invoke(
@@ -557,24 +560,15 @@ def test_compaction_bounds_the_durable_chain(tmp_path):
                 )
             cluster.wait_for_quiescence()
             cluster.periodic_checkpoint()
-        # full, then deltas (compacted in place), then the cadence full.
+            segments.append(cluster.stores[0].segment_count())
         events = [
             event["kind"]
             for event in cluster.checkpoint_events
             if event["replica_id"] == 0
         ]
-        assert events.count("compaction") >= 2
-        assert cluster.compactions >= 2
-        # The chain never holds more than one merged delta on disk.
-        assert cluster.stores[0].segment_count() <= 2
-        periodic = [kind for kind in events if kind != "compaction"]
-        # full_every=6 allows five deltas, so the 7th periodic checkpoint
-        # is full again: compaction must not fool the cadence even though
-        # the chain itself never grows past [full, merged-delta].
-        assert periodic[0] == "full"
-        assert periodic[6] == "full"
-        assert all(kind == "delta" for kind in periodic[1:6])
-        # A crashed replica still recovers on top of its compacted chain.
+        assert events == ["full", "delta", "delta"] * 2 + ["full"]
+        assert segments == [1, 2, 3, 1, 2, 3, 1]
+        # A crashed replica still recovers on top of its durable chain.
         cluster.crash_replica(1)
         for key in range(4):
             client.invoke("update", key=key, value=b"down")
@@ -594,9 +588,9 @@ def test_durable_recovery_experiment_smoke(tmp_path):
     )
     assert result["figure"] == "durable-recovery"
     rows = {row["deltas"]: row for row in result["rows"]}
-    assert rows[8]["segments_raw"] == 9
-    assert rows[8]["segments_compacted"] == 2
-    assert rows[8]["disk_kb_compacted"] < rows[8]["disk_kb_raw"]
+    assert rows[1]["segments"] == 2
+    assert rows[8]["segments"] == 9
+    assert rows[1]["disk_kb"] < rows[8]["disk_kb"]
     assert result["episode"]["converged"]
     assert result["episode"]["transfer"] == "replay"
     assert "Durable recovery" in result["text"]

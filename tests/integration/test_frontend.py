@@ -243,6 +243,22 @@ class TestNetFSContract:
 
         asyncio.run(errors())
 
+    def test_directory_removal_over_http(self, client):
+        async def rmdir():
+            assert (await client.post("/fs/dir/attic")).status_code == 201
+            wrote = await client.put("/fs/file/attic/a.txt", json={"data": "x"})
+            assert wrote.status_code == 200
+            busy = await client.delete("/fs/dir/attic")
+            assert busy.status_code == 409  # ENOTEMPTY
+            assert (await client.delete("/fs/file/attic/a.txt")).status_code == 200
+            gone = await client.delete("/fs/dir/attic")
+            assert gone.status_code == 200
+            assert gone.json() == {"path": "/attic", "removed": True}
+            assert "attic" not in (await client.get("/fs/dir/")).json()["entries"]
+            assert (await client.delete("/fs/dir/attic")).status_code == 404
+
+        asyncio.run(rmdir())
+
 
 # ----------------------------------------------------------------------
 # Linearizability through the HTTP edge

@@ -121,18 +121,18 @@ class TestLossyLinksThreaded:
 
 
 # ----------------------------------------------------------------------
-# Acceptance episodes (ISSUE 7): crash + partition + restart-from-disk +
-# compaction interleaved under load, oracle-checked, seed-reproducible.
+# Acceptance episodes: crash + partition + restart-from-disk + checkpoint
+# markers interleaved under load, oracle-checked, seed-reproducible.
 # ----------------------------------------------------------------------
 
 class TestAcceptanceEpisodes:
-    THREADED_SEED = 14  # plan covers all seven op kinds at steps=10
+    THREADED_SEED = 14  # plan covers all six op kinds at steps=10
 
     def test_threaded_episode_all_fault_kinds(self, tmp_path):
         nemesis = Nemesis(self.THREADED_SEED, 3, steps=10, mean_gap=0.08,
                           kinds=THREADED_KINDS)
         kinds = {op.kind for op in nemesis.plan}
-        assert {"crash", "partition", "restart_disk", "compact"} <= kinds
+        assert kinds == set(THREADED_KINDS)
         report = run_live_nemesis_episode(
             seed=self.THREADED_SEED, store_dir=str(tmp_path), steps=10,
         )

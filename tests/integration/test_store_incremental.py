@@ -5,8 +5,8 @@ ISSUE 6's persist-cycle audit, pinned as regression tests:
 * appending a delta to a durable chain writes **only** the new segment and
   the manifest — the inodes and mtimes of every already-persisted segment
   are untouched (no re-serialisation, no re-fsync of the unchanged prefix);
-* compaction reuses the base segment file and rewrites only the merged
-  delta;
+* a new full base replaces the chain: the old segments leave the disk
+  with the manifest commit;
 * segments are smaller than the same payload pickled (``pickle`` is the
   yardstick here, not a format the store reads:
   ``tests/unit/test_hostile_bytes.py``).
@@ -16,7 +16,6 @@ import os
 import pickle
 
 from repro.common import codec
-from repro.common.checkpoint import compact_chain
 from repro.common.checkpoint_store import CheckpointStore
 
 
@@ -70,24 +69,24 @@ class TestIncrementalPersist:
         assert _segment_stats(store) == before
         assert os.stat(manifest_path).st_mtime_ns == manifest_before
 
-    def test_compaction_reuses_base_segment(self, tmp_path):
+    def test_new_base_drops_every_old_segment(self, tmp_path):
         store = CheckpointStore(tmp_path / "replica-0")
         chain = [_entry("full", 0, {"tree": {"order": 4, "items": []},
                                     "commands_executed": 0})]
-        store.sync_chain(chain)
-        base_name, base_stat = next(iter(_segment_stats(store).items()))
         for sequence in (1, 2, 3):
             chain = [*chain, _entry("delta", sequence,
                                     {"order": 4, "changes": [(sequence, b"x")],
                                      "deletions": [],
                                      "commands_executed": sequence})]
         store.sync_chain(chain)
-        compacted = compact_chain(chain)
-        assert len(compacted) == 2  # base + one merged delta
-        store.sync_chain(compacted)
+        old = set(_segment_stats(store))
+        assert len(old) == 4
+        store.sync_chain([_entry("full", 4, {"tree": {"order": 4, "items": []},
+                                             "commands_executed": 4})])
         after = _segment_stats(store)
-        assert after[base_name] == base_stat  # base reused, not rewritten
-        assert len(after) == 2
+        assert len(after) == 1 and not old & set(after)
+        on_disk = {n for n in os.listdir(store.directory) if n.startswith("seg-")}
+        assert on_disk == set(after)
 
     def test_reopened_store_appends_without_rewriting(self, tmp_path):
         store = CheckpointStore(tmp_path / "replica-0")

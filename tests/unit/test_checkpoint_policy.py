@@ -1,15 +1,9 @@
 """Unit tests for the shared checkpoint policy, the delta-chain cadence
-(``full_every``) and the size estimator."""
+(``full_every``) and chain restore."""
 
 import pytest
 
-from repro.common.checkpoint import (
-    CheckpointPolicy,
-    compact_chain,
-    estimate_checkpoint_size,
-    merge_deltas,
-    restore_chain,
-)
+from repro.common.checkpoint import CheckpointPolicy, restore_chain
 from repro.common.errors import CheckpointError, ConfigurationError
 
 
@@ -146,76 +140,6 @@ class TestRestoreChain:
         assert service.applied == []
 
 
-class TestCompaction:
-    def test_compact_after_validation(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(every_messages=10, compact_after=1)
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(every_messages=10, compact_after=0)
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(every_messages=10, compact_after=2.5)
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(every_messages=10, compact_after=True)
-        assert CheckpointPolicy(every_messages=10).compact_after is None
-
-    def test_compact_due_boundary(self):
-        policy = CheckpointPolicy(every_messages=10, compact_after=3)
-        assert not policy.compact_due(2)
-        assert policy.compact_due(3)
-        assert policy.compact_due(4)
-        disabled = CheckpointPolicy(every_messages=10)
-        assert not disabled.compact_due(10**6)
-
-    def test_compact_chain_short_chains_are_copied_not_merged(self):
-        chain = [
-            {"kind": "full", "sequence": 1, "payload": "base"},
-            {"kind": "delta", "sequence": 2,
-             "payload": {"order": 4, "changes": [(1, b"a")], "deletions": []}},
-        ]
-        compacted = compact_chain(chain)
-        assert compacted == chain
-        assert compacted is not chain  # a new list, input never mutated
-
-    def test_compact_chain_merges_deltas_onto_the_last_cut(self):
-        chain = [
-            {"kind": "full", "sequence": 1, "payload": "base"},
-            {"kind": "delta", "sequence": 2,
-             "payload": {"order": 4, "changes": [(1, b"a"), (2, b"b")],
-                         "deletions": [9]}},
-            {"kind": "delta", "sequence": 3,
-             "payload": {"order": 4, "changes": [(2, b"B"), (9, b"back")],
-                         "deletions": [1]}},
-        ]
-        compacted = compact_chain(chain)
-        assert [entry["kind"] for entry in compacted] == ["full", "delta"]
-        assert compacted[0] is chain[0]  # base reused untouched
-        assert compacted[1]["sequence"] == 3  # stamped with the tip cut
-        merged = compacted[1]["payload"]
-        # Last-writer-wins with deletions folded: 1 written-then-deleted,
-        # 9 deleted-then-recreated, 2 overwritten.
-        assert merged["changes"] == [(2, b"B"), (9, b"back")]
-        assert merged["deletions"] == [1]
-        # The original chain is untouched.
-        assert len(chain) == 3
-
-    def test_compact_chain_rejects_malformed_chains(self):
-        with pytest.raises(CheckpointError):
-            compact_chain([])
-        with pytest.raises(CheckpointError):
-            compact_chain([{"kind": "delta", "sequence": 1, "payload": {}}])
-
-    def test_merge_deltas_rejects_mismatched_shapes(self):
-        tree_delta = {"order": 4, "changes": [], "deletions": []}
-        fs_delta = {"changed": {}, "removed": [], "fd_table": {},
-                    "next_fd": 3, "next_ino": 1}
-        with pytest.raises(CheckpointError):
-            merge_deltas(tree_delta, fs_delta)
-        with pytest.raises(CheckpointError):
-            merge_deltas({"bogus": 1}, {"bogus": 2})
-        with pytest.raises(CheckpointError):
-            merge_deltas(None, tree_delta)
-
-
 class TestReplayable:
     def test_unbounded_horizon_pins_forever(self):
         policy = CheckpointPolicy(every_messages=10)
@@ -226,46 +150,3 @@ class TestReplayable:
         assert policy.replayable(100)
         assert not policy.replayable(101)
 
-
-def test_estimate_checkpoint_size_importable_from_common():
-    assert estimate_checkpoint_size(None) == 4096
-    assert estimate_checkpoint_size({"a": b"xy"}) == 16 + (1 + 8) + (2 + 8)
-
-
-class TestEstimateCheckpointSize:
-    def test_sets_and_frozensets_are_containers_not_leaves(self):
-        # 16-byte container header plus the walked contents — the same
-        # charge as a list of the same elements, not a flat 8 bytes.
-        assert estimate_checkpoint_size(set()) == 16
-        assert estimate_checkpoint_size({7}) == 16 + 8
-        assert estimate_checkpoint_size(frozenset({7, 9})) == 16 + 8 + 8
-        assert estimate_checkpoint_size({"ab"}) == 16 + (2 + 8)
-        assert estimate_checkpoint_size({1, 2, 3}) == estimate_checkpoint_size(
-            [1, 2, 3]
-        )
-
-    def test_small_ints_and_floats_cost_eight_bytes(self):
-        assert estimate_checkpoint_size(0) == 8
-        assert estimate_checkpoint_size(-1) == 8
-        assert estimate_checkpoint_size(2**63 - 1) == 8
-        assert estimate_checkpoint_size(3.14) == 8
-        assert estimate_checkpoint_size(True) == 8  # bool stays a flat leaf
-
-    def test_large_ints_are_charged_their_byte_width(self):
-        assert estimate_checkpoint_size(2**64) == 9  # 65 bits -> 9 bytes
-        assert estimate_checkpoint_size(2**128) == 17
-        assert estimate_checkpoint_size(10**100) == (
-            (10**100).bit_length() + 7
-        ) // 8
-        # Width applies inside containers too.
-        assert estimate_checkpoint_size([2**128]) == 16 + 17
-
-    def test_nested_container_pin(self):
-        state = {"keys": {1, 2}, "big": 2**72, "rest": [b"xy"]}
-        expected = (
-            16  # outer dict
-            + (4 + 8) + (16 + 8 + 8)  # "keys" -> set of two small ints
-            + (3 + 8) + 10            # "big" -> 73-bit int = 10 bytes
-            + (4 + 8) + (16 + (2 + 8))  # "rest" -> list of b"xy"
-        )
-        assert estimate_checkpoint_size(state) == expected

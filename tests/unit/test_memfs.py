@@ -270,7 +270,7 @@ def test_file_count(fs):
 def test_read_only_interval_yields_attr_only_delta(fs):
     """Reads and opens dirty only timestamps: the delta ships small
     attr-only records, not file contents."""
-    from repro.common.checkpoint import estimate_checkpoint_size
+    from repro.common import codec
 
     fs.mkdir("/d")
     fs.mknod("/d/f")
@@ -282,7 +282,7 @@ def test_read_only_interval_yields_attr_only_delta(fs):
     fd = fs.open("/d/f", now=11.0)
     delta = fs.delta_checkpoint()
     # The 4 KiB of data crossed no wire: only attrs and the fd table did.
-    assert estimate_checkpoint_size(delta) < 1024
+    assert len(codec.encode(delta)) < 1024
     record = delta["changed"][fs._lookup("/d/f").ino]
     assert "data" not in record and "entries" not in record
     assert record["atime"] == 11.0

@@ -63,9 +63,6 @@ class FakeCluster:
     def periodic_checkpoint(self, timeout=None):
         self._control("periodic_checkpoint")
 
-    def compact_chains(self):
-        self._control("compact_chains")
-
     def wait_for_quiescence(self, timeout):
         self._control("wait_for_quiescence")
 
@@ -144,12 +141,12 @@ def statuses(report):
 
 def test_refused_action_is_skipped_and_the_episode_continues():
     cluster = FakeCluster()
-    cluster.refuse = {"compact_chains"}
+    cluster.refuse = {"periodic_checkpoint"}
     report = run_skeleton(
-        cluster, [("compact", None), ("crash", 1), ("recover", 1), ("checkpoint", None)]
+        cluster, [("checkpoint", None), ("crash", 1), ("recover", 1), ("heal", None)]
     )
     assert statuses(report) == ["skipped", "ok", "ok", "ok"]
-    assert report["applied"][0]["detail"] == "RecoveryError: compact_chains refused"
+    assert report["applied"][0]["detail"] == "RecoveryError: periodic_checkpoint refused"
     assert [entry["op"] for entry in report["applied"]] == report["plan"]
     assert len(report["recovery_s"]) == 1
     assert report["ok"], report["failures"]
@@ -198,7 +195,7 @@ def _load_times_out(cluster):
 def test_each_failure_clause_flips_ok(break_it, failure):
     cluster = FakeCluster()
     break_it(cluster)
-    report = run_skeleton(cluster, [("compact", None)])
+    report = run_skeleton(cluster, [("heal", None)])
     assert not report["ok"]
     assert len(report["failures"]) == 1 and failure in report["failures"][0]
 
@@ -259,7 +256,7 @@ def test_one_skeleton_serves_a_plan_and_rebalance_rounds(built, monkeypatch, tmp
     assert planned["ok"], planned["failures"]
     assert [entry["op"] for entry in planned["applied"]] == planned["plan"]
     assert set(statuses(planned)) == {"ok"}
-    assert {"crash_replica", "compact_chains", "restart_replica_from_disk"} <= {
+    assert {"crash_replica", "recover_replica", "restart_replica_from_disk"} <= {
         method for method, _replica in built[-1].calls
     }
 

@@ -1115,8 +1115,7 @@ class TestUnencodableResponse:
 
         try:
             for message in (
-                {"t": "welcome", "barrier_timeout": 5.0,
-                 "full_every": None, "compact_after": None},
+                {"t": "welcome", "barrier_timeout": 5.0, "full_every": None},
                 {"t": "start"},
             ):
                 wire.send_message(left, message)
@@ -1395,3 +1394,27 @@ class TestOneConcurrencyModel:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert loaded.stdout.strip() == "False"
+
+    def test_a_replica_process_never_loads_the_coordinator_side(self):
+        # ``repro.runtime`` resolves its exports lazily: a replica child
+        # runs the engine and never needs the clusters or the checker.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
+        coordinator_side = (
+            "repro.runtime.cluster", "repro.runtime.proccluster",
+            "repro.runtime.linearizability", "repro.runtime.multicast",
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.runtime.replica_proc; "
+             f"print([m for m in {coordinator_side!r} if m in sys.modules])"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert loaded.stdout.strip() == "[]"
+        # The package's public names still resolve, on first access.
+        exported = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.runtime import ProcessPSMRCluster, ThreadedPSMRCluster, "
+             "CheckpointPolicy, check_kv_history; print(ProcessPSMRCluster.__module__)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert exported.stdout.strip() == "repro.runtime.proccluster"
