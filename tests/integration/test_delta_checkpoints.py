@@ -64,6 +64,60 @@ def test_threaded_periodic_markers_build_delta_chains():
         assert len(codec.encode(delta["payload"])) < len(codec.encode(full["payload"]))
 
 
+def test_threaded_chain_length_follows_full_every():
+    """Every replica's in-memory chain grows by one delta per cut and
+    restarts at a new base once it holds ``full_every`` entries."""
+    with kv_cluster(checkpoint_policy=manual_policy(full_every=3)) as cluster:
+        client = cluster.client()
+        lengths = []
+        for round_index in range(7):
+            client.invoke("update", key=round_index, value=b"x")
+            cluster.wait_for_quiescence()
+            cluster.periodic_checkpoint()
+            per_replica = {len(r.checkpoint_chain) for r in cluster.replicas}
+            assert len(per_replica) == 1
+            lengths.extend(per_replica)
+        assert lengths == [1, 2, 3, 1, 2, 3, 1]
+
+
+def test_threaded_cut_and_recovery_reports_carry_only_their_fields():
+    """A cut is reported by sequence, replica and kind, a recovery by
+    replica, mode and entry count: no size is measured for either."""
+    policy = manual_policy(full_every=2, max_replay_lag=10_000)
+    with kv_cluster(checkpoint_policy=policy) as cluster:
+        client = cluster.client()
+        cut_sequences = []
+        for round_index in range(2):
+            client.invoke("update", key=1, value=f"r{round_index}".encode())
+            cluster.wait_for_quiescence()
+            cut_sequences.append(cluster.periodic_checkpoint())
+        cluster.crash_replica(1)
+        client.invoke("update", key=2, value=b"while down")
+        cluster.recover_replica(1)
+        cluster.crash_replica(0)
+        cluster.recover_replica(0, source_replica_id=1)
+        seq_a, seq_b = cut_sequences
+        (seq_c,) = {
+            e["sequence"] for e in cluster.checkpoint_events
+            if e["sequence"] not in cut_sequences
+        }
+        # Two periodic cuts on each replica, then the donor's fresh cut.
+        assert sorted(
+            (e["replica_id"], e["sequence"], e["kind"])
+            for e in cluster.checkpoint_events
+        ) == [
+            (0, seq_a, "full"), (0, seq_b, "delta"),
+            (1, seq_a, "full"), (1, seq_b, "delta"), (1, seq_c, "full"),
+        ]
+        for event in cluster.checkpoint_events:
+            assert set(event) == {"sequence", "replica_id", "kind"}
+        assert [
+            (t["replica_id"], t["mode"]) for t in cluster.recovery_transfers
+        ] == [(1, "replay"), (0, "full")]
+        for transfer in cluster.recovery_transfers:
+            assert set(transfer) == {"replica_id", "mode", "entries"}
+
+
 def test_threaded_replay_recovery_on_top_of_a_delta_chain():
     """A crashed replica restores base + deltas, then replays the log."""
     with kv_cluster(checkpoint_policy=manual_policy(full_every=4)) as cluster:

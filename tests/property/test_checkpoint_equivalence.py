@@ -9,7 +9,11 @@ history with full and delta checkpoints interleaved at arbitrary points,
   same cut;
 * the restored replica then behaves identically to the live one on any
   subsequent command sequence (so both runtimes may replay the log suffix
-  on top of a chain restore).
+  on top of a chain restore);
+* a joiner holding the chain up to any cut reaches the tip by applying
+  only the deltas after it (the recovery ladder's chain-suffix rung);
+* every entry survives the codec, which both the durable store and the
+  process runtime's wire put it through.
 
 Each test drives a service with random op sequences split into segments; a
 checkpoint is taken after every segment, with a randomly chosen kind —
@@ -20,6 +24,7 @@ policy produces, but in arbitrary interleavings rather than a fixed cadence.
 from hypothesis import given, settings, strategies as st
 
 from repro.btree import BPlusTree
+from repro.common import codec
 from repro.common.checkpoint import restore_chain
 from repro.common.errors import ServiceError
 from repro.services.kvstore import KeyValueStoreServer
@@ -141,6 +146,44 @@ def test_btree_delta_chain_equals_live(segments, order):
         restored.validate()
 
 
+#: An interval over few keys, so it often deletes, re-creates or rewrites
+#: a key the base holds.
+tree_churn = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "update", "upsert"]),
+        st.integers(min_value=0, max_value=12),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base_keys=st.sets(st.integers(min_value=0, max_value=12), min_size=4),
+    operations=tree_churn,
+)
+def test_btree_delta_records_the_net_change(base_keys, operations):
+    """A delta names every key whose value changed since the mark, with its
+    current value, and lists a deletion only for a key that is gone."""
+    live = BPlusTree(order=4)
+    for key in sorted(base_keys):
+        live.insert(key, b"base")
+    before = dict(live.items())
+    live.clear_delta_tracking()
+    run_tree(live, operations, base_step=1)
+    after = dict(live.items())
+    delta = live.delta()
+    changes = dict(delta["changes"])
+    deletions = set(delta["deletions"])
+    assert not set(changes) & deletions
+    assert all(after[key] == value for key, value in changes.items())
+    assert not deletions & after.keys()
+    for key in before.keys() | after.keys():
+        if before.get(key) != after.get(key):
+            assert key in changes if key in after else key in deletions
+
+
 # ----------------------------------------------------------------------
 # NetFS service (covers the in-memory file system, fd table included)
 # ----------------------------------------------------------------------
@@ -199,6 +242,99 @@ def test_netfs_chain_equals_live_and_full(segments, suffix):
         assert from_chain.fs.open_descriptors() == live.fs.open_descriptors()
         assert from_chain.commands_executed == live.commands_executed
     restored = restore_chain(NetFSServer(), chain)
+    assert run_netfs(restored, suffix, base_step=step) == run_netfs(
+        live, suffix, base_step=step
+    )
+    assert restored.snapshot() == live.snapshot()
+    assert restored.fs.open_descriptors() == live.fs.open_descriptors()
+
+
+# ----------------------------------------------------------------------
+# The chain-suffix rung and the codec
+# ----------------------------------------------------------------------
+def cut_history(service, run, segments):
+    """Drive ``service`` through ``segments``, checkpointing after each.
+
+    Returns ``(chain, states, step)``: the final chain, the live snapshot
+    at each of its cuts, and the next step number.
+    """
+    chain, states, step = [], [], 0
+    for operations, want_delta in segments:
+        run(service, operations, step)
+        step += len(operations)
+        take_checkpoint(service, chain, want_delta)
+        del states[len(chain) - 1:]
+        states.append(service.snapshot())
+    return chain, states, step
+
+
+def through_the_codec(chain):
+    """Each entry as a durable segment or a wire frame carries it."""
+    return [codec.decode(codec.encode(entry)) for entry in chain]
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=segments_of(kv_operations), suffix=kv_operations)
+def test_kvstore_joiner_at_any_cut_catches_up_on_the_chain_suffix(segments, suffix):
+    live = KeyValueStoreServer(initial_keys=6)
+    chain, states, step = cut_history(live, run_kv, segments)
+    for cut in range(len(chain)):
+        joiner = restore_chain(KeyValueStoreServer(), chain[:cut + 1])
+        assert joiner.snapshot() == states[cut]
+        for entry in chain[cut + 1:]:
+            joiner.apply_delta(entry["payload"])
+        assert joiner.snapshot() == live.snapshot()
+        assert joiner.commands_executed == live.commands_executed
+    assert run_kv(joiner, suffix, base_step=step) == run_kv(
+        live, suffix, base_step=step
+    )
+    assert joiner.snapshot() == live.snapshot()
+    joiner.tree.validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=segments_of(fs_operations), suffix=fs_operations)
+def test_netfs_joiner_at_any_cut_catches_up_on_the_chain_suffix(segments, suffix):
+    live = NetFSServer()
+    chain, states, step = cut_history(live, run_netfs, segments)
+    for cut in range(len(chain)):
+        joiner = restore_chain(NetFSServer(), chain[:cut + 1])
+        assert joiner.snapshot() == states[cut]
+        for entry in chain[cut + 1:]:
+            joiner.apply_delta(entry["payload"])
+        assert joiner.snapshot() == live.snapshot()
+        assert joiner.fs.open_descriptors() == live.fs.open_descriptors()
+        assert joiner.commands_executed == live.commands_executed
+    assert run_netfs(joiner, suffix, base_step=step) == run_netfs(
+        live, suffix, base_step=step
+    )
+    assert joiner.snapshot() == live.snapshot()
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=segments_of(kv_operations), suffix=kv_operations)
+def test_kvstore_chain_survives_the_codec(segments, suffix):
+    live = KeyValueStoreServer(initial_keys=6)
+    chain, _states, step = cut_history(live, run_kv, segments)
+    restored = restore_chain(KeyValueStoreServer(), through_the_codec(chain))
+    assert restored.snapshot() == live.snapshot()
+    assert restored.commands_executed == live.commands_executed
+    assert run_kv(restored, suffix, base_step=step) == run_kv(
+        live, suffix, base_step=step
+    )
+    assert restored.snapshot() == live.snapshot()
+    restored.tree.validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=segments_of(fs_operations), suffix=fs_operations)
+def test_netfs_chain_survives_the_codec(segments, suffix):
+    live = NetFSServer()
+    chain, _states, step = cut_history(live, run_netfs, segments)
+    restored = restore_chain(NetFSServer(), through_the_codec(chain))
+    assert restored.snapshot() == live.snapshot()
+    assert restored.fs.open_descriptors() == live.fs.open_descriptors()
+    assert restored.commands_executed == live.commands_executed
     assert run_netfs(restored, suffix, base_step=step) == run_netfs(
         live, suffix, base_step=step
     )

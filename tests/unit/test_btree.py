@@ -216,3 +216,25 @@ def test_restore_rejects_keys_out_of_order_and_changes_nothing():
             tree.restore({"order": 4, "items": items})
     assert tree.validate()
     assert list(tree.items()) == [(key, key + 10) for key in range(10)]
+
+
+def test_a_key_born_and_removed_between_cuts_leaves_no_trace():
+    """A key inserted and deleted inside one interval is listed as a
+    deletion the base never saw; applying it is a no-op, while a key
+    deleted and re-inserted ships only its new value."""
+    tree = BPlusTree(order=4)
+    for key in range(6):
+        tree.insert(key, b"v")
+    base = tree.checkpoint()
+    tree.clear_delta_tracking()
+    tree.insert(9, b"brief")
+    tree.delete(9)
+    tree.delete(2)
+    tree.insert(2, b"again")
+    delta = tree.delta()
+    assert delta["changes"] == [(2, b"again")]
+    assert delta["deletions"] == [9]
+    restored = BPlusTree(order=4).restore(base).apply_delta(delta)
+    assert list(restored.items()) == list(tree.items())
+    assert 9 not in dict(restored.items())
+    restored.validate()

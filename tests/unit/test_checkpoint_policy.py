@@ -78,6 +78,23 @@ class TestTakeFull:
         assert policy.take_full(7)  # never underestimates a long chain
 
 
+    def test_a_chain_driven_by_take_full_never_outgrows_full_every(self):
+        """The engine's cadence: ask with ``len(chain) - 1`` deltas, then
+        grow the chain or restart it at a new base."""
+        for full_every in range(1, 6):
+            policy = CheckpointPolicy(every_messages=10, full_every=full_every)
+            chain, kinds = [], []
+            for _cut in range(3 * full_every + 1):
+                if not chain or policy.take_full(len(chain) - 1):
+                    chain = ["full"]
+                else:
+                    chain.append("delta")
+                kinds.append(chain[-1])
+                assert len(chain) <= full_every
+            cycle = ["full"] + ["delta"] * (full_every - 1)
+            assert kinds == (cycle * 4)[:len(kinds)]
+
+
 class TestRestoreChain:
     class FakeService:
         def __init__(self):

@@ -332,3 +332,37 @@ def test_each_delta_starts_where_the_last_one_ended(fs):
     restored.apply_delta(first)
     restored.apply_delta(second)
     assert restored.tree_snapshot() == fs.tree_snapshot()
+
+
+def test_an_unlinked_file_lives_in_the_chain_until_its_last_release(fs):
+    """Unlinking an open file only drops its name: the inode stays behind
+    the descriptor at that cut and is listed as removed at the cut after
+    its last release."""
+    from repro.fs.memfs import MemoryFileSystem
+
+    fs.mkdir("/d")
+    fd = fs.create("/d/f")
+    fs.write(fd=fd, data=b"abc")
+    ino = fs._lookup("/d/f").ino
+    base = fs.checkpoint()
+    fs.clear_delta_tracking()
+    fs.release(fs.open("/d/f"))  # a descriptor number used up in between
+    fs.unlink("/d/f")
+    first = fs.delta_checkpoint()
+    assert first["removed"] == []
+    assert first["fd_table"] == {fd: ino}
+    restored = MemoryFileSystem().restore(base)
+    restored.apply_delta(first)
+    assert restored.tree_snapshot() == fs.tree_snapshot()
+    assert restored.read(fd=fd, size=3) == b"abc"
+    fs.release(fd)
+    second = fs.delta_checkpoint()
+    assert second["removed"] == [ino]
+    assert second["fd_table"] == {}
+    restored.apply_delta(second)
+    assert restored.tree_snapshot() == fs.tree_snapshot()
+    assert restored.open_descriptors() == fs.open_descriptors()
+    # The descriptor and inode counters travelled too: the next file and
+    # descriptor are numbered alike on both sides.
+    assert restored.create("/d/g") == fs.create("/d/g")
+    assert restored.tree_snapshot() == fs.tree_snapshot()

@@ -130,6 +130,25 @@ def test_each_delta_checkpoint_starts_where_the_last_one_ended(server):
     assert replica.snapshot() == server.snapshot()
 
 
+def test_a_key_deleted_and_recreated_across_cuts_restores_its_last_value(server):
+    """Delete at one cut, re-insert at the next: each delta names the key
+    on one side only, and the chain restores the re-inserted value."""
+    base = server.checkpoint()
+    server.reset_delta_tracking()
+    server.execute("delete", {"key": 3})
+    first = server.delta_checkpoint()
+    assert first["deletions"] == [3] and first["changes"] == []
+    server.execute("insert", {"key": 3, "value": b"back"})
+    second = server.delta_checkpoint()
+    assert second["changes"] == [(3, b"back")] and second["deletions"] == []
+    replica = KeyValueStoreServer().restore(base)
+    replica.apply_delta(first)
+    assert 3 not in dict(replica.tree.items())
+    replica.apply_delta(second)
+    assert replica.snapshot() == server.snapshot()
+    assert dict(replica.tree.items())[3] == b"back"
+
+
 ORDER = 64
 FILL = b"\x00" * 8
 

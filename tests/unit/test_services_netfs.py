@@ -113,6 +113,28 @@ def test_two_servers_with_same_history_converge():
     assert first.snapshot() == second.snapshot()
 
 
+def test_a_path_unlinked_and_recreated_across_cuts_gets_its_new_inode(server):
+    """Recreating a path after an unlink allocates a fresh inode; the chain
+    removes the old one and installs the new one under the same name."""
+    server.execute("mknod", {"path": "/data/f"})
+    server.execute("write", {"path": "/data/f", "data": b"old", "offset": 0})
+    base = server.checkpoint()
+    server.reset_delta_tracking()
+    server.execute("unlink", {"path": "/data/f"})
+    first = server.delta_checkpoint()
+    server.execute("mknod", {"path": "/data/f"})
+    server.execute("write", {"path": "/data/f", "data": b"new", "offset": 0})
+    second = server.delta_checkpoint()
+    assert len(first["fs"]["removed"]) == 1
+    assert first["fs"]["removed"][0] not in second["fs"]["changed"]
+    assert server.fs._lookup("/data/f").ino in second["fs"]["changed"]
+    replica = NetFSServer().restore(base)
+    replica.apply_delta(first)
+    replica.apply_delta(second)
+    assert replica.snapshot() == server.snapshot()
+    assert replica.execute("read", {"path": "/data/f", "size": 8}) == b"new"
+
+
 def test_commands_executed_counter(server):
     before = server.commands_executed
     server.execute("readdir", {"path": "/data"})

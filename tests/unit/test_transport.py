@@ -1418,3 +1418,25 @@ class TestOneConcurrencyModel:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert exported.stdout.strip() == "repro.runtime.proccluster"
+
+
+class TestLazyRuntimeExports:
+    def test_every_export_is_the_defining_modules_object(self):
+        import importlib
+
+        import repro.runtime
+
+        for name, module in repro.runtime._EXPORTS.items():
+            assert getattr(repro.runtime, name) is getattr(
+                importlib.import_module(module), name
+            )
+        assert sorted(repro.runtime.__all__) == sorted(repro.runtime._EXPORTS)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import repro.runtime
+
+        with pytest.raises(AttributeError, match="no attribute 'compact'"):
+            repro.runtime.compact
+        assert not hasattr(repro.runtime, "checkpoint_bytes")
+        with pytest.raises(ImportError):
+            exec("from repro.runtime import estimate_checkpoint_size", {})
