@@ -17,28 +17,22 @@ runtime (:mod:`repro.runtime`) both build their client/server proxies on top
 of these pieces.
 """
 
-from repro.core.command import Command, Response
-from repro.core.descriptor import (
-    CommandDescriptor,
-    Serial,
-    Keyed,
-    Free,
-    ServiceSpec,
-)
-from repro.core.cdep import CDep
-from repro.core.cg import CGFunction
-from repro.core.protocol import ExecutionPlan, plan_execution
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Command",
-    "Response",
-    "CommandDescriptor",
-    "Serial",
-    "Keyed",
-    "Free",
-    "ServiceSpec",
-    "CDep",
-    "CGFunction",
-    "ExecutionPlan",
-    "plan_execution",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Command": "repro.core.command",
+    "Response": "repro.core.command",
+    "CommandDescriptor": "repro.core.descriptor",
+    "Serial": "repro.core.descriptor",
+    "Keyed": "repro.core.descriptor",
+    "Free": "repro.core.descriptor",
+    "ServiceSpec": "repro.core.descriptor",
+    "CDep": "repro.core.cdep",
+    "CGFunction": "repro.core.cg",
+    "ExecutionPlan": "repro.core.protocol",
+    "plan_execution": "repro.core.protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

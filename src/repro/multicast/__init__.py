@@ -19,31 +19,26 @@ Internally (matching the paper's prototype):
   delivers the same interleaving.
 """
 
-from repro.multicast.group import Group, GroupLayout, ALL_GROUPS
-from repro.multicast.merge import MergeBuffer, SkipToken
-from repro.multicast.order_checker import OrderChecker
-from repro.multicast.sharding import (
-    HASH_SPACE,
-    ShardLoadTracker,
-    ShardMap,
-    ShardRouter,
-    group_loads,
-    propose_rebalance,
-    stable_key_hash,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Group",
-    "GroupLayout",
-    "ALL_GROUPS",
-    "MergeBuffer",
-    "SkipToken",
-    "OrderChecker",
-    "HASH_SPACE",
-    "ShardLoadTracker",
-    "ShardMap",
-    "ShardRouter",
-    "group_loads",
-    "propose_rebalance",
-    "stable_key_hash",
-]
+#: Public name -> the module defining it, imported on first access: the
+#: live runtimes use the group layout and sharding, never the simulator's
+#: merge buffer or order checker.
+_EXPORTS = {
+    "Group": "repro.multicast.group",
+    "GroupLayout": "repro.multicast.group",
+    "ALL_GROUPS": "repro.multicast.group",
+    "MergeBuffer": "repro.multicast.merge",
+    "SkipToken": "repro.multicast.merge",
+    "OrderChecker": "repro.multicast.order_checker",
+    "HASH_SPACE": "repro.multicast.sharding",
+    "ShardLoadTracker": "repro.multicast.sharding",
+    "ShardMap": "repro.multicast.sharding",
+    "ShardRouter": "repro.multicast.sharding",
+    "group_loads": "repro.multicast.sharding",
+    "propose_rebalance": "repro.multicast.sharding",
+    "stable_key_hash": "repro.multicast.sharding",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -25,7 +25,7 @@ claims; the process runtime gives every replica its own.
 * :mod:`~repro.runtime.linearizability` — the history checker.
 """
 
-import importlib
+from repro.common.lazy import lazy_exports
 
 #: Public name -> the module defining it.  Resolved on first access
 #: (PEP 562), so a replica process, which imports only the engine side of
@@ -44,12 +44,5 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value

@@ -19,8 +19,11 @@ joiner's cut, or full state transfer — cheapest first) and the
 inspection helpers.  It talks to a replica only through a small handle
 interface:
 
-``replica_id``, ``watermark``, ``crashed``, ``needs_full_transfer``, ``queues``
+``replica_id``, ``watermark``, ``crashed``, ``needs_full_transfer``
     bookkeeping the control plane reads and writes;
+``queues``
+    what registering the replica with the multicast handed back (the
+    worker queues in-process, ``None`` over TCP);
 ``kill()``
     fail-stop the current incarnation and wake anything waiting on it;
 ``launch(from_disk)`` / ``handshake() -> watermark``
@@ -58,6 +61,7 @@ from repro.multicast.group import ALL_GROUPS
 from repro.multicast.sharding import ShardRouter
 from repro.runtime.engine import ReplicaEngine
 from repro.runtime.multicast import LocalAtomicMulticast
+from repro.runtime.transport.inproc import InprocTransport
 from repro.runtime.transport.wire import make_cut
 
 #: Seconds between two looks of the checkpoint scheduler at its policy.
@@ -393,18 +397,19 @@ class PSMRControlPlane(ResponseRouter):
     :meth:`update_shard_map` / :meth:`rebalance_shards` re-partition the
     keyspace live.
 
-    Subclasses pick the transport through ``multicast_options`` (keyword
-    arguments of :class:`LocalAtomicMulticast`), then fill ``self.replicas``
-    with their handles.
+    Subclasses hand in the ``transport`` the sequencer sends through,
+    then fill ``self.replicas`` with their handles.
     """
 
-    def __init__(self, spec, mpl, multicast_options, num_replicas,
+    def __init__(self, spec, mpl, transport, log_retention, num_replicas,
                  barrier_timeout, seed, checkpoint_policy, shard_map):
         if num_replicas < 1:
             raise ConfigurationError("need at least one replica")
         self.spec = spec
         self.mpl = mpl
-        self.multicast = multicast = LocalAtomicMulticast(mpl, **multicast_options)
+        self.multicast = multicast = LocalAtomicMulticast(
+            transport, retention=log_retention
+        )
         self.num_replicas = num_replicas
         self.barrier_timeout = barrier_timeout
         self.shard_router = None
@@ -446,11 +451,14 @@ class PSMRControlPlane(ResponseRouter):
         if self._started:
             return self
         live = self.live_replicas()
-        # Replicas not subscribed at construction (a replica process has
+        # Replicas not registered at construction (a replica process has
         # to exist and dial in first) bring their first incarnation up:
         # all are launched before any handshake is awaited, so they start
         # up in parallel.
-        newborn = [replica for replica in live if replica.queues is None]
+        registered = self.multicast.replica_ids()
+        newborn = [
+            replica for replica in live if replica.replica_id not in registered
+        ]
         for replica in newborn:
             replica.launch(from_disk=True)
         for replica in newborn:
@@ -486,13 +494,13 @@ class PSMRControlPlane(ResponseRouter):
         return ThreadedClient(self, next(self._client_ids))
 
     def _register(self, replica, after_sequence=None):
-        """Subscribe a replica's threads, atomically with the replay of the
-        retained log after ``after_sequence``; :class:`RecoveryError` when
-        the log no longer reaches back that far."""
+        """Register a replica with the multicast, atomically with the
+        replay of the retained log after ``after_sequence``;
+        :class:`RecoveryError` when the log no longer reaches back that
+        far."""
         with self._recovery_lock:
             replica.queues = self.multicast.register_replica(
-                replica.replica_id, range(1, self.mpl + 1),
-                after_sequence=after_sequence,
+                replica.replica_id, after_sequence=after_sequence
             )
 
     # ------------------------------------------------------------------
@@ -1145,7 +1153,8 @@ class ThreadedPSMRCluster(PSMRControlPlane):
     ``store_dir/replica-<id>`` (crash-safe segments plus an atomic
     manifest), and a crashed replica can rejoin as a restarted *process*
     via :meth:`restart_replica_from_disk`.  ``fault_plane`` detours
-    deliveries through the transport's
+    deliveries through the
+    :class:`~repro.runtime.transport.inproc.InprocTransport`'s
     :class:`~repro.runtime.transport.pump.FramePump`.
     """
 
@@ -1154,8 +1163,7 @@ class ThreadedPSMRCluster(PSMRControlPlane):
                  checkpoint_policy=None, store_dir=None, fault_plane=None,
                  shard_map=None):
         super().__init__(
-            spec, mpl,
-            dict(retention=log_retention, fault_plane=fault_plane),
+            spec, mpl, InprocTransport(mpl, fault_plane), log_retention,
             num_replicas, barrier_timeout, seed, checkpoint_policy, shard_map,
         )
         self.service_factory = service_factory

@@ -141,9 +141,6 @@ class ReplicaEngine:
         #: the service's delta tracking then no longer starts at the chain
         #: tip, so the next checkpoint must be full.
         self._rebase = False
-        #: Serialises chain mutations (cuts, recovery install) against
-        #: donation; also makes the durable store single-writer.
-        self.chain_lock = threading.Lock()
         self.delivered = [0] * (mpl + 1)
         #: Batches drained per thread (``delivered[i] / batches[i]`` is the
         #: thread's achieved amortisation).  Single-writer slots: no lock.
@@ -166,11 +163,15 @@ class ReplicaEngine:
         return self.chain[-1]["sequence"] if self.chain else -1
 
     def _set_chain(self, chain):
-        """Persist ``chain``, then adopt it; caller holds ``chain_lock``.
+        """Persist ``chain``, then adopt it.
 
         A chain is adopted only once it is durable: when the write fails
         the replica keeps its old chain, in memory as on disk, so no report
         and no donation ever names a cut its own restart would not find.
+        The writers never overlap, so the store has a single writer:
+        :meth:`install` runs before :meth:`start`, and a cut's checkpoint
+        runs inside its barrier, which the next cut's completer cannot
+        pass before this one's ``release``.
         """
         if self.store is not None:
             self.store.sync_chain(chain)
@@ -187,14 +188,13 @@ class ReplicaEngine:
         chain with the donated suffix ``entries`` and restores the result.
         """
         service = self.service_factory()
-        with self.chain_lock:
-            if mode == "full":
-                service.restore(state)
-                chain = [{"kind": "full", "sequence": sequence, "payload": state}]
-            else:
-                chain = [*self.chain, *entries]
-                restore_chain(service, chain)
-            self._set_chain(chain)
+        if mode == "full":
+            service.restore(state)
+            chain = [{"kind": "full", "sequence": sequence, "payload": state}]
+        else:
+            chain = [*self.chain, *entries]
+            restore_chain(service, chain)
+        self._set_chain(chain)
         self.service = service
 
     def start(self, queues):
@@ -343,8 +343,7 @@ class ReplicaEngine:
                 report["kind"] = "shard"
             else:
                 try:
-                    with self.chain_lock:
-                        report.update(self._checkpoint(sequence, source))
+                    report.update(self._checkpoint(sequence, source))
                 except (CheckpointError, OSError) as exc:
                     report["error"] = f"replica {self.replica_id}: {exc!r}"
             with self._counter_lock:
@@ -361,8 +360,7 @@ class ReplicaEngine:
         snapshot starts a new chain and resets the service's delta
         tracking, so the next delta is relative to this base.  Every
         worker of the replica is parked at the cut while this runs, so it
-        takes the payload and writes it, and never walks it.  Caller
-        holds ``chain_lock``.
+        takes the payload and writes it, and never walks it.
         """
         policy = self.policy
         take_delta = (
@@ -420,9 +418,9 @@ class ReplicaEngine:
     def chain_suffix(self, after):
         """The chain entries after the cut ``after``, or ``None`` when the
         cut is not (or no longer — a full snapshot starts a new chain) on
-        this chain."""
-        with self.chain_lock:
-            chain = self.chain
+        this chain.  ``self.chain`` is only ever replaced whole, so one
+        read of it is a consistent chain without a lock."""
+        chain = self.chain
         for position, entry in enumerate(chain):
             if entry["sequence"] == after:
                 return chain[position + 1:]

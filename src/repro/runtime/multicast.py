@@ -1,14 +1,35 @@
 """Transport-neutral atomic multicast core (sequencer, log, registration).
 
 ``multicast(destinations, payload)`` assigns each message a global
-sequence number under a lock, appends it to the retained log, and hands
-it to the pluggable :class:`~repro.runtime.transport.base.Transport`
-for delivery to every worker thread subscribed to a destination group.
-The default transport is
-:class:`~repro.runtime.transport.inproc.InprocTransport` (per-thread
-in-process queues, detoured through the pump when a fault plane is
-set); the process-per-replica runtime plugs in
-:class:`~repro.runtime.transport.tcp.TcpCoordinatorTransport` instead.
+sequence number under a lock, appends the ordered item ``(sequence,
+destinations, payload)`` to the retained log, and hands it to the
+transport with ``transport.send(item)``.  The sequencer addresses
+*replicas*: the transport reaches every registered replica, and the
+replica's receiving end
+(:class:`~repro.runtime.transport.inproc.ReplicaInbox`) works out
+which of its worker threads deliver the item.  Two transports exist:
+:class:`~repro.runtime.transport.inproc.InprocTransport` (the threaded
+runtime: worker queues filled inline, or through the pump when a fault
+plane is set) and
+:class:`~repro.runtime.transport.tcp.TcpCoordinatorTransport` (the
+process runtime: one connection per replica process).
+
+A transport provides ``carries_bytes`` (True when items leave the
+process: every command is then encoded once, here, before the lock),
+``on_replica_registered(replica_id, replay)`` (returns what the
+replica's handle needs: the worker queues in-process, nothing over
+TCP; ``replay`` is the retained suffix the replica missed, or ``None``,
+and is a local handover that bypasses fault planning),
+``on_replica_unregistered(replica_id)``, ``send(item)``,
+``pending(replica_id=None)`` (items no worker has taken yet) and
+``shutdown()``.  Destinations must be hashable (``ALL_GROUPS`` or a
+frozenset/tuple of group ids): they key the fan-out caches, as they key
+the workers' plan cache.
+
+Threading contract: the core calls ``on_replica_*``, ``send`` and
+``shutdown`` while holding its sequencer lock, so a transport sees
+registration changes and sends fully serialised and must not call back
+into the core.  ``pending`` is called without the lock.
 """
 
 import collections
@@ -22,9 +43,7 @@ from repro.common.errors import (
     StaleShardRouteError,
 )
 from repro.core.command import Command
-from repro.multicast.group import ALL_GROUPS, GroupLayout
-from repro.runtime.transport.base import TransportRoute
-from repro.runtime.transport.inproc import InprocTransport
+from repro.multicast.group import ALL_GROUPS
 
 
 def encode_wire(command, wire_codec):
@@ -39,44 +58,26 @@ class LocalAtomicMulticast:
     """Sequencer-based atomic multicast connecting client and server threads.
 
     ``multicast(destinations, payload)`` assigns the message a global
-    sequence number under a lock and appends it, atomically, to the delivery
-    queue of every worker thread subscribed to a destination group (each
-    thread subscribes to its own group and to ``g_all``).  Every subscriber
-    of the same groups therefore delivers the same messages in the same
-    relative order — the agreement and order properties of section II.
+    sequence number under a lock and sends it, atomically, to every
+    registered replica, whose workers subscribed to a destination group
+    deliver it (each thread subscribes to its own group and to ``g_all``).
+    Every subscriber of the same groups therefore delivers the same
+    messages in the same relative order — the agreement and order
+    properties of section II.
 
     The sequencer also retains a log of ordered messages so a recovering
     replica can be registered *atomically* with the suffix it missed:
-    :meth:`register_replica` pre-fills the new replica's delivery queues
-    with every retained message after a checkpoint's sequence number before
-    any new multicast can slip in between.  ``retention`` bounds the log
-    (``None`` keeps everything); replaying past a truncated prefix raises
+    :meth:`register_replica` hands the new replica every retained message
+    after a checkpoint's sequence number before any new multicast can slip
+    in between.  ``retention`` bounds the log (``None`` keeps everything);
+    replaying past a truncated prefix raises
     :class:`~repro.common.errors.RecoveryError`.
-
-    ``transport`` selects the delivery layer; ``None`` builds an
-    :class:`~repro.runtime.transport.inproc.InprocTransport` around
-    ``fault_plane`` (the threaded runtime's behaviour).
     """
 
-    def __init__(self, mpl, retention=None, fault_plane=None, transport=None):
-        if mpl < 1:
-            raise ConfigurationError("multiprogramming level must be >= 1")
+    def __init__(self, transport, retention=None):
         if retention is not None and retention < 1:
             raise ConfigurationError("log retention must be >= 1 (or None)")
-        if transport is not None and fault_plane is not None:
-            raise ConfigurationError(
-                "pass the fault plane to the transport, not the multicast, "
-                "when supplying a transport explicitly"
-            )
-        #: Optional :class:`~repro.common.faults.FaultPlane`; when set (and
-        #: no explicit transport is given), all deliveries detour through
-        #: the transport's pump instead of the inline fast path.
-        self.fault_plane = fault_plane
-        self.transport = (
-            transport if transport is not None else InprocTransport(fault_plane)
-        )
-        self.layout = GroupLayout(mpl)
-        self.mpl = mpl
+        self.transport = transport
         #: Encoded command bytes ordered so far.  A transport that
         #: ``carries_bytes`` gets every command encoded once, at multicast
         #: time, and each worker decodes its own copy; any other is handed
@@ -86,15 +87,8 @@ class LocalAtomicMulticast:
         self.wire_bytes = 0
         self._lock = threading.Lock()
         self._sequence = itertools.count()
-        # (replica_id, thread_index) -> delivery endpoint
-        self._queues = {}
-        # Hot-path caches: destinations -> delivering thread set (the
-        # layout is fixed by mpl, so entries never go stale), and thread
-        # set -> TransportRoute over the subscribed endpoints (cleared on
-        # every registration change, rebuilt lazily under the lock).
-        self._threads_for = {}
-        self._routes = {}
-        # Retained ordered messages: (sequence, destinations, threads, payload).
+        self._replicas = set()
+        # Retained ordered items: (sequence, destinations, payload).
         self._log = collections.deque()
         self._retention = retention
         self._min_retained = 0
@@ -113,64 +107,41 @@ class LocalAtomicMulticast:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register_replica(self, replica_id, thread_indices, after_sequence=None):
-        """Register every thread of a replica; return ``{thread_index: queue}``.
+    def register_replica(self, replica_id, after_sequence=None):
+        """Register a replica; return what the transport hands back for it
+        (its worker queues in-process, ``None`` over TCP).
 
-        With ``after_sequence`` set, each queue is pre-filled — atomically
-        with the registration — with the retained log suffix the thread
-        would have delivered after that sequence number.  This is the replay
-        half of recovery: checkpoint at sequence ``s``, then register with
-        ``after_sequence=s`` and no message is lost or duplicated.
+        With ``after_sequence`` set, the replica is handed — atomically
+        with the registration — the retained log suffix after that
+        sequence number.  This is the replay half of recovery: checkpoint
+        at sequence ``s``, then register with ``after_sequence=s`` and no
+        message is lost or duplicated.
         """
-        thread_indices = list(thread_indices)
         with self._lock:
             if after_sequence is not None and after_sequence + 1 < self._min_retained:
                 raise RecoveryError(
                     f"multicast log truncated at {self._min_retained}; cannot "
                     f"replay after sequence {after_sequence}"
                 )
-            endpoints = {}
-            try:
-                for thread_index in thread_indices:
-                    endpoints[thread_index] = self._register_locked(
-                        replica_id, thread_index
-                    )
-            except Exception:
-                # Roll back the threads registered so far: a failure halfway
-                # through (e.g. one duplicate thread index) must not leave
-                # the earlier threads of the same call registered forever.
-                for thread_index in endpoints:
-                    self._queues.pop((replica_id, thread_index), None)
-                raise
+            if replica_id in self._replicas:
+                raise ConfigurationError(f"replica {replica_id} registered twice")
             replay = None
             if after_sequence is not None:
-                replay = [
-                    entry for entry in self._log if entry[0] > after_sequence
-                ]
-            self.transport.on_replica_registered(replica_id, endpoints, replay)
-            return endpoints
-
-    def _register_locked(self, replica_id, thread_index):
-        key = (replica_id, thread_index)
-        if key in self._queues:
-            raise ConfigurationError(f"thread {key} registered twice")
-        endpoint = self.transport.open_endpoint(replica_id, thread_index)
-        self._queues[key] = endpoint
-        self._routes.clear()
-        return endpoint
+                replay = [item for item in self._log if item[0] > after_sequence]
+            handle = self.transport.on_replica_registered(replica_id, replay)
+            self._replicas.add(replica_id)
+            return handle
 
     def unregister_replica(self, replica_id):
-        """Remove a replica's queues (no further deliveries); return them."""
+        """Stop deliveries to a replica (a no-op if it is not registered)."""
         with self._lock:
-            keys = [key for key in self._queues if key[0] == replica_id]
-            endpoints = {key[1]: self._queues.pop(key) for key in keys}
-            self._routes.clear()
-            self.transport.on_replica_unregistered(replica_id, endpoints)
-            return endpoints
+            if replica_id in self._replicas:
+                self._replicas.remove(replica_id)
+                self.transport.on_replica_unregistered(replica_id)
 
     def replica_ids(self):
         with self._lock:
-            return sorted({replica for replica, _thread in self._queues})
+            return sorted(self._replicas)
 
     # ------------------------------------------------------------------
     # Multicast
@@ -185,20 +156,6 @@ class LocalAtomicMulticast:
         :class:`~repro.common.errors.StaleShardRouteError` *before*
         consuming a sequence number, and the caller re-routes.
         """
-        try:
-            threads = self._threads_for[destinations]
-        except (KeyError, TypeError):
-            if destinations == ALL_GROUPS:
-                threads = frozenset(range(1, self.mpl + 1))
-            else:
-                threads = frozenset(self.layout.delivering_threads(destinations))
-            try:
-                # Benign race: concurrent misses compute the same value
-                # (the layout is fixed), and a GIL-atomic store publishes
-                # it.  Unhashable destination containers just skip caching.
-                self._threads_for[destinations] = threads
-            except TypeError:
-                pass
         encoded = self.transport.carries_bytes and isinstance(payload, Command)
         if encoded:
             payload = _codec.encode_command(payload)
@@ -209,7 +166,7 @@ class LocalAtomicMulticast:
                     f"command routed with shard map v{shard_version}, "
                     f"sequencer is at v{self.shard_version}"
                 )
-            sequence = self._order_locked(destinations, threads, payload, encoded)
+            sequence = self._order_locked(destinations, payload, encoded)
         return sequence
 
     def multicast_shard_update(self, payload, new_map):
@@ -222,80 +179,36 @@ class LocalAtomicMulticast:
         and every one after it against the new.  There is no window in
         which a stale routing can slip past the update.
         """
-        threads = frozenset(range(1, self.mpl + 1))
         with self._lock:
             if new_map.version <= self.shard_version:
                 raise ConfigurationError(
                     f"shard map version must advance: {new_map.version} "
                     f"<= {self.shard_version}"
                 )
-            sequence = self._order_locked(ALL_GROUPS, threads, payload, False)
+            sequence = self._order_locked(ALL_GROUPS, payload, False)
             self.shard_version = new_map.version
             if self.shard_router is not None:
                 self.shard_router.install(new_map)
         return sequence
 
-    def _order_locked(self, destinations, threads, payload, encoded):
+    def _order_locked(self, destinations, payload, encoded):
         """Assign a sequence number, log and send; caller holds ``_lock``."""
         sequence = next(self._sequence)
         self._latest_sequence = sequence
         self.messages_multicast += 1
         if encoded:
             self.wire_bytes += len(payload)
-        self._log.append((sequence, destinations, threads, payload))
+        item = (sequence, destinations, payload)
+        self._log.append(item)
         if self._retention is not None and len(self._log) > self._retention:
             self._log.popleft()  # one in, one out: O(1) under the lock
             self._min_retained = self._log[0][0]
-        item = (sequence, destinations, payload)
-        route = self._routes.get(threads)
-        if route is None:
-            flat = [
-                endpoint
-                for (_replica, thread_index), endpoint in self._queues.items()
-                if thread_index in threads
-            ]
-            # Group targets per replica so fault planning sees one
-            # per-replica delivery (all threads of a replica share the
-            # planned copies, like one connection per peer), in a
-            # stable replica order so the plane's rng draws line up
-            # across replays of the same ordered-message sequence.
-            by_replica = {}
-            for (replica, thread_index), endpoint in self._queues.items():
-                if thread_index in threads:
-                    by_replica.setdefault(replica, []).append(
-                        (thread_index, endpoint)
-                    )
-            grouped = [
-                (replica, by_replica[replica])
-                for replica in sorted(by_replica)
-            ]
-            route = TransportRoute(flat, grouped)
-            self._routes[threads] = route
-        self.transport.send(route, item)
+        self.transport.send(item)
         return sequence
 
     # ------------------------------------------------------------------
     # Log retention and replay
     # ------------------------------------------------------------------
-    def log_suffix(self, thread_index, after_sequence):
-        """Return ``[(sequence, destinations, payload)]`` a thread missed.
-
-        The suffix contains every retained message with a sequence number
-        greater than ``after_sequence`` that is addressed to a group the
-        thread subscribes to, in delivery order.
-        """
-        with self._lock:
-            if after_sequence + 1 < self._min_retained:
-                raise RecoveryError(
-                    f"multicast log truncated at {self._min_retained}; cannot "
-                    f"replay after sequence {after_sequence}"
-                )
-            return [
-                (sequence, destinations, payload)
-                for sequence, destinations, threads, payload in self._log
-                if sequence > after_sequence and thread_index in threads
-            ]
-
     def truncate_log(self, up_to_sequence):
         """Drop retained messages with ``sequence <= up_to_sequence``."""
         with self._lock:
@@ -320,30 +233,23 @@ class LocalAtomicMulticast:
             return self._min_retained
 
     # ------------------------------------------------------------------
-    # Drain inspection (public API: no reaching into ``_queues``)
+    # Drain inspection
     # ------------------------------------------------------------------
     def pending_count(self, replica_id=None):
-        """Undelivered messages across all queues (or one replica's).
+        """Undelivered messages across all replicas (or one replica's).
 
         Includes messages still held by the transport — delayed,
         retransmitting, partition-parked, awaiting in-order reassembly or
         not yet written to a socket — so a drain check cannot report an
         empty system while copies are merely late.
         """
-        with self._lock:
-            count = sum(
-                endpoint.qsize()
-                for (queue_replica, _thread), endpoint in self._queues.items()
-                if replica_id is None or queue_replica == replica_id
-            )
-        count += self.transport.in_flight(replica_id)
-        return count
+        return self.transport.pending(replica_id)
 
     def is_drained(self, replica_id=None):
-        """True when every delivery queue (or one replica's) is empty."""
+        """True when nothing is pending for any replica (or for one)."""
         return self.pending_count(replica_id) == 0
 
     def shutdown(self):
-        """Deliver a poison pill to every registered thread."""
+        """Tell every registered replica to stop once it has drained."""
         with self._lock:
-            self.transport.shutdown(dict(self._queues))
+            self.transport.shutdown()

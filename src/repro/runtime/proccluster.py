@@ -67,7 +67,6 @@ class _ProcReplica:
         #: Spawn counter: per-generation bookkeeping (boundary-violation
         #: counters restart at zero in every fresh process).
         self.generation = 0
-        self.queues = None
         self._requests = {}  # request id -> [Event, reply]
         self._request_ids = itertools.count()
         self._lock = threading.Lock()
@@ -251,7 +250,7 @@ class ProcessPSMRCluster(PSMRControlPlane):
         )
         super().__init__(
             spec if spec is not None else _DEFAULT_SPECS[service], mpl,
-            dict(retention=log_retention, transport=self.transport),
+            self.transport, log_retention,
             num_replicas, barrier_timeout, seed, checkpoint_policy, shard_map,
         )
         self.service = service

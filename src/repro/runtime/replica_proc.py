@@ -9,11 +9,11 @@ threaded runtime runs in-process — with its two sinks bound to ``r`` /
 ``c`` frames on the socket.
 
 The receive loop is the process's main thread: each read takes every
-frame a burst left in the socket (``wire.FrameReader``), reassembles
-the (possibly reordered/duplicated) messages of its ``d`` frames through
-a :class:`~repro.common.faults.ReliableLink`, hands the ordered run to
-the delivering worker threads with one ``put_many`` (one wake-up) per
-worker, and answers the coordinator's management requests (stats,
+frame a burst left in the socket (``wire.FrameReader``), files the
+messages of its ``d`` frames with the replica's
+:class:`~repro.runtime.transport.inproc.ReplicaInbox` — the receiving
+end the threaded runtime's replicas run too — hands the run to the
+workers, and answers the coordinator's management requests (stats,
 snapshots, chain donations) inline — after the run ahead of
 them is queued.  Killing this process with SIGKILL is therefore a
 *real* crash: no flushes, no goodbyes — recovery starts from whatever
@@ -29,12 +29,9 @@ import threading
 
 from repro.common.checkpoint import CheckpointPolicy
 from repro.common.checkpoint_store import CheckpointStore
-from repro.common.codec import Memo
-from repro.common.faults import ReliableLink
-from repro.multicast.group import GroupLayout
 from repro.runtime.engine import ReplicaEngine
 from repro.runtime.transport import wire
-from repro.runtime.transport.inproc import DeliveryQueue
+from repro.runtime.transport.inproc import ReplicaInbox
 from repro.services import KeyValueStoreServer, NetFSServer
 
 SERVICES = {
@@ -52,13 +49,7 @@ class ReplicaProcess:
         self.mpl = mpl
         self.service_factory = service_factory
         self.store = store
-        self.layout = GroupLayout(mpl)
-        self.queues = {index: DeliveryQueue() for index in range(1, mpl + 1)}
-        self.link = ReliableLink()
-        # Ordered items released during the current read, per worker, and
-        # destinations -> the run lists of the workers delivering them.
-        self._run = {index: [] for index in self.queues}
-        self._runs_for = Memo(self._runs_of)
+        self.inbox = ReplicaInbox(mpl)
         self.engine = None  # built at ``welcome``, which carries its knobs
         self._write_lock = threading.Lock()
 
@@ -102,30 +93,14 @@ class ReplicaProcess:
     # Ordered-stream dispatch (main thread)
     # ------------------------------------------------------------------
     def accept_deliver(self, messages):
-        """File a ``d`` frame's ``(ls, s, dst, body)`` messages; what the
-        link releases joins the run of each delivering worker."""
-        accept, runs_for = self.link.accept, self._runs_for
-        for link_sequence, sequence, destinations, body in messages:
-            # ``dst`` is decoded as the workers want it ("ALL" or a tuple)
-            # and the body is still the command's bytes: each worker
-            # decodes its own copy, off this thread.
-            for item in accept(link_sequence, (sequence, destinations, body)):
-                for run in runs_for[item[1]]:
-                    run.append(item)
-
-    def _runs_of(self, destinations):
-        """The run lists of the workers that deliver ``destinations``."""
-        return [
-            self._run[index]
-            for index in self.layout.delivering_threads(destinations)
-        ]
-
-    def flush_run(self):
-        """Hand the run over: one ``put_many`` (one wake-up) per worker."""
-        for index, items in self._run.items():
-            if items:
-                self.queues[index].put_many(items)
-                items.clear()
+        """File a ``d`` frame's ``(ls, s, dst, body)`` messages with the
+        inbox.  ``dst`` is decoded as the workers want it ("ALL" or a
+        tuple) and the body is still the command's bytes: each worker
+        decodes its own copy, off this thread."""
+        self.inbox.accept(
+            (link_sequence, (sequence, destinations, body))
+            for link_sequence, sequence, destinations, body in messages
+        )
 
     # ------------------------------------------------------------------
     # Management requests (main thread, inline — all cheap)
@@ -136,7 +111,7 @@ class ReplicaProcess:
         engine = self.engine
         if kind == "stats?":
             stats = engine.stats()
-            stats["queued"] += self.link.pending()
+            stats["queued"] += self.inbox.link.pending()
             self.send({"t": "stats", "req": req, **stats})
         elif kind == "snap?":
             self.send({"t": "snap", "req": req, "state": engine.snapshot()})
@@ -179,7 +154,7 @@ class ReplicaProcess:
                     continue
                 # A control frame cuts the run: everything ordered before
                 # it is queued before it is handled.
-                self.flush_run()
+                self.inbox.flush()
                 if kind == "welcome":
                     self.apply_welcome(chain, message)
                 elif kind == "restore":
@@ -190,12 +165,12 @@ class ReplicaProcess:
                         entries=wire.decode_chain(message["entries"]),
                     )
                 elif kind == "start":
-                    self.engine.start(self.queues)
+                    self.engine.start(self.inbox.queues)
                 elif kind == "bye":
                     return
                 else:
                     self.handle_request(message)
-            self.flush_run()
+            self.inbox.flush()
 
 
 def main(argv=None):

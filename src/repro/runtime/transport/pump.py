@@ -15,9 +15,10 @@ each copy's delay (``plan_delivery``, on the calling thread); the pump
 parks the delayed ones and, when a copy is due, drops it if its link's
 generation moved on and re-parks it ``retransmit_backoff`` later while
 its link is partitioned — a partition is latency, not loss.  Duplicated
-and reordered copies are repaired behind ``write`` by a
-:class:`~repro.common.faults.ReliableLink`: in the replica process over
-a socket, in the transport itself over in-process queues.
+and reordered copies are repaired behind ``write`` by the replica's
+:class:`~repro.runtime.transport.inproc.ReplicaInbox` (its
+:class:`~repro.common.faults.ReliableLink`): in the replica process at
+the far end of a socket, or written into directly in-process.
 """
 
 import heapq

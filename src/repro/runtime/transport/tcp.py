@@ -2,12 +2,13 @@
 
 The coordinator (the process running :class:`LocalAtomicMulticast`)
 listens on loopback.  Each replica *process* dials in, sends a ``hello``
-frame, and from then on the transport sends it every ordered message
-addressed to its threads — serialised once per message, with only the
-link sequence packed per replica, and framed per burst: each write
-carries a link's run of messages as ``d`` frames (one CRC for the run,
-:func:`wire.deliver_frames`).  The replica fans each message out to its
-worker threads locally, so the fault plane plans one delivery per
+frame, and from then on — once registered — the transport sends it
+every ordered message: serialised once per message, with only the link
+sequence packed per replica, and framed per burst: each write carries a
+link's run of messages as ``d`` frames (one CRC for the run,
+:func:`wire.deliver_frames`).  The replica's
+:class:`~repro.runtime.transport.inproc.ReplicaInbox` fans each message
+out to its worker threads, so the fault plane plans one delivery per
 replica per message in both runtimes and its RNG draws line up across
 them.
 
@@ -40,24 +41,12 @@ import traceback
 
 from repro.common.errors import RecoveryError
 from repro.runtime.transport import wire
-from repro.runtime.transport.base import Transport
 from repro.runtime.transport.pump import NOW, FramePump, Link
 
 #: How long one ``sendall`` may wait on a peer that stopped reading
 #: before its link is dropped like any broken one.  The pump serves every
 #: link, so this is also the longest one stalled peer delays the others.
 SEND_TIMEOUT = 5.0
-
-
-class _NullEndpoint:
-    """Placeholder delivery endpoint: frames go out the socket instead,
-    so the coordinator-side queue depth is always zero (in-flight copies
-    are counted by the transport itself)."""
-
-    __slots__ = ()
-
-    def qsize(self):
-        return 0
 
 
 class _Peer(Link):
@@ -71,19 +60,20 @@ class _Peer(Link):
         self.replica_id = None  # until its hello is admitted
 
 
-class TcpCoordinatorTransport(Transport):
+class TcpCoordinatorTransport:
     """Server side of the process runtime's wire protocol.
 
-    ``send``/``in_flight``/``on_replica_*`` satisfy the
-    :class:`Transport` contract (called under the multicast's sequencer
-    lock); ``control_send``/``take_hello``/``request-style`` traffic is
-    the cluster's management plane.  ``on_message(replica_id, message)``
+    ``send``/``pending``/``on_replica_*``/``shutdown`` are what the
+    sequencer calls (see :mod:`repro.runtime.multicast` for the
+    contract); ``control_send``/``take_hello``/``request-style`` traffic
+    is the cluster's management plane.  ``on_message(replica_id, message)``
     is invoked on the reader thread for every inbound frame after the
     hello — handlers must be cheap and non-blocking; one that raises
     costs its replica the link.
     """
 
-    carries_bytes = True  # a socket needs them; see ``Transport``
+    #: A socket needs bytes: the sequencer encodes every command once.
+    carries_bytes = True
 
     def __init__(self, fault_plane=None, on_message=None, host="127.0.0.1"):
         self.fault_plane = fault_plane
@@ -92,6 +82,9 @@ class TcpCoordinatorTransport(Transport):
         self.port = None
         self._lock = threading.Lock()
         self._links = {}  # replica_id -> _Peer; only the current connection
+        # (replica_id, fault-plane node) of every registered replica, in
+        # ascending id order; replaced whole on every (un)registration.
+        self._registered = []
         self._hellos = {}  # replica_id -> [threading.Event, message]
         #: Ordered messages plus control frames handed to a socket, and
         #: the ``sendall`` calls that carried them (pump thread only; a
@@ -244,43 +237,40 @@ class TcpCoordinatorTransport(Transport):
         return waiter[1]
 
     # ------------------------------------------------------------------
-    # Transport interface (called under the multicast's sequencer lock)
+    # Sequencer side (called under the multicast's sequencer lock)
     # ------------------------------------------------------------------
-    def open_endpoint(self, replica_id, thread_index):
-        return _NullEndpoint()
-
-    def on_replica_registered(self, replica_id, endpoints, replay):
+    def on_replica_registered(self, replica_id, replay):
+        self._registered = sorted(
+            [*self._registered, (replica_id, f"replica{replica_id}")]
+        )
         # Replay is a local handover, not network traffic: frames carry
         # the retained suffix without fault planning, consuming link
         # sequences from zero on the (fresh) connection.
         link = self._links.get(replica_id)
         if replay and link is not None:
             self.pump.post(
-                [
-                    (link, wire.ordered_part(entry[0], entry[1], entry[3]), NOW)
-                    for entry in replay
-                ]
+                [(link, wire.ordered_part(*item), NOW) for item in replay]
             )
 
-    def on_replica_unregistered(self, replica_id, endpoints):
+    def on_replica_unregistered(self, replica_id):
+        self._registered = [
+            entry for entry in self._registered if entry[0] != replica_id
+        ]
         link = self._links.get(replica_id)
         if link is not None:
             self.pump.void(link)
 
-    def send(self, route, item):
+    def send(self, item):
         # Serialise once per multicast: per link, only the link sequence
         # is left to pack, and the frame around the burst (``_write``).
         ordered = wire.ordered_part(*item)
         plane = self.fault_plane
         links = self._links
         entries = []
-        for replica_id, _targets in route.grouped:
+        for replica_id, node in self._registered:
             # Planned whether or not the replica is connected: the draws
             # depend on the ordered stream alone.
-            if plane is not None:
-                delays = plane.plan_delivery("order", f"replica{replica_id}")
-            else:
-                delays = NOW
+            delays = NOW if plane is None else plane.plan_delivery("order", node)
             link = links.get(replica_id)
             if link is not None:
                 entries.append((link, ordered, delays))
@@ -309,7 +299,9 @@ class TcpCoordinatorTransport(Transport):
         self.writes += 1
         self.frames_written += len(items)
 
-    def in_flight(self, replica_id=None):
+    def pending(self, replica_id=None):
+        """Copies the pump still holds: what a replica has queued or
+        parked is its own (it reports it in its stats)."""
         return sum(
             link.in_flight for link in list(self._links.values())
             if replica_id in (None, link.replica_id)
@@ -331,7 +323,7 @@ class TcpCoordinatorTransport(Transport):
     def connected(self, replica_id):
         return replica_id in self._links
 
-    def shutdown(self, endpoints):
-        """Core shutdown: ask every connected replica process to exit."""
-        for replica_id in {replica_id for replica_id, _thread in endpoints}:
+    def shutdown(self):
+        """Ask every registered replica process to exit."""
+        for replica_id, _node in self._registered:
             self.control_send(replica_id, {"t": "bye"})

@@ -246,7 +246,7 @@ def test_pipelined_burst_with_a_marker_mid_burst():
         transport = cluster.transport
         assert transport.frames_written > 2 * total
         assert transport.frames_written / transport.writes > 1
-        assert transport.in_flight() == 0
+        assert transport.pending() == 0
 
 
 def test_netfs_on_the_process_runtime(tmp_path):

@@ -3,7 +3,7 @@
 A run of ordered messages leaves the coordinator as ``d`` frames
 (:func:`wire.deliver_frames`); a replica process reads them back through
 :class:`wire.FrameReader`, however the kernel split the stream, and files
-each message through its :class:`ReliableLink`.  These properties hold
+each message through its inbox's :class:`ReliableLink`.  These properties hold
 that path for any run: every message comes back as it was sent, and
 under a fault plane each is released exactly once, in order.
 """
@@ -140,10 +140,10 @@ class TestBurstPathProperties:
         for frame in stream:
             payload = frame[framing.HEADER_SIZE:]
             replica.accept_deliver(wire.decode_payload(payload)["msgs"])
-            replica.flush_run()
-        assert replica.link.next_expected() == count
-        assert replica.link.pending() == 0
-        for index, queue in replica.queues.items():
+            replica.inbox.flush()
+        assert replica.inbox.link.next_expected() == count
+        assert replica.inbox.link.pending() == 0
+        for index, queue in replica.inbox.queues.items():
             expected = [item for item in sent if item[1] in ((index,), ALL_GROUPS)]
             assert (queue.get_batch(count) if expected else []) == expected
             assert queue.empty()

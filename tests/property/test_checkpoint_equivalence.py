@@ -21,7 +21,7 @@ deltas chain off the last full exactly as the runtimes' ``full_every``
 policy produces, but in arbitrary interleavings rather than a fixed cadence.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.btree import BPlusTree
 from repro.common import codec
@@ -205,6 +205,14 @@ fs_calls = st.one_of(
 )
 fs_operations = st.lists(fs_calls, max_size=40)
 
+#: A delta interval that opens a descriptor, then a suffix that opens
+#: another: a restore that loses the delta's ``next_fd`` hands the
+#: suffix's open the number the delta's descriptor already holds.
+FD_OPENED_IN_A_DELTA = example(
+    segments=[([("mknod", "/a")], False), ([("open", "/a")], True)],
+    suffix=[("open", "/a")],
+)
+
 
 def run_netfs(server, commands, base_step=0):
     outputs = []
@@ -228,6 +236,7 @@ def run_netfs(server, commands, base_step=0):
 
 @settings(max_examples=60, deadline=None)
 @given(segments=segments_of(fs_operations), suffix=fs_operations)
+@FD_OPENED_IN_A_DELTA
 def test_netfs_chain_equals_live_and_full(segments, suffix):
     live = NetFSServer()
     chain = []
@@ -294,6 +303,7 @@ def test_kvstore_joiner_at_any_cut_catches_up_on_the_chain_suffix(segments, suff
 
 @settings(max_examples=40, deadline=None)
 @given(segments=segments_of(fs_operations), suffix=fs_operations)
+@FD_OPENED_IN_A_DELTA
 def test_netfs_joiner_at_any_cut_catches_up_on_the_chain_suffix(segments, suffix):
     live = NetFSServer()
     chain, states, step = cut_history(live, run_netfs, segments)
@@ -328,6 +338,7 @@ def test_kvstore_chain_survives_the_codec(segments, suffix):
 
 @settings(max_examples=40, deadline=None)
 @given(segments=segments_of(fs_operations), suffix=fs_operations)
+@FD_OPENED_IN_A_DELTA
 def test_netfs_chain_survives_the_codec(segments, suffix):
     live = NetFSServer()
     chain, _states, step = cut_history(live, run_netfs, segments)

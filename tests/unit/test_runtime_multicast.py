@@ -10,17 +10,19 @@ import pytest
 from repro.common import codec
 from repro.common.checkpoint_store import CheckpointStore
 from repro.common.errors import ConfigurationError, RecoveryError
+from repro.common.faults import FaultPlane
 from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
 from repro.runtime import ThreadedPSMRCluster
 from repro.runtime.multicast import LocalAtomicMulticast, encode_wire
+from repro.runtime.transport.inproc import InprocTransport
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
 
 def make_multicast(mpl=2, replicas=(0, 1), retention=None):
-    multicast = LocalAtomicMulticast(mpl, retention=retention)
+    multicast = LocalAtomicMulticast(InprocTransport(mpl), retention=retention)
     queues = {
-        replica_id: multicast.register_replica(replica_id, range(1, mpl + 1))
+        replica_id: multicast.register_replica(replica_id)
         for replica_id in replicas
     }
     return multicast, queues
@@ -31,6 +33,10 @@ def drain(queue_):
     while not queue_.empty():
         items.append(queue_.get_nowait())
     return items
+
+
+def payloads(queue_):
+    return [payload for _sequence, _destinations, payload in drain(queue_)]
 
 
 class TestOneCodec:
@@ -47,14 +53,18 @@ class TestOneCodec:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda tmp: LocalAtomicMulticast(2, wire_codec="binary"),
+            lambda tmp: LocalAtomicMulticast(InprocTransport(2), wire_codec="binary"),
+            lambda tmp: LocalAtomicMulticast(InprocTransport(2), mpl=2),
+            lambda tmp: LocalAtomicMulticast(
+                InprocTransport(2), fault_plane=FaultPlane()
+            ),
             lambda tmp: ThreadedPSMRCluster(
                 KVSTORE_SPEC, KeyValueStoreServer, wire_codec="binary"
             ),
             lambda tmp: CheckpointStore(tmp, codec="pickle"),
             lambda tmp: codec.encode({}, codec="pickle"),
         ],
-        ids=["multicast", "cluster", "store", "encode"],
+        ids=["multicast", "mpl", "fault-plane", "cluster", "store", "encode"],
     )
     def test_a_removed_option_is_a_type_error(self, tmp_path, build):
         with pytest.raises(TypeError):
@@ -75,7 +85,7 @@ class TestDrainApi:
 
     def test_pending_count_counts_every_subscribed_queue(self):
         multicast, _queues = make_multicast(mpl=2, replicas=(0, 1))
-        multicast.multicast([1], "to-group-1")
+        multicast.multicast((1,), "to-group-1")
         # Two replicas, one thread each subscribed to group 1.
         assert multicast.pending_count() == 2
         assert not multicast.is_drained()
@@ -84,7 +94,7 @@ class TestDrainApi:
 
     def test_pending_count_per_replica(self):
         multicast, queues = make_multicast(mpl=2, replicas=(0, 1))
-        multicast.multicast([2], "x")
+        multicast.multicast((2,), "x")
         assert multicast.pending_count(replica_id=0) == 1
         assert multicast.pending_count(replica_id=1) == 1
         drain(queues[0][2])
@@ -94,7 +104,7 @@ class TestDrainApi:
 
     def test_is_drained_after_consuming(self):
         multicast, queues = make_multicast()
-        multicast.multicast([1, 2], "sync")
+        multicast.multicast((1, 2), "sync")
         for replica_queues in queues.values():
             for queue_ in replica_queues.values():
                 drain(queue_)
@@ -110,14 +120,12 @@ class TestFaultPipeDrainAccounting:
     def test_delayed_copies_count_as_pending(self):
         import time
 
-        from repro.common.faults import FaultPlane
-
         plane = FaultPlane(seed=1)
         plane.set_link(delay=1.0, delay_range=(0.2, 0.2))
-        multicast = LocalAtomicMulticast(1, fault_plane=plane)
-        queues = multicast.register_replica(0, [1])
+        multicast = LocalAtomicMulticast(InprocTransport(1, plane))
+        queues = multicast.register_replica(0)
         try:
-            multicast.multicast([1], "delayed")
+            multicast.multicast((1,), "delayed")
             # The worker queue is empty — the copy is inside the pipe —
             # but the multicast must not report drained.
             assert queues[1].empty()
@@ -137,14 +145,12 @@ class TestFaultPipeDrainAccounting:
     def test_partition_parks_copies_until_heal(self):
         import time
 
-        from repro.common.faults import FaultPlane
-
         plane = FaultPlane(seed=2, retransmit_backoff=0.005)
-        multicast = LocalAtomicMulticast(1, fault_plane=plane)
-        queues = multicast.register_replica(0, [1])
+        multicast = LocalAtomicMulticast(InprocTransport(1, plane))
+        queues = multicast.register_replica(0)
         try:
             plane.isolate("replica0")
-            multicast.multicast([1], "parked")
+            multicast.multicast((1,), "parked")
             time.sleep(0.05)
             assert multicast.pending_count() == 1, "partition must not drop"
             assert queues[1].empty()
@@ -164,69 +170,61 @@ class TestRegistration:
     def test_register_replica_rejects_duplicates(self):
         multicast, _queues = make_multicast(replicas=(0,))
         with pytest.raises(ConfigurationError):
-            multicast.register_replica(0, [1])
+            multicast.register_replica(0)
+        # The first registration is untouched.
+        assert multicast.replica_ids() == [0]
+        multicast.multicast((1,), "still-delivered")
+        assert _queues[0][1].qsize() == 1
 
     def test_unregister_stops_deliveries(self):
         multicast, queues = make_multicast(mpl=2, replicas=(0, 1))
-        removed = multicast.unregister_replica(1)
-        assert sorted(removed) == [1, 2]
-        multicast.multicast([1], "after-unregister")
+        multicast.unregister_replica(1)
+        multicast.multicast((1,), "after-unregister")
         assert multicast.pending_count(replica_id=1) == 0
         assert queues[0][1].qsize() == 1
         assert multicast.replica_ids() == [0]
 
     def test_unregister_unknown_replica_is_a_noop(self):
         multicast, _queues = make_multicast(replicas=(0,))
-        assert multicast.unregister_replica(7) == {}
-
-    def test_failed_registration_rolls_back_earlier_threads(self):
-        """A partial register_replica must not leak the threads it managed
-        to register before failing (regression)."""
-        multicast, _queues = make_multicast(mpl=2, replicas=(0,))
-        multicast.register_replica(5, [1])
-        # Thread 2 is fresh, thread 1 is a duplicate: the call must fail
-        # AND roll thread 2 back out.
-        with pytest.raises(ConfigurationError):
-            multicast.register_replica(5, [2, 1])
-        multicast.multicast([2], "to-thread-2")
-        assert multicast.pending_count(replica_id=5) == 0
-        # The rolled-back thread can be registered again afterwards.
-        queues = multicast.register_replica(5, [2])
-        multicast.multicast([2], "again")
-        assert queues[2].qsize() == 1
+        multicast.unregister_replica(7)
+        assert multicast.replica_ids() == [0]
 
 
 class TestLogReplay:
-    def test_log_suffix_filters_by_thread_and_sequence(self):
+    def test_replay_filters_by_sequence_and_delivering_thread(self):
         multicast, _queues = make_multicast(mpl=2, replicas=(0,))
-        s0 = multicast.multicast([1], "a")
-        s1 = multicast.multicast([2], "b")
+        s0 = multicast.multicast((1,), "a")
+        s1 = multicast.multicast((2,), "b")
         s2 = multicast.multicast(ALL_GROUPS, "c")
-        assert [p for _s, _d, p in multicast.log_suffix(1, -1)] == ["a", "c"]
-        assert [p for _s, _d, p in multicast.log_suffix(2, -1)] == ["b", "c"]
-        assert [p for _s, _d, p in multicast.log_suffix(1, s0)] == ["c"]
-        assert multicast.log_suffix(2, s2) == []
         assert s0 < s1 < s2
+        everything = multicast.register_replica(1, after_sequence=-1)
+        assert payloads(everything[1]) == ["a", "c"]
+        assert payloads(everything[2]) == ["b", "c"]
+        after_s0 = multicast.register_replica(2, after_sequence=s0)
+        assert payloads(after_s0[1]) == ["c"]
+        assert payloads(after_s0[2]) == ["b", "c"]
+        after_s2 = multicast.register_replica(3, after_sequence=s2)
+        assert payloads(after_s2[1]) == payloads(after_s2[2]) == []
 
     def test_register_replica_with_replay_prefills_exact_suffix(self):
         multicast, _queues = make_multicast(mpl=2, replicas=(0,))
-        checkpoint_seq = multicast.multicast([1], "before")
-        multicast.multicast([1], "after-1")
+        checkpoint_seq = multicast.multicast((1,), "before")
+        multicast.multicast((1,), "after-1")
         multicast.multicast(ALL_GROUPS, "after-2")
-        queues = multicast.register_replica(9, [1, 2], after_sequence=checkpoint_seq)
+        queues = multicast.register_replica(9, after_sequence=checkpoint_seq)
         assert [payload for _s, _d, payload in drain(queues[1])] == [
             "after-1",
             "after-2",
         ]
         assert [payload for _s, _d, payload in drain(queues[2])] == ["after-2"]
         # The new replica now receives live traffic too.
-        multicast.multicast([2], "live")
+        multicast.multicast((2,), "live")
         assert queues[2].qsize() == 1
 
     def test_replayed_items_carry_original_sequence_numbers(self):
         multicast, _queues = make_multicast(mpl=2, replicas=(0,))
-        sequences = [multicast.multicast([1], f"m{i}") for i in range(3)]
-        queues = multicast.register_replica(5, [1], after_sequence=sequences[0])
+        sequences = [multicast.multicast((1,), f"m{i}") for i in range(3)]
+        queues = multicast.register_replica(5, after_sequence=sequences[0])
         replayed = drain(queues[1])
         assert [sequence for sequence, _d, _p in replayed] == sequences[1:]
 
@@ -235,46 +233,40 @@ class TestRetention:
     def test_retention_bounds_the_log(self):
         multicast, _queues = make_multicast(replicas=(0,), retention=2)
         for i in range(5):
-            multicast.multicast([1], f"m{i}")
+            multicast.multicast((1,), f"m{i}")
         assert multicast.log_size() == 2
 
     def test_replay_past_truncation_raises(self):
         multicast, _queues = make_multicast(replicas=(0,), retention=2)
         for i in range(5):
-            multicast.multicast([1], f"m{i}")
+            multicast.multicast((1,), f"m{i}")
         with pytest.raises(RecoveryError):
-            multicast.log_suffix(1, 0)
-        with pytest.raises(RecoveryError):
-            multicast.register_replica(3, [1], after_sequence=0)
+            multicast.register_replica(3, after_sequence=0)
         # Replaying from inside the retained window still works.
-        assert [p for _s, _d, p in multicast.log_suffix(1, 3)] == ["m4"]
+        assert payloads(multicast.register_replica(3, after_sequence=3)[1]) == ["m4"]
 
     def test_truncate_log_explicitly(self):
         multicast, _queues = make_multicast(replicas=(0,))
-        sequences = [multicast.multicast([1], f"m{i}") for i in range(4)]
+        sequences = [multicast.multicast((1,), f"m{i}") for i in range(4)]
         multicast.truncate_log(sequences[1])
         assert multicast.log_size() == 2
         with pytest.raises(RecoveryError):
-            multicast.log_suffix(1, sequences[0])
-        assert [p for _s, _d, p in multicast.log_suffix(1, sequences[1])] == [
-            "m2",
-            "m3",
-        ]
+            multicast.register_replica(1, after_sequence=sequences[0])
+        queues = multicast.register_replica(1, after_sequence=sequences[1])
+        assert payloads(queues[1]) == ["m2", "m3"]
 
     def test_replay_boundary_at_min_retained(self):
         """``after_sequence == min_retained - 1`` is the last replayable
         point; one sequence earlier must raise RecoveryError."""
         multicast, _queues = make_multicast(replicas=(0,))
-        sequences = [multicast.multicast([1], f"m{i}") for i in range(6)]
+        sequences = [multicast.multicast((1,), f"m{i}") for i in range(6)]
         multicast.truncate_log(sequences[2])
         boundary = multicast.min_retained() - 1
         assert boundary == sequences[2]
-        queues = multicast.register_replica(7, [1], after_sequence=boundary)
-        assert [p for _s, _d, p in drain(queues[1])] == ["m3", "m4", "m5"]
+        queues = multicast.register_replica(7, after_sequence=boundary)
+        assert payloads(queues[1]) == ["m3", "m4", "m5"]
         with pytest.raises(RecoveryError):
-            multicast.register_replica(8, [1], after_sequence=boundary - 1)
-        with pytest.raises(RecoveryError):
-            multicast.log_suffix(1, boundary - 1)
+            multicast.register_replica(8, after_sequence=boundary - 1)
 
     def test_latest_sequence_tracks_multicasts(self):
         multicast, _queues = make_multicast(replicas=(0,))
@@ -282,7 +274,7 @@ class TestRetention:
         assert multicast.min_retained() == 0
         last = None
         for i in range(3):
-            last = multicast.multicast([1], f"m{i}")
+            last = multicast.multicast((1,), f"m{i}")
         assert multicast.latest_sequence() == last
         multicast.truncate_log(last)
         assert multicast.log_size() == 0

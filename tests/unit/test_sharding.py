@@ -20,6 +20,7 @@ from repro.multicast.sharding import (
     stable_key_hash,
 )
 from repro.runtime.multicast import LocalAtomicMulticast
+from repro.runtime.transport.inproc import InprocTransport
 from repro.services.kvstore import KVSTORE_SPEC
 
 
@@ -247,8 +248,8 @@ def test_cg_without_router_keeps_modulo_rule():
 # Sequencer-side staleness check
 # ----------------------------------------------------------------------
 def test_multicast_rejects_stale_routings_before_sequencing():
-    multicast = LocalAtomicMulticast(2)
-    multicast.register_replica(0, range(1, 3))
+    multicast = LocalAtomicMulticast(InprocTransport(2))
+    multicast.register_replica(0)
     before = multicast.latest_sequence()
     with pytest.raises(StaleShardRouteError):
         multicast.multicast(frozenset({1}), {"cmd": 1}, shard_version=7)
@@ -261,8 +262,8 @@ def test_multicast_rejects_stale_routings_before_sequencing():
 
 
 def test_shard_update_advances_version_atomically():
-    multicast = LocalAtomicMulticast(2)
-    multicast.register_replica(0, range(1, 3))
+    multicast = LocalAtomicMulticast(InprocTransport(2))
+    multicast.register_replica(0)
     router = ShardRouter(ShardMap.initial(2, key_space=100), 2)
     multicast.shard_router = router
     new_map = router.shard_map.split(25).move(25, 2)

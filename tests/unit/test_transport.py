@@ -25,7 +25,6 @@ from repro.runtime.replica_proc import ReplicaProcess
 from repro.runtime.transport import (
     InprocTransport,
     TcpCoordinatorTransport,
-    TransportRoute,
     tcp,
     wire,
 )
@@ -543,9 +542,10 @@ def dial(transport, replica_id, arm=True):
 
 
 @contextlib.contextmanager
-def fake_replicas(count, fault_plane=None, on_message=None):
+def fake_replicas(count, fault_plane=None, on_message=None, register=True):
     """A started transport with ``count`` replica connections past their
-    hello; yields ``(transport, [FrameReader per replica])``."""
+    hello, registered for ordered traffic unless ``register`` is false;
+    yields ``(transport, [FrameReader per replica])``."""
     transport = TcpCoordinatorTransport(fault_plane, on_message=on_message)
     transport.start()
     socks = []
@@ -553,6 +553,8 @@ def fake_replicas(count, fault_plane=None, on_message=None):
         for replica_id in range(count):
             socks.append(dial(transport, replica_id))
             transport.take_hello(replica_id, timeout=5.0)
+            if register:
+                transport.on_replica_registered(replica_id, None)
         yield transport, [wire.FrameReader(sock) for sock in socks]
     finally:
         for sock in socks:
@@ -565,10 +567,6 @@ def wait_until(condition, timeout=5.0):
     while not condition() and time.monotonic() < deadline:
         time.sleep(0.002)
     assert condition()
-
-
-def route_to(*replica_ids):
-    return TransportRoute([], [(replica_id, []) for replica_id in replica_ids])
 
 
 def read_frames(reader, count):
@@ -607,7 +605,6 @@ class SocketSink:
         self.transport, self.readers = stack.enter_context(
             fake_replicas(count, plane)
         )
-        self.route = route_to(*range(count))
         self._links = [ReliableLink() for _ in range(count)]
 
     def released(self, replica_id, count):
@@ -627,18 +624,12 @@ class QueueSink:
     without faults still selects the pump."""
 
     def __init__(self, stack, count, plane):
-        self.transport = InprocTransport(plane or FaultPlane())
+        self.transport = InprocTransport(1, plane or FaultPlane())
         stack.callback(self.transport.close)
         self.queues = [
-            self.transport.open_endpoint(replica_id, 1)
+            self.transport.on_replica_registered(replica_id, None)[1]
             for replica_id in range(count)
         ]
-        for replica_id, endpoint in enumerate(self.queues):
-            self.transport.on_replica_registered(replica_id, {1: endpoint}, None)
-        self.route = TransportRoute(
-            list(self.queues),
-            [(replica_id, [(1, q)]) for replica_id, q in enumerate(self.queues)],
-        )
 
     def released(self, replica_id, count):
         wait_until(lambda: self.queues[replica_id].qsize() >= count)
@@ -708,7 +699,7 @@ class TestBurstPath:
 
     def send_burst(self, sink):
         for sequence, body in self.BURST:
-            sink.transport.send(sink.route, (sequence, ALL_GROUPS, body))
+            sink.transport.send((sequence, ALL_GROUPS, body))
 
     def test_a_burst_is_one_wakeup_and_one_write_per_link(self, sink):
         count = self.COUNT
@@ -716,20 +707,20 @@ class TestBurstPath:
         transport = sink.transport
         with held_pump(transport) as held:
             self.send_burst(sink)
-            assert transport.in_flight() == 2 * count
-            assert transport.in_flight(1) == count
+            assert transport.pending() == 2 * count
+            assert transport.pending(1) == count
             assert held.writes == []
         assert held.wakeups == 1
         assert [items for _link, items in held.writes] == [count, count]
         for replica_id in (0, 1):
             assert sink.released(replica_id, count) == self.BURST
-        wait_until(lambda: transport.in_flight() == 0)
+        wait_until(lambda: transport.pending() == 0)
 
     def test_a_lone_frame_leaves_at_once(self, sink):
         sink = sink(1)
-        sink.transport.send(sink.route, (0, ALL_GROUPS, b"only"))
+        sink.transport.send((0, ALL_GROUPS, b"only"))
         assert sink.released(0, 1) == [(0, b"only")]
-        wait_until(lambda: sink.transport.in_flight() == 0)
+        wait_until(lambda: sink.transport.pending() == 0)
 
     def test_a_generation_bump_before_the_pass_voids_the_copies(self, sink):
         count = self.COUNT
@@ -737,15 +728,15 @@ class TestBurstPath:
         transport = sink.transport
         with held_pump(transport) as held:
             self.send_burst(sink)
-            transport.on_replica_unregistered(1, {})
+            transport.on_replica_unregistered(1)
             # Void copies are dropped already, as far as a drain check is
             # concerned ...
-            assert transport.in_flight(1) == 0
-            assert transport.in_flight() == count
+            assert transport.pending(1) == 0
+            assert transport.pending() == count
         # ... and nothing was written toward the voided registration.
         assert [items for _link, items in held.writes] == [count]
         assert sink.released(0, count) == self.BURST
-        wait_until(lambda: transport.in_flight() == 0)
+        wait_until(lambda: transport.pending() == 0)
 
     def test_faults_still_yield_each_message_once_in_order(self, sink):
         count = self.COUNT
@@ -765,19 +756,19 @@ class TestBurstPath:
                 for node in ("replica0", "replica1")
             }
             assert copies["replica0"] > count  # some were duplicated
-            assert transport.in_flight(0) == copies["replica0"]
-            assert transport.in_flight(1) == copies["replica1"]
+            assert transport.pending(0) == copies["replica0"]
+            assert transport.pending(1) == copies["replica1"]
         # One plan per replica per message, in ascending replica order.
         assert [e[2] for e in plans] == ["replica0", "replica1"] * count
         assert sink.released(0, count) == self.BURST
         # The partitioned link's copies were re-parked, not lost and
         # not counted out.
         assert plane.stats["blocked_retries"] > 0
-        assert transport.in_flight(1) == copies["replica1"]
+        assert transport.pending(1) == copies["replica1"]
         plane.heal()
         assert sink.released(1, count) == self.BURST
         # Trailing duplicates are still on the heap.
-        wait_until(lambda: transport.in_flight() == 0)
+        wait_until(lambda: transport.pending() == 0)
         if isinstance(sink, SocketSink):  # every copy became a frame
             assert transport.frames_written == sum(copies.values())
 
@@ -793,9 +784,9 @@ class TestSocketBurstPath:
         with fake_replicas(2) as (transport, readers):
             with held_pump(transport):
                 for sequence in range(count):
-                    transport.send(route_to(0, 1), (sequence, ALL_GROUPS, b"c"))
+                    transport.send((sequence, ALL_GROUPS, b"c"))
                 assert transport.frames_written == 0
-            wait_until(lambda: transport.in_flight() == 0)
+            wait_until(lambda: transport.pending() == 0)
             assert transport.writes == 2
             assert transport.frames_written == 2 * count
             for reader in readers:
@@ -803,38 +794,36 @@ class TestSocketBurstPath:
                 (frame,) = read_frames(reader, 1)
                 assert [m[0] for m in frame["msgs"]] == list(range(count))
                 assert [m[1] for m in frame["msgs"]] == list(range(count))
-            # A lone frame is a write of its own, at once.
-            transport.send(route_to(0), (count, ALL_GROUPS, b"only"))
-            (frame,) = read_messages(readers[0], 1)
-            assert (frame["ls"], frame["b"]) == (count, b"only")
-            wait_until(lambda: transport.in_flight() == 0)
+            # A lone frame is a write of its own per link, at once.
+            transport.send((count, ALL_GROUPS, b"only"))
+            for reader in readers:
+                (frame,) = read_messages(reader, 1)
+                assert (frame["ls"], frame["b"]) == (count, b"only")
+            wait_until(lambda: transport.pending() == 0)
             assert (transport.writes, transport.frames_written) == (
-                3, 2 * count + 1
+                4, 2 * count + 2
             )
 
     def test_replay_is_one_wakeup(self):
         count = self.COUNT
-        replay = [
-            (sequence, ALL_GROUPS, frozenset({1}), b"r%d" % sequence)
-            for sequence in range(count)
-        ]
-        with fake_replicas(1) as (transport, readers):
+        replay = [(sequence, ALL_GROUPS, b"r%d" % sequence) for sequence in range(count)]
+        with fake_replicas(1, register=False) as (transport, readers):
             with held_pump(transport) as held:
-                transport.on_replica_registered(0, {}, replay)
-                assert transport.in_flight(0) == count
+                transport.on_replica_registered(0, replay)
+                assert transport.pending(0) == count
             assert held.wakeups == 1
             assert [items for _link, items in held.writes] == [count]
             assert (transport.writes, transport.frames_written) == (1, count)
             frames = read_messages(readers[0], count)
             assert [frame["ls"] for frame in frames] == list(range(count))
-            assert [frame["b"] for frame in frames] == [e[3] for e in replay]
+            assert [frame["b"] for frame in frames] == [e[2] for e in replay]
 
     def test_a_control_frame_keeps_its_place_between_deliveries(self):
         with fake_replicas(1) as (transport, readers):
             with held_pump(transport):
-                transport.send(route_to(0), (0, ALL_GROUPS, b"before"))
+                transport.send((0, ALL_GROUPS, b"before"))
                 assert transport.control_send(0, {"t": "stats?", "req": 7})
-                transport.send(route_to(0), (1, ALL_GROUPS, b"after"))
+                transport.send((1, ALL_GROUPS, b"after"))
             assert (transport.writes, transport.frames_written) == (1, 3)
             # The control frame cut the run into two bursts around it.
             frames = read_frames(readers[0], 3)
@@ -846,8 +835,8 @@ class TestSocketBurstPath:
     def test_a_voided_registration_keeps_its_connection(self):
         with fake_replicas(2) as (transport, readers):
             with held_pump(transport):
-                transport.send(route_to(0, 1), (0, ALL_GROUPS, b"cmd"))
-                transport.on_replica_unregistered(1, {})
+                transport.send((0, ALL_GROUPS, b"cmd"))
+                transport.on_replica_unregistered(1)
             assert (transport.writes, transport.frames_written) == (1, 1)
             assert transport.control_send(1, {"t": "bye"})
             assert read_frames(readers[1], 1) == [{"t": "bye"}]
@@ -859,7 +848,7 @@ class TestSocketBurstPath:
         count, body = 12, b"x" * (1 << 20)  # more than the kernel buffers
         with fake_replicas(2) as (transport, readers):
             for sequence in range(count):
-                transport.send(route_to(0, 1), (sequence, ALL_GROUPS, body))
+                transport.send((sequence, ALL_GROUPS, body))
             # Replica 1 never reads.  Replica 0 still gets the burst ...
             frames = read_messages(readers[0], count)
             assert [frame["s"] for frame in frames] == list(range(count))
@@ -868,8 +857,8 @@ class TestSocketBurstPath:
             assert transport.connected(0)
             assert not transport.control_send(1, {"t": "stats?", "req": 0})
             # (A pass settles after its last write, the one that timed out.)
-            wait_until(lambda: transport.in_flight() == 0)
-            transport.send(route_to(0, 1), (count, ALL_GROUPS, b"next"))
+            wait_until(lambda: transport.pending() == 0)
+            transport.send((count, ALL_GROUPS, b"next"))
             assert read_messages(readers[0], 1)[0]["b"] == b"next"
 
     def test_a_failed_write_counts_nothing(self):
@@ -911,12 +900,12 @@ class TestBurstPathFrames:
     def test_a_replay_longer_than_the_cap_is_split_into_several_frames(self):
         count, body = 40, b"r" * 4000  # about 160 KiB of ordered parts
         replay = [
-            (sequence, ALL_GROUPS, frozenset({1}), body + b"%d" % sequence)
+            (sequence, ALL_GROUPS, body + b"%d" % sequence)
             for sequence in range(count)
         ]
-        with fake_replicas(1) as (transport, readers):
+        with fake_replicas(1, register=False) as (transport, readers):
             with held_pump(transport) as held:
-                transport.on_replica_registered(0, {}, replay)
+                transport.on_replica_registered(0, replay)
             assert [items for _link, items in held.writes] == [count]
             assert (transport.writes, transport.frames_written) == (1, count)
             frames = []
@@ -926,7 +915,7 @@ class TestBurstPathFrames:
         messages = [message for frame in frames for message in frame["msgs"]]
         assert messages == [
             (sequence, sequence, ALL_GROUPS, payload)
-            for sequence, _dst, _threads, payload in replay
+            for sequence, _dst, payload in replay
         ]
 
     def test_every_frame_fits_the_cap_but_a_larger_message_travels_alone(self):
@@ -948,42 +937,6 @@ class TestBurstPathFrames:
             link_sequence for link_sequence, _ordered in run
         ]
 
-    def test_under_faults_a_replica_releases_each_message_once_in_order(self):
-        count = 60
-        plane = FaultPlane(seed=11, retransmit_backoff=0.002)
-        plane.set_link(
-            duplicate=0.4, delay=0.5, delay_range=(0.0, 0.01),
-            reorder=0.3, reorder_window=0.005,
-        )
-        destinations = [(1,), (2,), ALL_GROUPS]
-        sent = [
-            (sequence, destinations[sequence % 3], b"c%d" % sequence)
-            for sequence in range(count)
-        ]
-        replica = ReplicaProcess(None, 0, 2, None, None)
-        with fake_replicas(1, plane) as (transport, readers):
-            for sequence, dst, body in sent:
-                transport.send(route_to(0), (sequence, dst, body))
-            copies = sum(
-                len(entry[3]) for entry in plane.schedule() if entry[0] == "plan"
-            )
-            assert copies > count  # some were duplicated
-            arrived = 0
-            while arrived < copies:  # every copy, the late duplicates too
-                for frame in read_frames(readers[0], 1):
-                    replica.accept_deliver(frame["msgs"])
-                    arrived += len(frame["msgs"])
-                replica.flush_run()
-            wait_until(lambda: transport.in_flight() == 0)
-        assert replica.link.next_expected() == count
-        assert replica.link.pending() == 0
-        for index, queue in replica.queues.items():
-            expected = [
-                item for item in sent if item[1] in ((index,), ALL_GROUPS)
-            ]
-            assert queue.get_batch(count) == expected
-            assert queue.empty()
-
     @pytest.mark.parametrize(
         "case", sorted(case for case in MALFORMED if case.startswith("d:"))
     )
@@ -1000,11 +953,123 @@ class TestBurstPathFrames:
             replica.serve([])  # returns at the malformed frame
             # STREAM[0] only: not the well-formed message that leads the
             # malformed burst, not the frame behind it.
-            assert replica.link.next_expected() == 1
-            assert [queue.qsize() for queue in replica.queues.values()] == [1, 0]
+            assert replica.inbox.link.next_expected() == 1
+            assert [queue.qsize() for queue in replica.inbox.queues.values()] == [1, 0]
         finally:
             left.close()
             right.close()
+
+
+class TestReceivingEnd:
+    """The one receiving end (``ReplicaInbox``), fed a duplicated and
+    reordered link-sequenced stream through either runtime: every worker
+    queue holds exactly its ``delivering_threads`` share, once, in order."""
+
+    COUNT = 60
+    MPL = 3
+    MULTI = (1, 3)
+
+    @classmethod
+    def delivers(cls, index, destinations):
+        """``t_i`` delivers ``g_i``, and ``g_all``, which carries every
+        multi-group message."""
+        return destinations in ((index,), cls.MULTI, ALL_GROUPS)
+
+    def sent(self):
+        """Single-group commands, a multi-group command and an ALL cut."""
+        kinds = [(1,), (2,), (3,), self.MULTI, ALL_GROUPS]
+        return [
+            (
+                sequence,
+                kinds[sequence % 5],
+                wire.make_cut(sequence, None, False)
+                if kinds[sequence % 5] == ALL_GROUPS else b"c%d" % sequence,
+            )
+            for sequence in range(self.COUNT)
+        ]
+
+    @staticmethod
+    def faulty_plane():
+        plane = FaultPlane(seed=11, retransmit_backoff=0.002)
+        plane.set_link(
+            duplicate=0.4, delay=0.5, delay_range=(0.0, 0.01),
+            reorder=0.3, reorder_window=0.005,
+        )
+        return plane
+
+    @staticmethod
+    def planned_copies(plane):
+        return sum(len(entry[3]) for entry in plane.schedule() if entry[0] == "plan")
+
+    def through_a_replica_process(self, sent):
+        """The TCP transport's frames, filed by a replica process's
+        ``d``-frame path one read at a time."""
+        plane = self.faulty_plane()
+        replica = ReplicaProcess(None, 0, self.MPL, None, None)
+        with fake_replicas(1, plane) as (transport, readers):
+            for item in sent:
+                transport.send(item)
+            copies = self.planned_copies(plane)
+            arrived = 0
+            while arrived < copies:  # every copy, the late duplicates too
+                for frame in read_frames(readers[0], 1):
+                    replica.accept_deliver(frame["msgs"])
+                    arrived += len(frame["msgs"])
+                replica.inbox.flush()
+            wait_until(lambda: transport.pending() == 0)
+        return copies, replica.inbox
+
+    def through_the_inproc_transport(self, sent):
+        """The threaded runtime's pump, writing into the inbox it built."""
+        plane = self.faulty_plane()
+        transport = InprocTransport(self.MPL, plane)
+        try:
+            queues = transport.on_replica_registered(0, None)
+            for item in sent:
+                transport.send(item)
+            copies = self.planned_copies(plane)
+            queued = sum(
+                self.delivers(index, item[1])
+                for item in sent for index in range(1, self.MPL + 1)
+            )
+            # Every copy handed over, nothing parked: all is queued.
+            wait_until(lambda: transport.pending() == queued)
+            (link,) = transport._links.values()
+            wait_until(lambda: link.in_flight == 0)
+            assert link.sink.queues is queues
+        finally:
+            transport.close()
+        return copies, link.sink
+
+    @pytest.mark.parametrize(
+        "runtime", ["through_a_replica_process", "through_the_inproc_transport"]
+    )
+    def test_each_worker_gets_its_share_once_in_order(self, runtime):
+        sent = self.sent()
+        copies, inbox = getattr(self, runtime)(sent)
+        assert copies > len(sent)  # some were duplicated
+        assert inbox.link.next_expected() == len(sent)
+        assert inbox.link.pending() == 0
+        for index, queue in inbox.queues.items():
+            expected = [item for item in sent if self.delivers(index, item[1])]
+            assert queue.get_batch(len(sent)) == expected
+            assert queue.empty()
+
+    def test_the_link_and_the_fan_out_are_written_once(self):
+        runtime = os.path.join(list(repro.__path__)[0], "runtime")
+        sites = collections.Counter()
+        for directory, _dirs, files in os.walk(runtime):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name)) as source:
+                        text = source.read()
+                    for needle in ("ReliableLink(", ".delivering_threads"):
+                        if needle in text:
+                            sites[needle, name] += text.count(needle)
+        assert sites == {
+            ("ReliableLink(", "inproc.py"): 1,
+            (".delivering_threads", "inproc.py"): 1,
+        }
 
 
 class TestTransportThreads:
@@ -1027,9 +1092,9 @@ class TestTransportThreads:
     def test_the_queue_transport_owns_a_pump_only_under_a_plane(
         self, transport_threads
     ):
-        InprocTransport().close()
+        InprocTransport(2).close()
         assert transport_threads() == []
-        transport = InprocTransport(FaultPlane())
+        transport = InprocTransport(2, FaultPlane())
         assert transport_threads() == ["psmr-pump"]
         transport.close()
         transport.close()
@@ -1057,10 +1122,10 @@ class TestSerialiseOnce:
             calls["general codec"] += 1
             raise AssertionError("a d frame went through the general codec")
 
-        with fake_replicas(replicas) as (transport, readers):
-            multicast = LocalAtomicMulticast(4, transport=transport)
+        with fake_replicas(replicas, register=False) as (transport, readers):
+            multicast = LocalAtomicMulticast(transport)
             for replica_id in range(replicas):
-                multicast.register_replica(replica_id, range(1, 5))
+                multicast.register_replica(replica_id)
             monkeypatch.setattr(codec, "encode_command", encode_command)
             for name in ("encode", "encode_value"):
                 monkeypatch.setattr(codec, name, general_codec)
@@ -1074,7 +1139,7 @@ class TestSerialiseOnce:
                 assert [frame["ls"] for frame in frames] == list(range(commands))
                 assert [frame["b"] for frame in frames] == bodies
                 assert {frame["dst"] for frame in frames} == {(2,)}
-            wait_until(lambda: transport.in_flight() == 0)
+            wait_until(lambda: transport.pending() == 0)
             assert transport.frames_written == replicas * commands
 
 
@@ -1151,8 +1216,8 @@ class TestUnreadableFrames:
             replica = ReplicaProcess(right, 0, 2, None, None)
             left.sendall(encode(STREAM[0]) + _unreadable_frame(how))
             replica.serve([])  # returns: no exception, no further read
-            assert replica.queues[1].qsize() == 1  # STREAM[0] was queued
-            assert replica.queues[2].qsize() == 0
+            assert replica.inbox.queues[1].qsize() == 1  # STREAM[0] was queued
+            assert replica.inbox.queues[2].qsize() == 0
         finally:
             left.close()
             right.close()
@@ -1396,12 +1461,16 @@ class TestOneConcurrencyModel:
         assert loaded.stdout.strip() == "False"
 
     def test_a_replica_process_never_loads_the_coordinator_side(self):
-        # ``repro.runtime`` resolves its exports lazily: a replica child
-        # runs the engine and never needs the clusters or the checker.
+        # Every package resolves its exports lazily: a replica child runs
+        # the engine and its inbox, and never needs the clusters, the
+        # checker, the TCP server or the simulator's pieces.
         env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
         coordinator_side = (
             "repro.runtime.cluster", "repro.runtime.proccluster",
             "repro.runtime.linearizability", "repro.runtime.multicast",
+            "repro.runtime.transport.tcp",
+            "repro.common.config", "repro.core.cg",
+            "repro.multicast.merge", "repro.multicast.order_checker",
         )
         loaded = subprocess.run(
             [sys.executable, "-c",
@@ -1420,17 +1489,23 @@ class TestOneConcurrencyModel:
         assert exported.stdout.strip() == "repro.runtime.proccluster"
 
 
-class TestLazyRuntimeExports:
-    def test_every_export_is_the_defining_modules_object(self):
+class TestLazyPackageExports:
+    @pytest.mark.parametrize(
+        "package",
+        [
+            "repro.common", "repro.core", "repro.multicast", "repro.runtime",
+            "repro.runtime.transport",
+        ],
+    )
+    def test_every_export_is_the_defining_modules_object(self, package):
         import importlib
 
-        import repro.runtime
-
-        for name, module in repro.runtime._EXPORTS.items():
-            assert getattr(repro.runtime, name) is getattr(
+        package = importlib.import_module(package)
+        for name, module in package._EXPORTS.items():
+            assert getattr(package, name) is getattr(
                 importlib.import_module(module), name
             )
-        assert sorted(repro.runtime.__all__) == sorted(repro.runtime._EXPORTS)
+        assert sorted(package.__all__) == sorted(package._EXPORTS)
 
     def test_an_unknown_name_is_an_attribute_error(self):
         import repro.runtime
