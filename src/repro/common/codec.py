@@ -16,7 +16,7 @@ column-packed runs instead of per-item opcodes:
 * a list of ints (delta ``deletions``) is packed as one ``struct`` run.
 
 The one value either service answers with that is none of these,
-:class:`~repro.fs.memfs.Stat` (NetFS ``lstat``), has a fixed-layout tag of
+:class:`~repro.fs.statinfo.Stat` (NetFS ``lstat``), has a fixed-layout tag of
 its own.  The vocabulary is closed: a value of any other type raises
 :class:`~repro.common.errors.ProtocolError` when it is encoded, and a tag
 or leading byte no encoder writes raises
@@ -33,7 +33,7 @@ import threading
 
 from repro.common.errors import CheckpointError, ProtocolError
 from repro.core.command import Command
-from repro.fs.memfs import Stat
+from repro.fs.statinfo import Stat
 from repro.multicast.group import ALL_GROUPS
 
 
@@ -90,7 +90,7 @@ _T_TUPLE = ord("t")
 _T_SET = ord("S")
 _T_FROZENSET = ord("Z")
 _T_DICT = ord("d")
-#: ``fs.memfs.Stat``: is_dir, size, mode, nlink, atime, mtime.
+#: ``fs.statinfo.Stat``: is_dir, size, mode, nlink, atime, mtime.
 _T_STAT = ord("A")
 _STAT = struct.Struct(">?qIIdd")
 #: Bulk fast paths (see module docstring).

@@ -9,18 +9,7 @@ state-machine replication requires.
 from dataclasses import dataclass, field
 
 from repro.common.errors import FileSystemError
-
-
-@dataclass
-class Stat:
-    """A small subset of ``struct stat`` sufficient for NetFS clients."""
-
-    is_dir: bool
-    size: int
-    mode: int
-    nlink: int
-    atime: float
-    mtime: float
+from repro.fs.statinfo import Stat
 
 
 @dataclass

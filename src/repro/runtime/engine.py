@@ -245,8 +245,8 @@ class ReplicaEngine:
         """Drain delivered messages in batches and execute them in order.
 
         One :meth:`DeliveryQueue.get_batch` wakeup processes up to
-        ``DELIVERY_BATCH_SIZE`` messages — one lock round-trip amortised
-        over the whole run instead of paid per command.  Parallel-mode responses
+        ``DELIVERY_BATCH_SIZE`` messages — one wake-up amortised over the
+        whole run instead of paid per command.  Parallel-mode responses
         are accumulated and handed to ``on_responses`` in one batch too;
         they are always flushed before anything that can block or reorder
         — a barrier, a cut — and at the end of every drained

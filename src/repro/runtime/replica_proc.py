@@ -27,16 +27,18 @@ import shutil
 import sys
 import threading
 
+from repro import services
 from repro.common.checkpoint import CheckpointPolicy
 from repro.common.checkpoint_store import CheckpointStore
 from repro.runtime.engine import ReplicaEngine
 from repro.runtime.transport import wire
 from repro.runtime.transport.inproc import ReplicaInbox
-from repro.services import KeyValueStoreServer, NetFSServer
 
+#: ``--service`` -> the name of its server class in :mod:`repro.services`,
+#: resolved when the replica starts: a replica loads its own service only.
 SERVICES = {
-    "kvstore": KeyValueStoreServer,
-    "netfs": NetFSServer,
+    "kvstore": "KeyValueStoreServer",
+    "netfs": "NetFSServer",
 }
 
 
@@ -193,7 +195,7 @@ def main(argv=None):
         shutil.rmtree(args.store_dir)
     store = CheckpointStore(args.store_dir)
     service_kwargs = json.loads(args.service_args)
-    server_class = SERVICES[args.service]
+    server_class = getattr(services, SERVICES[args.service])
 
     def service_factory():
         return server_class(**service_kwargs)

@@ -1,5 +1,10 @@
 """The receiving end every replica runs, and the in-process transport.
 
+Every delivered command, on both runtimes, ends in a worker's
+:class:`DeliveryQueue`: a ``queue.SimpleQueue``, so the put, the
+worker's wait and its wake-up all run in C, with no Python-level lock
+between the sender and the worker.
+
 :class:`ReplicaInbox` is what a replica does with its ordered stream, in
 both runtimes: reassemble the link-sequenced copies (possibly duplicated
 or reordered on the way) through one
@@ -19,66 +24,61 @@ holds them until they are due and writes each replica's run into its
 inbox.
 """
 
-import collections
 import queue
-import threading
+from collections import deque
+from itertools import islice
 
 from repro.common.codec import Memo
 from repro.common.faults import ReliableLink
 from repro.multicast.group import GroupLayout
 from repro.runtime.transport.pump import FramePump, Link
 
+#: A sentinel no queue ever holds.
+_NEVER = object()
+
 
 class DeliveryQueue:
-    """A worker thread's delivery queue, drainable in batches.
+    """A worker thread's delivery queue: an unbounded FIFO, drained in batches.
 
-    ``queue.Queue`` costs one lock round-trip per item on both sides; the
-    hot path instead drains *everything available* (up to ``max_items``)
-    in a single :meth:`get_batch` acquisition, which is where the threaded
-    runtime's batched-delivery speedup comes from.  Semantics are otherwise
-    those of an unbounded FIFO queue.
+    It wraps a ``queue.SimpleQueue``, whose ``put``, ``get``,
+    ``get_nowait``, ``qsize`` and ``empty`` are C functions: handing a
+    command to a worker runs no Python-level lock, and a worker blocked in
+    :meth:`get_batch` waits on a C lock with the GIL released.  ``put``,
+    ``get_nowait``, ``qsize`` and ``empty`` *are* the ``SimpleQueue``'s
+    bound methods.  ``None`` is the stop pill, queued like any item.
+
+    Each queue has exactly one consumer, its worker.  That is what makes
+    :meth:`get_batch` exact: no other thread can take the items
+    ``qsize()`` counted before ``get_nowait`` does.
     """
 
     def __init__(self):
-        self._items = collections.deque()
-        self._cond = threading.Condition()
-
-    def put(self, item):
-        with self._cond:
-            self._items.append(item)
-            self._cond.notify()
+        items = queue.SimpleQueue()
+        self.put = items.put
+        self.get_nowait = items.get_nowait
+        self.qsize = items.qsize
+        self.empty = items.empty
+        self._get = items.get
 
     def put_many(self, items):
-        with self._cond:
-            self._items.extend(items)
-            self._cond.notify_all()
+        """Queue a run in order, with one wake-up: only the first ``put``
+        releases a blocked worker's lock.  The puts are driven from C (an
+        empty ``deque`` consumes the ``map``), so for a list no bytecode
+        runs between them and the GIL cannot pass to the woken worker
+        before the whole run is queued."""
+        deque(map(self.put, items), 0)
 
     def get_batch(self, max_items):
-        """Block until items are available; return up to ``max_items`` of them."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._items)
-            items = self._items
-            if len(items) <= max_items:
-                batch = list(items)
-                items.clear()
-            else:
-                batch = [items.popleft() for _ in range(max_items)]
-            return batch
-
-    def get_nowait(self):
-        """Return one item without blocking; raise ``queue.Empty`` when empty."""
-        with self._cond:
-            if not self._items:
-                raise queue.Empty
-            return self._items.popleft()
-
-    def qsize(self):
-        with self._cond:
-            return len(self._items)
-
-    def empty(self):
-        with self._cond:
-            return not self._items
+        """Block until an item is queued; return it and up to
+        ``max_items - 1`` more that are already queued, in order."""
+        batch = [self._get()]
+        more = min(self.qsize(), max_items - 1)
+        if more > 0:
+            # ``iter(get_nowait, sentinel)`` calls it from C.  The sentinel
+            # is not ``None``, which is the stop pill; ``qsize()`` counted
+            # the items there are to take.
+            batch += islice(iter(self.get_nowait, _NEVER), more)
+        return batch
 
 
 class ReplicaInbox:

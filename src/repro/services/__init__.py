@@ -10,24 +10,19 @@ derived) and a deterministic server state machine:
   of FUSE calls over an in-memory file system.
 """
 
-from repro.services.kvstore import (
-    KVSTORE_SPEC,
-    KeyValueStoreServer,
-    build_kvstore_spec,
-)
-from repro.services.netfs import (
-    NETFS_SPEC,
-    NetFSServer,
-    build_netfs_spec,
-    path_range,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "KVSTORE_SPEC",
-    "KeyValueStoreServer",
-    "build_kvstore_spec",
-    "NETFS_SPEC",
-    "NetFSServer",
-    "build_netfs_spec",
-    "path_range",
-]
+#: Public name -> the module defining it, resolved on first access
+#: (PEP 562): a kvstore replica never loads NetFS or its file system.
+_EXPORTS = {
+    "KVSTORE_SPEC": "repro.services.kvstore",
+    "KeyValueStoreServer": "repro.services.kvstore",
+    "build_kvstore_spec": "repro.services.kvstore",
+    "NETFS_SPEC": "repro.services.netfs",
+    "NetFSServer": "repro.services.netfs",
+    "build_netfs_spec": "repro.services.netfs",
+    "path_range": "repro.services.netfs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

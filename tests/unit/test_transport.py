@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import os
+import queue
 import re
 import socket
 import struct
@@ -23,6 +24,7 @@ from repro.runtime.cluster import ResponseRouter
 from repro.runtime.multicast import LocalAtomicMulticast
 from repro.runtime.replica_proc import ReplicaProcess
 from repro.runtime.transport import (
+    DeliveryQueue,
     InprocTransport,
     TcpCoordinatorTransport,
     tcp,
@@ -1072,6 +1074,131 @@ class TestReceivingEnd:
         }
 
 
+class TestDeliveryQueue:
+    """The worker queue every delivered command ends in, on both
+    runtimes: an unbounded FIFO with one consumer."""
+
+    def test_fifo_across_put_and_put_many(self):
+        delivery_queue = DeliveryQueue()
+        delivery_queue.put(0)
+        delivery_queue.put_many([1, 2, 3])
+        delivery_queue.put(4)
+        delivery_queue.put_many([])
+        delivery_queue.put_many(iter([5, 6]))
+        assert delivery_queue.get_batch(100) == list(range(7))
+
+    def test_get_batch_takes_at_most_n_and_leaves_the_rest_in_order(self):
+        delivery_queue = DeliveryQueue()
+        delivery_queue.put_many(range(10))
+        assert delivery_queue.get_batch(4) == [0, 1, 2, 3]
+        assert delivery_queue.get_batch(1) == [4]
+        assert delivery_queue.get_nowait() == 5
+        assert delivery_queue.get_batch(4) == [6, 7, 8, 9]
+
+    def test_a_blocked_get_batch_returns_when_another_thread_puts(self):
+        delivery_queue = DeliveryQueue()
+        taken = []
+        worker = threading.Thread(
+            target=lambda: taken.append(delivery_queue.get_batch(8))
+        )
+        worker.start()
+        time.sleep(0.05)
+        assert worker.is_alive() and taken == []  # blocked on an empty queue
+        delivery_queue.put_many(["a", "b"])
+        worker.join(5.0)
+        assert not worker.is_alive()
+        # The first put wakes the worker; the rest of the run is either in
+        # its batch or still queued, in order.
+        rest = [] if delivery_queue.empty() else delivery_queue.get_batch(8)
+        assert taken[0] + rest == ["a", "b"]
+
+    def test_none_passes_through_as_the_stop_pill(self):
+        delivery_queue = DeliveryQueue()
+        delivery_queue.put_many([1, None])
+        delivery_queue.put(None)
+        assert delivery_queue.get_batch(8) == [1, None, None]
+        assert delivery_queue.empty()
+
+    def test_qsize_and_empty_are_exact_after_a_partial_drain(self):
+        delivery_queue = DeliveryQueue()
+        assert delivery_queue.empty() and delivery_queue.qsize() == 0
+        with pytest.raises(queue.Empty):
+            delivery_queue.get_nowait()
+        delivery_queue.put_many(range(5))
+        delivery_queue.put(5)
+        assert delivery_queue.qsize() == 6 and not delivery_queue.empty()
+        delivery_queue.get_batch(4)
+        assert delivery_queue.qsize() == 2 and not delivery_queue.empty()
+        delivery_queue.get_nowait()
+        assert delivery_queue.qsize() == 1
+        delivery_queue.get_batch(4)
+        assert delivery_queue.qsize() == 0 and delivery_queue.empty()
+
+    def test_concurrent_producers_lose_and_reorder_nothing(self):
+        # More producers than cores, switching often: the one consumer's
+        # ``qsize`` / ``get_nowait`` count stays exact while puts race it.
+        delivery_queue = DeliveryQueue()
+        producers, runs, run_length = 4, 200, 5
+
+        def produce(producer):
+            try:
+                for run in range(runs):
+                    delivery_queue.put_many(
+                        (producer, run * run_length + offset)
+                        for offset in range(run_length)
+                    )
+            finally:
+                delivery_queue.put(None)  # this producer is done
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=produce, args=(producer,))
+                for producer in range(producers)
+            ]
+            for thread in threads:
+                thread.start()
+            taken = []
+            while taken.count(None) < producers:
+                taken += delivery_queue.get_batch(7)
+            for thread in threads:
+                thread.join(5.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert delivery_queue.empty()
+        taken = [item for item in taken if item is not None]
+        assert len(taken) == producers * runs * run_length
+        for producer in range(producers):
+            assert [n for p, n in taken if p == producer] == list(
+                range(runs * run_length)
+            )
+
+    def test_the_hand_off_enters_no_python_level_lock(self):
+        # ``put``, ``put_many`` and a ``get_batch`` with items queued lock
+        # and wake in C: no ``threading`` function (``Condition`` and its
+        # ``__enter__`` / ``notify`` / ``wait_for``) runs on either side.
+        delivery_queue = DeliveryQueue()
+        entered = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                code = frame.f_code
+                entered.append((os.path.basename(code.co_filename), code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            delivery_queue.put(1)
+            delivery_queue.put_many([2, 3])
+            batch = delivery_queue.get_batch(8)
+        finally:
+            sys.setprofile(None)
+        assert batch == [1, 2, 3]
+        assert entered  # the profile saw the Python frames there are
+        assert [call for call in entered if call[0] == "threading.py"] == []
+
+
 class TestTransportThreads:
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_two_threads_whatever_the_replica_count(
@@ -1463,7 +1590,9 @@ class TestOneConcurrencyModel:
     def test_a_replica_process_never_loads_the_coordinator_side(self):
         # Every package resolves its exports lazily: a replica child runs
         # the engine and its inbox, and never needs the clusters, the
-        # checker, the TCP server or the simulator's pieces.
+        # checker, the TCP server or the simulator's pieces.  It loads its
+        # service when it starts; a kvstore replica never loads NetFS or
+        # the file system behind it.
         env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
         coordinator_side = (
             "repro.runtime.cluster", "repro.runtime.proccluster",
@@ -1471,6 +1600,7 @@ class TestOneConcurrencyModel:
             "repro.runtime.transport.tcp",
             "repro.common.config", "repro.core.cg",
             "repro.multicast.merge", "repro.multicast.order_checker",
+            "repro.fs.memfs", "repro.services.netfs",
         )
         loaded = subprocess.run(
             [sys.executable, "-c",
@@ -1494,7 +1624,7 @@ class TestLazyPackageExports:
         "package",
         [
             "repro.common", "repro.core", "repro.multicast", "repro.runtime",
-            "repro.runtime.transport",
+            "repro.runtime.transport", "repro.fs", "repro.services",
         ],
     )
     def test_every_export_is_the_defining_modules_object(self, package):
