@@ -5,9 +5,12 @@
 Brings the workload up the way ``bench/run.py`` does (its ``prepare`` and
 ``set_up``, imported; nothing under ``bench/`` is edited), warms it up and
 reads ``/proc/<pid>/task/*/stat`` and ``status`` of the runner and its
-replica children on both sides of a window.  Per thread: user and system
-CPU per operation, the share of the window it was on a CPU, voluntary and
-involuntary context switches per operation.  The runner's threads share
+replica children at the ends of four equal sub-windows of the window.
+Per thread, as the median of the sub-windows: CPU (user plus system) per
+operation with its min-max across them, the share of the sub-window it
+was on a CPU, voluntary and involuntary context switches per operation;
+and each sub-window's raw operations per second, so a run whose host was
+noisy shows it.  The runner's threads share
 one GIL, so their summed share is its occupancy — near 1.0 the workload
 is bound by it.  Times are raw microseconds (10 ms kernel ticks), not the
 benchmark's reference seconds.
@@ -17,6 +20,7 @@ import argparse
 import contextlib
 import os
 import re
+import statistics
 import sys
 import threading
 import time
@@ -60,11 +64,19 @@ def thread_names(pids):
     return names
 
 
-def split(workload, seconds, warmup_s=3.0):
-    """Run ``workload``; return ``(rows, runner share, operations per second)``.
+#: The ``--seconds`` window is read as this many equal sub-windows: the
+#: spread of a thread's cost across them is the run's own noise.
+SUB_WINDOWS = 4
 
-    A row is ``(name, user us/op, system us/op, busy share, voluntary and
-    involuntary switches per op)``, busiest thread first.
+
+def split(workload, seconds, warmup_s=3.0):
+    """Run ``workload``; return ``(rows, runner share, sub-window ops/s)``.
+
+    The window is read as :data:`SUB_WINDOWS` equal sub-windows.  A row is
+    ``(name, CPU us/op, its min, its max, busy share, voluntary and
+    involuntary switches per op)`` — the median of the sub-windows, the
+    CPU's range across them too — busiest thread first; the runner's
+    share is the median of the sub-windows' too.
     """
     workload = WORKLOADS[workload]
     cycles = run.prepare(workload, 0)
@@ -76,14 +88,16 @@ def split(workload, seconds, warmup_s=3.0):
         ]
         for caller in callers:
             caller.start()
+        def reading():
+            return time.perf_counter(), sum(g.ops for g in generators), read_threads(stack.pids)
+
         try:
             time.sleep(warmup_s)
-            began, issued = time.perf_counter(), sum(g.ops for g in generators)
-            before = read_threads(stack.pids)
-            time.sleep(seconds)
-            after, names = read_threads(stack.pids), thread_names(stack.pids)
-            ops = sum(g.ops for g in generators) - issued
-            elapsed = time.perf_counter() - began
+            readings = [reading()]
+            for _ in range(SUB_WINDOWS):
+                time.sleep(seconds / SUB_WINDOWS)
+                readings.append(reading())
+            names = thread_names(stack.pids)
         finally:
             for generator in generators:
                 generator.stop = True
@@ -92,16 +106,28 @@ def split(workload, seconds, warmup_s=3.0):
         for generator in generators:
             if generator.error is not None:
                 raise generator.error
-    rows, runner = [], 0.0
-    for thread, now in after.items():
-        user, system, voluntary, involuntary = (
-            new - old for new, old in zip(now, before.get(thread, (0, 0, 0, 0)))
-        )
-        busy = (user + system) / elapsed
-        runner += busy if thread[0] == stack.pids[0] else 0.0
-        rows.append((names.get(thread, f"pid{thread[0]}-tid{thread[1]}"), 1e6 * user / ops,
-                     1e6 * system / ops, busy, voluntary / ops, involuntary / ops))
-    return sorted(rows, key=lambda row: -row[3]), runner, ops / elapsed
+    samples, runners, rates = {}, [], []
+    for (began, issued, before), (ended, done, after) in zip(readings, readings[1:]):
+        elapsed, ops = ended - began, done - issued
+        rates.append(ops / elapsed)
+        runner = 0.0
+        for thread, now in after.items():
+            user, system, voluntary, involuntary = (
+                new - old for new, old in zip(now, before.get(thread, (0, 0, 0, 0)))
+            )
+            busy = (user + system) / elapsed
+            runner += busy if thread[0] == stack.pids[0] else 0.0
+            samples.setdefault(thread, []).append(
+                (1e6 * (user + system) / ops, busy, voluntary / ops, involuntary / ops)
+            )
+        runners.append(runner)
+    rows = []
+    for thread, columns in samples.items():
+        cpu, busy, voluntary, involuntary = map(list, zip(*columns))
+        rows.append((names.get(thread, f"pid{thread[0]}-tid{thread[1]}"),
+                     statistics.median(cpu), min(cpu), max(cpu), statistics.median(busy),
+                     statistics.median(voluntary), statistics.median(involuntary)))
+    return sorted(rows, key=lambda row: -row[4]), statistics.median(runners), rates
 
 
 def main(argv=None):
@@ -109,12 +135,15 @@ def main(argv=None):
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seconds", type=float, default=8.0, help="the sampled window")
     args = parser.parse_args(argv)
-    rows, runner, rate = split(args.workload, args.seconds)
-    print(f"{args.workload}: {rate:.0f} raw ops/s over {args.seconds:g} s; per operation:")
-    print(f"{'thread':28s} {'user us':>8s} {'sys us':>8s} {'busy':>6s} {'vol cs':>7s} {'invol cs':>8s}")
-    for name, user, system, busy, voluntary, involuntary in rows:
-        print(f"{name:28s} {user:8.1f} {system:8.1f} {busy:6.2f} {voluntary:7.3f} {involuntary:8.3f}")
-    print(f"runner threads' summed share (GIL occupancy): {runner:.2f}")
+    rows, runner, rates = split(args.workload, args.seconds)
+    print(f"{args.workload}: raw ops/s in {SUB_WINDOWS} sub-windows of "
+          f"{args.seconds / SUB_WINDOWS:g} s: " + " ".join(f"{rate:.0f}" for rate in rates))
+    print("per operation, the median of the sub-windows (CPU: min-max across them):")
+    print(f"{'thread':28s} {'CPU us':>8s} {'min-max':>13s} {'busy':>6s} {'vol cs':>7s} {'invol cs':>8s}")
+    for name, cpu, low, high, busy, voluntary, involuntary in rows:
+        spread = f"{low:.1f}-{high:.1f}"
+        print(f"{name:28s} {cpu:8.1f} {spread:>13s} {busy:6.2f} {voluntary:7.3f} {involuntary:8.3f}")
+    print(f"runner threads' summed share (GIL occupancy), median: {runner:.2f}")
 
 
 if __name__ == "__main__":

@@ -466,6 +466,8 @@ _STRS_IN = Memo(_utf8)
 
 _TAGGED_LENGTH = struct.Struct(">BI")  # str / bytes / dict: tag, length
 _TAGGED_I64 = struct.Struct(">Bq")
+#: The head of a batch call, a ``(name, args)`` tuple.
+_CALL_HEAD = _TAGGED_LENGTH.pack(_T_TUPLE, 2)
 
 
 def _encode_args(args, out):
@@ -486,8 +488,50 @@ def _encode_args(args, out):
         elif kind is bytes:
             out += _TAGGED_LENGTH.pack(_T_BYTES, len(value))
             out += value
+        elif kind is list:
+            _encode_calls(value, out)
         else:
             encode_value(value, out)
+
+
+def _is_call(item):
+    return type(item) is tuple and len(item) == 2 and type(item[0]) is str
+
+
+def _encode_calls(calls, out):
+    """``encode_value(calls, out)``, byte for byte, with a fast path for
+    a batch command's calls: a list of ``(name, args)`` tuples, each
+    encoded like a command's name and args."""
+    if not calls or not _is_call(calls[0]):
+        encode_value(calls, out)  # perhaps an int or pair run
+        return
+    out += _TAGGED_LENGTH.pack(_T_LIST, len(calls))
+    for call in calls:
+        if _is_call(call):
+            out += _CALL_HEAD
+            out += _KEYS_OUT[call[0]]
+            _encode_args(call[1], out)
+        else:
+            encode_value(call, out)
+
+
+def _decode_calls(data, offset):
+    """``decode_value(data, offset)`` of a list, with
+    :func:`_encode_calls`' fast path; ``data`` is ``bytes``."""
+    (count,) = _U32.unpack_from(data, offset + 1)
+    offset += 5
+    calls = []
+    for _ in range(count):
+        if data.startswith(_CALL_HEAD, offset) and data[offset + 5] == _T_STR:
+            (length,) = _U32.unpack_from(data, offset + 6)
+            offset += 10
+            name = _STRS_IN[data[offset:offset + length]]
+            args, offset = _decode_args(data, offset + length)
+            calls.append((name, args))
+        else:
+            item, offset = decode_value(data, offset)
+            calls.append(item)
+    return calls, offset
 
 
 def _decode_args(data, offset):
@@ -515,6 +559,8 @@ def _decode_args(data, offset):
             offset += 5
             args[key] = data[offset:offset + length]
             offset += length
+        elif tag == _T_LIST:
+            args[key], offset = _decode_calls(data, offset)
         else:
             args[key], offset = decode_value(data, offset)
     return args, offset

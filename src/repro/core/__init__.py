@@ -21,6 +21,7 @@ from repro.common.lazy import lazy_exports
 
 #: Public name -> the module defining it, imported on first access.
 _EXPORTS = {
+    "BATCH": "repro.core.command",
     "Command": "repro.core.command",
     "Response": "repro.core.command",
     "CommandDescriptor": "repro.core.descriptor",

@@ -10,11 +10,17 @@ the C-Dep) and from the multiprogramming level, so that
 * any two dependent commands share at least one destination group (so the
   order property of atomic multicast, plus the barrier at the server proxy,
   serialises them).
+
+It also packs calls into batches (:meth:`CGFunction.batches`): calls that
+map to the same single group travel as one command of that group, which
+is what makes a client's batch of independent keyed commands cost a few
+ordered messages instead of one each.
 """
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import SeededRNG
-from repro.core.descriptor import Free, Keyed, Serial, ServiceSpec
+from repro.core.command import BATCH
+from repro.core.descriptor import Keyed, Serial, ServiceSpec
 from repro.multicast.group import ALL_GROUPS
 from repro.multicast.sharding import stable_key_hash
 
@@ -40,6 +46,12 @@ class CGFunction:
         # Pre-built singleton destination sets, indexed by group id (1..mpl);
         # building a frozenset per invocation would dominate the client proxy.
         self._singletons = [None] + [frozenset({gid}) for gid in range(1, mpl + 1)]
+        #: Command name -> its routing as a function of ``args``, compiled
+        #: once: a batch routes every call twice (to bucket it, then to
+        #: route the bucket), so per-call lookups add up.
+        self._routes = {
+            descriptor.name: self._compile(descriptor) for descriptor in spec
+        }
 
     # ------------------------------------------------------------------
     # The mapping itself
@@ -52,23 +64,96 @@ class CGFunction:
         Serial/coarse commands go to all groups regardless of the
         partition, and Free commands carry no key — so only keyed
         singleton routings are subject to the sequencer's staleness check.
+        A :data:`~repro.core.command.BATCH` command goes to the union of
+        its calls' destinations (see :meth:`_route_batch`).
         """
-        descriptor = self.spec.descriptor(name)
+        if name == BATCH:
+            return self._route_batch(args["calls"])
+        return self._route_call(name, args)
+
+    def _compile(self, descriptor):
+        """``descriptor``'s routing: ``args -> (groups, shard_version)``."""
         routing = descriptor.routing
-        if isinstance(routing, Serial):
-            return ALL_GROUPS, None
+        if isinstance(routing, Serial) or (
+            # The paper's "simple C-Dep" example: any state-modifying
+            # command goes to every group, reads go to a random group.
+            isinstance(routing, Keyed) and self.coarse and descriptor.writes
+        ):
+            everywhere = (ALL_GROUPS, None)
+            return lambda args: everywhere
+        singletons = self._singletons
         if isinstance(routing, Keyed):
-            if self.coarse and descriptor.writes:
-                # The paper's "simple C-Dep" example: any state-modifying
-                # command goes to every group, reads go to a random group.
-                return ALL_GROUPS, None
-            key = routing.extractor(args)
+            extract, key_hash = routing.extractor, self._stable_hash
             if self.router is not None:
-                group, version = self.router.route_hash(self._stable_hash(key))
-                return self._singletons[group], version
-            return self._singletons[self.group_of_key(key)], None
+                route_hash = self.router.route_hash
+
+                def keyed(args):
+                    group, version = route_hash(key_hash(extract(args)))
+                    return singletons[group], version
+
+                return keyed
+            mpl = self.mpl
+            return lambda args: (singletons[key_hash(extract(args)) % mpl + 1], None)
         # Free commands: balance over groups without constraining order.
-        return self._singletons[self._next_free_group()], None
+        return lambda args: (singletons[self._next_free_group()], None)
+
+    def _route_call(self, name, args):
+        return (self._routes.get(name) or self._unknown(name))(args)
+
+    def _unknown(self, name):
+        self.spec.descriptor(name)  # raises: the service has no such command
+
+    def _route_batch(self, calls):
+        """The union of the calls' destinations, routed now.
+
+        The version is the oldest any call was routed with: a shard-map
+        switch in the middle of this loop leaves it stale, and the
+        sequencer then rejects the batch and it is routed again, as a
+        whole.
+        """
+        groups = set()
+        version = None
+        routes = self._routes
+        for name, args in calls:
+            route = routes.get(name) or self._unknown(name)
+            destinations, routed = route(args)
+            if destinations == ALL_GROUPS:
+                return ALL_GROUPS, None
+            groups.update(destinations)
+            if routed is not None and (version is None or routed < version):
+                version = routed
+        if len(groups) == 1:
+            return self._singletons[groups.pop()], version
+        return frozenset(groups), version
+
+    def batches(self, calls):
+        """Split ``(name, args)`` calls into batches, as lists of indices.
+
+        A call routed to one single group joins that group's bucket, in
+        call order; calls in different buckets are independent (dependent
+        calls share a group), so the buckets may be ordered in any order
+        relative to each other.  Any other call — to every group, or to
+        several — is a batch of its own and closes the buckets before it:
+        they are ordered first, and no call after it joins them, so no
+        call passes one it depends on.
+        """
+        batches = []
+        buckets = {}
+        routes = self._routes
+        for index, (name, args) in enumerate(calls):
+            destinations = (routes.get(name) or self._unknown(name))(args)[0]
+            if destinations != ALL_GROUPS and len(destinations) == 1:
+                bucket = buckets.get(destinations)
+                if bucket is None:
+                    buckets[destinations] = [index]
+                else:
+                    bucket.append(index)
+                continue
+            batches.extend(buckets.values())
+            buckets = {}
+            batches.append([index])
+        batches.extend(buckets.values())
+        return batches
 
     def groups_for(self, name, args):
         """Return the destination groups of an invocation.

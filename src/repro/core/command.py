@@ -3,6 +3,14 @@
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+#: The reserved name of a batch command: its ``args`` are ``{"calls":
+#: [(name, args), ...]}``, independent calls of the service that the C-G
+#: function sends to the same destinations (see
+#: :meth:`~repro.core.cg.CGFunction.batches`).  A replica applies them in
+#: order and answers once, with ``[(value, error), ...]``.  No service may
+#: declare a command of this name.
+BATCH = "__batch__"
+
 
 @dataclass
 class Command:

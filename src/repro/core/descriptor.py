@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.core.command import BATCH
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,10 @@ class ServiceSpec:
         self.name = name
         self._descriptors: Dict[str, CommandDescriptor] = {}
         for descriptor in descriptors:
+            if descriptor.name == BATCH:
+                raise ConfigurationError(
+                    f"{BATCH!r} is the reserved name of a batch command"
+                )
             if descriptor.name in self._descriptors:
                 raise ConfigurationError(f"duplicate command {descriptor.name!r}")
             self._descriptors[descriptor.name] = descriptor

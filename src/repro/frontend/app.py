@@ -7,9 +7,10 @@ Endpoints (all JSON):
   :class:`~repro.frontend.models.PutValueRequest` whose ``mode`` selects
   ``insert`` (409 when the key exists), ``update`` (404 when it does
   not), or ``upsert``.
-* ``POST /kv/batch`` — up to 1024 operations, every one multicast before
-  the first is awaited, so one HTTP request fills the replicas' delivery
-  batches.
+* ``POST /kv/batch`` — up to 1024 operations, ordered as one command per
+  destination group (``ClusterBackend.submit_batch``): the keyed ops of
+  one group travel together, an op to every group alone, and every one
+  is on its way before the first answer is awaited.
 * ``/fs/file/{path}``, ``/fs/dir/{path}``, ``/fs/stat/{path}`` — NetFS
   file, directory and metadata operations.
 * ``GET /healthz`` — replica liveness; ``GET /stats`` — backend and
@@ -28,8 +29,9 @@ never ``503``.
 ``backend.submit`` is a plain call that multicasts the command and
 returns the awaitable of its response (see
 :mod:`repro.frontend.backend`): a handler with one command awaits it on
-the spot, a handler with many pipelines them — submit in a plain loop,
-await afterwards — at no ``Task``, coroutine or timer per command.  The
+the spot, and ``/kv/batch`` hands all of its ops to
+``backend.submit_batch``, which submits one command per destination
+group and resolves to every op's ``(value, error)`` in op order.  The
 request timeout travels with each command as a deadline in the
 backend's per-loop queue.
 
@@ -38,7 +40,6 @@ framework (route decorators, signature-driven binding, pydantic
 validation), served over sockets by :mod:`repro.frontend.server`.
 """
 
-import asyncio
 import itertools
 
 from repro.frontend.backend import BackendTimeout
@@ -116,15 +117,16 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
             detail="backend timed out; the operation may still apply",
         )
 
-    def _start(backend, name, **args):
-        """Multicast one command now; return the awaitable of its response."""
+    def _configured(backend):
         if backend is None:
             raise HTTPException(status_code=503, detail="service not configured")
-        return backend.submit(name, timeout=request_timeout, **args)
+        return backend
 
     async def _submit(backend, name, **args):
         try:
-            return await _start(backend, name, **args)
+            return await _configured(backend).submit(
+                name, timeout=request_timeout, **args
+            )
         except BackendTimeout:
             raise _timed_out() from None
 
@@ -229,27 +231,23 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
             raise _not_found("key")
         return WriteResponse(key=key, applied="delete")
 
-    def _batch_start(op):
-        """Validate one batch op and multicast it: the awaitable of its
-        response, or the result of an op that cannot be submitted."""
+    def _batch_call(op):
+        """One batch op as a ``(name, args)`` call, or the result of an
+        op that cannot be submitted."""
         if op.op in ("read", "delete"):
-            args = {}
-        elif op.value is None:
+            return op.op, {"key": op.key}
+        if op.value is None:
             return BatchOpResult(op=op.op, key=op.key, ok=False, error="value required")
-        else:
-            try:
-                args = {"value": encode_value(op.value, op.encoding)}
-            except ValueError as exc:
-                return BatchOpResult(op=op.op, key=op.key, ok=False, error=str(exc))
-        # A bridge may wrap ``submit`` in a coroutine (the benchmark's
-        # tracer does): only as a task is that on its way now, too.
-        return asyncio.ensure_future(_start(kv_backend, op.op, key=op.key, **args))
+        try:
+            value = encode_value(op.value, op.encoding)
+        except ValueError as exc:
+            return BatchOpResult(op=op.op, key=op.key, ok=False, error=str(exc))
+        return op.op, {"key": op.key, "value": value}
 
-    def _batch_result(op, response):
-        error = response.error
+    def _batch_result(op, value, error):
         if op.op == "read":
             if error is None:
-                text, encoding = decode_value(response.value)
+                text, encoding = decode_value(value)
                 return BatchOpResult(
                     op=op.op, key=op.key, ok=True, value=text, encoding=encoding
                 )
@@ -262,19 +260,25 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
 
     @app.post("/kv/batch")
     async def kv_batch(body: BatchRequest) -> BatchResponse:
+        results = [_batch_call(op) for op in body.ops]
+        submitted = [
+            index for index, result in enumerate(results)
+            if not isinstance(result, BatchOpResult)
+        ]
         _admit()
         try:
-            # Submitting all ops before awaiting any is the whole point:
-            # the pipelined commands land in the replicas' delivery
-            # batches together.
-            results = [_batch_start(op) for op in body.ops]
-            for index, op in enumerate(body.ops):
-                if not isinstance(results[index], BatchOpResult):
-                    results[index] = _batch_result(op, await results[index])
+            # One request's calls travel as one command per destination
+            # group (``submit_batch``), all of them on their way before
+            # the first answer is awaited.
+            answers = await _configured(kv_backend).submit_batch(
+                [results[index] for index in submitted], request_timeout
+            )
         except BackendTimeout:
             raise _timed_out() from None
         finally:
             limiter.release()
+        for index, (value, error) in zip(submitted, answers):
+            results[index] = _batch_result(body.ops[index], value, error)
         return BatchResponse(results=results)
 
     # ------------------------------------------------------------------

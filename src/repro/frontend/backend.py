@@ -14,6 +14,10 @@ and without a ``Task``, a coroutine or a timer per command:
   ``await backend.submit(...)`` is one command; to pipeline, call it in
   a plain loop and await the futures afterwards — every command is on
   its way to the replicas' delivery batches before the first ``await``;
+* ``submit_batch(calls)`` is the pipelined form for independent-looking
+  calls: the C-G function packs them into one command per destination
+  group (a :data:`~repro.core.command.BATCH` command, answered once
+  with every call's answer), each sent through ``submit``;
 * the invocation's done-callback appends ``(future, response)`` to the
   loop's inbox — waking the loop with ``call_soon_threadsafe`` only
   when the inbox was empty, so a burst of responses (one ``r`` frame
@@ -39,6 +43,8 @@ import threading
 import weakref
 from collections import deque
 from functools import partial
+
+from repro.core.command import BATCH
 
 _SUBMITTED, _COMPLETED, _TIMED_OUT = range(3)
 
@@ -69,25 +75,27 @@ class _LoopPort:
 
     def __init__(self, client, counts):
         self.client = client
-        #: ``[submitted, completed, timed_out]``, written by this loop's
-        #: thread only; the backend sums every port's.
+        #: ``[submitted, completed, timed_out]`` in calls (a batch counts
+        #: each of its calls), written by this loop's thread only; the
+        #: backend sums every port's.
         self.counts = counts
         self._lock = threading.Lock()
-        self._inbox = []  # (future, response) landed, not yet resolved
-        #: ``(deadline, weak future, pending, name, timeout)`` in deadline
-        #: order; about as long as the window in flight.
+        self._inbox = []  # (future, response, calls) landed, not yet resolved
+        #: ``(deadline, weak future, pending, name, timeout, calls)`` in
+        #: deadline order; about as long as the window in flight.
         self._deadlines = deque()
         self._armed = False  # one timer at most, for the front's deadline
 
     def submit(self, loop, name, timeout, args):
         future = loop.create_future()
-        self.counts[_SUBMITTED] += 1
+        calls = len(args["calls"]) if name == BATCH else 1
+        self.counts[_SUBMITTED] += calls
         pending = self.client.invoke_async(name, **args)
         # Fires on whichever thread delivers the response (or right here,
         # if it already landed).
-        pending.add_done_callback(partial(self.deliver, loop, future))
+        pending.add_done_callback(partial(self.deliver, loop, future, calls))
         deadline = loop.time() + timeout
-        entry = (deadline, weakref.ref(future), pending, name, timeout)
+        entry = (deadline, weakref.ref(future), pending, name, timeout, calls)
         queue = self._deadlines
         if queue and deadline < queue[-1][0]:
             # A shorter timeout than one queued before it: its own timer.
@@ -122,9 +130,9 @@ class _LoopPort:
         future = self._owed(entry)
         if future is None:
             return
-        _deadline, _ref, pending, name, timeout = entry
+        _deadline, _ref, pending, name, timeout, calls = entry
         pending.discard()
-        self.counts[_TIMED_OUT] += 1
+        self.counts[_TIMED_OUT] += calls
         future.set_exception(BackendTimeout(name, timeout))
         # Accounted for above; a caller that is no longer there to see it
         # (cancelled, or already failed on an earlier command of its
@@ -142,11 +150,11 @@ class _LoopPort:
         else:
             self._armed = False
 
-    def deliver(self, loop, future, response):
+    def deliver(self, loop, future, calls, response):
         """Any thread: file a response; wake ``loop`` if nobody has."""
         with self._lock:
             wake = not self._inbox  # non-empty: a drain is already due
-            self._inbox.append((future, response))
+            self._inbox.append((future, response, calls))
         if wake:
             try:
                 loop.call_soon_threadsafe(self._drain)
@@ -159,10 +167,10 @@ class _LoopPort:
     def _drain(self):
         with self._lock:
             landed, self._inbox = self._inbox, []
-        for future, response in landed:
+        for future, response, calls in landed:
             if not future.done():
                 future.set_result(response)
-                self.counts[_COMPLETED] += 1
+                self.counts[_COMPLETED] += calls
 
 
 class ClusterBackend:
@@ -208,6 +216,48 @@ class ClusterBackend:
         loop = asyncio.get_running_loop()
         port = self._ports.get(loop) or self._new_port(loop)
         return port.submit(loop, name, timeout, args)
+
+    def submit_batch(self, calls, timeout=None):
+        """Multicast ``(name, args)`` calls now; return the awaitable of
+        their answers, ``[(value, error), ...]`` in call order.
+
+        The C-G function packs the calls into batches
+        (:meth:`~repro.core.cg.CGFunction.batches`), and each batch goes
+        through :meth:`submit` — one command, one future and one deadline
+        — as a :data:`~repro.core.command.BATCH` command, or as the plain
+        command when it holds one call.  Every batch is on its way when
+        this returns.  Awaiting it raises :class:`BackendTimeout` when any
+        batch went unanswered; :meth:`stats` counts calls.
+        """
+        parts = []
+        for indices in self.cluster.cg.batches(calls):
+            if len(indices) == 1:
+                name, args = calls[indices[0]]
+                answer = self.submit(name, timeout, **args)
+            else:
+                batch = [calls[index] for index in indices]
+                answer = self.submit(BATCH, timeout, calls=batch)
+            # A bridge may wrap ``submit`` in a coroutine (the benchmark's
+            # tracer does): only as a task is that on its way now, too.
+            parts.append((indices, asyncio.ensure_future(answer)))
+        return self._answers(len(calls), parts)
+
+    @staticmethod
+    async def _answers(count, parts):
+        answers = [None] * count
+        for indices, future in parts:
+            response = await future
+            if len(indices) == 1:
+                answers[indices[0]] = (response.value, response.error)
+            elif response.error is not None:
+                # The batch as a whole failed (its answer could not
+                # travel): so did each of its calls.
+                for index in indices:
+                    answers[index] = (None, response.error)
+            else:
+                for index, answer in zip(indices, response.value):
+                    answers[index] = answer
+        return answers
 
     # ------------------------------------------------------------------
     @property

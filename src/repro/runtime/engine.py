@@ -8,6 +8,11 @@ arrives last at its barrier; the earlier arrivals are parked until it is
 done (Algorithm 1 names the lowest-indexed thread instead; with every
 other destination parked at the same point of its stream, the outcome is
 the same).
+A :data:`~repro.core.command.BATCH` command — calls a client packed
+because the C-G function sends them to the same destinations — runs
+where its destinations say, like any command: its calls are applied in
+order and it is answered once, with ``[(value, error), ...]``, on both
+runtimes.
 The engine also owns everything a replica keeps to itself — the
 checkpoint chain with its full/delta cadence, the durable store it is
 persisted to, chain-suffix donation and the delivery counters.  A
@@ -36,6 +41,7 @@ from functools import lru_cache
 from repro.common.checkpoint import restore_chain
 from repro.common.codec import decode_command
 from repro.common.errors import CheckpointError, ReplicaCrashedError
+from repro.core.command import BATCH, Command, Response
 from repro.core.protocol import plan_execution
 
 #: Messages a worker drains per wake-up: one lock round-trip amortised
@@ -306,8 +312,23 @@ class ReplicaEngine:
             pending.clear()
 
     def _execute(self, command):
-        """Apply one command; return the response (the caller reports it)."""
-        response = self.service.apply(command)
+        """Apply one command; return the response (the caller reports it).
+
+        A :data:`~repro.core.command.BATCH` command applies its calls in
+        order, each as a command of the batch's uid, and is answered once,
+        with ``[(value, error), ...]``: the plan that runs it is the one
+        its destinations name, like any other command's.
+        """
+        if command.name == BATCH:
+            apply = self.service.apply
+            uid = command.uid
+            answers = []
+            for name, args in command.args["calls"]:
+                answer = apply(Command(uid, name, args))
+                answers.append((answer.value, answer.error))
+            response = Response(uid, answers)
+        else:
+            response = self.service.apply(command)
         if self.crashed:
             raise ReplicaCrashedError("replica crashed before replying")
         response.replica_id = self.replica_id

@@ -36,13 +36,15 @@ import tempfile
 import threading
 
 import repro
+from repro import services
 from repro.common.errors import ConfigurationError, RecoveryError
 from repro.runtime.cluster import PSMRControlPlane
 from repro.runtime.transport import wire
 from repro.runtime.transport.tcp import TcpCoordinatorTransport
-from repro.services import KVSTORE_SPEC, NETFS_SPEC
 
-_DEFAULT_SPECS = {"kvstore": KVSTORE_SPEC, "netfs": NETFS_SPEC}
+#: ``service`` -> the name of its spec in :mod:`repro.services`, resolved
+#: when a cluster is built: a kvstore cluster never loads NetFS.
+_SPECS = {"kvstore": "KVSTORE_SPEC", "netfs": "NETFS_SPEC"}
 
 #: How long a spawned replica process has to dial in and say ``hello``.
 SPAWN_TIMEOUT = 30.0
@@ -242,14 +244,16 @@ class ProcessPSMRCluster(PSMRControlPlane):
                  mpl=4, num_replicas=2, barrier_timeout=10.0, seed=0,
                  log_retention=None, checkpoint_policy=None, store_dir=None,
                  fault_plane=None, host="127.0.0.1", shard_map=None):
-        if service not in _DEFAULT_SPECS:
+        if service not in _SPECS:
             raise ConfigurationError(f"unknown service {service!r}")
+        if spec is None:
+            spec = getattr(services, _SPECS[service])
         self.fault_plane = fault_plane
         self.transport = TcpCoordinatorTransport(
             fault_plane, on_message=self._on_message, host=host
         )
         super().__init__(
-            spec if spec is not None else _DEFAULT_SPECS[service], mpl,
+            spec, mpl,
             self.transport, log_retention,
             num_replicas, barrier_timeout, seed, checkpoint_policy, shard_map,
         )

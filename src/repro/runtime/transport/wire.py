@@ -67,7 +67,10 @@ stream header (:func:`repro.common.codec.encode_value`):
 command    ``0xC3`` u8 · layout ``2`` u8 · uid (i64, i64) · ``size_bytes``
            u32 · ``submitted_at`` f64 · destination count u16 · name length
            u16 · count x group id u32 · name, UTF-8 · ``args`` *value*
-           (:func:`repro.common.codec.encode_command`).
+           (:func:`repro.common.codec.encode_command`).  A batch command
+           (name ``__batch__``) is one too: its ``args`` are ``{"calls":
+           [(name, args), ...]}``, and its answer in an ``r`` frame is
+           the *value* ``[(value, error), ...]``.
 =========  ================================================================
 
 A destination count of ``0xFFFF`` / ``0xFFFE`` stands for ``"ALL"`` /

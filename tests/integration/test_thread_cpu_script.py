@@ -1,5 +1,5 @@
-"""``scripts/thread_cpu.py`` at toy scale: it names the threads that matter
-and leaves nothing running."""
+"""``scripts/thread_cpu.py`` at toy scale: it names the threads that matter,
+reads four sub-windows and leaves nothing running."""
 
 import importlib.util
 import os
@@ -15,11 +15,14 @@ def test_split_names_the_runner_and_replica_threads(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("thread_cpu", SCRIPT)
     thread_cpu = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(thread_cpu)
-    rows, runner, rate = thread_cpu.split("http-batch", seconds=0.5, warmup_s=0.2)
+    rows, runner, rates = thread_cpu.split("http-batch", seconds=0.8, warmup_s=0.2)
     names = {row[0] for row in rows}
     assert {"frontend-http", "psmr-pump", "psmr-tcp-reader", "generator-0", "generator-1"} <= names
     for replica in (0, 1):
         assert {f"replica{replica}-recv", *(f"replica{replica}-t{t}" for t in range(1, 5))} <= names
-    assert rate > 0 and 0 < runner <= len(os.sched_getaffinity(0))
+    # One raw rate per sub-window, and a median CPU inside its min-max.
+    assert len(rates) == thread_cpu.SUB_WINDOWS == 4 and all(rate > 0 for rate in rates)
+    assert 0 < runner <= len(os.sched_getaffinity(0))
     assert all(value >= 0 for row in rows for value in row[1:])
+    assert all(low <= cpu <= high for _name, cpu, low, high, *_rest in rows)
     assert surviving_children() == []

@@ -145,9 +145,21 @@ edge_ints = st.sampled_from(
     [-(2**63) - 1, -(2**63), -1, 0, 2**63 - 1, 2**63, 2**64, -(2**64)]
 )
 arg_keys = st.text(max_size=8) | st.integers() | st.binary(max_size=4)
+#: A batch command's ``calls``: ``(name, args)`` tuples, between values
+#: the fast path leaves to the generic codec (a first item that is no
+#: call included).
+batch_calls = st.lists(
+    st.tuples(
+        st.text(max_size=8),
+        st.dictionaries(st.text(max_size=8), int64 | st.binary(max_size=40), max_size=3)
+        | values,
+    )
+    | values,
+    max_size=6,
+)
 arg_values = (
     int64 | edge_ints | st.integers() | st.binary(max_size=40)
-    | st.binary(max_size=20).map(bytearray) | values
+    | st.binary(max_size=20).map(bytearray) | batch_calls | values
 )
 command_args = (
     st.dictionaries(arg_keys, arg_values, max_size=6)

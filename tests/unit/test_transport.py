@@ -16,7 +16,9 @@ import pytest
 
 import repro
 from repro.common import codec, framing
-from repro.common.errors import CheckpointError, ProtocolError, RecoveryError
+from repro.common.errors import (
+    CheckpointError, ConfigurationError, ProtocolError, RecoveryError,
+)
 from repro.common.faults import FaultPlane, ReliableLink
 from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
@@ -1617,6 +1619,28 @@ class TestOneConcurrencyModel:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert exported.stdout.strip() == "repro.runtime.proccluster"
+
+    def test_a_kvstore_coordinator_never_loads_netfs(self):
+        # The cluster resolves its service's spec when it is built: a
+        # kvstore cluster, constructed and not started, has loaded neither
+        # NetFS nor the file system behind it.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.runtime.proccluster as proc; "
+             "cluster = proc.ProcessPSMRCluster(service='kvstore'); "
+             "cluster.shutdown(); "
+             "print(cluster.spec.name, [m for m in ('repro.services.netfs', "
+             "'repro.fs.memfs') if m in sys.modules])"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert loaded.stdout.strip() == "kvstore []"
+
+    def test_an_unknown_service_is_a_configuration_error(self):
+        from repro.runtime.proccluster import ProcessPSMRCluster
+
+        with pytest.raises(ConfigurationError, match="unknown service 'nosuch'"):
+            ProcessPSMRCluster(service="nosuch")
 
 
 class TestLazyPackageExports:
