@@ -257,26 +257,6 @@ class CheckpointStore:
                 except OSError:
                     pass
 
-    def append(self, entry):
-        """Persist one chain entry: a full starts a new chain, a delta extends.
-
-        Each append is one atomic step: the new segment is written and
-        fsynced first, then the manifest commit makes it visible.  A crash
-        anywhere in between leaves the previous chain intact.
-        """
-        if entry["kind"] == "full":
-            kept = []
-        elif entry["kind"] == "delta":
-            if not self._records:
-                raise CheckpointError(
-                    "cannot append a delta to an empty durable chain"
-                )
-            kept = list(self._records)
-        else:
-            raise CheckpointError(f"unknown checkpoint kind: {entry['kind']!r}")
-        record = self._write_segment(entry)
-        self._commit_manifest([*kept, record])
-
     def sync_chain(self, chain):
         """Make the durable chain match ``chain`` with the fewest writes.
 
@@ -284,9 +264,16 @@ class CheckpointStore:
         segment files are reused untouched — and only the divergent suffix
         is written before one manifest commit.  Appending a delta writes
         one segment; a new full base rewrites everything and the manifest
-        commit drops the old segments.
+        commit drops the old segments.  The manifest is committed only
+        after every new segment is written and fsynced, so a crash
+        anywhere in between leaves the previous chain intact.  A chain
+        is one full base and the deltas taken since: anything else is a
+        :class:`CheckpointError`, and nothing is written.
         """
         chain = list(chain)
+        kinds = [entry["kind"] for entry in chain]
+        if kinds and kinds != ["full"] + ["delta"] * (len(kinds) - 1):
+            raise CheckpointError(f"not a full base and its deltas: {kinds}")
         if not chain:
             if self._records:
                 self._commit_manifest([])

@@ -4,22 +4,21 @@ The paper's atomic multicast is *reliable* and FIFO-atomic: messages may
 be arbitrarily delayed by the network, but every correct destination
 eventually delivers every message, exactly once, in sequence order.  The
 fault plane therefore never decides *whether* a message arrives — only
-*when*, and in how many redundant copies.  A dropped copy is modelled as
-a retransmission after a backoff; a partition is an infinite-delay link
-that starts flowing again on :meth:`FaultPlane.heal`.  Faults surface as
-latency, never as ordering or agreement violations — that invariant is
-what the nemesis suite pins against the linearizability oracle.
+*when*.  A dropped transmission is modelled as a retransmission after a
+backoff; a partition is an infinite-delay link that starts flowing again
+on :meth:`FaultPlane.heal`.  The pump that applies the plan
+(:mod:`repro.runtime.transport.pump`) keeps each link FIFO, as the TCP
+connection or in-process hand-off under it does, so faults surface as
+latency, never as loss, duplication or reordering — the invariant the
+nemesis suite pins against the linearizability oracle.
 
-Three pieces live here because both runtimes share them:
+Two pieces live here because both runtimes share them:
 
-* :class:`FaultPlane` — per-link fault probabilities (drop, delay,
-  duplicate, reorder), partitions, isolation and heal, all
-  driven by one explicit ``random.Random(seed)``.  Every random decision
-  and every topology change is appended to a schedule log so a run's
-  fault schedule can be compared byte-for-byte across replays.
-* :class:`ReliableLink` — the receiver half: per-link sequence numbers,
-  duplicate suppression and in-order release, turning the plane's
-  delayed/duplicated/reordered copies back into a gap-free FIFO stream.
+* :class:`FaultPlane` — per-link fault probabilities (drop, delay),
+  partitions, isolation and heal, all driven by one explicit
+  ``random.Random(seed)``.  Every random decision and every topology
+  change is appended to a schedule log so a run's fault schedule can be
+  compared byte-for-byte across replays.
 * :class:`Nemesis` — a seeded plan generator interleaving partitions,
   crashes, recoveries, disk restarts and checkpoint markers
   under safety constraints (never crash the last live replica, heal
@@ -28,7 +27,7 @@ Three pieces live here because both runtimes share them:
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 
@@ -37,7 +36,6 @@ __all__ = [
     "LinkFaults",
     "Nemesis",
     "NemesisOp",
-    "ReliableLink",
 ]
 
 
@@ -49,33 +47,22 @@ class LinkFaults:
     must be retransmitted after the plane's backoff (reliability is never
     sacrificed — a "dropped" message is simply late).  ``delay`` is the
     probability of adding extra latency drawn uniformly from
-    ``delay_range``.  ``duplicate`` is the probability of emitting one
-    redundant copy.  ``reorder`` is the probability of holding a message
-    for ``reorder_window`` extra seconds so later traffic overtakes it on
-    the wire (the receiver's :class:`ReliableLink` restores order).
+    ``delay_range``.
     """
 
     drop: float = 0.0
     delay: float = 0.0
     delay_range: tuple = (0.0, 0.0)
-    duplicate: float = 0.0
-    reorder: float = 0.0
-    reorder_window: float = 0.0
 
     def validate(self):
-        for name in ("drop", "delay", "duplicate", "reorder"):
+        for name in ("drop", "delay"):
             probability = getattr(self, name)
             if not 0.0 <= probability <= 1.0:
                 raise ConfigurationError(f"{name} probability must be in [0, 1]")
         low, high = self.delay_range
         if low < 0 or high < low:
             raise ConfigurationError("delay_range must be 0 <= low <= high")
-        if self.reorder_window < 0:
-            raise ConfigurationError("reorder_window must be >= 0")
         return self
-
-    def any_active(self):
-        return bool(self.drop or self.delay or self.duplicate or self.reorder)
 
 
 _NO_FAULTS = LinkFaults()
@@ -91,11 +78,10 @@ class FaultPlane:
     default.
 
     :meth:`plan_delivery` consumes randomness and returns, for one message
-    on one link, the non-empty tuple of per-copy arrival delays — at least
-    one copy always arrives (reliability), duplicates add copies, drops
-    and reordering only add latency.  :meth:`is_blocked` answers whether a
-    link is currently severed by a partition; senders poll it with the
-    plane's ``retransmit_backoff`` until :meth:`heal`.
+    on one link, its extra latency: the message always arrives
+    (reliability), drops and delays only make it late.  :meth:`is_blocked`
+    answers whether a link is currently severed by a partition; the pump
+    polls it every ``retransmit_backoff`` until :meth:`heal`.
 
     All mutating calls and random draws are serialised by an internal
     lock (the threaded runtime consults the plane from several threads)
@@ -124,11 +110,8 @@ class FaultPlane:
         self._schedule = []
         self.stats = {
             "messages": 0,
-            "copies": 0,
             "retransmits": 0,
-            "duplicates": 0,
             "delayed": 0,
-            "reordered": 0,
             "blocked_retries": 0,
         }
 
@@ -194,45 +177,35 @@ class FaultPlane:
     # Per-message fault decisions
     # ------------------------------------------------------------------
     def plan_delivery(self, src, dst):
-        """Plan one message's copies on src->dst; return per-copy delays.
+        """Plan one message on src->dst; return its delay in seconds.
 
-        Always returns a non-empty tuple of finite delays: the first
-        element models the (possibly retransmitted, delayed, reordered)
-        surviving copy, later elements are redundant duplicates.  The
-        receiver deduplicates, so extra copies are harmless.
+        A finite delay, ``0.0`` on a link without faults: the backoff of
+        each dropped transmission (at most ``max_retransmits - 1`` of
+        them) plus any extra latency.  The pump releases a link's
+        messages in posting order, so a late message holds back the ones
+        behind it.
         """
         with self._lock:
             faults = self._faults_for_locked(src, dst)
             self.stats["messages"] += 1
-            if not faults.any_active():
-                self.stats["copies"] += 1
-                self._schedule.append(("plan", src, dst, (0.0,)))
-                return (0.0,)
             rng = self._rng
-            base = 0.0
+            delay = 0.0
             attempts = 1
+            # A probability of 0 draws nothing: a fault-free link consumes
+            # no randomness.
             while (
                 faults.drop
                 and attempts < self.max_retransmits
                 and rng.random() < faults.drop
             ):
-                base += self.retransmit_backoff
+                delay += self.retransmit_backoff
                 attempts += 1
                 self.stats["retransmits"] += 1
             if faults.delay and rng.random() < faults.delay:
-                base += rng.uniform(*faults.delay_range)
+                delay += rng.uniform(*faults.delay_range)
                 self.stats["delayed"] += 1
-            if faults.reorder and rng.random() < faults.reorder:
-                base += faults.reorder_window
-                self.stats["reordered"] += 1
-            delays = [base]
-            if faults.duplicate and rng.random() < faults.duplicate:
-                delays.append(base + rng.uniform(0.0, self.retransmit_backoff))
-                self.stats["duplicates"] += 1
-            self.stats["copies"] += len(delays)
-            delays = tuple(delays)
-            self._schedule.append(("plan", src, dst, delays))
-            return delays
+            self._schedule.append(("plan", src, dst, delay))
+            return delay
 
     # ------------------------------------------------------------------
     # Schedule replay
@@ -245,43 +218,6 @@ class FaultPlane:
         """Serialised fault schedule, byte-for-byte comparable across replays."""
         with self._lock:
             return "\n".join(repr(entry) for entry in self._schedule).encode("utf-8")
-
-
-class ReliableLink:
-    """Receiver-side reassembly: dedup + in-order release per link.
-
-    The sender stamps each message with a per-link sequence number
-    (0, 1, 2, ...).  :meth:`accept` files one arriving copy and returns
-    the (possibly empty) list of items now releasable in order (the next
-    expected copy, with nothing held back, passes straight through);
-    duplicate and already-released sequence numbers are discarded.
-    ``pending()`` counts copies held back waiting for an earlier sequence
-    number, which the drain checks must include: a reordered message is
-    in flight, not delivered.
-    """
-
-    def __init__(self):
-        self._next = 0
-        self._buffer = {}
-
-    def accept(self, sequence, item):
-        if sequence == self._next and not self._buffer:
-            self._next = sequence + 1  # in order, nothing held back
-            return [item]
-        if sequence < self._next or sequence in self._buffer:
-            return []
-        self._buffer[sequence] = item
-        released = []
-        while self._next in self._buffer:
-            released.append(self._buffer.pop(self._next))
-            self._next += 1
-        return released
-
-    def pending(self):
-        return len(self._buffer)
-
-    def next_expected(self):
-        return self._next
 
 
 # ----------------------------------------------------------------------

@@ -99,9 +99,6 @@ def _fault_plan(runtime, runner, arguments, shape, kinds, **plane_options):
         "drop": rng.uniform(0.0, 0.25),
         "delay": rng.uniform(0.0, 0.4),
         "delay_range": (0.0005, 0.004),
-        "duplicate": rng.uniform(0.0, 0.3),
-        "reorder": rng.uniform(0.0, 0.25),
-        "reorder_window": 0.004,
     }
     plane = FaultPlane(seed=derive_seed(seed, "plane"), **plane_options)
     plane.set_link(**profile)

@@ -298,8 +298,10 @@ class ReplicaEngine:
                         self._flush_responses(pending)
                         uid = command.uid
                         if barrier.arrive(uid, len(plan.peers) + 1, timeout):
-                            self.on_responses([(uid, self._execute(command))])
-                            barrier.release(uid)
+                            try:
+                                self.on_responses([(uid, self._execute(command))])
+                            finally:
+                                barrier.release(uid)
                     # plan.mode == "ignore": not a destination; nothing to do.
                 except ReplicaCrashedError:
                     return
@@ -320,7 +322,7 @@ class ReplicaEngine:
         its destinations name, like any other command's.
         """
         if command.name == BATCH:
-            apply = self.service.apply
+            apply = self._apply
             uid = command.uid
             answers = []
             for name, args in command.args["calls"]:
@@ -328,11 +330,23 @@ class ReplicaEngine:
                 answers.append((answer.value, answer.error))
             response = Response(uid, answers)
         else:
-            response = self.service.apply(command)
+            response = self._apply(command)
         if self.crashed:
             raise ReplicaCrashedError("replica crashed before replying")
         response.replica_id = self.replica_id
         return response
+
+    def _apply(self, command):
+        """``service.apply``: an exception it raises is the command's
+        error response, naming its type, and the worker goes on — every
+        replica meets the same exception at the same point of its stream.
+        """
+        try:
+            return self.service.apply(command)
+        except ReplicaCrashedError:
+            raise
+        except Exception as exc:
+            return Response(command.uid, error=f"{type(exc).__name__}: {exc}")
 
     def _handle_cut(self, sequence, cut):
         """Synchronous-mode execution of a cut, and its report.

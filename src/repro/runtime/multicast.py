@@ -239,9 +239,9 @@ class LocalAtomicMulticast:
         """Undelivered messages across all replicas (or one replica's).
 
         Includes messages still held by the transport — delayed,
-        retransmitting, partition-parked, awaiting in-order reassembly or
+        retransmitting, held by a partition or behind a late message, or
         not yet written to a socket — so a drain check cannot report an
-        empty system while copies are merely late.
+        empty system while messages are merely late.
         """
         return self.transport.pending(replica_id)
 

@@ -13,9 +13,9 @@ its own :class:`~repro.runtime.engine.ReplicaEngine` and its own durable
   reloads whatever the crash-safe store holds before the control plane's
   replay → chain-suffix → full-transfer negotiation runs;
 * a :class:`~repro.common.faults.FaultPlane` plugged into the transport
-  drops/delays/duplicates/reorders/partitions actual TCP frames per
-  link, so the nemesis episodes (linearizability oracle included) run
-  unchanged against real processes.
+  delays (a drop is a retransmit backoff) and partitions the actual TCP
+  frames of each link, so the nemesis episodes (linearizability oracle
+  included) run unchanged against real processes.
 
 What this module adds to the control plane is only the replica handle
 (:class:`_ProcReplica`: a ``Popen`` plus a request/reply RPC over the

@@ -92,19 +92,6 @@ class ReplicaProcess:
         )
 
     # ------------------------------------------------------------------
-    # Ordered-stream dispatch (main thread)
-    # ------------------------------------------------------------------
-    def accept_deliver(self, messages):
-        """File a ``d`` frame's ``(ls, s, dst, body)`` messages with the
-        inbox.  ``dst`` is decoded as the workers want it ("ALL" or a
-        tuple) and the body is still the command's bytes: each worker
-        decodes its own copy, off this thread."""
-        self.inbox.accept(
-            (link_sequence, (sequence, destinations, body))
-            for link_sequence, sequence, destinations, body in messages
-        )
-
-    # ------------------------------------------------------------------
     # Management requests (main thread, inline — all cheap)
     # ------------------------------------------------------------------
     def handle_request(self, message):
@@ -112,9 +99,7 @@ class ReplicaProcess:
         req = message.get("req")
         engine = self.engine
         if kind == "stats?":
-            stats = engine.stats()
-            stats["queued"] += self.inbox.link.pending()
-            self.send({"t": "stats", "req": req, **stats})
+            self.send({"t": "stats", "req": req, **engine.stats()})
         elif kind == "snap?":
             self.send({"t": "snap", "req": req, "state": engine.snapshot()})
         elif kind == "chain?":
@@ -152,7 +137,10 @@ class ReplicaProcess:
             for message in messages:
                 kind = message.get("t")
                 if kind == "d":
-                    self.accept_deliver(message["msgs"])
+                    # ``(s, dst, body)`` as the workers want them: ``dst``
+                    # "ALL" or a tuple, the body still the command's
+                    # bytes, which each worker decodes off this thread.
+                    self.inbox.accept(message["msgs"])
                     continue
                 # A control frame cuts the run: everything ordered before
                 # it is queued before it is handled.

@@ -6,22 +6,21 @@ worker's wait and its wake-up all run in C, with no Python-level lock
 between the sender and the worker.
 
 :class:`ReplicaInbox` is what a replica does with its ordered stream, in
-both runtimes: reassemble the link-sequenced copies (possibly duplicated
-or reordered on the way) through one
-:class:`~repro.common.faults.ReliableLink`, file each released item with
-the workers that deliver its destinations — thread ``t_i`` delivers
-``g_i`` and ``g_all``, so which workers take a message depends on its
-destinations alone — and hand each worker its run with one ``put_many``
-(one wake-up).  A replica process feeds it the ``d`` frames of one
-socket read; :class:`InprocTransport` feeds it what the pump writes.
+both runtimes: file each arriving item — its link hands them over once
+and in order — with the workers that deliver its destinations (thread
+``t_i`` delivers ``g_i`` and ``g_all``, so which workers take a message
+depends on its destinations alone) and hand each worker its run with one
+``put_many`` (one wake-up).  A replica process feeds it the ``d`` frames
+of one socket read; :class:`InprocTransport` feeds it what the pump
+writes.
 
 :class:`InprocTransport` is the threaded runtime's transport.  Without a
 fault plane an ordered item is put on the delivering workers' queues of
 every registered replica inline, under the sequencer lock.  With one, it
-takes the process runtime's path minus the socket: ``send`` plans the
-copies per replica, the :class:`~repro.runtime.transport.pump.FramePump`
-holds them until they are due and writes each replica's run into its
-inbox.
+takes the process runtime's path minus the socket: ``send`` plans each
+replica's delay, the :class:`~repro.runtime.transport.pump.FramePump`
+holds the items until they are due, in order per replica, and writes
+each replica's run into its inbox.
 """
 
 import queue
@@ -29,7 +28,6 @@ from collections import deque
 from itertools import islice
 
 from repro.common.codec import Memo
-from repro.common.faults import ReliableLink
 from repro.multicast.group import GroupLayout
 from repro.runtime.transport.pump import FramePump, Link
 
@@ -82,31 +80,29 @@ class DeliveryQueue:
 
 
 class ReplicaInbox:
-    """One replica's receiving end: ``queues`` (thread index -> its
-    :class:`DeliveryQueue`) behind a :class:`ReliableLink`.
+    """One replica's receiving end: ``queues``, thread index -> its
+    :class:`DeliveryQueue`.
 
-    :meth:`accept` files ``(link sequence, (sequence, destinations,
-    payload))`` pairs — what the link releases joins the run of each
-    delivering worker — and :meth:`flush` hands the runs over.  Not
+    :meth:`accept` files ``(sequence, destinations, payload)`` items in
+    their delivery order — each joins the run of every worker that
+    delivers it — and :meth:`flush` hands the runs over.  Not
     thread-safe: one thread feeds an inbox (the replica's receive loop,
     or the pump).
     """
 
     def __init__(self, mpl):
         self.queues = {index: DeliveryQueue() for index in range(1, mpl + 1)}
-        self.link = ReliableLink()
         #: destinations -> the indices of the workers that deliver them
         #: (a multi-group message travels on ``g_all``: every worker).
         self.threads_for = Memo(GroupLayout(mpl).delivering_threads)
         # Items released since the last flush, per thread index.
         self._run = [[] for _ in range(mpl + 1)]
 
-    def accept(self, pairs):
-        accept, threads_for, run = self.link.accept, self.threads_for, self._run
-        for link_sequence, item in pairs:
-            for released in accept(link_sequence, item):
-                for index in threads_for[released[1]]:
-                    run[index].append(released)
+    def accept(self, items):
+        threads_for, run = self.threads_for, self._run
+        for item in items:
+            for index in threads_for[item[1]]:
+                run[index].append(item)
 
     def flush(self):
         """One ``put_many`` (one wake-up) per worker with a run."""
@@ -116,8 +112,8 @@ class ReplicaInbox:
                 items.clear()
 
     def pending(self):
-        """Items queued for the workers plus copies parked in reassembly."""
-        return sum(q.qsize() for q in self.queues.values()) + self.link.pending()
+        """Items queued for the workers."""
+        return sum(q.qsize() for q in self.queues.values())
 
 
 class InprocTransport:
@@ -126,9 +122,8 @@ class InprocTransport:
     is then one link — one planned delivery per replica per message, in
     ascending replica order (so the plane's RNG draws line up across
     replays of the same ordered-message sequence, and with the process
-    runtime), its threads sharing the planned copies like one connection
-    per peer.  The sequencer calls every method but :meth:`pending` under
-    its lock."""
+    runtime), its threads sharing it like one connection per peer.  The
+    sequencer calls every method but :meth:`pending` under its lock."""
 
     #: Commands travel by reference: nothing leaves the process.
     carries_bytes = False
@@ -152,10 +147,9 @@ class InprocTransport:
         link = Link(f"replica{replica_id}", inbox)
         if replay:
             # A local handover, not network traffic: straight into the
-            # queues, on the link sequences the pump then continues from.
-            inbox.accept(enumerate(replay))
+            # queues, ahead of whatever the pump writes next.
+            inbox.accept(replay)
             inbox.flush()
-            link.sequence = len(replay)
         self._links = dict(sorted({**self._links, replica_id: link}.items()))
         self._targets.clear()
         return inbox.queues
@@ -192,8 +186,7 @@ class InprocTransport:
         link.sink.flush()
 
     def pending(self, replica_id=None):
-        """Items no worker has taken yet: queued, held by the pump or
-        parked in reassembly."""
+        """Items no worker has taken yet: queued or held by the pump."""
         return sum(
             link.in_flight + link.sink.pending()
             for key, link in self._links.items()

@@ -3,14 +3,13 @@
 The coordinator (the process running :class:`LocalAtomicMulticast`)
 listens on loopback.  Each replica *process* dials in, sends a ``hello``
 frame, and from then on — once registered — the transport sends it
-every ordered message: serialised once per message, with only the link
-sequence packed per replica, and framed per burst: each write carries a
-link's run of messages as ``d`` frames (one CRC for the run,
-:func:`wire.deliver_frames`).  The replica's
-:class:`~repro.runtime.transport.inproc.ReplicaInbox` fans each message
-out to its worker threads, so the fault plane plans one delivery per
-replica per message in both runtimes and its RNG draws line up across
-them.
+every ordered message: serialised once per message, shared by every
+link, and framed per burst: each write carries a link's run of messages
+as ``d`` frames (one CRC for the run, :func:`wire.deliver_frames`).  The
+replica's :class:`~repro.runtime.transport.inproc.ReplicaInbox` fans
+each message out to its worker threads, so the fault plane plans one
+delivery per replica per message in both runtimes and its RNG draws line
+up across them.
 
 Two threads, whatever the replica count, on the blocking sockets and the
 :class:`wire.FrameReader` the replica end uses too:
@@ -26,12 +25,11 @@ Two threads, whatever the replica count, on the blocking sockets and the
   down, which the reader sees as EOF.
 
 A link lives as long as its connection: each admitted ``hello`` makes a
-fresh one (link sequences restart at zero, copies toward the previous
-connection are void) and unregistration voids the copies still parked
-toward the registration.  Control traffic (handshake, restore, stats,
-snapshots, shutdown) rides the same per-link FIFO but bypasses fault
-planning and link sequencing; it is management traffic, like the
-un-faulted response path in the threaded runtime.
+fresh one (items toward the previous connection are void) and
+unregistration voids the items still held toward the registration.
+Control traffic (handshake, restore, stats, snapshots, shutdown) rides
+the same per-link FIFO but bypasses fault planning; it is management
+traffic, like the un-faulted response path in the threaded runtime.
 """
 
 import selectors
@@ -41,12 +39,22 @@ import traceback
 
 from repro.common.errors import RecoveryError
 from repro.runtime.transport import wire
-from repro.runtime.transport.pump import NOW, FramePump, Link
+from repro.runtime.transport.pump import FramePump, Link
 
 #: How long one ``sendall`` may wait on a peer that stopped reading
 #: before its link is dropped like any broken one.  The pump serves every
 #: link, so this is also the longest one stalled peer delays the others.
 SEND_TIMEOUT = 5.0
+
+
+class _Control:
+    """A control frame on its way: written as it is, between the ``d``
+    bursts of the ordered messages around it."""
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame):
+        self.frame = frame
 
 
 class _Peer(Link):
@@ -204,7 +212,7 @@ class TcpCoordinatorTransport:
         return True
 
     def _sever(self, peer):
-        """End a link from any thread: no longer current, its parked copies
+        """End a link from any thread: no longer current, its held items
         void, the socket shut down — which the reader sees as EOF, and it
         alone closes."""
         with self._lock:
@@ -244,12 +252,11 @@ class TcpCoordinatorTransport:
             [*self._registered, (replica_id, f"replica{replica_id}")]
         )
         # Replay is a local handover, not network traffic: frames carry
-        # the retained suffix without fault planning, consuming link
-        # sequences from zero on the (fresh) connection.
+        # the retained suffix without fault planning.
         link = self._links.get(replica_id)
         if replay and link is not None:
             self.pump.post(
-                [(link, wire.ordered_part(*item), NOW) for item in replay]
+                [(link, wire.ordered_part(*item), 0.0) for item in replay]
             )
 
     def on_replica_unregistered(self, replica_id):
@@ -261,8 +268,8 @@ class TcpCoordinatorTransport:
             self.pump.void(link)
 
     def send(self, item):
-        # Serialise once per multicast: per link, only the link sequence
-        # is left to pack, and the frame around the burst (``_write``).
+        # Serialise once per multicast: per link, only the frame around
+        # the burst is left to pack (``_write``).
         ordered = wire.ordered_part(*item)
         plane = self.fault_plane
         links = self._links
@@ -270,10 +277,10 @@ class TcpCoordinatorTransport:
         for replica_id, node in self._registered:
             # Planned whether or not the replica is connected: the draws
             # depend on the ordered stream alone.
-            delays = NOW if plane is None else plane.plan_delivery("order", node)
+            delay = 0.0 if plane is None else plane.plan_delivery("order", node)
             link = links.get(replica_id)
             if link is not None:
-                entries.append((link, ordered, delays))
+                entries.append((link, ordered, delay))
         self.pump.post(entries)
 
     def _write(self, link, items):
@@ -281,14 +288,14 @@ class TcpCoordinatorTransport:
         each run of ordered messages between control frames as ``d``
         bursts (:func:`wire.deliver_frames`), control frames as they are."""
         chunks, run = [], []
-        for sequence, body in items:
-            if sequence is not None:
-                run.append((sequence, body))
+        for body in items:
+            if type(body) is not _Control:
+                run.append(body)
                 continue
             if run:
                 chunks += wire.deliver_frames(run)
                 run = []
-            chunks.append(body)
+            chunks.append(body.frame)
         if run:
             chunks += wire.deliver_frames(run)
         try:
@@ -300,8 +307,8 @@ class TcpCoordinatorTransport:
         self.frames_written += len(items)
 
     def pending(self, replica_id=None):
-        """Copies the pump still holds: what a replica has queued or
-        parked is its own (it reports it in its stats)."""
+        """Items the pump still holds: what a replica has queued is its
+        own (it reports it in its stats)."""
         return sum(
             link.in_flight for link in list(self._links.values())
             if replica_id in (None, link.replica_id)
@@ -311,9 +318,9 @@ class TcpCoordinatorTransport:
     # Control plane (cluster thread): un-faulted management frames
     # ------------------------------------------------------------------
     def control_send(self, replica_id, message):
-        """Send a management frame outside link sequencing and fault
-        planning; returns False when the replica has no live connection."""
-        frame = wire.encode_message(message)
+        """Send a management frame outside fault planning; returns False
+        when the replica has no live connection."""
+        frame = _Control(wire.encode_message(message))
         link = self._links.get(replica_id)
         if link is None:
             return False

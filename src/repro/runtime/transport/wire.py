@@ -9,9 +9,10 @@ batch of responses.  Every other type is the dict in the
 :mod:`repro.common.codec` binary format.  The first payload byte (``d``,
 ``r`` or the codec's ``0xC3``) tells them apart; :func:`encode_message`
 / :func:`decode_payload` speak dicts for all of them — a ``d`` frame is
-encoded from one message ``{"t": "d", "ls", "s", "dst", "b"}`` and
-decoded as ``{"t": "d", "msgs": [(ls, s, dst, b), ...]}``; the transport
-writes a whole run with :func:`deliver_frames`.
+encoded from one message ``{"t": "d", "s", "dst", "b"}`` and decoded as
+``{"t": "d", "msgs": [(s, dst, b), ...]}``; the transport writes a whole
+run with :func:`deliver_frames`.  A link is a TCP connection: it carries
+its messages once and in order, so they need no numbering of their own.
 
 ======================  =====  ==============================================
 type                    dir    meaning
@@ -20,16 +21,17 @@ type                    dir    meaning
                                durable-chain watermark
 ``welcome``             s→c    handshake reply: barrier timeout and the
                                checkpoint-policy knob the engine reads
-                               locally (full_every)
+                               locally (full_every).  Each connection
+                               is a fresh link: nothing still held
+                               toward an earlier one is written to it
 ``restore``             s→c    recovery state install before start: mode
                                ``full`` (sequence + state) or ``chain``
                                (suffix entries extending the local chain)
 ``start``               s→c    registration complete; spin up workers
-``d``                   s→c    a burst of ordered messages, each with its
-                               per-link sequence ``ls`` (the pump may
-                               reorder or duplicate copies under a fault
-                               plane; a ReliableLink restores the gap-free
-                               stream), global sequence, destinations and
+``d``                   s→c    a burst of ordered messages, in the order
+                               the replica delivers them (the pump keeps
+                               each link FIFO under a fault plane): each
+                               with its global sequence, destinations and
                                body (encoded command bytes or a cut dict,
                                :func:`make_cut`)
 ``r``                   c→s    batched command responses
@@ -48,18 +50,17 @@ Fixed layouts, big-endian; *value* is one tagged codec value without the
 stream header (:func:`repro.common.codec.encode_value`):
 
 =========  ================================================================
-``d``      ``'d'`` u8 · message count u32 · per message: ``ls`` i64 ·
-           length u32 · the ordered part: ``s`` i64 · body kind u8 ·
-           destination count u16 · count x group id u32 · body, to the
-           length's end.  Kind 0: the encoded command, verbatim — the
-           ordering layer does not parse what it orders; kind 1: one
-           *value* (a cut dict).  Only ``ls`` differs
-           between the copies of one multicast: :func:`ordered_part` builds
-           the rest once, :func:`deliver_frames` frames one link's run of
-           them — every run between two control frames, cut so that no
-           frame's payload passes :attr:`FrameReader.SIZE` unless one
-           message alone does.  One message is the count-1 case
-           (:func:`deliver_frame`).
+``d``      ``'d'`` u8 · message count u32 · per message: length u32 · the
+           ordered part: ``s`` i64 · body kind u8 · destination count u16
+           · count x group id u32 · body, to the length's end.  Kind 0:
+           the encoded command, verbatim — the ordering layer does not
+           parse what it orders; kind 1: one *value* (a cut dict).  Every
+           link carries the same bytes of one multicast:
+           :func:`ordered_part` builds them once, :func:`deliver_frames`
+           frames one link's run of them — every run between two control
+           frames, cut so that no frame's payload passes
+           :attr:`FrameReader.SIZE` unless one message alone does.  One
+           message is the count-1 case (:func:`deliver_frame`).
 ``r``      ``'r'`` u8 · response count u32 · per response: uid (i64, i64)
            · ``value`` *value* · ``error`` *value*.  A ``value`` outside
            the codec's vocabulary travels as ``None`` with an ``error``
@@ -124,9 +125,9 @@ _DELIVER_TAG = ord("d")
 _RESPONSES_TAG = ord("r")
 
 _BURST = struct.Struct(">BI")  # tag, message count
-_ITEM = struct.Struct(">qI")  # ls, length of the ordered part: per link
+_ITEM = struct.Struct(">I")  # length of the ordered part
 _ORDERED = struct.Struct(">qBH")  # s, body kind, destination count
-_DELIVERED = struct.Struct(">qIqBH")  # an item's head, as the decoder reads it
+_DELIVERED = struct.Struct(">IqBH")  # an item's head, as the decoder reads it
 _RESPONSES = struct.Struct(">BI")  # tag, response count
 _UID = struct.Struct(">qq")
 
@@ -135,8 +136,8 @@ _BODY_VALUE = 1  # one codec value: a cut dict
 
 
 def ordered_part(sequence, destinations, payload):
-    """Everything of a ``d`` item the copies of one multicast share:
-    global sequence, body kind, destinations and the body — bytes go in
+    """A ``d`` item as every link of one multicast carries it: global
+    sequence, body kind, destinations and the body — bytes go in
     verbatim, anything else as a codec value."""
     if type(payload) is bytes:
         kind, body = _BODY_COMMAND, payload
@@ -148,8 +149,8 @@ def ordered_part(sequence, destinations, payload):
 
 
 def deliver_frames(messages):
-    """One link's ``d`` frames for a run of ``(ls, ordered part)`` pairs,
-    as a list of byte strings to write in order.
+    """One link's ``d`` frames for a run of ordered parts, as a list of
+    byte strings to write in order.
 
     As few frames as fit :attr:`FrameReader.SIZE` bytes of payload each
     (a message larger than that travels alone), so a replayed log suffix
@@ -157,12 +158,12 @@ def deliver_frames(messages):
     chunks = []
     limit = FrameReader.SIZE
     parts, size = [None], _BURST.size
-    for link_sequence, ordered in messages:
+    for ordered in messages:
         item = _ITEM.size + len(ordered)
         if size + item > limit and size > _BURST.size:
             _close_burst(parts, chunks)
             parts, size = [None], _BURST.size
-        parts.append(_ITEM.pack(link_sequence, len(ordered)))
+        parts.append(_ITEM.pack(len(ordered)))
         parts.append(ordered)
         size += item
     _close_burst(parts, chunks)
@@ -180,14 +181,14 @@ def _close_burst(parts, chunks):
     chunks.append(payload)
 
 
-def deliver_frame(link_sequence, ordered):
+def deliver_frame(ordered):
     """The ``d`` frame of one message: :func:`deliver_frames`' one-message
     case."""
-    return b"".join(deliver_frames([(link_sequence, ordered)]))
+    return b"".join(deliver_frames([ordered]))
 
 
 def _decode_deliver(payload):
-    """A ``d`` payload in one pass: ``(ls, s, dst, body)`` per message."""
+    """A ``d`` payload in one pass: ``(s, dst, body)`` per message."""
     _tag, count = _BURST.unpack_from(payload)
     end = len(payload)
     offset = _BURST.size
@@ -195,8 +196,8 @@ def _decode_deliver(payload):
         raise WireError(f"d frame of {end} bytes claims {count} messages")
     messages = []
     for _ in range(count):
-        link_sequence, length, sequence, kind, destination_count = (
-            _DELIVERED.unpack_from(payload, offset)
+        length, sequence, kind, destination_count = _DELIVERED.unpack_from(
+            payload, offset
         )
         start = offset + _ITEM.size
         offset = start + length
@@ -215,7 +216,7 @@ def _decode_deliver(payload):
                 raise WireError(f"d message ends at byte {at}, not {offset}")
         else:
             raise WireError(f"unknown d-message body kind {kind}")
-        messages.append((link_sequence, sequence, destinations, body))
+        messages.append((sequence, destinations, body))
     if offset != end:
         raise WireError(f"d frame ends at byte {offset} of {end}")
     return {"t": "d", "msgs": messages}
@@ -255,10 +256,9 @@ def _decode_responses(payload):
 def encode_message(message):
     """One wire frame for a message dict."""
     kind = message["t"]
-    if kind == "d":  # one ordered message: ``ls``, ``s``, ``dst``, ``b``
+    if kind == "d":  # one ordered message: ``s``, ``dst``, ``b``
         return deliver_frame(
-            message["ls"],
-            ordered_part(message["s"], message["dst"], message["b"]),
+            ordered_part(message["s"], message["dst"], message["b"])
         )
     if kind == "r":
         return _encode_responses(message["resps"])

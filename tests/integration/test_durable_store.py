@@ -243,12 +243,17 @@ def test_leftover_manifest_tmp_is_ignored(tmp_path):
     ]
 
 
-def test_append_delta_to_empty_store_is_a_typed_error(tmp_path):
+def test_a_chain_that_is_not_a_base_and_its_deltas_is_a_typed_error(tmp_path):
     store = CheckpointStore(str(tmp_path))
-    with pytest.raises(CheckpointError):
-        store.append({"kind": "delta", "sequence": 1, "payload": {}})
-    with pytest.raises(CheckpointError):
-        store.append({"kind": "bogus", "sequence": 1, "payload": {}})
+    full = {"kind": "full", "sequence": 0, "payload": {}}
+    for chain in (
+        [{"kind": "delta", "sequence": 1, "payload": {}}],
+        [{"kind": "bogus", "sequence": 1, "payload": {}}],
+        [full, {"kind": "full", "sequence": 1, "payload": {}}],
+    ):
+        with pytest.raises(CheckpointError):
+            store.sync_chain(chain)
+    assert store.segment_count() == 0 and os.listdir(str(tmp_path)) == []
 
 
 # ----------------------------------------------------------------------

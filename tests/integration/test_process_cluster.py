@@ -187,10 +187,7 @@ def test_restart_from_disk_takes_the_chain_suffix_rung(tmp_path):
 
 def test_fault_plane_mangles_real_socket_frames():
     plane = FaultPlane(seed=5, retransmit_backoff=0.01)
-    plane.set_link(
-        drop=0.1, delay=0.2, delay_range=(0.001, 0.01),
-        duplicate=0.1, reorder=0.1, reorder_window=0.005,
-    )
+    plane.set_link(drop=0.1, delay=0.2, delay_range=(0.001, 0.01))
     with proc_cluster(replicas=2, fault_plane=plane) as cluster:
         client = cluster.client()
         plane.isolate("replica1")
@@ -208,7 +205,7 @@ def test_fault_plane_mangles_real_socket_frames():
         assert cluster.marker_boundary_violations == 0
     stats = plane.stats
     assert stats["delayed"] > 0
-    assert stats["retransmits"] > 0 or stats["duplicates"] > 0
+    assert stats["retransmits"] > 0
 
 
 def test_pipelined_burst_with_a_marker_mid_burst():

@@ -299,23 +299,17 @@ deliver_bodies = (
 
 @settings(max_examples=200, deadline=None)
 @given(
-    link_sequence=st.integers(min_value=0, max_value=2**63 - 1),
     sequence=st.integers(min_value=0, max_value=2**63 - 1),
     destinations=st.just(ALL_GROUPS)
     | st.frozensets(group_ids, max_size=8).map(wire.encode_destinations),
     body=deliver_bodies,
 )
-def test_deliver_frame_round_trip(link_sequence, sequence, destinations, body):
-    message = {
-        "t": "d", "ls": link_sequence, "s": sequence, "dst": destinations,
-        "b": body,
-    }
+def test_deliver_frame_round_trip(sequence, destinations, body):
+    message = {"t": "d", "s": sequence, "dst": destinations, "b": body}
     restored = _through_the_wire(message)
     # One ordered message travels as a burst of one.
-    assert restored == {
-        "t": "d", "msgs": [(link_sequence, sequence, destinations, body)]
-    }
-    ((_ls, _s, restored_destinations, restored_body),) = restored["msgs"]
+    assert restored == {"t": "d", "msgs": [(sequence, destinations, body)]}
+    ((_s, restored_destinations, restored_body),) = restored["msgs"]
     assert type(restored_destinations) is type(destinations)
     assert type(restored_body) is type(body)
 

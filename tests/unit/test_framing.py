@@ -65,7 +65,7 @@ def test_truncated_payload_detected():
 def test_segment_files_use_shared_framing(tmp_path):
     """Checkpoint segments on disk are ordinary frames (magic PSMRSEG1)."""
     store = CheckpointStore(tmp_path / "replica-0")
-    store.append({"kind": "full", "sequence": 7, "payload": {"a": b"\x01"}})
+    store.sync_chain([{"kind": "full", "sequence": 7, "payload": {"a": b"\x01"}}])
     [segment] = [
         name for name in os.listdir(store.directory) if name.endswith(".ckpt")
     ]
