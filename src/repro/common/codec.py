@@ -15,6 +15,11 @@ column-packed runs instead of per-item opcodes:
   packed as one key column plus one value blob;
 * a list of ints (delta ``deletions``) is packed as one ``struct`` run.
 
+Commands and their answers cross the wire through fast paths of their own
+(:func:`encode_command` / :func:`decode_command`, :func:`encode_answer` /
+:func:`decode_answer`) that write and read the generic encoding byte for
+byte, for the shapes they carry most.
+
 The one value either service answers with that is none of these,
 :class:`~repro.fs.statinfo.Stat` (NetFS ``lstat``), has a fixed-layout tag of
 its own.  The vocabulary is closed: a value of any other type raises
@@ -466,8 +471,9 @@ _STRS_IN = Memo(_utf8)
 
 _TAGGED_LENGTH = struct.Struct(">BI")  # str / bytes / dict: tag, length
 _TAGGED_I64 = struct.Struct(">Bq")
-#: The head of a batch call, a ``(name, args)`` tuple.
-_CALL_HEAD = _TAGGED_LENGTH.pack(_T_TUPLE, 2)
+#: The head of a two-item tuple: a batch call ``(name, args)`` or a
+#: batch answer's ``(value, error)``.
+_PAIR_HEAD = _TAGGED_LENGTH.pack(_T_TUPLE, 2)
 
 
 def _encode_args(args, out):
@@ -508,7 +514,7 @@ def _encode_calls(calls, out):
     out += _TAGGED_LENGTH.pack(_T_LIST, len(calls))
     for call in calls:
         if _is_call(call):
-            out += _CALL_HEAD
+            out += _PAIR_HEAD
             out += _KEYS_OUT[call[0]]
             _encode_args(call[1], out)
         else:
@@ -522,7 +528,7 @@ def _decode_calls(data, offset):
     offset += 5
     calls = []
     for _ in range(count):
-        if data.startswith(_CALL_HEAD, offset) and data[offset + 5] == _T_STR:
+        if data.startswith(_PAIR_HEAD, offset) and data[offset + 5] == _T_STR:
             (length,) = _U32.unpack_from(data, offset + 6)
             offset += 10
             name = _STRS_IN[data[offset:offset + length]]
@@ -564,6 +570,78 @@ def _decode_args(data, offset):
         else:
             args[key], offset = decode_value(data, offset)
     return args, offset
+
+
+def _encode_plain(item, out):
+    """Append ``None``, bytes or a str as ``encode_value`` does; False,
+    with nothing appended, for anything else."""
+    if item is None:
+        out.append(_T_NONE)
+    elif type(item) is bytes:
+        out += _TAGGED_LENGTH.pack(_T_BYTES, len(item))
+        out += item
+    elif type(item) is str:
+        raw = item.encode("utf-8")
+        out += _TAGGED_LENGTH.pack(_T_STR, len(raw))
+        out += raw
+    else:
+        return False
+    return True
+
+
+def encode_answer(value, out):
+    """``encode_value(value, out)``, byte for byte, with a fast path for
+    what a command answers: ``None``, bytes or a str, and a batch's list
+    of ``(value, error)`` pairs of those.  No such list is an int or pair
+    run; any other shape goes to the generic codec."""
+    if _encode_plain(value, out):
+        return
+    if type(value) is list:
+        start = len(out)
+        out += _TAGGED_LENGTH.pack(_T_LIST, len(value))
+        for pair in value:
+            if type(pair) is not tuple or len(pair) != 2:
+                break
+            out += _PAIR_HEAD
+            if not (_encode_plain(pair[0], out) and _encode_plain(pair[1], out)):
+                break
+        else:
+            return
+        del out[start:]
+    encode_value(value, out)
+
+
+def _decode_plain(data, offset):
+    """``decode_value(data, offset)`` with :func:`_encode_plain`'s fast
+    path; ``data`` is ``bytes``."""
+    tag = data[offset]
+    if tag == _T_NONE:
+        return None, offset + 1
+    if tag == _T_BYTES or tag == _T_STR:
+        (length,) = _U32.unpack_from(data, offset + 1)
+        offset += 5
+        raw = data[offset:offset + length]
+        return (raw if tag == _T_BYTES else str(raw, "utf-8")), offset + length
+    return decode_value(data, offset)
+
+
+def decode_answer(data, offset):
+    """``decode_value(data, offset)`` with :func:`encode_answer`'s fast
+    path; ``data`` is ``bytes``."""
+    if data[offset] != _T_LIST:
+        return _decode_plain(data, offset)
+    (count,) = _U32.unpack_from(data, offset + 1)
+    offset += 5
+    answers = []
+    for _ in range(count):
+        if data.startswith(_PAIR_HEAD, offset):
+            value, offset = _decode_plain(data, offset + 5)
+            error, offset = _decode_plain(data, offset)
+            answers.append((value, error))
+        else:
+            item, offset = decode_value(data, offset)
+            answers.append(item)
+    return answers, offset
 
 
 def encode_command(command):

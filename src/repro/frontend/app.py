@@ -42,13 +42,13 @@ validation), served over sockets by :mod:`repro.frontend.server`.
 
 import itertools
 
+import pydantic_core
+
 from repro.frontend.backend import BackendTimeout
 from repro.frontend.limits import InFlightLimiter, Saturated
-from repro.frontend.miniapi import FastAPI, HTTPException
+from repro.frontend.miniapi import FastAPI, HTTPException, Response
 from repro.frontend.models import (
-    BatchOpResult,
     BatchRequest,
-    BatchResponse,
     FileWriteRequest,
     HealthResponse,
     PutValueRequest,
@@ -79,6 +79,16 @@ def _bad_payload(name, message, value):
             }
         ],
     )
+
+
+def _batch_op_result(op, error, value=None, encoding=None):
+    """One op's entry in the ``/kv/batch`` answer: a plain dict, written
+    out by the serialiser pydantic's models use (same keys, same order,
+    same bytes) without a model built per op."""
+    return {
+        "op": op.op, "key": op.key, "ok": error is None, "error": error,
+        "value": value, "encoding": encoding,
+    }
 
 
 def create_app(kv_backend=None, fs_backend=None, limiter=None,
@@ -237,33 +247,31 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
         if op.op in ("read", "delete"):
             return op.op, {"key": op.key}
         if op.value is None:
-            return BatchOpResult(op=op.op, key=op.key, ok=False, error="value required")
+            return _batch_op_result(op, "value required")
         try:
             value = encode_value(op.value, op.encoding)
         except ValueError as exc:
-            return BatchOpResult(op=op.op, key=op.key, ok=False, error=str(exc))
+            return _batch_op_result(op, str(exc))
         return op.op, {"key": op.key, "value": value}
 
     def _batch_result(op, value, error):
         if op.op == "read":
             if error is None:
                 text, encoding = decode_value(value)
-                return BatchOpResult(
-                    op=op.op, key=op.key, ok=True, value=text, encoding=encoding
-                )
+                return _batch_op_result(op, None, text, encoding)
             error = "not_found"
         elif error == _ERR_NOT_FOUND:
             error = "not_found"
         elif error == _ERR_EXISTS:
             error = "exists"
-        return BatchOpResult(op=op.op, key=op.key, ok=error is None, error=error)
+        return _batch_op_result(op, error)
 
     @app.post("/kv/batch")
-    async def kv_batch(body: BatchRequest) -> BatchResponse:
+    async def kv_batch(body: BatchRequest) -> Response:
         results = [_batch_call(op) for op in body.ops]
         submitted = [
             index for index, result in enumerate(results)
-            if not isinstance(result, BatchOpResult)
+            if type(result) is tuple
         ]
         _admit()
         try:
@@ -279,7 +287,10 @@ def create_app(kv_backend=None, fs_backend=None, limiter=None,
             limiter.release()
         for index, (value, error) in zip(submitted, answers):
             results[index] = _batch_result(body.ops[index], value, error)
-        return BatchResponse(results=results)
+        return Response(
+            pydantic_core.to_json({"results": results}),
+            media_type="application/json",
+        )
 
     # ------------------------------------------------------------------
     # NetFS data plane

@@ -6,6 +6,12 @@ payloads, ``base64`` for arbitrary bytes).  :func:`encode_value` /
 :func:`decode_value` are the single conversion points, used by the app
 and by tests that need byte-exact round-trips for the linearizability
 checker.
+
+Every request body is validated by a model here.  The answer of
+``POST /kv/batch`` has none: it can carry 1024 results, so the app
+builds them as plain dicts and writes them with ``pydantic_core.to_json``,
+the serialiser behind a model's ``model_dump_json()`` (same keys in the
+same order, same bytes).
 """
 
 import base64
@@ -63,21 +69,6 @@ class BatchRequest(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
     ops: List[BatchOp] = Field(min_length=1, max_length=1024)
-
-
-class BatchOpResult(BaseModel):
-    """Per-op outcome inside a :class:`BatchResponse`."""
-
-    op: str
-    key: int
-    ok: bool
-    error: Optional[str] = None
-    value: Optional[str] = None
-    encoding: Optional[str] = None
-
-
-class BatchResponse(BaseModel):
-    results: List[BatchOpResult]
 
 
 class FileWriteRequest(BaseModel):

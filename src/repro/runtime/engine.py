@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from repro.common.checkpoint import restore_chain
 from repro.common.codec import decode_command
-from repro.common.errors import CheckpointError, ReplicaCrashedError
+from repro.common.errors import ReplicaCrashedError
 from repro.core.command import BATCH, Command, Response
 from repro.core.protocol import plan_execution
 
@@ -364,27 +364,32 @@ class ReplicaEngine:
         barrier, which is what makes the cut consistent cluster-wide
         without N copies of the state; with ``source=None`` (a *periodic*
         marker) every replica takes a local checkpoint and keeps the state
-        to itself.  A snapshot or write that fails is reported as the
-        ``error``; the barrier completes and the workers go on either way.
+        to itself.  A snapshot or write that fails, whatever it raises, is
+        reported as the ``error``; the barrier completes and the workers go
+        on either way.
         """
         uid = ("__cut__", cut["cut"])
         if not self.barrier.arrive(uid, self.mpl, self.barrier_timeout):
             return
-        source = cut["source"]
-        if cut["shard"] or source in (None, self.replica_id):
-            report = {"t": "c", "cut": cut["cut"], "sequence": sequence,
-                      "error": None}
-            if cut["shard"]:
-                report["kind"] = "shard"
-            else:
-                try:
-                    report.update(self._checkpoint(sequence, source))
-                except (CheckpointError, OSError) as exc:
-                    report["error"] = f"replica {self.replica_id}: {exc!r}"
-            with self._counter_lock:
-                report["boundary"] = self.boundary_violations
-            self.on_cut_done(report)
-        self.barrier.release(uid)
+        try:
+            source = cut["source"]
+            if cut["shard"] or source in (None, self.replica_id):
+                report = {"t": "c", "cut": cut["cut"], "sequence": sequence,
+                          "error": None}
+                if cut["shard"]:
+                    report["kind"] = "shard"
+                else:
+                    try:
+                        report.update(self._checkpoint(sequence, source))
+                    except ReplicaCrashedError:
+                        raise
+                    except Exception as exc:
+                        report["error"] = f"replica {self.replica_id}: {exc!r}"
+                with self._counter_lock:
+                    report["boundary"] = self.boundary_violations
+                self.on_cut_done(report)
+        finally:
+            self.barrier.release(uid)
 
     def _checkpoint(self, sequence, source):
         """Snapshot the service at a cut, as the report's fields.

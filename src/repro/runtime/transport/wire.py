@@ -62,7 +62,9 @@ stream header (:func:`repro.common.codec.encode_value`):
            :attr:`FrameReader.SIZE` unless one message alone does.  One
            message is the count-1 case (:func:`deliver_frame`).
 ``r``      ``'r'`` u8 · response count u32 · per response: uid (i64, i64)
-           · ``value`` *value* · ``error`` *value*.  A ``value`` outside
+           · ``value`` *value* · ``error`` *value*, both written and read
+           by :func:`~repro.common.codec.encode_answer` /
+           :func:`~repro.common.codec.decode_answer`.  A ``value`` outside
            the codec's vocabulary travels as ``None`` with an ``error``
            naming its type; the frame's other responses are unaffected.
 command    ``0xC3`` u8 · layout ``2`` u8 · uid (i64, i64) · ``size_bytes``
@@ -228,25 +230,27 @@ def _encode_responses(responses):
         out += _UID.pack(*uid)
         start = len(out)
         try:
-            _codec.encode_value(value, out)
+            _codec.encode_answer(value, out)
         except ProtocolError as exc:
             # One answer the codec cannot carry must not cost the frame
             # (up to a batch of them) or the worker that is sending it.
             del out[start:]
-            _codec.encode_value(None, out)
+            _codec.encode_answer(None, out)
             error = f"response not encodable: {exc}"
-        _codec.encode_value(error, out)
+        _codec.encode_answer(error, out)
     return framing.encode_frame(framing.WIRE_MAGIC, out)
 
 
 def _decode_responses(payload):
+    if type(payload) is not bytes:
+        payload = bytes(payload)
     _tag, count = _RESPONSES.unpack_from(payload)
     offset = _RESPONSES.size
     responses = []
     for _ in range(count):
         uid = _UID.unpack_from(payload, offset)
-        value, offset = _codec.decode_value(payload, offset + _UID.size)
-        error, offset = _codec.decode_value(payload, offset)
+        value, offset = _codec.decode_answer(payload, offset + _UID.size)
+        error, offset = _codec.decode_answer(payload, offset)
         responses.append((uid, value, error))
     if offset != len(payload):
         raise WireError(f"r frame ends at byte {offset} of {len(payload)}")

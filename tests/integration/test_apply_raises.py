@@ -6,11 +6,16 @@ error response, naming the exception's type, and the worker goes on.  A
 key the B+-tree cannot compare with its integer keys (``"abc"``) raises
 a ``TypeError`` in ``read`` (one group, parallel mode) and in ``insert``
 (every group, synchronous mode).  Afterwards every group answers and
-every replica drains, which it cannot with a dead worker.
+every replica drains, which it cannot with a dead worker.  The same holds
+for a checkpoint whose snapshot raises: the cut reports the error and its
+barrier still completes.
 """
+
+import time
 
 import pytest
 
+from repro.common.errors import CheckpointError
 from repro.core.command import BATCH
 from repro.runtime import ProcessPSMRCluster, ThreadedPSMRCluster
 from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
@@ -73,3 +78,22 @@ def test_a_bad_call_in_a_batch_costs_that_call_only(cluster):
     assert first == last == (INITIAL, None)
     assert bad[0] is None and bad[1].startswith("TypeError: ")
     _assert_every_worker_lives(cluster)
+
+
+class _SnapshotRaises(KeyValueStoreServer):
+    def checkpoint(self):
+        raise TypeError("no snapshot today")
+
+
+def test_a_snapshot_that_raises_fails_the_checkpoint_and_every_worker_lives():
+    timeout = 1.0
+    with ThreadedPSMRCluster(
+        KVSTORE_SPEC, lambda: _SnapshotRaises(initial_keys=KEYS),
+        num_replicas=REPLICAS, mpl=MPL, barrier_timeout=timeout,
+    ) as cluster:
+        started = time.monotonic()
+        with pytest.raises(CheckpointError, match="TypeError"):
+            cluster.checkpoint()
+        # The report, not the barrier timeout, ended the wait.
+        assert time.monotonic() - started < timeout / 2
+        _assert_every_worker_lives(cluster)

@@ -161,6 +161,57 @@ class TestContract:
         assert results[2]["error"] == "not_found"
         assert results[3]["ok"] is True
 
+    def test_batch_response_bytes_are_pinned(self, client):
+        """The exact body ``/kv/batch`` writes for every result shape:
+        a utf8 read (non-ASCII and JSON escapes included), a seeded
+        ``\\x00`` read, a base64 read, ``exists``, ``not_found``, writes,
+        and the per-op errors of a missing value and of invalid base64."""
+        body = {
+            "ops": [
+                {"op": "insert", "key": 7300,
+                 "value": "h\u00e9llo \u2603 \U0001f600 \"q\" \\ \n\t\u2028"},
+                {"op": "read", "key": 7300},
+                {"op": "read", "key": 3},
+                {"op": "insert", "key": 3, "value": "x"},
+                {"op": "update", "key": 7300, "value": "plain"},
+                {"op": "read", "key": 7300},
+                {"op": "read", "key": 654322},
+                {"op": "update", "key": 654323, "value": "x"},
+                {"op": "delete", "key": 654324},
+                {"op": "insert", "key": 7301},
+                {"op": "update", "key": 7302, "value": "QQ", "encoding": "base64"},
+                {"op": "insert", "key": 7303, "value": "gP8=", "encoding": "base64"},
+                {"op": "read", "key": 7303},
+                {"op": "delete", "key": 7300},
+            ]
+        }
+        response = asyncio.run(client.post("/kv/batch", json=body))
+        assert response.status_code == 200
+        assert response.headers["content-type"] == "application/json"
+        assert response.content == (
+            b'{"results":['
+            b'{"op":"insert","key":7300,"ok":true,"error":null,"value":null,"encoding":null},'
+            b'{"op":"read","key":7300,"ok":true,"error":null,'
+            b'"value":"h\xc3\xa9llo \xe2\x98\x83 \xf0\x9f\x98\x80 \\"q\\" \\\\ \\n\\t\xe2\x80\xa8",'
+            b'"encoding":"utf8"},'
+            b'{"op":"read","key":3,"ok":true,"error":null,'
+            b'"value":"\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000",'
+            b'"encoding":"utf8"},'
+            b'{"op":"insert","key":3,"ok":false,"error":"exists","value":null,"encoding":null},'
+            b'{"op":"update","key":7300,"ok":true,"error":null,"value":null,"encoding":null},'
+            b'{"op":"read","key":7300,"ok":true,"error":null,"value":"plain","encoding":"utf8"},'
+            b'{"op":"read","key":654322,"ok":false,"error":"not_found","value":null,"encoding":null},'
+            b'{"op":"update","key":654323,"ok":false,"error":"not_found","value":null,"encoding":null},'
+            b'{"op":"delete","key":654324,"ok":false,"error":"not_found","value":null,"encoding":null},'
+            b'{"op":"insert","key":7301,"ok":false,"error":"value required","value":null,"encoding":null},'
+            b'{"op":"update","key":7302,"ok":false,'
+            b'"error":"invalid base64 payload: Incorrect padding","value":null,"encoding":null},'
+            b'{"op":"insert","key":7303,"ok":true,"error":null,"value":null,"encoding":null},'
+            b'{"op":"read","key":7303,"ok":true,"error":null,"value":"gP8=","encoding":"base64"},'
+            b'{"op":"delete","key":7300,"ok":true,"error":null,"value":null,"encoding":null}'
+            b']}'
+        )
+
     def test_empty_batch_is_422(self, client):
         response = asyncio.run(client.post("/kv/batch", json={"ops": []}))
         assert response.status_code == 422

@@ -330,6 +330,86 @@ def test_responses_frame_round_trip(responses):
         assert type(restored_value) is type(value)
 
 
+#: What a command answers: its fast path (``None``, bytes, str and a
+#: batch's ``(value, error)`` pairs of those) next to every shape it
+#: leaves to the generic codec — nested pairs, pair runs (a pair of two
+#: ``(int, bytes)`` tuples is one), int runs, ``Stat``, lists of str.
+plain_answers = st.none() | st.binary(max_size=24) | st.text(max_size=12)
+int_bytes_pairs = st.tuples(int64, st.binary(max_size=8))
+answer_pairs = (
+    st.tuples(plain_answers, plain_answers)
+    | st.tuples(int_bytes_pairs, int_bytes_pairs)
+    | st.tuples(st.tuples(plain_answers, plain_answers), plain_answers)
+    | st.tuples(stats | int64, plain_answers)
+)
+answers = (
+    plain_answers
+    | st.lists(st.tuples(plain_answers, plain_answers), max_size=20)
+    | st.lists(answer_pairs | values, max_size=8)
+    | st.lists(int_bytes_pairs, min_size=1, max_size=8)
+    | st.lists(int64, min_size=1, max_size=8)
+    | st.lists(st.text(max_size=6), max_size=6)
+    | answer_pairs
+    | stats
+    | values
+)
+
+
+def _typed(value):
+    """``value`` with the type of every list, tuple and leaf spelled out,
+    so that equal-but-differently-typed decodes compare unequal."""
+    if type(value) in (list, tuple):
+        return type(value), [_typed(item) for item in value]
+    return type(value), value
+
+
+@settings(max_examples=400, deadline=None)
+@given(answers, st.binary(max_size=3))
+def test_the_answer_fast_path_is_the_generic_encoding(answer, prefix):
+    generic = bytearray(prefix)
+    codec.encode_value(answer, generic)
+    fast = bytearray(prefix)
+    codec.encode_answer(answer, fast)
+    assert fast == generic
+    data = bytes(generic)
+    decoded, end = codec.decode_answer(data, len(prefix))
+    expected, expected_end = codec.decode_value(data, len(prefix))
+    assert end == expected_end == len(data)
+    assert _typed(decoded) == _typed(expected)
+
+
+#: Leading bytes that no encoder writes as a value tag.
+unknown_tags = st.sampled_from(
+    sorted(set(range(256)) - set(b"NTFqIfsbaltSZdARK"))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    uid=st.tuples(int64, int64), answer=answers,
+    error=st.none() | st.text(max_size=12), tag=unknown_tags,
+)
+def test_a_truncated_or_retagged_r_payload_is_a_wire_error(uid, answer, error, tag):
+    payload = wire.encode_message(
+        {"t": "r", "resps": ((uid, answer, error),)}
+    )[HEADER_SIZE:]
+    assert wire.decode_payload(memoryview(payload))["resps"][0][1:] == (answer, error)
+    for cut in range(len(payload)):
+        with pytest.raises(wire.WireError):
+            wire.decode_payload(memoryview(payload)[:cut])
+    value_at = 5 + 16  # the frame's head, then the response's uid
+    encoded_answer = bytearray()
+    codec.encode_value(answer, encoded_answer)
+    tag_offsets = [value_at, value_at + len(encoded_answer)]
+    if encoded_answer[0] == ord("l") and len(answer):
+        tag_offsets.append(value_at + 5)  # the list's first item
+    for offset in tag_offsets:
+        retagged = bytearray(payload)
+        retagged[offset] = tag
+        with pytest.raises(wire.WireError):
+            wire.decode_payload(memoryview(retagged))
+
+
 def test_big_ints_and_frozensets_explicitly():
     payload = {
         "counter": 2**200 + 17,

@@ -1260,6 +1260,30 @@ class TestSerialiseOnce:
             wait_until(lambda: transport.pending() == 0)
             assert transport.frames_written == replicas * commands
 
+    def test_a_batch_answer_takes_no_general_codec_call(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("encode_value", "decode_value"):
+            def counted(*args, _name=name, _general=getattr(codec, name)):
+                calls[_name] += 1
+                return _general(*args)
+
+            monkeypatch.setattr(codec, name, counted)
+
+        def through_the_wire(answer):
+            resps = (((1, 7), answer, None), ((1, 8), b"v", "err=1"))
+            frame = wire.encode_message({"t": "r", "resps": resps})
+            payload = memoryview(frame)[framing.HEADER_SIZE:]
+            assert wire.decode_payload(payload) == {"t": "r", "resps": resps}
+
+        through_the_wire([
+            (b"v%d" % n if n % 3 else None, "err=1" if n % 5 == 4 else None)
+            for n in range(16)
+        ])
+        assert calls == {}
+        # The counters see a shape the fast path leaves to the codec.
+        through_the_wire([(b"v", None), (7, None)])
+        assert calls["encode_value"] and calls["decode_value"]
+
 
 class _NamesItsWorker:
     """A toy service: answers with the executing thread's name, except
