@@ -86,3 +86,13 @@ class StaleShardRouteError(ReproError):
     migration: a command is either ordered before the map update with the
     old routing, or after it with the new one — never a mix.
     """
+
+
+class BlockingOnLoopError(ReproError):
+    """Raised when a blocking wait is called on the process's I/O loop thread.
+
+    Replica links, the frame pump and the HTTP edge all run on that one
+    loop (:mod:`repro.runtime.ioloop`), so a wait for an answer, a reply,
+    a hello, a cut or a quiescent cluster made there would wait for the
+    very thread it holds.  It is refused at once instead of deadlocking.
+    """

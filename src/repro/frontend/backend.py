@@ -2,7 +2,9 @@
 
 The clusters are thread-world: ``invoke_async`` returns a
 :class:`~repro.runtime.cluster.PendingInvocation` whose response is
-delivered on a replica worker thread.  HTTP handlers are asyncio-world.
+delivered on a replica worker thread (the threaded runtime) or on the
+thread reading the replica links (the process runtime: the I/O loop's).
+HTTP handlers are asyncio-world.
 :class:`ClusterBackend` connects the two without a thread-per-request,
 and without a ``Task``, a coroutine or a timer per command:
 
@@ -18,10 +20,15 @@ and without a ``Task``, a coroutine or a timer per command:
   calls: the C-G function packs them into one command per destination
   group (a :data:`~repro.core.command.BATCH` command, answered once
   with every call's answer), each sent through ``submit``;
-* the invocation's done-callback appends ``(future, response)`` to the
-  loop's inbox — waking the loop with ``call_soon_threadsafe`` only
-  when the inbox was empty, so a burst of responses (one ``r`` frame
-  answers a whole delivery batch) costs one wake-up, not one each;
+* the invocation's done-callback resolves the future at once when it
+  runs on the future's own loop — the process runtime reads its replica
+  links on the I/O loop that serves HTTP (:mod:`repro.runtime.ioloop`),
+  so an answer read there is handed over with no wake-up at all.  From
+  any other thread (the threaded runtime's workers, or an answer for a
+  loop of its own) it appends ``(future, response)`` to the loop's
+  inbox — waking the loop with ``call_soon_threadsafe`` only when the
+  inbox was empty, so a burst of responses (one ``r`` frame answers a
+  whole delivery batch) costs one wake-up, not one each;
 * a timeout is a deadline in the loop's queue.  Callers all but always
   pass the same timeout, so deadlines arrive in order: append, let
   answered entries fall off the front, keep one ``loop.call_at`` armed
@@ -41,6 +48,7 @@ surface and both hand out ``ThreadedClient`` proxies.
 import asyncio
 import threading
 import weakref
+from asyncio import _get_running_loop
 from collections import deque
 from functools import partial
 
@@ -151,7 +159,13 @@ class _LoopPort:
             self._armed = False
 
     def deliver(self, loop, future, calls, response):
-        """Any thread: file a response; wake ``loop`` if nobody has."""
+        """Any thread: resolve at once on ``loop`` itself; elsewhere file
+        the response and wake ``loop`` if nobody has."""
+        if _get_running_loop() is loop:
+            if not future.done():
+                future.set_result(response)
+                self.counts[_COMPLETED] += calls
+            return
         with self._lock:
             wake = not self._inbox  # non-empty: a drain is already due
             self._inbox.append((future, response, calls))

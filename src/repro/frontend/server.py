@@ -4,12 +4,32 @@
 ASGI 3 to the app: stdlib only, so the frontend runs on the bare
 container.  It supports keep-alive (the benchmark's clients reuse
 connections) and Content-Length framing; no TLS, no chunked uploads — it
-serves the repro's benchmarks and tests, not the open internet.
+serves the repro's benchmarks and tests, not the open internet.  A
+request it cannot frame — an unparseable request line or header line, a
+``Content-Length`` that is not a non-negative integer — is answered
+``400``, a body over :data:`MAX_BODY_BYTES` ``413``, and the connection
+is closed: the server goes on serving the others.
+
+:func:`run_app_in_thread` serves on the process's I/O loop
+(:mod:`repro.runtime.ioloop`), the thread that also carries the process
+runtime's replica links: a request's command is ordered, written to the
+replicas and its answer read back without leaving that thread.
 """
 
 import asyncio
-import threading
 import urllib.parse
+
+from repro.runtime import ioloop
+
+#: The largest request body served.  Above anything a route takes: a
+#: ``/kv/batch`` of its 1024 operations or a file write of a few MiB is
+#: far below it; the bound keeps a client from sizing the server's buffer.
+MAX_BODY_BYTES = 16 << 20
+
+#: How long a refused connection's remaining input is read before it closes.
+LINGER_SECONDS = 1.0
+
+_REASONS = {400: b"Bad Request", 413: b"Content Too Large"}
 
 
 class AsgiHTTPServer:
@@ -33,13 +53,15 @@ class AsgiHTTPServer:
     async def stop(self):
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Kick idle keep-alive connections so their handler tasks finish.
+        # Kick idle keep-alive connections so their handler tasks finish
+        # (a server's ``wait_closed`` may wait for its connections).
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer):
@@ -59,29 +81,64 @@ class AsgiHTTPServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
+    @staticmethod
+    async def _refuse(reader, writer, status):
+        """Answer a request that cannot be framed; the connection closes.
+
+        A lingering close: the answer, then end of stream, then whatever
+        the client still sends is read and dropped (for
+        :data:`LINGER_SECONDS` at most) — closing on unread bytes would
+        reset the connection, and the answer with it.
+        """
+        writer.write(
+            b"HTTP/1.1 %d %s\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+            % (status, _REASONS[status])
+        )
+        await writer.drain()
+        writer.write_eof()
+
+        async def discard():
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
+        return False
+
     async def _handle_request(self, reader, writer):
         """Serve one request; return True to keep the connection open."""
-        request_line = await reader.readline()
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # longer than the stream's line limit
+            return await self._refuse(reader, writer, 400)
         if not request_line.strip():
             return False
         try:
             method, target, _version = request_line.decode("latin-1").split()
         except ValueError:
-            writer.write(b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\n\r\n")
-            await writer.drain()
-            return False
+            return await self._refuse(reader, writer, 400)
         headers = []
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return await self._refuse(reader, writer, 400)
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or len(name.split()) != 1 or name != name.lstrip():
+                return await self._refuse(reader, writer, 400)
             headers.append((name.strip().lower().encode(), value.strip().encode()))
         header_map = dict(headers)
-        body = b""
-        length = int(header_map.get(b"content-length", b"0") or b"0")
-        if length:
-            body = await reader.readexactly(length)
+        length = header_map.get(b"content-length", b"0")
+        if not length.isdigit():  # ASCII digits only: no sign, no space
+            return await self._refuse(reader, writer, 400)
+        length = int(length)
+        if length > MAX_BODY_BYTES:
+            return await self._refuse(reader, writer, 413)
+        body = await reader.readexactly(length) if length else b""
         raw_path, _, raw_query = target.partition("?")
         scope = {
             "type": "http",
@@ -136,43 +193,17 @@ class AsgiHTTPServer:
 
 
 def run_app_in_thread(app, host="127.0.0.1", port=0):
-    """Run the app on a background thread; return ``(base_url, stop)``.
+    """Serve the app on the process's I/O loop; return ``(base_url, stop)``.
 
-    For synchronous callers (tests using ``requests``); ``stop()`` shuts
-    the server and joins the thread.
+    For synchronous callers (the benchmark, tests using ``requests``):
+    the loop's thread serves it, and ``stop()`` closes the server and
+    its connections and returns once they are gone.  Neither may be
+    called on that thread.
     """
     server = AsgiHTTPServer(app, host, port)
-    started = threading.Event()
-    loop_holder = {}
-
-    def _run():
-        loop = asyncio.new_event_loop()
-        loop_holder["loop"] = loop
-        asyncio.set_event_loop(loop)
-
-        async def _main():
-            await server.start()
-            started.set()
-            await asyncio.Event().wait()  # cancelled by stop()
-
-        task = loop.create_task(_main())
-        loop_holder["task"] = task
-        try:
-            loop.run_until_complete(task)
-        except asyncio.CancelledError:
-            pass
-        loop.run_until_complete(server.stop())
-        loop.close()
-
-    thread = threading.Thread(target=_run, name="frontend-http", daemon=True)
-    thread.start()
-    if not started.wait(timeout=10.0):
-        raise RuntimeError("frontend HTTP server failed to start")
+    ioloop.run(server.start())
 
     def stop():
-        loop = loop_holder["loop"]
-        loop.call_soon_threadsafe(loop_holder["task"].cancel)
-        thread.join(timeout=10.0)
+        ioloop.run(server.stop())
 
     return f"http://{server.host}:{server.port}", stop
-

@@ -59,6 +59,7 @@ from repro.core.cg import CGFunction
 from repro.core.command import Command, Response
 from repro.multicast.group import ALL_GROUPS
 from repro.multicast.sharding import ShardRouter
+from repro.runtime import ioloop
 from repro.runtime.engine import ReplicaEngine
 from repro.runtime.multicast import LocalAtomicMulticast
 from repro.runtime.transport.inproc import InprocTransport
@@ -103,7 +104,9 @@ class _Cut:
     def wait_for(self, replica_id, timeout=None):
         """Block until ``replica_id`` reported; return its report or raise
         the exception that stands in for it (:class:`TimeoutError` when
-        nothing came within ``timeout``)."""
+        nothing came within ``timeout``); refused on the I/O loop's
+        thread, which is what carries a replica process's report."""
+        ioloop.forbid_blocking("waiting for a cut report")
         with self._settled:
             if not self._settled.wait_for(
                 lambda: replica_id in self._outcomes, timeout
@@ -140,7 +143,13 @@ class PendingInvocation:
         self.name = name
 
     def result(self, timeout=10.0):
-        """Block until the first replica responds; return the response."""
+        """Block until the first replica responds; return the response.
+
+        Refused on the I/O loop's thread when it would wait
+        (:class:`~repro.common.errors.BlockingOnLoopError`): the invocation
+        stays in flight, to collect from another thread or to
+        :meth:`discard`.
+        """
         return self.cluster._await_response(self.uid, self.name, timeout)
 
     def add_done_callback(self, callback):
@@ -217,7 +226,10 @@ class ThreadedClient:
             raise
 
     def invoke(self, name, timeout=10.0, **args):
-        """Invoke a service command and return its value (first replica response)."""
+        """Invoke a service command and return its value (first replica
+        response).  Refused on the I/O loop's thread before anything is
+        sent (:class:`~repro.common.errors.BlockingOnLoopError`)."""
+        ioloop.forbid_blocking("ThreadedClient.invoke")
         return self.invoke_async(name, **args).result(timeout)
 
 
@@ -281,6 +293,8 @@ class ResponseRouter:
                 if uid not in self._waiters:
                     raise KeyError(f"invocation {uid} is not awaiting a response")
                 event = self._waiters[uid] = threading.Event()
+        # Only a wait is refused there: an answer that landed is returned.
+        ioloop.forbid_blocking("PendingInvocation.result")
         if not event.wait(timeout):
             # Drop the registration (and any response that raced the
             # timeout) so abandoned invocations do not leak waiters.
@@ -1013,8 +1027,10 @@ class PSMRControlPlane(ResponseRouter):
         a caller that wants to compare replica states must first let the
         slower replicas catch up.  Quiescence is declared when nothing is
         in flight or queued and per-replica execution counters are equal
-        and stable across two consecutive polls.
+        and stable across two consecutive polls.  Refused on the I/O
+        loop's thread.
         """
+        ioloop.forbid_blocking("wait_for_quiescence")
         deadline = time.monotonic() + timeout
         previous = None
         while time.monotonic() < deadline:

@@ -19,7 +19,14 @@ its own :class:`~repro.runtime.engine.ReplicaEngine` and its own durable
 
 What this module adds to the control plane is only the replica handle
 (:class:`_ProcReplica`: a ``Popen`` plus a request/reply RPC over the
-replica's connection) and the dispatch of inbound frames.  A handle
+replica's connection) and the dispatch of inbound frames.  The
+coordinator's sockets live on the process's I/O loop
+(:mod:`repro.runtime.ioloop`, the thread that serves HTTP too): inbound
+frames are dispatched there, an ``r`` frame's answers resolving an HTTP
+handler's futures without a hop to another thread, so a management
+request (``stats?``, ``snap?``, ``chain?``), a hello, a cut or a
+quiescence wait made on that thread is refused instead of waiting for
+itself.  A handle
 starts its child in two steps, ``launch`` (exec, return at once) and
 ``handshake`` (wait for ``hello``, answer ``welcome``), so the control
 plane launches every child before it waits for the first: a cluster
@@ -38,6 +45,7 @@ import threading
 import repro
 from repro import services
 from repro.common.errors import ConfigurationError, RecoveryError
+from repro.runtime import ioloop
 from repro.runtime.cluster import PSMRControlPlane
 from repro.runtime.transport import wire
 from repro.runtime.transport.tcp import TcpCoordinatorTransport
@@ -178,9 +186,10 @@ class _ProcReplica:
             self.kill()
 
     # ------------------------------------------------------------------
-    # Management requests (cluster threads)
+    # Management requests (cluster threads, never the I/O loop's)
     # ------------------------------------------------------------------
     def _request(self, message, timeout=None):
+        ioloop.forbid_blocking("a management request")
         request_id = next(self._request_ids)
         entry = [threading.Event(), None]
         with self._lock:
@@ -211,7 +220,7 @@ class _ProcReplica:
         return entry[1]
 
     def _reply(self, message):
-        """Reader thread: hand a reply frame to its waiting request."""
+        """Loop thread: hand a reply frame to its waiting request."""
         with self._lock:
             entry = self._requests.get(message.get("req"))
         if entry is not None:
@@ -280,8 +289,8 @@ class ProcessPSMRCluster(PSMRControlPlane):
             return super().start()
         except BaseException:
             # ``__enter__`` raised, so ``__exit__`` will not run: reap the
-            # children launched so far (handshaken or not), the transport
-            # thread and the owned temp store here.
+            # children launched so far (handshaken or not), the transport's
+            # sockets and the owned temp store here.
             self.shutdown()
             raise
 
@@ -292,8 +301,8 @@ class ProcessPSMRCluster(PSMRControlPlane):
             shutil.rmtree(self._own_store_dir, ignore_errors=True)
 
     def _on_message(self, replica_id, message):
-        """Inbound frames (the transport's reader thread — handlers must
-        stay cheap)."""
+        """Inbound frames (the I/O loop's thread — handlers must stay
+        cheap and never block)."""
         kind = message.get("t")
         if kind == "r":
             self._respond_many(message["resps"], replica_id)

@@ -6,8 +6,11 @@ runtime's transport (worker queues filled in-process); ``tcp`` carries
 the same ordered stream over real sockets to replica *processes*.
 Whatever either does not deliver inline goes through the one
 :class:`~repro.runtime.transport.pump.FramePump`, where the fault plane
-is applied per link.  :mod:`repro.runtime.multicast` states what a
-transport provides and its threading contract.
+is applied per link.  Neither owns a thread: the pump's passes and the
+TCP sockets run on the process's one I/O loop
+(:mod:`repro.runtime.ioloop`), which the HTTP edge shares.
+:mod:`repro.runtime.multicast` states what a transport provides and its
+threading contract.
 """
 
 from repro.common.lazy import lazy_exports

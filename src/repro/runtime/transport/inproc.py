@@ -19,8 +19,9 @@ fault plane an ordered item is put on the delivering workers' queues of
 every registered replica inline, under the sequencer lock.  With one, it
 takes the process runtime's path minus the socket: ``send`` plans each
 replica's delay, the :class:`~repro.runtime.transport.pump.FramePump`
-holds the items until they are due, in order per replica, and writes
-each replica's run into its inbox.
+holds the items until they are due, in order per replica, and its passes
+on the process's I/O loop write each replica's run into its inbox.
+Without one the loop is never started.
 """
 
 import queue
@@ -87,7 +88,7 @@ class ReplicaInbox:
     their delivery order — each joins the run of every worker that
     delivers it — and :meth:`flush` hands the runs over.  Not
     thread-safe: one thread feeds an inbox (the replica's receive loop,
-    or the pump).
+    or the pump's passes on the I/O loop).
     """
 
     def __init__(self, mpl):
@@ -181,7 +182,7 @@ class InprocTransport:
 
     @staticmethod
     def _write(link, items):
-        """Pump thread: a replica's run, into its inbox."""
+        """Loop thread (a pump pass): a replica's run, into its inbox."""
         link.sink.accept(items)
         link.sink.flush()
 

@@ -11,18 +11,23 @@ each message out to its worker threads, so the fault plane plans one
 delivery per replica per message in both runtimes and its RNG draws line
 up across them.
 
-Two threads, whatever the replica count, on the blocking sockets and the
-:class:`wire.FrameReader` the replica end uses too:
+No thread of its own, whatever the replica count: the listener and every
+link live on the process's I/O loop (:mod:`repro.runtime.ioloop`), the
+thread that also serves HTTP, on non-blocking sockets.
 
-* the **pump** (:mod:`repro.runtime.transport.pump`, shared with the
+* The **pump** (:mod:`repro.runtime.transport.pump`, shared with the
   threaded runtime, fault injection included) takes what ``send``, the
-  recovery replay and ``control_send`` posted and ends with one
-  ``sendall`` of the joined frames per link;
-* the **reader** multiplexes the listening socket and every link with
-  ``selectors``: one ``recv_into`` per readable socket, every complete
-  frame in it dispatched to ``on_message``.  It alone registers and
-  closes sockets; any other thread ends a link by shutting the socket
-  down, which the reader sees as EOF.
+  recovery replay and ``control_send`` posted and ends each of its
+  passes with one write of the joined frames per link: one ``send``, and
+  whatever the socket did not take waits in the link's buffer, written
+  as the socket drains, ahead of anything written after it.  A peer that
+  takes nothing for :data:`SEND_TIMEOUT` is severed and its buffer
+  released; the loop never waits on a socket.
+* **Reading** is ``loop.add_reader`` per socket: an accept on the
+  listener, one :meth:`wire.FrameReader.take` (one ``recv_into``) on a
+  link, every complete frame in it dispatched to ``on_message`` on the
+  loop's thread.  The loop alone closes sockets; any other thread ends a
+  link by shutting the socket down, which its reader sees as EOF.
 
 A link lives as long as its connection: each admitted ``hello`` makes a
 fresh one (items toward the previous connection are void) and
@@ -32,18 +37,18 @@ the same per-link FIFO but bypasses fault planning; it is management
 traffic, like the un-faulted response path in the threaded runtime.
 """
 
-import selectors
 import socket
 import threading
 import traceback
 
 from repro.common.errors import RecoveryError
+from repro.runtime import ioloop
 from repro.runtime.transport import wire
 from repro.runtime.transport.pump import FramePump, Link
 
-#: How long one ``sendall`` may wait on a peer that stopped reading
-#: before its link is dropped like any broken one.  The pump serves every
-#: link, so this is also the longest one stalled peer delays the others.
+#: How long a link may hold written bytes that its peer takes none of
+#: before the link is dropped like any broken one.  Writes never wait:
+#: a stalled peer costs the others nothing but the memory of its buffer.
 SEND_TIMEOUT = 5.0
 
 
@@ -58,14 +63,20 @@ class _Control:
 
 
 class _Peer(Link):
-    """One accepted socket: the pump's link state plus the reader's."""
+    """One accepted socket: the pump's link state, the reader, and the
+    write side's ``buffer`` (bytes the socket has not taken yet, or
+    ``None``), with the loop time it last took any (``progress``) and the
+    stall check armed while it holds some."""
 
-    __slots__ = ("reader", "replica_id")
+    __slots__ = ("reader", "replica_id", "buffer", "progress", "stall")
 
     def __init__(self, sock):
         super().__init__(None, sock)
         self.reader = wire.FrameReader(sock)
         self.replica_id = None  # until its hello is admitted
+        self.buffer = None
+        self.progress = 0.0
+        self.stall = None
 
 
 class TcpCoordinatorTransport:
@@ -75,9 +86,10 @@ class TcpCoordinatorTransport:
     sequencer calls (see :mod:`repro.runtime.multicast` for the
     contract); ``control_send``/``take_hello``/``request-style`` traffic
     is the cluster's management plane.  ``on_message(replica_id, message)``
-    is invoked on the reader thread for every inbound frame after the
-    hello — handlers must be cheap and non-blocking; one that raises
-    costs its replica the link.
+    is invoked on the I/O loop's thread for every inbound frame after the
+    hello — handlers must be cheap and never block (a blocking wait there
+    is refused, :func:`repro.runtime.ioloop.forbid_blocking`); one that
+    raises costs its replica the link.
     """
 
     #: A socket needs bytes: the sequencer encodes every command once.
@@ -94,83 +106,72 @@ class TcpCoordinatorTransport:
         # ascending id order; replaced whole on every (un)registration.
         self._registered = []
         self._hellos = {}  # replica_id -> [threading.Event, message]
-        #: Ordered messages plus control frames handed to a socket, and
-        #: the ``sendall`` calls that carried them (pump thread only; a
-        #: write that failed counts in neither): their ratio is the
-        #: achieved coalescing factor.
+        #: Ordered messages plus control frames handed to a link, and the
+        #: writes that carried them (loop thread only; a write that failed
+        #: counts in neither): their ratio is the achieved coalescing
+        #: factor.
         self.frames_written = 0
         self.writes = 0
         self.pump = None
-        self._reader = None
-        self._waker = None
+        self._loop = None
+        self._listener = None
+        self._peers = set()  # every accepted socket still open (loop only)
         self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self):
-        """Bind the listening socket; returns ``(host, port)``."""
+        """Bind the listening socket and serve it on the I/O loop; returns
+        ``(host, port)``."""
         listener = socket.create_server((self.host, 0))
         listener.setblocking(False)
         self.port = listener.getsockname()[1]
-        wakes, self._waker = socket.socketpair()
-        selector = selectors.DefaultSelector()
-        selector.register(listener, selectors.EVENT_READ)
-        selector.register(wakes, selectors.EVENT_READ)
+        self._listener = listener
+        self._loop = ioloop.loop()
         self.pump = FramePump(self._write, self.fault_plane)
-        self._reader = threading.Thread(
-            target=self._serve, args=(selector, listener),
-            name="psmr-tcp-reader", daemon=True,
-        )
-        self._reader.start()
+        ioloop.soon(self._loop.add_reader, listener, self._accept)
         return self.host, self.port
 
     def close(self):
+        """Sever every link, close every socket; returns once the loop has
+        (idempotent).  Refused on the loop's thread."""
+        ioloop.forbid_blocking("TcpCoordinatorTransport.close")
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self._reader is None:
-            return
-        # Links first: a ``sendall`` stuck on a stalled peer fails at once,
-        # so the pump can be joined.
-        for link in list(self._links.values()):
-            self._sever(link)
+        if self._listener is not None:
+            ioloop.call(self._close_on_loop)
+
+    def _close_on_loop(self):
+        self._loop.remove_reader(self._listener)
+        self._listener.close()
+        for peer in list(self._peers):
+            self._sever(peer)
+            self._drop(peer)
         self.pump.close()
-        self._waker.close()  # EOF on the other end wakes the reader
-        self._reader.join(timeout=5.0)
 
     # ------------------------------------------------------------------
-    # Reader thread: the listening socket and every connection
+    # Loop thread: the listening socket and every connection
     # ------------------------------------------------------------------
-    def _serve(self, selector, listener):
+    def _accept(self):
         try:
-            while not self._closed:
-                for key, _events in selector.select():
-                    if key.data is not None:
-                        self._receive(selector, key.data)
-                    elif key.fileobj is listener:
-                        self._accept(selector, listener)
-        finally:
-            for key in list(selector.get_map().values()):
-                key.fileobj.close()
-            selector.close()
-
-    def _accept(self, selector, listener):
-        try:
-            sock, _address = listener.accept()
+            sock, _address = self._listener.accept()
         except OSError:
             return
         # Nagle off, as on the replica's end (``wire.connect_with_backoff``
-        # says why), and no ``sendall`` without a bound.
+        # says why); the loop never waits on a socket.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(SEND_TIMEOUT)
-        selector.register(sock, selectors.EVENT_READ, _Peer(sock))
+        sock.setblocking(False)
+        peer = _Peer(sock)
+        self._peers.add(peer)
+        self._loop.add_reader(sock, self._receive, peer)
 
-    def _receive(self, selector, peer):
+    def _receive(self, peer):
         """Dispatch what one readable socket holds; a link that ended —
         EOF, an unreadable frame, a refused hello, a handler that raised —
-        is dropped here, and the reader goes on serving the others."""
+        is dropped here, and the loop goes on serving the others."""
         keep = False
         try:
             messages = peer.reader.take()
@@ -184,9 +185,8 @@ class TcpCoordinatorTransport:
         except Exception:
             traceback.print_exc()
         if not keep:
-            selector.unregister(peer.sink)
             self._sever(peer)
-            peer.sink.close()
+            self._drop(peer)
 
     def _admit(self, peer, message):
         """A connection's first frame: a ``hello`` naming a replica whose
@@ -213,8 +213,8 @@ class TcpCoordinatorTransport:
 
     def _sever(self, peer):
         """End a link from any thread: no longer current, its held items
-        void, the socket shut down — which the reader sees as EOF, and it
-        alone closes."""
+        void, the socket shut down — which its reader sees as EOF, and the
+        loop alone closes."""
         with self._lock:
             if self._links.get(peer.replica_id) is peer:
                 del self._links[peer.replica_id]
@@ -223,6 +223,20 @@ class TcpCoordinatorTransport:
             peer.sink.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+    def _drop(self, peer):
+        """Loop thread: release what a severed link holds — its buffer,
+        its stall check, its place on the loop, its socket."""
+        if peer.buffer is not None:
+            peer.buffer = None
+            self._loop.remove_writer(peer.sink)
+        if peer.stall is not None:
+            peer.stall.cancel()
+            peer.stall = None
+        if peer in self._peers:
+            self._peers.discard(peer)
+            self._loop.remove_reader(peer.sink)
+            peer.sink.close()
 
     # ------------------------------------------------------------------
     # Hello handshake (cluster thread)
@@ -233,7 +247,9 @@ class TcpCoordinatorTransport:
             self._hellos[replica_id] = [threading.Event(), None]
 
     def take_hello(self, replica_id, timeout):
-        """Block for the replica's hello frame; return the message."""
+        """Block for the replica's hello frame; return the message.
+        Refused on the loop's thread, which is what reads it."""
+        ioloop.forbid_blocking("take_hello")
         waiter = self._hellos[replica_id]  # armed by ``discard_hello``
         arrived = waiter[0].wait(timeout)
         with self._lock:
@@ -284,9 +300,10 @@ class TcpCoordinatorTransport:
         self.pump.post(entries)
 
     def _write(self, link, items):
-        """Pump thread: one ``sendall`` for everything due on one link —
-        each run of ordered messages between control frames as ``d``
-        bursts (:func:`wire.deliver_frames`), control frames as they are."""
+        """Loop thread: one write for everything due on one link — each
+        run of ordered messages between control frames as ``d`` bursts
+        (:func:`wire.deliver_frames`), control frames as they are — sent
+        at once, or behind the bytes the link still buffers."""
         chunks, run = [], []
         for body in items:
             if type(body) is not _Control:
@@ -298,13 +315,59 @@ class TcpCoordinatorTransport:
             chunks.append(body.frame)
         if run:
             chunks += wire.deliver_frames(run)
-        try:
-            link.sink.sendall(b"".join(chunks))
-        except OSError:  # reset, closed under us, or ``SEND_TIMEOUT``
-            self._sever(link)
-            return
+        data = b"".join(chunks)
+        if link.buffer is not None:
+            link.buffer += data
+        else:
+            try:
+                sent = link.sink.send(data)
+            except BlockingIOError:
+                sent = 0
+            except OSError:  # reset, or closed under us
+                self._sever(link)
+                self._drop(link)
+                return
+            if sent < len(data):
+                link.buffer = bytearray(memoryview(data)[sent:])
+                link.progress = self._loop.time()
+                self._loop.add_writer(link.sink, self._drain, link)
+                link.stall = self._loop.call_at(
+                    link.progress + SEND_TIMEOUT, self._check_stall, link
+                )
         self.writes += 1
         self.frames_written += len(items)
+
+    def _drain(self, link):
+        """Loop thread, the socket is writable: hand it what it takes."""
+        try:
+            sent = link.sink.send(link.buffer)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._sever(link)
+            self._drop(link)
+            return
+        if sent:
+            link.progress = self._loop.time()
+            del link.buffer[:sent]
+        if not link.buffer:
+            link.buffer = None
+            self._loop.remove_writer(link.sink)
+            link.stall.cancel()
+            link.stall = None
+
+    def _check_stall(self, link):
+        """Loop thread: sever a link whose peer took nothing for
+        :data:`SEND_TIMEOUT`, or look again when it could have."""
+        link.stall = None
+        if link.buffer is None:
+            return
+        due = link.progress + SEND_TIMEOUT
+        if self._loop.time() >= due:
+            self._sever(link)
+            self._drop(link)
+        else:
+            link.stall = self._loop.call_at(due, self._check_stall, link)
 
     def pending(self, replica_id=None):
         """Items the pump still holds: what a replica has queued is its

@@ -351,11 +351,14 @@ class FrameReader:
         """One ``recv_into``: the messages of the frames it completed,
         ``None`` on EOF/reset.  The step for a caller serving several
         sockets: told this one is readable it never waits — a partial
-        frame yields ``[]`` instead of parking it here — and a corrupt
+        frame, or a non-blocking socket with nothing in it, yields ``[]``
+        instead of parking it here — and a corrupt
         frame sets ``error`` in the pass that met it, behind the frames
         ahead of it."""
         try:
             count = self._sock.recv_into(self._view[self._end:])
+        except BlockingIOError:
+            return []  # a non-blocking socket with nothing to take yet
         except OSError:
             return None
         if not count:

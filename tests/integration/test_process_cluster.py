@@ -70,9 +70,11 @@ def test_replica_processes_are_real_and_distinct(transport_threads):
         assert os.getpid() not in pids
         for pid in pids:
             os.kill(pid, 0)  # alive (signal 0 = existence probe)
-        # The runner's side of the links: two threads, not two per replica.
-        assert transport_threads() == ["psmr-pump", "psmr-tcp-reader"]
-    assert transport_threads() == []
+        # The runner's side of the links: the one I/O loop thread, not a
+        # thread per replica nor a thread of its own.
+        assert transport_threads() == ["psmr-io"]
+    assert transport_threads() == ["psmr-io"]
+    assert cluster.transport._peers == set()
 
 
 def test_sigkill_mid_load_then_restart_from_disk_is_linearizable(tmp_path):
@@ -511,7 +513,7 @@ def test_failed_start_leaves_nothing_behind(monkeypatch, transport_threads,
     """``__enter__`` raising means ``__exit__`` never runs: a start whose
     handshake with one replica fails must itself reap every child it
     launched (replica 1's is launched, never handshaken, when replica 0
-    fails), stop the transport threads and remove the temp store it
+    fails), close the transport's sockets and remove the temp store it
     owns."""
     take_hello = TcpCoordinatorTransport.take_hello
 
@@ -528,7 +530,9 @@ def test_failed_start_leaves_nothing_behind(monkeypatch, transport_threads,
         with cluster:
             pytest.fail("start() should have raised")
     assert _replica_children() == []
-    assert transport_threads() == []
+    assert transport_threads() == ["psmr-io"]
+    assert cluster.transport._peers == set()
+    assert cluster.transport._listener.fileno() == -1
     assert not os.path.exists(cluster.store_dir)
 
 

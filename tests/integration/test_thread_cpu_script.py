@@ -1,5 +1,6 @@
-"""``scripts/thread_cpu.py`` at toy scale: it names the threads that matter,
-reads four sub-windows and leaves nothing running."""
+"""``scripts/thread_cpu.py`` at toy scale: it names the threads that matter
+(the runner's one I/O thread among them), reads four sub-windows and
+leaves nothing running."""
 
 import importlib.util
 import os
@@ -17,7 +18,10 @@ def test_split_names_the_runner_and_replica_threads(tmp_path, monkeypatch):
     spec.loader.exec_module(thread_cpu)
     rows, runner, rates = thread_cpu.split("http-batch", seconds=0.8, warmup_s=0.2)
     names = {row[0] for row in rows}
-    assert {"frontend-http", "psmr-pump", "psmr-tcp-reader", "generator-0", "generator-1"} <= names
+    # The runner's socket I/O is one loop thread: HTTP, the replica links
+    # and the frame pump; none of the three threads it replaced is left.
+    assert {"psmr-io", "generator-0", "generator-1"} <= names
+    assert not {"frontend-http", "psmr-pump", "psmr-tcp-reader"} & names
     for replica in (0, 1):
         assert {f"replica{replica}-recv", *(f"replica{replica}-t{t}" for t in range(1, 5))} <= names
     # One raw rate per sub-window, and a median CPU inside its min-max.

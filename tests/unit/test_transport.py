@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import http.client
 import os
 import queue
 import re
@@ -21,6 +22,8 @@ from repro.common.errors import (
 )
 from repro.common.faults import FaultPlane
 from repro.core.command import Command, Response
+from repro.frontend.app import create_app
+from repro.frontend.server import run_app_in_thread
 from repro.multicast.group import ALL_GROUPS
 from repro.runtime.cluster import ResponseRouter
 from repro.runtime.multicast import LocalAtomicMulticast
@@ -625,19 +628,19 @@ class Held:
     """What the pump did after a :func:`held_pump` block let it go."""
 
     def __init__(self):
-        self.wakeups = 0  # ``notify`` calls made while it was held
+        self.wakeups = 0  # passes scheduled on the loop while it was held
         self.writes = []  # (link, number of items) per ``write``, in order
 
 
 @contextlib.contextmanager
 def held_pump(transport):
-    """Park the pump thread inside the ``write`` of a fake link for the
-    block; on exit it is released and has written all that was posted
-    meanwhile."""
+    """Park the I/O loop inside the pump's ``write`` of a fake link for
+    the block; on exit it is released and has written all that was
+    posted meanwhile."""
     pump = transport.pump
     plug, held = Link("plug", None), Held()
     entered, release, flushed = (threading.Event() for _ in range(3))
-    write, notify = pump.write, pump._cond.notify
+    write, wake = pump.write, pump._wake
 
     def holding_write(link, items):
         if link is not plug:
@@ -649,18 +652,18 @@ def held_pump(transport):
         else:
             flushed.set()
 
-    def counting_notify():
+    def counting_wake():
         held.wakeups += 1
-        notify()
+        wake()
 
     pump.write = holding_write
     pump.post([(plug, None, None)])
     assert entered.wait(5.0)
-    pump._cond.notify = counting_notify
+    pump._wake = counting_wake
     try:
         yield held
     finally:
-        del pump._cond.notify
+        del pump._wake
         release.set()
         pump.post([(plug, None, None)])  # behind all that was posted
         assert flushed.wait(5.0)
@@ -835,20 +838,35 @@ class TestSocketBurstPath:
     ):
         monkeypatch.setattr(tcp, "SEND_TIMEOUT", 0.3)
         count, body = 12, b"x" * (1 << 20)  # more than the kernel buffers
-        with fake_replicas(2) as (transport, readers):
-            for sequence in range(count):
-                transport.send((sequence, ALL_GROUPS, body))
-            # Replica 1 never reads.  Replica 0 still gets the burst ...
-            frames = read_messages(readers[0], count)
-            assert [frame["s"] for frame in frames] == list(range(count))
-            # ... and the stalled link is dropped, like any broken one.
-            wait_until(lambda: not transport.connected(1))
-            assert transport.connected(0)
-            assert not transport.control_send(1, {"t": "stats?", "req": 0})
-            # (A pass settles after its last write, the one that timed out.)
-            wait_until(lambda: transport.pending() == 0)
-            transport.send((count, ALL_GROUPS, b"next"))
-            assert read_messages(readers[0], 1)[0]["b"] == b"next"
+        base_url, stop = run_app_in_thread(create_app(kv_backend=_Healthy()))
+        try:
+            with fake_replicas(2) as (transport, readers):
+                stalled = transport._links[1]
+                sent = time.monotonic()
+                for sequence in range(count):
+                    transport.send((sequence, ALL_GROUPS, body))
+                # Neither replica reads yet, and the loop that writes to
+                # them serves HTTP all the same.
+                asked = time.monotonic()
+                assert http_get(base_url, "/healthz") == 200
+                assert time.monotonic() - asked < 1.0
+                # Replica 1 never reads.  Replica 0 still gets the burst ...
+                frames = read_messages(readers[0], count)
+                assert [frame["s"] for frame in frames] == list(range(count))
+                # ... and the stalled link is dropped, like any broken one,
+                # once it took nothing for ``SEND_TIMEOUT``; what it still
+                # buffered is released with its socket.
+                wait_until(lambda: not transport.connected(1))
+                assert time.monotonic() - sent < tcp.SEND_TIMEOUT + 2.0
+                wait_until(lambda: stalled.sink.fileno() == -1)
+                assert stalled.buffer is None
+                assert transport.connected(0)
+                assert not transport.control_send(1, {"t": "stats?", "req": 0})
+                wait_until(lambda: transport.pending() == 0)
+                transport.send((count, ALL_GROUPS, b"next"))
+                assert read_messages(readers[0], 1)[0]["b"] == b"next"
+        finally:
+            stop()
 
     def test_a_failed_write_counts_nothing(self):
         transport = TcpCoordinatorTransport()
@@ -870,13 +888,34 @@ class TestSocketBurstPath:
             transport.close()
 
 
+class _Healthy:
+    """A backend whose ``/healthz`` needs no cluster."""
+
+    def health(self):
+        return {"status": "ok", "runtime": "process", "live_replicas": 2,
+                "num_replicas": 2}
+
+
+def http_get(base_url, path):
+    """The status of ``GET path``, on a connection of its own."""
+    host, _, port = base_url.rpartition("//")[2].partition(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=5.0)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        response.read()
+        return response.status
+    finally:
+        connection.close()
+
+
 class _BrokenSink:
     """A socket whose every write fails, as after a reset."""
 
     def __init__(self):
         self.shut = False
 
-    def sendall(self, data):
+    def send(self, data):
         raise OSError("connection reset by peer")
 
     def shutdown(self, how):
@@ -1190,31 +1229,65 @@ class TestDeliveryQueue:
 
 class TestTransportThreads:
     @pytest.mark.parametrize("replicas", [1, 3])
-    def test_two_threads_whatever_the_replica_count(
+    def test_one_io_thread_whatever_the_replica_count(
         self, fake_replicas, replicas, transport_threads
     ):
         with fake_replicas(replicas) as (transport, _readers):
-            assert transport_threads() == ["psmr-pump", "psmr-tcp-reader"]
+            assert transport_threads() == ["psmr-io"]
             transport.close()
-            assert transport_threads() == []
+            # The loop outlives the transport; its sockets do not.
+            assert transport_threads() == ["psmr-io"]
+            assert transport._peers == set()
+            assert transport._listener.fileno() == -1
         # ``fake_replicas`` closed it a second time.
-        assert transport_threads() == []
+        assert transport_threads() == ["psmr-io"]
 
     def test_a_transport_never_started_owns_no_thread(self, transport_threads):
         transport = TcpCoordinatorTransport()
-        assert transport_threads() == []
+        assert transport_threads() == ["psmr-io"]
         transport.close()
 
-    def test_the_queue_transport_owns_a_pump_only_under_a_plane(
+    def test_the_queue_transport_uses_the_loop_only_under_a_plane(
         self, transport_threads
     ):
-        InprocTransport(2).close()
-        assert transport_threads() == []
+        inline = InprocTransport(2)
+        assert inline.pump is None
+        inline.close()
         transport = InprocTransport(2, FaultPlane())
-        assert transport_threads() == ["psmr-pump"]
+        transport.on_replica_registered(0, None)
+        writers = []
+        write = transport.pump.write
+
+        def naming_write(link, items):
+            writers.append(threading.current_thread().name)
+            write(link, items)
+
+        transport.pump.write = naming_write
+        transport.send((0, ALL_GROUPS, b"cmd"))
+        wait_until(lambda: writers)
+        assert writers == ["psmr-io"]
         transport.close()
         transport.close()
-        assert transport_threads() == []
+        assert transport_threads() == ["psmr-io"]
+
+    def test_a_threaded_cluster_without_a_plane_never_starts_the_loop(self):
+        # The direct path puts on worker queues inline: no loop, no socket.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
+        script = (
+            "import threading\n"
+            "from repro.runtime import ThreadedPSMRCluster\n"
+            "from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer\n"
+            "cluster = ThreadedPSMRCluster(KVSTORE_SPEC, KeyValueStoreServer)\n"
+            "with cluster:\n"
+            "    cluster.client().invoke('insert', key=1, value=b'x')\n"
+            "    print(sorted({t.name for t in threading.enumerate()\n"
+            "                  if t.name.startswith(('psmr-io', 'psmr-pump'))}))\n"
+        )
+        ran = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert ran.stdout.strip() == "[]"
 
 
 class TestSerialiseOnce:
@@ -1586,7 +1659,11 @@ _ASYNCIO = re.compile(
 
 
 class TestOneConcurrencyModel:
-    def test_nothing_under_runtime_or_common_imports_asyncio(self):
+    def test_only_the_io_loop_module_imports_asyncio(self):
+        # The coordinator's sockets run on one asyncio loop; everything
+        # else under runtime/ and common/ reaches it through
+        # ``repro.runtime.ioloop``, which imports asyncio only once a loop
+        # is needed.
         root = list(repro.__path__)[0]
         offenders = []
         for package in ("runtime", "common"):
@@ -1595,6 +1672,8 @@ class TestOneConcurrencyModel:
                     if not name.endswith(".py"):
                         continue
                     path = os.path.join(dirpath, name)
+                    if os.path.relpath(path, root) == os.path.join("runtime", "ioloop.py"):
+                        continue
                     with open(path, "r", encoding="utf-8") as handle:
                         for line_number, line in enumerate(handle, 1):
                             if _ASYNCIO.search(line):
