@@ -28,6 +28,9 @@ from repro.common.errors import BlockingOnLoopError
 #: Thread name of the loop (what ``scripts/thread_cpu.py`` reports).
 THREAD_NAME = "psmr-io"
 
+#: How long a thread waits for the loop to start or to run a call for it.
+_WAIT_SECONDS = 10.0
+
 _lock = threading.Lock()
 _loop = None
 _ident = None  # the loop thread's ``threading.get_ident()``
@@ -60,11 +63,6 @@ def _start():
     return _loop
 
 
-def on_loop_thread():
-    """True on the loop's thread (False while no loop has started)."""
-    return threading.get_ident() == _ident
-
-
 def forbid_blocking(what):
     """Raise :class:`BlockingOnLoopError` when called on the loop's thread."""
     if threading.get_ident() == _ident:
@@ -83,7 +81,7 @@ def soon(callback, *args):
         loop().call_soon_threadsafe(callback, *args)
 
 
-def call(function, *args, timeout=10.0):
+def call(function, *args):
     """Run ``function(*args)`` on the loop; wait for and return its result
     (its exception is raised here).  Refused on the loop's thread."""
     forbid_blocking(getattr(function, "__qualname__", "a call onto the loop"))
@@ -98,10 +96,10 @@ def call(function, *args, timeout=10.0):
             future.set_exception(exc)
 
     loop().call_soon_threadsafe(run)
-    return future.result(timeout)
+    return future.result(_WAIT_SECONDS)
 
 
-def run(coroutine, timeout=10.0):
+def run(coroutine):
     """Run ``coroutine`` on the loop; wait for and return its result.
     Refused on the loop's thread."""
     if threading.get_ident() == _ident:
@@ -109,4 +107,6 @@ def run(coroutine, timeout=10.0):
         forbid_blocking(coroutine.__qualname__)
     import asyncio
 
-    return asyncio.run_coroutine_threadsafe(coroutine, loop()).result(timeout)
+    return asyncio.run_coroutine_threadsafe(coroutine, loop()).result(
+        _WAIT_SECONDS
+    )

@@ -30,10 +30,17 @@ from itertools import islice
 
 from repro.common.codec import Memo
 from repro.multicast.group import GroupLayout
+from repro.runtime import ioloop
 from repro.runtime.transport.pump import FramePump, Link
 
 #: A sentinel no queue ever holds.
 _NEVER = object()
+
+
+def _stop_workers(queues):
+    """A poison pill to each worker queue."""
+    for delivery_queue in queues:
+        delivery_queue.put(None)
 
 
 class DeliveryQueue:
@@ -195,11 +202,19 @@ class InprocTransport:
         )
 
     def shutdown(self):
-        """Stop the pump, then a poison pill to every registered worker."""
+        """Stop the pump, then a poison pill to every registered worker.
+        With a pump the pills are put from the loop, behind the pump's
+        last write, and nothing here waits for it: the sequencer lock is
+        held, and a request the loop serves may be waiting for it."""
         self.close()
-        for link in self._links.values():
-            for delivery_queue in link.sink.queues.values():
-                delivery_queue.put(None)
+        queues = [
+            delivery_queue for link in self._links.values()
+            for delivery_queue in link.sink.queues.values()
+        ]
+        if self.pump is None:
+            _stop_workers(queues)
+        else:
+            ioloop.soon(_stop_workers, queues)
 
     def close(self):
         if self.pump is not None:

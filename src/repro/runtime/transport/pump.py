@@ -114,16 +114,16 @@ class FramePump:
 
     def close(self):
         """Stop moving items; what is still queued or held is dropped
-        (idempotent).  Once it returns no ``write`` runs any more: off the
-        loop's thread it waits for a pass in progress to end."""
+        (idempotent).  It never waits for the loop — the caller may hold
+        a lock that a request the loop serves is waiting for — yet no
+        ``write`` starts after it returns, and a callback the caller
+        schedules on the loop (:func:`ioloop.soon`) after it runs after
+        the last ``write`` has ended."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if ioloop.on_loop_thread():
-            self._stop()
-        else:
-            ioloop.call(self._stop)
+        ioloop.soon(self._stop)
 
     def _stop(self):
         if self._timer is not None:

@@ -20,9 +20,9 @@ thread that also serves HTTP, on non-blocking sockets.
   recovery replay and ``control_send`` posted and ends each of its
   passes with one write of the joined frames per link: one ``send``, and
   whatever the socket did not take waits in the link's buffer, written
-  as the socket drains, ahead of anything written after it.  A peer that
-  takes nothing for :data:`SEND_TIMEOUT` is severed and its buffer
-  released; the loop never waits on a socket.
+  as the socket drains, ahead of anything written after it.  A link whose
+  oldest buffered byte waited :data:`SEND_TIMEOUT` is severed and its
+  buffer released; the loop never waits on a socket.
 * **Reading** is ``loop.add_reader`` per socket: an accept on the
   listener, one :meth:`wire.FrameReader.take` (one ``recv_into``) on a
   link, every complete frame in it dispatched to ``on_message`` on the
@@ -40,15 +40,18 @@ traffic, like the un-faulted response path in the threaded runtime.
 import socket
 import threading
 import traceback
+from collections import deque
 
 from repro.common.errors import RecoveryError
 from repro.runtime import ioloop
 from repro.runtime.transport import wire
 from repro.runtime.transport.pump import FramePump, Link
 
-#: How long a link may hold written bytes that its peer takes none of
-#: before the link is dropped like any broken one.  Writes never wait:
-#: a stalled peer costs the others nothing but the memory of its buffer.
+#: How long a byte written to a link may wait in its buffer for the peer
+#: to take it before the link is dropped like any broken one — a peer
+#: that reads too slowly, as one that stopped reading.  Writes never
+#: wait: a stalled peer costs the others nothing but the memory of its
+#: buffer, which this bounds.
 SEND_TIMEOUT = 5.0
 
 
@@ -65,17 +68,21 @@ class _Control:
 class _Peer(Link):
     """One accepted socket: the pump's link state, the reader, and the
     write side's ``buffer`` (bytes the socket has not taken yet, or
-    ``None``), with the loop time it last took any (``progress``) and the
-    stall check armed while it holds some."""
+    ``None``).  ``writes`` splits the buffer into the writes it holds the
+    rest of, oldest first, each ``[bytes left, deadline, ordered
+    items]``; ``buffered`` counts those items (read from any thread by
+    :meth:`TcpCoordinatorTransport.pending`), and ``stall`` is the check
+    armed for the oldest write's deadline while the buffer holds any."""
 
-    __slots__ = ("reader", "replica_id", "buffer", "progress", "stall")
+    __slots__ = ("reader", "replica_id", "buffer", "writes", "buffered", "stall")
 
     def __init__(self, sock):
         super().__init__(None, sock)
         self.reader = wire.FrameReader(sock)
         self.replica_id = None  # until its hello is admitted
         self.buffer = None
-        self.progress = 0.0
+        self.writes = deque()
+        self.buffered = 0
         self.stall = None
 
 
@@ -229,6 +236,8 @@ class TcpCoordinatorTransport:
         its stall check, its place on the loop, its socket."""
         if peer.buffer is not None:
             peer.buffer = None
+            peer.writes.clear()
+            peer.buffered = 0
             self._loop.remove_writer(peer.sink)
         if peer.stall is not None:
             peer.stall.cancel()
@@ -304,11 +313,12 @@ class TcpCoordinatorTransport:
         run of ordered messages between control frames as ``d`` bursts
         (:func:`wire.deliver_frames`), control frames as they are — sent
         at once, or behind the bytes the link still buffers."""
-        chunks, run = [], []
+        chunks, run, ordered = [], [], len(items)
         for body in items:
             if type(body) is not _Control:
                 run.append(body)
                 continue
+            ordered -= 1
             if run:
                 chunks += wire.deliver_frames(run)
                 run = []
@@ -316,24 +326,27 @@ class TcpCoordinatorTransport:
         if run:
             chunks += wire.deliver_frames(run)
         data = b"".join(chunks)
+        left = len(data)
         if link.buffer is not None:
             link.buffer += data
         else:
             try:
-                sent = link.sink.send(data)
+                left -= link.sink.send(data)
             except BlockingIOError:
-                sent = 0
+                pass
             except OSError:  # reset, or closed under us
                 self._sever(link)
                 self._drop(link)
                 return
-            if sent < len(data):
-                link.buffer = bytearray(memoryview(data)[sent:])
-                link.progress = self._loop.time()
+            if left:
+                link.buffer = bytearray(memoryview(data)[-left:])
                 self._loop.add_writer(link.sink, self._drain, link)
-                link.stall = self._loop.call_at(
-                    link.progress + SEND_TIMEOUT, self._check_stall, link
-                )
+        if left:
+            deadline = self._loop.time() + SEND_TIMEOUT
+            link.writes.append([left, deadline, ordered])
+            link.buffered += ordered
+            if link.stall is None:
+                link.stall = self._loop.call_at(deadline, self._check_stall, link)
         self.writes += 1
         self.frames_written += len(items)
 
@@ -347,9 +360,16 @@ class TcpCoordinatorTransport:
             self._sever(link)
             self._drop(link)
             return
-        if sent:
-            link.progress = self._loop.time()
-            del link.buffer[:sent]
+        del link.buffer[:sent]
+        writes = link.writes
+        while sent:
+            write = writes[0]
+            if write[0] > sent:
+                write[0] -= sent
+                break
+            sent -= write[0]
+            link.buffered -= write[2]
+            writes.popleft()
         if not link.buffer:
             link.buffer = None
             self._loop.remove_writer(link.sink)
@@ -357,23 +377,24 @@ class TcpCoordinatorTransport:
             link.stall = None
 
     def _check_stall(self, link):
-        """Loop thread: sever a link whose peer took nothing for
-        :data:`SEND_TIMEOUT`, or look again when it could have."""
+        """Loop thread: sever a link whose oldest buffered write is past
+        its deadline, or look again at the deadline of the one that now
+        is the oldest."""
         link.stall = None
         if link.buffer is None:
             return
-        due = link.progress + SEND_TIMEOUT
-        if self._loop.time() >= due:
+        deadline = link.writes[0][1]
+        if self._loop.time() >= deadline:
             self._sever(link)
             self._drop(link)
         else:
-            link.stall = self._loop.call_at(due, self._check_stall, link)
+            link.stall = self._loop.call_at(deadline, self._check_stall, link)
 
     def pending(self, replica_id=None):
-        """Items the pump still holds: what a replica has queued is its
-        own (it reports it in its stats)."""
+        """Items the pump still holds or a link still buffers: what a
+        replica has queued is its own (it reports it in its stats)."""
         return sum(
-            link.in_flight for link in list(self._links.values())
+            link.in_flight + link.buffered for link in list(self._links.values())
             if replica_id in (None, link.replica_id)
         )
 

@@ -63,6 +63,20 @@ def transport_threads():
     return names
 
 
+class _Healthy:
+    """A backend whose ``/healthz`` needs no cluster."""
+
+    def health(self):
+        return {"status": "ok", "runtime": "process", "live_replicas": 2,
+                "num_replicas": 2}
+
+
+@pytest.fixture(scope="session")
+def healthy_backend():
+    """A frontend backend that answers ``/healthz`` and nothing else."""
+    return _Healthy()
+
+
 @contextlib.contextmanager
 def _fake_replicas(count, fault_plane=None, on_message=None, register=True):
     transport = TcpCoordinatorTransport(fault_plane, on_message=on_message)

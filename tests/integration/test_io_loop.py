@@ -4,7 +4,8 @@ Replica links, the frame pump and the HTTP server share the loop
 (:mod:`repro.runtime.ioloop`): a point request is answered without a
 wake-up crossing threads, one loop thread serves however many clusters
 and apps the process starts, and a blocking wait called on that thread
-is refused at once instead of deadlocking it.
+is refused at once instead of deadlocking it — nor does a cluster's
+shutdown wait for the loop while it holds a lock a request there needs.
 """
 
 import concurrent.futures
@@ -16,13 +17,13 @@ import time
 import pytest
 
 from repro.common.errors import BlockingOnLoopError
+from repro.common.faults import FaultPlane
 from repro.frontend.app import create_app
 from repro.frontend.backend import ClusterBackend
 from repro.frontend.server import run_app_in_thread
-from repro.runtime import ProcessPSMRCluster, ioloop
+from repro.runtime import ProcessPSMRCluster, ThreadedPSMRCluster, ioloop
 from repro.runtime.cluster import _Cut
-
-OLD_IO_THREADS = {"frontend-http", "psmr-pump", "psmr-tcp-reader"}
+from repro.services.kvstore import KVSTORE_SPEC, KeyValueStoreServer
 
 
 @contextlib.contextmanager
@@ -139,15 +140,58 @@ def test_a_point_request_makes_no_threadsafe_call_onto_the_loop(served):
     assert calls == []
 
 
-def test_one_io_thread_however_many_clusters_and_apps(served):
+def test_one_io_thread_however_many_clusters_and_apps(served, transport_threads):
     with served_cluster() as (_other, address):
         connection = http.client.HTTPConnection(*address, timeout=5.0)
         try:
             assert get(connection, "/kv/3") == 200
         finally:
             connection.close()
-        names = [thread.name for thread in threading.enumerate()]
-        assert names.count(ioloop.THREAD_NAME) == 1
-        assert not OLD_IO_THREADS & set(names)
-    names = [thread.name for thread in threading.enumerate()]
-    assert names.count(ioloop.THREAD_NAME) == 1
+        assert transport_threads() == [ioloop.THREAD_NAME]
+    assert transport_threads() == [ioloop.THREAD_NAME]
+
+
+def test_a_threaded_cluster_shuts_down_with_a_request_in_flight_on_the_loop():
+    # With a plane, the threaded cluster's pump runs on the loop too.
+    cluster = ThreadedPSMRCluster(
+        KVSTORE_SPEC, KeyValueStoreServer, fault_plane=FaultPlane()
+    ).start()
+    base_url, stop = run_app_in_thread(
+        create_app(kv_backend=ClusterBackend(cluster), request_timeout=1.0)
+    )
+    host, _, port = base_url.rpartition("//")[2].partition(":")
+    statuses = []
+
+    def request():
+        connection = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        try:
+            statuses.append(get(connection, "/kv/1"))
+        finally:
+            connection.close()
+
+    client = threading.Thread(target=request)
+    transport = cluster.multicast.transport
+    shutdown = transport.shutdown
+
+    def shutdown_with_a_request_in_flight():
+        # Called under the sequencer lock: the request's multicast waits
+        # for it on the loop while the transport shuts down.
+        client.start()
+        time.sleep(0.3)
+        shutdown()
+
+    transport.shutdown = shutdown_with_a_request_in_flight
+    try:
+        started = time.monotonic()
+        cluster.shutdown()
+        assert time.monotonic() - started < 3.0
+        # The poison pills reached every worker: none is left running.
+        assert not any(
+            worker.is_alive()
+            for replica in cluster.replicas for worker in replica.threads
+        )
+        # Ordered after the shutdown, the read times out.
+        client.join(timeout=10.0)
+        assert statuses == [503]
+    finally:
+        stop()

@@ -15,17 +15,9 @@ from repro.frontend.app import create_app
 from repro.frontend.server import MAX_BODY_BYTES, run_app_in_thread
 
 
-class _Healthy:
-    """A backend whose ``/healthz`` needs no cluster."""
-
-    def health(self):
-        return {"status": "ok", "runtime": "threaded", "live_replicas": 1,
-                "num_replicas": 1}
-
-
 @pytest.fixture(scope="module")
-def address():
-    base_url, stop = run_app_in_thread(create_app(kv_backend=_Healthy()))
+def address(healthy_backend):
+    base_url, stop = run_app_in_thread(create_app(kv_backend=healthy_backend))
     host, _, port = base_url.rpartition("//")[2].partition(":")
     yield host, int(port)
     stop()

@@ -834,17 +834,29 @@ class TestSocketBurstPath:
             assert read_frames(readers[1], 1) == [{"t": "bye"}]
 
     def test_a_peer_that_stops_reading_costs_the_others_a_bounded_delay(
-        self, fake_replicas, monkeypatch
+        self, fake_replicas, healthy_backend, monkeypatch
     ):
         monkeypatch.setattr(tcp, "SEND_TIMEOUT", 0.3)
         count, body = 12, b"x" * (1 << 20)  # more than the kernel buffers
-        base_url, stop = run_app_in_thread(create_app(kv_backend=_Healthy()))
+        base_url, stop = run_app_in_thread(create_app(kv_backend=healthy_backend))
         try:
-            with fake_replicas(2) as (transport, readers):
-                stalled = transport._links[1]
+            with fake_replicas(3) as (transport, readers):
+                stalled, trickling = transport._links[1], transport._links[2]
+                # Small kernel buffers on the trickling link, so that each
+                # of its reads lets the coordinator write some more.
+                trickling.sink.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+                readers[2]._sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16
+                )
                 sent = time.monotonic()
                 for sequence in range(count):
                     transport.send((sequence, ALL_GROUPS, body))
+                # Replica 2 reads, but a trickle: 64 KiB every 50 ms, far
+                # too little to take the burst within ``SEND_TIMEOUT``.
+                trickle = threading.Thread(
+                    target=_trickle, args=(readers[2]._sock,), daemon=True
+                )
+                trickle.start()
                 # Neither replica reads yet, and the loop that writes to
                 # them serves HTTP all the same.
                 asked = time.monotonic()
@@ -853,13 +865,17 @@ class TestSocketBurstPath:
                 # Replica 1 never reads.  Replica 0 still gets the burst ...
                 frames = read_messages(readers[0], count)
                 assert [frame["s"] for frame in frames] == list(range(count))
-                # ... and the stalled link is dropped, like any broken one,
-                # once it took nothing for ``SEND_TIMEOUT``; what it still
-                # buffered is released with its socket.
+                # ... and the stalled link and the trickling one are
+                # dropped, like any broken one, once a byte waited
+                # ``SEND_TIMEOUT`` in their buffer; what they still
+                # buffered is released with their socket.
                 wait_until(lambda: not transport.connected(1))
+                wait_until(lambda: not transport.connected(2))
                 assert time.monotonic() - sent < tcp.SEND_TIMEOUT + 2.0
-                wait_until(lambda: stalled.sink.fileno() == -1)
-                assert stalled.buffer is None
+                for dropped in (stalled, trickling):
+                    wait_until(lambda: dropped.sink.fileno() == -1)
+                    assert dropped.buffer is None and dropped.buffered == 0
+                trickle.join(timeout=5.0)
                 assert transport.connected(0)
                 assert not transport.control_send(1, {"t": "stats?", "req": 0})
                 wait_until(lambda: transport.pending() == 0)
@@ -867,6 +883,21 @@ class TestSocketBurstPath:
                 assert read_messages(readers[0], 1)[0]["b"] == b"next"
         finally:
             stop()
+
+    def test_items_a_link_buffers_are_pending(self, fake_replicas):
+        count, body = 12, b"x" * (1 << 20)  # more than the kernel buffers
+        with fake_replicas(1) as (transport, readers):
+            link = transport._links[0]
+            for sequence in range(count):
+                transport.send((sequence, ALL_GROUPS, body))
+            # Out of the pump, not yet taken by the socket: still pending.
+            wait_until(lambda: link.in_flight == 0)
+            assert 0 < link.buffered <= count
+            assert transport.pending(0) == link.buffered
+            assert not LocalAtomicMulticast(transport).is_drained(0)
+            read_messages(readers[0], count)
+            wait_until(lambda: transport.pending(0) == 0)
+            assert link.buffer is None
 
     def test_a_failed_write_counts_nothing(self):
         transport = TcpCoordinatorTransport()
@@ -888,12 +919,13 @@ class TestSocketBurstPath:
             transport.close()
 
 
-class _Healthy:
-    """A backend whose ``/healthz`` needs no cluster."""
-
-    def health(self):
-        return {"status": "ok", "runtime": "process", "live_replicas": 2,
-                "num_replicas": 2}
+def _trickle(sock):
+    """Take 64 KiB every 50 ms until the socket ends."""
+    try:
+        while sock.recv(1 << 16):
+            time.sleep(0.05)
+    except OSError:
+        pass
 
 
 def http_get(base_url, path):
@@ -1242,10 +1274,23 @@ class TestTransportThreads:
         # ``fake_replicas`` closed it a second time.
         assert transport_threads() == ["psmr-io"]
 
-    def test_a_transport_never_started_owns_no_thread(self, transport_threads):
-        transport = TcpCoordinatorTransport()
-        assert transport_threads() == ["psmr-io"]
-        transport.close()
+    def test_a_transport_never_started_owns_no_thread(self):
+        # In a process of its own: here the loop already runs.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(list(repro.__path__)[0]))
+        script = (
+            "import threading\n"
+            "from repro.runtime.transport import TcpCoordinatorTransport\n"
+            "transport = TcpCoordinatorTransport()\n"
+            "transport.close()\n"
+            "print(sorted(t.name for t in threading.enumerate()\n"
+            "             if t is not threading.main_thread()),\n"
+            "      transport._listener, transport.pump, transport._peers)\n"
+        )
+        ran = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert ran.stdout.strip() == "[] None None set()"
 
     def test_the_queue_transport_uses_the_loop_only_under_a_plane(
         self, transport_threads
