@@ -7,8 +7,10 @@ connections) and Content-Length framing; no TLS, no chunked uploads — it
 serves the repro's benchmarks and tests, not the open internet.  A
 request it cannot frame — an unparseable request line or header line, a
 ``Content-Length`` that is not a non-negative integer — is answered
-``400``, a body over :data:`MAX_BODY_BYTES` ``413``, and the connection
-is closed: the server goes on serving the others.
+``400``, a body over :data:`MAX_BODY_BYTES` ``413``, and a request that
+carries ``Transfer-Encoding`` (chunked or any other coding) ``501``,
+before the app sees it; then the connection is closed, its unread input
+dropped, and the server goes on serving the others.
 
 :func:`run_app_in_thread` serves on the process's I/O loop
 (:mod:`repro.runtime.ioloop`), the thread that also carries the process
@@ -29,7 +31,7 @@ MAX_BODY_BYTES = 16 << 20
 #: How long a refused connection's remaining input is read before it closes.
 LINGER_SECONDS = 1.0
 
-_REASONS = {400: b"Bad Request", 413: b"Content Too Large"}
+_REASONS = {400: b"Bad Request", 413: b"Content Too Large", 501: b"Not Implemented"}
 
 
 class AsgiHTTPServer:
@@ -132,6 +134,10 @@ class AsgiHTTPServer:
                 return await self._refuse(reader, writer, 400)
             headers.append((name.strip().lower().encode(), value.strip().encode()))
         header_map = dict(headers)
+        if b"transfer-encoding" in header_map:
+            # Its body is not framed by Content-Length: serving it would
+            # read the body's chunk lines as the next request.
+            return await self._refuse(reader, writer, 501)
         length = header_map.get(b"content-length", b"0")
         if not length.isdigit():  # ASCII digits only: no sign, no space
             return await self._refuse(reader, writer, 400)

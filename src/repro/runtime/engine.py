@@ -8,6 +8,19 @@ arrives last at its barrier; the earlier arrivals are parked until it is
 done (Algorithm 1 names the lowest-indexed thread instead; with every
 other destination parked at the same point of its stream, the outcome is
 the same).
+In a replica process one more thread executes: the receive loop, which
+:meth:`ReplicaEngine.deliver` hands each worker's run.  While that
+worker is idle — everything handed to it finished and answered — the
+loop runs the run's leading parallel-mode commands itself and answers
+them in one ``on_responses`` call, so a command to an idle group costs no thread
+wake-up and no GIL hand-off (the Leader/Followers rule: the thread that
+received an event processes it unless order needs another).  The rest of
+the run, and every run for a busy worker, is queued for the worker.  A
+group's commands therefore still run one at a time in stream order, and
+every multi-group command and cut still goes through the barrier.  The
+threaded runtime queues every item: its feeders (a client thread under
+the sequencer lock, the I/O loop under a fault plane) run no service
+code.
 A :data:`~repro.core.command.BATCH` command — calls a client packed
 because the C-G function sends them to the same destinations — runs
 where its destinations say, like any command: its calls are applied in
@@ -147,10 +160,19 @@ class ReplicaEngine:
         #: the service's delta tracking then no longer starts at the chain
         #: tip, so the next checkpoint must be full.
         self._rebase = False
+        #: Commands delivered per thread; slot 0 counts those the receive
+        #: loop ran itself (:meth:`deliver`).
         self.delivered = [0] * (mpl + 1)
         #: Batches drained per thread (``delivered[i] / batches[i]`` is the
-        #: thread's achieved amortisation).  Single-writer slots: no lock.
+        #: thread's achieved amortisation); slot 0 counts the runs the
+        #: receive loop ran.  Single-writer slots: no lock.
         self.batches = [0] * (mpl + 1)
+        #: Items put on each worker's queue by :meth:`deliver` (the receive
+        #: loop writes it) and items the worker has finished and answered
+        #: (the worker writes it, once per batch): equal, the worker is
+        #: idle.  One writer each: no lock.
+        self.handed = [0] * (mpl + 1)
+        self.finished = [0] * (mpl + 1)
         #: Incremented if a cut ever completes with responses still
         #: pending on a worker — the batched drain keeps this at zero
         #: (cuts land exactly at batch boundaries); tests assert on it.
@@ -219,6 +241,8 @@ class ReplicaEngine:
                 restore_chain(self.service, self.chain)
         self.queues = queues
         for index in range(1, self.mpl + 1):
+            # What is queued before the worker runs counts as handed to it.
+            self.handed[index] = queues[index].qsize()
             worker = threading.Thread(
                 target=self._worker_loop,
                 args=(index, queues[index]),
@@ -245,6 +269,43 @@ class ReplicaEngine:
         self.stop()
 
     # ------------------------------------------------------------------
+    # The receive loop (a replica process's main thread)
+    # ------------------------------------------------------------------
+    def deliver(self, index, run):
+        """Hand worker ``index`` its run, a list in stream order.
+
+        When the worker is idle — everything handed to it is finished and
+        answered — the run's leading parallel-mode commands execute here,
+        on the calling thread, and are answered in one ``on_responses``
+        call; the rest of the run, from its first cut or multi-group
+        command on, is queued behind them.  The worker cannot start
+        anything meanwhile: its queue stays empty until that put.  A busy
+        worker has the whole run queued behind what it holds.  One thread
+        feeds an engine's runs: it alone writes ``handed``.
+        """
+        if self.handed[index] == self.finished[index] and not self.crashed:
+            mpl = self.mpl
+            pending = []
+            for _sequence, destinations, command in run:
+                if (isinstance(command, dict)
+                        or _cached_plan(destinations, index, mpl).mode != "parallel"):
+                    break
+                if isinstance(command, (bytes, bytearray)):
+                    command = decode_command(command)
+                try:
+                    pending.append((command.uid, self._execute(command)))
+                except ReplicaCrashedError:
+                    return
+            if pending:
+                self.delivered[0] += len(pending)
+                self.batches[0] += 1
+                self.on_responses(pending)
+                run = run[len(pending):]
+        if run:
+            self.handed[index] += len(run)
+            self.queues[index].put_many(run)
+
+    # ------------------------------------------------------------------
     # Worker threads
     # ------------------------------------------------------------------
     def _worker_loop(self, index, delivery_queue):
@@ -257,11 +318,14 @@ class ReplicaEngine:
         they are always flushed before anything that can block or reorder
         — a barrier, a cut — and at the end of every drained
         batch, so a closed-loop client is never left waiting on a response
-        this thread is sitting on.
+        this thread is sitting on.  Only then is the batch counted
+        ``finished``: from that point :meth:`deliver` may run the group's
+        next commands on the receive loop.
         """
         mpl = self.mpl
         barrier = self.barrier
         timeout = self.barrier_timeout
+        finished = self.finished
         pending = []  # (uid, response) pairs not yet reported
         while True:
             batch = delivery_queue.get_batch(DELIVERY_BATCH_SIZE)
@@ -306,6 +370,7 @@ class ReplicaEngine:
                 except ReplicaCrashedError:
                     return
             self._flush_responses(pending)
+            finished[index] += len(batch)
 
     def _flush_responses(self, pending):
         """Report accumulated parallel-mode responses at once."""
@@ -441,7 +506,10 @@ class ReplicaEngine:
     # Management (any thread)
     # ------------------------------------------------------------------
     def stats(self):
-        """Execution counters and the undrained backlog of the workers."""
+        """Execution counters and the undrained backlog of the workers;
+        ``inline`` / ``inline_delivered`` are the runs the receive loop
+        executed itself and their commands (included in ``batches`` /
+        ``delivered``)."""
         with self._counter_lock:
             boundary = self.boundary_violations
         return {
@@ -449,6 +517,8 @@ class ReplicaEngine:
             "queued": sum(q.qsize() for q in self.queues.values()),
             "delivered": sum(self.delivered),
             "batches": sum(self.batches),
+            "inline": self.batches[0],
+            "inline_delivered": self.delivered[0],
             "boundary": boundary,
         }
 

@@ -9,15 +9,22 @@ threaded runtime runs in-process — with its two sinks bound to ``r`` /
 ``c`` frames on the socket.
 
 The receive loop is the process's main thread: each read takes every
-frame a burst left in the socket (``wire.FrameReader``), files the
+frame a burst left in the socket (``wire.FrameReader``) and files the
 messages of its ``d`` frames with the replica's
 :class:`~repro.runtime.transport.inproc.ReplicaInbox` — the receiving
-end the threaded runtime's replicas run too — hands the run to the
-workers, and answers the coordinator's management requests (stats,
-snapshots, chain donations) inline — after the run ahead of
-them is queued.  Killing this process with SIGKILL is therefore a
-*real* crash: no flushes, no goodbyes — recovery starts from whatever
-the checkpoint store's crash-safe segments hold.
+end the threaded runtime's replicas run too.  Once the workers start,
+the inbox hands each worker's run to
+:meth:`~repro.runtime.engine.ReplicaEngine.deliver`: for an idle worker
+this thread executes the run's leading single-group commands itself and
+answers them in one ``r`` frame, and queues the rest (from the first
+cut or multi-group command on) for the worker; a busy worker has the
+whole run queued.  So on an idle replica a point command is received,
+executed and answered on this one thread.  The loop answers the
+coordinator's management requests (stats, snapshots, chain donations)
+inline too — after the run ahead of them is handed over.  Killing this
+process with SIGKILL is therefore a *real* crash: no flushes, no
+goodbyes — recovery starts from whatever the checkpoint store's
+crash-safe segments hold.
 """
 
 import argparse
@@ -156,6 +163,9 @@ class ReplicaProcess:
                     )
                 elif kind == "start":
                     self.engine.start(self.inbox.queues)
+                    # From here on an idle worker's run executes on this
+                    # thread (ReplicaEngine.deliver).
+                    self.inbox.hand = self.engine.deliver
                 elif kind == "bye":
                     return
                 else:

@@ -1,6 +1,6 @@
 """The receiving end every replica runs, and the in-process transport.
 
-Every delivered command, on both runtimes, ends in a worker's
+A delivered command that a worker runs waits in the worker's
 :class:`DeliveryQueue`: a ``queue.SimpleQueue``, so the put, the
 worker's wait and its wake-up all run in C, with no Python-level lock
 between the sender and the worker.
@@ -9,10 +9,15 @@ between the sender and the worker.
 both runtimes: file each arriving item — its link hands them over once
 and in order — with the workers that deliver its destinations (thread
 ``t_i`` delivers ``g_i`` and ``g_all``, so which workers take a message
-depends on its destinations alone) and hand each worker its run with one
-``put_many`` (one wake-up).  A replica process feeds it the ``d`` frames
-of one socket read; :class:`InprocTransport` feeds it what the pump
-writes.
+depends on its destinations alone) and hand each worker its run in
+thread order.  By default a run is one ``put_many`` (one wake-up).  A
+replica process feeds the inbox the ``d`` frames of one socket read and,
+once its workers start, hands each run to
+:meth:`~repro.runtime.engine.ReplicaEngine.deliver` instead, which runs
+an idle worker's leading single-group commands on the receive loop and
+queues the rest.  :class:`InprocTransport` feeds its inboxes what the
+pump writes, and they keep ``put_many``: their feeders must not run
+service code.
 
 :class:`InprocTransport` is the threaded runtime's transport.  Without a
 fault plane an ordered item is put on the delivering workers' queues of
@@ -105,6 +110,14 @@ class ReplicaInbox:
         self.threads_for = Memo(GroupLayout(mpl).delivering_threads)
         # Items released since the last flush, per thread index.
         self._run = [[] for _ in range(mpl + 1)]
+        #: ``hand(index, run)`` gives worker ``index`` its run: a
+        #: ``put_many``, until a replica process rebinds it to
+        #: :meth:`~repro.runtime.engine.ReplicaEngine.deliver` as its
+        #: workers start.
+        self.hand = self._put
+
+    def _put(self, index, run):
+        self.queues[index].put_many(run)
 
     def accept(self, items):
         threads_for, run = self.threads_for, self._run
@@ -113,10 +126,13 @@ class ReplicaInbox:
                 run[index].append(item)
 
     def flush(self):
-        """One ``put_many`` (one wake-up) per worker with a run."""
+        """Hand each worker with a run that run, in thread order: one
+        ``put_many`` (one wake-up) each, unless :attr:`hand` runs some of
+        it first."""
+        hand = self.hand
         for index, items in enumerate(self._run):
             if items:
-                self.queues[index].put_many(items)
+                hand(index, items)
                 items.clear()
 
     def pending(self):

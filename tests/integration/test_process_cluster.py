@@ -248,6 +248,60 @@ def test_pipelined_burst_with_a_marker_mid_burst():
         assert transport.pending() == 0
 
 
+def test_closed_loop_point_reads_run_on_the_receive_loop():
+    """An idle worker's command runs on its replica's receive loop: on an
+    idle cluster every closed-loop point read is executed there, and no
+    worker is handed anything."""
+    reads = 40
+    with proc_cluster(mpl=2) as cluster:
+        client = cluster.client()
+        for step in range(reads):
+            assert client.invoke("read", key=step % 16).error is None
+        cluster.wait_for_quiescence()
+        for replica in cluster.replicas:
+            stats = replica.stats()
+            assert stats["inline_delivered"] == stats["delivered"] == reads
+            assert stats["inline"] == stats["batches"] >= 1
+
+
+def test_a_busy_workers_run_is_queued_behind_what_it_holds():
+    """One client pipelines commands to one key — one group — with an
+    insert (a command to every group, which each worker takes from its
+    queue) every 64th: what arrives while the group's worker holds one is
+    queued behind it, and the rest runs on the receive loop.  Per-key
+    order holds across both paths."""
+    total, every = 1024, 64
+    with proc_cluster(mpl=2) as cluster:
+        client = cluster.client()
+        pendings = []
+        for step in range(total):
+            if step % every == 0:
+                pendings.append(client.invoke_async(
+                    "insert", key=1000 + step, value=b"i"
+                ))
+            elif step % 2:
+                pendings.append(client.invoke_async(
+                    "update", key=1, value=b"%d" % step
+                ))
+            else:
+                pendings.append(client.invoke_async("read", key=1))
+        for step, pending in enumerate(pendings):
+            response = pending.result(timeout=30)
+            assert response.error is None
+            if step % every and not step % 2 and (step - 1) % every:
+                assert response.value == b"%d" % (step - 1)
+        cluster.wait_for_quiescence()
+        inserts = total // every
+        for replica in cluster.replicas:
+            stats = replica.stats()
+            assert stats["delivered"] == total - inserts + 2 * inserts
+            # Both workers took every insert from their queues; the
+            # group's worker also took commands queued behind them.
+            assert stats["delivered"] - stats["inline_delivered"] > 2 * inserts
+        snapshots = cluster.replica_snapshots()
+        assert snapshots[0] == snapshots[1]
+
+
 def test_netfs_on_the_process_runtime(tmp_path):
     """The one service / runtime pairing nothing else starts: every NetFS
     answer crosses the wire in the codec's vocabulary (``lstat``'s ``Stat``

@@ -3,8 +3,9 @@
 Each case goes over a real socket to :func:`run_app_in_thread`: a
 request line or header line that does not parse, or a ``Content-Length``
 that is not a non-negative integer, is a ``400``; a body over
-:data:`MAX_BODY_BYTES` is a ``413``.  The connection is closed after the
-answer, and the next connection is served.
+:data:`MAX_BODY_BYTES` is a ``413``; a chunked body is a ``501``, and
+its chunk lines are not read as a second request.  The connection is
+closed after the one answer, and the next connection is served.
 """
 
 import socket
@@ -58,19 +59,25 @@ HEALTHZ = b"GET /healthz HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n"
             b"PUT /kv/1 HTTP/1.1\r\ncontent-length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
             413,
         ),
+        (
+            b"PUT /kv/1 HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
+            b'20\r\n{"value": "x", "mode": "insert"}\r\n0\r\n\r\n',
+            501,
+        ),
     ],
     ids=[
         "negative-length", "non-integer-length", "signed-length",
         "empty-length", "one-word-request-line", "four-word-request-line",
         "header-without-colon", "header-without-name", "request-line-too-long",
-        "header-too-long", "body-over-the-cap",
+        "header-too-long", "body-over-the-cap", "chunked-body",
     ],
 )
 def test_an_unframeable_request_is_answered_and_the_next_is_served(
     address, request_bytes, status
 ):
     answer = exchange(address, request_bytes)
-    # Answered, then closed: ``exchange`` returned on the server's EOF.
+    # Answered once, then closed: ``exchange`` returned on the server's EOF.
+    assert answer.count(b"HTTP/1.1 ") == 1
     assert status_of(answer) == status
     assert b"connection: close" in answer
     assert status_of(exchange(address, HEALTHZ)) == 200

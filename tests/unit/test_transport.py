@@ -1405,34 +1405,51 @@ class TestSerialiseOnce:
 
 class _NamesItsWorker:
     """A toy service: answers with the executing thread's name, except
-    ``lock``, whose answer no serialiser can carry."""
+    ``lock``, whose answer no serialiser can carry, and ``hold``, which
+    sets ``held`` and answers once ``released`` is set."""
+
+    def __init__(self, held, released):
+        self.held, self.released = held, released
 
     def apply(self, command):
         if command.name == "lock":
             return Response(uid=command.uid, value=threading.Lock())
+        if command.name == "hold":
+            self.held.set()
+            assert self.released.wait(5.0)
+            return Response(uid=command.uid)
         return Response(uid=command.uid, value=threading.current_thread().name)
 
 
 class TestUnencodableResponse:
     """One answer the codec cannot carry costs that answer only: not the
-    ``r`` frame it shares with others, not the worker that sends it."""
+    ``r`` frame it shares with others, nor the thread that sends it —
+    the receive loop, which runs an idle worker's run itself, or the
+    worker, which a busy one's run is queued for."""
 
-    def test_it_becomes_an_error_response_and_the_worker_lives(self):
+    RECEIVER = "replica0-receive-loop"
+
+    @pytest.mark.parametrize("worker", ["idle", "busy"])
+    def test_it_becomes_an_error_response_and_the_worker_lives(self, worker):
         left, right = socket.socketpair()
-        left.settimeout(5.0)  # a dead worker reads as EOF here, not a hang
-        replica = ReplicaProcess(right, 0, 2, _NamesItsWorker, None)
-        server = threading.Thread(target=replica.serve, args=([],), daemon=True)
+        left.settimeout(5.0)  # a dead thread reads as EOF here, not a hang
+        held, released = threading.Event(), threading.Event()
+        replica = ReplicaProcess(
+            right, 0, 2, lambda: _NamesItsWorker(held, released), None
+        )
+        server = threading.Thread(
+            target=replica.serve, args=([],), name=self.RECEIVER, daemon=True
+        )
         server.start()
-        group = frozenset({1})
         reader = wire.FrameReader(left)
 
-        def deliver(first, *names):
-            """One write, so one run: the worker drains it as one batch."""
+        def deliver(first, *names, dst=(1,)):
+            """One write, so one run."""
             left.sendall(b"".join(
                 wire.encode_message({
-                    "t": "d", "s": n, "dst": (1,),
+                    "t": "d", "s": n, "dst": dst,
                     "b": codec.encode_command(
-                        Command((7, n), name, {}, destinations=group)
+                        Command((7, n), name, {}, destinations=frozenset(dst))
                     ),
                 })
                 for n, name in enumerate(names, first)
@@ -1444,19 +1461,40 @@ class TestUnencodableResponse:
                 {"t": "start"},
             ):
                 wire.send_message(left, message)
-            deliver(0, "name", "lock", "name")
-            (flush,) = reader.read()  # all three answers, in one frame
-            (first, worker, _), (second, value, error), (third, same, _) = (
+            if worker == "busy":
+                # A command to both groups holds t1 (running it, or parked
+                # at its barrier) until released: the run is queued.
+                deliver(10, "hold", dst=(1, 2))
+                assert held.wait(5.0)
+                deliver(0, "name", "lock", "name")
+                queue_1 = replica.engine.queues[1]
+                wait_until(lambda: queue_1.qsize() == 3)
+                released.set()
+                hold, flush = read_frames(reader, 2)
+                assert hold == {"t": "r", "resps": (((7, 10), None, None),)}
+                answerer = "psmr-replica0-t1"
+            else:
+                deliver(0, "name", "lock", "name")
+                (flush,) = reader.read()
+                answerer = self.RECEIVER
+            # All three answers, in one frame.
+            (first, thread, _), (second, value, error), (third, same, _) = (
                 flush["resps"]
             )
             assert (first, second, third) == ((7, 0), (7, 1), (7, 2))
-            assert worker == same == "psmr-replica0-t1"
+            assert thread == same == answerer
             assert value is None and "lock" in error
-            deliver(3, "name")  # the group's next command: same worker, alive
+            # Once t1 has finished its run, it is idle: the group's next
+            # command runs on the receive loop, which is alive.
+            engine = replica.engine
+            wait_until(lambda: engine.handed[1] == engine.finished[1])
+            deliver(3, "name")
             assert reader.read() == [
-                {"t": "r", "resps": (((7, 3), worker, None),)}
+                {"t": "r", "resps": (((7, 3), self.RECEIVER, None),)}
             ]
+            assert engine.stats()["inline"] == (1 if worker == "busy" else 2)
         finally:
+            released.set()
             wire.send_message(left, {"t": "bye"})
             server.join(5.0)
             replica.engine.stop()
